@@ -7,6 +7,13 @@ that every curve whose degree/multiplicity ratio is at most a has degree
 at most B.  That bound turns the possible (multiplicity, degree) pairs,
 hence the possible ratios up to any alpha < sqrt(d), into a finite
 explicitly enumerable set.
+
+Both steps are exact and in closed form.  The least M solves the
+dimension count's integer quadratic with math.isqrt, at O(1) cost and
+with no search cap.  The candidate ratios t/m <= alpha with m <= t <= B
+are the inverses of the Farey fractions of order B in [1/alpha, 1], so
+a Farey next-term walk lists them in ascending order at one integer step
+per ratio.
 """
 
 from __future__ import annotations
@@ -14,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from itertools import starmap
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from .values import Rational, RationalLike
-
-DEFAULT_SEARCH_CAP = 10**6
 
 
 class BoundError(ValueError):
@@ -81,13 +87,19 @@ def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:
     )
 
 
-def minimal_M(rr: RRData, a: RationalLike, search_cap: int = DEFAULT_SEARCH_CAP) -> DegreeBound:
-    """Smallest admissible multiplier M with l(M) > 0, and B = M*d.
+def minimal_M(rr: RRData, a: RationalLike) -> DegreeBound:
+    """Smallest admissible multiplier M with l(M) > 0, and B = M*d, in
+    closed form at O(1) cost.
 
-    Admissible n are exactly the multiples of the reduced denominator of
-    a.  Termination is guaranteed by the positive leading coefficient
-    (d - a^2)/2; the cap only guards against misuse and exceeding it is a
-    hard error, never an approximation.
+    Admissible n are exactly the multiples n = q*j of the reduced
+    denominator q of a = p/q.  Then 2*l(q*j) = f(j) = A*j^2 + b*j + C with
+    the integers A = d*q^2 - p^2 > 0, b = c*q - 3p and C = 2(c' - 1).  If
+    f(1) > 0 the answer is j = 1; this covers c' > 1, where l is positive
+    left of the smaller root.  Otherwise 1 lies between the roots of the
+    convex parabola f, and the answer is the least integer above the
+    larger root, whose floor math.isqrt of the discriminant gives
+    exactly.  Every step
+    is exact integer arithmetic and no input meets a search cap.
     """
     a = Fraction(a)
     if a <= 0:
@@ -96,15 +108,23 @@ def minimal_M(rr: RRData, a: RationalLike, search_cap: int = DEFAULT_SEARCH_CAP)
         raise BoundError(
             f"threshold^2 must be strictly below the degree: {a}^2 >= {rr.d}"
         )
-    q = a.denominator
-    n = q
-    steps = 0
-    while l_poly(rr, a, n) <= 0:
-        steps += 1
-        if steps >= search_cap:
-            raise BoundError(f"multiplier search exceeded {search_cap} steps")
-        n += q
-    return DegreeBound(a=a, M=n, B=n * rr.d, vanishing_multiplier=rr.vanishing_multiplier)
+    p, q = a.numerator, a.denominator
+    A = rr.d * q * q - p * p
+    b = rr.c * q - 3 * p
+    C = 2 * (rr.c_prime - 1)
+
+    def f(j: int) -> int:
+        return (A * j + b) * j + C
+
+    j = 1
+    if f(1) <= 0:
+        # f has a real root, so D = b^2 - 4AC >= 0, and the answer is
+        # floor(r) + 1 for the larger root r = (-b + sqrt(D)) / (2A).
+        # For an integer k, 2Ak + b <= sqrt(D) iff 2Ak + b <= isqrt(D),
+        # so the floor taken with isqrt is exact and needs no fix-up.
+        j = (-b + math.isqrt(b * b - 4 * A * C)) // (2 * A) + 1
+    M = q * j
+    return DegreeBound(a=a, M=M, B=M * rr.d, vanishing_multiplier=rr.vanishing_multiplier)
 
 
 def multiplicity_target(M: int, a: RationalLike) -> int:
@@ -117,38 +137,59 @@ def multiplicity_target(M: int, a: RationalLike) -> int:
     return int(Ma) + 1
 
 
-def candidate_pairs(
-    B: int, alpha: RationalLike, require_m_le_t: bool = True
-) -> set:
-    """The finite set of reduced (degree, multiplicity) pairs with
-    1 <= m <= t <= B and t/m <= alpha.  These are the only pairs a curve
-    realizing a ratio <= alpha can produce once its degree is bounded by
-    B, which is what makes the attainable value set finite."""
+def _farey(B: int, a: int, b: int, c: int, d: int) -> Iterator[Tuple[int, int]]:
+    """Terms c/d, then onward, of the fractions with denominator <= B in
+    order, walking from the neighbour a/b through c/d (either direction).
+
+    Three consecutive terms x < y < z satisfy x + z = k*y termwise, with
+    k = (B + den(x)) // den(y) = (B + den(z)) // den(y); see Hardy and
+    Wright, An Introduction to the Theory of Numbers, ch. III.  The walk
+    never ends; the caller stops it.
+    """
+    while True:
+        yield c, d
+        k = (B + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+
+
+def _candidate_walk(
+    B: int, alpha: RationalLike, require_m_le_t: bool
+) -> Iterator[Tuple[int, int]]:
+    """Reduced (t, m) with t, m <= B and t/m <= alpha in ascending order
+    of t/m, restricted to m <= t when require_m_le_t."""
     if B < 1:
         raise BoundError(f"B must be positive, got {B}")
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise BoundError(f"alpha must be positive, got {alpha}")
     p, q = alpha.numerator, alpha.denominator
-    gcd = math.gcd
-    seen = set()
-    add = seen.add
-    if require_m_le_t:
-        # reducing (t, m) with m <= t <= B lands on a coprime pair that
-        # is itself admissible, so the coprime pairs are exactly the set
-        for t in range(1, B + 1):
-            # t/m <= alpha  <=>  m >= t*q/p
-            m_lo = -((-t * q) // p)
-            for m in range(max(1, m_lo), t + 1):
-                if gcd(t, m) == 1:
-                    add((t, m))
-        return seen
-    for t in range(1, B + 1):
-        m_lo = -((-t * q) // p)
-        for m in range(max(1, m_lo), B + 1):
-            g = gcd(t, m)
-            add((t // g, m // g))
-    return seen
+    if not require_m_le_t:
+        # t/m < 1: the Farey sequence F_B itself, upward from 1/B
+        for t, m in _farey(B, 0, 1, 1, B):
+            if t >= m or t * q > p * m:
+                break
+            yield t, m
+    # t/m >= 1: the inverses m/t of F_B on [1/alpha, 1], downward from
+    # 1/1, whose neighbour above is (B+1)/B
+    for m, t in _farey(B, B + 1, B, 1, 1):
+        if m * p < t * q:
+            break
+        yield t, m
+
+
+def candidate_pairs(
+    B: int, alpha: RationalLike, require_m_le_t: bool = True
+) -> Set[Tuple[int, int]]:
+    """The finite set of reduced (degree, multiplicity) pairs with
+    1 <= m <= t <= B and t/m <= alpha.  These are the only pairs a curve
+    realizing a ratio <= alpha can produce once its degree is bounded by
+    B, which is what makes the attainable value set finite.
+
+    With require_m_le_t=False the multiplicity ranges over 1..B
+    independently.  Reducing any such (t, m) gives a coprime pair that is
+    itself in range, so both modes are sets of coprime pairs.
+    """
+    return set(_candidate_walk(B, alpha, require_m_le_t))
 
 
 def candidate_ratios(
@@ -159,12 +200,13 @@ def candidate_ratios(
     Seshadri value <= alpha for families whose curves obey the degree
     bound B (under the very-ampleness normalization m <= t).
 
+    The ratios come straight out of a Farey walk in ascending order, one
+    integer step per ratio; the walk needs no gcd, set or sort.
+
     With require_m_le_t=False the multiplicity ranges over 1..B
     independently; that exploratory mode is not a certified superset.
     """
-    return sorted(
-        Fraction(t, m) for t, m in candidate_pairs(B, alpha, require_m_le_t)
-    )
+    return list(starmap(Fraction, _candidate_walk(B, alpha, require_m_le_t)))
 
 
 def mediant_bounds(

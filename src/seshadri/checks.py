@@ -7,12 +7,13 @@ line per check and fails on any violation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List
 
-from .bounds import candidate_ratios, mediant_bounds
+from .bounds import RRData, candidate_ratios, l_poly, mediant_bounds, minimal_M
 from .engine import (
     Certification,
     SeshadriValue,
@@ -150,22 +151,50 @@ def check_candidate_membership() -> str:
     return f"{n} certified values found in their candidate supersets"
 
 
+def check_minimal_M_closed_form() -> str:
+    rng = random.Random(20251018)
+    cases = 0
+    while cases < 25:
+        d = rng.randint(2, 200)
+        rr = RRData(d, rng.randint(-20, 20), rng.randint(-3, 5))
+        den = rng.randint(1, 12)
+        a = Fraction(rng.randint(1, math.isqrt(d * den * den - 1)), den)
+        # the definition, one admissible multiplier at a time; draws that
+        # need more than 100 steps are skipped to keep the check cheap
+        q = n = a.denominator
+        while l_poly(rr, a, n) <= 0 and n < 100 * q:
+            n += q
+        if l_poly(rr, a, n) <= 0:
+            continue
+        if minimal_M(rr, a).M != n:
+            raise AssertionError(f"closed-form minimal_M differs at {rr}, a={a}")
+        cases += 1
+    return "closed-form minimal_M matches the linear l_poly scan on 25 random cases"
+
+
 def check_candidates_brute_force() -> str:
     rng = random.Random(20240817)
     for _ in range(25):
         B = rng.randint(1, 40)
         alpha = Fraction(rng.randint(1, 60), rng.randint(1, 12))
-        expected = sorted(
-            {
-                Fraction(t, m)
-                for t in range(1, B + 1)
-                for m in range(1, t + 1)
-                if Fraction(t, m) <= alpha
-            }
-        )
-        if candidate_ratios(B, alpha) != expected:
-            raise AssertionError(f"candidate enumeration differs at B={B}, alpha={alpha}")
-    return "candidate enumeration matches double-loop brute force on 25 random cases"
+        for certified in (True, False):
+            expected = sorted(
+                {
+                    Fraction(t, m)
+                    for t in range(1, B + 1)
+                    for m in range(1, (t if certified else B) + 1)
+                    if Fraction(t, m) <= alpha
+                }
+            )
+            if candidate_ratios(B, alpha, require_m_le_t=certified) != expected:
+                raise AssertionError(
+                    f"candidate enumeration differs at B={B}, alpha={alpha}, "
+                    f"certified={certified}"
+                )
+    return (
+        "candidate enumeration matches double-loop brute force on 25 random cases, "
+        "certified and permissive"
+    )
 
 
 def check_mediant() -> str:
@@ -209,6 +238,7 @@ ALL_CHECKS = [
     ("sublevel_closedness", check_sublevel),
     ("low_epsilon_finiteness", check_low_epsilon),
     ("candidate_membership", check_candidate_membership),
+    ("minimal_M_closed_form", check_minimal_M_closed_form),
     ("candidate_brute_force", check_candidates_brute_force),
     ("mediant_inequality", check_mediant),
     ("sigma_attainment", check_sigma_attainment),

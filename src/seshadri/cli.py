@@ -88,13 +88,14 @@ def cmd_bound(args) -> int:
 def cmd_candidates(args) -> int:
     alpha = parse_rational(args.alpha)
     ratios = candidate_ratios(args.B, alpha, require_m_le_t=not args.permissive)
+    formatted = [format_rational(q) for q in ratios]
     doc = {
         "B": args.B,
         "alpha": format_rational(alpha),
         "certified": not args.permissive,
-        "ratios": [format_rational(q) for q in ratios],
+        "ratios": formatted,
     }
-    lines = [", ".join(format_rational(q) for q in ratios)]
+    lines = [", ".join(formatted)]
     if args.permissive:
         lines.append("(permissive mode: not a certified superset)")
     _emit_report(doc, args.format, args.output, lines)

@@ -255,19 +255,36 @@ def cross_check(model, stratum: PointStratum) -> bool:
     return via_curves.value == via_nef.value
 
 
+def _check_against_nef(model, stratum: PointStratum, result: SeshadriResult) -> None:
+    """Raise unless the nef path's exact value lies where the curve-path
+    result allows: equal to an exact value, at most an upper bound, and
+    at least the table's certified_above threshold."""
+    if stratum.label not in model.blowup_gens:
+        return
+    nef = epsilon_via_nef(model, stratum).value
+    consistent = True
+    if result.certification is Certification.EXACT_CERTIFIED:
+        consistent = result.value == nef
+    elif result.certification is Certification.UPPER_BOUND_ONLY:
+        consistent = cmp_value(nef, result.value) <= 0
+    above = result.certified_above
+    if above is not None and cmp_value(nef, SeshadriValue.exact(above)) < 0:
+        consistent = False
+    if not consistent:
+        raise EngineError(
+            f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
+            f"({result.certification.value}) but nef path gives {nef.serialize()}"
+        )
+
+
 def epsilon(
     model, stratum: PointStratum, alpha: Optional[Rational] = None
 ) -> SeshadriResult:
-    """Per-stratum value: the curve-path result, with the nef path
-    asserted equal whenever blow-up data is available."""
+    """Per-stratum value: the curve-path result, cross-checked against the
+    nef path whenever blow-up data is available.  Evidence that
+    contradicts at any certification level is an error."""
     result = epsilon_via_curves(model, stratum, alpha)
-    if stratum.label in model.blowup_gens:
-        nef = epsilon_via_nef(model, stratum)
-        if result.certification is Certification.EXACT_CERTIFIED and result.value != nef.value:
-            raise EngineError(
-                f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
-                f"but nef path gives {nef.value.serialize()}"
-            )
+    _check_against_nef(model, stratum, result)
     return result
 
 
@@ -308,8 +325,11 @@ def global_epsilon(model, alpha: Optional[Rational] = None) -> SeshadriResult:
 def sublevel_set(model, a: Rational) -> List[str]:
     """Labels of strata with local constant <= a.  The returned set must
     be closed under specialization (the discrete shadow of Zariski
-    closedness); a violation is a hard error naming the offending pair."""
+    closedness); a violation is a hard error naming the offending pair.
+    Each value is then cross-checked against the nef path as in
+    epsilon."""
     threshold = SeshadriValue.exact(a)
+    results = []
     selected = []
     for stratum in model.strata:
         res = epsilon_via_curves(model, stratum)
@@ -318,6 +338,7 @@ def sublevel_set(model, a: Rational) -> List[str]:
                 f"stratum {stratum.label!r} is not exactly certified; "
                 "sublevel sets require certified values"
             )
+        results.append((stratum, res))
         if cmp_value(res.value, threshold) <= 0:
             selected.append(stratum.label)
     chosen = set(selected)
@@ -329,6 +350,8 @@ def sublevel_set(model, a: Rational) -> List[str]:
                     f"{general!r} is in the set but its specialization "
                     f"{stratum.label!r} is not"
                 )
+    for stratum, res in results:
+        _check_against_nef(model, stratum, res)
     return selected
 
 

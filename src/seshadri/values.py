@@ -34,8 +34,7 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(q: RationalLike) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
-    return str(q)
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def ratio(t: int, m: int) -> Rational:

@@ -55,9 +55,19 @@ def test_criterion_1_bound_correctness():
     assert (bound.M, bound.B) == (4, 16)
     assert multiplicity_target(bound.M, a) == 7
     assert per_call < 0.001, f"bound took {per_call * 1e3:.3f} ms"
+
+    # a just below sqrt(d), where M = 3*10^6: still one closed-form call
+    big, big_a = RRData(d=10**12 + 1, c=0, c_prime=1), Fraction(10**6)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        big_bound = minimal_M(big, big_a)
+    big_per_call = (time.perf_counter() - start) / iterations
+    assert l_poly(big, big_a, big_bound.M) > 0 >= l_poly(big, big_a, big_bound.M - 1)
+    assert big_per_call < 0.001, f"bound took {big_per_call * 1e3:.3f} ms"
     _report(
         "criterion 1 (bound correctness)",
-        f"M=4 B=16 target=7, re-derived independently, {per_call * 1e6:.1f} us/call",
+        f"M=4 B=16 target=7, re-derived independently, {per_call * 1e6:.1f} us/call; "
+        f"M={big_bound.M} at d=10^12+1 in {big_per_call * 1e6:.1f} us/call",
     )
 
 

@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri.bounds import (
     BoundError,
     RRData,
+    candidate_pairs,
     candidate_ratios,
     l_poly,
     mediant_bounds,
@@ -89,11 +91,49 @@ def test_minimal_M_rejects_bad_thresholds():
         minimal_M(RRData(4, 0, 2), Fraction(5, 2))  # a^2 > d
 
 
-def test_minimal_M_search_cap_is_an_error():
-    # crafted so the quadratic stays nonpositive for many steps
+def linear_minimal_M(rr, a):
+    # the definition, walked one admissible multiplier at a time
+    n = a.denominator
+    while l_poly(rr, a, n) <= 0:
+        n += a.denominator
+    return n
+
+
+def assert_least_admissible(rr, a, M):
+    q = a.denominator
+    assert M % q == 0
+    assert l_poly(rr, a, M) > 0
+    assert M == q or l_poly(rr, a, M - q) <= 0
+
+
+def test_minimal_M_large_inputs_are_minimal():
+    # the quadratic stays nonpositive up to M = 1000003001
     rr = RRData(d=10**6 + 1, c=-10**9, c_prime=0)
-    with pytest.raises(BoundError):
-        minimal_M(rr, Fraction(1000), search_cap=10)
+    assert_least_admissible(rr, Fraction(1000), minimal_M(rr, Fraction(1000)).M)
+    # a just below sqrt(d): M = 3*10^6, past any linear search
+    rr = RRData(d=10**12 + 1, c=0, c_prime=1)
+    bound = minimal_M(rr, Fraction(10**6))
+    assert_least_admissible(rr, Fraction(10**6), bound.M)
+    assert bound.B == bound.M * rr.d
+
+
+@st.composite
+def rr_and_threshold(draw):
+    d = draw(st.integers(1, 200))
+    q = draw(st.integers(1 if d > 1 else 2, 12))
+    # every p with p^2 < d*q^2, so a = p/q ranges over (0, sqrt(d))
+    p = draw(st.integers(1, math.isqrt(d * q * q - 1)))
+    rr = RRData(d, draw(st.integers(-20, 20)), draw(st.integers(-3, 5)))
+    return rr, Fraction(p, q)
+
+
+@given(rr_and_threshold())
+@settings(max_examples=300)
+def test_minimal_M_closed_form_matches_linear_search(case):
+    rr, a = case
+    bound = minimal_M(rr, a)
+    assert bound.M == linear_minimal_M(rr, a)
+    assert bound.B == bound.M * rr.d
 
 
 def test_multiplicity_target():
@@ -131,6 +171,28 @@ def test_candidate_ratios_permissive_mode():
     got = candidate_ratios(3, Fraction(5), require_m_le_t=False)
     assert got == brute_force_ratios(3, Fraction(5), m_cap=3)
     assert Fraction(1, 3) in got  # below 1 only reachable without m <= t
+
+
+@given(
+    st.integers(1, 40),
+    st.fractions(min_value="1/12", max_value="60", max_denominator=12),
+    st.booleans(),
+)
+@example(12, Fraction(7, 9), True)  # alpha < 1: the certified list is empty
+@example(12, Fraction(7, 9), False)
+@example(15, Fraction(4), True)  # integer alpha
+@example(15, Fraction(4), False)
+@example(9, Fraction(9), True)  # alpha >= B: every ratio of order B
+@example(9, Fraction(40, 3), False)
+@settings(max_examples=150)
+def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
+    ratios = candidate_ratios(B, alpha, require_m_le_t=certified)
+    assert ratios == brute_force_ratios(B, alpha, m_cap=None if certified else B)
+    assert all(type(r) is Fraction for r in ratios)  # Fractions are reduced
+    assert all(x < y for x, y in zip(ratios, ratios[1:]))
+    assert candidate_pairs(B, alpha, certified) == {
+        (r.numerator, r.denominator) for r in ratios
+    }
 
 
 def test_mediant_examples():

@@ -22,6 +22,7 @@ from seshadri.models import (
     builtin_suite,
     f1_anticanonical,
     load_model,
+    model_from_document,
     projective_plane,
     quadric,
 )
@@ -99,6 +100,71 @@ def test_epsilon_raises_on_path_disagreement():
     model = load_model(json.dumps(_doc_without_candidate("E")))
     with pytest.raises(EngineError, match="on_E"):
         epsilon(model, model.stratum("on_E"))
+
+
+def _plane_with_uncertified_cheat():
+    # the table claims a curve of ratio 1/2 and asserts no completeness;
+    # the nef path on the blow-up certifies exactly 1
+    doc = projective_plane(1).to_document()
+    stratum = doc["strata"][0]
+    stratum["oracle_complete_below"] = None
+    stratum["candidates"].append({"label": "cheat", "class": None, "t": 1, "m": 2})
+    return model_from_document(doc)
+
+
+def test_epsilon_raises_when_upper_bound_undercuts_nef():
+    model = _plane_with_uncertified_cheat()
+    assert epsilon_via_curves(model, model.stratum("generic")).certification is (
+        Certification.UPPER_BOUND_ONLY
+    )
+    with pytest.raises(EngineError, match="upper_bound_only"):
+        epsilon(model, model.stratum("generic"))
+    with pytest.raises(EngineError, match="nef path"):
+        global_epsilon(model)
+
+
+def _f1_on_E(oracle_complete_below, keep=lambda c: True):
+    doc = f1_anticanonical().to_document()
+    for sd in doc["strata"]:
+        if sd["label"] == "on_E":
+            sd["oracle_complete_below"] = oracle_complete_below
+            sd["candidates"] = [c for c in sd["candidates"] if keep(c)]
+    model = model_from_document(doc)
+    return model, model.stratum("on_E")  # the nef path certifies exactly 1
+
+
+def test_epsilon_raises_when_nef_undercuts_certified_above():
+    # an empty table complete below 3/2 claims epsilon >= 3/2
+    model, stratum = _f1_on_E("3/2", keep=lambda c: False)
+    assert epsilon_via_curves(model, stratum).certification is Certification.LOWER_BOUND_ONLY
+    with pytest.raises(EngineError, match="lower_bound_only"):
+        epsilon(model, stratum)
+    # an upper bound of 2 whose table is complete below 3/2 makes the same claim
+    model, stratum = _f1_on_E("3/2", keep=lambda c: c["label"] != "E")
+    res = epsilon_via_curves(model, stratum)
+    assert res.certification is Certification.UPPER_BOUND_ONLY
+    assert res.certified_above == Fraction(3, 2)
+    with pytest.raises(EngineError, match="upper_bound_only"):
+        epsilon(model, stratum)
+
+
+def test_epsilon_accepts_consistent_bounds():
+    # 1/2 <= nef value 1 <= upper bound 2
+    model, stratum = _f1_on_E("1/2", keep=lambda c: c["label"] != "E")
+    res = epsilon(model, stratum)
+    assert res.certification is Certification.UPPER_BOUND_ONLY
+    assert res.value == SeshadriValue.exact(2)
+    # 1/2 <= nef value 1
+    model, stratum = _f1_on_E("1/2", keep=lambda c: False)
+    assert epsilon(model, stratum).certification is Certification.LOWER_BOUND_ONLY
+
+
+def test_sublevel_set_cross_checks_nef_path():
+    # every value is exactly certified and the set at 1 is empty, hence
+    # closed; only the nef path sees that on_E should be 1, not 2
+    model = load_model(json.dumps(_doc_without_candidate("E")))
+    with pytest.raises(EngineError, match="nef path"):
+        sublevel_set(model, Fraction(1))
 
 
 def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None):
