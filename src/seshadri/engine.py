@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound, minimal_M
 from .lattice import DivisorClass, pair
@@ -113,14 +113,17 @@ class SeshadriResult:
 
 
 def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandidate]:
-    # deterministic witness: smallest ratio, then smallest degree, then label
+    # deterministic witness: smallest ratio, then smallest degree, then
+    # label; ratios compare by cross-multiplying, with no Fraction built
     best = None
     for c in candidates:
         if best is None:
             best = c
             continue
-        key = (c.ratio, c.degree_t, c.label)
-        if key < (best.ratio, best.degree_t, best.label):
+        lhs, rhs = c.degree_t * best.mult_m, best.degree_t * c.mult_m
+        if lhs < rhs or (
+            lhs == rhs and (c.degree_t, c.label) < (best.degree_t, best.label)
+        ):
             best = c
     return best
 
@@ -288,6 +291,22 @@ def epsilon(
     return result
 
 
+StratumTable = Dict[str, SeshadriResult]
+
+
+def stratum_table(
+    model,
+    alpha: Optional[Rational] = None,
+    strata: Optional[Sequence[PointStratum]] = None,
+) -> StratumTable:
+    """`epsilon` of every stratum of the model (or of `strata`, in that
+    order), keyed by label: one curve-path call and at most one nef-path
+    call per stratum, and the first contradiction met is raised."""
+    if strata is None:
+        strata = model.strata
+    return {s.label: epsilon(model, s, alpha) for s in strata}
+
+
 _CERT_RANK = {
     Certification.EXACT_CERTIFIED: 0,
     Certification.LOWER_BOUND_ONLY: 1,
@@ -295,15 +314,21 @@ _CERT_RANK = {
 }
 
 
-def global_epsilon(model, alpha: Optional[Rational] = None) -> SeshadriResult:
+def global_epsilon(
+    model, alpha: Optional[Rational] = None, table: Optional[StratumTable] = None
+) -> SeshadriResult:
     """Minimum of the per-stratum values; the infimum over points is a
-    minimum, and the attaining stratum and witness are recorded."""
+    minimum, and the attaining stratum and witness are recorded.  A given
+    `table` (the model's stratum_table at alpha) is read instead of
+    evaluating the strata again."""
+    if table is None:
+        table = stratum_table(model, alpha)
     best: Optional[SeshadriResult] = None
     best_label = None
     worst_cert = Certification.EXACT_CERTIFIED
     warnings = []
     for stratum in model.strata:
-        res = epsilon(model, stratum, alpha)
+        res = table[stratum.label]
         if _CERT_RANK[res.certification] > _CERT_RANK[worst_cert]:
             worst_cert = res.certification
         if res.warning:
@@ -361,16 +386,19 @@ class SigmaResult:
     attained_at: str
 
 
-def sigma_local(model) -> SigmaResult:
+def sigma_local(model, table: Optional[StratumTable] = None) -> SigmaResult:
     """Supremum of the local constants over the model's points, attained
     as a maximum.  The maximum must be attained on the unique dense
-    stratum; that is checked, not assumed."""
+    stratum; that is checked, not assumed.  A given `table` (the model's
+    stratum_table) is read instead of evaluating the strata again."""
     best: Optional[SeshadriValue] = None
     best_label = None
     generic_value = None
     generic_label = model.generic_stratum.label
+    if table is None:
+        table = stratum_table(model)
     for stratum in model.strata:
-        res = epsilon(model, stratum)
+        res = table[stratum.label]
         if stratum.label == generic_label:
             generic_value = res.value
         if best is None or cmp_value(res.value, best) > 0 or (
@@ -393,9 +421,10 @@ def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]
     if delta <= 0:
         raise EngineError(f"delta must be positive, got {delta}")
     threshold = SeshadriValue.exact(Fraction(1) - delta)
+    table = stratum_table(model)
     out = []
     for stratum in model.strata:
-        res = epsilon(model, stratum)
+        res = table[stratum.label]
         if cmp_value(res.value, threshold) <= 0:
             out.append((stratum.label, res.value))
     return out

@@ -10,19 +10,28 @@ exactly on that finite structure.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import graphlib
+import heapq
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import jsonschema
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import RRData, candidate_ratios, minimal_M
-from .engine import Certification, SeshadriResult, epsilon, global_epsilon, sigma_local
+from .engine import (
+    Certification,
+    SeshadriResult,
+    StratumTable,
+    global_epsilon,
+    sigma_local,
+    stratum_table,
+)
 from .models import SurfaceModel, load_model_file, model_from_document
+from .structure import LABEL, StructureError, array, integer, of_type, record, string
 from .values import Rational, SeshadriValue, cmp_value, format_rational
 
 
@@ -173,13 +182,22 @@ def member_candidate_superset(
     return [q / v for q in raw], raw
 
 
-def semicontinuity_check(family: Family) -> List[Verdict]:
+def semicontinuity_check(
+    family: Family, tables: Optional[Dict[str, StratumTable]] = None
+) -> List[Verdict]:
     """Exact order checks on declared specializations: the global value
     of a special member never exceeds the general member's, and within
     each member a special stratum never exceeds the strata it
-    specializes from."""
+    specializes from.  Given `tables` (each member's stratum_table, by
+    member label), they are read instead of evaluating the strata
+    again."""
+    if tables is None:
+        tables = {label: stratum_table(model) for label, model in family.members}
     verdicts: List[Verdict] = []
-    global_values = {label: global_epsilon(model).value for label, model in family.members}
+    global_values = {
+        label: global_epsilon(model, table=tables[label]).value
+        for label, model in family.members
+    }
     for general, special in family.member_specialization:
         gv, sv = global_values[general], global_values[special]
         verdicts.append(
@@ -194,10 +212,10 @@ def semicontinuity_check(family: Family) -> List[Verdict]:
             )
         )
     for label, model in family.members:
-        stratum_values = {s.label: epsilon(model, s).value for s in model.strata}
+        table = tables[label]
         for s in model.strata:
             for general in s.specializes_from:
-                gv, sv = stratum_values[general], stratum_values[s.label]
+                gv, sv = table[general].value, table[s.label].value
                 verdicts.append(
                     Verdict(
                         kind="stratum",
@@ -212,12 +230,26 @@ def semicontinuity_check(family: Family) -> List[Verdict]:
     return verdicts
 
 
+def _merge_ascending(lists: Iterable[List[Rational]]) -> List[Rational]:
+    return [q for q, _ in itertools.groupby(heapq.merge(*lists))]
+
+
+def _contains(ascending: Sequence[Rational], q: Rational) -> bool:
+    i = bisect.bisect_left(ascending, q)
+    return i < len(ascending) and ascending[i] == q
+
+
 def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     """Full family report at threshold alpha < sqrt(d): per-member
     per-stratum values, the finite observed value set up to alpha with
     its candidate-superset containment, semicontinuity verdicts, the
     attained supremum, and members whose global value jumps below the
-    generic one."""
+    generic one.
+
+    Each member's strata are evaluated once, into one stratum_table that
+    every part of the report reads, and the candidate superset is
+    enumerated once per distinct (very-ampleness multiplier, RR data).
+    """
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
         raise FamilyError(
@@ -227,41 +259,52 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     rows: List[Tuple[str, str, SeshadriResult]] = []
     uncertified: List[Tuple[str, str]] = []
     sigma_cap_set = set()
-    superset = set()
-    superset_raw = set()
+    supersets = {}
+    tables: Dict[str, StratumTable] = {}
     alpha_value = SeshadriValue.exact(alpha)
+    members = sorted(family.members, key=lambda lm: lm[0])
 
-    for label, model in sorted(family.members, key=lambda lm: lm[0]):
-        divided, raw = member_candidate_superset(model, alpha)
-        superset.update(divided)
-        superset_raw.update(raw)
-        for stratum in sorted(model.strata, key=lambda s: s.label):
-            res = epsilon(model, stratum, alpha)
-            rows.append((label, stratum.label, res))
+    for label, model in members:
+        key = (model.very_ample_multiplier, model.rr)
+        if key not in supersets:
+            supersets[key] = member_candidate_superset(model, alpha)
+        strata = sorted(model.strata, key=lambda s: s.label)
+        tables[label] = stratum_table(model, alpha, strata)
+        for stratum_label, res in tables[label].items():
+            rows.append((label, stratum_label, res))
             if res.certification is Certification.EXACT_CERTIFIED:
                 if cmp_value(res.value, alpha_value) <= 0:
                     # below alpha < sqrt(d) every certified value is rational
                     sigma_cap_set.add(res.value.rational)
             else:
-                uncertified.append((label, stratum.label))
+                uncertified.append((label, stratum_label))
 
-    missing = sigma_cap_set - superset
+    # each list is ascending without repeats (the Farey walk's order), so
+    # a merge that drops repeats is their sorted union
+    superset = _merge_ascending(divided for divided, _ in supersets.values())
+    superset_raw = _merge_ascending(raw for _, raw in supersets.values())
+
+    sigma_cap = sorted(sigma_cap_set)
+    missing = [q for q in sigma_cap if not _contains(superset, q)]
     if missing:
         raise FamilyError(
             "observed values escape the candidate superset: "
-            + ", ".join(format_rational(q) for q in sorted(missing))
+            + ", ".join(format_rational(q) for q in missing)
         )
 
     sigma_family: Optional[SeshadriValue] = None
     attained = ("", "")
-    for label, model in sorted(family.members, key=lambda lm: lm[0]):
-        sig = sigma_local(model)
+    for label, model in members:
+        sig = sigma_local(model, tables[label])
         if sigma_family is None or cmp_value(sig.value, sigma_family) > 0:
             sigma_family = sig.value
             attained = (label, sig.attained_at)
     assert sigma_family is not None
 
-    global_values = {label: global_epsilon(model).value for label, model in family.members}
+    global_values = {
+        label: global_epsilon(model, table=tables[label]).value
+        for label, model in family.members
+    }
     specials = {special for _, special in family.member_specialization}
     generals = [label for label, _ in family.members if label not in specials]
     reference = None
@@ -269,9 +312,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         if reference is None or cmp_value(global_values[label], reference) > 0:
             reference = global_values[label]
     jump_members = tuple(
-        label
-        for label, _ in sorted(family.members, key=lambda lm: lm[0])
-        if cmp_value(global_values[label], reference) < 0
+        label for label, _ in members if cmp_value(global_values[label], reference) < 0
     )
 
     return FamilyScanReport(
@@ -280,45 +321,31 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         sigma_family=sigma_family,
         sigma_attained_at=attained,
         epsilon_table=tuple(rows),
-        sigma_cap=tuple(sorted(sigma_cap_set)),
-        candidate_superset=tuple(sorted(superset)),
-        candidate_superset_raw=tuple(sorted(superset_raw)),
-        semicontinuity_verdicts=tuple(semicontinuity_check(family)),
+        sigma_cap=tuple(sigma_cap),
+        candidate_superset=tuple(superset),
+        candidate_superset_raw=tuple(superset_raw),
+        semicontinuity_verdicts=tuple(semicontinuity_check(family, tables)),
         jump_members=jump_members,
         uncertified=tuple(uncertified),
     )
 
 
-FAMILY_SCHEMA = {
-    "type": "object",
-    "required": ["degree", "members"],
-    "additionalProperties": False,
-    "properties": {
-        "degree": {"type": "integer", "minimum": 1},
-        "members": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["param_label", "model"],
-                "additionalProperties": False,
-                "properties": {
-                    "param_label": {"type": "string", "minLength": 1},
-                    "model": {"anyOf": [{"type": "object"}, {"type": "string"}]},
-                },
-            },
-        },
-        "member_specialization": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "string"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
+
+FAMILY_SHAPE = record(
+    {
+        "degree": integer(minimum=1),
+        "members": array(
+            record(
+                {
+                    "param_label": LABEL,
+                    "model": of_type((dict, str), "a model object or a file path"),
+                }
+            ),
+            min_items=1,
+        ),
     },
-}
+    optional={"member_specialization": array(array(string(), min_items=2, max_items=2))},
+)
 
 
 def load_family(text: str, base_dir: Optional[str] = None) -> Family:
@@ -329,9 +356,9 @@ def load_family(text: str, base_dir: Optional[str] = None) -> Family:
     except json.JSONDecodeError as exc:
         raise FamilyError(f"invalid JSON: {exc}") from exc
     try:
-        jsonschema.validate(doc, FAMILY_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise FamilyError(f"schema violation: {exc.message}") from exc
+        FAMILY_SHAPE(doc)
+    except StructureError as exc:
+        raise FamilyError(f"schema violation: {exc}") from exc
 
     members = []
     for md in doc["members"]:

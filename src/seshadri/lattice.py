@@ -8,6 +8,7 @@ explicit flag on the generator set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -41,6 +42,19 @@ class IntersectionLattice:
             raise LatticeError("basis_labels length differs from rank")
         if len(set(self.basis_labels)) != self.rank:
             raise LatticeError("basis_labels are not distinct")
+
+    def __eq__(self, other):
+        # classes of one model share its lattice objects, so identity
+        # settles almost every check without comparing Gram matrices
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.gram, self.basis_labels) == (
+            other.rank,
+            other.gram,
+            other.basis_labels,
+        )
 
     def divisor(self, coords: Sequence[int]) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coords))
@@ -132,9 +146,12 @@ def is_strictly_positive_against(D: DivisorClass, gens: Iterable[DivisorClass]) 
     return all(pair(D, cls) > 0 for cls in gens)
 
 
+@functools.lru_cache(maxsize=128)
 def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     """Rank+1 lattice of a point blow-up: new basis vector with
-    self-intersection -1, orthogonal to the old block."""
+    self-intersection -1, orthogonal to the old block.  Cached, so every
+    caller gets the same object for one lattice and label: classes that a
+    loader builds on it and its model's blow-up lattice pair by identity."""
     if label in lat.basis_labels:
         raise LatticeError(f"duplicate basis label {label!r}")
     n = lat.rank

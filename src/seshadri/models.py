@@ -1,5 +1,5 @@
-"""Surface models: built-in certified examples and the JSON schema and
-loader for user-supplied abstract models.
+"""Surface models: built-in certified examples and the JSON document shape
+and loader for user-supplied abstract models.
 
 A model bundles the intersection lattice, the polarization class, the
 Euler-characteristic data, the point strata with their curve tables, and
@@ -15,9 +15,8 @@ import graphlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Tuple
-
-import jsonschema
 
 from .bounds import RRData, minimal_M
 from .engine import CurveCandidate, PointStratum
@@ -30,6 +29,17 @@ from .lattice import (
     pair,
     pushforward,
 )
+from .structure import (
+    LABEL,
+    StructureError,
+    array,
+    const,
+    integer,
+    mapping,
+    nullable,
+    record,
+    string,
+)
 from .values import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -37,107 +47,54 @@ SCHEMA_VERSION = 1
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
 
-_RATIONAL_PATTERN = r"^-?[0-9]+(/[0-9]+)?$"
+_INTEGERS = array(integer())
 
-MODEL_SCHEMA = {
-    "type": "object",
-    "required": [
-        "schema_version",
-        "name",
-        "rank",
-        "gram",
-        "basis_labels",
-        "polarization",
-        "rr",
-        "very_ample_multiplier",
-        "strata",
-        "blowup_gens",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "name": {"type": "string", "minLength": 1},
-        "rank": {"type": "integer", "minimum": 1},
-        "gram": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer"}},
-        },
-        "basis_labels": {"type": "array", "items": {"type": "string"}},
-        "polarization": {"type": "array", "items": {"type": "integer"}},
-        "rr": {
-            "type": "object",
-            "required": ["d", "c", "c_prime", "vanishing_multiplier"],
-            "additionalProperties": False,
-            "properties": {
-                "d": {"type": "integer", "minimum": 1},
-                "c": {"type": "integer"},
-                "c_prime": {"type": "integer"},
-                "vanishing_multiplier": {"type": "integer", "minimum": 1},
-            },
-        },
-        "very_ample_multiplier": {"type": "integer", "minimum": 1},
-        "strata": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": [
-                    "label",
-                    "closure_dim",
-                    "specializes_from",
-                    "oracle_complete_below",
-                    "candidates",
-                ],
-                "additionalProperties": False,
-                "properties": {
-                    "label": {"type": "string", "minLength": 1},
-                    "closure_dim": {"type": "integer", "minimum": 0, "maximum": 2},
-                    "specializes_from": {"type": "array", "items": {"type": "string"}},
-                    "oracle_complete_below": {
-                        "anyOf": [
-                            {"type": "string", "pattern": _RATIONAL_PATTERN},
-                            {"type": "null"},
-                        ]
-                    },
-                    "candidates": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["label", "class", "t", "m"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "label": {"type": "string", "minLength": 1},
-                                "class": {
-                                    "anyOf": [
-                                        {"type": "array", "items": {"type": "integer"}},
-                                        {"type": "null"},
-                                    ]
-                                },
-                                "t": {"type": "integer", "minimum": 1},
-                                "m": {"type": "integer", "minimum": 1},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "blowup_gens": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["label", "class"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "label": {"type": "string", "minLength": 1},
-                        "class": {"type": "array", "items": {"type": "integer"}},
-                    },
-                },
-            },
-        },
-    },
-}
+MODEL_SHAPE = record(
+    {
+        "schema_version": const(SCHEMA_VERSION),
+        "name": LABEL,
+        "rank": integer(minimum=1),
+        "gram": array(_INTEGERS),
+        "basis_labels": array(string()),
+        "polarization": _INTEGERS,
+        "rr": record(
+            {
+                "d": integer(minimum=1),
+                "c": integer(),
+                "c_prime": integer(),
+                "vanishing_multiplier": integer(minimum=1),
+            }
+        ),
+        "very_ample_multiplier": integer(minimum=1),
+        "strata": array(
+            record(
+                {
+                    "label": LABEL,
+                    "closure_dim": integer(minimum=0, maximum=2),
+                    "specializes_from": array(string()),
+                    "oracle_complete_below": nullable(
+                        string(
+                            pattern=r"^-?[0-9]+(/[0-9]+)?$",
+                            want='a rational string such as "3/2" or null',
+                        )
+                    ),
+                    "candidates": array(
+                        record(
+                            {
+                                "label": LABEL,
+                                "class": nullable(_INTEGERS),
+                                "t": integer(minimum=1),
+                                "m": integer(minimum=1),
+                            }
+                        )
+                    ),
+                }
+            ),
+            min_items=1,
+        ),
+        "blowup_gens": mapping(array(record({"label": LABEL, "class": _INTEGERS}))),
+    }
+)
 
 
 class ModelError(ValueError):
@@ -158,8 +115,10 @@ class SurfaceModel:
         object.__setattr__(self, "strata", tuple(self.strata))
         _validate_model(self)
 
-    @property
+    @cached_property
     def blowup_lattice(self) -> IntersectionLattice:
+        """The one-point blow-up lattice, the same object that the blow-up
+        generators of a loaded or built-in model live on."""
         return extend_blowup(self.lattice, EXCEPTIONAL_LABEL)
 
     @property
@@ -290,7 +249,8 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             raise ModelError(f"stratum {s.label!r}: completeness threshold must be positive")
         if ocb * ocb < model.rr.d:
             # keep certification honest: the table may not contain entries
-            # beyond the degree bound implied by its own threshold
+            # of ratio <= ocb beyond the degree bound implied by ocb; the
+            # bound says nothing about curves above the threshold
             cap = minimal_M(model.rr, ocb).B
     for c in s.candidates:
         if c.curve_class is not None:
@@ -304,7 +264,11 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
                     f"candidate {c.label!r}: declared degree {c.degree_t} differs "
                     f"from pairing {deg}"
                 )
-        if cap is not None and c.degree_t > cap:
+        if (
+            cap is not None
+            and c.degree_t > cap
+            and c.degree_t * ocb.denominator <= ocb.numerator * c.mult_m
+        ):
             raise ModelError(
                 f"candidate {c.label!r} has degree {c.degree_t} beyond the bound "
                 f"{cap} implied by the completeness threshold {ocb}"
@@ -337,9 +301,9 @@ def _validate_blowup_gens(
 
 def model_from_document(doc: dict) -> SurfaceModel:
     try:
-        jsonschema.validate(doc, MODEL_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ModelError(f"schema violation: {exc.message}") from exc
+        MODEL_SHAPE(doc)
+    except StructureError as exc:
+        raise ModelError(f"schema violation: {exc}") from exc
     try:
         return _build_from_document(doc)
     except ModelError:
@@ -408,8 +372,6 @@ def load_model(text: str) -> SurfaceModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
     return model_from_document(doc)
 
 

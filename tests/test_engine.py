@@ -2,8 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri.engine import (
+    _best_candidate,
     Certification,
     CurveCandidate,
     EngineError,
@@ -316,3 +319,25 @@ def test_steffens_bound_everywhere():
                 epsilon_via_nef(model, stratum),
             ):
                 assert cmp_value(res.value, ceiling) <= 0
+
+
+_candidates = st.lists(
+    st.builds(
+        CurveCandidate,
+        label=st.sampled_from(["a", "b", "c"]),
+        degree_t=st.integers(1, 12),
+        mult_m=st.integers(1, 6),
+    ),
+    max_size=8,
+)
+
+
+@given(_candidates)
+@settings(max_examples=300)
+def test_best_candidate_matches_fraction_key(candidates):
+    # the witness order is ratio, then degree, then label; ties keep the
+    # first listed candidate
+    expected = min(
+        candidates, key=lambda c: (Fraction(c.degree_t, c.mult_m), c.degree_t, c.label), default=None
+    )
+    assert _best_candidate(candidates) is expected

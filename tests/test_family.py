@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri import engine
 from seshadri.family import (
     Family,
     FamilyError,
@@ -13,6 +14,7 @@ from seshadri.family import (
 )
 from seshadri.models import (
     f1_anticanonical,
+    load_model,
     model_from_document,
     projective_plane,
     quadric,
@@ -41,6 +43,46 @@ def test_scan_single_member_plane():
     report = scan(family, Fraction(1, 2))
     assert report.sigma_cap == ()
     assert report.sigma_family == SeshadriValue.exact(1)
+
+
+def test_scan_evaluates_each_stratum_once(monkeypatch):
+    calls = {"curves": 0, "nef": 0}
+    via_curves, via_nef = engine.epsilon_via_curves, engine.epsilon_via_nef
+
+    def counted_curves(*args, **kwargs):
+        calls["curves"] += 1
+        return via_curves(*args, **kwargs)
+
+    def counted_nef(*args, **kwargs):
+        calls["nef"] += 1
+        return via_nef(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "epsilon_via_curves", counted_curves)
+    monkeypatch.setattr(engine, "epsilon_via_nef", counted_nef)
+    family = Family(
+        members=(("general", quadric(2, 2)), ("special", f1_anticanonical())),
+        degree=8,
+        member_specialization=(("general", "special"),),
+    )
+    report = scan(family, Fraction(5, 2))
+    # every built-in stratum has blow-up generators, so each row costs
+    # exactly one call of each path
+    assert len(report.epsilon_table) == 3
+    assert calls == {"curves": 3, "nef": 3}
+
+
+@pytest.mark.parametrize("multiplier", [1, 2])
+def test_scan_superset_is_sorted_union(multiplier):
+    # with multiplier 2 member b's superset differs from a's
+    doc = json.loads(projective_plane(3).to_json())
+    doc["very_ample_multiplier"] = multiplier
+    members = (("a", projective_plane(3)), ("b", load_model(json.dumps(doc))))
+    alpha = Fraction(5, 2)
+    lists = [member_candidate_superset(model, alpha) for _, model in members]
+    assert (lists[0] != lists[1]) == (multiplier != 1)
+    report = scan(Family(members=members, degree=9), alpha)
+    assert report.candidate_superset == tuple(sorted(set(lists[0][0]) | set(lists[1][0])))
+    assert report.candidate_superset_raw == tuple(sorted(set(lists[0][1]) | set(lists[1][1])))
 
 
 def test_mixed_degrees_rejected():

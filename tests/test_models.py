@@ -101,12 +101,23 @@ def test_candidate_pairing_consistency_checked():
 
 def test_candidate_beyond_cap_rejected():
     doc = f1_doc()
-    # completeness threshold 2 implies the bound B = 8 for this model
+    # completeness threshold 2 implies the bound B = 8 for this model; the
+    # ratio 9/5 is below the threshold, so the bound covers this curve
     doc["strata"][0]["candidates"].append(
-        {"label": "huge", "class": None, "t": 9, "m": 4}
+        {"label": "huge", "class": None, "t": 9, "m": 5}
     )
     with pytest.raises(ModelError, match="bound"):
         load_model(json.dumps(doc))
+
+
+def test_degree_cap_ignores_candidates_above_threshold():
+    # a true table: the plane's value is 1, so it is complete below 1/2;
+    # the bound B = 2 at 1/2 says nothing about curves of ratio > 1/2
+    doc = json.loads(projective_plane(1).to_json())
+    doc["strata"][0]["oracle_complete_below"] = "1/2"
+    model = load_model(json.dumps(doc))
+    assert model.stratum("generic").oracle_complete_below == Fraction(1, 2)
+    assert max(c.degree_t for c in model.stratum("generic").candidates) == 3
 
 
 def test_reserved_exceptional_label_rejected():
@@ -154,3 +165,12 @@ def test_generic_stratum_unique():
 def test_oracle_thresholds_are_rationals():
     model = quadric(1, 2)
     assert model.stratum("generic").oracle_complete_below == Fraction(1)
+
+
+def test_blowup_lattice_is_shared_with_generators():
+    for model in (f1_anticanonical(), load_model(f1_anticanonical().to_json())):
+        ext = model.blowup_lattice
+        assert ext is model.blowup_lattice
+        assert all(
+            cls.lattice is ext for gens in model.blowup_gens.values() for _, cls in gens.generators
+        )
