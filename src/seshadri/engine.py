@@ -218,13 +218,12 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
         raise EngineError(
             f"blow-up generators for stratum {stratum.label!r} lack a completeness assertion"
         )
-    ext = model.blowup_lattice
-    pullback = ext.divisor(model.polarization.coords + (0,))
-    exceptional = ext.divisor((0,) * model.lattice.rank + (1,))
-
+    pullback, exceptional = model.pullback, model.exceptional
     d = model.rr.d
-    value = SeshadriValue.sqrt(d)
-    witness = None
+    # the running minimum as integers: ratio deg/e_mult, then degree,
+    # then label; ratios compare by cross-multiplying and against sqrt(d)
+    # by squaring, and only the winner becomes a Fraction
+    best = None
     for label, cls in gens.generators:
         e_mult = pair(exceptional, cls)
         if e_mult <= 0:
@@ -235,17 +234,24 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
                 f"generator {label!r} has negative polarization degree {deg}; "
                 "polarization is not plausibly ample"
             )
-        cand = SeshadriValue.exact(Fraction(deg, e_mult))
-        cmp = cmp_value(cand, value)
-        if cmp < 0 or (
-            cmp == 0
-            and (witness is None or (deg, label) < (witness.degree_t, witness.label))
-        ):
-            value = cand
-            witness = CurveCandidate(label=label, degree_t=deg, mult_m=e_mult, curve_class=cls)
+        if deg * deg > d * e_mult * e_mult:
+            continue  # above sqrt(d): the square constraint binds first
+        if best is not None:
+            best_deg, best_e_mult, best_label, _ = best
+            lhs, rhs = deg * best_e_mult, best_deg * e_mult
+            if lhs > rhs or (lhs == rhs and (deg, label) >= (best_deg, best_label)):
+                continue
+        best = (deg, e_mult, label, cls)
+        if deg == 0:
+            break  # ratio 0 is least; the witness below rejects it
+    if best is None:
+        return SeshadriResult(
+            value=SeshadriValue.sqrt(d), certification=Certification.EXACT_CERTIFIED
+        )
+    deg, e_mult, label, cls = best
     return SeshadriResult(
-        value=value,
-        witness=witness,
+        value=SeshadriValue.exact(Fraction(deg, e_mult)),
+        witness=CurveCandidate(label=label, degree_t=deg, mult_m=e_mult, curve_class=cls),
         certification=Certification.EXACT_CERTIFIED,
     )
 

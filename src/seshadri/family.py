@@ -350,7 +350,9 @@ FAMILY_SHAPE = record(
 
 def load_family(text: str, base_dir: Optional[str] = None) -> Family:
     """Parse a family document; member models are inline objects or paths
-    to model files (resolved relative to base_dir)."""
+    to model files (resolved relative to base_dir).  An error in a member
+    model names the member's label, and an inline member's schema
+    violation gives its path in the family document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -361,14 +363,17 @@ def load_family(text: str, base_dir: Optional[str] = None) -> Family:
         raise FamilyError(f"schema violation: {exc}") from exc
 
     members = []
-    for md in doc["members"]:
-        spec = md["model"]
-        if isinstance(spec, str):
-            path = spec if base_dir is None else os.path.join(base_dir, spec)
-            model = load_model_file(path)
-        else:
-            model = model_from_document(spec)
-        members.append((md["param_label"], model))
+    for i, md in enumerate(doc["members"]):
+        label, spec = md["param_label"], md["model"]
+        try:
+            if isinstance(spec, str):
+                path = spec if base_dir is None else os.path.join(base_dir, spec)
+                model = load_model_file(path)
+            else:
+                model = model_from_document(spec, root=f"$.members[{i}].model")
+        except (ValueError, OSError) as exc:
+            raise FamilyError(f"member {label!r}: {exc}") from exc
+        members.append((label, model))
     return Family(
         members=tuple(members),
         degree=doc["degree"],

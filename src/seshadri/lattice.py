@@ -9,12 +9,25 @@ explicit flag on the generator set.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 
 class LatticeError(ValueError):
     pass
+
+
+def _integers(values: Sequence, what: str) -> Tuple[int, ...]:
+    """The values as a tuple of ints, via operator.index, so that a float
+    or a fraction is an error and never silently truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            if not hasattr(type(v), "__index__"):
+                raise LatticeError(f"{what} must be integers, got {v!r}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -26,7 +39,7 @@ class IntersectionLattice:
     def __post_init__(self):
         if self.rank < 1:
             raise LatticeError(f"rank must be positive, got {self.rank}")
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(_integers(row, "gram entries") for row in self.gram)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
@@ -57,7 +70,7 @@ class IntersectionLattice:
         )
 
     def divisor(self, coords: Sequence[int]) -> "DivisorClass":
-        return DivisorClass(self, tuple(int(c) for c in coords))
+        return DivisorClass(self, coords)
 
     def basis_vector(self, label: str) -> "DivisorClass":
         i = self.basis_labels.index(label)
@@ -70,12 +83,19 @@ class DivisorClass:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = _integers(self.coords, "coordinates")
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeError(
                 f"coordinate length {len(coords)} differs from rank {self.lattice.rank}"
             )
+
+    @functools.cached_property
+    def covector(self) -> Tuple[int, ...]:
+        """coords^T * gram, the linear form v -> self.v, computed on first
+        use (row j of the symmetric gram gives entry j).  It is not a
+        field, so it takes no part in == or hash."""
+        return tuple(sum(map(operator.mul, row, self.coords)) for row in self.lattice.gram)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -97,21 +117,15 @@ class DivisorClass:
 
 
 def _require_same_lattice(u: DivisorClass, v: DivisorClass) -> None:
-    if u.lattice != v.lattice:
+    if u.lattice is not v.lattice and u.lattice != v.lattice:
         raise LatticeError("divisor classes live on different lattices")
 
 
 def pair(u: DivisorClass, v: DivisorClass) -> int:
-    """Intersection number u.v = u^T * gram * v, exactly."""
+    """Intersection number u.v = u^T * gram * v, exactly: one integer
+    dot product of u's cached covector with v's coordinates."""
     _require_same_lattice(u, v)
-    gram = u.lattice.gram
-    total = 0
-    for i, a in enumerate(u.coords):
-        if a == 0:
-            continue
-        row = gram[i]
-        total += a * sum(row[j] * b for j, b in enumerate(v.coords) if b)
-    return total
+    return sum(map(operator.mul, u.covector, v.coords))
 
 
 @dataclass(frozen=True)

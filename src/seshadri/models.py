@@ -26,8 +26,8 @@ from .lattice import (
     IntersectionLattice,
     extend_blowup,
     is_strictly_positive_against,
+    lift,
     pair,
-    pushforward,
 )
 from .structure import (
     LABEL,
@@ -120,6 +120,16 @@ class SurfaceModel:
         """The one-point blow-up lattice, the same object that the blow-up
         generators of a loaded or built-in model live on."""
         return extend_blowup(self.lattice, EXCEPTIONAL_LABEL)
+
+    @cached_property
+    def pullback(self) -> DivisorClass:
+        """The pullback of the polarization to the blow-up lattice."""
+        return lift(self.blowup_lattice, self.polarization)
+
+    @cached_property
+    def exceptional(self) -> DivisorClass:
+        """The exceptional class of the one-point blow-up."""
+        return self.blowup_lattice.basis_vector(EXCEPTIONAL_LABEL)
 
     @property
     def generic_stratum(self) -> PointStratum:
@@ -278,17 +288,17 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
 def _validate_blowup_gens(
     model: SurfaceModel, label: str, gens: CurveGeneratorSet, ext: IntersectionLattice
 ) -> None:
-    pushed = []
     for gl, cls in gens.generators:
         if cls.lattice != ext:
             raise ModelError(
                 f"blow-up generator {gl!r} of stratum {label!r} does not live on "
                 "the extended lattice"
             )
-        pf = pushforward(model.lattice, cls)
-        if not pf.is_zero():
-            pushed.append(pf)
-    if not is_strictly_positive_against(model.polarization, pushed):
+    # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
+    # pushforward is nonzero; by the projection formula L.pi_*C = pi^*L.C
+    # and L^2 = (pi^*L)^2, so no pushforward class is built
+    pushed = (cls for _, cls in gens.generators if any(cls.coords[:-1]))
+    if not is_strictly_positive_against(model.pullback, pushed):
         raise ModelError(
             f"polarization fails the plausible-ampleness gate against the "
             f"blow-up generators of stratum {label!r}"
@@ -299,11 +309,13 @@ def _validate_blowup_gens(
 # JSON loading
 
 
-def model_from_document(doc: dict) -> SurfaceModel:
+def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
+    """Check and build a model document; `root` is the document's JSON
+    path in schema violation messages, for a model inside a family."""
     try:
         MODEL_SHAPE(doc)
     except StructureError as exc:
-        raise ModelError(f"schema violation: {exc}") from exc
+        raise ModelError(f"schema violation: {exc.located(root)}") from exc
     try:
         return _build_from_document(doc)
     except ModelError:

@@ -33,7 +33,12 @@ class StructureError(ValueError):
         self.steps: list = []  # innermost first
 
     def __str__(self) -> str:
-        return "$" + "".join(reversed(self.steps)) + ": " + self.what
+        return self.located("$")
+
+    def located(self, root: str) -> str:
+        """The message with its path rooted at `root`, the JSON path of
+        the checked document within a larger one."""
+        return root + "".join(reversed(self.steps)) + ": " + self.what
 
 
 def _describe(value) -> str:

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri.engine import (
@@ -30,7 +30,7 @@ from seshadri.models import (
     quadric,
 )
 from seshadri.bounds import RRData
-from seshadri.lattice import IntersectionLattice
+from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
 from seshadri.values import SeshadriValue, cmp_value
 
 
@@ -341,3 +341,76 @@ def test_best_candidate_matches_fraction_key(candidates):
         candidates, key=lambda c: (Fraction(c.degree_t, c.mult_m), c.degree_t, c.label), default=None
     )
     assert _best_candidate(candidates) is expected
+
+
+def _nef_model(d, gens):
+    """A model of degree d whose stratum 'generic' gets blow-up generators
+    of the given (label, degree, multiplicity at the point).  The basis
+    H, F has H^2 = d, H.F = 1, F^2 = 0 and L = H, so the class
+    deg*F - e*Ex has pi^*L-degree deg and meets Ex in e.  The generators
+    are installed after construction, past the load-time ampleness gate,
+    so that negative degrees reach the nef path."""
+    lat = IntersectionLattice(rank=2, gram=((d, 1), (1, 0)), basis_labels=("H", "F"))
+    model = SurfaceModel(
+        name="nef_probe",
+        lattice=lat,
+        polarization=lat.basis_vector("H"),
+        rr=RRData(d=d, c=0, c_prime=1),
+        very_ample_multiplier=1,
+        strata=(PointStratum(label="generic", closure_dim=2),),
+        blowup_gens={},
+    )
+    ext = model.blowup_lattice
+    model.blowup_gens["generic"] = CurveGeneratorSet(
+        generators=tuple((label, ext.divisor((0, deg, -e))) for label, deg, e in gens)
+    )
+    return model
+
+
+def _nef_reference(d, gens):
+    """(value, witness label, t, m) by Fractions and SeshadriValues: the
+    least ratio deg/e over generators with e > 0 that does not exceed
+    sqrt(d), ties by degree then label; sqrt(d) with no witness if none."""
+    ceiling = SeshadriValue.sqrt(d)
+    ratios = [
+        (Fraction(deg, e), deg, label, e)
+        for label, deg, e in gens
+        if e > 0 and SeshadriValue.exact(Fraction(deg, e)) <= ceiling
+    ]
+    if not ratios:
+        return ceiling, None, None, None
+    q, deg, label, e = min(ratios)
+    return SeshadriValue.exact(q), label, deg, e
+
+
+_generators = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(-1, 30), st.integers(-2, 6)).filter(
+        lambda g: g[1:] != (0, 0)  # the zero class is not a generator
+    ),
+    max_size=8,
+)
+
+
+@given(st.one_of(st.integers(1, 60), st.integers(1, 8).map(lambda k: k * k)), _generators)
+@example(4, [("b", 2, 1)])  # square d: the ratio equals sqrt(d)
+@example(9, [("c", 6, 2), ("b", 3, 1), ("a", 6, 2), ("z", 4, 1)])  # equal ratios
+@example(8, [("up", 5, 1), ("down", 1, -1), ("flat", 7, 0)])  # above sqrt(d), e <= 0
+@example(8, [("ok", 2, 1), ("bad", -1, 1)])  # negative degree
+@settings(max_examples=300)
+def test_nef_path_matches_fraction_reference(d, gens):
+    model = _nef_model(d, gens)
+    stratum = model.stratum("generic")
+    if any(e > 0 and deg <= 0 for _, deg, e in gens):
+        # a negative degree, or a zero ratio that no witness can carry
+        with pytest.raises(EngineError):
+            epsilon_via_nef(model, stratum)
+        return
+    value, label, t, m = _nef_reference(d, gens)
+    res = epsilon_via_nef(model, stratum)
+    assert res.value == value and res.value.serialize() == value.serialize()
+    assert res.certification is Certification.EXACT_CERTIFIED
+    if label is None:
+        assert res.witness is None
+    else:
+        assert (res.witness.label, res.witness.degree_t, res.witness.mult_m) == (label, t, m)
+        assert res.witness.curve_class.coords == (0, t, -m)

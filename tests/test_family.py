@@ -13,6 +13,7 @@ from seshadri.family import (
     semicontinuity_check,
 )
 from seshadri.models import (
+    ModelError,
     f1_anticanonical,
     load_model,
     model_from_document,
@@ -225,3 +226,42 @@ def test_load_family_inline_and_file(tmp_path):
 def test_load_family_schema_violation():
     with pytest.raises(FamilyError, match="schema"):
         load_family(json.dumps({"degree": 8}))
+
+
+def _two_member_doc():
+    return {
+        "degree": 8,
+        "members": [
+            {"param_label": "t0", "model": json.loads(f1_anticanonical().to_json())},
+            {"param_label": "t1", "model": json.loads(quadric(2, 2).to_json())},
+        ],
+    }
+
+
+def test_load_family_inline_schema_error_names_member_path():
+    doc = _two_member_doc()
+    doc["members"][1]["model"]["strata"][0]["candidates"][0]["t"] = 0
+    with pytest.raises(FamilyError) as info:
+        load_family(json.dumps(doc))
+    assert str(info.value) == (
+        "member 't1': schema violation: $.members[1].model.strata[0].candidates[0].t: "
+        "expected an integer >= 1, got 0"
+    )
+    assert isinstance(info.value.__cause__, ModelError)
+
+
+def test_load_family_inline_invariant_error_names_member():
+    doc = _two_member_doc()
+    doc["members"][0]["model"]["rr"]["d"] = 9
+    with pytest.raises(FamilyError) as info:
+        load_family(json.dumps(doc))
+    assert str(info.value).startswith("member 't0': degree mismatch:")
+    assert isinstance(info.value.__cause__, ModelError)
+
+
+def test_load_family_bad_file_member_names_member(tmp_path):
+    doc = _two_member_doc()
+    doc["members"][0]["model"] = "missing.json"
+    with pytest.raises(FamilyError, match="^member 't0': .*missing.json") as info:
+        load_family(json.dumps(doc), base_dir=str(tmp_path))
+    assert isinstance(info.value.__cause__, FileNotFoundError)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +42,60 @@ def test_pair_lattice_mismatch():
 def test_gram_must_be_symmetric():
     with pytest.raises(LatticeError):
         IntersectionLattice(rank=2, gram=((0, 1), (2, 0)), basis_labels=("a", "b"))
+
+
+def test_gram_rejects_non_integers():
+    # a float entry was truncated to -1 before
+    with pytest.raises(LatticeError, match="-1.7"):
+        IntersectionLattice(rank=2, gram=((1, 0), (0, -1.7)), basis_labels=("H", "E"))
+
+
+@pytest.mark.parametrize("bad", [2.9, 2.0, Fraction(5, 2)])
+def test_divisor_rejects_non_integers(bad):
+    # (2.9, 1) was stored as (2, 1) before
+    with pytest.raises(LatticeError, match="coordinates must be integers"):
+        F1.divisor((bad, 1))
+
+
+@st.composite
+def gram_and_coords(draw):
+    """A random symmetric integer Gram matrix of rank 1..13 with negative
+    and zero entries, and two coordinate vectors, each sparse or dense."""
+    n = draw(st.integers(1, 13))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-9, 9))
+    entry = st.integers(-50, 50)
+    sparse = st.lists(st.tuples(st.integers(0, n - 1), entry), max_size=2)
+
+    def coords():
+        if draw(st.booleans()):
+            return draw(st.lists(entry, min_size=n, max_size=n))
+        vec = [0] * n
+        for i, c in draw(sparse):
+            vec[i] = c
+        return vec
+
+    return gram, coords(), coords()
+
+
+@given(gram_and_coords())
+def test_pair_matches_naive_double_sum(case):
+    gram, u, v = case
+    n = len(gram)
+    lat = IntersectionLattice(
+        rank=n, gram=tuple(map(tuple, gram)), basis_labels=tuple(f"b{i}" for i in range(n))
+    )
+    U, V = lat.divisor(u), lat.divisor(v)
+    naive = sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+    assert pair(U, V) == naive
+    assert pair(V, U) == naive
+    # an equal class whose covector was never computed is still equal
+    fresh = lat.divisor(u)
+    assert "covector" in vars(U) and "covector" not in vars(fresh)
+    assert fresh == U and hash(fresh) == hash(U)
+    assert {U: 1}[fresh] == 1
 
 
 def test_labels_must_be_distinct():
