@@ -3,7 +3,7 @@ polarized surfaces presented by intersection-lattice data."""
 
 __version__ = "0.1.0"
 
-from .values import Rational, SeshadriValue, cmp_value, format_rational, parse_rational, ratio
+from .values import Rational, SeshadriValue, cmp_value, format_rational, parse_rational
 from .lattice import (
     CurveGeneratorSet,
     DivisorClass,
@@ -30,7 +30,6 @@ from .engine import (
     EngineError,
     PointStratum,
     SeshadriResult,
-    cross_check,
     epsilon,
     epsilon_via_curves,
     epsilon_via_nef,

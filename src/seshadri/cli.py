@@ -147,6 +147,19 @@ def cmd_sublevel(args) -> int:
     return 0
 
 
+def _verdict_summary(verdicts) -> str:
+    groups = []
+    for status, heading in (("fail", "FAILURES"), ("undetermined", "UNDETERMINED")):
+        pairs = [
+            f"{v.kind} {v.general}->{v.special} in {v.context}"
+            for v in verdicts
+            if v.status == status
+        ]
+        if pairs:
+            groups.append(f"{heading}: " + "; ".join(pairs))
+    return " | ".join(groups) or "all pass"
+
+
 def cmd_scan(args) -> int:
     with open(args.family, "r", encoding="utf-8") as fh:
         family = load_family(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.family)))
@@ -163,17 +176,7 @@ def cmd_scan(args) -> int:
         + f"  [{len(report.sigma_cap)} values]",
         "candidate superset: "
         + ", ".join(format_rational(q) for q in report.candidate_superset),
-        "semicontinuity: "
-        + (
-            "all pass"
-            if all(v.passed for v in report.semicontinuity_verdicts)
-            else "FAILURES: "
-            + "; ".join(
-                f"{v.kind} {v.general}->{v.special} in {v.context}"
-                for v in report.semicontinuity_verdicts
-                if not v.passed
-            )
-        ),
+        "semicontinuity: " + _verdict_summary(report.semicontinuity_verdicts),
         "jump members: " + (", ".join(report.jump_members) or "(none)"),
     ]
     if report.uncertified:

@@ -5,14 +5,15 @@ curve candidates (degree and multiplicity at a point of the stratum),
 an optional completeness threshold for that table, and optionally a
 curve-generator set on the one-point blow-up.  The two classical
 characterizations of the local constant, the curve-ratio infimum and the
-nef threshold on the blow-up, are computed independently and can be
-cross-checked against each other.
+nef threshold on the blow-up, are computed independently.  Each result
+is an exact interval around the value, and where both paths exist the
+nef value must lie in the curve path's interval.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,18 +76,51 @@ class PointStratum:
 
 @dataclass(frozen=True)
 class SeshadriResult:
-    value: SeshadriValue
+    """The evidence on one value as an exact interval: lo <= value <= hi.
+
+    `lo` is None when nothing is known above 0; `hi` never exceeds
+    sqrt(d).  `ceiling_only` records that `hi` rests on the sqrt(d)
+    ceiling alone, because the table lists no curve.  The certification
+    label, the reported value and certified_above derive from these."""
+
+    hi: SeshadriValue
+    lo: Optional[SeshadriValue] = None
+    ceiling_only: bool = False
     witness: Optional[CurveCandidate] = None
-    certification: Certification = Certification.UPPER_BOUND_ONLY
     bound_used: Optional[DegreeBound] = None
-    certified_above: Optional[Rational] = None
     warning: Optional[str] = None
     attained_at: Optional[str] = None
 
+    @property
+    def certification(self) -> Certification:
+        """Exact iff the interval is a point; a lower bound only when
+        just the ceiling of an empty table bounds it above."""
+        if self.lo is None:
+            return Certification.UPPER_BOUND_ONLY
+        if self.lo == self.hi:
+            return Certification.EXACT_CERTIFIED
+        if self.ceiling_only:
+            return Certification.LOWER_BOUND_ONLY
+        return Certification.UPPER_BOUND_ONLY
+
+    @property
+    def value(self) -> SeshadriValue:
+        if self.certification is Certification.LOWER_BOUND_ONLY:
+            return self.lo
+        return self.hi
+
+    @property
+    def certified_above(self) -> Optional[Rational]:
+        # lo < hi <= sqrt(d), so an open interval's lo is rational
+        if self.lo is None or self.lo == self.hi:
+            return None
+        return self.lo.rational
+
     def to_document(self) -> dict:
+        value = self.value
         doc = {
-            "value": self.value.serialize(),
-            "value_approx": self.value.approx(),
+            "value": value.serialize(),
+            "value_approx": value.approx(),
             "certification": self.certification.value,
             "witness": None,
         }
@@ -103,8 +137,9 @@ class SeshadriResult:
                 "B": self.bound_used.B,
                 "vanishing_multiplier": self.bound_used.vanishing_multiplier,
             }
-        if self.certified_above is not None:
-            doc["certified_above"] = str(self.certified_above)
+        certified_above = self.certified_above
+        if certified_above is not None:
+            doc["certified_above"] = str(certified_above)
         if self.warning is not None:
             doc["warning"] = self.warning
         if self.attained_at is not None:
@@ -132,13 +167,12 @@ def epsilon_via_curves(
     model, stratum: PointStratum, alpha: Optional[Rational] = None
 ) -> SeshadriResult:
     """Local Seshadri constant at the stratum's point from its curve
-    table, as the minimum listed ratio capped by sqrt(d).
+    table, as an interval.
 
-    Certification depends on the table's declared completeness threshold:
-    the minimum is exact when the table is complete below the reported
-    value (or below sqrt(d) when the cap binds).  An incomplete table
-    yields an upper bound; an empty table with a completeness threshold
-    yields the certified lower bound instead.
+    The least listed ratio, capped by sqrt(d), bounds the value above.
+    A table complete below its threshold `ocb` lists every curve of
+    ratio < ocb, so the value is at least min(ocb, that upper bound);
+    the interval is a point exactly when the threshold reaches it.
     """
     d = model.rr.d
     sqrt_d = SeshadriValue.sqrt(d)
@@ -149,60 +183,24 @@ def epsilon_via_curves(
     if alpha is not None and alpha > 0 and alpha * alpha < d:
         bound_used = minimal_M(model.rr, alpha)
 
-    if best is None:
-        if ocb is None:
-            return SeshadriResult(
-                value=sqrt_d,
-                certification=Certification.UPPER_BOUND_ONLY,
-                bound_used=bound_used,
-                warning=f"stratum {stratum.label!r}: empty candidate table with no "
-                "completeness assertion; only the sqrt(d) ceiling is known",
-            )
-        if ocb * ocb >= d:
-            # complete past sqrt(d) with nothing listed: the ceiling binds
-            return SeshadriResult(
-                value=sqrt_d,
-                certification=Certification.EXACT_CERTIFIED,
-                bound_used=bound_used,
-            )
-        return SeshadriResult(
-            value=SeshadriValue.exact(ocb),
-            certification=Certification.LOWER_BOUND_ONLY,
-            bound_used=bound_used,
-            certified_above=ocb,
-        )
-
-    r_min = best.ratio
-    exact_min = SeshadriValue.exact(r_min)
-    if cmp_value(exact_min, sqrt_d) < 0:
-        if ocb is not None and ocb >= r_min:
-            return SeshadriResult(
-                value=exact_min,
-                witness=best,
-                certification=Certification.EXACT_CERTIFIED,
-                bound_used=bound_used,
-            )
-        return SeshadriResult(
-            value=exact_min,
-            witness=best,
-            certification=Certification.UPPER_BOUND_ONLY,
-            bound_used=bound_used,
-            certified_above=ocb,
-        )
-    # the sqrt(d) cap binds; exact iff the table is complete below sqrt(d)
-    if ocb is not None and ocb * ocb >= d:
-        witness = best if exact_min == sqrt_d else None
-        return SeshadriResult(
-            value=sqrt_d,
-            witness=witness,
-            certification=Certification.EXACT_CERTIFIED,
-            bound_used=bound_used,
+    least = None if best is None else SeshadriValue.exact(best.ratio)
+    hi = least if least is not None and least <= sqrt_d else sqrt_d
+    lo = None if ocb is None else min(SeshadriValue.exact(ocb), hi)
+    warning = None
+    if best is None and ocb is None:
+        warning = (
+            f"stratum {stratum.label!r}: empty candidate table with no "
+            "completeness assertion; only the sqrt(d) ceiling is known"
         )
     return SeshadriResult(
-        value=sqrt_d,
-        certification=Certification.UPPER_BOUND_ONLY,
+        hi=hi,
+        lo=lo,
+        ceiling_only=best is None,
+        # the least curve witnesses hi, except where sqrt(d) bounds an
+        # open interval whatever the table lists
+        witness=best if least == hi and (hi < sqrt_d or lo == hi) else None,
         bound_used=bound_used,
-        certified_above=ocb,
+        warning=warning,
     )
 
 
@@ -245,41 +243,24 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
         if deg == 0:
             break  # ratio 0 is least; the witness below rejects it
     if best is None:
-        return SeshadriResult(
-            value=SeshadriValue.sqrt(d), certification=Certification.EXACT_CERTIFIED
-        )
+        ceiling = SeshadriValue.sqrt(d)
+        return SeshadriResult(hi=ceiling, lo=ceiling)
     deg, e_mult, label, cls = best
+    value = SeshadriValue.exact(Fraction(deg, e_mult))
     return SeshadriResult(
-        value=SeshadriValue.exact(Fraction(deg, e_mult)),
+        hi=value,
+        lo=value,
         witness=CurveCandidate(label=label, degree_t=deg, mult_m=e_mult, curve_class=cls),
-        certification=Certification.EXACT_CERTIFIED,
     )
 
 
-def cross_check(model, stratum: PointStratum) -> bool:
-    """True iff the curve-table path and the blow-up nef path agree on
-    this stratum's value."""
-    via_curves = epsilon_via_curves(model, stratum)
-    via_nef = epsilon_via_nef(model, stratum)
-    return via_curves.value == via_nef.value
-
-
 def _check_against_nef(model, stratum: PointStratum, result: SeshadriResult) -> None:
-    """Raise unless the nef path's exact value lies where the curve-path
-    result allows: equal to an exact value, at most an upper bound, and
-    at least the table's certified_above threshold."""
+    """Raise unless the nef path's exact value lies in the curve-path
+    interval."""
     if stratum.label not in model.blowup_gens:
         return
     nef = epsilon_via_nef(model, stratum).value
-    consistent = True
-    if result.certification is Certification.EXACT_CERTIFIED:
-        consistent = result.value == nef
-    elif result.certification is Certification.UPPER_BOUND_ONLY:
-        consistent = cmp_value(nef, result.value) <= 0
-    above = result.certified_above
-    if above is not None and cmp_value(nef, SeshadriValue.exact(above)) < 0:
-        consistent = False
-    if not consistent:
+    if (result.lo is not None and nef < result.lo) or nef > result.hi:
         raise EngineError(
             f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
             f"({result.certification.value}) but nef path gives {nef.serialize()}"
@@ -289,9 +270,9 @@ def _check_against_nef(model, stratum: PointStratum, result: SeshadriResult) -> 
 def epsilon(
     model, stratum: PointStratum, alpha: Optional[Rational] = None
 ) -> SeshadriResult:
-    """Per-stratum value: the curve-path result, cross-checked against the
-    nef path whenever blow-up data is available.  Evidence that
-    contradicts at any certification level is an error."""
+    """Per-stratum value: the curve-path interval, checked against the nef
+    path whenever blow-up data is available.  A nef value outside the
+    interval is an error."""
     result = epsilon_via_curves(model, stratum, alpha)
     _check_against_nef(model, stratum, result)
     return result
@@ -313,44 +294,30 @@ def stratum_table(
     return {s.label: epsilon(model, s, alpha) for s in strata}
 
 
-_CERT_RANK = {
-    Certification.EXACT_CERTIFIED: 0,
-    Certification.LOWER_BOUND_ONLY: 1,
-    Certification.UPPER_BOUND_ONLY: 2,
-}
-
-
 def global_epsilon(
     model, alpha: Optional[Rational] = None, table: Optional[StratumTable] = None
 ) -> SeshadriResult:
-    """Minimum of the per-stratum values; the infimum over points is a
-    minimum, and the attaining stratum and witness are recorded.  A given
+    """The least local value over the strata, as the interval [min lo,
+    min hi]; lo is unknown if any stratum's is, and hi rests on the
+    ceiling alone only if every table is empty.  The first stratum that
+    attains the reported value is recorded with its witness.  A given
     `table` (the model's stratum_table at alpha) is read instead of
     evaluating the strata again."""
     if table is None:
         table = stratum_table(model, alpha)
-    best: Optional[SeshadriResult] = None
-    best_label = None
-    worst_cert = Certification.EXACT_CERTIFIED
-    warnings = []
-    for stratum in model.strata:
-        res = table[stratum.label]
-        if _CERT_RANK[res.certification] > _CERT_RANK[worst_cert]:
-            worst_cert = res.certification
-        if res.warning:
-            warnings.append(res.warning)
-        if best is None or cmp_value(res.value, best.value) < 0:
-            best, best_label = res, stratum.label
-    assert best is not None, "models always have at least one stratum"
-    return SeshadriResult(
-        value=best.value,
-        witness=best.witness,
-        certification=worst_cert,
-        bound_used=best.bound_used,
-        certified_above=best.certified_above,
-        warning="; ".join(warnings) or None,
-        attained_at=best_label,
+    results = [(s.label, table[s.label]) for s in model.strata]
+    los = [res.lo for _, res in results]
+    result = SeshadriResult(
+        hi=min(res.hi for _, res in results),
+        lo=None if None in los else min(los),
+        ceiling_only=all(res.ceiling_only for _, res in results),
+        warning="; ".join(res.warning for _, res in results if res.warning) or None,
     )
+    lower = result.certification is Certification.LOWER_BOUND_ONLY
+    label, best = next(
+        (label, res) for label, res in results if (res.lo if lower else res.hi) == result.value
+    )
+    return replace(result, witness=best.witness, bound_used=best.bound_used, attained_at=label)
 
 
 def sublevel_set(model, a: Rational) -> List[str]:
@@ -386,39 +353,27 @@ def sublevel_set(model, a: Rational) -> List[str]:
     return selected
 
 
-@dataclass(frozen=True)
-class SigmaResult:
-    value: SeshadriValue
-    attained_at: str
-
-
-def sigma_local(model, table: Optional[StratumTable] = None) -> SigmaResult:
-    """Supremum of the local constants over the model's points, attained
-    as a maximum.  The maximum must be attained on the unique dense
-    stratum; that is checked, not assumed.  A given `table` (the model's
-    stratum_table) is read instead of evaluating the strata again."""
-    best: Optional[SeshadriValue] = None
-    best_label = None
-    generic_value = None
-    generic_label = model.generic_stratum.label
+def sigma_local(model, table: Optional[StratumTable] = None) -> SeshadriResult:
+    """Supremum of the local constants over the model's points: the dense
+    stratum's evidence, since every point specializes from a general
+    one.  That is checked, not assumed: a stratum known to lie above
+    everything the dense stratum allows is an error.  A given `table`
+    (the model's stratum_table) is read instead of evaluating the strata
+    again."""
     if table is None:
         table = stratum_table(model)
+    generic_label = model.generic_stratum.label
+    generic = table[generic_label]
     for stratum in model.strata:
-        res = table[stratum.label]
-        if stratum.label == generic_label:
-            generic_value = res.value
-        if best is None or cmp_value(res.value, best) > 0 or (
-            cmp_value(res.value, best) == 0 and stratum.label == generic_label
-        ):
-            best, best_label = res.value, stratum.label
-    assert best is not None and generic_value is not None
-    if best != generic_value:
-        raise EngineError(
-            f"supremum {best.serialize()} is attained on {best_label!r}, not on the "
-            f"dense stratum {generic_label!r} (value {generic_value.serialize()}); "
-            "the model's tables are geometrically inconsistent"
-        )
-    return SigmaResult(value=best, attained_at=generic_label)
+        lo = table[stratum.label].lo
+        if lo is not None and lo > generic.hi:
+            raise EngineError(
+                f"stratum {stratum.label!r} has a value of at least {lo.serialize()}, "
+                f"above the dense stratum {generic_label!r} at most "
+                f"{generic.hi.serialize()}; the model's tables are geometrically "
+                "inconsistent"
+            )
+    return replace(generic, attained_at=generic_label)
 
 
 def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]]:

@@ -89,10 +89,15 @@ class Verdict:
     special: str
     general_value: SeshadriValue
     special_value: SeshadriValue
-    passed: bool
+    status: str  # "pass", "fail" or "undetermined"
+
+    @property
+    def passed(self) -> bool:
+        """The special value is proven not to exceed the general one."""
+        return self.status == "pass"
 
     def to_document(self) -> dict:
-        return {
+        doc = {
             "kind": self.kind,
             "context": self.context,
             "general": self.general,
@@ -101,6 +106,27 @@ class Verdict:
             "special_value": self.special_value.serialize(),
             "passed": self.passed,
         }
+        if self.status == "undetermined":
+            doc["undetermined"] = True
+        return doc
+
+
+def _verdict(
+    kind: str, context: str, general: str, special: str,
+    general_res: SeshadriResult, special_res: SeshadriResult,
+) -> Verdict:
+    """special <= general on the two intervals: pass if special's hi is at
+    most general's lo, fail if special's lo exceeds general's hi, and
+    undetermined otherwise."""
+    if general_res.lo is not None and special_res.hi <= general_res.lo:
+        status = "pass"
+    elif special_res.lo is not None and special_res.lo > general_res.hi:
+        status = "fail"
+    else:
+        status = "undetermined"
+    return Verdict(
+        kind, context, general, special, general_res.value, special_res.value, status
+    )
 
 
 @dataclass(frozen=True)
@@ -167,7 +193,7 @@ def member_candidate_superset(
     The degree bound argument requires a very ample polarization; when
     the model declares multiplier v, the enumeration runs for the v-th
     power (degree v^2*d, threshold v*alpha) and the ratios divide back by
-    v.
+    v.  With v = 1 both are the one list.
     """
     v = model.very_ample_multiplier
     rr = model.rr
@@ -179,6 +205,8 @@ def member_candidate_superset(
     )
     bound = minimal_M(scaled, v * alpha)
     raw = candidate_ratios(bound.B, v * alpha)
+    if v == 1:
+        return raw, raw
     return [q / v for q in raw], raw
 
 
@@ -188,44 +216,28 @@ def semicontinuity_check(
     """Exact order checks on declared specializations: the global value
     of a special member never exceeds the general member's, and within
     each member a special stratum never exceeds the strata it
-    specializes from.  Given `tables` (each member's stratum_table, by
-    member label), they are read instead of evaluating the strata
-    again."""
+    specializes from.  Each verdict compares the two intervals, so it
+    passes only where the evidence proves the order.  Given `tables`
+    (each member's stratum_table, by member label), they are read
+    instead of evaluating the strata again."""
     if tables is None:
         tables = {label: stratum_table(model) for label, model in family.members}
-    verdicts: List[Verdict] = []
-    global_values = {
-        label: global_epsilon(model, table=tables[label]).value
-        for label, model in family.members
+    globals_by_member = {
+        label: global_epsilon(model, table=tables[label]) for label, model in family.members
     }
-    for general, special in family.member_specialization:
-        gv, sv = global_values[general], global_values[special]
-        verdicts.append(
-            Verdict(
-                kind="member",
-                context="family",
-                general=general,
-                special=special,
-                general_value=gv,
-                special_value=sv,
-                passed=cmp_value(sv, gv) <= 0,
-            )
+    verdicts = [
+        _verdict(
+            "member", "family", general, special,
+            globals_by_member[general], globals_by_member[special],
         )
+        for general, special in family.member_specialization
+    ]
     for label, model in family.members:
         table = tables[label]
         for s in model.strata:
             for general in s.specializes_from:
-                gv, sv = table[general].value, table[s.label].value
                 verdicts.append(
-                    Verdict(
-                        kind="stratum",
-                        context=label,
-                        general=general,
-                        special=s.label,
-                        general_value=gv,
-                        special_value=sv,
-                        passed=cmp_value(sv, gv) <= 0,
-                    )
+                    _verdict("stratum", label, general, s.label, table[general], table[s.label])
                 )
     return verdicts
 
@@ -280,9 +292,13 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
                 uncertified.append((label, stratum_label))
 
     # each list is ascending without repeats (the Farey walk's order), so
-    # a merge that drops repeats is their sorted union
+    # a merge that drops repeats is their sorted union; with multiplier 1
+    # everywhere the divided lists are the raw ones
     superset = _merge_ascending(divided for divided, _ in supersets.values())
-    superset_raw = _merge_ascending(raw for _, raw in supersets.values())
+    if all(divided is raw for divided, raw in supersets.values()):
+        superset_raw = superset
+    else:
+        superset_raw = _merge_ascending(raw for _, raw in supersets.values())
 
     sigma_cap = sorted(sigma_cap_set)
     missing = [q for q in sigma_cap if not _contains(superset, q)]

@@ -37,16 +37,6 @@ def format_rational(q: RationalLike) -> str:
     return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
-def ratio(t: int, m: int) -> Rational:
-    """The degree/multiplicity ratio t/m, reduced.  Both arguments must be
-    positive integers."""
-    if not isinstance(t, int) or not isinstance(m, int):
-        raise TypeError("ratio expects integers")
-    if t < 1 or m < 1:
-        raise ValueError(f"ratio requires t >= 1 and m >= 1, got ({t}, {m})")
-    return Fraction(t, m)
-
-
 class SeshadriValue:
     """Either an exact rational or sqrt(d) for a non-square positive d.
 

@@ -17,9 +17,9 @@ from seshadri.bounds import (
 )
 from seshadri.engine import (
     Certification,
-    cross_check,
     epsilon,
     epsilon_via_curves,
+    epsilon_via_nef,
     sublevel_set,
 )
 from seshadri.family import Family, member_candidate_superset, scan, semicontinuity_check
@@ -155,7 +155,8 @@ def test_criterion_4_oracle_equivalence():
     strata = 0
     for model in builtin_suite():
         for stratum in model.strata:
-            assert cross_check(model, stratum), f"{model.name}/{stratum.label}"
+            curve = epsilon_via_curves(model, stratum).value
+            assert curve == epsilon_via_nef(model, stratum).value, f"{model.name}/{stratum.label}"
             strata += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -188,44 +189,55 @@ def test_criterion_6_semicontinuity():
     assert verdicts[0].general_value == SeshadriValue.exact(2)
     assert verdicts[0].special_value == SeshadriValue.exact(1)
 
-    control = model_from_document(
-        {
-            "schema_version": 1,
-            "name": "control",
-            "rank": 1,
-            "gram": [[1]],
-            "basis_labels": ["H"],
-            "polarization": [2],
-            "rr": {"d": 4, "c": 6, "c_prime": 1, "vanishing_multiplier": 1},
-            "very_ample_multiplier": 1,
-            "strata": [
-                {
-                    "label": "generic",
-                    "closure_dim": 2,
-                    "specializes_from": [],
-                    "oracle_complete_below": None,
-                    "candidates": [{"label": "low", "class": None, "t": 2, "m": 2}],
-                },
-                {
-                    "label": "special",
-                    "closure_dim": 0,
-                    "specializes_from": ["generic"],
-                    "oracle_complete_below": None,
-                    "candidates": [{"label": "high", "class": None, "t": 2, "m": 1}],
-                },
-            ],
-            "blowup_gens": {},
-        }
-    )
+    def control(generic_ocb, special_ocb):
+        # generic <= 1 and special <= 2, each exact when its threshold
+        # reaches its least ratio
+        return model_from_document(
+            {
+                "schema_version": 1,
+                "name": "control",
+                "rank": 1,
+                "gram": [[1]],
+                "basis_labels": ["H"],
+                "polarization": [2],
+                "rr": {"d": 4, "c": 6, "c_prime": 1, "vanishing_multiplier": 1},
+                "very_ample_multiplier": 1,
+                "strata": [
+                    {
+                        "label": "generic",
+                        "closure_dim": 2,
+                        "specializes_from": [],
+                        "oracle_complete_below": generic_ocb,
+                        "candidates": [{"label": "low", "class": None, "t": 2, "m": 2}],
+                    },
+                    {
+                        "label": "special",
+                        "closure_dim": 0,
+                        "specializes_from": ["generic"],
+                        "oracle_complete_below": special_ocb,
+                        "candidates": [{"label": "high", "class": None, "t": 2, "m": 1}],
+                    },
+                ],
+                "blowup_gens": {},
+            }
+        )
+
+    # two upper bounds decide nothing: the verdict is not proven
     failures = [
-        v for v in semicontinuity_check(Family(members=(("t", control),), degree=4))
+        v for v in semicontinuity_check(Family(members=(("t", control(None, None)),), degree=4))
         if not v.passed
     ]
     assert len(failures) == 1
     assert (failures[0].general, failures[0].special) == ("generic", "special")
+    assert failures[0].status == "undetermined"
+    # two exact values, special 2 above generic 1: a proven failure
+    (certified,) = semicontinuity_check(Family(members=(("t", control("1", "2")),), degree=4))
+    assert not certified.passed and certified.status == "fail"
+    assert (certified.general, certified.special) == ("generic", "special")
     _report(
         "criterion 6 (semicontinuity)",
-        "1 <= 2 across the f1 strata; negative control names its failing pair",
+        "1 <= 2 across the f1 strata; negative controls name their pair, "
+        "undetermined on upper bounds and failed on exact values",
     )
 
 

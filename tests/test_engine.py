@@ -11,7 +11,6 @@ from seshadri.engine import (
     CurveCandidate,
     EngineError,
     PointStratum,
-    cross_check,
     epsilon,
     epsilon_via_curves,
     epsilon_via_nef,
@@ -83,7 +82,9 @@ def test_nef_missing_data_is_error():
 def test_cross_check_all_builtin_strata():
     for model in builtin_suite():
         for stratum in model.strata:
-            assert cross_check(model, stratum)
+            curve = epsilon_via_curves(model, stratum)
+            assert curve.certification is Certification.EXACT_CERTIFIED
+            assert curve.value == epsilon_via_nef(model, stratum).value
 
 
 def _doc_without_candidate(drop_label):
@@ -96,7 +97,8 @@ def _doc_without_candidate(drop_label):
 
 def test_cross_check_detects_omitted_curve():
     model = load_model(json.dumps(_doc_without_candidate("E")))
-    assert not cross_check(model, model.stratum("on_E"))
+    stratum = model.stratum("on_E")
+    assert epsilon_via_curves(model, stratum).value != epsilon_via_nef(model, stratum).value
 
 
 def test_epsilon_raises_on_path_disagreement():

@@ -1,0 +1,264 @@
+"""Evidence as an exact interval lo <= value <= hi: the derived labels,
+sound aggregates over strata and members, three-valued semicontinuity
+verdicts, and properties on mutated built-in curve tables."""
+
+import dataclasses
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from seshadri.engine import (
+    Certification,
+    CurveCandidate,
+    EngineError,
+    epsilon,
+    epsilon_via_curves,
+    epsilon_via_nef,
+    global_epsilon,
+    sigma_local,
+)
+from seshadri.family import Family, scan, semicontinuity_check
+from seshadri.models import (
+    ModelError,
+    f1_anticanonical,
+    model_from_document,
+    projective_plane,
+    quadric,
+)
+from seshadri.values import SeshadriValue
+
+
+def _plane_with_point_stratum():
+    # generic: the plane's table with no completeness threshold, so only
+    # value <= 3 is known; pt: an empty table complete below 3/2, so only
+    # value >= 3/2 is known
+    doc = projective_plane(3).to_document()
+    doc["strata"][0]["oracle_complete_below"] = None
+    doc["strata"].append(
+        {
+            "label": "pt",
+            "closure_dim": 0,
+            "specializes_from": ["generic"],
+            "oracle_complete_below": "3/2",
+            "candidates": [],
+        }
+    )
+    doc["blowup_gens"] = {}
+    return model_from_document(doc)
+
+
+def test_global_epsilon_of_mixed_evidence_is_sound():
+    res = global_epsilon(_plane_with_point_stratum())
+    assert res.value == SeshadriValue.exact(3)
+    assert res.certification is Certification.UPPER_BOUND_ONLY
+    assert res.certified_above is None
+    assert (res.lo, res.hi) == (None, SeshadriValue.exact(3))
+    assert "certified_above" not in res.to_document()
+
+
+def test_semicontinuity_without_evidence_is_undetermined():
+    family = Family(members=(("t", _plane_with_point_stratum()),), degree=9)
+    (v,) = semicontinuity_check(family)
+    assert (v.general, v.special) == ("generic", "pt")
+    assert v.status == "undetermined"
+    assert not v.passed
+    assert v.to_document()["passed"] is False
+    assert v.to_document()["undetermined"] is True
+
+
+def _f1_with_unbounded_on_E():
+    # on_E lists one curve of ratio 5/2 and no threshold: on_E <= 5/2,
+    # which says nothing against the dense stratum's exact 2
+    doc = f1_anticanonical().to_document()
+    for sd in doc["strata"]:
+        if sd["label"] == "on_E":
+            sd["candidates"] = [{"label": "c", "class": None, "t": 5, "m": 2}]
+            sd["oracle_complete_below"] = None
+    return model_from_document(doc)
+
+
+def test_sigma_local_reads_the_dense_stratum():
+    model = _f1_with_unbounded_on_E()
+    sig = sigma_local(model)
+    assert sig.value == SeshadriValue.exact(2)
+    assert sig.attained_at == "generic"
+    report = scan(Family(members=(("t", model),), degree=8), Fraction(2))
+    assert report.sigma_family == SeshadriValue.exact(2)
+    assert report.sigma_attained_at == ("t", "generic")
+
+
+def test_sigma_local_rejects_a_stratum_above_the_dense_one():
+    doc = f1_anticanonical().to_document()
+    for sd in doc["strata"]:
+        if sd["label"] == "on_E":
+            sd["candidates"] = [{"label": "c", "class": None, "t": 5, "m": 2}]
+            sd["oracle_complete_below"] = "3"  # on_E is exactly 5/2 > 2
+    doc["blowup_gens"] = {}
+    with pytest.raises(EngineError, match="geometrically inconsistent"):
+        sigma_local(model_from_document(doc))
+
+
+def test_ceiling_provenance_decides_the_label():
+    # [3/2, sqrt(8)] is a lower bound for an empty table, an upper bound
+    # for a table whose only curve lies above sqrt(8)
+    doc = f1_anticanonical().to_document()
+    doc["blowup_gens"] = {}
+    on_E = doc["strata"][1]
+    on_E["oracle_complete_below"] = "3/2"
+    on_E["candidates"] = []
+    model = model_from_document(doc)
+    empty = epsilon_via_curves(model, model.stratum("on_E"))
+    on_E["candidates"] = [{"label": "c", "class": None, "t": 3, "m": 1}]
+    model = model_from_document(doc)
+    above = epsilon_via_curves(model, model.stratum("on_E"))
+    for res in (empty, above):
+        assert (res.lo, res.hi) == (SeshadriValue.exact(Fraction(3, 2)), SeshadriValue.sqrt(8))
+        assert res.certified_above == Fraction(3, 2)
+    assert empty.certification is Certification.LOWER_BOUND_ONLY
+    assert empty.value == SeshadriValue.exact(Fraction(3, 2))
+    assert above.certification is Certification.UPPER_BOUND_ONLY
+    assert above.value == SeshadriValue.sqrt(8) and above.witness is None
+
+
+def test_nef_path_is_a_point():
+    model = f1_anticanonical()
+    res = epsilon_via_nef(model, model.stratum("on_E"))
+    assert res.lo == res.hi == SeshadriValue.exact(1)
+    assert res.certification is Certification.EXACT_CERTIFIED
+
+
+# ---------------------------------------------------------------------------
+# Mutated built-in tables.  The built-ins keep their complete blow-up
+# generators, so the nef path gives the true value of every stratum.
+
+# built-ins grouped by degree, so that any two make a family
+_BY_DEGREE = (
+    (projective_plane(1),),
+    (quadric(1, 1),),
+    (projective_plane(2), quadric(1, 2)),
+    (f1_anticanonical(), quadric(2, 2)),
+    (projective_plane(3),),
+)
+
+
+def _true(model, stratum):
+    return epsilon_via_nef(model, stratum).value
+
+
+@st.composite
+def _mutated_stratum(draw, model, stratum):
+    """The stratum with candidates dropped, fictional curves of ratio at
+    least the true value added, and its threshold kept as high as the
+    smaller table still allows, lowered, or removed."""
+    true = _true(model, stratum).rational
+    n = len(stratum.candidates)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kept = [c for c, k in zip(stratum.candidates, keep) if k]
+    # a table complete below q lists every curve of ratio < q, so no
+    # dropped curve may lie below the new threshold
+    dropped = [c.ratio for c, k in zip(stratum.candidates, keep) if not k]
+    cap = min([stratum.oracle_complete_below] + dropped)
+    lowered = cap * Fraction(draw(st.integers(1, 7)), 8)
+    ocb = draw(st.sampled_from([None, cap, lowered]))
+    # a degree t >= ceil(true * m) keeps the ratio t/m at or above the
+    # true value
+    extra = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 6)), max_size=3))
+    added = [
+        CurveCandidate(label=f"x{i}", degree_t=math.ceil(true * m) + k, mult_m=m)
+        for i, (m, k) in enumerate(extra)
+    ]
+    return dataclasses.replace(
+        stratum, candidates=tuple(kept + added), oracle_complete_below=ocb
+    )
+
+
+@st.composite
+def _mutated_model(draw, model):
+    strata = tuple(draw(_mutated_stratum(model, s)) for s in model.strata)
+    try:
+        return dataclasses.replace(model, strata=strata)
+    except ModelError:
+        # an added curve at the threshold with a degree beyond its bound
+        assume(False)
+
+
+@st.composite
+def _mutated_family(draw):
+    group = draw(st.sampled_from(_BY_DEGREE))
+    general = draw(st.sampled_from(group))
+    special = draw(st.sampled_from(group))
+    return Family(
+        members=(
+            ("general", draw(_mutated_model(general))),
+            ("special", draw(_mutated_model(special))),
+        ),
+        degree=general.rr.d,
+        member_specialization=(("general", "special"),),
+    )
+
+
+def _contains(res, value):
+    return (res.lo is None or res.lo <= value) and value <= res.hi
+
+
+@given(_mutated_family())
+@settings(max_examples=300, deadline=None)
+def test_intervals_of_mutated_tables_contain_the_true_value(family):
+    local, least = {}, {}
+    for label, model in family.members:
+        for stratum in model.strata:
+            value = _true(model, stratum)
+            res = epsilon(model, stratum)  # never raises on truthful tables
+            assert _contains(res, value)
+            assert res.hi <= SeshadriValue.sqrt(model.rr.d)
+            local[label, stratum.label] = value
+        least[label] = min(local[label, s.label] for s in model.strata)
+        assert _contains(global_epsilon(model), least[label])
+    for v in semicontinuity_check(family):
+        if v.kind == "member":
+            general, special = least[v.general], least[v.special]
+        else:
+            general, special = local[v.context, v.general], local[v.context, v.special]
+        if v.status == "pass":
+            assert special <= general
+        elif v.status == "fail":
+            assert special > general
+
+
+_BUILTINS = [model for group in _BY_DEGREE for model in group]
+
+
+@st.composite
+def _injected(draw):
+    """A built-in stratum with one more curve, of ratio below the true
+    value, under a threshold at or above that ratio."""
+    model = draw(st.sampled_from(_BUILTINS))
+    stratum = draw(st.sampled_from(model.strata))
+    true = _true(model, stratum).rational
+    m = draw(st.integers(1, 6))
+    assume(true * m > 1)
+    t = draw(st.integers(1, math.ceil(true * m) - 1))
+    bad = dataclasses.replace(
+        stratum,
+        candidates=stratum.candidates + (CurveCandidate(label="bad", degree_t=t, mult_m=m),),
+        oracle_complete_below=Fraction(t, m) + draw(st.integers(0, 4)),
+    )
+    try:
+        model = dataclasses.replace(
+            model, strata=tuple(bad if s is stratum else s for s in model.strata)
+        )
+    except ModelError:
+        assume(False)  # a degree beyond the threshold's bound never loads
+    return model, stratum.label
+
+
+@given(_injected())
+@settings(max_examples=300, deadline=None)
+def test_candidate_below_the_true_value_is_an_error(injected):
+    # the table claims a value the nef path refutes
+    model, label = injected
+    with pytest.raises(EngineError, match="nef path"):
+        epsilon(model, model.stratum(label))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seshadri import engine
+from seshadri import family as family_module
 from seshadri.family import (
     Family,
     FamilyError,
@@ -73,7 +74,7 @@ def test_scan_evaluates_each_stratum_once(monkeypatch):
 
 
 @pytest.mark.parametrize("multiplier", [1, 2])
-def test_scan_superset_is_sorted_union(multiplier):
+def test_scan_superset_is_sorted_union(multiplier, monkeypatch):
     # with multiplier 2 member b's superset differs from a's
     doc = json.loads(projective_plane(3).to_json())
     doc["very_ample_multiplier"] = multiplier
@@ -81,7 +82,14 @@ def test_scan_superset_is_sorted_union(multiplier):
     alpha = Fraction(5, 2)
     lists = [member_candidate_superset(model, alpha) for _, model in members]
     assert (lists[0] != lists[1]) == (multiplier != 1)
+    merges = []
+    merge = family_module._merge_ascending
+    monkeypatch.setattr(
+        family_module, "_merge_ascending", lambda lists: merges.append(1) or merge(lists)
+    )
     report = scan(Family(members=members, degree=9), alpha)
+    # with multiplier 1 the divided and raw lists are one list, merged once
+    assert len(merges) == (1 if multiplier == 1 else 2)
     assert report.candidate_superset == tuple(sorted(set(lists[0][0]) | set(lists[1][0])))
     assert report.candidate_superset_raw == tuple(sorted(set(lists[0][1]) | set(lists[1][1])))
 
@@ -123,9 +131,10 @@ def test_semicontinuity_f1_internal():
     assert v.passed
 
 
-def _violating_model():
+def _violating_model(generic_ocb=None, special_ocb=None):
     # special stratum with larger value than the dense one: tables are
-    # deliberately inconsistent with geometry
+    # deliberately inconsistent with geometry; generic <= 1, special <= 2,
+    # each exact when its threshold reaches its least ratio
     doc = {
         "schema_version": 1,
         "name": "negative_control",
@@ -140,7 +149,7 @@ def _violating_model():
                 "label": "generic",
                 "closure_dim": 2,
                 "specializes_from": [],
-                "oracle_complete_below": None,
+                "oracle_complete_below": generic_ocb,
                 "candidates": [
                     {"label": "low", "class": None, "t": 2, "m": 2}
                 ],
@@ -149,7 +158,7 @@ def _violating_model():
                 "label": "special",
                 "closure_dim": 0,
                 "specializes_from": ["generic"],
-                "oracle_complete_below": None,
+                "oracle_complete_below": special_ocb,
                 "candidates": [
                     {"label": "high", "class": None, "t": 2, "m": 1}
                 ],
@@ -166,6 +175,19 @@ def test_semicontinuity_negative_control():
     failing = [v for v in verdicts if not v.passed]
     assert len(failing) == 1
     assert (failing[0].general, failing[0].special) == ("generic", "special")
+    # two upper bounds prove neither order
+    assert failing[0].status == "undetermined"
+    assert failing[0].to_document()["undetermined"] is True
+
+
+def test_semicontinuity_certified_negative_control():
+    family = Family(members=(("t", _violating_model("1", "2")),), degree=4)
+    (verdict,) = semicontinuity_check(family)
+    assert (verdict.general, verdict.special) == ("generic", "special")
+    assert verdict.status == "fail" and not verdict.passed
+    doc = verdict.to_document()
+    assert (doc["general_value"], doc["special_value"], doc["passed"]) == ("1", "2", False)
+    assert "undetermined" not in doc
 
 
 def test_member_specialization_verdicts():
@@ -203,7 +225,7 @@ def test_csv_columns():
 def test_candidate_superset_respects_multiplier():
     model = projective_plane(2)
     divided, raw = member_candidate_superset(model, Fraction(3, 2))
-    assert divided == raw  # built-ins declare multiplier 1
+    assert divided is raw  # built-ins declare multiplier 1: nothing to divide
     assert all(q <= Fraction(3, 2) for q in divided)
 
 

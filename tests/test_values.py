@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seshadri.engine import CurveCandidate
 from seshadri.values import (
     SeshadriValue,
     cmp_value,
     format_rational,
     parse_rational,
-    ratio,
 )
+
+
+def _candidate(t, m):
+    return CurveCandidate(label="c", degree_t=t, mult_m=m)
 
 
 def test_perfect_square_normalizes_to_exact():
@@ -54,20 +58,21 @@ def test_sqrt_requires_positive():
 
 
 def test_ratio_examples():
-    assert ratio(4, 2) == Fraction(2, 1)
-    assert ratio(7, 3) == Fraction(7, 3)
-    assert ratio(6, 4) == Fraction(3, 2)
+    # a candidate's ratio t/m is reduced
+    assert _candidate(4, 2).ratio == Fraction(2, 1)
+    assert _candidate(7, 3).ratio == Fraction(7, 3)
+    assert _candidate(6, 4).ratio == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("t,m", [(0, 1), (1, 0), (-2, 3), (3, -1)])
 def test_ratio_rejects_nonpositive(t, m):
-    with pytest.raises(ValueError):
-        ratio(t, m)
+    with pytest.raises(ValueError):  # EngineError is a ValueError
+        _candidate(t, m)
 
 
 @given(st.integers(1, 10**4), st.integers(1, 10**4))
 def test_ratio_times_m_recovers_t(t, m):
-    assert ratio(t, m) * m == t
+    assert _candidate(t, m).ratio * m == t
 
 
 def test_serialize():
