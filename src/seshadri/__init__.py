@@ -3,14 +3,13 @@ polarized surfaces presented by intersection-lattice data."""
 
 __version__ = "0.1.0"
 
-from .values import Rational, SeshadriValue, cmp_value, format_rational, parse_rational
+from .values import Rational, SeshadriValue, format_rational, parse_rational
 from .lattice import (
     CurveGeneratorSet,
     DivisorClass,
     IntersectionLattice,
     LatticeError,
     extend_blowup,
-    is_nef_against,
     pair,
 )
 from .bounds import (

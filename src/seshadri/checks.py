@@ -1,8 +1,10 @@
 """Self-contained invariant suite over the built-in models.
 
-Everything here is deterministic (seeded randomness only) and exact, so
-two runs produce identical output; the CLI `check` subcommand prints one
-line per check and fails on any violation.
+Each invariant is one function of the models it checks (in the degree-bound
+layer, of its seeded random source) that returns a one-line detail or raises
+AssertionError naming the model and stratum that break it.  The CLI `check`
+subcommand and the acceptance tests call the same functions.  Everything is
+deterministic and exact, so two runs produce identical output.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .bounds import RRData, candidate_ratios, l_poly, mediant_bounds, minimal_M
 from .engine import (
     Certification,
+    EngineError,
     SeshadriValue,
     epsilon,
     epsilon_via_curves,
@@ -25,10 +28,11 @@ from .engine import (
     sublevel_set,
 )
 from .family import member_candidate_superset
-from .models import builtin_suite, load_model
-from .values import cmp_value
+from .models import SurfaceModel, builtin_suite, load_model
 
 ALPHA_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+
+Models = Sequence[SurfaceModel]
 
 
 @dataclass(frozen=True)
@@ -38,26 +42,16 @@ class CheckResult:
     detail: str
 
 
-def _check(name: str, fn: Callable[[], str]) -> CheckResult:
-    try:
-        return CheckResult(name, True, fn())
-    except Exception as exc:  # a failed invariant, whatever its shape
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-
-
-def check_roundtrip() -> str:
-    n = 0
-    for model in builtin_suite():
+def check_roundtrip(models: Models) -> str:
+    for model in models:
         text = model.to_json()
         if load_model(text).to_json() != text:
             raise AssertionError(f"{model.name}: serialization does not round-trip")
-        n += 1
-    return f"{n} models round-trip byte-for-byte"
+    return f"{len(models)} models round-trip byte-for-byte"
 
 
-def check_cross() -> str:
-    n = 0
-    for model in builtin_suite():
+def check_cross(models: Models) -> str:
+    for model in models:
         for stratum in model.strata:
             curve = epsilon_via_curves(model, stratum).value
             nef = epsilon_via_nef(model, stratum).value
@@ -66,24 +60,17 @@ def check_cross() -> str:
                     f"{model.name}/{stratum.label}: curve path {curve.serialize()} "
                     f"!= nef path {nef.serialize()}"
                 )
-            n += 1
-    return f"curve and nef paths agree on {n} strata"
+    return f"curve and nef paths agree on {sum(len(m.strata) for m in models)} strata"
 
 
-def check_steffens_and_rationality() -> str:
-    n = 0
-    for model in builtin_suite():
+def check_steffens_and_rationality(models: Models) -> str:
+    for model in models:
         ceiling = SeshadriValue.sqrt(model.rr.d)
         for stratum in model.strata:
             res = epsilon(model, stratum)
-            if cmp_value(res.value, ceiling) > 0:
-                raise AssertionError(
-                    f"{model.name}/{stratum.label}: value exceeds sqrt(d)"
-                )
-            if (
-                res.certification is Certification.EXACT_CERTIFIED
-                and cmp_value(res.value, ceiling) < 0
-            ):
+            if res.value > ceiling:
+                raise AssertionError(f"{model.name}/{stratum.label}: value exceeds sqrt(d)")
+            if res.certification is Certification.EXACT_CERTIFIED and res.value < ceiling:
                 if not res.value.is_exact:
                     raise AssertionError(
                         f"{model.name}/{stratum.label}: certified value below sqrt(d) "
@@ -94,53 +81,53 @@ def check_steffens_and_rationality() -> str:
                         f"{model.name}/{stratum.label}: certified value lacks a "
                         "reproducing witness"
                     )
-            n += 1
+    n = sum(len(m.strata) for m in models)
     return f"sqrt(d) ceiling and witness rationality hold on {n} strata"
 
 
-def check_sublevel() -> str:
+def check_sublevel(models: Models) -> str:
     grid = [Fraction(k, 4) for k in range(1, 17)]
-    n = 0
-    for model in builtin_suite():
+    for model in models:
         previous: set = set()
         for a in grid:
-            current = set(sublevel_set(model, a))  # raises if not closed
+            try:
+                current = set(sublevel_set(model, a))  # raises if not closed
+            except EngineError as exc:
+                raise AssertionError(f"{model.name}: {exc}") from exc
             if not previous <= current:
                 raise AssertionError(
                     f"{model.name}: sublevel set shrank between thresholds at {a}"
                 )
             previous = current
-            n += 1
+    n = len(models) * len(grid)
     return f"sublevel sets closed and monotone over {n} (model, threshold) pairs"
 
 
-def check_low_epsilon() -> str:
+def check_low_epsilon(models: Models) -> str:
     delta = Fraction(1, 100)
-    for model in builtin_suite():
+    found = 0
+    for model in models:
         for label, value in low_epsilon_strata(model, delta):
             if model.stratum(label).closure_dim != 0:
                 raise AssertionError(
                     f"{model.name}: positive-dimensional stratum {label!r} has "
                     f"value {value.serialize()} <= 1 - {delta}"
                 )
-    return "all strata with value <= 99/100 are zero-dimensional (none shipped)"
+            found += 1
+    return f"all strata with value <= 99/100 are zero-dimensional ({found} found)"
 
 
-def check_candidate_membership() -> str:
+def check_candidate_membership(models: Models) -> str:
     n = 0
-    for model in builtin_suite():
+    for model in models:
         for alpha in ALPHA_GRID:
             if alpha * alpha >= model.rr.d:
                 continue
-            superset, _ = member_candidate_superset(model, alpha)
-            superset = set(superset)
+            superset = set(member_candidate_superset(model, alpha)[0])
             bound = SeshadriValue.exact(alpha)
             for stratum in model.strata:
                 res = epsilon_via_curves(model, stratum, alpha)
-                if (
-                    res.certification is Certification.EXACT_CERTIFIED
-                    and cmp_value(res.value, bound) <= 0
-                ):
+                if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:
                     if res.value.rational not in superset:
                         raise AssertionError(
                             f"{model.name}/{stratum.label}: certified value "
@@ -148,23 +135,46 @@ def check_candidate_membership() -> str:
                             f"at alpha={alpha}"
                         )
                     n += 1
+    if n == 0:
+        raise AssertionError("no certified value at or below the alpha grid to check")
     return f"{n} certified values found in their candidate supersets"
 
 
-def check_minimal_M_closed_form() -> str:
-    rng = random.Random(20251018)
+def linear_minimal_M(rr: RRData, a: Fraction, max_steps: Optional[int] = None) -> Optional[int]:
+    """M by its definition: the least admissible multiplier n (a multiple
+    of a's denominator) with l(n) > 0, walked one at a time; None if that
+    takes more than max_steps steps."""
+    q = n = a.denominator
+    while l_poly(rr, a, n) <= 0:
+        if max_steps is not None and n >= max_steps * q:
+            return None
+        n += q
+    return n
+
+
+def brute_force_ratios(B: int, alpha: Fraction, certified: bool = True) -> List[Fraction]:
+    """Every ratio t/m <= alpha with 1 <= t <= B and 1 <= m <= t (or, not
+    certified, m <= B), ascending, by a double loop over (t, m)."""
+    return sorted(
+        {
+            Fraction(t, m)
+            for t in range(1, B + 1)
+            for m in range(1, (t if certified else B) + 1)
+            if Fraction(t, m) <= alpha
+        }
+    )
+
+
+def check_minimal_M_closed_form(rng: random.Random) -> str:
     cases = 0
     while cases < 25:
         d = rng.randint(2, 200)
         rr = RRData(d, rng.randint(-20, 20), rng.randint(-3, 5))
         den = rng.randint(1, 12)
         a = Fraction(rng.randint(1, math.isqrt(d * den * den - 1)), den)
-        # the definition, one admissible multiplier at a time; draws that
-        # need more than 100 steps are skipped to keep the check cheap
-        q = n = a.denominator
-        while l_poly(rr, a, n) <= 0 and n < 100 * q:
-            n += q
-        if l_poly(rr, a, n) <= 0:
+        # draws that need more than 100 steps are skipped to keep the check cheap
+        n = linear_minimal_M(rr, a, max_steps=100)
+        if n is None:
             continue
         if minimal_M(rr, a).M != n:
             raise AssertionError(f"closed-form minimal_M differs at {rr}, a={a}")
@@ -172,20 +182,12 @@ def check_minimal_M_closed_form() -> str:
     return "closed-form minimal_M matches the linear l_poly scan on 25 random cases"
 
 
-def check_candidates_brute_force() -> str:
-    rng = random.Random(20240817)
+def check_candidates_brute_force(rng: random.Random) -> str:
     for _ in range(25):
         B = rng.randint(1, 40)
         alpha = Fraction(rng.randint(1, 60), rng.randint(1, 12))
         for certified in (True, False):
-            expected = sorted(
-                {
-                    Fraction(t, m)
-                    for t in range(1, B + 1)
-                    for m in range(1, (t if certified else B) + 1)
-                    if Fraction(t, m) <= alpha
-                }
-            )
+            expected = brute_force_ratios(B, alpha, certified)
             if candidate_ratios(B, alpha, require_m_le_t=certified) != expected:
                 raise AssertionError(
                     f"candidate enumeration differs at B={B}, alpha={alpha}, "
@@ -197,13 +199,12 @@ def check_candidates_brute_force() -> str:
     )
 
 
-def check_mediant() -> str:
-    rng = random.Random(991)
+def check_mediant(rng: random.Random, max_parts: int) -> str:
     for _ in range(1000):
         parts = [
             (Fraction(rng.randint(1, 1000), rng.randint(1, 1000)),
              Fraction(rng.randint(1, 1000), rng.randint(1, 1000)))
-            for _ in range(rng.randint(1, 8))
+            for _ in range(rng.randint(1, max_parts))
         ]
         lo, mid, hi = mediant_bounds(parts)
         if not (lo <= mid <= hi):
@@ -211,40 +212,68 @@ def check_mediant() -> str:
     return "mediant inequality holds on 1000 random lists"
 
 
-def check_sigma_attainment() -> str:
+def check_sigma_attainment(models: Models) -> str:
     out = []
-    for model in builtin_suite():
-        sig = sigma_local(model)  # raises if the dense stratum does not attain
+    for model in models:
+        try:
+            sig = sigma_local(model)  # raises if the dense stratum does not attain
+        except EngineError as exc:
+            raise AssertionError(f"{model.name}: {exc}") from exc
         out.append(f"{model.name}={sig.value.serialize()}")
     return "supremum attained on the dense stratum: " + ", ".join(out)
 
 
-def check_rr_sanity() -> str:
-    for e in (1, 2, 3):
+def _section_count(model: SurfaceModel, n: int) -> int:
+    """h^0(nL), n >= 1, counted classically on the surfaces the built-ins
+    present: plane curves of degree ne for L = eH on the plane, forms of
+    bidegree (na, nb) on the quadric, and plane curves of degree na with a
+    point of multiplicity nb for L = aH - bE on F1."""
+    gram, L = model.lattice.gram, model.polarization.coords
+    if gram == ((1,),):
+        (e,) = L
+        return (n * e + 1) * (n * e + 2) // 2
+    if gram == ((0, 1), (1, 0)):
+        a, b = L
+        return (n * a + 1) * (n * b + 1)
+    if gram == ((1, 0), (0, -1)):
+        a, b = n * L[0], -n * L[1]
+        return (a + 1) * (a + 2) // 2 - b * (b + 1) // 2
+    raise AssertionError(f"{model.name}: no known section count")
+
+
+def check_rr_sanity(models: Models) -> str:
+    for model in models:
+        rr = model.rr
         for n in range(1, 11):
-            chi = Fraction(n * n * e * e, 2) + Fraction(3 * e * n, 2) + 1
-            sections = Fraction((n * e + 1) * (n * e + 2), 2)
+            chi = Fraction(n * n * rr.d, 2) + Fraction(n * rr.c, 2) + rr.c_prime
+            sections = _section_count(model, n)
             if chi != sections:
-                raise AssertionError(
-                    f"plane chi coefficients wrong at e={e}, n={n}: {chi} != {sections}"
-                )
-    return "plane Euler characteristic matches the binomial section count"
+                raise AssertionError(f"{model.name}: chi({n}L) = {chi} but h^0 = {sections}")
+    return f"chi(nL) matches the known section counts for n = 1..10 on {len(models)} models"
 
 
-ALL_CHECKS = [
+# the degree-bound checks need no model, only their seeded draw
+ALL_CHECKS: List[Tuple[str, Callable[[Models], str]]] = [
     ("roundtrip", check_roundtrip),
     ("cross_check", check_cross),
     ("steffens_rationality", check_steffens_and_rationality),
     ("sublevel_closedness", check_sublevel),
     ("low_epsilon_finiteness", check_low_epsilon),
     ("candidate_membership", check_candidate_membership),
-    ("minimal_M_closed_form", check_minimal_M_closed_form),
-    ("candidate_brute_force", check_candidates_brute_force),
-    ("mediant_inequality", check_mediant),
+    ("minimal_M_closed_form", lambda _: check_minimal_M_closed_form(random.Random(20251018))),
+    ("candidate_brute_force", lambda _: check_candidates_brute_force(random.Random(20240817))),
+    ("mediant_inequality", lambda _: check_mediant(random.Random(991), max_parts=8)),
     ("sigma_attainment", check_sigma_attainment),
     ("rr_sanity", check_rr_sanity),
 ]
 
 
 def run_all_checks() -> List[CheckResult]:
-    return [_check(name, fn) for name, fn in ALL_CHECKS]
+    models = builtin_suite()
+    results = []
+    for name, fn in ALL_CHECKS:
+        try:
+            results.append(CheckResult(name, True, fn(models)))
+        except Exception as exc:  # a failed invariant, whatever its shape
+            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+    return results

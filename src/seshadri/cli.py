@@ -8,6 +8,7 @@ and schema versions, and output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -195,20 +196,11 @@ def cmd_scan(args) -> int:
 
 def cmd_check(args) -> int:
     results = run_all_checks()
-    lines = []
-    for res in results:
-        lines.append(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
-    if args.format == "json":
-        doc = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "all_passed": all(r.passed for r in results),
-        }
-        _emit_report(doc, "json", args.output, lines)
-    else:
-        _emit("\n".join(lines), args.output)
-    return 0 if all(r.passed for r in results) else 1
+    passed = all(r.passed for r in results)
+    doc = {"checks": [dataclasses.asdict(r) for r in results], "all_passed": passed}
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    _emit_report(doc, args.format, args.output, lines)
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound, minimal_M
 from .lattice import DivisorClass, pair
-from .values import Rational, SeshadriValue, cmp_value
+from .values import Rational, SeshadriValue
 
 
 class EngineError(ValueError):
@@ -337,7 +337,7 @@ def sublevel_set(model, a: Rational) -> List[str]:
                 "sublevel sets require certified values"
             )
         results.append((stratum, res))
-        if cmp_value(res.value, threshold) <= 0:
+        if res.value <= threshold:
             selected.append(stratum.label)
     chosen = set(selected)
     for stratum in model.strata:
@@ -386,6 +386,6 @@ def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]
     out = []
     for stratum in model.strata:
         res = table[stratum.label]
-        if cmp_value(res.value, threshold) <= 0:
+        if res.value <= threshold:
             out.append((stratum.label, res.value))
     return out

@@ -32,7 +32,7 @@ from .engine import (
 )
 from .models import SurfaceModel, load_model_file, model_from_document
 from .structure import LABEL, StructureError, array, integer, of_type, record, string
-from .values import Rational, SeshadriValue, cmp_value, format_rational
+from .values import Rational, SeshadriValue, format_rational
 
 
 class FamilyError(ValueError):
@@ -285,7 +285,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         for stratum_label, res in tables[label].items():
             rows.append((label, stratum_label, res))
             if res.certification is Certification.EXACT_CERTIFIED:
-                if cmp_value(res.value, alpha_value) <= 0:
+                if res.value <= alpha_value:
                     # below alpha < sqrt(d) every certified value is rational
                     sigma_cap_set.add(res.value.rational)
             else:
@@ -312,7 +312,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     attained = ("", "")
     for label, model in members:
         sig = sigma_local(model, tables[label])
-        if sigma_family is None or cmp_value(sig.value, sigma_family) > 0:
+        if sigma_family is None or sig.value > sigma_family:
             sigma_family = sig.value
             attained = (label, sig.attained_at)
     assert sigma_family is not None
@@ -325,10 +325,10 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     generals = [label for label, _ in family.members if label not in specials]
     reference = None
     for label in generals or list(global_values):
-        if reference is None or cmp_value(global_values[label], reference) > 0:
+        if reference is None or global_values[label] > reference:
             reference = global_values[label]
     jump_members = tuple(
-        label for label, _ in members if cmp_value(global_values[label], reference) < 0
+        label for label, _ in members if global_values[label] < reference
     )
 
     return FamilyScanReport(

@@ -144,14 +144,6 @@ class CurveGeneratorSet:
                 raise LatticeError(f"generator {label!r} is the zero class")
 
 
-def is_nef_against(D: DivisorClass, gens: CurveGeneratorSet) -> bool:
-    """True iff D.C >= 0 for every generator C.  Meaningful as a nef
-    certificate only under gens.completeness_assertion."""
-    if not gens.completeness_assertion:
-        raise LatticeError("nef test requires a completeness-asserted generator set")
-    return all(pair(D, cls) >= 0 for _, cls in gens.generators)
-
-
 def is_strictly_positive_against(D: DivisorClass, gens: Iterable[DivisorClass]) -> bool:
     """Strict positivity D.C > 0 against every listed class, plus D^2 > 0:
     the plausible-ampleness gate for a supplied polarization."""
@@ -184,11 +176,3 @@ def lift(extended: IntersectionLattice, D: DivisorClass) -> DivisorClass:
     if extended.rank != D.lattice.rank + 1:
         raise LatticeError("lift target must have rank one higher")
     return extended.divisor(D.coords + (0,))
-
-
-def pushforward(base: IntersectionLattice, D: DivisorClass) -> DivisorClass:
-    """Image of a blow-up class downstairs (drop the exceptional
-    coordinate)."""
-    if D.lattice.rank != base.rank + 1:
-        raise LatticeError("pushforward source must have rank one higher")
-    return base.divisor(D.coords[:-1])

@@ -126,9 +126,3 @@ class SeshadriValue:
 
     def __repr__(self) -> str:
         return f"SeshadriValue({self.serialize()})"
-
-
-def cmp_value(u: SeshadriValue, v: SeshadriValue) -> int:
-    """Exact three-way comparison: -1, 0 or 1 consistent with the real
-    numbers the two values represent."""
-    return u._cmp(v)

@@ -1,8 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with the measured facts when it succeeds.  Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
+
+Criteria 2 (membership), 3, 4, 5, 8 and 9 call the invariant functions
+of `seshadri.checks`, the ones `seshadri check` runs; each test adds
+only its own timing gate, oracle or example.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -11,22 +16,21 @@ from seshadri.bounds import (
     candidate_pairs,
     candidate_ratios,
     l_poly,
-    mediant_bounds,
     minimal_M,
     multiplicity_target,
 )
-from seshadri.engine import (
-    Certification,
-    epsilon,
-    epsilon_via_curves,
-    epsilon_via_nef,
-    sublevel_set,
+from seshadri.checks import (
+    check_candidate_membership,
+    check_cross,
+    check_low_epsilon,
+    check_mediant,
+    check_steffens_and_rationality,
+    check_sublevel,
 )
-from seshadri.family import Family, member_candidate_superset, scan, semicontinuity_check
-from seshadri.models import builtin_suite, f1_anticanonical, model_from_document, quadric
-from seshadri.values import SeshadriValue, cmp_value
-
-ALPHA_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+from seshadri.engine import epsilon, sublevel_set
+from seshadri.family import Family, scan, semicontinuity_check
+from seshadri.models import builtin_suite, f1_anticanonical, quadric
+from seshadri.values import SeshadriValue
 
 
 def _report(name, detail):
@@ -74,22 +78,9 @@ def test_criterion_1_bound_correctness():
 def test_criterion_2_candidate_finiteness():
     def run():
         start = time.perf_counter()
-        # every certified value <= alpha sits in the enumerated candidate set
-        hits = 0
-        for model in builtin_suite():
-            for alpha in ALPHA_GRID:
-                if alpha * alpha >= model.rr.d:
-                    continue
-                superset = set(member_candidate_superset(model, alpha)[0])
-                for stratum in model.strata:
-                    res = epsilon_via_curves(model, stratum, alpha)
-                    if (
-                        res.certification is Certification.EXACT_CERTIFIED
-                        and cmp_value(res.value, SeshadriValue.exact(alpha)) <= 0
-                    ):
-                        assert res.value.rational in superset
-                        hits += 1
-        assert hits > 0
+        # every certified value <= alpha sits in the enumerated candidate
+        # set, and there is at least one such value
+        membership = check_candidate_membership(builtin_suite())
 
         # exact equality with an independent double loop for every B up to
         # 200; the oracle reduces pairs through Fraction, a different route
@@ -111,127 +102,61 @@ def test_criterion_2_candidate_finiteness():
             assert set(candidate_ratios(B, alpha)) == {
                 Fraction(t, m) for t, m in candidate_pairs(B, alpha)
             }
-        return hits, time.perf_counter() - start
+        return membership, time.perf_counter() - start
 
     # best of three shields the runtime assertion from scheduler noise;
     # correctness asserts run (and must hold) on every attempt
     elapsed = None
     for _ in range(3):
-        hits, attempt = run()
+        membership, attempt = run()
         elapsed = attempt if elapsed is None else min(elapsed, attempt)
         if elapsed < 1.0:
             break
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
     _report(
         "criterion 2 (candidate finiteness)",
-        f"{hits} certified values contained; enumeration equals brute force for "
+        f"{membership}; enumeration equals brute force for "
         f"B<=200 in {elapsed * 1e3:.0f} ms",
     )
 
 
 def test_criterion_3_steffens_and_rationality():
-    checked = 0
-    for model in builtin_suite():
-        ceiling = SeshadriValue.sqrt(model.rr.d)
-        for stratum in model.strata:
-            res = epsilon(model, stratum)
-            assert cmp_value(res.value, ceiling) <= 0
-            if (
-                res.certification is Certification.EXACT_CERTIFIED
-                and cmp_value(res.value, ceiling) < 0
-            ):
-                assert res.value.is_exact
-                assert res.witness is not None
-                assert res.witness.ratio == res.value.rational
-            checked += 1
     _report(
         "criterion 3 (Steffens bound and rationality)",
-        f"{checked} strata at zero tolerance",
+        check_steffens_and_rationality(builtin_suite()) + ", at zero tolerance",
     )
 
 
 def test_criterion_4_oracle_equivalence():
     start = time.perf_counter()
-    strata = 0
-    for model in builtin_suite():
-        for stratum in model.strata:
-            curve = epsilon_via_curves(model, stratum).value
-            assert curve == epsilon_via_nef(model, stratum).value, f"{model.name}/{stratum.label}"
-            strata += 1
+    agreement = check_cross(builtin_suite())
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    _report(
-        "criterion 4 (oracle equivalence)",
-        f"curve and nef paths agree on {strata} strata in {elapsed * 1e3:.0f} ms",
-    )
+    _report("criterion 4 (oracle equivalence)", f"{agreement} in {elapsed * 1e3:.0f} ms")
 
 
 def test_criterion_5_sublevel_closedness():
     model = f1_anticanonical()
     assert sublevel_set(model, Fraction(1)) == ["on_E"]
-    grid = [Fraction(k, 4) for k in range(1, 17)]
-    for m in builtin_suite():
-        previous = set()
-        for a in grid:
-            current = set(sublevel_set(m, a))  # raises if not specialization-closed
-            assert previous <= current
-            previous = current
-    _report(
-        "criterion 5 (sublevel closedness)",
-        f"monotone and closed over a {len(grid)}-point grid on {len(builtin_suite())} models",
-    )
+    _report("criterion 5 (sublevel closedness)", check_sublevel(builtin_suite()))
 
 
-def test_criterion_6_semicontinuity():
+def test_criterion_6_semicontinuity(violating_model):
     family = Family(members=(("t", f1_anticanonical()),), degree=8)
     verdicts = semicontinuity_check(family)
     assert len(verdicts) == 1 and verdicts[0].passed
     assert verdicts[0].general_value == SeshadriValue.exact(2)
     assert verdicts[0].special_value == SeshadriValue.exact(1)
 
-    def control(generic_ocb, special_ocb):
-        # generic <= 1 and special <= 2, each exact when its threshold
-        # reaches its least ratio
-        return model_from_document(
-            {
-                "schema_version": 1,
-                "name": "control",
-                "rank": 1,
-                "gram": [[1]],
-                "basis_labels": ["H"],
-                "polarization": [2],
-                "rr": {"d": 4, "c": 6, "c_prime": 1, "vanishing_multiplier": 1},
-                "very_ample_multiplier": 1,
-                "strata": [
-                    {
-                        "label": "generic",
-                        "closure_dim": 2,
-                        "specializes_from": [],
-                        "oracle_complete_below": generic_ocb,
-                        "candidates": [{"label": "low", "class": None, "t": 2, "m": 2}],
-                    },
-                    {
-                        "label": "special",
-                        "closure_dim": 0,
-                        "specializes_from": ["generic"],
-                        "oracle_complete_below": special_ocb,
-                        "candidates": [{"label": "high", "class": None, "t": 2, "m": 1}],
-                    },
-                ],
-                "blowup_gens": {},
-            }
-        )
-
     # two upper bounds decide nothing: the verdict is not proven
-    failures = [
-        v for v in semicontinuity_check(Family(members=(("t", control(None, None)),), degree=4))
-        if not v.passed
-    ]
+    family = Family(members=(("t", violating_model(None, None)),), degree=4)
+    failures = [v for v in semicontinuity_check(family) if not v.passed]
     assert len(failures) == 1
     assert (failures[0].general, failures[0].special) == ("generic", "special")
     assert failures[0].status == "undetermined"
     # two exact values, special 2 above generic 1: a proven failure
-    (certified,) = semicontinuity_check(Family(members=(("t", control("1", "2")),), degree=4))
+    family = Family(members=(("t", violating_model("1", "2")),), degree=4)
+    (certified,) = semicontinuity_check(family)
     assert not certified.passed and certified.status == "fail"
     assert (certified.general, certified.special) == ("generic", "special")
     _report(
@@ -258,40 +183,15 @@ def test_criterion_7_supremum_attainment():
 
 
 def test_criterion_8_mediant_inequality():
-    import random
-
     rng = random.Random(7)
     start = time.perf_counter()
-    for _ in range(1000):
-        parts = [
-            (
-                Fraction(rng.randint(1, 1000), rng.randint(1, 1000)),
-                Fraction(rng.randint(1, 1000), rng.randint(1, 1000)),
-            )
-            for _ in range(rng.randint(1, 12))
-        ]
-        lo, mid, hi = mediant_bounds(parts)
-        assert lo <= mid <= hi
+    holds = check_mediant(rng, max_parts=12)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    _report(
-        "criterion 8 (mediant inequality)",
-        f"1000 randomized lists in {elapsed * 1e3:.0f} ms",
-    )
+    _report("criterion 8 (mediant inequality)", f"{holds} in {elapsed * 1e3:.0f} ms")
 
 
 def test_criterion_9_low_epsilon_finiteness():
-    delta = Fraction(1, 100)
-    threshold = SeshadriValue.exact(1 - delta)
-    total = 0
-    for model in builtin_suite():
-        for stratum in model.strata:
-            res = epsilon(model, stratum)
-            if cmp_value(res.value, threshold) <= 0:
-                assert stratum.closure_dim == 0
-                total += 1
-    assert total == 0  # shipped models have no values below 1
-    _report(
-        "criterion 9 (low-value finiteness)",
-        "no stratum at or below 99/100; vacuously zero-dimensional",
-    )
+    finiteness = check_low_epsilon(builtin_suite())
+    assert finiteness.endswith("(0 found)")  # shipped models have no values below 1
+    _report("criterion 9 (low-value finiteness)", finiteness)

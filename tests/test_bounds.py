@@ -15,6 +15,7 @@ from seshadri.bounds import (
     minimal_M,
     multiplicity_target,
 )
+from seshadri.checks import brute_force_ratios, linear_minimal_M
 
 
 def dimension_count_oracle(d, c, c_prime, a, n):
@@ -23,16 +24,6 @@ def dimension_count_oracle(d, c, c_prime, a, n):
     na = a * n
     assert na.denominator == 1
     return chi - Fraction((na + 2) * (na + 1), 2)
-
-
-def brute_force_ratios(B, alpha, m_cap=None):
-    out = set()
-    for t in range(1, B + 1):
-        for m in range(1, (m_cap or t) + 1):
-            q = Fraction(t, m)
-            if q <= alpha:
-                out.add(q)
-    return sorted(out)
 
 
 def test_l_poly_frozen_values():
@@ -89,14 +80,6 @@ def test_minimal_M_rejects_bad_thresholds():
         minimal_M(RRData(4, 0, 2), Fraction(-1, 2))
     with pytest.raises(BoundError):
         minimal_M(RRData(4, 0, 2), Fraction(5, 2))  # a^2 > d
-
-
-def linear_minimal_M(rr, a):
-    # the definition, walked one admissible multiplier at a time
-    n = a.denominator
-    while l_poly(rr, a, n) <= 0:
-        n += a.denominator
-    return n
 
 
 def assert_least_admissible(rr, a, M):
@@ -169,7 +152,7 @@ def test_candidate_ratios_monotone_in_B(B, alpha):
 
 def test_candidate_ratios_permissive_mode():
     got = candidate_ratios(3, Fraction(5), require_m_le_t=False)
-    assert got == brute_force_ratios(3, Fraction(5), m_cap=3)
+    assert got == brute_force_ratios(3, Fraction(5), certified=False)
     assert Fraction(1, 3) in got  # below 1 only reachable without m <= t
 
 
@@ -187,7 +170,7 @@ def test_candidate_ratios_permissive_mode():
 @settings(max_examples=150)
 def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
     ratios = candidate_ratios(B, alpha, require_m_le_t=certified)
-    assert ratios == brute_force_ratios(B, alpha, m_cap=None if certified else B)
+    assert ratios == brute_force_ratios(B, alpha, certified)
     assert all(type(r) is Fraction for r in ratios)  # Fractions are reduced
     assert all(x < y for x, y in zip(ratios, ratios[1:]))
     assert candidate_pairs(B, alpha, certified) == {

@@ -1,0 +1,97 @@
+"""Negative controls: every invariant of `seshadri check` rejects a model
+built to break it or, where no model can, a faulty stand-in for the
+function it checks.  The cross-check's control is the omitted-curve test
+in test_engine.py."""
+
+import dataclasses
+import random
+
+import pytest
+
+from seshadri import bounds, checks, engine, models
+from seshadri.bounds import RRData
+from seshadri.lattice import IntersectionLattice
+from seshadri.models import builtin_suite, projective_plane
+
+
+def _low_generic(build):
+    return build("1/2", "2", generic_curve=(1, 2))
+
+
+def _unknown_surface(build):
+    # degree 4 on a lattice that no built-in presents
+    lat = IntersectionLattice(rank=1, gram=((4,),), basis_labels=("H",))
+    return dataclasses.replace(build(), lattice=lat, polarization=lat.divisor((1,)))
+
+
+@pytest.mark.parametrize(
+    "check, model, match",
+    [
+        (checks.check_sublevel, lambda build: build("1", "2"),
+         "negative_control: .* not closed under specialization"),
+        (checks.check_low_epsilon, _low_generic,
+         "negative_control: positive-dimensional stratum 'generic' has value 1/2"),
+        # the superset holds ratios t/m with m <= t only
+        (checks.check_candidate_membership, _low_generic,
+         "negative_control/generic: certified value 1/2 missing"),
+        (checks.check_sigma_attainment, lambda build: build("1", "2"),
+         "negative_control: stratum 'special' has a value of at least 2"),
+        # chi(L) = 1/2 + 2 + 1, but the plane has 3 independent lines
+        (checks.check_rr_sanity,
+         lambda _: dataclasses.replace(projective_plane(1), rr=RRData(1, 4, 1)),
+         r"projective_plane\(1\): chi\(1L\) = 7/2 but h\^0 = 3"),
+        (checks.check_rr_sanity, _unknown_surface, "negative_control: no known section count"),
+    ],
+    ids=["sublevel_closedness", "low_epsilon_finiteness", "candidate_membership",
+         "sigma_attainment", "rr_sanity", "rr_sanity_unknown_model"],
+)
+def test_invariant_rejects_a_model_built_to_break_it(violating_model, check, model, match):
+    with pytest.raises(AssertionError, match=match):
+        check([model(violating_model)])
+
+
+def test_candidate_membership_rejects_an_empty_sample():
+    with pytest.raises(AssertionError, match="no certified value"):
+        checks.check_candidate_membership([])
+
+
+def _above_sqrt_d(model, stratum):
+    return engine.SeshadriResult(hi=engine.SeshadriValue.sqrt(model.rr.d + 1))
+
+
+def _minimal_M_plus_one(rr, a):
+    bound = bounds.minimal_M(rr, a)
+    return dataclasses.replace(bound, M=bound.M + 1)
+
+
+def _mediant_max_minus_one(parts):
+    lo, mid, hi = bounds.mediant_bounds(parts)
+    return lo, mid, hi - 1
+
+
+@pytest.mark.parametrize(
+    "run, name, stand_in, match",
+    [
+        (lambda: checks.check_roundtrip(builtin_suite()), "load_model",
+         lambda text: models.load_model(text.replace('"line"', '"Line"')),
+         r"projective_plane\(1\): serialization does not round-trip"),
+        (lambda: checks.check_steffens_and_rationality(builtin_suite()), "epsilon",
+         lambda m, s: dataclasses.replace(engine.epsilon(m, s), witness=None),
+         r"quadric\(1,1\)/generic: certified value lacks a reproducing witness"),
+        (lambda: checks.check_steffens_and_rationality(builtin_suite()), "epsilon", _above_sqrt_d,
+         r"projective_plane\(1\)/generic: value exceeds sqrt\(d\)"),
+        (lambda: checks.check_minimal_M_closed_form(random.Random(20251018)), "minimal_M",
+         _minimal_M_plus_one, "closed-form minimal_M differs"),
+        (lambda: checks.check_candidates_brute_force(random.Random(20240817)), "candidate_ratios",
+         lambda B, alpha, **kw: bounds.candidate_ratios(B + 1, alpha, **kw),
+         "candidate enumeration differs"),
+        (lambda: checks.check_mediant(random.Random(991), max_parts=8), "mediant_bounds",
+         _mediant_max_minus_one, "mediant inequality fails"),
+    ],
+    ids=["roundtrip", "steffens_rationality_witness", "steffens_rationality_ceiling",
+         "minimal_M_closed_form", "candidate_brute_force", "mediant_inequality"],
+)
+def test_invariant_rejects_a_faulty_function(monkeypatch, run, name, stand_in, match):
+    monkeypatch.setattr(checks, name, stand_in)
+    with pytest.raises(AssertionError, match=match):
+        run()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seshadri import checks
 from seshadri.cli import main
 from seshadri.models import f1_anticanonical, quadric
 
@@ -130,3 +131,32 @@ def test_check_passes_and_is_deterministic(capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["epsilon", "/nonexistent/model.json"]) == 1
+
+
+CHECK_NAMES = [
+    "roundtrip", "cross_check", "steffens_rationality", "sublevel_closedness",
+    "low_epsilon_finiteness", "candidate_membership", "minimal_M_closed_form",
+    "candidate_brute_force", "mediant_inequality", "sigma_attainment", "rr_sanity",
+]
+
+
+def test_check_json_lists_the_invariants_in_order(capsys):
+    assert main(["check", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert ([c["name"] for c in doc["checks"]], doc["all_passed"]) == (CHECK_NAMES, True)
+
+
+def test_check_fails_when_one_invariant_fails(capsys, monkeypatch):
+    def broken(models):
+        raise AssertionError("broken on purpose")
+
+    index = CHECK_NAMES.index("sigma_attainment")
+    patched = list(checks.ALL_CHECKS)
+    patched[index] = ("sigma_attainment", broken)
+    monkeypatch.setattr(checks, "ALL_CHECKS", patched)
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[index] == "FAIL sigma_attainment: AssertionError: broken on purpose"
+    assert sum(line.startswith("PASS") for line in lines) == len(CHECK_NAMES) - 1
+    assert main(["check", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_passed"] is False

@@ -15,7 +15,6 @@ from seshadri.engine import (
     epsilon_via_curves,
     epsilon_via_nef,
     global_epsilon,
-    low_epsilon_strata,
     sigma_local,
     sublevel_set,
 )
@@ -29,8 +28,9 @@ from seshadri.models import (
     quadric,
 )
 from seshadri.bounds import RRData
+from seshadri.checks import check_cross, check_low_epsilon, check_steffens_and_rationality
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
-from seshadri.values import SeshadriValue, cmp_value
+from seshadri.values import SeshadriValue
 
 
 def test_plane_epsilon_is_one():
@@ -80,11 +80,12 @@ def test_nef_missing_data_is_error():
 
 
 def test_cross_check_all_builtin_strata():
-    for model in builtin_suite():
+    models = builtin_suite()
+    check_cross(models)
+    for model in models:
         for stratum in model.strata:
             curve = epsilon_via_curves(model, stratum)
             assert curve.certification is Certification.EXACT_CERTIFIED
-            assert curve.value == epsilon_via_nef(model, stratum).value
 
 
 def _doc_without_candidate(drop_label):
@@ -99,6 +100,8 @@ def test_cross_check_detects_omitted_curve():
     model = load_model(json.dumps(_doc_without_candidate("E")))
     stratum = model.stratum("on_E")
     assert epsilon_via_curves(model, stratum).value != epsilon_via_nef(model, stratum).value
+    with pytest.raises(AssertionError, match="f1_anticanonical/on_E: curve path 2 != nef path 1"):
+        check_cross([model])
 
 
 def test_epsilon_raises_on_path_disagreement():
@@ -308,19 +311,15 @@ def test_sigma_quadric22_ruling_witness():
 
 
 def test_low_epsilon_strata_empty_on_builtins():
-    for model in builtin_suite():
-        assert low_epsilon_strata(model, Fraction(1, 100)) == []
+    assert check_low_epsilon(builtin_suite()).endswith("(0 found)")
 
 
 def test_steffens_bound_everywhere():
-    for model in builtin_suite():
-        ceiling = SeshadriValue.sqrt(model.rr.d)
+    models = builtin_suite()
+    check_steffens_and_rationality(models)  # the curve path, through epsilon
+    for model in models:
         for stratum in model.strata:
-            for res in (
-                epsilon_via_curves(model, stratum),
-                epsilon_via_nef(model, stratum),
-            ):
-                assert cmp_value(res.value, ceiling) <= 0
+            assert epsilon_via_nef(model, stratum).value <= SeshadriValue.sqrt(model.rr.d)
 
 
 _candidates = st.lists(

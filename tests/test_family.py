@@ -17,7 +17,6 @@ from seshadri.models import (
     ModelError,
     f1_anticanonical,
     load_model,
-    model_from_document,
     projective_plane,
     quadric,
 )
@@ -131,46 +130,8 @@ def test_semicontinuity_f1_internal():
     assert v.passed
 
 
-def _violating_model(generic_ocb=None, special_ocb=None):
-    # special stratum with larger value than the dense one: tables are
-    # deliberately inconsistent with geometry; generic <= 1, special <= 2,
-    # each exact when its threshold reaches its least ratio
-    doc = {
-        "schema_version": 1,
-        "name": "negative_control",
-        "rank": 1,
-        "gram": [[1]],
-        "basis_labels": ["H"],
-        "polarization": [2],
-        "rr": {"d": 4, "c": 6, "c_prime": 1, "vanishing_multiplier": 1},
-        "very_ample_multiplier": 1,
-        "strata": [
-            {
-                "label": "generic",
-                "closure_dim": 2,
-                "specializes_from": [],
-                "oracle_complete_below": generic_ocb,
-                "candidates": [
-                    {"label": "low", "class": None, "t": 2, "m": 2}
-                ],
-            },
-            {
-                "label": "special",
-                "closure_dim": 0,
-                "specializes_from": ["generic"],
-                "oracle_complete_below": special_ocb,
-                "candidates": [
-                    {"label": "high", "class": None, "t": 2, "m": 1}
-                ],
-            },
-        ],
-        "blowup_gens": {},
-    }
-    return model_from_document(doc)
-
-
-def test_semicontinuity_negative_control():
-    family = Family(members=(("t", _violating_model()),), degree=4)
+def test_semicontinuity_negative_control(violating_model):
+    family = Family(members=(("t", violating_model()),), degree=4)
     verdicts = semicontinuity_check(family)
     failing = [v for v in verdicts if not v.passed]
     assert len(failing) == 1
@@ -180,8 +141,8 @@ def test_semicontinuity_negative_control():
     assert failing[0].to_document()["undetermined"] is True
 
 
-def test_semicontinuity_certified_negative_control():
-    family = Family(members=(("t", _violating_model("1", "2")),), degree=4)
+def test_semicontinuity_certified_negative_control(violating_model):
+    family = Family(members=(("t", violating_model("1", "2")),), degree=4)
     (verdict,) = semicontinuity_check(family)
     assert (verdict.general, verdict.special) == ("generic", "special")
     assert verdict.status == "fail" and not verdict.passed

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from seshadri.checks import check_roundtrip, check_rr_sanity
 from seshadri.models import (
     ModelError,
     builtin,
@@ -20,9 +21,7 @@ def f1_doc():
 
 
 def test_roundtrip_byte_identical():
-    for model in builtin_suite():
-        text = model.to_json()
-        assert load_model(text).to_json() == text
+    check_roundtrip(builtin_suite())
 
 
 def test_builtin_dispatch():
@@ -140,12 +139,9 @@ def test_ampleness_gate():
 
 def test_rr_sanity_plane():
     # the stated chi coefficients reproduce the section count of plane curves
-    for e in (1, 2, 3):
-        model = projective_plane(e)
-        assert model.rr.c == 3 * e and model.rr.c_prime == 1
-        for n in range(1, 11):
-            chi = Fraction(n * n * model.rr.d, 2) + Fraction(n * model.rr.c, 2) + 1
-            assert chi == Fraction((n * e + 1) * (n * e + 2), 2)
+    planes = [projective_plane(e) for e in (1, 2, 3)]
+    assert [(m.rr.c, m.rr.c_prime) for m in planes] == [(3, 1), (6, 1), (9, 1)]
+    check_rr_sanity(planes)
 
 
 def test_stratum_lookup():

@@ -6,12 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seshadri.engine import CurveCandidate
-from seshadri.values import (
-    SeshadriValue,
-    cmp_value,
-    format_rational,
-    parse_rational,
-)
+from seshadri.values import SeshadriValue, format_rational, parse_rational
 
 
 def _candidate(t, m):
@@ -22,24 +17,24 @@ def test_perfect_square_normalizes_to_exact():
     v = SeshadriValue.sqrt(4)
     assert v.is_exact
     assert v.rational == 2
-    assert cmp_value(SeshadriValue.exact(2), v) == 0
+    assert SeshadriValue.exact(2) == v
 
 
 def test_cmp_exact_vs_sqrt5():
     # 2^2 = 4 < 5
-    assert cmp_value(SeshadriValue.exact(2), SeshadriValue.sqrt(5)) == -1
+    assert SeshadriValue.exact(2) < SeshadriValue.sqrt(5)
     # (7/3)^2 = 49/9 > 45/9
-    assert cmp_value(SeshadriValue.exact(Fraction(7, 3)), SeshadriValue.sqrt(5)) == 1
+    assert SeshadriValue.exact(Fraction(7, 3)) > SeshadriValue.sqrt(5)
 
 
 def test_cmp_negative_rational_below_any_sqrt():
-    assert cmp_value(SeshadriValue.exact(-3), SeshadriValue.sqrt(2)) == -1
-    assert cmp_value(SeshadriValue.exact(0), SeshadriValue.sqrt(2)) == -1
+    assert SeshadriValue.exact(-3) < SeshadriValue.sqrt(2)
+    assert SeshadriValue.exact(0) < SeshadriValue.sqrt(2)
 
 
 def test_cmp_sqrt_vs_sqrt():
-    assert cmp_value(SeshadriValue.sqrt(2), SeshadriValue.sqrt(3)) == -1
-    assert cmp_value(SeshadriValue.sqrt(5), SeshadriValue.sqrt(5)) == 0
+    assert SeshadriValue.sqrt(2) < SeshadriValue.sqrt(3)
+    assert SeshadriValue.sqrt(5) == SeshadriValue.sqrt(5)
 
 
 def test_cmp_grid_against_reals():
@@ -48,8 +43,8 @@ def test_cmp_grid_against_reals():
         for p in range(1, 30):
             for q in range(1, 10):
                 frac = Fraction(p, q)
-                expected = (frac * frac > d) - (frac * frac < d)
-                assert cmp_value(SeshadriValue.exact(frac), SeshadriValue.sqrt(d)) == expected
+                u, v = SeshadriValue.exact(frac), SeshadriValue.sqrt(d)
+                assert (u < v, u == v, u > v) == (frac * frac < d, frac * frac == d, frac * frac > d)
 
 
 def test_sqrt_requires_positive():
@@ -113,5 +108,5 @@ def test_format_rational():
 def test_total_order_transitive_with_sqrt(a, b, d):
     u, v, w = SeshadriValue.exact(a), SeshadriValue.sqrt(d), SeshadriValue.exact(b)
     # orderings must chain: if a < sqrt(d) < b then a < b
-    if cmp_value(u, v) < 0 and cmp_value(v, w) < 0:
-        assert cmp_value(u, w) < 0
+    if u < v < w:
+        assert u < w
