@@ -152,11 +152,12 @@ def _farey(B: int, a: int, b: int, c: int, d: int) -> Iterator[Tuple[int, int]]:
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def _candidate_walk(
-    B: int, alpha: RationalLike, require_m_le_t: bool
+def candidate_walk(
+    B: int, alpha: RationalLike, require_m_le_t: bool = True
 ) -> Iterator[Tuple[int, int]]:
-    """Reduced (t, m) with t, m <= B and t/m <= alpha in ascending order
-    of t/m, restricted to m <= t when require_m_le_t."""
+    """The pairs behind candidate_ratios: reduced (t, m) with t, m <= B
+    and t/m <= alpha in ascending order of t/m, restricted to m <= t
+    when require_m_le_t.  Distinct pairs are distinct ratios."""
     if B < 1:
         raise BoundError(f"B must be positive, got {B}")
     alpha = Fraction(alpha)
@@ -189,7 +190,7 @@ def candidate_pairs(
     independently.  Reducing any such (t, m) gives a coprime pair that is
     itself in range, so both modes are sets of coprime pairs.
     """
-    return set(_candidate_walk(B, alpha, require_m_le_t))
+    return set(candidate_walk(B, alpha, require_m_le_t))
 
 
 def candidate_ratios(
@@ -206,7 +207,7 @@ def candidate_ratios(
     With require_m_le_t=False the multiplicity ranges over 1..B
     independently; that exploratory mode is not a certified superset.
     """
-    return list(starmap(Fraction, _candidate_walk(B, alpha, require_m_le_t)))
+    return list(starmap(Fraction, candidate_walk(B, alpha, require_m_le_t)))
 
 
 def mediant_bounds(

@@ -128,7 +128,8 @@ def check_candidate_membership(models: Models) -> str:
             for stratum in model.strata:
                 res = epsilon_via_curves(model, stratum, alpha)
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:
-                    if res.value.rational not in superset:
+                    q = res.value.rational
+                    if (q.numerator, q.denominator) not in superset:
                         raise AssertionError(
                             f"{model.name}/{stratum.label}: certified value "
                             f"{res.value.serialize()} missing from candidate set "

@@ -16,12 +16,12 @@ import tempfile
 from typing import Optional
 
 from . import __version__
-from .bounds import candidate_ratios, minimal_M, multiplicity_target, RRData
+from .bounds import candidate_walk, minimal_M, multiplicity_target, RRData
 from .checks import run_all_checks
 from .engine import Certification, epsilon, global_epsilon, sublevel_set
 from .family import load_family, scan
 from .models import SCHEMA_VERSION, load_model_file
-from .values import format_rational, parse_rational
+from .values import format_pairs, format_rational, parse_rational
 
 
 def _report_header() -> dict:
@@ -88,8 +88,7 @@ def cmd_bound(args) -> int:
 
 def cmd_candidates(args) -> int:
     alpha = parse_rational(args.alpha)
-    ratios = candidate_ratios(args.B, alpha, require_m_le_t=not args.permissive)
-    formatted = [format_rational(q) for q in ratios]
+    formatted = format_pairs(candidate_walk(args.B, alpha, require_m_le_t=not args.permissive))
     doc = {
         "B": args.B,
         "alpha": format_rational(alpha),
@@ -175,8 +174,7 @@ def cmd_scan(args) -> int:
         f"observed values <= {format_rational(alpha)}: "
         + (", ".join(format_rational(q) for q in report.sigma_cap) or "(none)")
         + f"  [{len(report.sigma_cap)} values]",
-        "candidate superset: "
-        + ", ".join(format_rational(q) for q in report.candidate_superset),
+        "candidate superset: " + ", ".join(format_pairs(report.candidate_superset)),
         "semicontinuity: " + _verdict_summary(report.semicontinuity_verdicts),
         "jump members: " + (", ".join(report.jump_members) or "(none)"),
     ]

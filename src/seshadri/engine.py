@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound, minimal_M
@@ -44,6 +45,8 @@ class CurveCandidate:
     curve_class: Optional[DivisorClass] = None
 
     def __post_init__(self):
+        if not self.label:
+            raise EngineError("a curve candidate needs a non-empty label")
         if self.degree_t < 1 or self.mult_m < 1:
             raise EngineError(
                 f"candidate {self.label!r} needs positive degree and multiplicity, "
@@ -81,7 +84,8 @@ class SeshadriResult:
     `lo` is None when nothing is known above 0; `hi` never exceeds
     sqrt(d).  `ceiling_only` records that `hi` rests on the sqrt(d)
     ceiling alone, because the table lists no curve.  The certification
-    label, the reported value and certified_above derive from these."""
+    label, the reported value and certified_above derive from these; the
+    first two are computed once per result."""
 
     hi: SeshadriValue
     lo: Optional[SeshadriValue] = None
@@ -91,7 +95,7 @@ class SeshadriResult:
     warning: Optional[str] = None
     attained_at: Optional[str] = None
 
-    @property
+    @cached_property
     def certification(self) -> Certification:
         """Exact iff the interval is a point; a lower bound only when
         just the ceiling of an empty table bounds it above."""
@@ -103,7 +107,7 @@ class SeshadriResult:
             return Certification.LOWER_BOUND_ONLY
         return Certification.UPPER_BOUND_ONLY
 
-    @property
+    @cached_property
     def value(self) -> SeshadriValue:
         if self.certification is Certification.LOWER_BOUND_ONLY:
             return self.lo

@@ -13,15 +13,15 @@ from __future__ import annotations
 import bisect
 import csv
 import graphlib
-import heapq
 import io
-import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import RRData, candidate_ratios, minimal_M
+from .bounds import RRData, candidate_walk, minimal_M
 from .engine import (
     Certification,
     SeshadriResult,
@@ -32,7 +32,10 @@ from .engine import (
 )
 from .models import SurfaceModel, load_model_file, model_from_document
 from .structure import LABEL, StructureError, array, integer, of_type, record, string
-from .values import Rational, SeshadriValue, format_rational
+from .values import Rational, SeshadriValue, format_pairs, format_rational
+
+# a ratio t/m as its reduced integer pair (t, m), m >= 1
+Pair = Tuple[int, int]
 
 
 class FamilyError(ValueError):
@@ -137,13 +140,18 @@ class FamilyScanReport:
     sigma_attained_at: Tuple[str, str]
     epsilon_table: Tuple[Tuple[str, str, SeshadriResult], ...]
     sigma_cap: Tuple[Rational, ...]
-    candidate_superset: Tuple[Rational, ...]
-    candidate_superset_raw: Tuple[Rational, ...]
+    candidate_superset: Tuple[Pair, ...]
+    candidate_superset_raw: Tuple[Pair, ...]
     semicontinuity_verdicts: Tuple[Verdict, ...]
     jump_members: Tuple[str, ...]
     uncertified: Tuple[Tuple[str, str], ...]
 
     def to_document(self) -> dict:
+        superset = format_pairs(self.candidate_superset)
+        if self.candidate_superset_raw is self.candidate_superset:
+            raw = superset  # one list under both keys: multiplier 1 throughout
+        else:
+            raw = format_pairs(self.candidate_superset_raw)
         return {
             "alpha": format_rational(self.alpha),
             "degree": self.degree,
@@ -158,10 +166,8 @@ class FamilyScanReport:
             ],
             "sigma_cap": [format_rational(q) for q in self.sigma_cap],
             "sigma_cap_size": len(self.sigma_cap),
-            "candidate_superset": [format_rational(q) for q in self.candidate_superset],
-            "candidate_superset_raw": [
-                format_rational(q) for q in self.candidate_superset_raw
-            ],
+            "candidate_superset": superset,
+            "candidate_superset_raw": raw,
             "semicontinuity_verdicts": [v.to_document() for v in self.semicontinuity_verdicts],
             "jump_members": list(self.jump_members),
             "uncertified": [{"member": m, "stratum": s} for m, s in self.uncertified],
@@ -186,9 +192,10 @@ class FamilyScanReport:
 
 def member_candidate_superset(
     model: SurfaceModel, alpha: Rational
-) -> Tuple[List[Rational], List[Rational]]:
-    """Candidate ratios for one member at threshold alpha, as (divided by
-    the very-ampleness multiplier, raw for the scaled polarization).
+) -> Tuple[List[Pair], List[Pair]]:
+    """Candidate ratios for one member at threshold alpha, as reduced
+    (t, m) pairs in ascending order of t/m: (divided by the very-ampleness
+    multiplier, raw for the scaled polarization).
 
     The degree bound argument requires a very ample polarization; when
     the model declares multiplier v, the enumeration runs for the v-th
@@ -204,10 +211,13 @@ def member_candidate_superset(
         vanishing_multiplier=rr.vanishing_multiplier,
     )
     bound = minimal_M(scaled, v * alpha)
-    raw = candidate_ratios(bound.B, v * alpha)
+    raw = list(candidate_walk(bound.B, v * alpha))
     if v == 1:
         return raw, raw
-    return [q / v for q in raw], raw
+    # t/(m*v) with gcd(t, m) = 1 reduces by g = gcd(t, v) alone
+    return [
+        (t // g, m * (v // g)) for t, m in raw for g in (math.gcd(t, v),)
+    ], raw
 
 
 def semicontinuity_check(
@@ -242,13 +252,34 @@ def semicontinuity_check(
     return verdicts
 
 
-def _merge_ascending(lists: Iterable[List[Rational]]) -> List[Rational]:
-    return [q for q, _ in itertools.groupby(heapq.merge(*lists))]
+def _merge_ascending(lists: Iterable[List[Pair]]) -> List[Pair]:
+    """The ascending union of ascending lists of reduced pairs; pairs
+    compare by cross-multiplying, and equal ratios are equal pairs.  One
+    list is returned as it is."""
+    lists = iter(lists)
+    merged = next(lists)
+    for other in lists:
+        out = []
+        i = j = 0
+        while i < len(merged) and j < len(other):
+            (t, m), (u, n) = merged[i], other[j]
+            lhs, rhs = t * n, u * m
+            if lhs <= rhs:
+                out.append(merged[i])
+                i += 1
+                j += lhs == rhs
+            else:
+                out.append(other[j])
+                j += 1
+        out += merged[i:]
+        out += other[j:]
+        merged = out
+    return merged
 
 
-def _contains(ascending: Sequence[Rational], q: Rational) -> bool:
-    i = bisect.bisect_left(ascending, q)
-    return i < len(ascending) and ascending[i] == q
+def _contains(ascending: Sequence[Pair], q: Rational) -> bool:
+    i = bisect.bisect_left(ascending, q, key=lambda tm: Fraction(*tm))
+    return i < len(ascending) and ascending[i] == (q.numerator, q.denominator)
 
 
 def scan(family: Family, alpha: Rational) -> FamilyScanReport:
@@ -293,12 +324,13 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
 
     # each list is ascending without repeats (the Farey walk's order), so
     # a merge that drops repeats is their sorted union; with multiplier 1
-    # everywhere the divided lists are the raw ones
-    superset = _merge_ascending(divided for divided, _ in supersets.values())
+    # everywhere the divided lists are the raw ones, and the report holds
+    # one tuple under both names
+    superset = tuple(_merge_ascending(divided for divided, _ in supersets.values()))
     if all(divided is raw for divided, raw in supersets.values()):
         superset_raw = superset
     else:
-        superset_raw = _merge_ascending(raw for _, raw in supersets.values())
+        superset_raw = tuple(_merge_ascending(raw for _, raw in supersets.values()))
 
     sigma_cap = sorted(sigma_cap_set)
     missing = [q for q in sigma_cap if not _contains(superset, q)]
@@ -338,8 +370,8 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         sigma_attained_at=attained,
         epsilon_table=tuple(rows),
         sigma_cap=tuple(sigma_cap),
-        candidate_superset=tuple(superset),
-        candidate_superset_raw=tuple(superset_raw),
+        candidate_superset=superset,
+        candidate_superset_raw=superset_raw,
         semicontinuity_verdicts=tuple(semicontinuity_check(family, tables)),
         jump_members=jump_members,
         uncertified=tuple(uncertified),

@@ -145,7 +145,17 @@ class SurfaceModel:
         raise ModelError(f"model {self.name!r} has no stratum {label!r}")
 
     def to_document(self) -> dict:
-        # canonical field order; round-trips byte-for-byte through to_json
+        """The model as a document, in canonical field order; it
+        round-trips byte-for-byte through to_json.  The format asserts
+        completeness for every listed generator set, so a model with an
+        un-asserted set has no document."""
+        for label, gens in self.blowup_gens.items():
+            if not gens.completeness_assertion:
+                raise ModelError(
+                    f"blow-up generators of stratum {label!r} are not asserted "
+                    "complete; the model document format asserts completeness "
+                    "for every listed set"
+                )
         return {
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
@@ -330,7 +340,8 @@ def _build_from_document(doc: dict) -> SurfaceModel:
         gram=tuple(tuple(row) for row in doc["gram"]),
         basis_labels=tuple(doc["basis_labels"]),
     )
-    polarization = lat.divisor(doc["polarization"])
+    # the shape check has proved every coordinate an int
+    polarization = lat.checked_divisor(doc["polarization"])
     rr = RRData(
         d=doc["rr"]["d"],
         c=doc["rr"]["c"],
@@ -344,7 +355,7 @@ def _build_from_document(doc: dict) -> SurfaceModel:
                 label=cd["label"],
                 degree_t=cd["t"],
                 mult_m=cd["m"],
-                curve_class=None if cd["class"] is None else lat.divisor(cd["class"]),
+                curve_class=None if cd["class"] is None else lat.checked_divisor(cd["class"]),
             )
             for cd in sd["candidates"]
         )
@@ -361,7 +372,9 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     blowup_gens = {
         label: CurveGeneratorSet(
-            generators=tuple((gd["label"], ext.divisor(gd["class"])) for gd in gen_list),
+            generators=tuple(
+                (gd["label"], ext.checked_divisor(gd["class"])) for gd in gen_list
+            ),
             completeness_assertion=True,
         )
         for label, gen_list in doc["blowup_gens"].items()

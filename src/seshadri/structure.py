@@ -79,6 +79,7 @@ def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Sha
         ):
             raise _fail(want, value)
 
+    check.int_range = (minimum, maximum)  # lets `array` check a list of them at once
     return check
 
 
@@ -123,6 +124,16 @@ def nullable(shape: Shape) -> Shape:
     return check
 
 
+def _ints_within(values: list, low: Optional[int], high: Optional[int]) -> bool:
+    """Every item an int in low..high (None: unbounded), decided by
+    passes of builtins over the list."""
+    return not values or (
+        set(map(type, values)) == {int}
+        and (low is None or min(values) >= low)
+        and (high is None or max(values) <= high)
+    )
+
+
 def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> Shape:
     if max_items == min_items:
         want = f"an array of {min_items} items"
@@ -131,12 +142,18 @@ def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> 
     else:
         want = "an array"
 
+    # a list of integers is checked at once; the item-by-item walk below
+    # then runs only to locate the failure
+    int_range = getattr(items, "int_range", None)
+
     def check(value) -> None:
         if not isinstance(value, list):
             raise _fail(want, value)
         n = len(value)
         if n < min_items or (max_items is not None and n > max_items):
             raise StructureError(f"expected {want}, got {n}")
+        if int_range is not None and _ints_within(value, *int_range):
+            return
         for i, item in enumerate(value):
             try:
                 items(item)
@@ -151,13 +168,18 @@ def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = No
     """An object with every key of `required`, any of `optional`, and no
     other key."""
     fields = {**required, **(optional or {})}
+    required_keys, known_keys = frozenset(required), frozenset(fields)
 
     def check(value) -> None:
         if not isinstance(value, dict):
             raise _fail("an object", value)
-        for key in required:
-            if key not in value:
-                raise StructureError(f"missing required key {key!r}")
+        keys = value.keys()
+        if not (keys >= required_keys and keys <= known_keys):
+            # locate the fault: a missing key first, else the unknown key
+            # that the loop below meets in document order
+            for key in required:
+                if key not in value:
+                    raise StructureError(f"missing required key {key!r}")
         for key, item in value.items():
             shape = fields.get(key)
             if shape is None:

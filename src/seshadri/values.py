@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, List, Tuple, Union
 
 # The exact rational substrate.  fractions.Fraction already guarantees
 # reduced form with positive denominator, which is exactly the invariant
@@ -37,23 +37,32 @@ def format_rational(q: RationalLike) -> str:
     return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
+def format_pairs(pairs: Iterable[Tuple[int, int]]) -> List[str]:
+    """Reduced pairs (t, m), m >= 1, as format_rational writes t/m:
+    "t/m", or "t" when m is 1.  No Fraction is built."""
+    return [str(t) if m == 1 else f"{t}/{m}" for t, m in pairs]
+
+
 class SeshadriValue:
     """Either an exact rational or sqrt(d) for a non-square positive d.
 
     Perfect squares normalize to the exact branch at construction, so a
     stored sqrt is always irrational and the total order below is well
-    defined with equality only between identical representations.
+    defined with equality only between identical representations.  The
+    rational branch keeps its reduced numerator and denominator as ints,
+    and compares by cross-multiplying them.
     """
 
-    __slots__ = ("_q", "_d")
+    __slots__ = ("_q", "_n", "_m", "_d")
 
     def __init__(self, q: Rational | None, d: int | None):
         self._q = q
         self._d = d
+        self._n, self._m = (None, None) if q is None else (q.numerator, q.denominator)
 
     @classmethod
     def exact(cls, q: RationalLike) -> "SeshadriValue":
-        return cls(Fraction(q), None)
+        return cls(q if type(q) is Fraction else Fraction(q), None)
 
     @classmethod
     def sqrt(cls, d: int) -> "SeshadriValue":
@@ -81,21 +90,29 @@ class SeshadriValue:
         return self._d
 
     def _cmp(self, other: "SeshadriValue") -> int:
-        if self._q is not None and other._q is not None:
-            a, b = self._q, other._q
-            return (a > b) - (a < b)
-        if self._q is not None:
-            # rational vs sqrt(d): compare by sign, then by squaring
-            if self._q <= 0:
+        d, e = self._d, other._d
+        if d is None and e is None:
+            lhs, rhs = self._n * other._m, other._n * self._m
+            return (lhs > rhs) - (lhs < rhs)
+        if d is None:
+            # n/m vs sqrt(e): by sign, then n^2 against e*m^2
+            n, m = self._n, self._m
+            if n <= 0:
                 return -1
-            sq = self._q * self._q
-            return (sq > other._d) - (sq < other._d)
-        if other._q is not None:
+            lhs, rhs = n * n, e * m * m
+            return (lhs > rhs) - (lhs < rhs)
+        if e is None:
             return -other._cmp(self)
-        return (self._d > other._d) - (self._d < other._d)
+        return (d > e) - (d < e)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SeshadriValue) and self._cmp(other) == 0
+        # representations are canonical: equal values have equal fields
+        return (
+            isinstance(other, SeshadriValue)
+            and self._n == other._n
+            and self._m == other._m
+            and self._d == other._d
+        )
 
     def __lt__(self, other: "SeshadriValue") -> bool:
         return self._cmp(other) < 0

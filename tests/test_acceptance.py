@@ -174,7 +174,10 @@ def test_criterion_7_supremum_attainment():
     attained = epsilon(family.member(member), family.member(member).stratum(stratum))
     assert attained.value == report.sigma_family
     assert report.sigma_cap == (Fraction(1), Fraction(2))
-    assert set(report.sigma_cap) <= set(report.candidate_superset)
+    # the superset is a tuple of reduced (t, m) pairs
+    assert {(q.numerator, q.denominator) for q in report.sigma_cap} <= set(
+        report.candidate_superset
+    )
     _report(
         "criterion 7 (supremum attainment)",
         f"sigma=2 attained at {member}/{stratum}; observed set {{1, 2}} inside the "

@@ -1,7 +1,11 @@
+import functools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri import engine
 from seshadri import family as family_module
@@ -35,7 +39,9 @@ def test_scan_d8_frozen_values():
     assert report.sigma_family == SeshadriValue.exact(2)
     assert report.sigma_attained_at in {("t0", "generic"), ("t1", "generic")}
     assert report.sigma_cap == (Fraction(1), Fraction(2))
-    assert set(report.sigma_cap) <= set(report.candidate_superset)
+    assert {(q.numerator, q.denominator) for q in report.sigma_cap} <= set(
+        report.candidate_superset
+    )
     assert report.uncertified == ()
 
 
@@ -89,8 +95,14 @@ def test_scan_superset_is_sorted_union(multiplier, monkeypatch):
     report = scan(Family(members=members, degree=9), alpha)
     # with multiplier 1 the divided and raw lists are one list, merged once
     assert len(merges) == (1 if multiplier == 1 else 2)
-    assert report.candidate_superset == tuple(sorted(set(lists[0][0]) | set(lists[1][0])))
-    assert report.candidate_superset_raw == tuple(sorted(set(lists[0][1]) | set(lists[1][1])))
+    # reduced pairs: equal ratios are equal pairs, ordered by their ratio
+    by_ratio = lambda tm: Fraction(*tm)  # noqa: E731
+    assert report.candidate_superset == tuple(
+        sorted(set(lists[0][0]) | set(lists[1][0]), key=by_ratio)
+    )
+    assert report.candidate_superset_raw == tuple(
+        sorted(set(lists[0][1]) | set(lists[1][1]), key=by_ratio)
+    )
 
 
 def test_mixed_degrees_rejected():
@@ -187,7 +199,43 @@ def test_candidate_superset_respects_multiplier():
     model = projective_plane(2)
     divided, raw = member_candidate_superset(model, Fraction(3, 2))
     assert divided is raw  # built-ins declare multiplier 1: nothing to divide
-    assert all(q <= Fraction(3, 2) for q in divided)
+    assert all(Fraction(t, m) <= Fraction(3, 2) for t, m in divided)
+
+
+@functools.lru_cache(maxsize=None)
+def _plane2_with_multiplier(v):
+    doc = json.loads(projective_plane(2).to_json())
+    doc["very_ample_multiplier"] = v
+    return load_model(json.dumps(doc))
+
+
+def _ratios(pairs):
+    return [Fraction(t, m) for t, m in pairs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 2, 3]),
+    st.builds(Fraction, st.integers(1, 7), st.integers(1, 4)).filter(lambda a: a < 2),
+)
+def test_superset_pairs_match_fraction_reference(v, w, alpha):
+    # each member's divided pairs are the reduced ratios t/(m*v) of its
+    # raw pairs, ascending; two multipliers make two keys, merged
+    models = (_plane2_with_multiplier(v), _plane2_with_multiplier(w))
+    expected, expected_raw = set(), set()
+    for model in models:
+        divided, raw = member_candidate_superset(model, alpha)
+        u = model.very_ample_multiplier
+        reference = {Fraction(t, m) / u for t, m in raw}
+        assert _ratios(divided) == sorted(reference)
+        assert all(math.gcd(t, m) == 1 for t, m in divided)
+        expected |= reference
+        expected_raw |= set(_ratios(raw))
+    report = scan(Family(members=(("a", models[0]), ("b", models[1])), degree=4), alpha)
+    assert _ratios(report.candidate_superset) == sorted(expected)
+    assert _ratios(report.candidate_superset_raw) == sorted(expected_raw)
+    assert all(math.gcd(t, m) == 1 for t, m in report.candidate_superset)
 
 
 def test_load_family_inline_and_file(tmp_path):

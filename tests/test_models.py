@@ -1,9 +1,12 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from seshadri.checks import check_roundtrip, check_rr_sanity
+from seshadri.engine import EngineError
+from seshadri.lattice import CurveGeneratorSet, LatticeError
 from seshadri.models import (
     ModelError,
     builtin,
@@ -170,3 +173,37 @@ def test_blowup_lattice_is_shared_with_generators():
         assert all(
             cls.lattice is ext for gens in model.blowup_gens.values() for _, cls in gens.generators
         )
+
+
+def test_unasserted_generators_have_no_document():
+    # the format asserts every listed set complete: writing an un-asserted
+    # one would turn it into a certificate on load
+    model = f1_anticanonical()
+    gens = dataclasses.replace(model.blowup_gens["generic"], completeness_assertion=False)
+    model = dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
+    for write in (model.to_document, model.to_json):
+        with pytest.raises(ModelError, match="stratum 'generic' are not asserted complete"):
+            write()
+
+
+def test_empty_labels_rejected_at_construction():
+    # load_model rejects these labels; so do the constructors
+    on_E = f1_anticanonical().stratum("on_E")
+    for candidate in on_E.candidates:
+        with pytest.raises(EngineError, match="non-empty label"):
+            dataclasses.replace(candidate, label="")
+    ((_, cls), *rest) = f1_anticanonical().blowup_gens["on_E"].generators
+    with pytest.raises(LatticeError, match="non-empty label"):
+        CurveGeneratorSet(generators=(("", cls), *rest))
+
+
+def test_loaded_coordinates_keep_the_length_check():
+    doc = f1_doc()
+    doc["strata"][0]["candidates"][0]["class"] = [1, -1, 0]
+    with pytest.raises(ModelError) as info:
+        load_model(json.dumps(doc))
+    assert str(info.value) == "coordinate length 3 differs from rank 2"
+    lat = f1_anticanonical().lattice
+    for build in (lat.divisor, lat.checked_divisor):
+        with pytest.raises(LatticeError, match="^coordinate length 1 differs from rank 2$"):
+            build([1])

@@ -13,6 +13,7 @@ import seshadri
 from seshadri.cli import main
 from seshadri.family import FamilyError, load_family
 from seshadri.models import ModelError, f1_anticanonical, load_model, quadric
+from seshadri.structure import StructureError, array, integer
 
 
 def put(*steps_and_value):
@@ -105,6 +106,30 @@ def test_malformed_model_rejected_with_path(mutate, path, reason):
     with pytest.raises(ModelError) as info:
         load_model(json.dumps(doc))
     assert str(info.value).startswith(f"schema violation: {path}: {reason}")
+
+
+@pytest.mark.parametrize(
+    "shape, bad, reason",
+    [
+        (integer(), True, "expected an integer, got true"),
+        (integer(), 2.0, "expected an integer, got 2.0"),
+        (integer(minimum=1), 0, "expected an integer >= 1, got 0"),
+        (integer(minimum=0, maximum=2), 3, "expected an integer in 0..2, got 3"),
+        (integer(minimum=0, maximum=2), -1, "expected an integer in 0..2, got -1"),
+    ],
+    ids=["bool", "float", "below_minimum", "above_maximum", "below_range"],
+)
+@pytest.mark.parametrize("k", [0, 417, 999])
+def test_long_integer_array_reports_the_first_bad_index(shape, bad, reason, k):
+    # a list of integers is checked at once; a failure still names its
+    # first bad item, here ahead of a second one
+    value = [1] * 1000
+    value[k] = bad
+    if k + 1 < len(value):
+        value[-1] = "x"
+    with pytest.raises(StructureError) as info:
+        array(shape)(value)
+    assert str(info.value) == f"$[{k}]: {reason}"
 
 
 def family_doc():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seshadri.engine import CurveCandidate
-from seshadri.values import SeshadriValue, format_rational, parse_rational
+from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
 
 
 def _candidate(t, m):
@@ -110,3 +110,45 @@ def test_total_order_transitive_with_sqrt(a, b, d):
     # orderings must chain: if a < sqrt(d) < b then a < b
     if u < v < w:
         assert u < w
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _reference_cmp(x, y) -> int:
+    """Sign of x - y for ("q", Fraction) or ("sqrt", d) items: Fraction
+    comparison, and a rational against sqrt(d) by its sign, then by
+    squaring."""
+    (kx, vx), (ky, vy) = x, y
+    if kx == ky:
+        return _sign(vx - vy)  # sqrt is increasing
+    if kx == "sqrt":
+        return -_reference_cmp(y, x)
+    return -1 if vx < 0 else _sign(vx * vx - vy)
+
+
+_VALUES = st.one_of(
+    st.fractions(max_denominator=30).map(lambda q: (SeshadriValue.exact(q), ("q", q))),
+    st.integers(-5, 5).map(lambda k: (SeshadriValue.exact(k), ("q", Fraction(k)))),
+    st.integers(1, 400).map(lambda d: (SeshadriValue.sqrt(d), ("sqrt", d))),
+    st.integers(1, 20).map(lambda r: (SeshadriValue.sqrt(r * r), ("sqrt", r * r))),
+)
+
+
+@given(_VALUES, _VALUES)
+def test_order_and_hash_agree_with_fraction_reference(x, y):
+    (u, ref_u), (w, ref_w) = x, y
+    want = _reference_cmp(ref_u, ref_w)
+    assert (u < w, u <= w, u == w, u >= w, u > w) == (
+        want < 0, want <= 0, want == 0, want >= 0, want > 0
+    )
+    if u == w:
+        assert hash(u) == hash(w)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_format_pairs_matches_format_rational(t, m):
+    g = math.gcd(t, m)
+    t, m = t // g, m // g
+    assert format_pairs([(t, m)]) == [format_rational(Fraction(t, m))]
