@@ -13,13 +13,15 @@ from __future__ import annotations
 import bisect
 import csv
 import graphlib
+import heapq
 import io
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import RRData, candidate_walk, minimal_M
 from .engine import (
@@ -252,33 +254,21 @@ def semicontinuity_check(
     return verdicts
 
 
-def _merge_ascending(lists: Iterable[List[Pair]]) -> List[Pair]:
-    """The ascending union of ascending lists of reduced pairs; pairs
-    compare by cross-multiplying, and equal ratios are equal pairs.  One
-    list is returned as it is."""
-    lists = iter(lists)
-    merged = next(lists)
-    for other in lists:
-        out = []
-        i = j = 0
-        while i < len(merged) and j < len(other):
-            (t, m), (u, n) = merged[i], other[j]
-            lhs, rhs = t * n, u * m
-            if lhs <= rhs:
-                out.append(merged[i])
-                i += 1
-                j += lhs == rhs
-            else:
-                out.append(other[j])
-                j += 1
-        out += merged[i:]
-        out += other[j:]
-        merged = out
-    return merged
+def _ratio(tm: Pair) -> Fraction:
+    return Fraction(*tm)
+
+
+def _merge_ascending(lists: Sequence[List[Pair]]) -> List[Pair]:
+    """The ascending union of ascending lists of reduced pairs; reduced
+    pairs are canonical, so equal ratios are equal pairs and groupby drops
+    the repeats.  One list is returned as it is."""
+    if len(lists) == 1:
+        return lists[0]
+    return [tm for tm, _ in itertools.groupby(heapq.merge(*lists, key=_ratio))]
 
 
 def _contains(ascending: Sequence[Pair], q: Rational) -> bool:
-    i = bisect.bisect_left(ascending, q, key=lambda tm: Fraction(*tm))
+    i = bisect.bisect_left(ascending, q, key=_ratio)
     return i < len(ascending) and ascending[i] == (q.numerator, q.denominator)
 
 
@@ -326,11 +316,11 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     # a merge that drops repeats is their sorted union; with multiplier 1
     # everywhere the divided lists are the raw ones, and the report holds
     # one tuple under both names
-    superset = tuple(_merge_ascending(divided for divided, _ in supersets.values()))
+    superset = tuple(_merge_ascending([divided for divided, _ in supersets.values()]))
     if all(divided is raw for divided, raw in supersets.values()):
         superset_raw = superset
     else:
-        superset_raw = tuple(_merge_ascending(raw for _, raw in supersets.values()))
+        superset_raw = tuple(_merge_ascending([raw for _, raw in supersets.values()]))
 
     sigma_cap = sorted(sigma_cap_set)
     missing = [q for q in sigma_cap if not _contains(superset, q)]

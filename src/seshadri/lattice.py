@@ -72,16 +72,6 @@ class IntersectionLattice:
     def divisor(self, coords: Sequence[int]) -> "DivisorClass":
         return DivisorClass(self, coords)
 
-    def checked_divisor(self, coords: Sequence[int]) -> "DivisorClass":
-        """A class from coordinates already known to be ints, such as a
-        checked document's: `divisor` without the second coercion, with
-        the same length check."""
-        cls = object.__new__(DivisorClass)
-        object.__setattr__(cls, "lattice", self)
-        object.__setattr__(cls, "coords", tuple(coords))
-        cls._check_length()
-        return cls
-
     def basis_vector(self, label: str) -> "DivisorClass":
         i = self.basis_labels.index(label)
         return self.divisor(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -93,13 +83,11 @@ class DivisorClass:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _integers(self.coords, "coordinates"))
-        self._check_length()
-
-    def _check_length(self) -> None:
-        if len(self.coords) != self.lattice.rank:
+        coords = _integers(self.coords, "coordinates")
+        object.__setattr__(self, "coords", coords)
+        if len(coords) != self.lattice.rank:
             raise LatticeError(
-                f"coordinate length {len(self.coords)} differs from rank {self.lattice.rank}"
+                f"coordinate length {len(coords)} differs from rank {self.lattice.rank}"
             )
 
     @functools.cached_property

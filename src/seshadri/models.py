@@ -340,8 +340,7 @@ def _build_from_document(doc: dict) -> SurfaceModel:
         gram=tuple(tuple(row) for row in doc["gram"]),
         basis_labels=tuple(doc["basis_labels"]),
     )
-    # the shape check has proved every coordinate an int
-    polarization = lat.checked_divisor(doc["polarization"])
+    polarization = lat.divisor(doc["polarization"])
     rr = RRData(
         d=doc["rr"]["d"],
         c=doc["rr"]["c"],
@@ -355,7 +354,7 @@ def _build_from_document(doc: dict) -> SurfaceModel:
                 label=cd["label"],
                 degree_t=cd["t"],
                 mult_m=cd["m"],
-                curve_class=None if cd["class"] is None else lat.checked_divisor(cd["class"]),
+                curve_class=None if cd["class"] is None else lat.divisor(cd["class"]),
             )
             for cd in sd["candidates"]
         )
@@ -372,9 +371,7 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     blowup_gens = {
         label: CurveGeneratorSet(
-            generators=tuple(
-                (gd["label"], ext.checked_divisor(gd["class"])) for gd in gen_list
-            ),
+            generators=tuple((gd["label"], ext.divisor(gd["class"])) for gd in gen_list),
             completeness_assertion=True,
         )
         for label, gen_list in doc["blowup_gens"].items()
