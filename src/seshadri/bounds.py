@@ -218,19 +218,29 @@ def mediant_bounds(
 
     This is the inequality that passes from a reducible limit curve to
     one of its irreducible components without increasing the ratio.
+
+    The work is in integers: ratios compare by cross-multiplying, the
+    two sums are kept as numerator/denominator pairs, and only the three
+    results are built as Fractions.
     """
     if not parts:
         raise BoundError("mediant_bounds requires a nonempty list")
-    ratios = []
-    num = Fraction(0)
-    den = Fraction(0)
+    lo = hi = None
+    num_n, num_d = 0, 1  # sum of the a_i
+    den_n, den_d = 0, 1  # sum of the b_i
     for a, b in parts:
-        a, b = Fraction(a), Fraction(b)
-        if a <= 0 or b <= 0:
-            raise BoundError(f"all entries must be positive, got ({a}, {b})")
-        ratios.append(a / b)
-        num += a
-        den += b
-    lo, mid, hi = min(ratios), num / den, max(ratios)
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        if an <= 0 or bn <= 0:
+            raise BoundError(f"all entries must be positive, got ({Fraction(a)}, {Fraction(b)})")
+        ratio = (an * bd, ad * bn)
+        if lo is None:
+            lo = hi = ratio
+        elif ratio[0] * lo[1] < lo[0] * ratio[1]:
+            lo = ratio
+        elif ratio[0] * hi[1] > hi[0] * ratio[1]:
+            hi = ratio
+        num_n, num_d = num_n * ad + an * num_d, num_d * ad
+        den_n, den_d = den_n * bd + bn * den_d, den_d * bd
+    lo, mid, hi = Fraction(*lo), Fraction(num_n * den_d, num_d * den_n), Fraction(*hi)
     assert lo <= mid <= hi
     return lo, mid, hi

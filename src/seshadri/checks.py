@@ -153,17 +153,25 @@ def linear_minimal_M(rr: RRData, a: Fraction, max_steps: Optional[int] = None) -
     return n
 
 
-def brute_force_ratios(B: int, alpha: Fraction, certified: bool = True) -> List[Fraction]:
+def brute_force_pairs(B: int, alpha: Fraction, certified: bool = True) -> List[Tuple[int, int]]:
     """Every ratio t/m <= alpha with 1 <= t <= B and 1 <= m <= t (or, not
-    certified, m <= B), ascending, by a double loop over (t, m)."""
-    return sorted(
-        {
-            Fraction(t, m)
-            for t in range(1, B + 1)
-            for m in range(1, (t if certified else B) + 1)
-            if Fraction(t, m) <= alpha
-        }
-    )
+    certified, m <= B), as reduced pairs (t, m) ascending in t/m, by a
+    double loop over (t, m) in integers.  Every m divides L = lcm(1..B),
+    so t*L//m is an exact integer key that orders the ratios."""
+    p, q = alpha.numerator, alpha.denominator
+    pairs = set()
+    for t in range(1, B + 1):
+        for m in range(1, (t if certified else B) + 1):
+            if t * q <= p * m:
+                g = math.gcd(t, m)
+                pairs.add((t // g, m // g))
+    L = math.lcm(*range(1, B + 1))
+    return sorted(pairs, key=lambda tm: tm[0] * L // tm[1])
+
+
+def brute_force_ratios(B: int, alpha: Fraction, certified: bool = True) -> List[Fraction]:
+    """brute_force_pairs as Fractions."""
+    return [Fraction(t, m) for t, m in brute_force_pairs(B, alpha, certified)]
 
 
 def check_minimal_M_closed_form(rng: random.Random) -> str:
@@ -188,8 +196,9 @@ def check_candidates_brute_force(rng: random.Random) -> str:
         B = rng.randint(1, 40)
         alpha = Fraction(rng.randint(1, 60), rng.randint(1, 12))
         for certified in (True, False):
-            expected = brute_force_ratios(B, alpha, certified)
-            if candidate_ratios(B, alpha, require_m_le_t=certified) != expected:
+            expected = brute_force_pairs(B, alpha, certified)
+            ratios = candidate_ratios(B, alpha, require_m_le_t=certified)
+            if [(r.numerator, r.denominator) for r in ratios] != expected:
                 raise AssertionError(
                     f"candidate enumeration differs at B={B}, alpha={alpha}, "
                     f"certified={certified}"

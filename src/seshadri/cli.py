@@ -2,25 +2,20 @@
 
 All numeric flags are exact-rational strings ("p/q" or "p"); decimal
 input is rejected before any computation runs.  Reports embed the tool
-and schema versions, and output files are written atomically.
+and schema versions, and output files are written atomically.  Each
+subcommand imports the layer it runs when it runs, so one call loads
+only that layer.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-import tempfile
 from typing import Optional
 
-from . import __version__
-from .bounds import candidate_walk, minimal_M, multiplicity_target, RRData
-from .checks import run_all_checks
-from .engine import Certification, epsilon, global_epsilon, sublevel_set
-from .family import load_family, scan
-from .models import SCHEMA_VERSION, load_model_file
+from . import SCHEMA_VERSION, __version__
 from .values import format_pairs, format_rational, parse_rational
 
 
@@ -34,6 +29,8 @@ def _emit(text: str, output: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seshadri-")
     try:
@@ -56,6 +53,8 @@ def _emit_report(doc: dict, fmt: str, output: Optional[str], text_lines) -> None
 
 
 def cmd_bound(args) -> int:
+    from .bounds import RRData, minimal_M, multiplicity_target
+
     rr = RRData(
         d=args.d, c=args.c, c_prime=args.c_prime, vanishing_multiplier=args.vanishing_multiplier
     )
@@ -87,6 +86,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_candidates(args) -> int:
+    from .bounds import candidate_walk
+
     alpha = parse_rational(args.alpha)
     formatted = format_pairs(candidate_walk(args.B, alpha, require_m_le_t=not args.permissive))
     doc = {
@@ -103,6 +104,9 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
+    from .engine import Certification, epsilon, global_epsilon
+    from .models import load_model_file
+
     model = load_model_file(args.model)
     alpha = parse_rational(args.alpha) if args.alpha else None
     if args.stratum:
@@ -130,6 +134,9 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_sublevel(args) -> int:
+    from .engine import sublevel_set
+    from .models import load_model_file
+
     model = load_model_file(args.model)
     a = parse_rational(args.a)
     labels = sublevel_set(model, a)
@@ -161,6 +168,8 @@ def _verdict_summary(verdicts) -> str:
 
 
 def cmd_scan(args) -> int:
+    from .family import load_family, scan
+
     with open(args.family, "r", encoding="utf-8") as fh:
         family = load_family(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.family)))
     alpha = parse_rational(args.alpha)
@@ -193,6 +202,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_check(args) -> int:
+    import dataclasses
+
+    from .checks import run_all_checks
+
     results = run_all_checks()
     passed = all(r.passed for r in results)
     doc = {"checks": [dataclasses.asdict(r) for r in results], "all_passed": passed}

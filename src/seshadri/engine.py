@@ -71,6 +71,8 @@ class PointStratum:
     oracle_complete_below: Optional[Rational] = None
 
     def __post_init__(self):
+        if not self.label:
+            raise EngineError("a point stratum needs a non-empty label")
         object.__setattr__(self, "specializes_from", tuple(self.specializes_from))
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if self.closure_dim < 0:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Tuple
 
+from . import SCHEMA_VERSION
 from .bounds import RRData, minimal_M
 from .engine import CurveCandidate, PointStratum
 from .lattice import (
@@ -41,8 +42,6 @@ from .structure import (
     string,
 )
 from .values import format_rational, parse_rational
-
-SCHEMA_VERSION = 1
 
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
@@ -210,6 +209,8 @@ class SurfaceModel:
 
 
 def _validate_model(model: SurfaceModel) -> None:
+    if not model.name:
+        raise ModelError("a model needs a non-empty name")
     lat = model.lattice
     if model.polarization.lattice != lat:
         raise ModelError("polarization does not live on the model lattice")

@@ -15,7 +15,7 @@ from seshadri.bounds import (
     minimal_M,
     multiplicity_target,
 )
-from seshadri.checks import brute_force_ratios, linear_minimal_M
+from seshadri.checks import brute_force_pairs, brute_force_ratios, linear_minimal_M
 
 
 def dimension_count_oracle(d, c, c_prime, a, n):
@@ -150,6 +150,32 @@ def test_candidate_ratios_monotone_in_B(B, alpha):
     assert set(candidate_ratios(B, alpha)) <= set(candidate_ratios(B + 1, alpha))
 
 
+@given(
+    st.integers(1, 30),
+    st.fractions(min_value="1/12", max_value="40", max_denominator=12),
+    st.booleans(),
+)
+@example(10, Fraction(5, 7), True)  # alpha < 1: the certified list is empty
+@example(10, Fraction(5, 7), False)
+@example(12, Fraction(3), True)  # integer alpha
+@example(12, Fraction(3), False)
+@example(7, Fraction(7), True)  # alpha >= B: every ratio of order B
+@example(7, Fraction(29, 3), False)
+@settings(max_examples=100)
+def test_brute_force_pairs_match_a_fraction_double_loop(B, alpha, certified):
+    # the integer oracle against the same double loop written in Fractions
+    ratios = sorted(
+        {
+            Fraction(t, m)
+            for t in range(1, B + 1)
+            for m in range(1, (t if certified else B) + 1)
+            if Fraction(t, m) <= alpha
+        }
+    )
+    assert brute_force_pairs(B, alpha, certified) == [(r.numerator, r.denominator) for r in ratios]
+    assert brute_force_ratios(B, alpha, certified) == ratios
+
+
 def test_candidate_ratios_permissive_mode():
     got = candidate_ratios(3, Fraction(5), require_m_le_t=False)
     assert got == brute_force_ratios(3, Fraction(5), certified=False)
@@ -193,18 +219,18 @@ def test_mediant_rejects_bad_input():
         mediant_bounds([(1, 2), (2, -3)])
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.fractions(min_value="1/1000", max_value="1000", max_denominator=1000),
-            st.fractions(min_value="1/1000", max_value="1000", max_denominator=1000),
-        ),
-        min_size=1,
-        max_size=10,
-    )
+POSITIVE_ENTRY = st.one_of(
+    st.integers(1, 1000),
+    st.fractions(min_value="1/1000", max_value="1000", max_denominator=1000),
 )
+
+
+@given(st.lists(st.tuples(POSITIVE_ENTRY, POSITIVE_ENTRY), min_size=1, max_size=10))
+@example([(3, Fraction(1, 2)), (Fraction(7, 3), 5)])
 def test_mediant_property(parts):
     lo, mid, hi = mediant_bounds(parts)
     assert lo <= mid <= hi
-    assert lo == min(a / b for a, b in parts)
-    assert hi == max(a / b for a, b in parts)
+    assert lo == min(Fraction(a) / b for a, b in parts)
+    assert hi == max(Fraction(a) / b for a, b in parts)
+    assert mid == Fraction(sum(a for a, _ in parts)) / sum(b for _, b in parts)
+    assert all(type(q) is Fraction for q in (lo, mid, hi))

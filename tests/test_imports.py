@@ -1,0 +1,133 @@
+"""The import plan: `import seshadri` is lazy, each CLI subcommand loads
+only its own layer, and the package exports the same objects it did when
+it imported every submodule up front."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import seshadri
+from seshadri.models import f1_anticanonical, quadric
+
+SRC = os.path.dirname(os.path.dirname(seshadri.__file__))
+
+EXPORTS = {
+    "values": ["Rational", "SeshadriValue", "format_rational", "parse_rational"],
+    "lattice": ["CurveGeneratorSet", "DivisorClass", "IntersectionLattice", "LatticeError",
+                "extend_blowup", "pair"],
+    "bounds": ["BoundError", "DegreeBound", "RRData", "candidate_pairs", "candidate_ratios",
+               "l_poly", "mediant_bounds", "minimal_M", "multiplicity_target"],
+    "engine": ["Certification", "CurveCandidate", "EngineError", "PointStratum",
+               "SeshadriResult", "epsilon", "epsilon_via_curves", "epsilon_via_nef",
+               "global_epsilon", "low_epsilon_strata", "sigma_local", "sublevel_set"],
+    "models": ["ModelError", "SurfaceModel", "builtin", "builtin_suite", "f1_anticanonical",
+               "load_model", "load_model_file", "projective_plane", "quadric"],
+    "family": ["Family", "FamilyError", "FamilyScanReport", "load_family", "scan",
+               "semicontinuity_check"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+# runs the statements in argv[1], then prints the loaded seshadri modules
+PROBE = """
+import sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "seshadri")))
+"""
+
+
+def loaded_modules(statements: str, *args: str) -> set:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json" + PROBE, statements, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def cli_modules(*argv: str) -> set:
+    return loaded_modules("import seshadri.cli; seshadri.cli.main(sys.argv[2:])", *argv)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("import-plan")
+    (root / "f1.json").write_text(f1_anticanonical().to_json())
+    family = {
+        "degree": 8,
+        "members": [
+            {"param_label": "t0", "model": "f1.json"},
+            {"param_label": "t1", "model": json.loads(quadric(2, 2).to_json())},
+        ],
+    }
+    (root / "family.json").write_text(json.dumps(family))
+    return str(root / "f1.json"), str(root / "family.json")
+
+
+def test_import_seshadri_loads_no_submodule():
+    assert loaded_modules("import seshadri; seshadri.__version__, seshadri.SCHEMA_VERSION") == {
+        "seshadri"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2", "--format", "json"],
+        ["candidates", "--B", "12", "--alpha", "5/2"],
+    ],
+    ids=["bound", "candidates"],
+)
+def test_degree_bound_commands_load_only_bounds(argv):
+    assert cli_modules(*argv) == {"seshadri", "seshadri.cli", "seshadri.values", "seshadri.bounds"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["epsilon", "{model}", "--format", "json"], ["sublevel", "{model}", "--a", "1"]],
+    ids=["epsilon", "sublevel"],
+)
+def test_model_commands_skip_family_and_checks(files, argv):
+    loaded = cli_modules(*(arg.format(model=files[0]) for arg in argv))
+    assert {"seshadri.engine", "seshadri.models"} <= loaded
+    assert not loaded & {"seshadri.family", "seshadri.checks"}
+
+
+def test_scan_skips_checks(files):
+    loaded = cli_modules("scan", files[1], "--alpha", "5/2")
+    assert "seshadri.family" in loaded and "seshadri.checks" not in loaded
+
+
+def test_check_loads_checks():
+    assert "seshadri.checks" in cli_modules("check")
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_exports_are_the_submodule_objects(module):
+    source = importlib.import_module(f"seshadri.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(seshadri, name) is getattr(source, name)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from seshadri import *", namespace)
+    assert sorted(seshadri.__all__) == sorted(NAMES)
+    for name in NAMES:
+        assert namespace[name] is getattr(seshadri, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        seshadri.no_such_name
+    with pytest.raises(ImportError):
+        exec("from seshadri import no_such_name", {})
+
+
+def test_schema_version_is_shared():
+    import seshadri.models
+
+    assert seshadri.models.SCHEMA_VERSION is seshadri.SCHEMA_VERSION == 1

@@ -197,6 +197,19 @@ def test_empty_labels_rejected_at_construction():
         CurveGeneratorSet(generators=(("", cls), *rest))
 
 
+def test_empty_stratum_label_rejected_at_construction():
+    # load_model rejects `"label": ""`, so the constructor does too
+    on_E = f1_anticanonical().stratum("on_E")
+    with pytest.raises(EngineError, match="^a point stratum needs a non-empty label$"):
+        dataclasses.replace(on_E, label="")
+
+
+def test_empty_model_name_rejected_at_construction():
+    # load_model rejects `"name": ""`, so the constructor does too
+    with pytest.raises(ModelError, match="^a model needs a non-empty name$"):
+        dataclasses.replace(f1_anticanonical(), name="")
+
+
 def test_loaded_coordinates_keep_the_length_check():
     doc = f1_doc()
     doc["strata"][0]["candidates"][0]["class"] = [1, -1, 0]
