@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bounds import DegreeBound, minimal_M
-from .lattice import DivisorClass, pair
+from .bounds import DegreeBound
+from .lattice import DivisorClass
 from .values import Rational, SeshadriValue
 
 
@@ -187,7 +187,7 @@ def epsilon_via_curves(
 
     bound_used = None
     if alpha is not None and alpha > 0 and alpha * alpha < d:
-        bound_used = minimal_M(model.rr, alpha)
+        bound_used = model.degree_bound(alpha)
 
     least = None if best is None else SeshadriValue.exact(best.ratio)
     hi = least if least is not None and least <= sqrt_d else sqrt_d
@@ -222,17 +222,17 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
         raise EngineError(
             f"blow-up generators for stratum {stratum.label!r} lack a completeness assertion"
         )
-    pullback, exceptional = model.pullback, model.exceptional
     d = model.rr.d
-    # the running minimum as integers: ratio deg/e_mult, then degree,
+    # the running minimum as integers over the model's generator table of
+    # (degree, multiplicity at the point): ratio deg/e_mult, then degree,
     # then label; ratios compare by cross-multiplying and against sqrt(d)
     # by squaring, and only the winner becomes a Fraction
     best = None
-    for label, cls in gens.generators:
-        e_mult = pair(exceptional, cls)
+    for (label, cls), (deg, e_mult) in zip(
+        gens.generators, model.generator_table(stratum.label)
+    ):
         if e_mult <= 0:
             continue
-        deg = pair(pullback, cls)
         if deg < 0:
             raise EngineError(
                 f"generator {label!r} has negative polarization degree {deg}; "

@@ -98,7 +98,7 @@ class DivisorClass:
         return tuple(sum(map(operator.mul, row, self.coords)) for row in self.lattice.gram)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _require_same_lattice(self, other)

@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import graphlib
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Tuple
 
 from . import SCHEMA_VERSION
-from .bounds import RRData, minimal_M
+from .bounds import DegreeBound, RRData, minimal_M
 from .engine import CurveCandidate, PointStratum
 from .lattice import (
     CurveGeneratorSet,
     DivisorClass,
     IntersectionLattice,
     extend_blowup,
-    is_strictly_positive_against,
     lift,
     pair,
 )
@@ -41,7 +41,7 @@ from .structure import (
     record,
     string,
 )
-from .values import format_rational, parse_rational
+from .values import Rational, format_rational, parse_rational
 
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
@@ -129,6 +129,49 @@ class SurfaceModel:
     def exceptional(self) -> DivisorClass:
         """The exceptional class of the one-point blow-up."""
         return self.blowup_lattice.basis_vector(EXCEPTIONAL_LABEL)
+
+    @cached_property
+    def _generator_tables(self) -> Dict[str, tuple]:
+        return {}  # stratum label -> (generator set, its table)
+
+    def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
+        """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
+        the order of its set.  The pairs are computed once per generator
+        set, after every generator's lattice check, as integer dot
+        products of C with the covectors of pi^*L and Ex."""
+        gens = self.blowup_gens[label]
+        cached = self._generator_tables.get(label)
+        if cached is None or cached[0] is not gens:
+            ext = self.blowup_lattice
+            for gl, cls in gens.generators:
+                if cls.lattice != ext:
+                    raise ModelError(
+                        f"blow-up generator {gl!r} of stratum {label!r} does not live on "
+                        "the extended lattice"
+                    )
+            pullback, exceptional = self.pullback.covector, self.exceptional.covector
+            table = tuple(
+                (
+                    sum(map(operator.mul, pullback, cls.coords)),
+                    sum(map(operator.mul, exceptional, cls.coords)),
+                )
+                for _, cls in gens.generators
+            )
+            cached = self._generator_tables[label] = (gens, table)
+        return cached[1]
+
+    @cached_property
+    def _degree_bounds(self) -> Dict[Tuple[int, int], DegreeBound]:
+        return {}  # (numerator, denominator) of a -> minimal_M(rr, a)
+
+    def degree_bound(self, a: Rational) -> DegreeBound:
+        """minimal_M(rr, a), computed once per threshold a: every stratum
+        of the model shares its degree bound."""
+        key = (a.numerator, a.denominator)  # hashes faster than a Fraction
+        bound = self._degree_bounds.get(key)
+        if bound is None:
+            bound = self._degree_bounds[key] = minimal_M(self.rr, a)
+        return bound
 
     @property
     def generic_stratum(self) -> PointStratum:
@@ -251,12 +294,11 @@ def _validate_model(model: SurfaceModel) -> None:
     except graphlib.CycleError as exc:
         raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
 
-    ext = model.blowup_lattice
     for s in model.strata:
         _validate_stratum(model, s)
         gens = model.blowup_gens.get(s.label)
         if gens is not None:
-            _validate_blowup_gens(model, s.label, gens, ext)
+            _validate_blowup_gens(model, s.label, gens)
     for label in model.blowup_gens:
         if label not in known:
             raise ModelError(f"blow-up generators given for unknown stratum {label!r}")
@@ -272,7 +314,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             # keep certification honest: the table may not contain entries
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
-            cap = minimal_M(model.rr, ocb).B
+            cap = model.degree_bound(ocb).B
     for c in s.candidates:
         if c.curve_class is not None:
             if c.curve_class.lattice != model.lattice:
@@ -296,20 +338,17 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             )
 
 
-def _validate_blowup_gens(
-    model: SurfaceModel, label: str, gens: CurveGeneratorSet, ext: IntersectionLattice
-) -> None:
-    for gl, cls in gens.generators:
-        if cls.lattice != ext:
-            raise ModelError(
-                f"blow-up generator {gl!r} of stratum {label!r} does not live on "
-                "the extended lattice"
-            )
+def _validate_blowup_gens(model: SurfaceModel, label: str, gens: CurveGeneratorSet) -> None:
+    table = model.generator_table(label)
     # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
-    # pushforward is nonzero; by the projection formula L.pi_*C = pi^*L.C
-    # and L^2 = (pi^*L)^2, so no pushforward class is built
-    pushed = (cls for _, cls in gens.generators if any(cls.coords[:-1]))
-    if not is_strictly_positive_against(model.pullback, pushed):
+    # pushforward is nonzero.  L^2 = rr.d >= 1 is checked above, and by
+    # the projection formula L.pi_*C = pi^*L.C, the table's first entry,
+    # so no pushforward class is built
+    if any(
+        deg <= 0
+        for (_, cls), (deg, _) in zip(gens.generators, table)
+        if any(cls.coords[:-1])
+    ):
         raise ModelError(
             f"polarization fails the plausible-ampleness gate against the "
             f"blow-up generators of stratum {label!r}"

@@ -1,10 +1,21 @@
 """Structural checks for the JSON input documents.
 
-One small mechanism serves both input formats.  A shape is a check
-function built from the combinators below; calling it on a parsed
-document returns nothing or raises StructureError for the first rule
-the document breaks, with the JSON path of the offending value, such as
+One small mechanism serves both input formats.  A shape is built from
+the combinators below; calling it on a parsed document returns nothing
+or raises StructureError for the first rule the document breaks, with
+the JSON path of the offending value, such as
 `$.strata[3].candidates[0].t: expected an integer >= 1, got 0`.
+
+Every shape checks a document in two ways.  Its column test takes a
+list of values and answers whether all of them pass, by passes of
+builtins over whole columns: an array tests its items' shape on the
+flattened items, a record compares key sets and then tests each
+field's column.  Its walk visits one value item by item and raises the
+error.  A call runs the column test on the document and, only if that
+fails, the walk, so a passing document pays one column test and the
+messages and paths come from the walk alone.  A column test may be
+stricter than its walk (it tests exact types where the walk accepts
+subclasses), never looser.
 
 Integers are Python ints only: `true` and `2.0` are not integers here,
 so nothing past this check can meet a bool or float where it counts.
@@ -16,10 +27,11 @@ call afterwards.
 from __future__ import annotations
 
 import json
+import operator
 import re
+from functools import partial
+from itertools import chain
 from typing import Callable, Dict, Optional, Tuple
-
-Shape = Callable[[object], None]
 
 
 class StructureError(ValueError):
@@ -63,6 +75,27 @@ def _step(key) -> str:
     return "[" + _describe(key) + "]"
 
 
+class Shape:
+    """A check of one JSON value: `column(values)` answers whether every
+    value of a list passes, and `walk(value)` raises StructureError for
+    the first rule the value breaks."""
+
+    __slots__ = ("walk", "column")
+
+    def __init__(self, walk: Callable[[object], None], column: Callable[[list], bool]):
+        self.walk = walk
+        self.column = column
+
+    def __call__(self, value) -> None:
+        if not self.column([value]):
+            self.walk(value)
+
+
+def _all_of_type(values: list, kind: type) -> bool:
+    """Every value's type is exactly `kind`."""
+    return list(map(type, values)).count(kind) == len(values)
+
+
 def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Shape:
     if maximum is not None:
         want = f"an integer in {minimum}..{maximum}"
@@ -71,7 +104,7 @@ def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Sha
     else:
         want = "an integer"
 
-    def check(value) -> None:
+    def walk(value) -> None:
         if (
             type(value) is not int
             or (minimum is not None and value < minimum)
@@ -79,14 +112,20 @@ def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Sha
         ):
             raise _fail(want, value)
 
-    check.int_range = (minimum, maximum)  # lets `array` check a list of them at once
-    return check
+    def column(values: list) -> bool:
+        return (
+            _all_of_type(values, int)
+            and (minimum is None or min(values, default=minimum) >= minimum)
+            and (maximum is None or max(values, default=maximum) <= maximum)
+        )
+
+    return Shape(walk, column)
 
 
 def string(min_length: int = 0, pattern: Optional[str] = None, want: str = "a string") -> Shape:
     match = None if pattern is None else re.compile(pattern).search
 
-    def check(value) -> None:
+    def walk(value) -> None:
         if (
             not isinstance(value, str)
             or len(value) < min_length
@@ -94,44 +133,53 @@ def string(min_length: int = 0, pattern: Optional[str] = None, want: str = "a st
         ):
             raise _fail(want, value)
 
-    return check
+    def column(values: list) -> bool:
+        return (
+            _all_of_type(values, str)
+            and min(map(len, values), default=min_length) >= min_length
+            and (match is None or all(map(match, values)))
+        )
+
+    return Shape(walk, column)
 
 
 LABEL: Shape = string(min_length=1, want="a non-empty string")
 
 
 def const(expected) -> Shape:
-    def check(value) -> None:
+    def walk(value) -> None:
         if type(value) is not type(expected) or value != expected:
             raise _fail(json.dumps(expected), value)
 
-    return check
+    def column(values: list) -> bool:
+        return _all_of_type(values, type(expected)) and values.count(expected) == len(values)
+
+    return Shape(walk, column)
 
 
 def of_type(types: Tuple[type, ...], want: str) -> Shape:
-    def check(value) -> None:
+    def walk(value) -> None:
         if not isinstance(value, types):
             raise _fail(want, value)
 
-    return check
+    def column(values: list) -> bool:
+        return set(map(type, values)) <= set(types)
+
+    return Shape(walk, column)
+
+
+_not_none = partial(operator.is_not, None)
 
 
 def nullable(shape: Shape) -> Shape:
-    def check(value) -> None:
+    def walk(value) -> None:
         if value is not None:
-            shape(value)
+            shape.walk(value)
 
-    return check
+    def column(values: list) -> bool:
+        return shape.column(list(filter(_not_none, values)))
 
-
-def _ints_within(values: list, low: Optional[int], high: Optional[int]) -> bool:
-    """Every item an int in low..high (None: unbounded), decided by
-    passes of builtins over the list."""
-    return not values or (
-        set(map(type, values)) == {int}
-        and (low is None or min(values) >= low)
-        and (high is None or max(values) <= high)
-    )
+    return Shape(walk, column)
 
 
 def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> Shape:
@@ -142,26 +190,31 @@ def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> 
     else:
         want = "an array"
 
-    # a list of integers is checked at once; the item-by-item walk below
-    # then runs only to locate the failure
-    int_range = getattr(items, "int_range", None)
-
-    def check(value) -> None:
+    def walk(value) -> None:
         if not isinstance(value, list):
             raise _fail(want, value)
         n = len(value)
         if n < min_items or (max_items is not None and n > max_items):
             raise StructureError(f"expected {want}, got {n}")
-        if int_range is not None and _ints_within(value, *int_range):
-            return
         for i, item in enumerate(value):
             try:
-                items(item)
+                items.walk(item)
             except StructureError as exc:
                 exc.steps.append(f"[{i}]")
                 raise
 
-    return check
+    def column(values: list) -> bool:
+        if not _all_of_type(values, list):
+            return False
+        if min_items or max_items is not None:
+            lengths = list(map(len, values))
+            if min(lengths, default=min_items) < min_items or (
+                max_items is not None and max(lengths, default=max_items) > max_items
+            ):
+                return False
+        return items.column(list(chain.from_iterable(values)))
+
+    return Shape(walk, column)
 
 
 def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = None) -> Shape:
@@ -169,8 +222,18 @@ def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = No
     other key."""
     fields = {**required, **(optional or {})}
     required_keys, known_keys = frozenset(required), frozenset(fields)
+    required_columns = [(operator.itemgetter(key), shape) for key, shape in required.items()]
+    optional_columns = list((optional or {}).items())
+    if optional:
 
-    def check(value) -> None:
+        def keys_pass(keys) -> bool:
+            return required_keys <= keys <= known_keys
+
+    else:
+        # every key required: one comparison per object
+        keys_pass = partial(operator.eq, required_keys)
+
+    def walk(value) -> None:
         if not isinstance(value, dict):
             raise _fail("an object", value)
         keys = value.keys()
@@ -185,25 +248,41 @@ def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = No
             if shape is None:
                 raise StructureError(f"unknown key {key!r}")
             try:
-                shape(item)
+                shape.walk(item)
             except StructureError as exc:
                 exc.steps.append(_step(key))
                 raise
 
-    return check
+    def column(values: list) -> bool:
+        return (
+            _all_of_type(values, dict)
+            and all(map(keys_pass, map(dict.keys, values)))
+            and all(shape.column(list(map(get, values))) for get, shape in required_columns)
+            and all(
+                shape.column([value[key] for value in values if key in value])
+                for key, shape in optional_columns
+            )
+        )
+
+    return Shape(walk, column)
 
 
 def mapping(values: Shape) -> Shape:
     """An object with arbitrary keys, every value of one shape."""
 
-    def check(value) -> None:
+    def walk(value) -> None:
         if not isinstance(value, dict):
             raise _fail("an object", value)
         for key, item in value.items():
             try:
-                values(item)
+                values.walk(item)
             except StructureError as exc:
                 exc.steps.append(_step(key))
                 raise
 
-    return check
+    def column(objects: list) -> bool:
+        return _all_of_type(objects, dict) and values.column(
+            list(chain.from_iterable(map(dict.values, objects)))
+        )
+
+    return Shape(walk, column)

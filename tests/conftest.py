@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from seshadri.models import model_from_document, projective_plane
@@ -28,5 +30,56 @@ def violating_model():
             }
         )
         return model_from_document(doc)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def blown_up_plane():
+    """A factory of model documents shaped like the benchmark's: the plane
+    blown up in n points with L = kH - (E_1 + ... + E_n), d = k^2 - n.
+    `strata` lists, per stratum, its blow-up generators C - m*Ex as
+    (coordinates of C, m).  The first stratum is dense and every other one
+    specializes from it.  Each generator with m >= 1 is also a curve
+    candidate (L.C, m), and each stratum is complete below its least
+    ratio, so that the curve path and the nef path agree."""
+
+    def build(k, n, strata, name="blown_up_plane"):
+        rank = n + 1
+        polarization = [k] + [-1] * n
+        gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
+        strata_docs, blowup_gens = [], {}
+        for s, gens in enumerate(strata):
+            label = "generic" if s == 0 else f"s{s}"
+            candidates = []
+            gen_docs = [{"label": "Ex", "class": [0] * rank + [1]}]
+            for g, (base, m) in enumerate(gens):
+                gen_docs.append({"label": f"g{g}", "class": list(base) + [-m]})
+                if m >= 1:
+                    t = k * base[0] + sum(base[1:])
+                    candidates.append({"label": f"g{g}", "class": list(base), "t": t, "m": m})
+            least = min((Fraction(c["t"], c["m"]) for c in candidates), default=None)
+            strata_docs.append(
+                {
+                    "label": label,
+                    "closure_dim": 2 if s == 0 else 0,
+                    "specializes_from": [] if s == 0 else ["generic"],
+                    "oracle_complete_below": None if least is None else str(least),
+                    "candidates": candidates,
+                }
+            )
+            blowup_gens[label] = gen_docs
+        return {
+            "schema_version": 1,
+            "name": name,
+            "rank": rank,
+            "gram": gram,
+            "basis_labels": ["H"] + [f"E{i}" for i in range(1, n + 1)],
+            "polarization": polarization,
+            "rr": {"d": k * k - n, "c": 3 * k - n, "c_prime": 1, "vanishing_multiplier": 1},
+            "very_ample_multiplier": 1,
+            "strata": strata_docs,
+            "blowup_gens": blowup_gens,
+        }
 
     return build

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import engine
+from seshadri import bounds, engine
 from seshadri import family as family_module
+from seshadri import models as models_module
 from seshadri.family import (
     Family,
     FamilyError,
@@ -76,6 +77,39 @@ def test_scan_evaluates_each_stratum_once(monkeypatch):
     # exactly one call of each path
     assert len(report.epsilon_table) == 3
     assert calls == {"curves": 3, "nef": 3}
+
+
+def test_scan_computes_each_degree_bound_once_per_model(blown_up_plane, monkeypatch):
+    # d = 98; the dense stratum sits at sqrt(d), and the other four are
+    # complete below 5, 11/3, 1 and 1, three distinct thresholds under sqrt(d)
+    doc = blown_up_plane(
+        10,
+        2,
+        [
+            [((1, 0, 0), 1)],
+            [((1, 0, 0), 2)],
+            [((1, 1, 0), 3)],
+            [((0, 1, 0), 1)],
+            [((1, 0, 0), 2), ((0, 0, 1), 1)],
+        ],
+    )
+    calls = []
+
+    def counted(rr, a):
+        calls.append(a)
+        return bounds.minimal_M(rr, a)
+
+    for module in (engine, models_module, family_module):
+        if getattr(module, "minimal_M", None) is bounds.minimal_M:
+            monkeypatch.setattr(module, "minimal_M", counted)
+    members = tuple((label, models_module.model_from_document(doc)) for label in ("a", "b"))
+    # validation: one bound per member and distinct threshold
+    assert sorted(calls) == sorted([Fraction(5), Fraction(11, 3), Fraction(1)] * 2)
+    calls.clear()
+    report = scan(Family(members=members, degree=98), Fraction(3))
+    assert len(report.epsilon_table) == 10
+    # the scan: one superset enumeration, and one bound per member at alpha
+    assert calls == [Fraction(3)] * 3
 
 
 @pytest.mark.parametrize("multiplier", [1, 2])

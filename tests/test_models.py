@@ -3,16 +3,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seshadri.checks import check_roundtrip, check_rr_sanity
-from seshadri.engine import EngineError
-from seshadri.lattice import CurveGeneratorSet, LatticeError
+from seshadri.engine import EngineError, epsilon_via_nef
+from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.models import (
     ModelError,
     builtin,
     builtin_suite,
     f1_anticanonical,
     load_model,
+    model_from_document,
     projective_plane,
     quadric,
 )
@@ -218,3 +221,80 @@ def test_loaded_coordinates_keep_the_length_check():
     assert str(info.value) == "coordinate length 3 differs from rank 2"
     with pytest.raises(LatticeError, match="^coordinate length 1 differs from rank 2$"):
         f1_anticanonical().lattice.divisor([1])
+
+
+def _pairings(model, label):
+    """(pi^*L.C, Ex.C) for each blow-up generator C, through lattice.pair."""
+    return tuple(
+        (pair(model.pullback, cls), pair(model.exceptional, cls))
+        for _, cls in model.blowup_gens[label].generators
+    )
+
+
+def test_generator_table_matches_pairing_on_builtins():
+    models = builtin_suite() + (quadric(1, 2), projective_plane(3))
+    for model in models + tuple(load_model(m.to_json()) for m in models):
+        for label in model.blowup_gens:
+            assert model.generator_table(label) == _pairings(model, label)
+
+
+# a generator C - m*Ex of a blown-up plane as (coordinates of C, m): the H
+# coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
+_generator = st.tuples(
+    st.integers(1, 3), st.lists(st.integers(-1, 1), min_size=4, max_size=4), st.integers(0, 3)
+)
+
+
+@given(
+    st.integers(5, 10),
+    st.integers(1, 4),
+    st.lists(st.lists(_generator, min_size=1, max_size=5), min_size=1, max_size=4),
+)
+@settings(max_examples=60)
+def test_generator_table_matches_pairing_on_loaded_documents(blown_up_plane, k, n, strata):
+    doc = blown_up_plane(
+        k, n, [[([a] + e[:n], m) for a, e, m in gens] for gens in strata]
+    )
+    model = model_from_document(json.loads(json.dumps(doc)))
+    for label in model.blowup_gens:
+        assert model.generator_table(label) == _pairings(model, label)
+
+
+def test_replaced_model_gets_a_fresh_table():
+    # quadric(1, 2) with bare candidates, so that L = f1 + 2 f2 can be
+    # swapped for 2 f1 + f2 of the same degree
+    doc = json.loads(quadric(1, 2).to_json())
+    for cd in doc["strata"][0]["candidates"]:
+        cd["class"] = None
+    model = load_model(json.dumps(doc))
+    before = model.generator_table("generic")
+    swapped = dataclasses.replace(model, polarization=model.lattice.divisor((2, 1)))
+    assert swapped.generator_table("generic") == _pairings(swapped, "generic") != before
+    assert model.generator_table("generic") == before
+    # a set installed in place of the old one gets its own table
+    fewer = CurveGeneratorSet(model.blowup_gens["generic"].generators[:2])
+    model.blowup_gens["generic"] = fewer
+    assert model.generator_table("generic") == _pairings(model, "generic") == before[:2]
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        extend_blowup(quadric(1, 1).lattice, "Ex").divisor((1, 0, -1)),  # same rank
+        IntersectionLattice(rank=4, gram=((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+                            basis_labels=("H", "E", "E2", "Ex")).divisor((1, -1, 0, -1)),
+    ],
+    ids=["other_gram", "other_rank"],
+)
+def test_generator_on_wrong_lattice_raises_before_pairing(wrong):
+    # a dot product against a class of another lattice would give a
+    # number (zip truncates); the lattice check comes first
+    model = f1_anticanonical()
+    gens = CurveGeneratorSet(generators=(("bad", wrong),))
+    message = "^blow-up generator 'bad' of stratum 'generic' does not live on the extended lattice$"
+    with pytest.raises(ModelError, match=message):
+        dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
+    # installed past the constructor, it is met by the nef path's table
+    model.blowup_gens["generic"] = gens
+    with pytest.raises(ModelError, match=message):
+        epsilon_via_nef(model, model.stratum("generic"))

@@ -8,11 +8,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seshadri
 from seshadri.cli import main
-from seshadri.family import FamilyError, load_family
-from seshadri.models import ModelError, f1_anticanonical, load_model, quadric
+from seshadri.family import FAMILY_SHAPE, FamilyError, load_family
+from seshadri.models import (
+    MODEL_SHAPE,
+    ModelError,
+    builtin_suite,
+    f1_anticanonical,
+    load_model,
+    quadric,
+)
 from seshadri.structure import StructureError, array, integer
 
 
@@ -170,6 +179,94 @@ def test_malformed_family_rejected_with_path(mutate, path, reason):
     with pytest.raises(FamilyError) as info:
         load_family(json.dumps(doc))
     assert str(info.value).startswith(f"schema violation: {path}: {reason}")
+
+
+def _with_nulls():
+    # f1_anticanonical with a bare candidate class and no threshold, so
+    # that the null branches of the nullable fields are mutated too
+    doc = json.loads(f1_anticanonical().to_json())
+    doc["strata"][1]["candidates"][0]["class"] = None
+    doc["strata"][1]["oracle_complete_below"] = None
+    return doc
+
+
+VALID_DOCUMENTS = [(MODEL_SHAPE, json.loads(m.to_json())) for m in builtin_suite()] + [
+    (MODEL_SHAPE, _with_nulls()),
+    (FAMILY_SHAPE, family_doc()),
+    (FAMILY_SHAPE, {k: v for k, v in family_doc().items() if k != "member_specialization"}),
+]
+
+
+def _positions(value, path=()):
+    """The path of every value in a document, the document's own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _positions(item, path + (key,))
+
+
+# one-point mutations: a value replaced by a bool, a float, null, "", an
+# out-of-range integer or a non-list; a key or item dropped; a key added
+_REPLACEMENTS = {
+    "bool": st.booleans(),
+    "float": st.sampled_from([1.0, 2.5, -1.0]),
+    "null": st.none(),
+    "empty_string": st.just(""),
+    "out_of_range": st.sampled_from([-1, 0, 2, 3]),
+    "non_list": st.sampled_from([{}, 7, "x"]),
+}
+
+
+@st.composite
+def _mutated(draw):
+    shape, valid = draw(st.sampled_from(VALID_DOCUMENTS))
+    doc = json.loads(json.dumps(valid))
+    path = draw(st.sampled_from(list(_positions(doc))))
+    kind = draw(st.sampled_from(sorted(_REPLACEMENTS) + ["drop", "extra_key"]))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    target = parent[path[-1]] if path else doc
+    if kind == "extra_key":
+        if isinstance(target, dict):
+            target["extra"] = 1
+    elif kind == "drop":
+        if path:
+            del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = draw(_REPLACEMENTS[kind])
+    else:
+        doc = draw(_REPLACEMENTS[kind])
+    return shape, doc
+
+
+def _walk_error(shape, doc):
+    try:
+        shape.walk(doc)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def test_column_accepts_every_valid_document():
+    for shape, doc in VALID_DOCUMENTS:
+        assert shape.column([doc])
+
+
+@given(_mutated())
+@settings(max_examples=600)
+def test_column_check_agrees_with_the_walk(mutated):
+    # the column test may be stricter than the walk, never looser; on
+    # parsed JSON, whose values have exact types, the two agree
+    shape, doc = mutated
+    error = _walk_error(shape, doc)
+    assert shape.column([doc]) == (error is None)
+    if error is None:
+        shape(doc)
+    else:
+        with pytest.raises(StructureError) as info:
+            shape(doc)
+        assert str(info.value) == error
 
 
 def test_integral_float_is_an_input_error_not_a_crash(tmp_path, capsys):
