@@ -22,8 +22,8 @@ _EXPORTS = {
         "extend_blowup", "pair",
     ),
     "bounds": (
-        "BoundError", "DegreeBound", "RRData", "candidate_pairs", "candidate_ratios",
-        "l_poly", "mediant_bounds", "minimal_M", "multiplicity_target",
+        "BoundError", "DegreeBound", "RRData", "candidate_ratios", "l_poly",
+        "mediant_bounds", "minimal_M", "multiplicity_target",
     ),
     "engine": (
         "Certification", "CurveCandidate", "EngineError", "PointStratum", "SeshadriResult",

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
-from typing import Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .values import Rational, RationalLike
 
@@ -176,21 +176,6 @@ def candidate_walk(
         if m * p < t * q:
             break
         yield t, m
-
-
-def candidate_pairs(
-    B: int, alpha: RationalLike, require_m_le_t: bool = True
-) -> Set[Tuple[int, int]]:
-    """The finite set of reduced (degree, multiplicity) pairs with
-    1 <= m <= t <= B and t/m <= alpha.  These are the only pairs a curve
-    realizing a ratio <= alpha can produce once its degree is bounded by
-    B, which is what makes the attainable value set finite.
-
-    With require_m_le_t=False the multiplicity ranges over 1..B
-    independently.  Reducing any such (t, m) gives a coprime pair that is
-    itself in range, so both modes are sets of coprime pairs.
-    """
-    return set(candidate_walk(B, alpha, require_m_le_t))
 
 
 def candidate_ratios(

@@ -218,26 +218,18 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     gens = model.blowup_gens.get(stratum.label)
     if gens is None:
         raise EngineError(f"no blow-up generator set for stratum {stratum.label!r}")
-    if not gens.completeness_assertion:
-        raise EngineError(
-            f"blow-up generators for stratum {stratum.label!r} lack a completeness assertion"
-        )
     d = model.rr.d
     # the running minimum as integers over the model's generator table of
     # (degree, multiplicity at the point): ratio deg/e_mult, then degree,
     # then label; ratios compare by cross-multiplying and against sqrt(d)
-    # by squaring, and only the winner becomes a Fraction
+    # by squaring, and only the winner becomes a Fraction.  The model's
+    # construction checks give deg > 0 wherever e_mult > 0
     best = None
     for (label, cls), (deg, e_mult) in zip(
         gens.generators, model.generator_table(stratum.label)
     ):
         if e_mult <= 0:
             continue
-        if deg < 0:
-            raise EngineError(
-                f"generator {label!r} has negative polarization degree {deg}; "
-                "polarization is not plausibly ample"
-            )
         if deg * deg > d * e_mult * e_mult:
             continue  # above sqrt(d): the square constraint binds first
         if best is not None:
@@ -246,8 +238,6 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
             if lhs > rhs or (lhs == rhs and (deg, label) >= (best_deg, best_label)):
                 continue
         best = (deg, e_mult, label, cls)
-        if deg == 0:
-            break  # ratio 0 is least; the witness below rejects it
     if best is None:
         ceiling = SeshadriValue.sqrt(d)
         return SeshadriResult(hi=ceiling, lo=ceiling)

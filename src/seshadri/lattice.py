@@ -1,9 +1,9 @@
-"""Integer intersection lattices, divisor classes and positivity tests.
+"""Integer intersection lattices, divisor classes and curve-generator sets.
 
 A lattice is a symmetric integer Gram matrix with labeled basis vectors.
-Nef testing is always relative to a declared finite curve-generator set
-whose completeness the caller vouches for; that trust boundary is an
-explicit flag on the generator set.
+Nef testing is always relative to a declared finite curve-generator set:
+listing a set asserts that it generates the effective curve cone, and
+that assertion is the trust boundary of the nef path.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class LatticeError(ValueError):
@@ -130,12 +130,10 @@ def pair(u: DivisorClass, v: DivisorClass) -> int:
 
 @dataclass(frozen=True)
 class CurveGeneratorSet:
-    """Finite list of curve classes asserted (or not) to generate the
-    effective curve cone.  Nef verdicts are only certificates when the
-    completeness flag is set."""
+    """Finite list of curve classes asserted to generate the effective
+    curve cone, so that a nef verdict against them is a certificate."""
 
     generators: Tuple[Tuple[str, DivisorClass], ...]
-    completeness_assertion: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -144,14 +142,6 @@ class CurveGeneratorSet:
                 raise LatticeError("a curve generator needs a non-empty label")
             if cls.is_zero():
                 raise LatticeError(f"generator {label!r} is the zero class")
-
-
-def is_strictly_positive_against(D: DivisorClass, gens: Iterable[DivisorClass]) -> bool:
-    """Strict positivity D.C > 0 against every listed class, plus D^2 > 0:
-    the plausible-ampleness gate for a supplied polarization."""
-    if pair(D, D) <= 0:
-        return False
-    return all(pair(D, cls) > 0 for cls in gens)
 
 
 @functools.lru_cache(maxsize=128)

@@ -17,7 +17,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from . import SCHEMA_VERSION
 from .bounds import DegreeBound, RRData, minimal_M
@@ -108,11 +109,13 @@ class SurfaceModel:
     rr: RRData
     very_ample_multiplier: int
     strata: Tuple[PointStratum, ...]
-    blowup_gens: Dict[str, CurveGeneratorSet]
+    blowup_gens: Mapping[str, CurveGeneratorSet]
 
     def __post_init__(self):
         object.__setattr__(self, "strata", tuple(self.strata))
-        _validate_model(self)
+        # read-only, so that no generator set gets past the checks below
+        object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
+        object.__setattr__(self, "_generator_tables", _validate_model(self))
 
     @cached_property
     def blowup_lattice(self) -> IntersectionLattice:
@@ -130,35 +133,10 @@ class SurfaceModel:
         """The exceptional class of the one-point blow-up."""
         return self.blowup_lattice.basis_vector(EXCEPTIONAL_LABEL)
 
-    @cached_property
-    def _generator_tables(self) -> Dict[str, tuple]:
-        return {}  # stratum label -> (generator set, its table)
-
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
-        the order of its set.  The pairs are computed once per generator
-        set, after every generator's lattice check, as integer dot
-        products of C with the covectors of pi^*L and Ex."""
-        gens = self.blowup_gens[label]
-        cached = self._generator_tables.get(label)
-        if cached is None or cached[0] is not gens:
-            ext = self.blowup_lattice
-            for gl, cls in gens.generators:
-                if cls.lattice != ext:
-                    raise ModelError(
-                        f"blow-up generator {gl!r} of stratum {label!r} does not live on "
-                        "the extended lattice"
-                    )
-            pullback, exceptional = self.pullback.covector, self.exceptional.covector
-            table = tuple(
-                (
-                    sum(map(operator.mul, pullback, cls.coords)),
-                    sum(map(operator.mul, exceptional, cls.coords)),
-                )
-                for _, cls in gens.generators
-            )
-            cached = self._generator_tables[label] = (gens, table)
-        return cached[1]
+        the order of its set, as checked and computed at construction."""
+        return self._generator_tables[label]
 
     @cached_property
     def _degree_bounds(self) -> Dict[Tuple[int, int], DegreeBound]:
@@ -188,16 +166,7 @@ class SurfaceModel:
 
     def to_document(self) -> dict:
         """The model as a document, in canonical field order; it
-        round-trips byte-for-byte through to_json.  The format asserts
-        completeness for every listed generator set, so a model with an
-        un-asserted set has no document."""
-        for label, gens in self.blowup_gens.items():
-            if not gens.completeness_assertion:
-                raise ModelError(
-                    f"blow-up generators of stratum {label!r} are not asserted "
-                    "complete; the model document format asserts completeness "
-                    "for every listed set"
-                )
+        round-trips byte-for-byte through to_json."""
         return {
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
@@ -251,7 +220,9 @@ class SurfaceModel:
         return json.dumps(self.to_document(), indent=2) + "\n"
 
 
-def _validate_model(model: SurfaceModel) -> None:
+def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...]]:
+    """Raise on the first violated invariant; return each blow-up
+    generator set's table, keyed by stratum label."""
     if not model.name:
         raise ModelError("a model needs a non-empty name")
     lat = model.lattice
@@ -294,14 +265,16 @@ def _validate_model(model: SurfaceModel) -> None:
     except graphlib.CycleError as exc:
         raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
 
+    tables = {}
     for s in model.strata:
         _validate_stratum(model, s)
         gens = model.blowup_gens.get(s.label)
         if gens is not None:
-            _validate_blowup_gens(model, s.label, gens)
+            tables[s.label] = _generator_table(model, s.label, gens)
     for label in model.blowup_gens:
         if label not in known:
             raise ModelError(f"blow-up generators given for unknown stratum {label!r}")
+    return tables
 
 
 def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
@@ -338,8 +311,28 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             )
 
 
-def _validate_blowup_gens(model: SurfaceModel, label: str, gens: CurveGeneratorSet) -> None:
-    table = model.generator_table(label)
+def _generator_table(
+    model: SurfaceModel, label: str, gens: CurveGeneratorSet
+) -> Tuple[Tuple[int, int], ...]:
+    """Check one stratum's blow-up generator set and return its table of
+    (pi^*L.C, Ex.C) per generator C: integer dot products of C with the
+    covectors of pi^*L and Ex, taken after every generator's lattice
+    check, since a class of another lattice would still give a number."""
+    ext = model.blowup_lattice
+    for gl, cls in gens.generators:
+        if cls.lattice != ext:
+            raise ModelError(
+                f"blow-up generator {gl!r} of stratum {label!r} does not live on "
+                "the extended lattice"
+            )
+    pullback, exceptional = model.pullback.covector, model.exceptional.covector
+    table = tuple(
+        (
+            sum(map(operator.mul, pullback, cls.coords)),
+            sum(map(operator.mul, exceptional, cls.coords)),
+        )
+        for _, cls in gens.generators
+    )
     # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
     # pushforward is nonzero.  L^2 = rr.d >= 1 is checked above, and by
     # the projection formula L.pi_*C = pi^*L.C, the table's first entry,
@@ -353,6 +346,16 @@ def _validate_blowup_gens(model: SurfaceModel, label: str, gens: CurveGeneratorS
             f"polarization fails the plausible-ampleness gate against the "
             f"blow-up generators of stratum {label!r}"
         )
+    # the other generators are multiples k*Ex, which meet Ex in -k; a
+    # negative multiple is not effective.  So every generator with
+    # Ex.C > 0 has pi^*L.C > 0, which the nef path relies on
+    for (gl, cls), (_, e_mult) in zip(gens.generators, table):
+        if e_mult > 0 and not any(cls.coords[:-1]):
+            raise ModelError(
+                f"blow-up generator {gl!r} of stratum {label!r} is a negative "
+                f"multiple of the exceptional class {EXCEPTIONAL_LABEL!r}"
+            )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +414,7 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     blowup_gens = {
         label: CurveGeneratorSet(
-            generators=tuple((gd["label"], ext.divisor(gd["class"])) for gd in gen_list),
-            completeness_assertion=True,
+            generators=tuple((gd["label"], ext.divisor(gd["class"])) for gd in gen_list)
         )
         for label, gen_list in doc["blowup_gens"].items()
     }

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from seshadri.bounds import (
     RRData,
-    candidate_pairs,
     candidate_ratios,
+    candidate_walk,
     l_poly,
     minimal_M,
     multiplicity_target,
@@ -93,14 +93,14 @@ def test_criterion_2_candidate_finiteness():
                 q = Fraction(t, m)
                 if q <= alpha:
                     oracle_pairs.add((q.numerator, q.denominator))
-            assert candidate_pairs(B, alpha) == oracle_pairs, f"mismatch at B={B}"
+            assert set(candidate_walk(B, alpha)) == oracle_pairs, f"mismatch at B={B}"
         # the sorted rational view agrees with the pair set where it matters
         for B in (1, 7, 60, 200):
             assert candidate_ratios(B, alpha) == sorted(
-                Fraction(t, m) for t, m in candidate_pairs(B, alpha)
+                Fraction(t, m) for t, m in set(candidate_walk(B, alpha))
             )
             assert set(candidate_ratios(B, alpha)) == {
-                Fraction(t, m) for t, m in candidate_pairs(B, alpha)
+                Fraction(t, m) for t, m in set(candidate_walk(B, alpha))
             }
         return membership, time.perf_counter() - start
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from seshadri.bounds import (
     BoundError,
     RRData,
-    candidate_pairs,
     candidate_ratios,
+    candidate_walk,
     l_poly,
     mediant_bounds,
     minimal_M,
@@ -199,7 +199,7 @@ def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
     assert ratios == brute_force_ratios(B, alpha, certified)
     assert all(type(r) is Fraction for r in ratios)  # Fractions are reduced
     assert all(x < y for x, y in zip(ratios, ratios[1:]))
-    assert candidate_pairs(B, alpha, certified) == {
+    assert set(candidate_walk(B, alpha, certified)) == {
         (r.numerator, r.denominator) for r in ratios
     }
 

@@ -19,6 +19,7 @@ from seshadri.engine import (
     sublevel_set,
 )
 from seshadri.models import (
+    ModelError,
     SurfaceModel,
     builtin_suite,
     f1_anticanonical,
@@ -29,7 +30,7 @@ from seshadri.models import (
 )
 from seshadri.bounds import RRData
 from seshadri.checks import check_cross, check_low_epsilon, check_steffens_and_rationality
-from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
+from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, extend_blowup
 from seshadri.values import SeshadriValue
 
 
@@ -345,27 +346,25 @@ def test_best_candidate_matches_fraction_key(candidates):
 
 
 def _nef_model(d, gens):
-    """A model of degree d whose stratum 'generic' gets blow-up generators
+    """A model of degree d whose stratum 'generic' has blow-up generators
     of the given (label, degree, multiplicity at the point).  The basis
     H, F has H^2 = d, H.F = 1, F^2 = 0 and L = H, so the class
-    deg*F - e*Ex has pi^*L-degree deg and meets Ex in e.  The generators
-    are installed after construction, past the load-time ampleness gate,
-    so that negative degrees reach the nef path."""
+    deg*F - e*Ex has pi^*L-degree deg and meets Ex in e."""
     lat = IntersectionLattice(rank=2, gram=((d, 1), (1, 0)), basis_labels=("H", "F"))
-    model = SurfaceModel(
+    ext = extend_blowup(lat, "Ex")
+    return SurfaceModel(
         name="nef_probe",
         lattice=lat,
         polarization=lat.basis_vector("H"),
         rr=RRData(d=d, c=0, c_prime=1),
         very_ample_multiplier=1,
         strata=(PointStratum(label="generic", closure_dim=2),),
-        blowup_gens={},
+        blowup_gens={
+            "generic": CurveGeneratorSet(
+                generators=tuple((label, ext.divisor((0, deg, -e))) for label, deg, e in gens)
+            )
+        },
     )
-    ext = model.blowup_lattice
-    model.blowup_gens["generic"] = CurveGeneratorSet(
-        generators=tuple((label, ext.divisor((0, deg, -e))) for label, deg, e in gens)
-    )
-    return model
 
 
 def _nef_reference(d, gens):
@@ -397,17 +396,18 @@ _generators = st.lists(
 @example(9, [("c", 6, 2), ("b", 3, 1), ("a", 6, 2), ("z", 4, 1)])  # equal ratios
 @example(8, [("up", 5, 1), ("down", 1, -1), ("flat", 7, 0)])  # above sqrt(d), e <= 0
 @example(8, [("ok", 2, 1), ("bad", -1, 1)])  # negative degree
+@example(8, [("ok", 2, 1), ("bad", -1, -1)])  # negative degree, Ex.C < 0
+@example(8, [("ok", 2, 1), ("minusEx", 0, 1)])  # a negative multiple of Ex
 @settings(max_examples=300)
 def test_nef_path_matches_fraction_reference(d, gens):
-    model = _nef_model(d, gens)
-    stratum = model.stratum("generic")
-    if any(e > 0 and deg <= 0 for _, deg, e in gens):
-        # a negative degree, or a zero ratio that no witness can carry
-        with pytest.raises(EngineError):
-            epsilon_via_nef(model, stratum)
+    if any(deg < 0 or (deg == 0 and e > 0) for _, deg, e in gens):
+        # the ampleness gate, or a class -e*Ex that is not effective
+        with pytest.raises(ModelError):
+            _nef_model(d, gens)
         return
+    model = _nef_model(d, gens)
     value, label, t, m = _nef_reference(d, gens)
-    res = epsilon_via_nef(model, stratum)
+    res = epsilon_via_nef(model, model.stratum("generic"))
     assert res.value == value and res.value.serialize() == value.serialize()
     assert res.certification is Certification.EXACT_CERTIFIED
     if label is None:

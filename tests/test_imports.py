@@ -19,8 +19,8 @@ EXPORTS = {
     "values": ["Rational", "SeshadriValue", "format_rational", "parse_rational"],
     "lattice": ["CurveGeneratorSet", "DivisorClass", "IntersectionLattice", "LatticeError",
                 "extend_blowup", "pair"],
-    "bounds": ["BoundError", "DegreeBound", "RRData", "candidate_pairs", "candidate_ratios",
-               "l_poly", "mediant_bounds", "minimal_M", "multiplicity_target"],
+    "bounds": ["BoundError", "DegreeBound", "RRData", "candidate_ratios", "l_poly",
+               "mediant_bounds", "minimal_M", "multiplicity_target"],
     "engine": ["Certification", "CurveCandidate", "EngineError", "PointStratum",
                "SeshadriResult", "epsilon", "epsilon_via_curves", "epsilon_via_nef",
                "global_epsilon", "low_epsilon_strata", "sigma_local", "sublevel_set"],

@@ -1,21 +1,17 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seshadri.engine import EngineError, epsilon_via_nef
 from seshadri.lattice import (
     CurveGeneratorSet,
     IntersectionLattice,
     LatticeError,
     extend_blowup,
-    is_strictly_positive_against,
     lift,
     pair,
 )
-from seshadri.models import f1_anticanonical
 
 P2 = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
 F1 = IntersectionLattice(rank=2, gram=((1, 0), (0, -1)), basis_labels=("H", "E"))
@@ -134,27 +130,9 @@ def test_nef_zero_class():
     assert [pair(F1.divisor((0, 0)), C) for C in F1_GENS] == [0, 0]
 
 
-def test_nef_requires_completeness():
-    model = f1_anticanonical()
-    gens = dataclasses.replace(model.blowup_gens["generic"], completeness_assertion=False)
-    model = dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
-    with pytest.raises(EngineError, match="completeness assertion"):
-        epsilon_via_nef(model, model.stratum("generic"))
-
-
 def test_generator_set_rejects_zero_class():
     with pytest.raises(LatticeError):
         CurveGeneratorSet(generators=(("zero", F1.divisor((0, 0))),))
-
-
-def test_strict_positivity_gate():
-    L = F1.divisor((3, -1))
-    assert is_strictly_positive_against(L, [F1.divisor((0, 1)), F1.divisor((1, -1))])
-    # E itself fails the self-intersection part
-    assert not is_strictly_positive_against(F1.divisor((0, 1)), [])
-    # H is only semipositive against E
-    assert is_strictly_positive_against(F1.divisor((1, 0)), [F1.divisor((1, -1))])
-    assert not is_strictly_positive_against(F1.divisor((1, 0)), [F1.divisor((0, 1))])
 
 
 def test_extend_blowup_plane():

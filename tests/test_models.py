@@ -20,6 +20,7 @@ from seshadri.models import (
     quadric,
 )
 from seshadri.lattice import pair
+from seshadri.values import SeshadriValue
 
 
 def f1_doc():
@@ -178,17 +179,6 @@ def test_blowup_lattice_is_shared_with_generators():
         )
 
 
-def test_unasserted_generators_have_no_document():
-    # the format asserts every listed set complete: writing an un-asserted
-    # one would turn it into a certificate on load
-    model = f1_anticanonical()
-    gens = dataclasses.replace(model.blowup_gens["generic"], completeness_assertion=False)
-    model = dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
-    for write in (model.to_document, model.to_json):
-        with pytest.raises(ModelError, match="stratum 'generic' are not asserted complete"):
-            write()
-
-
 def test_empty_labels_rejected_at_construction():
     # load_model rejects these labels; so do the constructors
     on_E = f1_anticanonical().stratum("on_E")
@@ -271,10 +261,41 @@ def test_replaced_model_gets_a_fresh_table():
     swapped = dataclasses.replace(model, polarization=model.lattice.divisor((2, 1)))
     assert swapped.generator_table("generic") == _pairings(swapped, "generic") != before
     assert model.generator_table("generic") == before
-    # a set installed in place of the old one gets its own table
+    # a set can only be replaced through the constructor, which checks it
     fewer = CurveGeneratorSet(model.blowup_gens["generic"].generators[:2])
-    model.blowup_gens["generic"] = fewer
-    assert model.generator_table("generic") == _pairings(model, "generic") == before[:2]
+    with pytest.raises(TypeError):
+        model.blowup_gens["generic"] = fewer
+    replaced = dataclasses.replace(model, blowup_gens={"generic": fewer})
+    assert replaced.generator_table("generic") == _pairings(replaced, "generic") == before[:2]
+    assert model.generator_table("generic") == before
+
+
+def test_model_keeps_its_own_copy_of_the_generator_sets():
+    model = f1_anticanonical()
+    sets = dict(model.blowup_gens)
+    copy = dataclasses.replace(model, blowup_gens=sets)
+    sets["other"] = sets.pop("generic")
+    assert list(copy.blowup_gens) == ["generic", "on_E"]
+    with pytest.raises(TypeError):
+        del copy.blowup_gens["on_E"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
+    # -k*Ex is not effective, and the nef path relies on every generator
+    # with Ex.C > 0 having positive degree
+    doc = f1_doc()
+    doc["blowup_gens"]["generic"].append({"label": "minusEx", "class": [0, 0, -k]})
+    message = (
+        "^blow-up generator 'minusEx' of stratum 'generic' is a negative multiple "
+        "of the exceptional class 'Ex'$"
+    )
+    with pytest.raises(ModelError, match=message):
+        load_model(json.dumps(doc))
+    # a positive multiple is allowed, and Ex.C < 0 keeps it out of the nef path
+    doc["blowup_gens"]["generic"][-1]["class"] = [0, 0, k]
+    model = load_model(json.dumps(doc))
+    assert epsilon_via_nef(model, model.stratum("generic")).value == SeshadriValue.exact(2)
 
 
 @pytest.mark.parametrize(
@@ -294,7 +315,6 @@ def test_generator_on_wrong_lattice_raises_before_pairing(wrong):
     message = "^blow-up generator 'bad' of stratum 'generic' does not live on the extended lattice$"
     with pytest.raises(ModelError, match=message):
         dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
-    # installed past the constructor, it is met by the nef path's table
-    model.blowup_gens["generic"] = gens
-    with pytest.raises(ModelError, match=message):
-        epsilon_via_nef(model, model.stratum("generic"))
+    # and there is no way past the constructor
+    with pytest.raises(TypeError):
+        model.blowup_gens["generic"] = gens
