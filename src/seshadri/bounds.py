@@ -19,7 +19,6 @@ per ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 from typing import Iterator, List, Sequence, Tuple
@@ -31,8 +30,44 @@ class BoundError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RRData:
+# sets a record's field past its __setattr__, which refuses assignment
+_set_field = object.__setattr__
+
+
+class _Record:
+    """An immutable record of the fields named in `__slots__`, compared,
+    hashed and shown by value like a frozen dataclass, without importing
+    dataclasses (and with it inspect) into every command that bounds
+    degrees.  A subclass's __init__ sets every field with _set_field."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RRData(_Record):
     """Degree and Euler-characteristic data of a polarized surface:
     chi(L^n) = n^2*d/2 + n*c/2 + c'.
 
@@ -41,20 +76,20 @@ class RRData:
     apply to L^l and are reported with l attached.
     """
 
-    d: int
-    c: int
-    c_prime: int
-    vanishing_multiplier: int = 1
+    __slots__ = ("d", "c", "c_prime", "vanishing_multiplier")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise BoundError(f"degree must be positive, got {self.d}")
-        if self.vanishing_multiplier < 1:
+    def __init__(self, d: int, c: int, c_prime: int, vanishing_multiplier: int = 1):
+        _set_field(self, "d", d)
+        _set_field(self, "c", c)
+        _set_field(self, "c_prime", c_prime)
+        _set_field(self, "vanishing_multiplier", vanishing_multiplier)
+        if d < 1:
+            raise BoundError(f"degree must be positive, got {d}")
+        if vanishing_multiplier < 1:
             raise BoundError("vanishing_multiplier must be a positive integer")
 
 
-@dataclass(frozen=True)
-class DegreeBound:
+class DegreeBound(_Record):
     """Certified degree bound B = M*d for curves of ratio <= a.
 
     M is the least admissible multiplier (n with n*a integral) whose
@@ -62,10 +97,13 @@ class DegreeBound:
     l(n) <= 0 by construction.
     """
 
-    a: Rational
-    M: int
-    B: int
-    vanishing_multiplier: int = 1
+    __slots__ = ("a", "M", "B", "vanishing_multiplier")
+
+    def __init__(self, a: Rational, M: int, B: int, vanishing_multiplier: int = 1):
+        _set_field(self, "a", a)
+        _set_field(self, "M", M)
+        _set_field(self, "B", B)
+        _set_field(self, "vanishing_multiplier", vanishing_multiplier)
 
 
 def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:

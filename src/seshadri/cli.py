@@ -167,16 +167,7 @@ def _verdict_summary(verdicts) -> str:
     return " | ".join(groups) or "all pass"
 
 
-def cmd_scan(args) -> int:
-    from .family import load_family, scan
-
-    with open(args.family, "r", encoding="utf-8") as fh:
-        family = load_family(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.family)))
-    alpha = parse_rational(args.alpha)
-    report = scan(family, alpha)
-    if args.csv:
-        _emit(report.to_csv(), args.csv)
-    doc = report.to_document()
+def _scan_lines(report, alpha) -> list:
     lines = [
         f"sigma(family) = {report.sigma_family.serialize()} attained at "
         f"{report.sigma_attained_at[0]}/{report.sigma_attained_at[1]}",
@@ -192,7 +183,23 @@ def cmd_scan(args) -> int:
             "uncertified strata: "
             + ", ".join(f"{m}/{s}" for m, s in report.uncertified)
         )
-    _emit_report(doc, args.format, args.output, lines)
+    return lines
+
+
+def cmd_scan(args) -> int:
+    from .family import load_family, scan
+
+    with open(args.family, "r", encoding="utf-8") as fh:
+        family = load_family(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.family)))
+    alpha = parse_rational(args.alpha)
+    report = scan(family, alpha)
+    if args.csv:
+        _emit(report.to_csv(), args.csv)
+    # each format serializes the superset, so only the requested one is built
+    if args.format == "json":
+        _emit_report(report.to_document(), args.format, args.output, None)
+    else:
+        _emit_report(None, args.format, args.output, _scan_lines(report, alpha))
     degraded = bool(report.uncertified) or not all(
         v.passed for v in report.semicontinuity_verdicts
     )

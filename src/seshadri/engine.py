@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
-from .lattice import DivisorClass
+from .lattice import DivisorClass, IntersectionLattice, coordinates
 from .values import Rational, SeshadriValue
 
 
@@ -37,14 +37,21 @@ class Certification(enum.Enum):
 class CurveCandidate:
     """A curve through a stratum's point: its polarization degree t and
     its multiplicity m at the point.  The ratio t/m is an upper bound for
-    the local Seshadri constant there."""
+    the local Seshadri constant there.  Its class, if known, is kept as
+    integer coordinates on `lattice`, checked as a class's would be, and
+    `curve_class` builds the `DivisorClass` on first use."""
 
     label: str
     degree_t: int
     mult_m: int
-    curve_class: Optional[DivisorClass] = None
+    coords: Optional[Tuple[int, ...]] = None
+    lattice: Optional[IntersectionLattice] = None
 
     def __post_init__(self):
+        if self.coords is not None:
+            if self.lattice is None:
+                raise EngineError(f"candidate {self.label!r} has coordinates but no lattice")
+            object.__setattr__(self, "coords", coordinates(self.coords, self.lattice.rank))
         if not self.label:
             raise EngineError("a curve candidate needs a non-empty label")
         if self.degree_t < 1 or self.mult_m < 1:
@@ -56,6 +63,10 @@ class CurveCandidate:
     @property
     def ratio(self) -> Rational:
         return Fraction(self.degree_t, self.mult_m)
+
+    @cached_property
+    def curve_class(self) -> Optional[DivisorClass]:
+        return None if self.coords is None else self.lattice.divisor(self.coords)
 
 
 @dataclass(frozen=True)
@@ -225,8 +236,8 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     # by squaring, and only the winner becomes a Fraction.  The model's
     # construction checks give deg > 0 wherever e_mult > 0
     best = None
-    for (label, cls), (deg, e_mult) in zip(
-        gens.generators, model.generator_table(stratum.label)
+    for label, row, (deg, e_mult) in zip(
+        gens.labels, gens.rows, model.generator_table(stratum.label)
     ):
         if e_mult <= 0:
             continue
@@ -237,16 +248,18 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
             lhs, rhs = deg * best_e_mult, best_deg * e_mult
             if lhs > rhs or (lhs == rhs and (deg, label) >= (best_deg, best_label)):
                 continue
-        best = (deg, e_mult, label, cls)
+        best = (deg, e_mult, label, row)
     if best is None:
         ceiling = SeshadriValue.sqrt(d)
         return SeshadriResult(hi=ceiling, lo=ceiling)
-    deg, e_mult, label, cls = best
+    deg, e_mult, label, row = best
     value = SeshadriValue.exact(Fraction(deg, e_mult))
     return SeshadriResult(
         hi=value,
         lo=value,
-        witness=CurveCandidate(label=label, degree_t=deg, mult_m=e_mult, curve_class=cls),
+        witness=CurveCandidate(
+            label=label, degree_t=deg, mult_m=e_mult, coords=row, lattice=gens.lattice
+        ),
     )
 
 

@@ -4,6 +4,11 @@ A lattice is a symmetric integer Gram matrix with labeled basis vectors.
 Nef testing is always relative to a declared finite curve-generator set:
 listing a set asserts that it generates the effective curve cone, and
 that assertion is the trust boundary of the nef path.
+
+A generator set keeps its classes as integer coordinate rows on one
+lattice and checks them all at construction, with the messages that a
+`DivisorClass` of each row would raise.  The `DivisorClass` objects are
+built from the rows only when `generators` is read.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, Tuple
 
 
@@ -28,6 +34,16 @@ def _integers(values: Sequence, what: str) -> Tuple[int, ...]:
             if not hasattr(type(v), "__index__"):
                 raise LatticeError(f"{what} must be integers, got {v!r}") from None
         raise
+
+
+def coordinates(values: Sequence, rank: int) -> Tuple[int, ...]:
+    """The values as a tuple of `rank` ints, or the error that a class
+    with these coordinates raises: this is the check of every coordinate
+    row, whether or not a `DivisorClass` is built from it."""
+    row = _integers(values, "coordinates")
+    if len(row) != rank:
+        raise LatticeError(f"coordinate length {len(row)} differs from rank {rank}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -83,12 +99,7 @@ class DivisorClass:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
-        coords = _integers(self.coords, "coordinates")
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != self.lattice.rank:
-            raise LatticeError(
-                f"coordinate length {len(coords)} differs from rank {self.lattice.rank}"
-            )
+        object.__setattr__(self, "coords", coordinates(self.coords, self.lattice.rank))
 
     @functools.cached_property
     def covector(self) -> Tuple[int, ...]:
@@ -96,9 +107,6 @@ class DivisorClass:
         use (row j of the symmetric gram gives entry j).  It is not a
         field, so it takes no part in == or hash."""
         return tuple(sum(map(operator.mul, row, self.coords)) for row in self.lattice.gram)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _require_same_lattice(self, other)
@@ -131,17 +139,42 @@ def pair(u: DivisorClass, v: DivisorClass) -> int:
 @dataclass(frozen=True)
 class CurveGeneratorSet:
     """Finite list of curve classes asserted to generate the effective
-    curve cone, so that a nef verdict against them is a certificate."""
+    curve cone, so that a nef verdict against them is a certificate.
 
-    generators: Tuple[Tuple[str, DivisorClass], ...]
+    The classes are integer coordinate rows on `lattice`, one per label.
+    Every row is checked here: exact integers of the lattice's rank, and
+    not zero."""
+
+    lattice: IntersectionLattice
+    labels: Tuple[str, ...]
+    rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        for label, cls in self.generators:
-            if not label:
-                raise LatticeError("a curve generator needs a non-empty label")
-            if cls.is_zero():
-                raise LatticeError(f"generator {label!r} is the zero class")
+        labels, rows, rank = tuple(self.labels), tuple(map(tuple, self.rows)), self.lattice.rank
+        if len(labels) != len(rows):
+            raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
+        # one pass over all rows with builtins; the row-by-row walk runs
+        # only on a failing set, to raise the first error in order: each
+        # row's coordinates, then each generator's label and class
+        if not (
+            all(labels)
+            and set(map(len, rows)) <= {rank}
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+            and all(map(any, rows))
+        ):
+            rows = tuple(coordinates(row, rank) for row in rows)
+            for label, row in zip(labels, rows):
+                if not label:
+                    raise LatticeError("a curve generator needs a non-empty label")
+                if not any(row):
+                    raise LatticeError(f"generator {label!r} is the zero class")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rows", rows)
+
+    @functools.cached_property
+    def generators(self) -> Tuple[Tuple[str, DivisorClass], ...]:
+        """(label, class) per generator, each class built on first use."""
+        return tuple(zip(self.labels, map(self.lattice.divisor, self.rows)))
 
 
 @functools.lru_cache(maxsize=128)

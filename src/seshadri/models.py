@@ -7,6 +7,11 @@ per-stratum curve-generator sets on the one-point blow-up.  Built-ins
 ship with correct generator lists and completeness thresholds; abstract
 models carry their own responsibility for those assertions, and every
 structural invariant that can be checked at load time is.
+
+A loaded model keeps each candidate's class and each generator set as
+integer coordinate rows, checked as divisor classes would be and with
+the same messages; the `DivisorClass` objects are built only when
+`CurveCandidate.curve_class` or `CurveGeneratorSet.generators` is read.
 """
 
 from __future__ import annotations
@@ -194,11 +199,7 @@ class SurfaceModel:
                     "candidates": [
                         {
                             "label": c.label,
-                            "class": (
-                                None
-                                if c.curve_class is None
-                                else list(c.curve_class.coords)
-                            ),
+                            "class": None if c.coords is None else list(c.coords),
                             "t": c.degree_t,
                             "m": c.mult_m,
                         }
@@ -209,8 +210,8 @@ class SurfaceModel:
             ],
             "blowup_gens": {
                 label: [
-                    {"label": gl, "class": list(cls.coords)}
-                    for gl, cls in gens.generators
+                    {"label": gl, "class": list(row)}
+                    for gl, row in zip(gens.labels, gens.rows)
                 ]
                 for label, gens in self.blowup_gens.items()
             },
@@ -250,20 +251,24 @@ def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...
             f"exactly one dense (closure_dim = 2) stratum required, got {dense or 'none'}"
         )
 
-    # specialization relation must reference known strata and be acyclic
-    sorter = graphlib.TopologicalSorter()
-    known = set(labels)
+    # specialization relation must reference known strata and be acyclic.
+    # It is when each stratum comes after the strata it specializes from;
+    # otherwise graphlib decides, and names a cycle
+    known, earlier, in_order = set(labels), set(), True
     for s in model.strata:
         for general in s.specializes_from:
             if general not in known:
                 raise ModelError(
                     f"stratum {s.label!r} specializes from unknown stratum {general!r}"
                 )
-        sorter.add(s.label, *s.specializes_from)
-    try:
-        sorter.prepare()
-    except graphlib.CycleError as exc:
-        raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
+        in_order = in_order and earlier.issuperset(s.specializes_from)
+        earlier.add(s.label)
+    if not in_order:
+        sorter = graphlib.TopologicalSorter({s.label: s.specializes_from for s in model.strata})
+        try:
+            sorter.prepare()
+        except graphlib.CycleError as exc:
+            raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
 
     tables = {}
     for s in model.strata:
@@ -281,20 +286,22 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
     cap = None
     ocb = s.oracle_complete_below
     if ocb is not None:
-        if ocb <= 0:
+        p, q = ocb.numerator, ocb.denominator
+        if p <= 0:
             raise ModelError(f"stratum {s.label!r}: completeness threshold must be positive")
-        if ocb * ocb < model.rr.d:
+        if p * p < model.rr.d * q * q:
             # keep certification honest: the table may not contain entries
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
             cap = model.degree_bound(ocb).B
+    lat, polarization = model.lattice, model.polarization.covector
     for c in s.candidates:
-        if c.curve_class is not None:
-            if c.curve_class.lattice != model.lattice:
+        if c.coords is not None:
+            if c.lattice is not lat and c.lattice != lat:
                 raise ModelError(
                     f"candidate {c.label!r} class does not live on the model lattice"
                 )
-            deg = pair(model.polarization, c.curve_class)
+            deg = sum(map(operator.mul, polarization, c.coords))
             if deg != c.degree_t:
                 raise ModelError(
                     f"candidate {c.label!r}: declared degree {c.degree_t} differs "
@@ -303,7 +310,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
         if (
             cap is not None
             and c.degree_t > cap
-            and c.degree_t * ocb.denominator <= ocb.numerator * c.mult_m
+            and c.degree_t * q <= p * c.mult_m
         ):
             raise ModelError(
                 f"candidate {c.label!r} has degree {c.degree_t} beyond the bound "
@@ -315,42 +322,41 @@ def _generator_table(
     model: SurfaceModel, label: str, gens: CurveGeneratorSet
 ) -> Tuple[Tuple[int, int], ...]:
     """Check one stratum's blow-up generator set and return its table of
-    (pi^*L.C, Ex.C) per generator C: integer dot products of C with the
-    covectors of pi^*L and Ex, taken after every generator's lattice
-    check, since a class of another lattice would still give a number."""
-    ext = model.blowup_lattice
-    for gl, cls in gens.generators:
-        if cls.lattice != ext:
-            raise ModelError(
-                f"blow-up generator {gl!r} of stratum {label!r} does not live on "
-                "the extended lattice"
-            )
+    (pi^*L.C, Ex.C) per generator C: integer dot products of each row
+    with the covectors of pi^*L and Ex, taken after the set's lattice
+    check, since a row of another lattice would still give a number."""
+    if gens.labels and gens.lattice != model.blowup_lattice:
+        raise ModelError(
+            f"blow-up generator {gens.labels[0]!r} of stratum {label!r} does not live on "
+            "the extended lattice"
+        )
     pullback, exceptional = model.pullback.covector, model.exceptional.covector
     table = tuple(
-        (
-            sum(map(operator.mul, pullback, cls.coords)),
-            sum(map(operator.mul, exceptional, cls.coords)),
-        )
-        for _, cls in gens.generators
+        (sum(map(operator.mul, pullback, row)), sum(map(operator.mul, exceptional, row)))
+        for row in gens.rows
     )
+    # both checks below pass every generator with pi^*L.C > 0, so they
+    # visit only the others
+    low = [
+        (gl, row, e_mult)
+        for gl, row, (deg, e_mult) in zip(gens.labels, gens.rows, table)
+        if deg <= 0
+    ]
     # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
-    # pushforward is nonzero.  L^2 = rr.d >= 1 is checked above, and by
-    # the projection formula L.pi_*C = pi^*L.C, the table's first entry,
-    # so no pushforward class is built
-    if any(
-        deg <= 0
-        for (_, cls), (deg, _) in zip(gens.generators, table)
-        if any(cls.coords[:-1])
-    ):
+    # pushforward (the row without its exceptional coordinate) is nonzero.
+    # L^2 = rr.d >= 1 is checked above, and by the projection formula
+    # L.pi_*C = pi^*L.C, the table's first entry, so no pushforward class
+    # is built
+    if any(any(row[:-1]) for _, row, _ in low):
         raise ModelError(
             f"polarization fails the plausible-ampleness gate against the "
             f"blow-up generators of stratum {label!r}"
         )
-    # the other generators are multiples k*Ex, which meet Ex in -k; a
-    # negative multiple is not effective.  So every generator with
-    # Ex.C > 0 has pi^*L.C > 0, which the nef path relies on
-    for (gl, cls), (_, e_mult) in zip(gens.generators, table):
-        if e_mult > 0 and not any(cls.coords[:-1]):
+    # so the generators left in `low` are multiples k*Ex, which meet Ex
+    # in -k; a negative multiple is not effective.  So every generator
+    # with Ex.C > 0 has pi^*L.C > 0, which the nef path relies on
+    for gl, _, e_mult in low:
+        if e_mult > 0:
             raise ModelError(
                 f"blow-up generator {gl!r} of stratum {label!r} is a negative "
                 f"multiple of the exceptional class {EXCEPTIONAL_LABEL!r}"
@@ -392,14 +398,11 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     )
     strata = []
     for sd in doc["strata"]:
+        # positional arguments: a keyword call costs more per candidate
         candidates = tuple(
-            CurveCandidate(
-                label=cd["label"],
-                degree_t=cd["t"],
-                mult_m=cd["m"],
-                curve_class=None if cd["class"] is None else lat.divisor(cd["class"]),
-            )
+            CurveCandidate(cd["label"], cd["t"], cd["m"], cls, None if cls is None else lat)
             for cd in sd["candidates"]
+            for cls in (cd["class"],)
         )
         ocb = sd["oracle_complete_below"]
         strata.append(
@@ -414,7 +417,9 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     blowup_gens = {
         label: CurveGeneratorSet(
-            generators=tuple((gd["label"], ext.divisor(gd["class"])) for gd in gen_list)
+            lattice=ext,
+            labels=[gd["label"] for gd in gen_list],
+            rows=[gd["class"] for gd in gen_list],
         )
         for label, gen_list in doc["blowup_gens"].items()
     }
@@ -450,6 +455,13 @@ def load_model_file(path) -> SurfaceModel:
 _PLANE_CURVE_CAP = 3
 
 
+def _candidate(label: str, t: int, m: int, cls: DivisorClass) -> CurveCandidate:
+    """A built-in curve candidate (t, m) of the class `cls`."""
+    return CurveCandidate(
+        label=label, degree_t=t, mult_m=m, coords=cls.coords, lattice=cls.lattice
+    )
+
+
 def projective_plane(e: int = 1) -> SurfaceModel:
     """The plane with the degree-e polarization: rank-1 lattice, d = e^2.
 
@@ -463,23 +475,14 @@ def projective_plane(e: int = 1) -> SurfaceModel:
         raise ModelError(f"polarization degree must be positive, got {e}")
     lat = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
     H = lat.basis_vector("H")
-    candidates = [CurveCandidate(label="line", degree_t=e, mult_m=1, curve_class=H)]
+    candidates = [_candidate("line", e, 1, H)]
     for k in range(2, _PLANE_CURVE_CAP + 1):
         for m in range(1, k):
-            candidates.append(
-                CurveCandidate(
-                    label=f"deg{k}_mult{m}",
-                    degree_t=e * k,
-                    mult_m=m,
-                    curve_class=lat.divisor((k,)),
-                )
-            )
-    ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
+            candidates.append(_candidate(f"deg{k}_mult{m}", e * k, m, k * H))
     gens = CurveGeneratorSet(
-        generators=(
-            (EXCEPTIONAL_LABEL, ext.divisor((0, 1))),
-            ("H-Ex", ext.divisor((1, -1))),
-        )
+        lattice=extend_blowup(lat, EXCEPTIONAL_LABEL),
+        labels=(EXCEPTIONAL_LABEL, "H-Ex"),
+        rows=((0, 1), (1, -1)),
     )
     return SurfaceModel(
         name=f"projective_plane({e})",
@@ -510,17 +513,14 @@ def quadric(a: int = 1, b: int = 1) -> SurfaceModel:
     L = a * f1 + b * f2
     candidates = (
         # the f1 ruling meets L in b, the f2 ruling in a
-        CurveCandidate(label="ruling_f1", degree_t=b, mult_m=1, curve_class=f1),
-        CurveCandidate(label="ruling_f2", degree_t=a, mult_m=1, curve_class=f2),
-        CurveCandidate(label="diagonal", degree_t=a + b, mult_m=1, curve_class=f1 + f2),
+        _candidate("ruling_f1", b, 1, f1),
+        _candidate("ruling_f2", a, 1, f2),
+        _candidate("diagonal", a + b, 1, f1 + f2),
     )
-    ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     gens = CurveGeneratorSet(
-        generators=(
-            (EXCEPTIONAL_LABEL, ext.divisor((0, 0, 1))),
-            ("f1-Ex", ext.divisor((1, 0, -1))),
-            ("f2-Ex", ext.divisor((0, 1, -1))),
-        )
+        lattice=extend_blowup(lat, EXCEPTIONAL_LABEL),
+        labels=(EXCEPTIONAL_LABEL, "f1-Ex", "f2-Ex"),
+        rows=((0, 0, 1), (1, 0, -1), (0, 1, -1)),
     )
     return SurfaceModel(
         name=f"quadric({a},{b})",
@@ -550,29 +550,25 @@ def f1_anticanonical() -> SurfaceModel:
     L = 3 * H - E
     fiber = H - E
     generic_candidates = (
-        CurveCandidate(label="fiber", degree_t=2, mult_m=1, curve_class=fiber),
-        CurveCandidate(label="line", degree_t=3, mult_m=1, curve_class=H),
-        CurveCandidate(label="conic_node", degree_t=5, mult_m=2, curve_class=2 * H - E),
+        _candidate("fiber", 2, 1, fiber),
+        _candidate("line", 3, 1, H),
+        _candidate("conic_node", 5, 2, 2 * H - E),
     )
     on_E_candidates = (
-        CurveCandidate(label="E", degree_t=1, mult_m=1, curve_class=E),
-        CurveCandidate(label="fiber", degree_t=2, mult_m=1, curve_class=fiber),
-        CurveCandidate(label="line", degree_t=3, mult_m=1, curve_class=H),
+        _candidate("E", 1, 1, E),
+        _candidate("fiber", 2, 1, fiber),
+        _candidate("line", 3, 1, H),
     )
     ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     generic_gens = CurveGeneratorSet(
-        generators=(
-            (EXCEPTIONAL_LABEL, ext.divisor((0, 0, 1))),
-            ("E", ext.divisor((0, 1, 0))),
-            ("H-E-Ex", ext.divisor((1, -1, -1))),
-        )
+        lattice=ext,
+        labels=(EXCEPTIONAL_LABEL, "E", "H-E-Ex"),
+        rows=((0, 0, 1), (0, 1, 0), (1, -1, -1)),
     )
     on_E_gens = CurveGeneratorSet(
-        generators=(
-            (EXCEPTIONAL_LABEL, ext.divisor((0, 0, 1))),
-            ("E-Ex", ext.divisor((0, 1, -1))),
-            ("H-E-Ex", ext.divisor((1, -1, -1))),
-        )
+        lattice=ext,
+        labels=(EXCEPTIONAL_LABEL, "E-Ex", "H-E-Ex"),
+        rows=((0, 0, 1), (0, 1, -1), (1, -1, -1)),
     )
     return SurfaceModel(
         name="f1_anticanonical",

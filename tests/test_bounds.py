@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from seshadri.bounds import (
     BoundError,
+    DegreeBound,
     RRData,
     candidate_ratios,
     candidate_walk,
@@ -24,6 +27,29 @@ def dimension_count_oracle(d, c, c_prime, a, n):
     na = a * n
     assert na.denominator == 1
     return chi - Fraction((na + 2) * (na + 1), 2)
+
+
+def test_records_behave_as_frozen_value_objects():
+    rr = RRData(d=8, c=8, c_prime=1)
+    assert rr == RRData(8, 8, 1, vanishing_multiplier=1) and rr.vanishing_multiplier == 1
+    assert hash(rr) == hash(RRData(8, 8, 1)) and rr != RRData(8, 8, 1, 2)
+    assert rr != (8, 8, 1, 1)  # unlike a NamedTuple, not equal to a plain tuple
+    assert repr(rr) == "RRData(d=8, c=8, c_prime=1, vanishing_multiplier=1)"
+    bound = DegreeBound(a=Fraction(5, 2), M=2, B=16)
+    assert bound == minimal_M(rr, Fraction(5, 2)) and {bound, minimal_M(rr, Fraction(5, 2))} == {bound}
+    assert repr(bound) == "DegreeBound(a=Fraction(5, 2), M=2, B=16, vanishing_multiplier=1)"
+    assert bound != rr and not hasattr(bound, "__dict__")
+    for record in (rr, bound):
+        with pytest.raises(AttributeError, match="cannot assign to field 'vanishing_multiplier'"):
+            record.vanishing_multiplier = 2
+        with pytest.raises(AttributeError, match="cannot delete field 'vanishing_multiplier'"):
+            del record.vanishing_multiplier
+        assert record.vanishing_multiplier == 1
+        assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
+    with pytest.raises(BoundError, match="^degree must be positive, got 0$"):
+        RRData(d=0, c=1, c_prime=1)
+    with pytest.raises(BoundError, match="^vanishing_multiplier must be a positive integer$"):
+        RRData(d=1, c=1, c_prime=1, vanishing_multiplier=0)
 
 
 def test_l_poly_frozen_values():

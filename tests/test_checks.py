@@ -61,7 +61,9 @@ def _above_sqrt_d(model, stratum):
 
 def _minimal_M_plus_one(rr, a):
     bound = bounds.minimal_M(rr, a)
-    return dataclasses.replace(bound, M=bound.M + 1)
+    return bounds.DegreeBound(
+        a=bound.a, M=bound.M + 1, B=bound.B, vanishing_multiplier=bound.vanishing_multiplier
+    )
 
 
 def _mediant_max_minus_one(parts):

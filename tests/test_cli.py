@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seshadri import checks
+from seshadri import checks, cli, family
 from seshadri.cli import main
 from seshadri.models import f1_anticanonical, quadric
 
@@ -109,6 +109,19 @@ def test_scan_json_report(capsys, family_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["sigma_cap"] == ["1", "2"]
     assert doc["sigma_family"] == "2"
+
+
+def test_scan_serializes_only_the_requested_format(capsys, monkeypatch, family_path):
+    # each format lists the whole candidate superset, so the other is not built
+    def refuse(*_):
+        raise AssertionError("the other format was built")
+
+    monkeypatch.setattr(cli, "_scan_lines", refuse)
+    assert main(["scan", family_path, "--alpha", "5/2", "--format", "json"]) == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(family.FamilyScanReport, "to_document", refuse)
+    assert main(["scan", family_path, "--alpha", "5/2", "--format", "text"]) == 0
+    assert "sigma(family) = 2" in capsys.readouterr().out
 
 
 def test_output_written_atomically(tmp_path, f1_path):

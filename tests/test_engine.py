@@ -361,7 +361,9 @@ def _nef_model(d, gens):
         strata=(PointStratum(label="generic", closure_dim=2),),
         blowup_gens={
             "generic": CurveGeneratorSet(
-                generators=tuple((label, ext.divisor((0, deg, -e))) for label, deg, e in gens)
+                lattice=ext,
+                labels=tuple(label for label, _, _ in gens),
+                rows=tuple((0, deg, -e) for _, deg, e in gens),
             )
         },
     )

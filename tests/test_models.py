@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,24 @@ def test_cyclic_specialization_rejected():
     doc["strata"][0]["specializes_from"] = ["on_E"]
     with pytest.raises(ModelError, match="cyclic"):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "stratum, general, cycle",
+    [(0, "on_E", "['generic', 'on_E', 'generic']"), (1, "on_E", "['on_E', 'on_E']")],
+    ids=["two_strata", "self_loop"],
+)
+def test_cycle_is_named(stratum, general, cycle):
+    doc = f1_doc()
+    doc["strata"][stratum]["specializes_from"] = [general]
+    with pytest.raises(ModelError, match=re.escape(f"cyclic specialization relation: {cycle}")):
+        load_model(json.dumps(doc))
+
+
+def test_strata_may_precede_the_strata_they_specialize_from():
+    doc = f1_doc()
+    doc["strata"].reverse()
+    assert [s.label for s in load_model(json.dumps(doc)).strata] == ["on_E", "generic"]
 
 
 def test_unknown_specialization_rejected():
@@ -185,9 +204,9 @@ def test_empty_labels_rejected_at_construction():
     for candidate in on_E.candidates:
         with pytest.raises(EngineError, match="non-empty label"):
             dataclasses.replace(candidate, label="")
-    ((_, cls), *rest) = f1_anticanonical().blowup_gens["on_E"].generators
+    gens = f1_anticanonical().blowup_gens["on_E"]
     with pytest.raises(LatticeError, match="non-empty label"):
-        CurveGeneratorSet(generators=(("", cls), *rest))
+        CurveGeneratorSet(lattice=gens.lattice, labels=("", *gens.labels[1:]), rows=gens.rows)
 
 
 def test_empty_stratum_label_rejected_at_construction():
@@ -262,7 +281,8 @@ def test_replaced_model_gets_a_fresh_table():
     assert swapped.generator_table("generic") == _pairings(swapped, "generic") != before
     assert model.generator_table("generic") == before
     # a set can only be replaced through the constructor, which checks it
-    fewer = CurveGeneratorSet(model.blowup_gens["generic"].generators[:2])
+    gens = model.blowup_gens["generic"]
+    fewer = CurveGeneratorSet(lattice=gens.lattice, labels=gens.labels[:2], rows=gens.rows[:2])
     with pytest.raises(TypeError):
         model.blowup_gens["generic"] = fewer
     replaced = dataclasses.replace(model, blowup_gens={"generic": fewer})
@@ -304,14 +324,15 @@ def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
         extend_blowup(quadric(1, 1).lattice, "Ex").divisor((1, 0, -1)),  # same rank
         IntersectionLattice(rank=4, gram=((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
                             basis_labels=("H", "E", "E2", "Ex")).divisor((1, -1, 0, -1)),
+        f1_anticanonical().lattice.divisor((1, -1)),  # the model's own, not blown up
     ],
-    ids=["other_gram", "other_rank"],
+    ids=["other_gram", "other_rank", "base_lattice"],
 )
 def test_generator_on_wrong_lattice_raises_before_pairing(wrong):
     # a dot product against a class of another lattice would give a
     # number (zip truncates); the lattice check comes first
     model = f1_anticanonical()
-    gens = CurveGeneratorSet(generators=(("bad", wrong),))
+    gens = CurveGeneratorSet(lattice=wrong.lattice, labels=("bad",), rows=(wrong.coords,))
     message = "^blow-up generator 'bad' of stratum 'generic' does not live on the extended lattice$"
     with pytest.raises(ModelError, match=message):
         dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
