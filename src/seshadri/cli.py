@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, List, Optional
 
 from . import SCHEMA_VERSION, __version__
 from .values import format_pairs, format_rational, parse_rational
@@ -45,11 +45,17 @@ def _emit(text: str, output: Optional[str]) -> None:
         raise
 
 
-def _emit_report(doc: dict, fmt: str, output: Optional[str], text_lines) -> None:
+def _emit_report(
+    fmt: str,
+    output: Optional[str],
+    document: Callable[[], dict],
+    text_lines: Callable[[], List[str]],
+) -> None:
+    """Emit the report in `fmt`, building only that format."""
     if fmt == "json":
-        _emit(json.dumps({**_report_header(), **doc}, indent=2), output)
+        _emit(json.dumps({**_report_header(), **document()}, indent=2), output)
     else:
-        _emit("\n".join(text_lines), output)
+        _emit("\n".join(text_lines()), output)
 
 
 def cmd_bound(args) -> int:
@@ -81,7 +87,7 @@ def cmd_bound(args) -> int:
             f"bound applies to the polarization raised to the power "
             f"{bound.vanishing_multiplier}"
         )
-    _emit_report(doc, args.format, args.output, lines)
+    _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     return 0
 
 
@@ -99,7 +105,7 @@ def cmd_candidates(args) -> int:
     lines = [", ".join(formatted)]
     if args.permissive:
         lines.append("(permissive mode: not a certified superset)")
-    _emit_report(doc, args.format, args.output, lines)
+    _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     return 0
 
 
@@ -127,7 +133,7 @@ def cmd_epsilon(args) -> int:
         lines.append(f"attained at stratum {result.attained_at}")
     if result.warning:
         lines.append(f"warning: {result.warning}")
-    _emit_report(doc, args.format, args.output, lines)
+    _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     if args.strict and result.certification is not Certification.EXACT_CERTIFIED:
         return 2
     return 0
@@ -150,7 +156,7 @@ def cmd_sublevel(args) -> int:
         "strata: " + (", ".join(labels) if labels else "(none)"),
         "closed under specialization: yes",
     ]
-    _emit_report(doc, args.format, args.output, lines)
+    _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     return 0
 
 
@@ -196,10 +202,7 @@ def cmd_scan(args) -> int:
     if args.csv:
         _emit(report.to_csv(), args.csv)
     # each format serializes the superset, so only the requested one is built
-    if args.format == "json":
-        _emit_report(report.to_document(), args.format, args.output, None)
-    else:
-        _emit_report(None, args.format, args.output, _scan_lines(report, alpha))
+    _emit_report(args.format, args.output, report.to_document, lambda: _scan_lines(report, alpha))
     degraded = bool(report.uncertified) or not all(
         v.passed for v in report.semicontinuity_verdicts
     )
@@ -217,7 +220,7 @@ def cmd_check(args) -> int:
     passed = all(r.passed for r in results)
     doc = {"checks": [dataclasses.asdict(r) for r in results], "all_passed": passed}
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
-    _emit_report(doc, args.format, args.output, lines)
+    _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     return 0 if passed else 1
 
 

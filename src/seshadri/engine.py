@@ -52,6 +52,8 @@ class CurveCandidate:
             if self.lattice is None:
                 raise EngineError(f"candidate {self.label!r} has coordinates but no lattice")
             object.__setattr__(self, "coords", coordinates(self.coords, self.lattice.rank))
+        elif self.lattice is not None:
+            raise EngineError(f"candidate {self.label!r} has a lattice but no coordinates")
         if not self.label:
             raise EngineError("a curve candidate needs a non-empty label")
         if self.degree_t < 1 or self.mult_m < 1:

@@ -251,24 +251,18 @@ def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...
             f"exactly one dense (closure_dim = 2) stratum required, got {dense or 'none'}"
         )
 
-    # specialization relation must reference known strata and be acyclic.
-    # It is when each stratum comes after the strata it specializes from;
-    # otherwise graphlib decides, and names a cycle
-    known, earlier, in_order = set(labels), set(), True
+    # specialization relation must reference known strata and be acyclic
+    known = set(labels)
     for s in model.strata:
         for general in s.specializes_from:
             if general not in known:
                 raise ModelError(
                     f"stratum {s.label!r} specializes from unknown stratum {general!r}"
                 )
-        in_order = in_order and earlier.issuperset(s.specializes_from)
-        earlier.add(s.label)
-    if not in_order:
-        sorter = graphlib.TopologicalSorter({s.label: s.specializes_from for s in model.strata})
-        try:
-            sorter.prepare()
-        except graphlib.CycleError as exc:
-            raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
+    try:
+        graphlib.TopologicalSorter({s.label: s.specializes_from for s in model.strata}).prepare()
+    except graphlib.CycleError as exc:
+        raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
 
     tables = {}
     for s in model.strata:
@@ -398,11 +392,15 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     )
     strata = []
     for sd in doc["strata"]:
-        # positional arguments: a keyword call costs more per candidate
         candidates = tuple(
-            CurveCandidate(cd["label"], cd["t"], cd["m"], cls, None if cls is None else lat)
+            CurveCandidate(
+                label=cd["label"],
+                degree_t=cd["t"],
+                mult_m=cd["m"],
+                coords=cd["class"],
+                lattice=None if cd["class"] is None else lat,
+            )
             for cd in sd["candidates"]
-            for cls in (cd["class"],)
         )
         ocb = sd["oracle_complete_below"]
         strata.append(

@@ -154,3 +154,5 @@ def test_bad_candidate_coordinates_raise_the_class_messages(coords, message):
 def test_candidate_coordinates_need_a_lattice():
     with pytest.raises(EngineError, match=_exact("candidate 'c' has coordinates but no lattice")):
         CurveCandidate(label="c", degree_t=1, mult_m=1, coords=(1, 0))
+    with pytest.raises(EngineError, match=_exact("candidate 'c' has a lattice but no coordinates")):
+        CurveCandidate(label="c", degree_t=1, mult_m=1, lattice=f1_anticanonical().lattice)
