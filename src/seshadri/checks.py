@@ -125,13 +125,12 @@ def check_candidate_membership(models: Models) -> str:
                 continue
             superset = set(member_candidate_superset(model, alpha)[0])
             bound = SeshadriValue.exact(alpha)
-            for stratum in model.strata:
-                res = epsilon_via_curves(model, stratum, alpha)
+            for label, res in model.stratum_table.items():
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:
                     q = res.value.rational
                     if (q.numerator, q.denominator) not in superset:
                         raise AssertionError(
-                            f"{model.name}/{stratum.label}: certified value "
+                            f"{model.name}/{label}: certified value "
                             f"{res.value.serialize()} missing from candidate set "
                             f"at alpha={alpha}"
                         )

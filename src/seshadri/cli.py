@@ -114,12 +114,13 @@ def cmd_epsilon(args) -> int:
     from .models import load_model_file
 
     model = load_model_file(args.model)
-    alpha = parse_rational(args.alpha) if args.alpha else None
+    # an invalid threshold fails here, before any stratum is evaluated
+    bound = model.degree_bound(parse_rational(args.alpha)) if args.alpha else None
     if args.stratum:
-        result = epsilon(model, model.stratum(args.stratum), alpha)
+        result = epsilon(model, model.stratum(args.stratum))
     else:
-        result = global_epsilon(model, alpha)
-    doc = {"model": model.name, "stratum": args.stratum or None, **result.to_document()}
+        result = global_epsilon(model)
+    doc = {"model": model.name, "stratum": args.stratum or None, **result.to_document(bound)}
     lines = [
         f"epsilon = {result.value.serialize()}  (approx {result.value.approx():.6g})",
         f"certification = {result.certification.value}",
@@ -236,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=["json", "text"], default="text")
         p.add_argument("--output", help="write the report to this path (atomically)")
+
+    def strict(p):
         p.add_argument(
             "--strict",
             action="store_true",
@@ -267,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratum", help="stratum label (default: global value)")
     p.add_argument("--alpha", help="certification threshold p/q")
     common(p)
+    strict(p)
     p.set_defaults(fn=cmd_epsilon)
 
     p = sub.add_parser("sublevel", help="strata with value <= a, with closure verdict")
@@ -280,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--csv", help="also write the per-stratum table as CSV here")
     common(p)
+    strict(p)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("check", help="run the full invariant suite over the built-ins")

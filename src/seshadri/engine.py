@@ -8,6 +8,12 @@ characterizations of the local constant, the curve-ratio infimum and the
 nef threshold on the blow-up, are computed independently.  Each result
 is an exact interval around the value, and where both paths exist the
 nef value must lie in the curve path's interval.
+
+A stratum's value depends on the model and the stratum alone.  Each
+model keeps its checked results in `SurfaceModel.stratum_table`, and the
+global value, the supremum, the sublevel sets and the low-value strata
+all read that one table.  The degree bound B = M*d of a threshold alpha
+belongs to the report: `SeshadriResult.to_document` is given it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
 from .lattice import DivisorClass, IntersectionLattice, coordinates
@@ -106,7 +112,6 @@ class SeshadriResult:
     lo: Optional[SeshadriValue] = None
     ceiling_only: bool = False
     witness: Optional[CurveCandidate] = None
-    bound_used: Optional[DegreeBound] = None
     warning: Optional[str] = None
     attained_at: Optional[str] = None
 
@@ -135,7 +140,9 @@ class SeshadriResult:
             return None
         return self.lo.rational
 
-    def to_document(self) -> dict:
+    def to_document(self, bound: Optional[DegreeBound] = None) -> dict:
+        """The result as a report entry; a given degree bound (the
+        model's at the report's threshold) is listed as bound_used."""
         value = self.value
         doc = {
             "value": value.serialize(),
@@ -149,12 +156,12 @@ class SeshadriResult:
                 "t": self.witness.degree_t,
                 "m": self.witness.mult_m,
             }
-        if self.bound_used is not None:
+        if bound is not None:
             doc["bound_used"] = {
-                "a": str(self.bound_used.a),
-                "M": self.bound_used.M,
-                "B": self.bound_used.B,
-                "vanishing_multiplier": self.bound_used.vanishing_multiplier,
+                "a": str(bound.a),
+                "M": bound.M,
+                "B": bound.B,
+                "vanishing_multiplier": bound.vanishing_multiplier,
             }
         certified_above = self.certified_above
         if certified_above is not None:
@@ -182,9 +189,7 @@ def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandi
     return best
 
 
-def epsilon_via_curves(
-    model, stratum: PointStratum, alpha: Optional[Rational] = None
-) -> SeshadriResult:
+def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     """Local Seshadri constant at the stratum's point from its curve
     table, as an interval.
 
@@ -197,11 +202,6 @@ def epsilon_via_curves(
     sqrt_d = SeshadriValue.sqrt(d)
     ocb = stratum.oracle_complete_below
     best = _best_candidate(stratum.candidates)
-
-    bound_used = None
-    if alpha is not None and alpha > 0 and alpha * alpha < d:
-        bound_used = model.degree_bound(alpha)
-
     least = None if best is None else SeshadriValue.exact(best.ratio)
     hi = least if least is not None and least <= sqrt_d else sqrt_d
     lo = None if ocb is None else min(SeshadriValue.exact(ocb), hi)
@@ -218,7 +218,6 @@ def epsilon_via_curves(
         # the least curve witnesses hi, except where sqrt(d) bounds an
         # open interval whatever the table lists
         witness=best if least == hi and (hi < sqrt_d or lo == hi) else None,
-        bound_used=bound_used,
         warning=warning,
     )
 
@@ -265,58 +264,27 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     )
 
 
-def _check_against_nef(model, stratum: PointStratum, result: SeshadriResult) -> None:
-    """Raise unless the nef path's exact value lies in the curve-path
-    interval."""
-    if stratum.label not in model.blowup_gens:
-        return
-    nef = epsilon_via_nef(model, stratum).value
-    if (result.lo is not None and nef < result.lo) or nef > result.hi:
-        raise EngineError(
-            f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
-            f"({result.certification.value}) but nef path gives {nef.serialize()}"
-        )
-
-
-def epsilon(
-    model, stratum: PointStratum, alpha: Optional[Rational] = None
-) -> SeshadriResult:
+def epsilon(model, stratum: PointStratum) -> SeshadriResult:
     """Per-stratum value: the curve-path interval, checked against the nef
     path whenever blow-up data is available.  A nef value outside the
     interval is an error."""
-    result = epsilon_via_curves(model, stratum, alpha)
-    _check_against_nef(model, stratum, result)
+    result = epsilon_via_curves(model, stratum)
+    if stratum.label in model.blowup_gens:
+        nef = epsilon_via_nef(model, stratum).value
+        if (result.lo is not None and nef < result.lo) or nef > result.hi:
+            raise EngineError(
+                f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
+                f"({result.certification.value}) but nef path gives {nef.serialize()}"
+            )
     return result
 
 
-StratumTable = Dict[str, SeshadriResult]
-
-
-def stratum_table(
-    model,
-    alpha: Optional[Rational] = None,
-    strata: Optional[Sequence[PointStratum]] = None,
-) -> StratumTable:
-    """`epsilon` of every stratum of the model (or of `strata`, in that
-    order), keyed by label: one curve-path call and at most one nef-path
-    call per stratum, and the first contradiction met is raised."""
-    if strata is None:
-        strata = model.strata
-    return {s.label: epsilon(model, s, alpha) for s in strata}
-
-
-def global_epsilon(
-    model, alpha: Optional[Rational] = None, table: Optional[StratumTable] = None
-) -> SeshadriResult:
+def global_epsilon(model) -> SeshadriResult:
     """The least local value over the strata, as the interval [min lo,
     min hi]; lo is unknown if any stratum's is, and hi rests on the
     ceiling alone only if every table is empty.  The first stratum that
-    attains the reported value is recorded with its witness.  A given
-    `table` (the model's stratum_table at alpha) is read instead of
-    evaluating the strata again."""
-    if table is None:
-        table = stratum_table(model, alpha)
-    results = [(s.label, table[s.label]) for s in model.strata]
+    attains the reported value is recorded with its witness."""
+    results = model.stratum_table.items()
     los = [res.lo for _, res in results]
     result = SeshadriResult(
         hi=min(res.hi for _, res in results),
@@ -328,28 +296,25 @@ def global_epsilon(
     label, best = next(
         (label, res) for label, res in results if (res.lo if lower else res.hi) == result.value
     )
-    return replace(result, witness=best.witness, bound_used=best.bound_used, attained_at=label)
+    return replace(result, witness=best.witness, attained_at=label)
 
 
 def sublevel_set(model, a: Rational) -> List[str]:
-    """Labels of strata with local constant <= a.  The returned set must
-    be closed under specialization (the discrete shadow of Zariski
-    closedness); a violation is a hard error naming the offending pair.
-    Each value is then cross-checked against the nef path as in
-    epsilon."""
+    """Labels of strata with local constant <= a, read from the model's
+    checked stratum table.  Every value must be exactly certified, and
+    the returned set must be closed under specialization (the discrete
+    shadow of Zariski closedness); a violation is a hard error naming the
+    offending pair."""
     threshold = SeshadriValue.exact(a)
-    results = []
     selected = []
-    for stratum in model.strata:
-        res = epsilon_via_curves(model, stratum)
+    for label, res in model.stratum_table.items():
         if res.certification is not Certification.EXACT_CERTIFIED:
             raise EngineError(
-                f"stratum {stratum.label!r} is not exactly certified; "
+                f"stratum {label!r} is not exactly certified; "
                 "sublevel sets require certified values"
             )
-        results.append((stratum, res))
         if res.value <= threshold:
-            selected.append(stratum.label)
+            selected.append(label)
     chosen = set(selected)
     for stratum in model.strata:
         for general in stratum.specializes_from:
@@ -359,27 +324,21 @@ def sublevel_set(model, a: Rational) -> List[str]:
                     f"{general!r} is in the set but its specialization "
                     f"{stratum.label!r} is not"
                 )
-    for stratum, res in results:
-        _check_against_nef(model, stratum, res)
     return selected
 
 
-def sigma_local(model, table: Optional[StratumTable] = None) -> SeshadriResult:
+def sigma_local(model) -> SeshadriResult:
     """Supremum of the local constants over the model's points: the dense
     stratum's evidence, since every point specializes from a general
     one.  That is checked, not assumed: a stratum known to lie above
-    everything the dense stratum allows is an error.  A given `table`
-    (the model's stratum_table) is read instead of evaluating the strata
-    again."""
-    if table is None:
-        table = stratum_table(model)
+    everything the dense stratum allows is an error."""
+    table = model.stratum_table
     generic_label = model.generic_stratum.label
     generic = table[generic_label]
-    for stratum in model.strata:
-        lo = table[stratum.label].lo
-        if lo is not None and lo > generic.hi:
+    for label, res in table.items():
+        if res.lo is not None and res.lo > generic.hi:
             raise EngineError(
-                f"stratum {stratum.label!r} has a value of at least {lo.serialize()}, "
+                f"stratum {label!r} has a value of at least {res.lo.serialize()}, "
                 f"above the dense stratum {generic_label!r} at most "
                 f"{generic.hi.serialize()}; the model's tables are geometrically "
                 "inconsistent"
@@ -393,10 +352,8 @@ def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]
     if delta <= 0:
         raise EngineError(f"delta must be positive, got {delta}")
     threshold = SeshadriValue.exact(Fraction(1) - delta)
-    table = stratum_table(model)
-    out = []
-    for stratum in model.strata:
-        res = table[stratum.label]
-        if res.value <= threshold:
-            out.append((stratum.label, res.value))
-    return out
+    return [
+        (label, res.value)
+        for label, res in model.stratum_table.items()
+        if res.value <= threshold
+    ]

@@ -21,17 +21,10 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .bounds import RRData, candidate_walk, minimal_M
-from .engine import (
-    Certification,
-    SeshadriResult,
-    StratumTable,
-    global_epsilon,
-    sigma_local,
-    stratum_table,
-)
+from .bounds import DegreeBound, RRData, candidate_walk, minimal_M
+from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
 from .models import SurfaceModel, load_model_file, model_from_document
 from .structure import LABEL, StructureError, array, integer, of_type, record, string
 from .values import Rational, SeshadriValue, format_pairs, format_rational
@@ -140,7 +133,8 @@ class FamilyScanReport:
     degree: int
     sigma_family: SeshadriValue
     sigma_attained_at: Tuple[str, str]
-    epsilon_table: Tuple[Tuple[str, str, SeshadriResult], ...]
+    # (member, stratum, result, the member's degree bound at alpha)
+    epsilon_table: Tuple[Tuple[str, str, SeshadriResult, DegreeBound], ...]
     sigma_cap: Tuple[Rational, ...]
     candidate_superset: Tuple[Pair, ...]
     candidate_superset_raw: Tuple[Pair, ...]
@@ -163,8 +157,8 @@ class FamilyScanReport:
                 "stratum": self.sigma_attained_at[1],
             },
             "epsilon_table": [
-                {"member": m, "stratum": s, **res.to_document()}
-                for m, s, res in self.epsilon_table
+                {"member": m, "stratum": s, **res.to_document(bound)}
+                for m, s, res, bound in self.epsilon_table
             ],
             "sigma_cap": [format_rational(q) for q in self.sigma_cap],
             "sigma_cap_size": len(self.sigma_cap),
@@ -179,7 +173,7 @@ class FamilyScanReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["param_label", "stratum", "epsilon", "certification", "witness"])
-        for member, stratum, res in self.epsilon_table:
+        for member, stratum, res, _ in self.epsilon_table:
             writer.writerow(
                 [
                     member,
@@ -222,21 +216,13 @@ def member_candidate_superset(
     ], raw
 
 
-def semicontinuity_check(
-    family: Family, tables: Optional[Dict[str, StratumTable]] = None
-) -> List[Verdict]:
+def semicontinuity_check(family: Family) -> List[Verdict]:
     """Exact order checks on declared specializations: the global value
     of a special member never exceeds the general member's, and within
     each member a special stratum never exceeds the strata it
     specializes from.  Each verdict compares the two intervals, so it
-    passes only where the evidence proves the order.  Given `tables`
-    (each member's stratum_table, by member label), they are read
-    instead of evaluating the strata again."""
-    if tables is None:
-        tables = {label: stratum_table(model) for label, model in family.members}
-    globals_by_member = {
-        label: global_epsilon(model, table=tables[label]) for label, model in family.members
-    }
+    passes only where the evidence proves the order."""
+    globals_by_member = {label: global_epsilon(model) for label, model in family.members}
     verdicts = [
         _verdict(
             "member", "family", general, special,
@@ -245,7 +231,7 @@ def semicontinuity_check(
         for general, special in family.member_specialization
     ]
     for label, model in family.members:
-        table = tables[label]
+        table = model.stratum_table
         for s in model.strata:
             for general in s.specializes_from:
                 verdicts.append(
@@ -279,9 +265,10 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     attained supremum, and members whose global value jumps below the
     generic one.
 
-    Each member's strata are evaluated once, into one stratum_table that
-    every part of the report reads, and the candidate superset is
-    enumerated once per distinct (very-ampleness multiplier, RR data).
+    Each member's strata are evaluated once, into the model's
+    stratum_table that every part of the report reads, and the candidate
+    superset is enumerated once per distinct (very-ampleness multiplier,
+    RR data).
     """
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
@@ -289,11 +276,10 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
             f"alpha must satisfy 0 < alpha^2 < d for a certified scan, got {alpha}"
         )
 
-    rows: List[Tuple[str, str, SeshadriResult]] = []
+    rows: List[Tuple[str, str, SeshadriResult, DegreeBound]] = []
     uncertified: List[Tuple[str, str]] = []
     sigma_cap_set = set()
     supersets = {}
-    tables: Dict[str, StratumTable] = {}
     alpha_value = SeshadriValue.exact(alpha)
     members = sorted(family.members, key=lambda lm: lm[0])
 
@@ -301,10 +287,9 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         key = (model.very_ample_multiplier, model.rr)
         if key not in supersets:
             supersets[key] = member_candidate_superset(model, alpha)
-        strata = sorted(model.strata, key=lambda s: s.label)
-        tables[label] = stratum_table(model, alpha, strata)
-        for stratum_label, res in tables[label].items():
-            rows.append((label, stratum_label, res))
+        bound = model.degree_bound(alpha)
+        for stratum_label, res in sorted(model.stratum_table.items()):
+            rows.append((label, stratum_label, res, bound))
             if res.certification is Certification.EXACT_CERTIFIED:
                 if res.value <= alpha_value:
                     # below alpha < sqrt(d) every certified value is rational
@@ -333,16 +318,13 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     sigma_family: Optional[SeshadriValue] = None
     attained = ("", "")
     for label, model in members:
-        sig = sigma_local(model, tables[label])
+        sig = sigma_local(model)
         if sigma_family is None or sig.value > sigma_family:
             sigma_family = sig.value
             attained = (label, sig.attained_at)
     assert sigma_family is not None
 
-    global_values = {
-        label: global_epsilon(model, table=tables[label]).value
-        for label, model in family.members
-    }
+    global_values = {label: global_epsilon(model).value for label, model in family.members}
     specials = {special for _, special in family.member_specialization}
     generals = [label for label, _ in family.members if label not in specials]
     reference = None
@@ -362,7 +344,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         sigma_cap=tuple(sigma_cap),
         candidate_superset=superset,
         candidate_superset_raw=superset_raw,
-        semicontinuity_verdicts=tuple(semicontinuity_check(family, tables)),
+        semicontinuity_verdicts=tuple(semicontinuity_check(family)),
         jump_members=jump_members,
         uncertified=tuple(uncertified),
     )

@@ -27,7 +27,7 @@ from typing import Dict, Mapping, Tuple
 
 from . import SCHEMA_VERSION
 from .bounds import DegreeBound, RRData, minimal_M
-from .engine import CurveCandidate, PointStratum
+from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
 from .lattice import (
     CurveGeneratorSet,
     DivisorClass,
@@ -108,6 +108,12 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A polarized surface presented by lattice data.  A model is
+    immutable: its fields are frozen and its blow-up generator sets are
+    read-only, so what it computes from them (the generator tables, the
+    degree bounds and the stratum table) is computed once and never goes
+    stale; `dataclasses.replace` gives a new model with fresh ones."""
+
     name: str
     lattice: IntersectionLattice
     polarization: DivisorClass
@@ -155,6 +161,13 @@ class SurfaceModel:
         if bound is None:
             bound = self._degree_bounds[key] = minimal_M(self.rr, a)
         return bound
+
+    @cached_property
+    def stratum_table(self) -> Mapping[str, SeshadriResult]:
+        """`epsilon` of every stratum, keyed by label in model order and
+        read-only: one curve-path call and at most one nef-path call per
+        stratum, and the first contradiction met is raised."""
+        return MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
 
     @property
     def generic_stratum(self) -> PointStratum:

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from seshadri import checks, cli, family
+from seshadri import checks, cli, engine, family
 from seshadri.cli import main
 from seshadri.models import f1_anticanonical, quadric
 
@@ -84,6 +85,36 @@ def test_epsilon_strict_on_uncertified(capsys, tmp_path, f1_path):
     path.write_text(json.dumps(doc))
     assert main(["epsilon", str(path), "--strict"]) == 2
     assert main(["epsilon", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [("0", "threshold must be positive, got 0"),
+     ("3", r"threshold\^2 must be strictly below the degree: 3\^2 >= 8")],
+)
+@pytest.mark.parametrize("stratum", [[], ["--stratum", "on_E"]], ids=["global", "stratum"])
+def test_epsilon_rejects_an_invalid_alpha(capsys, monkeypatch, f1_path, alpha, message, stratum):
+    # the degree bound is computed before any stratum is evaluated
+    monkeypatch.setattr(engine, "epsilon_via_curves", None)
+    assert main(["epsilon", f1_path, "--alpha", alpha, *stratum]) == 1
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2"],
+        ["candidates", "--B", "3", "--alpha", "3/2"],
+        ["sublevel", "{model}", "--a", "1"],
+        ["check"],
+    ],
+    ids=["bound", "candidates", "sublevel", "check"],
+)
+def test_strict_is_only_for_epsilon_and_scan(capsys, f1_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(model=f1_path) for arg in argv] + ["--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
 def test_sublevel(capsys, f1_path):

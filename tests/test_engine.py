@@ -15,9 +15,12 @@ from seshadri.engine import (
     epsilon_via_curves,
     epsilon_via_nef,
     global_epsilon,
+    low_epsilon_strata,
     sigma_local,
     sublevel_set,
 )
+from seshadri import engine
+from seshadri.family import Family, semicontinuity_check
 from seshadri.models import (
     ModelError,
     SurfaceModel,
@@ -44,7 +47,7 @@ def test_plane_epsilon_is_one():
 
 def test_f1_on_E_witnessed_by_E():
     model = f1_anticanonical()
-    res = epsilon_via_curves(model, model.stratum("on_E"), Fraction(2))
+    res = epsilon_via_curves(model, model.stratum("on_E"))
     assert res.value == SeshadriValue.exact(1)
     assert res.witness.label == "E"
     assert res.certification is Certification.EXACT_CERTIFIED
@@ -176,6 +179,28 @@ def test_sublevel_set_cross_checks_nef_path():
         sublevel_set(model, Fraction(1))
 
 
+def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
+    calls = {"curves": 0, "nef": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "epsilon_via_curves", counted("curves", epsilon_via_curves))
+    monkeypatch.setattr(engine, "epsilon_via_nef", counted("nef", epsilon_via_nef))
+    model = f1_anticanonical()
+    for k in range(1, 17):  # the thresholds of check_sublevel
+        sublevel_set(model, Fraction(k, 4))
+    global_epsilon(model)
+    sigma_local(model)
+    low_epsilon_strata(model, Fraction(1, 100))
+    semicontinuity_check(Family(members=(("t", model),), degree=8))
+    assert calls == {"curves": 2, "nef": 2}
+
+
 def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None):
     e = rank1_degree if rank1_degree is not None else 1
     lat = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
@@ -280,8 +305,10 @@ def test_sublevel_f1():
 
 
 def test_sublevel_closure_violation_is_error():
-    # doctor the table so the dense stratum dips below its specialization
+    # doctor the table so the dense stratum dips below its specialization;
+    # without its blow-up generators the nef path does not refute it first
     doc = json.loads(f1_anticanonical().to_json())
+    del doc["blowup_gens"]["generic"]
     for sd in doc["strata"]:
         if sd["label"] == "generic":
             sd["candidates"].append({"label": "cheat", "class": None, "t": 1, "m": 2})
