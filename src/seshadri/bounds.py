@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import starmap
 from typing import Iterator, List, Sequence, Tuple
 
-from .values import Rational, RationalLike
+from .values import Rational, RationalLike, as_int
 
 
 class BoundError(ValueError):
@@ -79,13 +79,11 @@ class RRData(_Record):
     __slots__ = ("d", "c", "c_prime", "vanishing_multiplier")
 
     def __init__(self, d: int, c: int, c_prime: int, vanishing_multiplier: int = 1):
-        _set_field(self, "d", d)
-        _set_field(self, "c", c)
-        _set_field(self, "c_prime", c_prime)
-        _set_field(self, "vanishing_multiplier", vanishing_multiplier)
-        if d < 1:
-            raise BoundError(f"degree must be positive, got {d}")
-        if vanishing_multiplier < 1:
+        for name, value in zip(self.__slots__, (d, c, c_prime, vanishing_multiplier)):
+            _set_field(self, name, as_int(value, name, BoundError))
+        if self.d < 1:
+            raise BoundError(f"degree must be positive, got {self.d}")
+        if self.vanishing_multiplier < 1:
             raise BoundError("vanishing_multiplier must be a positive integer")
 
 

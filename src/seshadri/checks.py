@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .bounds import RRData, candidate_ratios, l_poly, mediant_bounds, minimal_M
+from .bounds import RRData, candidate_walk, l_poly, mediant_bounds, minimal_M
 from .engine import (
     Certification,
     EngineError,
@@ -195,9 +195,8 @@ def check_candidates_brute_force(rng: random.Random) -> str:
         B = rng.randint(1, 40)
         alpha = Fraction(rng.randint(1, 60), rng.randint(1, 12))
         for certified in (True, False):
-            expected = brute_force_pairs(B, alpha, certified)
-            ratios = candidate_ratios(B, alpha, require_m_le_t=certified)
-            if [(r.numerator, r.denominator) for r in ratios] != expected:
+            walked = list(candidate_walk(B, alpha, require_m_le_t=certified))
+            if walked != brute_force_pairs(B, alpha, certified):
                 raise AssertionError(
                     f"candidate enumeration differs at B={B}, alpha={alpha}, "
                     f"certified={certified}"

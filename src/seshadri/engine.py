@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
 from .lattice import DivisorClass, IntersectionLattice, coordinates
-from .values import Rational, SeshadriValue
+from .values import Rational, SeshadriValue, as_int
 
 
 class EngineError(ValueError):
@@ -62,6 +62,10 @@ class CurveCandidate:
             raise EngineError(f"candidate {self.label!r} has a lattice but no coordinates")
         if not self.label:
             raise EngineError("a curve candidate needs a non-empty label")
+        # a loaded candidate's t and m are exact ints already: skip the conversion
+        if type(self.degree_t) is not int or type(self.mult_m) is not int:
+            for name in ("degree_t", "mult_m"):
+                object.__setattr__(self, name, as_int(getattr(self, name), name, EngineError))
         if self.degree_t < 1 or self.mult_m < 1:
             raise EngineError(
                 f"candidate {self.label!r} needs positive degree and multiplicity, "
@@ -94,8 +98,15 @@ class PointStratum:
             raise EngineError("a point stratum needs a non-empty label")
         object.__setattr__(self, "specializes_from", tuple(self.specializes_from))
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        if self.closure_dim < 0:
-            raise EngineError(f"closure_dim must be nonnegative, got {self.closure_dim}")
+        closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
+        object.__setattr__(self, "closure_dim", closure_dim)
+        if closure_dim < 0:
+            raise EngineError(f"closure_dim must be nonnegative, got {closure_dim}")
+        if closure_dim > 2:
+            raise EngineError(f"closure_dim must be at most 2, got {closure_dim}")
+        ocb = self.oracle_complete_below
+        if ocb is not None and not isinstance(ocb, (int, Fraction)):
+            raise EngineError(f"completeness threshold must be an int or a Fraction, got {ocb!r}")
 
 
 @dataclass(frozen=True)

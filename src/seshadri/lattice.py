@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Tuple
 
+from .values import as_int
+
 
 class LatticeError(ValueError):
     pass
@@ -53,6 +55,7 @@ class IntersectionLattice:
     basis_labels: Tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", as_int(self.rank, "rank", LatticeError))
         if self.rank < 1:
             raise LatticeError(f"rank must be positive, got {self.rank}")
         gram = tuple(_integers(row, "gram entries") for row in self.gram)
@@ -125,7 +128,7 @@ class DivisorClass:
 
 
 def _require_same_lattice(u: DivisorClass, v: DivisorClass) -> None:
-    if u.lattice is not v.lattice and u.lattice != v.lattice:
+    if u.lattice != v.lattice:
         raise LatticeError("divisor classes live on different lattices")
 
 

@@ -47,7 +47,7 @@ from .structure import (
     record,
     string,
 )
-from .values import Rational, format_rational, parse_rational
+from .values import Rational, as_int, format_rational, parse_rational
 
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
@@ -126,6 +126,8 @@ class SurfaceModel:
         object.__setattr__(self, "strata", tuple(self.strata))
         # read-only, so that no generator set gets past the checks below
         object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
+        vam = as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
+        object.__setattr__(self, "very_ample_multiplier", vam)
         object.__setattr__(self, "_generator_tables", _validate_model(self))
 
     @cached_property
@@ -304,7 +306,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
     lat, polarization = model.lattice, model.polarization.covector
     for c in s.candidates:
         if c.coords is not None:
-            if c.lattice is not lat and c.lattice != lat:
+            if c.lattice != lat:
                 raise ModelError(
                     f"candidate {c.label!r} class does not live on the model lattice"
                 )

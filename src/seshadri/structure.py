@@ -6,16 +6,16 @@ or raises StructureError for the first rule the document breaks, with
 the JSON path of the offending value, such as
 `$.strata[3].candidates[0].t: expected an integer >= 1, got 0`.
 
-Every shape checks a document in two ways.  Its column test takes a
-list of values and answers whether all of them pass, by passes of
-builtins over whole columns: an array tests its items' shape on the
-flattened items, a record compares key sets and then tests each
-field's column.  Its walk visits one value item by item and raises the
-error.  A call runs the column test on the document and, only if that
-fails, the walk, so a passing document pays one column test and the
-messages and paths come from the walk alone.  A column test may be
-stricter than its walk (it tests exact types where the walk accepts
-subclasses), never looser.
+Each shape states its rules once, as a column test: given a list of
+values, it answers whether all of them pass, by passes of builtins over
+whole columns (an array tests its items' shape on the flattened items,
+a record compares key sets and then tests each field's column).  A
+passing document pays one column test and nothing else.  Only a failing
+one is walked, to name the first broken rule and its path, and the walk
+is derived from the column tests: a leaf fails exactly when its column
+test fails on its value, and a container checks its own type, length
+and keys, then goes into the first part whose column test fails.  Both
+test exact types, so a subclass of `str` or `int` is rejected.
 
 Integers are Python ints only: `true` and `2.0` are not integers here,
 so nothing past this check can meet a bool or float where it counts.
@@ -31,13 +31,13 @@ import operator
 import re
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 
 class StructureError(ValueError):
-    """A document of the wrong shape.  Containers add their key or index
-    to `steps` as the error passes out through them, so the path costs
-    nothing on documents that pass."""
+    """A document of the wrong shape.  `Shape.walk` adds each part's key
+    or index to `steps` as the error passes out through it, so the path
+    costs nothing on documents that pass."""
 
     def __init__(self, what: str):
         super().__init__(what)
@@ -54,14 +54,10 @@ class StructureError(ValueError):
 
 
 def _describe(value) -> str:
-    if isinstance(value, dict):
-        return "an object"
-    if isinstance(value, list):
-        return "an array"
-    try:
-        text = json.dumps(value)
-    except (TypeError, ValueError):
-        text = repr(value)
+    kind = type(value)
+    if kind not in (str, int, float, bool, type(None)):
+        return {dict: "an object", list: "an array"}.get(kind, f"a value of type {kind.__name__}")
+    text = json.dumps(value)
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -76,19 +72,40 @@ def _step(key) -> str:
 
 
 class Shape:
-    """A check of one JSON value: `column(values)` answers whether every
-    value of a list passes, and `walk(value)` raises StructureError for
-    the first rule the value breaks."""
+    """A check of one JSON value.  `column(values)` answers whether every
+    value of a list passes.  `parts(value)` raises StructureError for a
+    rule of the shape's own (a leaf's one rule, a container's type,
+    length or keys), else gives `(step, shape, item)` for each part."""
 
-    __slots__ = ("walk", "column")
+    __slots__ = ("column", "parts")
 
-    def __init__(self, walk: Callable[[object], None], column: Callable[[list], bool]):
-        self.walk = walk
+    def __init__(self, column: Callable[[list], bool], parts: Callable[[object], Iterable]):
         self.column = column
+        self.parts = parts
 
     def __call__(self, value) -> None:
         if not self.column([value]):
             self.walk(value)
+
+    def walk(self, value) -> None:
+        """Raise StructureError for the first rule broken: the shape's own,
+        else one in the first part whose column test fails."""
+        for step, shape, item in self.parts(value):
+            if not shape.column([item]):
+                try:
+                    shape.walk(item)
+                except StructureError as exc:
+                    exc.steps.append(step)
+                    raise
+
+
+def _leaf(column: Callable[[list], bool], want: str) -> Shape:
+    def parts(value) -> Iterable:
+        if not column([value]):
+            raise _fail(want, value)
+        return ()
+
+    return Shape(column, parts)
 
 
 def _all_of_type(values: list, kind: type) -> bool:
@@ -104,14 +121,6 @@ def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Sha
     else:
         want = "an integer"
 
-    def walk(value) -> None:
-        if (
-            type(value) is not int
-            or (minimum is not None and value < minimum)
-            or (maximum is not None and value > maximum)
-        ):
-            raise _fail(want, value)
-
     def column(values: list) -> bool:
         return (
             _all_of_type(values, int)
@@ -119,19 +128,11 @@ def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Sha
             and (maximum is None or max(values, default=maximum) <= maximum)
         )
 
-    return Shape(walk, column)
+    return _leaf(column, want)
 
 
 def string(min_length: int = 0, pattern: Optional[str] = None, want: str = "a string") -> Shape:
     match = None if pattern is None else re.compile(pattern).search
-
-    def walk(value) -> None:
-        if (
-            not isinstance(value, str)
-            or len(value) < min_length
-            or (match is not None and match(value) is None)
-        ):
-            raise _fail(want, value)
 
     def column(values: list) -> bool:
         return (
@@ -140,46 +141,34 @@ def string(min_length: int = 0, pattern: Optional[str] = None, want: str = "a st
             and (match is None or all(map(match, values)))
         )
 
-    return Shape(walk, column)
+    return _leaf(column, want)
 
 
 LABEL: Shape = string(min_length=1, want="a non-empty string")
 
 
 def const(expected) -> Shape:
-    def walk(value) -> None:
-        if type(value) is not type(expected) or value != expected:
-            raise _fail(json.dumps(expected), value)
-
     def column(values: list) -> bool:
         return _all_of_type(values, type(expected)) and values.count(expected) == len(values)
 
-    return Shape(walk, column)
+    return _leaf(column, json.dumps(expected))
 
 
 def of_type(types: Tuple[type, ...], want: str) -> Shape:
-    def walk(value) -> None:
-        if not isinstance(value, types):
-            raise _fail(want, value)
-
     def column(values: list) -> bool:
         return set(map(type, values)) <= set(types)
 
-    return Shape(walk, column)
+    return _leaf(column, want)
 
 
 _not_none = partial(operator.is_not, None)
 
 
 def nullable(shape: Shape) -> Shape:
-    def walk(value) -> None:
-        if value is not None:
-            shape.walk(value)
-
     def column(values: list) -> bool:
         return shape.column(list(filter(_not_none, values)))
 
-    return Shape(walk, column)
+    return Shape(column, lambda value: () if value is None else shape.parts(value))
 
 
 def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> Shape:
@@ -189,19 +178,6 @@ def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> 
         want = f"an array of at least {min_items} item" + ("s" if min_items > 1 else "")
     else:
         want = "an array"
-
-    def walk(value) -> None:
-        if not isinstance(value, list):
-            raise _fail(want, value)
-        n = len(value)
-        if n < min_items or (max_items is not None and n > max_items):
-            raise StructureError(f"expected {want}, got {n}")
-        for i, item in enumerate(value):
-            try:
-                items.walk(item)
-            except StructureError as exc:
-                exc.steps.append(f"[{i}]")
-                raise
 
     def column(values: list) -> bool:
         if not _all_of_type(values, list):
@@ -214,7 +190,15 @@ def array(items: Shape, min_items: int = 0, max_items: Optional[int] = None) -> 
                 return False
         return items.column(list(chain.from_iterable(values)))
 
-    return Shape(walk, column)
+    def parts(value) -> Iterable:
+        if type(value) is not list:
+            raise _fail(want, value)
+        n = len(value)
+        if n < min_items or (max_items is not None and n > max_items):
+            raise StructureError(f"expected {want}, got {n}")
+        return ((f"[{i}]", items, item) for i, item in enumerate(value))
+
+    return Shape(column, parts)
 
 
 def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = None) -> Shape:
@@ -233,26 +217,6 @@ def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = No
         # every key required: one comparison per object
         keys_pass = partial(operator.eq, required_keys)
 
-    def walk(value) -> None:
-        if not isinstance(value, dict):
-            raise _fail("an object", value)
-        keys = value.keys()
-        if not (keys >= required_keys and keys <= known_keys):
-            # locate the fault: a missing key first, else the unknown key
-            # that the loop below meets in document order
-            for key in required:
-                if key not in value:
-                    raise StructureError(f"missing required key {key!r}")
-        for key, item in value.items():
-            shape = fields.get(key)
-            if shape is None:
-                raise StructureError(f"unknown key {key!r}")
-            try:
-                shape.walk(item)
-            except StructureError as exc:
-                exc.steps.append(_step(key))
-                raise
-
     def column(values: list) -> bool:
         return (
             _all_of_type(values, dict)
@@ -264,25 +228,32 @@ def record(required: Dict[str, Shape], optional: Optional[Dict[str, Shape]] = No
             )
         )
 
-    return Shape(walk, column)
+    def parts(value) -> Iterable:
+        if type(value) is not dict:
+            raise _fail("an object", value)
+        # a missing key first, then each key in document order
+        for key in required:
+            if key not in value:
+                raise StructureError(f"missing required key {key!r}")
+        for key, item in value.items():
+            if key not in fields:
+                raise StructureError(f"unknown key {key!r}")
+            yield _step(key), fields[key], item
+
+    return Shape(column, parts)
 
 
 def mapping(values: Shape) -> Shape:
     """An object with arbitrary keys, every value of one shape."""
-
-    def walk(value) -> None:
-        if not isinstance(value, dict):
-            raise _fail("an object", value)
-        for key, item in value.items():
-            try:
-                values.walk(item)
-            except StructureError as exc:
-                exc.steps.append(_step(key))
-                raise
 
     def column(objects: list) -> bool:
         return _all_of_type(objects, dict) and values.column(
             list(chain.from_iterable(map(dict.values, objects)))
         )
 
-    return Shape(walk, column)
+    def parts(value) -> Iterable:
+        if type(value) is not dict:
+            raise _fail("an object", value)
+        return ((_step(key), values, item) for key, item in value.items())
+
+    return Shape(column, parts)

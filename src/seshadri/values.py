@@ -9,6 +9,7 @@ point on any decision path.  Floats appear only in clearly labeled
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
@@ -18,6 +19,15 @@ from typing import Iterable, List, Tuple, Union
 Rational = Fraction
 
 RationalLike = Union[Rational, int]
+
+
+def as_int(value, what: str, error: type) -> int:
+    """`value` as an int via operator.index, so that a float or a fraction
+    raises `error` naming `what` and is never silently truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def parse_rational(text: str) -> Rational:

@@ -84,8 +84,8 @@ def _mediant_max_minus_one(parts):
          r"projective_plane\(1\)/generic: value exceeds sqrt\(d\)"),
         (lambda: checks.check_minimal_M_closed_form(random.Random(20251018)), "minimal_M",
          _minimal_M_plus_one, "closed-form minimal_M differs"),
-        (lambda: checks.check_candidates_brute_force(random.Random(20240817)), "candidate_ratios",
-         lambda B, alpha, **kw: bounds.candidate_ratios(B + 1, alpha, **kw),
+        (lambda: checks.check_candidates_brute_force(random.Random(20240817)), "candidate_walk",
+         lambda B, alpha, **kw: bounds.candidate_walk(B + 1, alpha, **kw),
          "candidate enumeration differs"),
         (lambda: checks.check_mediant(random.Random(991), max_parts=8), "mediant_bounds",
          _mediant_max_minus_one, "mediant inequality fails"),

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seshadri.bounds import BoundError, RRData
 from seshadri.checks import check_roundtrip, check_rr_sanity
-from seshadri.engine import EngineError, epsilon_via_nef
+from seshadri.engine import CurveCandidate, EngineError, epsilon_via_nef
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.models import (
     ModelError,
@@ -220,6 +221,54 @@ def test_empty_model_name_rejected_at_construction():
     # load_model rejects `"name": ""`, so the constructor does too
     with pytest.raises(ModelError, match="^a model needs a non-empty name$"):
         dataclasses.replace(f1_anticanonical(), name="")
+
+
+def _generic():
+    return f1_anticanonical().stratum("generic")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: dataclasses.replace(_generic(), closure_dim=3), EngineError,
+         "closure_dim must be at most 2, got 3"),
+        (lambda: dataclasses.replace(_generic(), closure_dim=-1), EngineError,
+         "closure_dim must be nonnegative, got -1"),
+        (lambda: dataclasses.replace(_generic(), closure_dim=2.0), EngineError,
+         "closure_dim must be an integer, got 2.0"),
+        (lambda: CurveCandidate(label="x", degree_t=2.5, mult_m=1.25), EngineError,
+         "degree_t must be an integer, got 2.5"),
+        (lambda: CurveCandidate(label="x", degree_t=2, mult_m=Fraction(5, 4)), EngineError,
+         "mult_m must be an integer, got Fraction(5, 4)"),
+        (lambda: RRData(d=8.0, c=8, c_prime=1), BoundError, "d must be an integer, got 8.0"),
+        (lambda: RRData(d=8, c=8, c_prime=1, vanishing_multiplier=1.0), BoundError,
+         "vanishing_multiplier must be an integer, got 1.0"),
+        (lambda: dataclasses.replace(f1_anticanonical(), very_ample_multiplier=1.0), ModelError,
+         "very_ample_multiplier must be an integer, got 1.0"),
+        (lambda: dataclasses.replace(_generic(), oracle_complete_below=1.5), EngineError,
+         "completeness threshold must be an int or a Fraction, got 1.5"),
+        (lambda: IntersectionLattice(rank=2.0, gram=((1, 0), (0, -1)), basis_labels=("H", "E")),
+         LatticeError, "rank must be an integer, got 2.0"),
+    ],
+    ids=["closure_dim_high", "closure_dim_low", "closure_dim_float", "candidate_float",
+         "candidate_fraction", "rr_float", "vanishing_float", "very_ample_float",
+         "threshold_float", "rank_float"],
+)
+def test_constructors_reject_what_the_document_format_rejects(build, error, message):
+    # a float is never truncated into an integer field, and no value the
+    # document format rejects gets as far as a verdict
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_constructors_take_integer_likes_as_ints():
+    stratum = dataclasses.replace(_generic(), closure_dim=True, oracle_complete_below=2)
+    assert type(stratum.closure_dim) is int and stratum.closure_dim == 1
+    assert RRData(d=True, c=0, c_prime=1).d.__class__ is int
+    model = dataclasses.replace(f1_anticanonical(), very_ample_multiplier=True)
+    assert type(model.very_ample_multiplier) is int
+    assert load_model(model.to_json()).to_json() == model.to_json()
 
 
 def test_loaded_coordinates_keep_the_length_check():

@@ -20,9 +20,10 @@ from seshadri.models import (
     builtin_suite,
     f1_anticanonical,
     load_model,
+    model_from_document,
     quadric,
 )
-from seshadri.structure import StructureError, array, integer
+from seshadri.structure import LABEL, StructureError, array, const, integer, of_type, string
 
 
 def put(*steps_and_value):
@@ -141,6 +142,58 @@ def test_long_integer_array_reports_the_first_bad_index(shape, bad, reason, k):
     assert str(info.value) == f"$[{k}]: {reason}"
 
 
+@pytest.mark.parametrize(
+    "shape, good, bad, reason",
+    [
+        (string(), "x", 7, "expected a string, got 7"),
+        (string(pattern=r"^[0-9]+$", want="digits"), "12", "1a", 'expected digits, got "1a"'),
+        (LABEL, "x", "", 'expected a non-empty string, got ""'),
+        (const(1), 1, True, "expected 1, got true"),
+        (of_type((dict, str), "an object or a path"), "x", 5, "expected an object or a path, got 5"),
+    ],
+    ids=["string", "pattern", "label", "const", "of_type"],
+)
+@pytest.mark.parametrize("k", [0, 417, 999])
+def test_long_leaf_array_reports_the_first_bad_index(shape, good, bad, reason, k):
+    # every leaf's walk is its column test on one value, so it fails
+    # where the column test fails, with the leaf's own message
+    value = [good] * 1000
+    value[k] = bad
+    if k + 1 < len(value):
+        value[-1] = None
+    with pytest.raises(StructureError) as info:
+        array(shape)(value)
+    assert str(info.value) == f"$[{k}]: {reason}"
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("name", _Name("f1"), "$.name: expected a non-empty string, got a value of type _Name"),
+        ("rank", _Count(2), "$.rank: expected an integer >= 1, got a value of type _Count"),
+        ("gram", ((1, 0), (0, -1)), "$.gram: expected an array, got a value of type tuple"),
+    ],
+    ids=["str_subclass", "int_subclass", "tuple"],
+)
+def test_value_of_a_non_json_type_is_rejected(key, value, reason):
+    # the walk tests exact types, as the column test does; json.loads
+    # never makes a subclass or a tuple, so only a document built in
+    # Python has one
+    doc = json.loads(f1_anticanonical().to_json())
+    doc[key] = value
+    with pytest.raises(ModelError) as info:
+        model_from_document(doc)
+    assert str(info.value) == f"schema violation: {reason}"
+
+
 def family_doc():
     return {
         "degree": 8,
@@ -251,6 +304,13 @@ def _walk_error(shape, doc):
 def test_column_accepts_every_valid_document():
     for shape, doc in VALID_DOCUMENTS:
         assert shape.column([doc])
+
+
+def test_walk_finds_no_fault_in_a_valid_value():
+    for shape, doc in VALID_DOCUMENTS:
+        assert shape.walk(doc) is None
+    assert integer(minimum=0, maximum=2).walk(2) is None
+    assert LABEL.walk("generic") is None
 
 
 @given(_mutated())
