@@ -20,7 +20,6 @@ from .engine import (
     Certification,
     EngineError,
     SeshadriValue,
-    epsilon,
     epsilon_via_curves,
     epsilon_via_nef,
     low_epsilon_strata,
@@ -66,20 +65,17 @@ def check_cross(models: Models) -> str:
 def check_steffens_and_rationality(models: Models) -> str:
     for model in models:
         ceiling = SeshadriValue.sqrt(model.rr.d)
-        for stratum in model.strata:
-            res = epsilon(model, stratum)
+        for label, res in model.stratum_table.items():
             if res.value > ceiling:
-                raise AssertionError(f"{model.name}/{stratum.label}: value exceeds sqrt(d)")
+                raise AssertionError(f"{model.name}/{label}: value exceeds sqrt(d)")
             if res.certification is Certification.EXACT_CERTIFIED and res.value < ceiling:
                 if not res.value.is_exact:
                     raise AssertionError(
-                        f"{model.name}/{stratum.label}: certified value below sqrt(d) "
-                        "is not rational"
+                        f"{model.name}/{label}: certified value below sqrt(d) is not rational"
                     )
                 if res.witness is None or res.witness.ratio != res.value.rational:
                     raise AssertionError(
-                        f"{model.name}/{stratum.label}: certified value lacks a "
-                        "reproducing witness"
+                        f"{model.name}/{label}: certified value lacks a reproducing witness"
                     )
     n = sum(len(m.strata) for m in models)
     return f"sqrt(d) ceiling and witness rationality hold on {n} strata"

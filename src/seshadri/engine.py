@@ -22,11 +22,11 @@ import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
 from .lattice import DivisorClass, IntersectionLattice, coordinates
-from .values import Rational, SeshadriValue, as_int
+from .values import Rational, SeshadriValue, as_int, require_label
 
 
 class EngineError(ValueError):
@@ -60,8 +60,7 @@ class CurveCandidate:
             object.__setattr__(self, "coords", coordinates(self.coords, self.lattice.rank))
         elif self.lattice is not None:
             raise EngineError(f"candidate {self.label!r} has a lattice but no coordinates")
-        if not self.label:
-            raise EngineError("a curve candidate needs a non-empty label")
+        require_label(self.label, "a curve candidate", EngineError)
         # a loaded candidate's t and m are exact ints already: skip the conversion
         if type(self.degree_t) is not int or type(self.mult_m) is not int:
             for name in ("degree_t", "mult_m"):
@@ -94,9 +93,10 @@ class PointStratum:
     oracle_complete_below: Optional[Rational] = None
 
     def __post_init__(self):
-        if not self.label:
-            raise EngineError("a point stratum needs a non-empty label")
+        require_label(self.label, "a point stratum", EngineError)
         object.__setattr__(self, "specializes_from", tuple(self.specializes_from))
+        for general in self.specializes_from:
+            require_label(general, f"stratum {self.label!r}", EngineError, "specializes_from entry")
         object.__setattr__(self, "candidates", tuple(self.candidates))
         closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
         object.__setattr__(self, "closure_dim", closure_dim)
@@ -184,20 +184,26 @@ class SeshadriResult:
         return doc
 
 
-def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandidate]:
-    # deterministic witness: smallest ratio, then smallest degree, then
-    # label; ratios compare by cross-multiplying, with no Fraction built
+def _least_ratio(entries: Iterable[tuple]) -> Optional[tuple]:
+    """The deterministic witness order of both paths: of the entries
+    (t, m, label, item), the one of least t/m, then least t, then least
+    label, the first listed on a full tie; None if there is none.  Ratios
+    compare by cross-multiplying, with no Fraction built."""
     best = None
-    for c in candidates:
-        if best is None:
-            best = c
-            continue
-        lhs, rhs = c.degree_t * best.mult_m, best.degree_t * c.mult_m
-        if lhs < rhs or (
-            lhs == rhs and (c.degree_t, c.label) < (best.degree_t, best.label)
-        ):
-            best = c
+    for entry in entries:
+        if best is not None:
+            t, m, label, _ = entry
+            best_t, best_m, best_label, _ = best
+            lhs, rhs = t * best_m, best_t * m
+            if lhs > rhs or (lhs == rhs and (t, label) >= (best_t, best_label)):
+                continue
+        best = entry
     return best
+
+
+def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandidate]:
+    best = _least_ratio((c.degree_t, c.mult_m, c.label, c) for c in candidates)
+    return None if best is None else best[3]
 
 
 def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
@@ -242,25 +248,18 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     if gens is None:
         raise EngineError(f"no blow-up generator set for stratum {stratum.label!r}")
     d = model.rr.d
-    # the running minimum as integers over the model's generator table of
-    # (degree, multiplicity at the point): ratio deg/e_mult, then degree,
-    # then label; ratios compare by cross-multiplying and against sqrt(d)
-    # by squaring, and only the winner becomes a Fraction.  The model's
-    # construction checks give deg > 0 wherever e_mult > 0
-    best = None
-    for label, row, (deg, e_mult) in zip(
-        gens.labels, gens.rows, model.generator_table(stratum.label)
-    ):
-        if e_mult <= 0:
-            continue
-        if deg * deg > d * e_mult * e_mult:
-            continue  # above sqrt(d): the square constraint binds first
-        if best is not None:
-            best_deg, best_e_mult, best_label, _ = best
-            lhs, rhs = deg * best_e_mult, best_deg * e_mult
-            if lhs > rhs or (lhs == rhs and (deg, label) >= (best_deg, best_label)):
-                continue
-        best = (deg, e_mult, label, row)
+    # the least ratio deg/e_mult over the model's generator table of
+    # (degree, multiplicity at the point), among those that meet the
+    # point and do not exceed sqrt(d), compared by squaring; only the
+    # winner becomes a Fraction.  The model's construction checks give
+    # deg > 0 wherever e_mult > 0
+    best = _least_ratio(
+        (deg, e_mult, label, row)
+        for label, row, (deg, e_mult) in zip(
+            gens.labels, gens.rows, model.generator_table(stratum.label)
+        )
+        if e_mult > 0 and deg * deg <= d * e_mult * e_mult
+    )
     if best is None:
         ceiling = SeshadriValue.sqrt(d)
         return SeshadriResult(hi=ceiling, lo=ceiling)

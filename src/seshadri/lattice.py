@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .values import as_int
+from .values import as_int, require_label
 
 
 class LatticeError(ValueError):
@@ -61,6 +61,8 @@ class IntersectionLattice:
         gram = tuple(_integers(row, "gram entries") for row in self.gram)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        for label in self.basis_labels:
+            require_label(label, "a lattice", LatticeError, "basis label")
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
             raise LatticeError(f"gram matrix is not {self.rank}x{self.rank}")
         for i in range(self.rank):
@@ -161,14 +163,14 @@ class CurveGeneratorSet:
         # row's coordinates, then each generator's label and class
         if not (
             all(labels)
+            and set(map(type, labels)) <= {str}
             and set(map(len, rows)) <= {rank}
             and set(map(type, chain.from_iterable(rows))) <= {int}
             and all(map(any, rows))
         ):
             rows = tuple(coordinates(row, rank) for row in rows)
             for label, row in zip(labels, rows):
-                if not label:
-                    raise LatticeError("a curve generator needs a non-empty label")
+                require_label(label, "a curve generator", LatticeError)
                 if not any(row):
                     raise LatticeError(f"generator {label!r} is the zero class")
         object.__setattr__(self, "labels", labels)
@@ -182,10 +184,13 @@ class CurveGeneratorSet:
 
 @functools.lru_cache(maxsize=128)
 def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:
-    """Rank+1 lattice of a point blow-up: new basis vector with
-    self-intersection -1, orthogonal to the old block.  Cached, so every
-    caller gets the same object for one lattice and label: classes that a
-    loader builds on it and its model's blow-up lattice pair by identity."""
+    """Rank+1 lattice of a point blow-up.  Its layout is a contract that
+    readers of blow-up rows rely on: the exceptional vector `label` comes
+    last, orthogonal to the old basis, with self-intersection -1.  So a
+    row's first n entries are its pushforward and minus its last entry is
+    its pairing with the exceptional class.  Cached, so every caller gets
+    the same object for one lattice and label: classes that a loader
+    builds on it and its model's blow-up lattice pair by identity."""
     if label in lat.basis_labels:
         raise LatticeError(f"duplicate basis label {label!r}")
     n = lat.rank
@@ -196,11 +201,3 @@ def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:
         gram=tuple(tuple(row) for row in gram),
         basis_labels=lat.basis_labels + (label,),
     )
-
-
-def lift(extended: IntersectionLattice, D: DivisorClass) -> DivisorClass:
-    """Total transform of an old class in the blow-up lattice (append a
-    zero exceptional coordinate)."""
-    if extended.rank != D.lattice.rank + 1:
-        raise LatticeError("lift target must have rank one higher")
-    return extended.divisor(D.coords + (0,))

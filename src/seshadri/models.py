@@ -28,14 +28,7 @@ from typing import Dict, Mapping, Tuple
 from . import SCHEMA_VERSION
 from .bounds import DegreeBound, RRData, minimal_M
 from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
-from .lattice import (
-    CurveGeneratorSet,
-    DivisorClass,
-    IntersectionLattice,
-    extend_blowup,
-    lift,
-    pair,
-)
+from .lattice import CurveGeneratorSet, DivisorClass, IntersectionLattice, extend_blowup, pair
 from .structure import (
     LABEL,
     StructureError,
@@ -47,7 +40,7 @@ from .structure import (
     record,
     string,
 )
-from .values import Rational, as_int, format_rational, parse_rational
+from .values import Rational, as_int, require_label, format_rational, parse_rational
 
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
@@ -135,16 +128,6 @@ class SurfaceModel:
         """The one-point blow-up lattice, the same object that the blow-up
         generators of a loaded or built-in model live on."""
         return extend_blowup(self.lattice, EXCEPTIONAL_LABEL)
-
-    @cached_property
-    def pullback(self) -> DivisorClass:
-        """The pullback of the polarization to the blow-up lattice."""
-        return lift(self.blowup_lattice, self.polarization)
-
-    @cached_property
-    def exceptional(self) -> DivisorClass:
-        """The exceptional class of the one-point blow-up."""
-        return self.blowup_lattice.basis_vector(EXCEPTIONAL_LABEL)
 
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
@@ -239,8 +222,7 @@ class SurfaceModel:
 def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...]]:
     """Raise on the first violated invariant; return each blow-up
     generator set's table, keyed by stratum label."""
-    if not model.name:
-        raise ModelError("a model needs a non-empty name")
+    require_label(model.name, "a model", ModelError, "name")
     lat = model.lattice
     if model.polarization.lattice != lat:
         raise ModelError("polarization does not live on the model lattice")
@@ -331,19 +313,19 @@ def _generator_table(
     model: SurfaceModel, label: str, gens: CurveGeneratorSet
 ) -> Tuple[Tuple[int, int], ...]:
     """Check one stratum's blow-up generator set and return its table of
-    (pi^*L.C, Ex.C) per generator C: integer dot products of each row
-    with the covectors of pi^*L and Ex, taken after the set's lattice
-    check, since a row of another lattice would still give a number."""
+    (pi^*L.C, Ex.C) per generator C.  The set's lattice is checked first,
+    so every row has the layout of `extend_blowup`: pushforward first,
+    then the Ex coordinate.  Then pi^*L.C = L.pi_*C (the projection
+    formula) is the dot product of L's covector with the row's first n
+    entries, and Ex.C is minus the row's last entry."""
     if gens.labels and gens.lattice != model.blowup_lattice:
         raise ModelError(
             f"blow-up generator {gens.labels[0]!r} of stratum {label!r} does not live on "
             "the extended lattice"
         )
-    pullback, exceptional = model.pullback.covector, model.exceptional.covector
-    table = tuple(
-        (sum(map(operator.mul, pullback, row)), sum(map(operator.mul, exceptional, row)))
-        for row in gens.rows
-    )
+    # map stops at the shorter covector, so the Ex coordinate is left out
+    polarization = model.polarization.covector
+    table = tuple((sum(map(operator.mul, polarization, row)), -row[-1]) for row in gens.rows)
     # both checks below pass every generator with pi^*L.C > 0, so they
     # visit only the others
     low = [
@@ -353,9 +335,8 @@ def _generator_table(
     ]
     # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
     # pushforward (the row without its exceptional coordinate) is nonzero.
-    # L^2 = rr.d >= 1 is checked above, and by the projection formula
-    # L.pi_*C = pi^*L.C, the table's first entry, so no pushforward class
-    # is built
+    # L^2 = rr.d >= 1 is checked above, and L.pi_*C is the table's first
+    # entry, so no pushforward class is built
     if any(any(row[:-1]) for _, row, _ in low):
         raise ModelError(
             f"polarization fails the plausible-ampleness gate against the "

@@ -30,6 +30,16 @@ def as_int(value, what: str, error: type) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def require_label(value, owner: str, error: type, field: str = "label") -> None:
+    """Raise `error`, naming `owner`'s `field`, unless `value` is a
+    non-empty str: exactly a str, as the document format requires of
+    every label and name."""
+    if type(value) is not str:
+        raise error(f"{field} of {owner} must be a string, got {value!r}")
+    if not value:
+        raise error(f"{owner} needs a non-empty {field}")
+
+
 def parse_rational(text: str) -> Rational:
     """Parse "p/q" or "p" into an exact rational.  Decimal notation is
     rejected on purpose: no silent rounding at the boundary."""

@@ -74,26 +74,45 @@ def _mediant_max_minus_one(parts):
 @pytest.mark.parametrize(
     "run, name, stand_in, match",
     [
-        (lambda: checks.check_roundtrip(builtin_suite()), "load_model",
+        (lambda: checks.check_roundtrip(builtin_suite()), "checks.load_model",
          lambda text: models.load_model(text.replace('"line"', '"Line"')),
          r"projective_plane\(1\): serialization does not round-trip"),
-        (lambda: checks.check_steffens_and_rationality(builtin_suite()), "epsilon",
+        (lambda: checks.check_steffens_and_rationality(builtin_suite()), "models.epsilon",
          lambda m, s: dataclasses.replace(engine.epsilon(m, s), witness=None),
          r"quadric\(1,1\)/generic: certified value lacks a reproducing witness"),
-        (lambda: checks.check_steffens_and_rationality(builtin_suite()), "epsilon", _above_sqrt_d,
+        (lambda: checks.check_steffens_and_rationality(builtin_suite()), "models.epsilon",
+         _above_sqrt_d,
          r"projective_plane\(1\)/generic: value exceeds sqrt\(d\)"),
-        (lambda: checks.check_minimal_M_closed_form(random.Random(20251018)), "minimal_M",
+        (lambda: checks.check_minimal_M_closed_form(random.Random(20251018)), "checks.minimal_M",
          _minimal_M_plus_one, "closed-form minimal_M differs"),
-        (lambda: checks.check_candidates_brute_force(random.Random(20240817)), "candidate_walk",
+        (lambda: checks.check_candidates_brute_force(random.Random(20240817)),
+         "checks.candidate_walk",
          lambda B, alpha, **kw: bounds.candidate_walk(B + 1, alpha, **kw),
          "candidate enumeration differs"),
-        (lambda: checks.check_mediant(random.Random(991), max_parts=8), "mediant_bounds",
+        (lambda: checks.check_mediant(random.Random(991), max_parts=8), "checks.mediant_bounds",
          _mediant_max_minus_one, "mediant inequality fails"),
     ],
     ids=["roundtrip", "steffens_rationality_witness", "steffens_rationality_ceiling",
          "minimal_M_closed_form", "candidate_brute_force", "mediant_inequality"],
 )
 def test_invariant_rejects_a_faulty_function(monkeypatch, run, name, stand_in, match):
-    monkeypatch.setattr(checks, name, stand_in)
+    monkeypatch.setattr(f"seshadri.{name}", stand_in)
     with pytest.raises(AssertionError, match=match):
         run()
+
+
+def test_run_all_checks_evaluates_each_stratum_twice_per_path(monkeypatch):
+    # each of the 6 built-in strata once for the models' stratum tables,
+    # and once more by the cross-check, which compares the paths directly
+    calls = {"epsilon_via_curves": 0, "epsilon_via_nef": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (engine, checks):
+            monkeypatch.setattr(module, name, counted)
+    assert all(result.passed for result in checks.run_all_checks())
+    assert calls == {"epsilon_via_curves": 12, "epsilon_via_nef": 12}

@@ -272,6 +272,34 @@ def test_superset_pairs_match_fraction_reference(v, w, alpha):
     assert all(math.gcd(t, m) == 1 for t, m in report.candidate_superset)
 
 
+def _plane2_with_low_curve(v):
+    """projective_plane(2) whose dense stratum's table, complete below
+    1/2, lists one curve of ratio 1/2; no blow-up data, so that the
+    curve table alone decides the value."""
+    doc = projective_plane(2).to_document()
+    doc["very_ample_multiplier"] = v
+    doc["blowup_gens"] = {}
+    (stratum,) = doc["strata"]
+    stratum["candidates"] = [{"label": "low", "class": None, "t": 1, "m": 2}]
+    stratum["oracle_complete_below"] = "1/2"
+    return models_module.model_from_document(doc)
+
+
+@pytest.mark.parametrize("v", [1, 2], ids=["escapes", "multiplier_covers"])
+def test_observed_value_outside_the_superset_is_an_error(v):
+    # with v = 1 the superset holds ratios t/m with m <= t only, so 1/2
+    # escapes it; with v = 2 the raw pair (1, 1) divides to (1, 2)
+    family = Family(members=(("t", _plane2_with_low_curve(v)),), degree=4)
+    if v == 1:
+        escape = "^observed values escape the candidate superset: 1/2$"
+        with pytest.raises(FamilyError, match=escape):
+            scan(family, Fraction(1))
+    else:
+        report = scan(family, Fraction(1))
+        assert report.sigma_cap == (Fraction(1, 2),)
+        assert report.candidate_superset[0] == (1, 2)
+
+
 def test_load_family_inline_and_file(tmp_path):
     f1 = f1_anticanonical()
     (tmp_path / "f1.json").write_text(f1.to_json())

@@ -2,6 +2,7 @@
 only its own layer, and the package exports the same objects it did when
 it imported every submodule up front."""
 
+import ast
 import importlib
 import json
 import os
@@ -145,3 +146,27 @@ def test_schema_version_is_shared():
     import seshadri.models
 
     assert seshadri.models.SCHEMA_VERSION is seshadri.SCHEMA_VERSION == 1
+
+
+def _unused_imports(path: str) -> list:
+    """The names that an import in the module binds and nothing in it
+    reads, apart from `from __future__` imports."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(name for name in os.listdir(seshadri.__path__[0]) if name.endswith(".py"))
+)
+def test_module_has_no_unused_import(module):
+    assert _unused_imports(os.path.join(seshadri.__path__[0], module)) == []

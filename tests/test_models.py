@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from seshadri.bounds import BoundError, RRData
 from seshadri.checks import check_roundtrip, check_rr_sanity
-from seshadri.engine import CurveCandidate, EngineError, epsilon_via_nef
+from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon, epsilon_via_nef
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.models import (
     ModelError,
@@ -223,6 +223,59 @@ def test_empty_model_name_rejected_at_construction():
         dataclasses.replace(f1_anticanonical(), name="")
 
 
+def _with_generic_candidate(label):
+    """f1_anticanonical with one more generic candidate of ratio 2/1."""
+    model = f1_anticanonical()
+    generic = model.stratum("generic")
+    extra = CurveCandidate(label=label, degree_t=2, mult_m=1)
+    stratum = dataclasses.replace(generic, candidates=generic.candidates + (extra,))
+    return dataclasses.replace(model, strata=(stratum,) + model.strata[1:])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: dataclasses.replace(f1_anticanonical(), name=5), ModelError,
+         "name of a model must be a string, got 5"),
+        (lambda: PointStratum(label=7, closure_dim=2), EngineError,
+         "label of a point stratum must be a string, got 7"),
+        (lambda: PointStratum(label="s", closure_dim=1, specializes_from=("generic", 5)),
+         EngineError, "specializes_from entry of stratum 's' must be a string, got 5"),
+        (lambda: PointStratum(label="s", closure_dim=1, specializes_from=("",)),
+         EngineError, "stratum 's' needs a non-empty specializes_from entry"),
+        (lambda: IntersectionLattice(rank=1, gram=((1,),), basis_labels=(3,)), LatticeError,
+         "basis label of a lattice must be a string, got 3"),
+        (lambda: IntersectionLattice(rank=1, gram=((1,),), basis_labels=("",)), LatticeError,
+         "a lattice needs a non-empty basis label"),
+        (lambda: CurveGeneratorSet(
+            lattice=f1_anticanonical().blowup_lattice, labels=(1,), rows=((0, 0, 1),)),
+         LatticeError, "label of a curve generator must be a string, got 1"),
+        (lambda: _with_generic_candidate(("fiber2",)), EngineError,
+         "label of a curve candidate must be a string, got ('fiber2',)"),
+    ],
+    ids=["model_name", "stratum_label", "specializes_from", "empty_specializes_from",
+         "basis_label", "empty_basis_label", "generator_label", "candidate_label"],
+)
+def test_labels_must_be_strings_at_construction(build, error, message):
+    # the document format takes every label and name as a non-empty
+    # string, so the constructors do too
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_string_candidate_label_ties_break_by_label():
+    # a candidate tying the fiber at 2/1 loses the tie on its label only
+    model = _with_generic_candidate("fiber2")
+    assert epsilon(model, model.stratum("generic")).witness.label == "fiber"
+
+
+def test_empty_basis_label_rejected_at_load():
+    doc = json.loads(f1_anticanonical().to_json())
+    doc["basis_labels"][0] = ""
+    with pytest.raises(ModelError, match="^a lattice needs a non-empty basis label$"):
+        load_model(json.dumps(doc))
+
+
 def _generic():
     return f1_anticanonical().stratum("generic")
 
@@ -283,8 +336,11 @@ def test_loaded_coordinates_keep_the_length_check():
 
 def _pairings(model, label):
     """(pi^*L.C, Ex.C) for each blow-up generator C, through lattice.pair."""
+    ext = model.blowup_lattice
+    pullback = ext.divisor(model.polarization.coords + (0,))
+    exceptional = ext.basis_vector("Ex")
     return tuple(
-        (pair(model.pullback, cls), pair(model.exceptional, cls))
+        (pair(pullback, cls), pair(exceptional, cls))
         for _, cls in model.blowup_gens[label].generators
     )
 

@@ -36,6 +36,8 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
     text = model.to_json()
     assert text == json.dumps(doc, indent=2) + "\n" == load_model(text).to_json()
     ext = model.blowup_lattice
+    pullback = ext.divisor(model.polarization.coords + (0,))
+    exceptional = ext.basis_vector("Ex")
     for stratum in model.strata:
         for c in stratum.candidates:
             assert c.curve_class == model.lattice.divisor(c.coords)
@@ -44,8 +46,7 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
             (label, ext.divisor(row)) for label, row in zip(gens.labels, gens.rows)
         )
         assert model.generator_table(stratum.label) == tuple(
-            (pair(model.pullback, cls), pair(model.exceptional, cls))
-            for _, cls in gens.generators
+            (pair(pullback, cls), pair(exceptional, cls)) for _, cls in gens.generators
         )
         witness = epsilon_via_nef(model, stratum).witness
         if witness is not None:
@@ -74,11 +75,9 @@ def test_loaded_and_scanned_models_build_no_generator_class(blown_up_plane, monk
     loaded = load_family(json.dumps(family))
     scan(loaded, Fraction(4))
     models = [model for _, model in loaded.members]
-    on_blowup = [c for c in built if any(c.lattice is m.blowup_lattice for m in models)]
-    # the only classes on the blow-up lattice are the covectors' sources
-    assert on_blowup and all(
-        any(c is m.pullback or c is m.exceptional for m in models) for c in on_blowup
-    )
+    # the generator tables read the rows alone: no class is built on a
+    # blow-up lattice, the only lattices with the reserved label Ex
+    assert not [c for c in built if "Ex" in c.lattice.basis_labels]
     for model in models:
         for gens in model.blowup_gens.values():
             assert "generators" not in vars(gens)
@@ -111,6 +110,22 @@ def test_bad_generator_rows_raise_the_class_messages(labels, rows, message):
     ext = f1_anticanonical().blowup_lattice
     with pytest.raises(LatticeError, match=_exact(message)):
         CurveGeneratorSet(lattice=ext, labels=labels, rows=rows)
+
+
+def test_a_valid_generator_set_takes_one_pass(monkeypatch):
+    # the row-by-row walk, which checks each row and each label on its
+    # own, runs only on a set that fails the one-pass test
+    ext = f1_anticanonical().blowup_lattice
+
+    def walk(*args):
+        raise AssertionError("the walk ran on a valid set")
+
+    monkeypatch.setattr(lattice, "coordinates", walk)
+    monkeypatch.setattr(lattice, "require_label", walk)
+    gens = CurveGeneratorSet(lattice=ext, labels=["Ex", "E"], rows=[[0, 0, 1], [0, 1, 0]])
+    assert gens.labels == ("Ex", "E") and gens.rows == ((0, 0, 1), (0, 1, 0))
+    with pytest.raises(AssertionError, match="the walk ran"):
+        CurveGeneratorSet(lattice=ext, labels=(1,), rows=((0, 0, 1),))
 
 
 @pytest.mark.parametrize(
