@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
-from .lattice import DivisorClass, IntersectionLattice, coordinates
+from .lattice import integers
 from .values import Rational, SeshadriValue, as_int, require_label
 
 
@@ -43,23 +43,19 @@ class Certification(enum.Enum):
 class CurveCandidate:
     """A curve through a stratum's point: its polarization degree t and
     its multiplicity m at the point.  The ratio t/m is an upper bound for
-    the local Seshadri constant there.  Its class, if known, is kept as
-    integer coordinates on `lattice`, checked as a class's would be, and
-    `curve_class` builds the `DivisorClass` on first use."""
+    the local Seshadri constant there.  Its class, if known, is a row of
+    integer coordinates: on the model lattice for a stratum's candidate,
+    where the model checks its length and its degree, and on the blow-up
+    lattice for the nef path's witness."""
 
     label: str
     degree_t: int
     mult_m: int
     coords: Optional[Tuple[int, ...]] = None
-    lattice: Optional[IntersectionLattice] = None
 
     def __post_init__(self):
         if self.coords is not None:
-            if self.lattice is None:
-                raise EngineError(f"candidate {self.label!r} has coordinates but no lattice")
-            object.__setattr__(self, "coords", coordinates(self.coords, self.lattice.rank))
-        elif self.lattice is not None:
-            raise EngineError(f"candidate {self.label!r} has a lattice but no coordinates")
+            object.__setattr__(self, "coords", integers(self.coords, "coordinates"))
         require_label(self.label, "a curve candidate", EngineError)
         # a loaded candidate's t and m are exact ints already: skip the conversion
         if type(self.degree_t) is not int or type(self.mult_m) is not int:
@@ -74,10 +70,6 @@ class CurveCandidate:
     @property
     def ratio(self) -> Rational:
         return Fraction(self.degree_t, self.mult_m)
-
-    @cached_property
-    def curve_class(self) -> Optional[DivisorClass]:
-        return None if self.coords is None else self.lattice.divisor(self.coords)
 
 
 @dataclass(frozen=True)
@@ -268,9 +260,7 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     return SeshadriResult(
         hi=value,
         lo=value,
-        witness=CurveCandidate(
-            label=label, degree_t=deg, mult_m=e_mult, coords=row, lattice=gens.lattice
-        ),
+        witness=CurveCandidate(label=label, degree_t=deg, mult_m=e_mult, coords=row),
     )
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .bounds import DegreeBound, RRData, candidate_walk, minimal_M
 from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
 from .models import SurfaceModel, load_model_file, model_from_document
-from .structure import LABEL, StructureError, array, integer, of_type, record, string
+from .structure import LABEL, StructureError, array, integer, of_type, record
 from .values import Rational, SeshadriValue, format_pairs, format_rational
 
 # a ratio t/m as its reduced integer pair (t, m), m >= 1
@@ -364,7 +364,7 @@ FAMILY_SHAPE = record(
             min_items=1,
         ),
     },
-    optional={"member_specialization": array(array(string(), min_items=2, max_items=2))},
+    optional={"member_specialization": array(array(LABEL, min_items=2, max_items=2))},
 )
 
 

@@ -7,8 +7,7 @@ that assertion is the trust boundary of the nef path.
 
 A generator set keeps its classes as integer coordinate rows on one
 lattice and checks them all at construction, with the messages that a
-`DivisorClass` of each row would raise.  The `DivisorClass` objects are
-built from the rows only when `generators` is read.
+`DivisorClass` of each row would raise.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ class LatticeError(ValueError):
     pass
 
 
-def _integers(values: Sequence, what: str) -> Tuple[int, ...]:
+def integers(values: Sequence, what: str) -> Tuple[int, ...]:
     """The values as a tuple of ints, via operator.index, so that a float
     or a fraction is an error and never silently truncated."""
     try:
@@ -40,9 +39,9 @@ def _integers(values: Sequence, what: str) -> Tuple[int, ...]:
 
 def coordinates(values: Sequence, rank: int) -> Tuple[int, ...]:
     """The values as a tuple of `rank` ints, or the error that a class
-    with these coordinates raises: this is the check of every coordinate
+    with these coordinates raises: this is the check of every generator
     row, whether or not a `DivisorClass` is built from it."""
-    row = _integers(values, "coordinates")
+    row = integers(values, "coordinates")
     if len(row) != rank:
         raise LatticeError(f"coordinate length {len(row)} differs from rank {rank}")
     return row
@@ -58,7 +57,7 @@ class IntersectionLattice:
         object.__setattr__(self, "rank", as_int(self.rank, "rank", LatticeError))
         if self.rank < 1:
             raise LatticeError(f"rank must be positive, got {self.rank}")
-        gram = tuple(_integers(row, "gram entries") for row in self.gram)
+        gram = tuple(integers(row, "gram entries") for row in self.gram)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
         for label in self.basis_labels:
@@ -175,11 +174,6 @@ class CurveGeneratorSet:
                     raise LatticeError(f"generator {label!r} is the zero class")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rows", rows)
-
-    @functools.cached_property
-    def generators(self) -> Tuple[Tuple[str, DivisorClass], ...]:
-        """(label, class) per generator, each class built on first use."""
-        return tuple(zip(self.labels, map(self.lattice.divisor, self.rows)))
 
 
 @functools.lru_cache(maxsize=128)

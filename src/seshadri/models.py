@@ -8,10 +8,8 @@ ship with correct generator lists and completeness thresholds; abstract
 models carry their own responsibility for those assertions, and every
 structural invariant that can be checked at load time is.
 
-A loaded model keeps each candidate's class and each generator set as
-integer coordinate rows, checked as divisor classes would be and with
-the same messages; the `DivisorClass` objects are built only when
-`CurveCandidate.curve_class` or `CurveGeneratorSet.generators` is read.
+A model keeps its candidates' classes and its generator sets as integer
+rows, on its lattice and on its blow-up lattice.
 """
 
 from __future__ import annotations
@@ -40,7 +38,14 @@ from .structure import (
     record,
     string,
 )
-from .values import Rational, as_int, require_label, format_rational, parse_rational
+from .values import (
+    RATIONAL_SYNTAX,
+    Rational,
+    as_int,
+    format_rational,
+    parse_rational,
+    require_label,
+)
 
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
@@ -53,7 +58,7 @@ MODEL_SHAPE = record(
         "name": LABEL,
         "rank": integer(minimum=1),
         "gram": array(_INTEGERS),
-        "basis_labels": array(string()),
+        "basis_labels": array(LABEL),
         "polarization": _INTEGERS,
         "rr": record(
             {
@@ -69,10 +74,10 @@ MODEL_SHAPE = record(
                 {
                     "label": LABEL,
                     "closure_dim": integer(minimum=0, maximum=2),
-                    "specializes_from": array(string()),
+                    "specializes_from": array(LABEL),
                     "oracle_complete_below": nullable(
                         string(
-                            pattern=r"^-?[0-9]+(/[0-9]+)?$",
+                            pattern=RATIONAL_SYNTAX,
                             want='a rational string such as "3/2" or null',
                         )
                     ),
@@ -285,13 +290,13 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
             cap = model.degree_bound(ocb).B
-    lat, polarization = model.lattice, model.polarization.covector
+    rank, polarization = model.lattice.rank, model.polarization.covector
     for c in s.candidates:
         if c.coords is not None:
-            if c.lattice != lat:
-                raise ModelError(
-                    f"candidate {c.label!r} class does not live on the model lattice"
-                )
+            # before the pairing: map stops at the shorter sequence, so a
+            # longer row would be paired on its first entries alone
+            if len(c.coords) != rank:
+                raise ModelError(f"coordinate length {len(c.coords)} differs from rank {rank}")
             deg = sum(map(operator.mul, polarization, c.coords))
             if deg != c.degree_t:
                 raise ModelError(
@@ -394,7 +399,6 @@ def _build_from_document(doc: dict) -> SurfaceModel:
                 degree_t=cd["t"],
                 mult_m=cd["m"],
                 coords=cd["class"],
-                lattice=None if cd["class"] is None else lat,
             )
             for cd in sd["candidates"]
         )
@@ -451,9 +455,7 @@ _PLANE_CURVE_CAP = 3
 
 def _candidate(label: str, t: int, m: int, cls: DivisorClass) -> CurveCandidate:
     """A built-in curve candidate (t, m) of the class `cls`."""
-    return CurveCandidate(
-        label=label, degree_t=t, mult_m=m, coords=cls.coords, lattice=cls.lattice
-    )
+    return CurveCandidate(label=label, degree_t=t, mult_m=m, coords=cls.coords)
 
 
 def projective_plane(e: int = 1) -> SurfaceModel:

@@ -132,7 +132,8 @@ def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Sha
 
 
 def string(min_length: int = 0, pattern: Optional[str] = None, want: str = "a string") -> Shape:
-    match = None if pattern is None else re.compile(pattern).search
+    """A str of at least `min_length` characters, matched in full by `pattern`."""
+    match = None if pattern is None else re.compile(pattern).fullmatch
 
     def column(values: list) -> bool:
         return (

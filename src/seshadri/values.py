@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
@@ -19,6 +20,10 @@ from typing import Iterable, List, Tuple, Union
 Rational = Fraction
 
 RationalLike = Union[Rational, int]
+
+# the one syntax of a rational string, in documents and on the command
+# line alike, matched in full: ASCII digits, no sign but a leading minus
+RATIONAL_SYNTAX = r"-?[0-9]+(/[0-9]+)?"
 
 
 def as_int(value, what: str, error: type) -> int:
@@ -41,14 +46,17 @@ def require_label(value, owner: str, error: type, field: str = "label") -> None:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q" or "p" into an exact rational.  Decimal notation is
-    rejected on purpose: no silent rounding at the boundary."""
+    """Parse "p/q" or "p", in `RATIONAL_SYNTAX` after stripping outer
+    whitespace, into an exact rational.  Decimal notation is rejected on
+    purpose: no silent rounding at the boundary."""
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"decimal notation not accepted, use p/q: {text!r}")
+    if re.fullmatch(RATIONAL_SYNTAX, text) is None:
+        raise ValueError(f"malformed rational {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
 
 

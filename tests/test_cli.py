@@ -164,6 +164,33 @@ def test_output_written_atomically(tmp_path, f1_path):
     assert leftovers == []
 
 
+def test_output_to_a_directory_is_an_input_error(capsys, tmp_path):
+    # the report cannot replace a directory: the call fails with an error
+    # and removes its temporary file
+    out = tmp_path / "report"
+    out.mkdir()
+    argv = ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2"]
+    assert main([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+    assert list(out.iterdir()) == []
+
+
+def test_scan_strict_exits_2_on_an_uncertified_stratum(tmp_path, family_path):
+    # f1 whose on_E stratum has no threshold and no blow-up set: its value
+    # is an upper bound only
+    doc = json.loads(f1_anticanonical().to_json())
+    doc["strata"][1]["oracle_complete_below"] = None
+    del doc["blowup_gens"]["on_E"]
+    (tmp_path / "uncertified.json").write_text(json.dumps(doc))
+    uncertified = tmp_path / "uncertified_family.json"
+    members = [{"param_label": "t0", "model": "uncertified.json"}]
+    uncertified.write_text(json.dumps({"degree": 8, "members": members}))
+    for path, strict in ((str(uncertified), 2), (family_path, 0)):
+        assert main(["scan", path, "--alpha", "5/2", "--strict"]) == strict
+        assert main(["scan", path, "--alpha", "5/2"]) == 0
+
+
 def test_check_passes_and_is_deterministic(capsys):
     assert main(["check"]) == 0
     first = capsys.readouterr().out

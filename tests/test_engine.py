@@ -443,4 +443,4 @@ def test_nef_path_matches_fraction_reference(d, gens):
         assert res.witness is None
     else:
         assert (res.witness.label, res.witness.degree_t, res.witness.mult_m) == (label, t, m)
-        assert res.witness.curve_class.coords == (0, t, -m)
+        assert res.witness.coords == (0, t, -m)

@@ -148,6 +148,14 @@ def test_schema_version_is_shared():
     assert seshadri.models.SCHEMA_VERSION is seshadri.SCHEMA_VERSION == 1
 
 
+def test_tracer_targets_resolve(monkeypatch):
+    # the traced benchmark wraps these names from outside the package, and
+    # reads every metric of a name that does not resolve as missing
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(SRC), "bench"))
+    tracing = importlib.import_module("tracing")
+    assert [path for _, path, _ in tracing.TARGETS if tracing._resolve(path) is None] == []
+
+
 def _unused_imports(path: str) -> list:
     """The names that an import in the module binds and nothing in it
     reads, apart from `from __future__` imports."""

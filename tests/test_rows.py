@@ -1,8 +1,9 @@
 """Blow-up generator sets and candidate classes are integer coordinate
-rows.  A `DivisorClass` is built from a row only when something reads
-`CurveGeneratorSet.generators` or `CurveCandidate.curve_class`; the rows
-are checked at construction with the messages such a class would raise."""
+rows, on the blow-up lattice and on the model lattice.  The rows are
+checked with the messages that a `DivisorClass` of each would raise, and
+a caller who needs a class builds it with `lattice.divisor(row)`."""
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -12,10 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri import lattice
-from seshadri.engine import CurveCandidate, EngineError, epsilon_via_nef
+from seshadri.engine import CurveCandidate, epsilon_via_nef
 from seshadri.family import load_family, scan
 from seshadri.lattice import CurveGeneratorSet, LatticeError, pair
-from seshadri.models import ModelError, f1_anticanonical, load_model, model_from_document
+from seshadri.models import (
+    ModelError,
+    builtin_suite,
+    f1_anticanonical,
+    load_model,
+    model_from_document,
+)
 
 # a generator C - m*Ex of a blown-up plane as (coordinates of C, m): the H
 # coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
@@ -40,19 +47,24 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
     exceptional = ext.basis_vector("Ex")
     for stratum in model.strata:
         for c in stratum.candidates:
-            assert c.curve_class == model.lattice.divisor(c.coords)
+            cls = model.lattice.divisor(c.coords)
+            assert cls.coords == c.coords and pair(model.polarization, cls) == c.degree_t
         gens = model.blowup_gens[stratum.label]
-        assert gens.generators == tuple(
-            (label, ext.divisor(row)) for label, row in zip(gens.labels, gens.rows)
-        )
+        assert gens.lattice is ext
+        classes = tuple(map(ext.divisor, gens.rows))
+        assert tuple(cls.coords for cls in classes) == gens.rows
         assert model.generator_table(stratum.label) == tuple(
-            (pair(pullback, cls), pair(exceptional, cls)) for _, cls in gens.generators
+            (pair(pullback, cls), pair(exceptional, cls)) for cls in classes
         )
         witness = epsilon_via_nef(model, stratum).witness
         if witness is not None:
             row = gens.rows[gens.labels.index(witness.label)]
             assert witness.coords == row
-            assert witness.curve_class == ext.divisor(row)
+            cls = ext.divisor(witness.coords)
+            assert (pair(pullback, cls), pair(exceptional, cls)) == (
+                witness.degree_t,
+                witness.mult_m,
+            )
 
 
 def test_loaded_and_scanned_models_build_no_generator_class(blown_up_plane, monkeypatch):
@@ -72,19 +84,10 @@ def test_loaded_and_scanned_models_build_no_generator_class(blown_up_plane, monk
             for i in range(2)
         ],
     }
-    loaded = load_family(json.dumps(family))
-    scan(loaded, Fraction(4))
-    models = [model for _, model in loaded.members]
+    scan(load_family(json.dumps(family)), Fraction(4))
     # the generator tables read the rows alone: no class is built on a
     # blow-up lattice, the only lattices with the reserved label Ex
     assert not [c for c in built if "Ex" in c.lattice.basis_labels]
-    for model in models:
-        for gens in model.blowup_gens.values():
-            assert "generators" not in vars(gens)
-    # reading a set builds its classes, once
-    before, gens = len(built), models[0].blowup_gens["generic"]
-    assert gens.generators is gens.generators
-    assert len(built) == before + len(gens.rows)
 
 
 def _exact(message):
@@ -148,26 +151,63 @@ def test_index_coordinates_are_kept_as_ints():
     model = f1_anticanonical()
     gens = CurveGeneratorSet(lattice=model.blowup_lattice, labels=("b",), rows=[[True, False, -1]])
     assert gens.rows == ((1, 0, -1),) and {type(x) for x in gens.rows[0]} == {int}
-    cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0], lattice=model.lattice)
+    cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0])
     assert cand.coords == (1, 0) and {type(x) for x in cand.coords} == {int}
 
 
+def _with_row(model, label, index, row):
+    """The model with the class of candidate `index` of stratum `label`
+    replaced by `row`, built in Python."""
+    strata = tuple(
+        s if s.label != label else dataclasses.replace(
+            s,
+            candidates=tuple(
+                dataclasses.replace(c, coords=row) if i == index else c
+                for i, c in enumerate(s.candidates)
+            ),
+        )
+        for s in model.strata
+    )
+    return dataclasses.replace(model, strata=strata)
+
+
 @pytest.mark.parametrize(
-    "coords, message",
+    "build, error, message",
     [
-        ((1, -1, 0), "coordinate length 3 differs from rank 2"),
-        ((1, 0.5), "coordinates must be integers, got 0.5"),
+        # a row's length is the model's to check, against its lattice
+        (lambda: _with_row(f1_anticanonical(), "generic", 0, (1, -1, 0)), ModelError,
+         "coordinate length 3 differs from rank 2"),
+        (lambda: CurveCandidate(label="c", degree_t=1, mult_m=1, coords=(1, 0.5)), LatticeError,
+         "coordinates must be integers, got 0.5"),
     ],
     ids=["length", "float"],
 )
-def test_bad_candidate_coordinates_raise_the_class_messages(coords, message):
-    lat = f1_anticanonical().lattice
-    with pytest.raises(LatticeError, match=_exact(message)):
-        CurveCandidate(label="c", degree_t=1, mult_m=1, coords=coords, lattice=lat)
+def test_bad_candidate_coordinates_raise_the_class_messages(build, error, message):
+    with pytest.raises(error, match=_exact(message)):
+        build()
 
 
-def test_candidate_coordinates_need_a_lattice():
-    with pytest.raises(EngineError, match=_exact("candidate 'c' has coordinates but no lattice")):
-        CurveCandidate(label="c", degree_t=1, mult_m=1, coords=(1, 0))
-    with pytest.raises(EngineError, match=_exact("candidate 'c' has a lattice but no coordinates")):
-        CurveCandidate(label="c", degree_t=1, mult_m=1, lattice=f1_anticanonical().lattice)
+def test_candidate_coordinates_need_no_lattice():
+    # a row is on the lattice of the model that lists the candidate, or
+    # on the blow-up lattice for a nef witness; the candidate names none
+    cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=(1, 0))
+    assert cand.coords == (1, 0)
+    assert [f.name for f in dataclasses.fields(cand)] == ["label", "degree_t", "mult_m", "coords"]
+    witness = epsilon_via_nef(f1_anticanonical(), f1_anticanonical().stratum("on_E")).witness
+    assert len(witness.coords) == f1_anticanonical().blowup_lattice.rank
+
+
+def test_a_longer_row_is_not_paired_on_its_first_entries():
+    # a row with a trailing 0 has the right degree on its first entries,
+    # which a pairing that stops at the shorter sequence would accept:
+    # f1's fiber as [1, -1, 0] pairs with L = (3, 1) to 3 - 1 = 2 = t.
+    # A zero row of the same length would fail that pairing: its length
+    # is still what is reported, as it is checked first
+    for model in builtin_suite():
+        rank = model.lattice.rank
+        message = _exact(f"coordinate length {rank + 1} differs from rank {rank}")
+        for s in model.strata:
+            for i, c in enumerate(s.candidates):
+                for row in (c.coords + (0,), (0,) * (rank + 1)):
+                    with pytest.raises(ModelError, match=message):
+                        _with_row(model, s.label, i, row)

@@ -73,7 +73,8 @@ MODEL_CASES = [
     ("gram_not_array", put("gram", {}), "$.gram", "expected an array, got an object"),
     ("gram_row", put("gram", 0, 7), "$.gram[0]", "expected an array, got 7"),
     ("gram_entry", put("gram", 1, 0, "0"), "$.gram[1][0]", 'expected an integer, got "0"'),
-    ("basis_label", put("basis_labels", 1, 3), "$.basis_labels[1]", "expected a string"),
+    ("basis_label", put("basis_labels", 1, 3), "$.basis_labels[1]", "expected a non-empty string"),
+    ("empty_basis_label", put("basis_labels", 1, ""), "$.basis_labels[1]", 'expected a non-empty string, got ""'),
     ("polarization", put("polarization", 0, 3.0), "$.polarization[0]", "expected an integer"),
     ("rr_missing", drop("rr", "c"), "$.rr", "missing required key 'c'"),
     ("rr_unknown", put("rr", "e", 0), "$.rr", "unknown key 'e'"),
@@ -89,9 +90,11 @@ MODEL_CASES = [
     ("stratum_label", put("strata", 0, "label", ""), "$.strata[0].label", "expected a non-empty string"),
     ("closure_dim_high", put("strata", 1, "closure_dim", 3), "$.strata[1].closure_dim", "expected an integer in 0..2, got 3"),
     ("closure_dim_low", put("strata", 1, "closure_dim", -1), "$.strata[1].closure_dim", "expected an integer in 0..2"),
-    ("specializes_from", put("strata", 1, "specializes_from", 0, 0), "$.strata[1].specializes_from[0]", "expected a string"),
+    ("specializes_from", put("strata", 1, "specializes_from", 0, 0), "$.strata[1].specializes_from[0]", "expected a non-empty string"),
+    ("empty_specializes_from", put("strata", 1, "specializes_from", 0, ""), "$.strata[1].specializes_from[0]", 'expected a non-empty string, got ""'),
     ("ocb_decimal", put("strata", 0, "oracle_complete_below", "1.5"), "$.strata[0].oracle_complete_below", "expected a rational string"),
     ("ocb_number", put("strata", 0, "oracle_complete_below", 2), "$.strata[0].oracle_complete_below", "expected a rational string"),
+    ("ocb_newline", put("strata", 0, "oracle_complete_below", "2\n"), "$.strata[0].oracle_complete_below", "expected a rational string"),
     ("candidate_missing", drop("strata", 0, "candidates", 1, "class"), "$.strata[0].candidates[1]", "missing required key 'class'"),
     ("candidate_unknown", put("strata", 0, "candidates", 0, "mult", 1), "$.strata[0].candidates[0]", "unknown key 'mult'"),
     ("candidate_label", put("strata", 1, "candidates", 0, "label", ""), "$.strata[1].candidates[0].label", "expected a non-empty string"),
@@ -220,7 +223,8 @@ FAMILY_CASES = [
     ("specialization_type", put("member_specialization", {}), "$.member_specialization", "expected an array"),
     ("pair_too_long", put("member_specialization", 0, ["t0", "t1", "t0"]), "$.member_specialization[0]", "expected an array of 2 items, got 3"),
     ("pair_too_short", put("member_specialization", 0, ["t0"]), "$.member_specialization[0]", "expected an array of 2 items, got 1"),
-    ("pair_entry", put("member_specialization", 0, 1, 1), "$.member_specialization[0][1]", "expected a string, got 1"),
+    ("pair_entry", put("member_specialization", 0, 1, 1), "$.member_specialization[0][1]", "expected a non-empty string, got 1"),
+    ("empty_pair_entry", put("member_specialization", 0, 0, ""), "$.member_specialization[0][0]", 'expected a non-empty string, got ""'),
 ]
 
 

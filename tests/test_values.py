@@ -88,9 +88,11 @@ def test_parse_rational():
     assert parse_rational(" 5/10 ") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "2e3", "three", "1/0", ""])
+# a sign other than a leading minus, digit separators and non-ASCII
+# digits are outside the syntax that documents accept too
+@pytest.mark.parametrize("bad", ["1.5", "2e3", "three", "1/0", "", "+3/2", "1_0/4", "３/２"])
 def test_parse_rational_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^(decimal notation not accepted|malformed rational)"):
         parse_rational(bad)
 
 
