@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import starmap
 from typing import Iterator, List, Sequence, Tuple
 
-from .values import Rational, RationalLike, as_int
+from .values import Rational, RationalLike, as_int, as_rational
 
 
 class BoundError(ValueError):
@@ -111,7 +111,7 @@ def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:
     any prescribed point.  n*a must be an integer for the count to make
     sense.
     """
-    a = Fraction(a)
+    a = as_rational(a, "a", BoundError)
     if n < 1:
         raise BoundError(f"n must be positive, got {n}")
     if (n * a).denominator != 1:
@@ -137,7 +137,7 @@ def minimal_M(rr: RRData, a: RationalLike) -> DegreeBound:
     exactly.  Every step
     is exact integer arithmetic and no input meets a search cap.
     """
-    a = Fraction(a)
+    a = as_rational(a, "threshold", BoundError)
     if a <= 0:
         raise BoundError(f"threshold must be positive, got {a}")
     if a * a >= rr.d:
@@ -166,7 +166,7 @@ def minimal_M(rr: RRData, a: RationalLike) -> DegreeBound:
 def multiplicity_target(M: int, a: RationalLike) -> int:
     """The forced multiplicity M*a + 1 of the auxiliary divisor in the
     bound argument; exposed for report transparency."""
-    a = Fraction(a)
+    a = as_rational(a, "a", BoundError)
     Ma = M * a
     if Ma.denominator != 1:
         raise BoundError(f"M*a must be integral, got {M}*{a}")
@@ -196,7 +196,7 @@ def candidate_walk(
     when require_m_le_t.  Distinct pairs are distinct ratios."""
     if B < 1:
         raise BoundError(f"B must be positive, got {B}")
-    alpha = Fraction(alpha)
+    alpha = as_rational(alpha, "alpha", BoundError)
     if alpha <= 0:
         raise BoundError(f"alpha must be positive, got {alpha}")
     p, q = alpha.numerator, alpha.denominator

@@ -164,11 +164,6 @@ def brute_force_pairs(B: int, alpha: Fraction, certified: bool = True) -> List[T
     return sorted(pairs, key=lambda tm: tm[0] * L // tm[1])
 
 
-def brute_force_ratios(B: int, alpha: Fraction, certified: bool = True) -> List[Fraction]:
-    """brute_force_pairs as Fractions."""
-    return [Fraction(t, m) for t, m in brute_force_pairs(B, alpha, certified)]
-
-
 def check_minimal_M_closed_form(rng: random.Random) -> str:
     cases = 0
     while cases < 25:

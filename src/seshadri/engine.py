@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
 from .lattice import integers
-from .values import Rational, SeshadriValue, as_int, require_label
+from .values import Rational, SeshadriValue, as_int, as_rational, require_label
 
 
 class EngineError(ValueError):
@@ -97,8 +97,9 @@ class PointStratum:
         if closure_dim > 2:
             raise EngineError(f"closure_dim must be at most 2, got {closure_dim}")
         ocb = self.oracle_complete_below
-        if ocb is not None and not isinstance(ocb, (int, Fraction)):
-            raise EngineError(f"completeness threshold must be an int or a Fraction, got {ocb!r}")
+        if ocb is not None:
+            ocb = as_rational(ocb, "completeness threshold", EngineError)
+            object.__setattr__(self, "oracle_complete_below", ocb)
 
 
 @dataclass(frozen=True)
@@ -349,6 +350,7 @@ def sigma_local(model) -> SeshadriResult:
 def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]]:
     """Strata whose value is at most 1 - delta, with their values.  For a
     geometrically honest model these must all be zero-dimensional."""
+    delta = as_rational(delta, "delta", EngineError)
     if delta <= 0:
         raise EngineError(f"delta must be positive, got {delta}")
     threshold = SeshadriValue.exact(Fraction(1) - delta)

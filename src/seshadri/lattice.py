@@ -5,9 +5,9 @@ Nef testing is always relative to a declared finite curve-generator set:
 listing a set asserts that it generates the effective curve cone, and
 that assertion is the trust boundary of the nef path.
 
-A generator set keeps its classes as integer coordinate rows on one
-lattice and checks them all at construction, with the messages that a
-`DivisorClass` of each row would raise.
+A generator set keeps its classes as integer rows on the blow-up layout
+that `extend_blowup` states.  It names no lattice: the model that lists
+it checks each row's length against its own rank before pairing it.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ def integers(values: Sequence, what: str) -> Tuple[int, ...]:
             if not hasattr(type(v), "__index__"):
                 raise LatticeError(f"{what} must be integers, got {v!r}") from None
         raise
-
-
-def coordinates(values: Sequence, rank: int) -> Tuple[int, ...]:
-    """The values as a tuple of `rank` ints, or the error that a class
-    with these coordinates raises: this is the check of every generator
-    row, whether or not a `DivisorClass` is built from it."""
-    row = integers(values, "coordinates")
-    if len(row) != rank:
-        raise LatticeError(f"coordinate length {len(row)} differs from rank {rank}")
-    return row
 
 
 @dataclass(frozen=True)
@@ -76,19 +66,6 @@ class IntersectionLattice:
         if len(set(self.basis_labels)) != self.rank:
             raise LatticeError("basis_labels are not distinct")
 
-    def __eq__(self, other):
-        # classes of one model share its lattice objects, so identity
-        # settles almost every check without comparing Gram matrices
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.gram, self.basis_labels) == (
-            other.rank,
-            other.gram,
-            other.basis_labels,
-        )
-
     def divisor(self, coords: Sequence[int]) -> "DivisorClass":
         return DivisorClass(self, coords)
 
@@ -103,7 +80,10 @@ class DivisorClass:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", coordinates(self.coords, self.lattice.rank))
+        coords, rank = integers(self.coords, "coordinates"), self.lattice.rank
+        if len(coords) != rank:
+            raise LatticeError(f"coordinate length {len(coords)} differs from rank {rank}")
+        object.__setattr__(self, "coords", coords)
 
     @functools.cached_property
     def covector(self) -> Tuple[int, ...]:
@@ -145,16 +125,17 @@ class CurveGeneratorSet:
     """Finite list of curve classes asserted to generate the effective
     curve cone, so that a nef verdict against them is a certificate.
 
-    The classes are integer coordinate rows on `lattice`, one per label.
-    Every row is checked here: exact integers of the lattice's rank, and
-    not zero."""
+    The classes are integer rows, one per label, on the blow-up layout of
+    the model that lists the set: the model's basis, then `Ex` (see
+    `extend_blowup`).  The set checks that every row is exact integers
+    and not zero; it knows no rank, so the model checks each row's
+    length before it pairs the row."""
 
-    lattice: IntersectionLattice
     labels: Tuple[str, ...]
     rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        labels, rows, rank = tuple(self.labels), tuple(map(tuple, self.rows)), self.lattice.rank
+        labels, rows = tuple(self.labels), tuple(map(tuple, self.rows))
         if len(labels) != len(rows):
             raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
         # one pass over all rows with builtins; the row-by-row walk runs
@@ -163,11 +144,10 @@ class CurveGeneratorSet:
         if not (
             all(labels)
             and set(map(type, labels)) <= {str}
-            and set(map(len, rows)) <= {rank}
             and set(map(type, chain.from_iterable(rows))) <= {int}
             and all(map(any, rows))
         ):
-            rows = tuple(coordinates(row, rank) for row in rows)
+            rows = tuple(integers(row, "coordinates") for row in rows)
             for label, row in zip(labels, rows):
                 require_label(label, "a curve generator", LatticeError)
                 if not any(row):
@@ -176,15 +156,12 @@ class CurveGeneratorSet:
         object.__setattr__(self, "rows", rows)
 
 
-@functools.lru_cache(maxsize=128)
 def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     """Rank+1 lattice of a point blow-up.  Its layout is a contract that
     readers of blow-up rows rely on: the exceptional vector `label` comes
     last, orthogonal to the old basis, with self-intersection -1.  So a
     row's first n entries are its pushforward and minus its last entry is
-    its pairing with the exceptional class.  Cached, so every caller gets
-    the same object for one lattice and label: classes that a loader
-    builds on it and its model's blow-up lattice pair by identity."""
+    its pairing with the exceptional class."""
     if label in lat.basis_labels:
         raise LatticeError(f"duplicate basis label {label!r}")
     n = lat.rank

@@ -9,7 +9,9 @@ models carry their own responsibility for those assertions, and every
 structural invariant that can be checked at load time is.
 
 A model keeps its candidates' classes and its generator sets as integer
-rows, on its lattice and on its blow-up lattice.
+rows: on its lattice, and on the blow-up layout of `extend_blowup` (its
+basis, then the exceptional class `Ex`).  It checks each row's length
+against its rank, plus one for a generator, before it pairs the row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Dict, Mapping, Tuple
 from . import SCHEMA_VERSION
 from .bounds import DegreeBound, RRData, minimal_M
 from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
-from .lattice import CurveGeneratorSet, DivisorClass, IntersectionLattice, extend_blowup, pair
+from .lattice import CurveGeneratorSet, DivisorClass, IntersectionLattice, pair
 from .structure import (
     LABEL,
     StructureError,
@@ -127,12 +129,6 @@ class SurfaceModel:
         vam = as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
         object.__setattr__(self, "very_ample_multiplier", vam)
         object.__setattr__(self, "_generator_tables", _validate_model(self))
-
-    @cached_property
-    def blowup_lattice(self) -> IntersectionLattice:
-        """The one-point blow-up lattice, the same object that the blow-up
-        generators of a loaded or built-in model live on."""
-        return extend_blowup(self.lattice, EXCEPTIONAL_LABEL)
 
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
@@ -296,7 +292,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             # before the pairing: map stops at the shorter sequence, so a
             # longer row would be paired on its first entries alone
             if len(c.coords) != rank:
-                raise ModelError(f"coordinate length {len(c.coords)} differs from rank {rank}")
+                raise _length_error("candidate", c.label, s.label, c.coords, rank)
             deg = sum(map(operator.mul, polarization, c.coords))
             if deg != c.degree_t:
                 raise ModelError(
@@ -314,20 +310,27 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             )
 
 
+def _length_error(what: str, label: str, stratum: str, row: tuple, rank: int) -> ModelError:
+    return ModelError(
+        f"{what} {label!r} of stratum {stratum!r}: coordinate length {len(row)} "
+        f"differs from rank {rank}"
+    )
+
+
 def _generator_table(
     model: SurfaceModel, label: str, gens: CurveGeneratorSet
 ) -> Tuple[Tuple[int, int], ...]:
     """Check one stratum's blow-up generator set and return its table of
-    (pi^*L.C, Ex.C) per generator C.  The set's lattice is checked first,
-    so every row has the layout of `extend_blowup`: pushforward first,
-    then the Ex coordinate.  Then pi^*L.C = L.pi_*C (the projection
-    formula) is the dot product of L's covector with the row's first n
-    entries, and Ex.C is minus the row's last entry."""
-    if gens.labels and gens.lattice != model.blowup_lattice:
-        raise ModelError(
-            f"blow-up generator {gens.labels[0]!r} of stratum {label!r} does not live on "
-            "the extended lattice"
-        )
+    (pi^*L.C, Ex.C) per generator C.  Every row's length is checked first
+    against the rank n + 1 of the layout of `extend_blowup`: pushforward
+    first, then the Ex coordinate.  Then pi^*L.C = L.pi_*C (the
+    projection formula) is the dot product of L's covector with the row's
+    first n entries, and Ex.C is minus the row's last entry."""
+    # before the pairing, which would read a short row's last entry as Ex
+    rank = model.lattice.rank + 1
+    if not set(map(len, gens.rows)) <= {rank}:
+        gl, row = next((gl, row) for gl, row in zip(gens.labels, gens.rows) if len(row) != rank)
+        raise _length_error("blow-up generator", gl, label, row, rank)
     # map stops at the shorter covector, so the Ex coordinate is left out
     polarization = model.polarization.covector
     table = tuple((sum(map(operator.mul, polarization, row)), -row[-1]) for row in gens.rows)
@@ -412,10 +415,8 @@ def _build_from_document(doc: dict) -> SurfaceModel:
                 oracle_complete_below=None if ocb is None else parse_rational(ocb),
             )
         )
-    ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     blowup_gens = {
         label: CurveGeneratorSet(
-            lattice=ext,
             labels=[gd["label"] for gd in gen_list],
             rows=[gd["class"] for gd in gen_list],
         )
@@ -476,7 +477,6 @@ def projective_plane(e: int = 1) -> SurfaceModel:
         for m in range(1, k):
             candidates.append(_candidate(f"deg{k}_mult{m}", e * k, m, k * H))
     gens = CurveGeneratorSet(
-        lattice=extend_blowup(lat, EXCEPTIONAL_LABEL),
         labels=(EXCEPTIONAL_LABEL, "H-Ex"),
         rows=((0, 1), (1, -1)),
     )
@@ -514,7 +514,6 @@ def quadric(a: int = 1, b: int = 1) -> SurfaceModel:
         _candidate("diagonal", a + b, 1, f1 + f2),
     )
     gens = CurveGeneratorSet(
-        lattice=extend_blowup(lat, EXCEPTIONAL_LABEL),
         labels=(EXCEPTIONAL_LABEL, "f1-Ex", "f2-Ex"),
         rows=((0, 0, 1), (1, 0, -1), (0, 1, -1)),
     )
@@ -555,14 +554,11 @@ def f1_anticanonical() -> SurfaceModel:
         _candidate("fiber", 2, 1, fiber),
         _candidate("line", 3, 1, H),
     )
-    ext = extend_blowup(lat, EXCEPTIONAL_LABEL)
     generic_gens = CurveGeneratorSet(
-        lattice=ext,
         labels=(EXCEPTIONAL_LABEL, "E", "H-E-Ex"),
         rows=((0, 0, 1), (0, 1, 0), (1, -1, -1)),
     )
     on_E_gens = CurveGeneratorSet(
-        lattice=ext,
         labels=(EXCEPTIONAL_LABEL, "E-Ex", "H-E-Ex"),
         rows=((0, 0, 1), (0, 1, -1), (1, -1, -1)),
     )

@@ -35,6 +35,18 @@ def as_int(value, what: str, error: type) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def as_rational(value, what: str, error: type) -> Rational:
+    """`value` as an exact rational: a Fraction as it is and an int via
+    operator.index, so that a float raises `error` naming `what` and
+    never enters a verdict."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise error(f"{what} must be an int or a Fraction, got {value!r}") from None
+
+
 def require_label(value, owner: str, error: type, field: str = "label") -> None:
     """Raise `error`, naming `owner`'s `field`, unless `value` is a
     non-empty str: exactly a str, as the document format requires of
@@ -90,7 +102,7 @@ class SeshadriValue:
 
     @classmethod
     def exact(cls, q: RationalLike) -> "SeshadriValue":
-        return cls(q if type(q) is Fraction else Fraction(q), None)
+        return cls(q if type(q) is Fraction else as_rational(q, "exact value", ValueError), None)
 
     @classmethod
     def sqrt(cls, d: int) -> "SeshadriValue":

@@ -18,7 +18,7 @@ from seshadri.bounds import (
     minimal_M,
     multiplicity_target,
 )
-from seshadri.checks import brute_force_pairs, brute_force_ratios, linear_minimal_M
+from seshadri.checks import brute_force_pairs, linear_minimal_M
 
 
 def dimension_count_oracle(d, c, c_prime, a, n):
@@ -162,7 +162,8 @@ def test_candidate_ratios_examples():
 def test_candidate_ratios_match_brute_force():
     for B in range(1, 41):
         for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(50)):
-            assert candidate_ratios(B, alpha) == brute_force_ratios(B, alpha)
+            ratios = [Fraction(t, m) for t, m in brute_force_pairs(B, alpha)]
+            assert candidate_ratios(B, alpha) == ratios
 
 
 def test_candidate_ratios_sorted_distinct():
@@ -199,12 +200,12 @@ def test_brute_force_pairs_match_a_fraction_double_loop(B, alpha, certified):
         }
     )
     assert brute_force_pairs(B, alpha, certified) == [(r.numerator, r.denominator) for r in ratios]
-    assert brute_force_ratios(B, alpha, certified) == ratios
+    assert [Fraction(t, m) for t, m in brute_force_pairs(B, alpha, certified)] == ratios
 
 
 def test_candidate_ratios_permissive_mode():
     got = candidate_ratios(3, Fraction(5), require_m_le_t=False)
-    assert got == brute_force_ratios(3, Fraction(5), certified=False)
+    assert got == [Fraction(t, m) for t, m in brute_force_pairs(3, Fraction(5), certified=False)]
     assert Fraction(1, 3) in got  # below 1 only reachable without m <= t
 
 
@@ -222,7 +223,7 @@ def test_candidate_ratios_permissive_mode():
 @settings(max_examples=150)
 def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
     ratios = candidate_ratios(B, alpha, require_m_le_t=certified)
-    assert ratios == brute_force_ratios(B, alpha, certified)
+    assert ratios == [Fraction(t, m) for t, m in brute_force_pairs(B, alpha, certified)]
     assert all(type(r) is Fraction for r in ratios)  # Fractions are reduced
     assert all(x < y for x, y in zip(ratios, ratios[1:]))
     assert set(candidate_walk(B, alpha, certified)) == {

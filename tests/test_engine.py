@@ -33,7 +33,7 @@ from seshadri.models import (
 )
 from seshadri.bounds import RRData
 from seshadri.checks import check_cross, check_low_epsilon, check_steffens_and_rationality
-from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, extend_blowup
+from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
 from seshadri.values import SeshadriValue
 
 
@@ -378,7 +378,6 @@ def _nef_model(d, gens):
     H, F has H^2 = d, H.F = 1, F^2 = 0 and L = H, so the class
     deg*F - e*Ex has pi^*L-degree deg and meets Ex in e."""
     lat = IntersectionLattice(rank=2, gram=((d, 1), (1, 0)), basis_labels=("H", "F"))
-    ext = extend_blowup(lat, "Ex")
     return SurfaceModel(
         name="nef_probe",
         lattice=lat,
@@ -388,7 +387,6 @@ def _nef_model(d, gens):
         strata=(PointStratum(label="generic", closure_dim=2),),
         blowup_gens={
             "generic": CurveGeneratorSet(
-                lattice=ext,
                 labels=tuple(label for label, _, _ in gens),
                 rows=tuple((0, deg, -e) for _, deg, e in gens),
             )

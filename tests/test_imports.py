@@ -178,3 +178,55 @@ def _unused_imports(path: str) -> list:
 )
 def test_module_has_no_unused_import(module):
     assert _unused_imports(os.path.join(seshadri.__path__[0], module)) == []
+
+
+def _top_level_names(tree: ast.Module) -> dict:
+    """The names that the module's top-level functions, classes and
+    assignments define, each with its defining statement."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+    return defined
+
+
+def _references(node: ast.AST) -> set:
+    """Every name that the node reads: as a Name, an Attribute, an
+    imported name or a string constant."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def test_every_top_level_name_is_used_or_exported():
+    # nothing is kept that nothing uses: each top-level function, class
+    # and assigned name of the package is read somewhere in it outside
+    # its own definition, or exported, or a dunder
+    package = seshadri.__path__[0]
+    trees = {}
+    for module in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+        with open(os.path.join(package, module), encoding="utf-8") as fh:
+            trees[module] = ast.parse(fh.read(), module)
+    references = [(node, _references(node)) for tree in trees.values() for node in tree.body]
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _top_level_names(tree).items():
+            if name in seshadri.__all__ or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(name in names for node, names in references if node is not definition):
+                unused.append(f"{module}: {name}")
+    assert unused == []

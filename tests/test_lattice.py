@@ -131,7 +131,7 @@ def test_nef_zero_class():
 
 def test_generator_set_rejects_zero_class():
     with pytest.raises(LatticeError):
-        CurveGeneratorSet(lattice=F1, labels=("zero",), rows=((0, 0),))
+        CurveGeneratorSet(labels=("zero",), rows=((0, 0),))
 
 
 def test_extend_blowup_plane():

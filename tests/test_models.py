@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from seshadri.bounds import BoundError, RRData
 from seshadri.checks import check_roundtrip, check_rr_sanity
 from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon, epsilon_via_nef
+from seshadri.family import load_family, scan
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.models import (
     ModelError,
@@ -190,11 +192,26 @@ def test_oracle_thresholds_are_rationals():
     assert model.stratum("generic").oracle_complete_below == Fraction(1)
 
 
-def test_blowup_lattice_is_shared_with_generators():
-    for model in (f1_anticanonical(), load_model(f1_anticanonical().to_json())):
-        ext = model.blowup_lattice
-        assert ext is model.blowup_lattice
-        assert all(gens.lattice is ext for gens in model.blowup_gens.values())
+def test_generator_rows_name_no_blowup_lattice(monkeypatch):
+    # a row is on the blow-up layout of the model that lists its set, so
+    # neither the built-ins nor a load nor a scan builds that lattice
+    assert [f.name for f in dataclasses.fields(CurveGeneratorSet)] == ["labels", "rows"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extend_blowup(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("seshadri") and hasattr(module, "extend_blowup"):
+            monkeypatch.setattr(module, "extend_blowup", counted)
+    members = [
+        {"param_label": f"t{i}", "model": json.loads(model.to_json())}
+        for i, model in enumerate(builtin_suite())
+        if model.rr.d == 8
+    ]
+    scan(load_family(json.dumps({"degree": 8, "members": members})), Fraction(5, 2))
+    assert calls == []
 
 
 def test_empty_labels_rejected_at_construction():
@@ -205,7 +222,7 @@ def test_empty_labels_rejected_at_construction():
             dataclasses.replace(candidate, label="")
     gens = f1_anticanonical().blowup_gens["on_E"]
     with pytest.raises(LatticeError, match="non-empty label"):
-        CurveGeneratorSet(lattice=gens.lattice, labels=("", *gens.labels[1:]), rows=gens.rows)
+        CurveGeneratorSet(labels=("", *gens.labels[1:]), rows=gens.rows)
 
 
 def test_empty_stratum_label_rejected_at_construction():
@@ -245,8 +262,7 @@ def _with_generic_candidate(label):
          "basis label of a lattice must be a string, got 3"),
         (lambda: IntersectionLattice(rank=1, gram=((1,),), basis_labels=("",)), LatticeError,
          "a lattice needs a non-empty basis label"),
-        (lambda: CurveGeneratorSet(
-            lattice=f1_anticanonical().blowup_lattice, labels=(1,), rows=((0, 0, 1),)),
+        (lambda: CurveGeneratorSet(labels=(1,), rows=((0, 0, 1),)),
          LatticeError, "label of a curve generator must be a string, got 1"),
         (lambda: _with_generic_candidate(("fiber2",)), EngineError,
          "label of a curve candidate must be a string, got ('fiber2',)"),
@@ -330,14 +346,16 @@ def test_loaded_coordinates_keep_the_length_check():
     doc["strata"][0]["candidates"][0]["class"] = [1, -1, 0]
     with pytest.raises(ModelError) as info:
         load_model(json.dumps(doc))
-    assert str(info.value) == "coordinate length 3 differs from rank 2"
+    assert str(info.value) == (
+        "candidate 'fiber' of stratum 'generic': coordinate length 3 differs from rank 2"
+    )
     with pytest.raises(LatticeError, match="^coordinate length 1 differs from rank 2$"):
         f1_anticanonical().lattice.divisor([1])
 
 
 def _pairings(model, label):
     """(pi^*L.C, Ex.C) for each blow-up generator C, through lattice.pair."""
-    ext = model.blowup_lattice
+    ext = extend_blowup(model.lattice, "Ex")
     pullback = ext.divisor(model.polarization.coords + (0,))
     exceptional = ext.basis_vector("Ex")
     return tuple(
@@ -388,7 +406,7 @@ def test_replaced_model_gets_a_fresh_table():
     assert model.generator_table("generic") == before
     # a set can only be replaced through the constructor, which checks it
     gens = model.blowup_gens["generic"]
-    fewer = CurveGeneratorSet(lattice=gens.lattice, labels=gens.labels[:2], rows=gens.rows[:2])
+    fewer = CurveGeneratorSet(labels=gens.labels[:2], rows=gens.rows[:2])
     with pytest.raises(TypeError):
         model.blowup_gens["generic"] = fewer
     replaced = dataclasses.replace(model, blowup_gens={"generic": fewer})
@@ -427,19 +445,21 @@ def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
 @pytest.mark.parametrize(
     "wrong",
     [
-        extend_blowup(quadric(1, 1).lattice, "Ex").divisor((1, 0, -1)),  # same rank
         IntersectionLattice(rank=4, gram=((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
                             basis_labels=("H", "E", "E2", "Ex")).divisor((1, -1, 0, -1)),
         f1_anticanonical().lattice.divisor((1, -1)),  # the model's own, not blown up
     ],
-    ids=["other_gram", "other_rank", "base_lattice"],
+    ids=["other_rank", "base_lattice"],
 )
 def test_generator_on_wrong_lattice_raises_before_pairing(wrong):
-    # a dot product against a class of another lattice would give a
-    # number (zip truncates); the lattice check comes first
+    # a dot product against a row of another length would give a number
+    # (map stops at the shorter sequence); the length check comes first
     model = f1_anticanonical()
-    gens = CurveGeneratorSet(lattice=wrong.lattice, labels=("bad",), rows=(wrong.coords,))
-    message = "^blow-up generator 'bad' of stratum 'generic' does not live on the extended lattice$"
+    gens = CurveGeneratorSet(labels=("bad",), rows=(wrong.coords,))
+    message = (
+        f"^blow-up generator 'bad' of stratum 'generic': coordinate length "
+        f"{len(wrong.coords)} differs from rank 3$"
+    )
     with pytest.raises(ModelError, match=message):
         dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
     # and there is no way past the constructor

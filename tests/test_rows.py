@@ -1,7 +1,7 @@
 """Blow-up generator sets and candidate classes are integer coordinate
-rows, on the blow-up lattice and on the model lattice.  The rows are
-checked with the messages that a `DivisorClass` of each would raise, and
-a caller who needs a class builds it with `lattice.divisor(row)`."""
+rows, on the model's blow-up layout and on the model lattice.  The rows
+are checked with the messages that a `DivisorClass` of each would raise,
+and a caller who needs a class builds it with `lattice.divisor(row)`."""
 
 import dataclasses
 import json
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from seshadri import lattice
 from seshadri.engine import CurveCandidate, epsilon_via_nef
 from seshadri.family import load_family, scan
-from seshadri.lattice import CurveGeneratorSet, LatticeError, pair
+from seshadri.lattice import CurveGeneratorSet, LatticeError, extend_blowup, pair
 from seshadri.models import (
     ModelError,
     builtin_suite,
@@ -42,7 +42,7 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
     model = model_from_document(json.loads(json.dumps(doc)))
     text = model.to_json()
     assert text == json.dumps(doc, indent=2) + "\n" == load_model(text).to_json()
-    ext = model.blowup_lattice
+    ext = extend_blowup(model.lattice, "Ex")
     pullback = ext.divisor(model.polarization.coords + (0,))
     exceptional = ext.basis_vector("Ex")
     for stratum in model.strata:
@@ -50,7 +50,6 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
             cls = model.lattice.divisor(c.coords)
             assert cls.coords == c.coords and pair(model.polarization, cls) == c.degree_t
         gens = model.blowup_gens[stratum.label]
-        assert gens.lattice is ext
         classes = tuple(map(ext.divisor, gens.rows))
         assert tuple(cls.coords for cls in classes) == gens.rows
         assert model.generator_table(stratum.label) == tuple(
@@ -94,50 +93,74 @@ def _exact(message):
     return f"^{re.escape(message)}$"
 
 
+def _with_generic_generator(label, row):
+    """f1_anticanonical with one more generator on its generic set, built
+    in Python."""
+    model = f1_anticanonical()
+    gens = model.blowup_gens["generic"]
+    gens = CurveGeneratorSet(labels=gens.labels + (label,), rows=gens.rows + (row,))
+    return dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
+
+
 @pytest.mark.parametrize(
-    "labels, rows, message",
+    "build, error, message",
     [
-        (("a",), ((1, 0, -1, 0),), "coordinate length 4 differs from rank 3"),
-        (("z",), ((0, 0, 0),), "generator 'z' is the zero class"),
-        (("",), ((0, 0, 1),), "a curve generator needs a non-empty label"),
-        (("f",), ((0, 0, 1.5),), "coordinates must be integers, got 1.5"),
+        # a row's length is the model's to check, against its blow-up layout
+        (lambda: _with_generic_generator("a", (1, 0, -1, 0)), ModelError,
+         "blow-up generator 'a' of stratum 'generic': coordinate length 4 differs from rank 3"),
+        # H - E without its Ex entry would pair to (3 - 1, 1), a generator
+        # of ratio 2 that the nef path would accept
+        (lambda: _with_generic_generator("a", (1, -1)), ModelError,
+         "blow-up generator 'a' of stratum 'generic': coordinate length 2 differs from rank 3"),
+        (lambda: CurveGeneratorSet(labels=("z",), rows=((0, 0, 0),)), LatticeError,
+         "generator 'z' is the zero class"),
+        (lambda: CurveGeneratorSet(labels=("",), rows=((0, 0, 1),)), LatticeError,
+         "a curve generator needs a non-empty label"),
+        (lambda: CurveGeneratorSet(labels=("f",), rows=((0, 0, 1.5),)), LatticeError,
+         "coordinates must be integers, got 1.5"),
         # every row is checked before any label, as every class was built
         # before its set
-        (("", "x"), ((0, 0, 1), (0, 0)), "coordinate length 2 differs from rank 3"),
-        (("", "z"), ((0, 0, 1), (0, 0, 0)), "a curve generator needs a non-empty label"),
-        (("a", "b"), ((0, 0, 1),), "2 generator labels for 1 classes"),
+        (lambda: CurveGeneratorSet(labels=("", "x"), rows=((0, 0, 1), (0, 0.5))), LatticeError,
+         "coordinates must be integers, got 0.5"),
+        (lambda: CurveGeneratorSet(labels=("", "z"), rows=((0, 0, 1), (0, 0, 0))), LatticeError,
+         "a curve generator needs a non-empty label"),
+        (lambda: CurveGeneratorSet(labels=("a", "b"), rows=((0, 0, 1),)), LatticeError,
+         "2 generator labels for 1 classes"),
     ],
-    ids=["length", "zero", "empty_label", "float", "rows_first", "labels_in_order", "count"],
+    ids=["length", "short", "zero", "empty_label", "float", "rows_first", "labels_in_order",
+         "count"],
 )
-def test_bad_generator_rows_raise_the_class_messages(labels, rows, message):
-    ext = f1_anticanonical().blowup_lattice
-    with pytest.raises(LatticeError, match=_exact(message)):
-        CurveGeneratorSet(lattice=ext, labels=labels, rows=rows)
+def test_bad_generator_rows_raise_the_class_messages(build, error, message):
+    with pytest.raises(error, match=_exact(message)):
+        build()
 
 
 def test_a_valid_generator_set_takes_one_pass(monkeypatch):
     # the row-by-row walk, which checks each row and each label on its
     # own, runs only on a set that fails the one-pass test
-    ext = f1_anticanonical().blowup_lattice
 
     def walk(*args):
         raise AssertionError("the walk ran on a valid set")
 
-    monkeypatch.setattr(lattice, "coordinates", walk)
+    monkeypatch.setattr(lattice, "integers", walk)
     monkeypatch.setattr(lattice, "require_label", walk)
-    gens = CurveGeneratorSet(lattice=ext, labels=["Ex", "E"], rows=[[0, 0, 1], [0, 1, 0]])
+    gens = CurveGeneratorSet(labels=["Ex", "E"], rows=[[0, 0, 1], [0, 1, 0]])
     assert gens.labels == ("Ex", "E") and gens.rows == ((0, 0, 1), (0, 1, 0))
     with pytest.raises(AssertionError, match="the walk ran"):
-        CurveGeneratorSet(lattice=ext, labels=(1,), rows=((0, 0, 1),))
+        CurveGeneratorSet(labels=(1,), rows=((0, 0, 1),))
 
 
 @pytest.mark.parametrize(
     "row, message",
     [
-        ([1, 0, -1, 0], "coordinate length 4 differs from rank 3"),
+        ([1, 0, -1, 0],
+         "blow-up generator 'bad' of stratum 'generic': coordinate length 4 differs from rank 3"),
+        # the short row of H - E, which would read as (2, 1)
+        ([1, -1],
+         "blow-up generator 'bad' of stratum 'generic': coordinate length 2 differs from rank 3"),
         ([0, 0, 0], "generator 'bad' is the zero class"),
     ],
-    ids=["length", "zero"],
+    ids=["length", "short", "zero"],
 )
 def test_bad_generator_rows_raise_the_class_messages_at_load(row, message):
     doc = json.loads(f1_anticanonical().to_json())
@@ -148,8 +171,7 @@ def test_bad_generator_rows_raise_the_class_messages_at_load(row, message):
 
 def test_index_coordinates_are_kept_as_ints():
     # like a DivisorClass, a row takes anything with __index__ and keeps ints
-    model = f1_anticanonical()
-    gens = CurveGeneratorSet(lattice=model.blowup_lattice, labels=("b",), rows=[[True, False, -1]])
+    gens = CurveGeneratorSet(labels=("b",), rows=[[True, False, -1]])
     assert gens.rows == ((1, 0, -1),) and {type(x) for x in gens.rows[0]} == {int}
     cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0])
     assert cand.coords == (1, 0) and {type(x) for x in cand.coords} == {int}
@@ -176,7 +198,7 @@ def _with_row(model, label, index, row):
     [
         # a row's length is the model's to check, against its lattice
         (lambda: _with_row(f1_anticanonical(), "generic", 0, (1, -1, 0)), ModelError,
-         "coordinate length 3 differs from rank 2"),
+         "candidate 'fiber' of stratum 'generic': coordinate length 3 differs from rank 2"),
         (lambda: CurveCandidate(label="c", degree_t=1, mult_m=1, coords=(1, 0.5)), LatticeError,
          "coordinates must be integers, got 0.5"),
     ],
@@ -194,7 +216,7 @@ def test_candidate_coordinates_need_no_lattice():
     assert cand.coords == (1, 0)
     assert [f.name for f in dataclasses.fields(cand)] == ["label", "degree_t", "mult_m", "coords"]
     witness = epsilon_via_nef(f1_anticanonical(), f1_anticanonical().stratum("on_E")).witness
-    assert len(witness.coords) == f1_anticanonical().blowup_lattice.rank
+    assert len(witness.coords) == f1_anticanonical().lattice.rank + 1
 
 
 def test_a_longer_row_is_not_paired_on_its_first_entries():
@@ -205,9 +227,12 @@ def test_a_longer_row_is_not_paired_on_its_first_entries():
     # is still what is reported, as it is checked first
     for model in builtin_suite():
         rank = model.lattice.rank
-        message = _exact(f"coordinate length {rank + 1} differs from rank {rank}")
         for s in model.strata:
             for i, c in enumerate(s.candidates):
+                message = _exact(
+                    f"candidate {c.label!r} of stratum {s.label!r}: "
+                    f"coordinate length {rank + 1} differs from rank {rank}"
+                )
                 for row in (c.coords + (0,), (0,) * (rank + 1)):
                     with pytest.raises(ModelError, match=message):
                         _with_row(model, s.label, i, row)

@@ -1,11 +1,23 @@
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seshadri.engine import CurveCandidate
+from seshadri.bounds import (
+    RRData,
+    candidate_ratios,
+    candidate_walk,
+    l_poly,
+    minimal_M,
+    multiplicity_target,
+)
+from seshadri.engine import CurveCandidate, PointStratum, low_epsilon_strata, sublevel_set
+from seshadri.family import load_family, scan
+from seshadri.models import f1_anticanonical
 from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
 
 
@@ -154,3 +166,36 @@ def test_format_pairs_matches_format_rational(t, m):
     g = math.gcd(t, m)
     t, m = t // g, m // g
     assert format_pairs([(t, m)]) == [format_rational(Fraction(t, m))]
+
+
+def _f1_family():
+    return load_family(json.dumps({
+        "degree": 8,
+        "members": [{"param_label": "t", "model": json.loads(f1_anticanonical().to_json())}],
+    }))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: l_poly(RRData(8, 8, 1), 0.1, 2), "a"),
+        (lambda: minimal_M(RRData(8, 8, 1), 0.1), "threshold"),
+        (lambda: multiplicity_target(2, 0.1), "a"),
+        (lambda: list(candidate_walk(5, 0.1)), "alpha"),
+        (lambda: candidate_ratios(5, 0.1), "alpha"),
+        (lambda: SeshadriValue.exact(0.1), "exact value"),
+        (lambda: PointStratum(label="s", closure_dim=2, oracle_complete_below=0.1),
+         "completeness threshold"),
+        (lambda: sublevel_set(f1_anticanonical(), 0.1), "exact value"),
+        (lambda: low_epsilon_strata(f1_anticanonical(), 0.1), "delta"),
+        (lambda: scan(_f1_family(), 0.1), "exact value"),
+    ],
+    ids=["l_poly", "minimal_M", "multiplicity_target", "candidate_walk", "candidate_ratios",
+         "exact", "threshold", "sublevel_set", "low_epsilon_strata", "scan"],
+)
+def test_exact_entry_points_reject_a_float(call, what):
+    # a binary float is never read as the rational it approximates: no
+    # float may enter a verdict, through the command line or the API
+    message = f"{what} must be an int or a Fraction, got 0.1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
