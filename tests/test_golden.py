@@ -4,7 +4,9 @@ the files under tests/golden/.
 Each case writes the built-in models (and a two-member family of degree
 8) to a directory, runs `seshadri.cli.main` there and compares what it
 writes, on stdout or to its `--csv` file, with the golden file of the
-same name.  A change that alters a report on purpose says why and
+same name.  Each built-in's own document, its `to_json()`, is pinned as
+`model_<slug>.json`, so that a class row of a built-in cannot change
+unseen.  A change that alters a report or a model on purpose says why and
 rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -55,6 +57,9 @@ def _cases() -> dict:
 
 CASES = _cases()
 
+# golden file name -> the built-in model whose to_json() it holds
+MODELS = {f"model_{_slug(model.name)}.json": model for model in builtin_suite()}
+
 
 def _run(argv, workdir: pathlib.Path) -> str:
     """The bytes the call writes: its CSV file if it asks for one, else
@@ -89,8 +94,13 @@ def test_report_matches_golden_file(tmp_path, name):
     assert _run(CASES[name], tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_builtin_model_matches_golden_file(name):
+    assert MODELS[name].to_json() == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def test_golden_files_are_all_cases():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *MODELS])
 
 
 if __name__ == "__main__":
@@ -100,3 +110,5 @@ if __name__ == "__main__":
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / name).write_text(_run(argv, pathlib.Path(tmp)), encoding="utf-8")
+    for name, model in MODELS.items():
+        (GOLDEN / name).write_text(model.to_json(), encoding="utf-8")
