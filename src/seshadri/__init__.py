@@ -18,7 +18,7 @@ _EXPORTS = {
         "Rational", "SeshadriValue", "format_rational", "parse_rational",
     ),
     "lattice": (
-        "CurveGeneratorSet", "DivisorClass", "IntersectionLattice", "LatticeError",
+        "CurveGeneratorSet", "IntersectionLattice", "LatticeError",
         "extend_blowup", "pair",
     ),
     "bounds": (

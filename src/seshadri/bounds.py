@@ -111,7 +111,7 @@ def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:
     any prescribed point.  n*a must be an integer for the count to make
     sense.
     """
-    a = as_rational(a, "a", BoundError)
+    a, n = as_rational(a, "a", BoundError), as_int(n, "n", BoundError)
     if n < 1:
         raise BoundError(f"n must be positive, got {n}")
     if (n * a).denominator != 1:
@@ -166,7 +166,7 @@ def minimal_M(rr: RRData, a: RationalLike) -> DegreeBound:
 def multiplicity_target(M: int, a: RationalLike) -> int:
     """The forced multiplicity M*a + 1 of the auxiliary divisor in the
     bound argument; exposed for report transparency."""
-    a = as_rational(a, "a", BoundError)
+    M, a = as_int(M, "M", BoundError), as_rational(a, "a", BoundError)
     Ma = M * a
     if Ma.denominator != 1:
         raise BoundError(f"M*a must be integral, got {M}*{a}")
@@ -194,6 +194,7 @@ def candidate_walk(
     """The pairs behind candidate_ratios: reduced (t, m) with t, m <= B
     and t/m <= alpha in ascending order of t/m, restricted to m <= t
     when require_m_le_t.  Distinct pairs are distinct ratios."""
+    B = as_int(B, "B", BoundError)
     if B < 1:
         raise BoundError(f"B must be positive, got {B}")
     alpha = as_rational(alpha, "alpha", BoundError)
@@ -250,9 +251,10 @@ def mediant_bounds(
     num_n, num_d = 0, 1  # sum of the a_i
     den_n, den_d = 0, 1  # sum of the b_i
     for a, b in parts:
+        a, b = as_rational(a, "entry", BoundError), as_rational(b, "entry", BoundError)
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         if an <= 0 or bn <= 0:
-            raise BoundError(f"all entries must be positive, got ({Fraction(a)}, {Fraction(b)})")
+            raise BoundError(f"all entries must be positive, got ({a}, {b})")
         ratio = (an * bd, ad * bn)
         if lo is None:
             lo = hi = ratio

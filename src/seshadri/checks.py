@@ -227,7 +227,7 @@ def _section_count(model: SurfaceModel, n: int) -> int:
     present: plane curves of degree ne for L = eH on the plane, forms of
     bidegree (na, nb) on the quadric, and plane curves of degree na with a
     point of multiplicity nb for L = aH - bE on F1."""
-    gram, L = model.lattice.gram, model.polarization.coords
+    gram, L = model.lattice.gram, model.polarization
     if gram == ((1,),):
         (e,) = L
         return (n * e + 1) * (n * e + 2) // 2

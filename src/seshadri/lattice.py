@@ -1,6 +1,9 @@
-"""Integer intersection lattices, divisor classes and curve-generator sets.
+"""Integer intersection lattices, their pairing and curve-generator sets.
 
-A lattice is a symmetric integer Gram matrix with labeled basis vectors.
+A lattice is a symmetric integer Gram matrix with labeled basis vectors,
+and a divisor class on it is a bare integer row of its rank: `pair`
+checks two rows and pairs them through the Gram matrix.
+
 Nef testing is always relative to a declared finite curve-generator set:
 listing a set asserts that it generates the effective curve cone, and
 that assertion is the trust boundary of the nef path.
@@ -12,7 +15,6 @@ it checks each row's length against its own rank before pairing it.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -66,58 +68,22 @@ class IntersectionLattice:
         if len(set(self.basis_labels)) != self.rank:
             raise LatticeError("basis_labels are not distinct")
 
-    def divisor(self, coords: Sequence[int]) -> "DivisorClass":
-        return DivisorClass(self, coords)
-
-    def basis_vector(self, label: str) -> "DivisorClass":
-        i = self.basis_labels.index(label)
-        return self.divisor(tuple(1 if j == i else 0 for j in range(self.rank)))
+    def covector(self, row: Sequence[int]) -> Tuple[int, ...]:
+        """row^T * gram, the linear form v -> row.v: row j of the
+        symmetric gram gives entry j.  The caller checks the row."""
+        return tuple(sum(map(operator.mul, g, row)) for g in self.gram)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    lattice: IntersectionLattice
-    coords: Tuple[int, ...]
-
-    def __post_init__(self):
-        coords, rank = integers(self.coords, "coordinates"), self.lattice.rank
-        if len(coords) != rank:
-            raise LatticeError(f"coordinate length {len(coords)} differs from rank {rank}")
-        object.__setattr__(self, "coords", coords)
-
-    @functools.cached_property
-    def covector(self) -> Tuple[int, ...]:
-        """coords^T * gram, the linear form v -> self.v, computed on first
-        use (row j of the symmetric gram gives entry j).  It is not a
-        field, so it takes no part in == or hash."""
-        return tuple(sum(map(operator.mul, row, self.coords)) for row in self.lattice.gram)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _require_same_lattice(self, other)
-        return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _require_same_lattice(self, other)
-        return DivisorClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(self.lattice, tuple(k * c for c in self.coords))
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*{l}" for c, l in zip(self.coords, self.lattice.basis_labels) if c]
-        return "DivisorClass(" + (" + ".join(terms) if terms else "0") + ")"
-
-
-def _require_same_lattice(u: DivisorClass, v: DivisorClass) -> None:
-    if u.lattice != v.lattice:
-        raise LatticeError("divisor classes live on different lattices")
-
-
-def pair(u: DivisorClass, v: DivisorClass) -> int:
-    """Intersection number u.v = u^T * gram * v, exactly: one integer
-    dot product of u's cached covector with v's coordinates."""
-    _require_same_lattice(u, v)
-    return sum(map(operator.mul, u.covector, v.coords))
+def pair(lattice: IntersectionLattice, u: Sequence[int], v: Sequence[int]) -> int:
+    """Intersection number u.v = u^T * gram * v of two rows on `lattice`,
+    exactly.  Each row is checked first, for exact integers and for the
+    lattice's rank: map stops at the shorter sequence, so a longer row
+    would otherwise be paired on its first entries."""
+    u, v = integers(u, "coordinates"), integers(v, "coordinates")
+    for row in (u, v):
+        if len(row) != lattice.rank:
+            raise LatticeError(f"coordinate length {len(row)} differs from rank {lattice.rank}")
+    return sum(map(operator.mul, lattice.covector(u), v))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ ship with correct generator lists and completeness thresholds; abstract
 models carry their own responsibility for those assertions, and every
 structural invariant that can be checked at load time is.
 
-A model keeps its candidates' classes and its generator sets as integer
-rows: on its lattice, and on the blow-up layout of `extend_blowup` (its
-basis, then the exceptional class `Ex`).  It checks each row's length
-against its rank, plus one for a generator, before it pairs the row.
+A model keeps every class as an integer row: its polarization and its
+candidates' classes on its lattice, its generator sets on the blow-up
+layout of `extend_blowup` (its basis, then the exceptional class `Ex`).
+It checks each row's length against its rank, plus one for a generator,
+before it pairs the row.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, Mapping, Tuple
 from . import SCHEMA_VERSION
 from .bounds import DegreeBound, RRData, minimal_M
 from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
-from .lattice import CurveGeneratorSet, DivisorClass, IntersectionLattice, pair
+from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
 from .structure import (
     LABEL,
     StructureError,
@@ -116,13 +117,14 @@ class SurfaceModel:
 
     name: str
     lattice: IntersectionLattice
-    polarization: DivisorClass
+    polarization: Tuple[int, ...]
     rr: RRData
     very_ample_multiplier: int
     strata: Tuple[PointStratum, ...]
     blowup_gens: Mapping[str, CurveGeneratorSet]
 
     def __post_init__(self):
+        object.__setattr__(self, "polarization", integers(self.polarization, "coordinates"))
         object.__setattr__(self, "strata", tuple(self.strata))
         # read-only, so that no generator set gets past the checks below
         object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
@@ -177,7 +179,7 @@ class SurfaceModel:
             "rank": self.lattice.rank,
             "gram": [list(row) for row in self.lattice.gram],
             "basis_labels": list(self.lattice.basis_labels),
-            "polarization": list(self.polarization.coords),
+            "polarization": list(self.polarization),
             "rr": {
                 "d": self.rr.d,
                 "c": self.rr.c,
@@ -224,15 +226,15 @@ def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...
     """Raise on the first violated invariant; return each blow-up
     generator set's table, keyed by stratum label."""
     require_label(model.name, "a model", ModelError, "name")
-    lat = model.lattice
-    if model.polarization.lattice != lat:
-        raise ModelError("polarization does not live on the model lattice")
-    d = pair(model.polarization, model.polarization)
+    lat, L = model.lattice, model.polarization
+    d = pair(lat, L, L)
     if d != model.rr.d:
         raise ModelError(
             f"degree mismatch: polarization self-intersection is {d} "
             f"but rr.d is {model.rr.d}"
         )
+    # pair checked L's row; the candidate and generator checks read its covector
+    object.__setattr__(model, "_covector", lat.covector(L))
     if model.very_ample_multiplier < 1:
         raise ModelError("very_ample_multiplier must be a positive integer")
     if EXCEPTIONAL_LABEL in lat.basis_labels:
@@ -286,7 +288,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
             cap = model.degree_bound(ocb).B
-    rank, polarization = model.lattice.rank, model.polarization.covector
+    rank, polarization = model.lattice.rank, model._covector
     for c in s.candidates:
         if c.coords is not None:
             # before the pairing: map stops at the shorter sequence, so a
@@ -332,7 +334,7 @@ def _generator_table(
         gl, row = next((gl, row) for gl, row in zip(gens.labels, gens.rows) if len(row) != rank)
         raise _length_error("blow-up generator", gl, label, row, rank)
     # map stops at the shorter covector, so the Ex coordinate is left out
-    polarization = model.polarization.covector
+    polarization = model._covector
     table = tuple((sum(map(operator.mul, polarization, row)), -row[-1]) for row in gens.rows)
     # both checks below pass every generator with pi^*L.C > 0, so they
     # visit only the others
@@ -387,7 +389,6 @@ def _build_from_document(doc: dict) -> SurfaceModel:
         gram=tuple(tuple(row) for row in doc["gram"]),
         basis_labels=tuple(doc["basis_labels"]),
     )
-    polarization = lat.divisor(doc["polarization"])
     rr = RRData(
         d=doc["rr"]["d"],
         c=doc["rr"]["c"],
@@ -425,7 +426,7 @@ def _build_from_document(doc: dict) -> SurfaceModel:
     return SurfaceModel(
         name=doc["name"],
         lattice=lat,
-        polarization=polarization,
+        polarization=doc["polarization"],
         rr=rr,
         very_ample_multiplier=doc["very_ample_multiplier"],
         strata=tuple(strata),
@@ -454,11 +455,6 @@ def load_model_file(path) -> SurfaceModel:
 _PLANE_CURVE_CAP = 3
 
 
-def _candidate(label: str, t: int, m: int, cls: DivisorClass) -> CurveCandidate:
-    """A built-in curve candidate (t, m) of the class `cls`."""
-    return CurveCandidate(label=label, degree_t=t, mult_m=m, coords=cls.coords)
-
-
 def projective_plane(e: int = 1) -> SurfaceModel:
     """The plane with the degree-e polarization: rank-1 lattice, d = e^2.
 
@@ -471,11 +467,10 @@ def projective_plane(e: int = 1) -> SurfaceModel:
     if e < 1:
         raise ModelError(f"polarization degree must be positive, got {e}")
     lat = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
-    H = lat.basis_vector("H")
-    candidates = [_candidate("line", e, 1, H)]
+    candidates = [CurveCandidate("line", e, 1, (1,))]
     for k in range(2, _PLANE_CURVE_CAP + 1):
         for m in range(1, k):
-            candidates.append(_candidate(f"deg{k}_mult{m}", e * k, m, k * H))
+            candidates.append(CurveCandidate(f"deg{k}_mult{m}", e * k, m, (k,)))
     gens = CurveGeneratorSet(
         labels=(EXCEPTIONAL_LABEL, "H-Ex"),
         rows=((0, 1), (1, -1)),
@@ -483,7 +478,7 @@ def projective_plane(e: int = 1) -> SurfaceModel:
     return SurfaceModel(
         name=f"projective_plane({e})",
         lattice=lat,
-        polarization=e * H,
+        polarization=(e,),
         rr=RRData(d=e * e, c=3 * e, c_prime=1),
         very_ample_multiplier=1,
         strata=(
@@ -505,13 +500,11 @@ def quadric(a: int = 1, b: int = 1) -> SurfaceModel:
     if a < 1 or b < 1:
         raise ModelError(f"polarization bidegree must be positive, got ({a}, {b})")
     lat = IntersectionLattice(rank=2, gram=((0, 1), (1, 0)), basis_labels=("f1", "f2"))
-    f1, f2 = lat.basis_vector("f1"), lat.basis_vector("f2")
-    L = a * f1 + b * f2
     candidates = (
-        # the f1 ruling meets L in b, the f2 ruling in a
-        _candidate("ruling_f1", b, 1, f1),
-        _candidate("ruling_f2", a, 1, f2),
-        _candidate("diagonal", a + b, 1, f1 + f2),
+        # the f1 ruling meets L = a*f1 + b*f2 in b, the f2 ruling in a
+        CurveCandidate("ruling_f1", b, 1, (1, 0)),
+        CurveCandidate("ruling_f2", a, 1, (0, 1)),
+        CurveCandidate("diagonal", a + b, 1, (1, 1)),
     )
     gens = CurveGeneratorSet(
         labels=(EXCEPTIONAL_LABEL, "f1-Ex", "f2-Ex"),
@@ -520,7 +513,7 @@ def quadric(a: int = 1, b: int = 1) -> SurfaceModel:
     return SurfaceModel(
         name=f"quadric({a},{b})",
         lattice=lat,
-        polarization=L,
+        polarization=(a, b),
         rr=RRData(d=2 * a * b, c=2 * a + 2 * b, c_prime=1),
         very_ample_multiplier=1,
         strata=(
@@ -541,18 +534,15 @@ def f1_anticanonical() -> SurfaceModel:
     point (cut out by the fiber H - E) and drops to 1 on the exceptional
     curve E, which gives the two-stratum structure."""
     lat = IntersectionLattice(rank=2, gram=((1, 0), (0, -1)), basis_labels=("H", "E"))
-    H, E = lat.basis_vector("H"), lat.basis_vector("E")
-    L = 3 * H - E
-    fiber = H - E
     generic_candidates = (
-        _candidate("fiber", 2, 1, fiber),
-        _candidate("line", 3, 1, H),
-        _candidate("conic_node", 5, 2, 2 * H - E),
+        CurveCandidate("fiber", 2, 1, (1, -1)),  # H - E
+        CurveCandidate("line", 3, 1, (1, 0)),  # H
+        CurveCandidate("conic_node", 5, 2, (2, -1)),  # 2H - E
     )
     on_E_candidates = (
-        _candidate("E", 1, 1, E),
-        _candidate("fiber", 2, 1, fiber),
-        _candidate("line", 3, 1, H),
+        CurveCandidate("E", 1, 1, (0, 1)),
+        CurveCandidate("fiber", 2, 1, (1, -1)),
+        CurveCandidate("line", 3, 1, (1, 0)),
     )
     generic_gens = CurveGeneratorSet(
         labels=(EXCEPTIONAL_LABEL, "E", "H-E-Ex"),
@@ -565,7 +555,7 @@ def f1_anticanonical() -> SurfaceModel:
     return SurfaceModel(
         name="f1_anticanonical",
         lattice=lat,
-        polarization=L,
+        polarization=(3, -1),  # 3H - E
         rr=RRData(d=8, c=8, c_prime=1),
         very_ample_multiplier=1,
         strata=(

@@ -21,7 +21,7 @@ def _low_generic(build):
 def _unknown_surface(build):
     # degree 4 on a lattice that no built-in presents
     lat = IntersectionLattice(rank=1, gram=((4,),), basis_labels=("H",))
-    return dataclasses.replace(build(), lattice=lat, polarization=lat.divisor((1,)))
+    return dataclasses.replace(build(), lattice=lat, polarization=(1,))
 
 
 @pytest.mark.parametrize(

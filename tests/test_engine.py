@@ -207,7 +207,7 @@ def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None):
     return SurfaceModel(
         name="bare",
         lattice=lat,
-        polarization=lat.divisor((e,)),
+        polarization=(e,),
         rr=RRData(d=d, c=c, c_prime=1),
         very_ample_multiplier=1,
         strata=(
@@ -253,7 +253,7 @@ def test_sqrt_cap_certified_by_complete_oracle():
     model = SurfaceModel(
         name="irr",
         lattice=lat,
-        polarization=lat.divisor((1,)),
+        polarization=(1,),
         rr=RRData(d=5, c=7, c_prime=1),
         very_ample_multiplier=1,
         strata=(
@@ -381,7 +381,7 @@ def _nef_model(d, gens):
     return SurfaceModel(
         name="nef_probe",
         lattice=lat,
-        polarization=lat.basis_vector("H"),
+        polarization=(1, 0),  # H
         rr=RRData(d=d, c=0, c_prime=1),
         very_ample_multiplier=1,
         strata=(PointStratum(label="generic", closure_dim=2),),

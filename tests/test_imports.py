@@ -18,7 +18,7 @@ SRC = os.path.dirname(os.path.dirname(seshadri.__file__))
 
 EXPORTS = {
     "values": ["Rational", "SeshadriValue", "format_rational", "parse_rational"],
-    "lattice": ["CurveGeneratorSet", "DivisorClass", "IntersectionLattice", "LatticeError",
+    "lattice": ["CurveGeneratorSet", "IntersectionLattice", "LatticeError",
                 "extend_blowup", "pair"],
     "bounds": ["BoundError", "DegreeBound", "RRData", "candidate_ratios", "l_poly",
                "mediant_bounds", "minimal_M", "multiplicity_target"],

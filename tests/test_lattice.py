@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,22 +18,36 @@ F1 = IntersectionLattice(rank=2, gram=((1, 0), (0, -1)), basis_labels=("H", "E")
 
 
 def test_pair_plane():
-    assert pair(P2.divisor((3,)), P2.divisor((2,))) == 6
+    assert pair(P2, (3,), (2,)) == 6
 
 
 def test_pair_f1_by_hand():
     # (3H - E).(H - E) = 3*1 - 1*1 = 2
-    assert pair(F1.divisor((3, -1)), F1.divisor((1, -1))) == 2
+    assert pair(F1, (3, -1), (1, -1)) == 2
 
 
 def test_pair_zero_class():
-    zero = F1.divisor((0, 0))
-    assert pair(F1.divisor((5, -3)), zero) == 0
+    assert pair(F1, (5, -3), (0, 0)) == 0
 
 
 def test_pair_lattice_mismatch():
-    with pytest.raises(LatticeError):
-        pair(P2.divisor((1,)), F1.divisor((1, 0)))
+    # a row of another lattice's rank is a length error
+    with pytest.raises(LatticeError, match="^coordinate length 1 differs from rank 2$"):
+        pair(F1, (1,), (1, 0))
+
+
+@pytest.mark.parametrize("u, v", [
+    ((1, 0), (1,)),
+    ((1, 0, 0), (1, 0)),
+    ((1, 0), (1, 0, 5)),
+    ((), (1, 0)),
+], ids=["short_right", "long_left", "long_right", "empty"])
+def test_pair_rejects_a_row_of_another_length(u, v):
+    # a longer row would be paired on its first entries, as map stops at
+    # the shorter sequence
+    bad = len(u) if len(u) != 2 else len(v)
+    with pytest.raises(LatticeError, match=f"^coordinate length {bad} differs from rank 2$"):
+        pair(F1, u, v)
 
 
 def test_gram_must_be_symmetric():
@@ -48,9 +63,12 @@ def test_gram_rejects_non_integers():
 
 @pytest.mark.parametrize("bad", [2.9, 2.0, Fraction(5, 2)])
 def test_divisor_rejects_non_integers(bad):
-    # (2.9, 1) was stored as (2, 1) before
-    with pytest.raises(LatticeError, match="coordinates must be integers"):
-        F1.divisor((bad, 1))
+    # (2.9, 1) was paired as (2, 1) once; a float is refused on either side
+    message = re.escape(f"coordinates must be integers, got {bad!r}")
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        pair(F1, (bad, 1), (1, 0))
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        pair(F1, (1, 0), (1, bad))
 
 
 @st.composite
@@ -83,15 +101,9 @@ def test_pair_matches_naive_double_sum(case):
     lat = IntersectionLattice(
         rank=n, gram=tuple(map(tuple, gram)), basis_labels=tuple(f"b{i}" for i in range(n))
     )
-    U, V = lat.divisor(u), lat.divisor(v)
     naive = sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-    assert pair(U, V) == naive
-    assert pair(V, U) == naive
-    # an equal class whose covector was never computed is still equal
-    fresh = lat.divisor(u)
-    assert "covector" in vars(U) and "covector" not in vars(fresh)
-    assert fresh == U and hash(fresh) == hash(U)
-    assert {U: 1}[fresh] == 1
+    assert pair(lat, u, v) == naive
+    assert pair(lat, v, u) == naive
 
 
 def test_labels_must_be_distinct():
@@ -106,27 +118,27 @@ def test_labels_must_be_distinct():
     st.integers(-4, 4),
 )
 def test_pair_symmetric_bilinear(u, v, w, k):
-    U, V, W = F1.divisor(u), F1.divisor(v), F1.divisor(w)
-    assert pair(U, V) == pair(V, U)
-    assert pair(U + k * V, W) == pair(U, W) + k * pair(V, W)
+    assert pair(F1, u, v) == pair(F1, v, u)
+    u_plus_kv = tuple(a + k * b for a, b in zip(u, v))
+    assert pair(F1, u_plus_kv, w) == pair(F1, u, w) + k * pair(F1, v, w)
 
 
 # a class is nef against a generator set when it pairs nonnegatively
 # with every generator, which is the test the nef path runs
-F1_GENS = (F1.divisor((0, 1)), F1.divisor((1, -1)))  # E and H - E
+F1_GENS = ((0, 1), (1, -1))  # E and H - E
 
 
 def test_nef_f1_hyperplane():
-    assert [pair(F1.divisor((1, 0)), C) for C in F1_GENS] == [0, 1]
+    assert [pair(F1, (1, 0), C) for C in F1_GENS] == [0, 1]
 
 
 def test_nef_f1_negative_case():
     # (2H - 3E).(H - E) = 2 - 3 = -1
-    assert [pair(F1.divisor((2, -3)), C) for C in F1_GENS] == [3, -1]
+    assert [pair(F1, (2, -3), C) for C in F1_GENS] == [3, -1]
 
 
 def test_nef_zero_class():
-    assert [pair(F1.divisor((0, 0)), C) for C in F1_GENS] == [0, 0]
+    assert [pair(F1, (0, 0), C) for C in F1_GENS] == [0, 0]
 
 
 def test_generator_set_rejects_zero_class():
@@ -158,11 +170,10 @@ def test_extend_blowup_duplicate_label():
 )
 def test_blowup_preserves_old_pairings(u, v):
     ext = extend_blowup(F1, "Ex")
-    U, V = F1.divisor(u), F1.divisor(v)
-    assert pair(ext.divisor(u + [0]), ext.divisor(v + [0])) == pair(U, V)
-    e = ext.basis_vector("Ex")
-    assert pair(e, e) == -1
-    assert pair(e, ext.divisor(u + [0])) == 0
+    assert pair(ext, u + [0], v + [0]) == pair(F1, u, v)
+    e = (0, 0, 1)  # Ex, last in the blow-up layout
+    assert pair(ext, e, e) == -1
+    assert pair(ext, e, u + [0]) == 0
 
 
 @given(
@@ -173,5 +184,4 @@ def test_pushforward_inverts_lift(l, c):
     # the projection formula pi^*L.C = L.pi_*C, where pi_*C drops the
     # exceptional coordinate; the load-time ampleness gate relies on it
     ext = extend_blowup(F1, "Ex")
-    L = F1.divisor(l)
-    assert pair(ext.divisor(l + [0]), ext.divisor(c)) == pair(L, F1.divisor(c[:-1]))
+    assert pair(ext, l + [0], c) == pair(F1, l, c[:-1])

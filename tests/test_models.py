@@ -57,7 +57,7 @@ def test_builtin_invalid_params():
 
 def test_quadric_degree_by_pairing():
     model = quadric(2, 2)
-    assert pair(model.polarization, model.polarization) == 8 == model.rr.d
+    assert pair(model.lattice, model.polarization, model.polarization) == 8 == model.rr.d
 
 
 def test_degree_mismatch_rejected():
@@ -350,17 +350,37 @@ def test_loaded_coordinates_keep_the_length_check():
         "candidate 'fiber' of stratum 'generic': coordinate length 3 differs from rank 2"
     )
     with pytest.raises(LatticeError, match="^coordinate length 1 differs from rank 2$"):
-        f1_anticanonical().lattice.divisor([1])
+        pair(f1_anticanonical().lattice, [1], (3, -1))
+    doc = f1_doc()
+    doc["polarization"] = [3, -1, 0]
+    with pytest.raises(ModelError) as info:
+        load_model(json.dumps(doc))
+    assert str(info.value) == "coordinate length 3 differs from rank 2"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((3,), "coordinate length 1 differs from rank 2"),
+        ((3, -1, 0), "coordinate length 3 differs from rank 2"),
+        ((3.0, -1), "coordinates must be integers, got 3.0"),
+    ],
+    ids=["short", "long", "float"],
+)
+def test_polarization_row_is_checked_at_construction(row, message):
+    with pytest.raises(LatticeError) as info:
+        dataclasses.replace(f1_anticanonical(), polarization=row)
+    assert str(info.value) == message
 
 
 def _pairings(model, label):
     """(pi^*L.C, Ex.C) for each blow-up generator C, through lattice.pair."""
     ext = extend_blowup(model.lattice, "Ex")
-    pullback = ext.divisor(model.polarization.coords + (0,))
-    exceptional = ext.basis_vector("Ex")
+    pullback = model.polarization + (0,)
+    exceptional = (0,) * model.lattice.rank + (1,)  # Ex comes last
     return tuple(
-        (pair(pullback, cls), pair(exceptional, cls))
-        for cls in map(ext.divisor, model.blowup_gens[label].rows)
+        (pair(ext, pullback, row), pair(ext, exceptional, row))
+        for row in model.blowup_gens[label].rows
     )
 
 
@@ -401,7 +421,7 @@ def test_replaced_model_gets_a_fresh_table():
         cd["class"] = None
     model = load_model(json.dumps(doc))
     before = model.generator_table("generic")
-    swapped = dataclasses.replace(model, polarization=model.lattice.divisor((2, 1)))
+    swapped = dataclasses.replace(model, polarization=(2, 1))
     assert swapped.generator_table("generic") == _pairings(swapped, "generic") != before
     assert model.generator_table("generic") == before
     # a set can only be replaced through the constructor, which checks it
@@ -445,9 +465,8 @@ def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
 @pytest.mark.parametrize(
     "wrong",
     [
-        IntersectionLattice(rank=4, gram=((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
-                            basis_labels=("H", "E", "E2", "Ex")).divisor((1, -1, 0, -1)),
-        f1_anticanonical().lattice.divisor((1, -1)),  # the model's own, not blown up
+        (1, -1, 0, -1),  # a row of a rank-4 layout, with a second E
+        (1, -1),  # a row of the model's own lattice, not blown up
     ],
     ids=["other_rank", "base_lattice"],
 )
@@ -455,10 +474,10 @@ def test_generator_on_wrong_lattice_raises_before_pairing(wrong):
     # a dot product against a row of another length would give a number
     # (map stops at the shorter sequence); the length check comes first
     model = f1_anticanonical()
-    gens = CurveGeneratorSet(labels=("bad",), rows=(wrong.coords,))
+    gens = CurveGeneratorSet(labels=("bad",), rows=(wrong,))
     message = (
         f"^blow-up generator 'bad' of stratum 'generic': coordinate length "
-        f"{len(wrong.coords)} differs from rank 3$"
+        f"{len(wrong)} differs from rank 3$"
     )
     with pytest.raises(ModelError, match=message):
         dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})

@@ -1,12 +1,12 @@
 """Blow-up generator sets and candidate classes are integer coordinate
 rows, on the model's blow-up layout and on the model lattice.  The rows
-are checked with the messages that a `DivisorClass` of each would raise,
-and a caller who needs a class builds it with `lattice.divisor(row)`."""
+are checked with the messages that `pair(lattice, u, v)` raises for its
+own rows, and the model's reads of them agree with `pair` on the full
+Gram matrix."""
 
 import dataclasses
 import json
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from seshadri import lattice
 from seshadri.engine import CurveCandidate, epsilon_via_nef
-from seshadri.family import load_family, scan
 from seshadri.lattice import CurveGeneratorSet, LatticeError, extend_blowup, pair
 from seshadri.models import (
     ModelError,
@@ -43,50 +42,23 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
     text = model.to_json()
     assert text == json.dumps(doc, indent=2) + "\n" == load_model(text).to_json()
     ext = extend_blowup(model.lattice, "Ex")
-    pullback = ext.divisor(model.polarization.coords + (0,))
-    exceptional = ext.basis_vector("Ex")
+    pullback = model.polarization + (0,)
+    exceptional = (0,) * model.lattice.rank + (1,)  # Ex comes last
     for stratum in model.strata:
         for c in stratum.candidates:
-            cls = model.lattice.divisor(c.coords)
-            assert cls.coords == c.coords and pair(model.polarization, cls) == c.degree_t
+            assert pair(model.lattice, model.polarization, c.coords) == c.degree_t
         gens = model.blowup_gens[stratum.label]
-        classes = tuple(map(ext.divisor, gens.rows))
-        assert tuple(cls.coords for cls in classes) == gens.rows
         assert model.generator_table(stratum.label) == tuple(
-            (pair(pullback, cls), pair(exceptional, cls)) for cls in classes
+            (pair(ext, pullback, row), pair(ext, exceptional, row)) for row in gens.rows
         )
         witness = epsilon_via_nef(model, stratum).witness
         if witness is not None:
             row = gens.rows[gens.labels.index(witness.label)]
             assert witness.coords == row
-            cls = ext.divisor(witness.coords)
-            assert (pair(pullback, cls), pair(exceptional, cls)) == (
+            assert (pair(ext, pullback, row), pair(ext, exceptional, row)) == (
                 witness.degree_t,
                 witness.mult_m,
             )
-
-
-def test_loaded_and_scanned_models_build_no_generator_class(blown_up_plane, monkeypatch):
-    built = []
-    post_init = lattice.DivisorClass.__post_init__
-
-    def record(self):
-        post_init(self)
-        built.append(self)
-
-    monkeypatch.setattr(lattice.DivisorClass, "__post_init__", record)
-    strata = [[((1, 0, 0), 1), ((1, -1, 0), 0)], [((1, 1, 0), 2), ((2, 0, 1), 1)]]
-    family = {
-        "degree": 23,
-        "members": [
-            {"param_label": f"t{i}", "model": blown_up_plane(5, 2, strata, name=f"m{i}")}
-            for i in range(2)
-        ],
-    }
-    scan(load_family(json.dumps(family)), Fraction(4))
-    # the generator tables read the rows alone: no class is built on a
-    # blow-up lattice, the only lattices with the reserved label Ex
-    assert not [c for c in built if "Ex" in c.lattice.basis_labels]
 
 
 def _exact(message):
@@ -170,7 +142,7 @@ def test_bad_generator_rows_raise_the_class_messages_at_load(row, message):
 
 
 def test_index_coordinates_are_kept_as_ints():
-    # like a DivisorClass, a row takes anything with __index__ and keeps ints
+    # like pair, a row takes anything with __index__ and keeps ints
     gens = CurveGeneratorSet(labels=("b",), rows=[[True, False, -1]])
     assert gens.rows == ((1, 0, -1),) and {type(x) for x in gens.rows[0]} == {int}
     cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0])

@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seshadri.bounds import (
+    BoundError,
     RRData,
     candidate_ratios,
     candidate_walk,
     l_poly,
+    mediant_bounds,
     minimal_M,
     multiplicity_target,
 )
@@ -189,13 +191,36 @@ def _f1_family():
         (lambda: sublevel_set(f1_anticanonical(), 0.1), "exact value"),
         (lambda: low_epsilon_strata(f1_anticanonical(), 0.1), "delta"),
         (lambda: scan(_f1_family(), 0.1), "exact value"),
+        (lambda: mediant_bounds([(1, 2), (0.1, 1)]), "entry"),
+        (lambda: mediant_bounds([(1, 0.1)]), "entry"),
     ],
     ids=["l_poly", "minimal_M", "multiplicity_target", "candidate_walk", "candidate_ratios",
-         "exact", "threshold", "sublevel_set", "low_epsilon_strata", "scan"],
+         "exact", "threshold", "sublevel_set", "low_epsilon_strata", "scan",
+         "mediant_bounds_a", "mediant_bounds_b"],
 )
 def test_exact_entry_points_reject_a_float(call, what):
     # a binary float is never read as the rational it approximates: no
     # float may enter a verdict, through the command line or the API
     message = f"{what} must be an int or a Fraction, got 0.1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: list(candidate_walk(6.5, 2)), "B must be an integer, got 6.5"),
+        (lambda: candidate_ratios(6.0, 2), "B must be an integer, got 6.0"),
+        (lambda: candidate_ratios(Fraction(6), 2), "B must be an integer, got Fraction(6, 1)"),
+        (lambda: l_poly(RRData(8, 8, 1), 1, 2.0), "n must be an integer, got 2.0"),
+        (lambda: multiplicity_target(2.0, Fraction(3, 2)), "M must be an integer, got 2.0"),
+    ],
+    ids=["candidate_walk", "candidate_ratios", "candidate_ratios_fraction", "l_poly",
+         "multiplicity_target"],
+)
+def test_integer_entry_points_reject_a_float(call, message):
+    # candidate_walk(6.5, 2) once walked pairs of non-integers, such as
+    # (6.5, 5.5), and the others failed with a bare TypeError or
+    # AttributeError
+    with pytest.raises(BoundError, match=f"^{re.escape(message)}$"):
         call()
