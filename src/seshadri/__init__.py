@@ -31,7 +31,7 @@ _EXPORTS = {
         "low_epsilon_strata", "sigma_local", "sublevel_set",
     ),
     "models": (
-        "ModelError", "SurfaceModel", "builtin", "builtin_suite", "f1_anticanonical",
+        "ModelError", "SurfaceModel", "builtin_suite", "f1_anticanonical",
         "load_model", "load_model_file", "projective_plane", "quadric",
     ),
     "family": (

@@ -119,7 +119,7 @@ def check_candidate_membership(models: Models) -> str:
         for alpha in ALPHA_GRID:
             if alpha * alpha >= model.rr.d:
                 continue
-            superset = set(member_candidate_superset(model, alpha)[0])
+            superset = set(member_candidate_superset(model, alpha))
             bound = SeshadriValue.exact(alpha)
             for label, res in model.stratum_table.items():
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:

@@ -10,7 +10,6 @@ exactly on that finite structure.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import graphlib
 import heapq
@@ -137,17 +136,11 @@ class FamilyScanReport:
     epsilon_table: Tuple[Tuple[str, str, SeshadriResult, DegreeBound], ...]
     sigma_cap: Tuple[Rational, ...]
     candidate_superset: Tuple[Pair, ...]
-    candidate_superset_raw: Tuple[Pair, ...]
     semicontinuity_verdicts: Tuple[Verdict, ...]
     jump_members: Tuple[str, ...]
     uncertified: Tuple[Tuple[str, str], ...]
 
     def to_document(self) -> dict:
-        superset = format_pairs(self.candidate_superset)
-        if self.candidate_superset_raw is self.candidate_superset:
-            raw = superset  # one list under both keys: multiplier 1 throughout
-        else:
-            raw = format_pairs(self.candidate_superset_raw)
         return {
             "alpha": format_rational(self.alpha),
             "degree": self.degree,
@@ -162,8 +155,7 @@ class FamilyScanReport:
             ],
             "sigma_cap": [format_rational(q) for q in self.sigma_cap],
             "sigma_cap_size": len(self.sigma_cap),
-            "candidate_superset": superset,
-            "candidate_superset_raw": raw,
+            "candidate_superset": format_pairs(self.candidate_superset),
             "semicontinuity_verdicts": [v.to_document() for v in self.semicontinuity_verdicts],
             "jump_members": list(self.jump_members),
             "uncertified": [{"member": m, "stratum": s} for m, s in self.uncertified],
@@ -186,17 +178,14 @@ class FamilyScanReport:
         return out.getvalue()
 
 
-def member_candidate_superset(
-    model: SurfaceModel, alpha: Rational
-) -> Tuple[List[Pair], List[Pair]]:
+def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> List[Pair]:
     """Candidate ratios for one member at threshold alpha, as reduced
-    (t, m) pairs in ascending order of t/m: (divided by the very-ampleness
-    multiplier, raw for the scaled polarization).
+    (t, m) pairs in ascending order of t/m.
 
     The degree bound argument requires a very ample polarization; when
     the model declares multiplier v, the enumeration runs for the v-th
     power (degree v^2*d, threshold v*alpha) and the ratios divide back by
-    v.  With v = 1 both are the one list.
+    v.  With v = 1 the Farey walk's list is the result as it is.
     """
     v = model.very_ample_multiplier
     rr = model.rr
@@ -207,13 +196,11 @@ def member_candidate_superset(
         vanishing_multiplier=rr.vanishing_multiplier,
     )
     bound = minimal_M(scaled, v * alpha)
-    raw = list(candidate_walk(bound.B, v * alpha))
+    pairs = list(candidate_walk(bound.B, v * alpha))
     if v == 1:
-        return raw, raw
+        return pairs
     # t/(m*v) with gcd(t, m) = 1 reduces by g = gcd(t, v) alone
-    return [
-        (t // g, m * (v // g)) for t, m in raw for g in (math.gcd(t, v),)
-    ], raw
+    return [(t // g, m * (v // g)) for t, m in pairs for g in (math.gcd(t, v),)]
 
 
 def semicontinuity_check(family: Family) -> List[Verdict]:
@@ -253,11 +240,6 @@ def _merge_ascending(lists: Sequence[List[Pair]]) -> List[Pair]:
     return [tm for tm, _ in itertools.groupby(heapq.merge(*lists, key=_ratio))]
 
 
-def _contains(ascending: Sequence[Pair], q: Rational) -> bool:
-    i = bisect.bisect_left(ascending, q, key=_ratio)
-    return i < len(ascending) and ascending[i] == (q.numerator, q.denominator)
-
-
 def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     """Full family report at threshold alpha < sqrt(d): per-member
     per-stratum values, the finite observed value set up to alpha with
@@ -266,9 +248,10 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     generic one.
 
     Each member's strata are evaluated once, into the model's
-    stratum_table that every part of the report reads, and the candidate
+    stratum_table that every part of the report reads.  The candidate
     superset is enumerated once per distinct (very-ampleness multiplier,
-    RR data).
+    RR data) and listed once, as the sorted union of those lists; an
+    observed value is contained iff its reduced pair is listed.
     """
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
@@ -297,18 +280,14 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
             else:
                 uncertified.append((label, stratum_label))
 
-    # each list is ascending without repeats (the Farey walk's order), so
-    # a merge that drops repeats is their sorted union; with multiplier 1
-    # everywhere the divided lists are the raw ones, and the report holds
-    # one tuple under both names
-    superset = tuple(_merge_ascending([divided for divided, _ in supersets.values()]))
-    if all(divided is raw for divided, raw in supersets.values()):
-        superset_raw = superset
-    else:
-        superset_raw = tuple(_merge_ascending([raw for _, raw in supersets.values()]))
+    # each list is ascending without repeats (the Farey walk's order,
+    # divided by the member's multiplier), so one merge that drops
+    # repeats is their sorted union
+    superset = tuple(_merge_ascending(list(supersets.values())))
 
     sigma_cap = sorted(sigma_cap_set)
-    missing = [q for q in sigma_cap if not _contains(superset, q)]
+    listed = set(superset)
+    missing = [q for q in sigma_cap if (q.numerator, q.denominator) not in listed]
     if missing:
         raise FamilyError(
             "observed values escape the candidate superset: "
@@ -343,7 +322,6 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         epsilon_table=tuple(rows),
         sigma_cap=tuple(sigma_cap),
         candidate_superset=superset,
-        candidate_superset_raw=superset_raw,
         semicontinuity_verdicts=tuple(semicontinuity_check(family)),
         jump_members=jump_members,
         uncertified=tuple(uncertified),

@@ -29,10 +29,13 @@ class LatticeError(ValueError):
 
 def integers(values: Sequence, what: str) -> Tuple[int, ...]:
     """The values as a tuple of ints, via operator.index, so that a float
-    or a fraction is an error and never silently truncated."""
+    or a fraction is an error and never silently truncated, and a row
+    that is not a sequence is an error too."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
+        if not hasattr(type(values), "__iter__"):
+            raise LatticeError(f"{what} must be a sequence of integers, got {values!r}") from None
         for v in values:
             if not hasattr(type(v), "__index__"):
                 raise LatticeError(f"{what} must be integers, got {v!r}") from None
@@ -101,7 +104,7 @@ class CurveGeneratorSet:
     rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        labels, rows = tuple(self.labels), tuple(map(tuple, self.rows))
+        labels, rows = tuple(self.labels), tuple(self.rows)
         if len(labels) != len(rows):
             raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
         # one pass over all rows with builtins; the row-by-row walk runs
@@ -110,6 +113,7 @@ class CurveGeneratorSet:
         if not (
             all(labels)
             and set(map(type, labels)) <= {str}
+            and set(map(type, rows)) <= {tuple, list}
             and set(map(type, chain.from_iterable(rows))) <= {int}
             and all(map(any, rows))
         ):
@@ -119,7 +123,7 @@ class CurveGeneratorSet:
                 if not any(row):
                     raise LatticeError(f"generator {label!r} is the zero class")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
 
 def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:

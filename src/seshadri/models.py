@@ -577,27 +577,6 @@ def f1_anticanonical() -> SurfaceModel:
     )
 
 
-_BUILTINS = {
-    "projective_plane": projective_plane,
-    "quadric": quadric,
-    "f1_anticanonical": f1_anticanonical,
-}
-
-
-def builtin(name: str, **params) -> SurfaceModel:
-    """Construct a certified built-in model by name."""
-    try:
-        ctor = _BUILTINS[name]
-    except KeyError:
-        raise ModelError(
-            f"unknown built-in {name!r}; available: {sorted(_BUILTINS)}"
-        ) from None
-    try:
-        return ctor(**params)
-    except TypeError as exc:
-        raise ModelError(f"invalid parameters for {name!r}: {exc}") from exc
-
-
 def builtin_suite() -> Tuple[SurfaceModel, ...]:
     """The models every suite-wide invariant is checked against."""
     return (

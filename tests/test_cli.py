@@ -231,3 +231,35 @@ def test_check_fails_when_one_invariant_fails(capsys, monkeypatch):
     assert sum(line.startswith("PASS") for line in lines) == len(CHECK_NAMES) - 1
     assert main(["check", "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["all_passed"] is False
+
+
+def _write_family(tmp_path, models, specialization=()):
+    """A family file whose members are the (label, model) pairs, inline."""
+    doc = {
+        "degree": models[0][1].rr.d,
+        "members": [
+            {"param_label": label, "model": json.loads(model.to_json())} for label, model in models
+        ],
+        "member_specialization": [list(pair) for pair in specialization],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_scan_text_lists_a_proven_failure(capsys, tmp_path):
+    # f1 (global value 1) specializing to quadric(2, 2) (global value 2):
+    # the special member is proven to lie above the general one
+    path = _write_family(tmp_path, [("g", f1_anticanonical()), ("s", quadric(2, 2))], [("g", "s")])
+    assert main(["scan", path, "--alpha", "5/2"]) == 0
+    assert "semicontinuity: FAILURES: member g->s in family\n" in capsys.readouterr().out
+    assert main(["scan", path, "--alpha", "5/2", "--strict"]) == 2
+
+
+def test_scan_text_lists_an_undetermined_verdict(capsys, tmp_path, violating_model):
+    # with no thresholds each stratum's value is an upper bound only, so
+    # the order of the two strata is not proven either way
+    path = _write_family(tmp_path, [("t", violating_model())])
+    assert main(["scan", path, "--alpha", "3/2"]) == 0
+    out = capsys.readouterr().out
+    assert "semicontinuity: UNDETERMINED: stratum generic->special in t\n" in out

@@ -112,6 +112,16 @@ def test_scan_computes_each_degree_bound_once_per_model(blown_up_plane, monkeypa
     assert calls == [Fraction(3)] * 3
 
 
+def _counting_merges(monkeypatch):
+    """Record the number of lists that each `_merge_ascending` call gets."""
+    merges = []
+    merge = family_module._merge_ascending
+    monkeypatch.setattr(
+        family_module, "_merge_ascending", lambda lists: merges.append(len(lists)) or merge(lists)
+    )
+    return merges
+
+
 @pytest.mark.parametrize("multiplier", [1, 2])
 def test_scan_superset_is_sorted_union(multiplier, monkeypatch):
     # with multiplier 2 member b's superset differs from a's
@@ -121,22 +131,28 @@ def test_scan_superset_is_sorted_union(multiplier, monkeypatch):
     alpha = Fraction(5, 2)
     lists = [member_candidate_superset(model, alpha) for _, model in members]
     assert (lists[0] != lists[1]) == (multiplier != 1)
-    merges = []
-    merge = family_module._merge_ascending
-    monkeypatch.setattr(
-        family_module, "_merge_ascending", lambda lists: merges.append(1) or merge(lists)
-    )
+    merges = _counting_merges(monkeypatch)
     report = scan(Family(members=members, degree=9), alpha)
-    # with multiplier 1 the divided and raw lists are one list, merged once
-    assert len(merges) == (1 if multiplier == 1 else 2)
+    # one merge whatever the multiplier, of one list per distinct key
+    assert merges == [1 if multiplier == 1 else 2]
     # reduced pairs: equal ratios are equal pairs, ordered by their ratio
     by_ratio = lambda tm: Fraction(*tm)  # noqa: E731
-    assert report.candidate_superset == tuple(
-        sorted(set(lists[0][0]) | set(lists[1][0]), key=by_ratio)
-    )
-    assert report.candidate_superset_raw == tuple(
-        sorted(set(lists[0][1]) | set(lists[1][1]), key=by_ratio)
-    )
+    assert report.candidate_superset == tuple(sorted(set(lists[0]) | set(lists[1]), key=by_ratio))
+
+
+def test_scan_superset_merges_keys_of_multiplier_one(monkeypatch):
+    # two RR data with multiplier 1: B = 18 and B = 36 at alpha 5/2.  The
+    # walks at one alpha nest by B, so the union is the larger walk
+    doc = json.loads(projective_plane(3).to_json())
+    doc["rr"]["c"] = 0
+    members = (("a", projective_plane(3)), ("b", load_model(json.dumps(doc))))
+    alpha = Fraction(5, 2)
+    assert [model.degree_bound(alpha).B for _, model in members] == [18, 36]
+    merges = _counting_merges(monkeypatch)
+    report = scan(Family(members=members, degree=9), alpha)
+    assert merges == [2]
+    assert report.candidate_superset == tuple(bounds.candidate_walk(36, alpha))
+    assert len(report.candidate_superset) == 238
 
 
 def test_mixed_degrees_rejected():
@@ -231,9 +247,11 @@ def test_csv_columns():
 
 def test_candidate_superset_respects_multiplier():
     model = projective_plane(2)
-    divided, raw = member_candidate_superset(model, Fraction(3, 2))
-    assert divided is raw  # built-ins declare multiplier 1: nothing to divide
-    assert all(Fraction(t, m) <= Fraction(3, 2) for t, m in divided)
+    alpha = Fraction(3, 2)
+    pairs = member_candidate_superset(model, alpha)
+    # built-ins declare multiplier 1: the walk's list, with nothing to divide
+    assert pairs == list(bounds.candidate_walk(model.degree_bound(alpha).B, alpha))
+    assert all(Fraction(t, m) <= alpha for t, m in pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,21 +272,25 @@ def _ratios(pairs):
     st.builds(Fraction, st.integers(1, 7), st.integers(1, 4)).filter(lambda a: a < 2),
 )
 def test_superset_pairs_match_fraction_reference(v, w, alpha):
-    # each member's divided pairs are the reduced ratios t/(m*v) of its
-    # raw pairs, ascending; two multipliers make two keys, merged
+    # each member's pairs are the reduced ratios t/(m*u) of the walk for
+    # the u-th power of its polarization, ascending; two multipliers make
+    # two keys, merged
     models = (_plane2_with_multiplier(v), _plane2_with_multiplier(w))
-    expected, expected_raw = set(), set()
+    expected = set()
     for model in models:
-        divided, raw = member_candidate_superset(model, alpha)
-        u = model.very_ample_multiplier
-        reference = {Fraction(t, m) / u for t, m in raw}
-        assert _ratios(divided) == sorted(reference)
-        assert all(math.gcd(t, m) == 1 for t, m in divided)
+        u, rr = model.very_ample_multiplier, model.rr
+        scaled = bounds.RRData(
+            d=u * u * rr.d, c=u * rr.c, c_prime=rr.c_prime,
+            vanishing_multiplier=rr.vanishing_multiplier,
+        )
+        walk = bounds.candidate_walk(bounds.minimal_M(scaled, u * alpha).B, u * alpha)
+        reference = {Fraction(t, m) / u for t, m in walk}
+        pairs = member_candidate_superset(model, alpha)
+        assert _ratios(pairs) == sorted(reference)
+        assert all(math.gcd(t, m) == 1 for t, m in pairs)
         expected |= reference
-        expected_raw |= set(_ratios(raw))
     report = scan(Family(members=(("a", models[0]), ("b", models[1])), degree=4), alpha)
     assert _ratios(report.candidate_superset) == sorted(expected)
-    assert _ratios(report.candidate_superset_raw) == sorted(expected_raw)
     assert all(math.gcd(t, m) == 1 for t, m in report.candidate_superset)
 
 

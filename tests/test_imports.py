@@ -25,7 +25,7 @@ EXPORTS = {
     "engine": ["Certification", "CurveCandidate", "EngineError", "PointStratum",
                "SeshadriResult", "epsilon", "epsilon_via_curves", "epsilon_via_nef",
                "global_epsilon", "low_epsilon_strata", "sigma_local", "sublevel_set"],
-    "models": ["ModelError", "SurfaceModel", "builtin", "builtin_suite", "f1_anticanonical",
+    "models": ["ModelError", "SurfaceModel", "builtin_suite", "f1_anticanonical",
                "load_model", "load_model_file", "projective_plane", "quadric"],
     "family": ["Family", "FamilyError", "FamilyScanReport", "load_family", "scan",
                "semicontinuity_check"],

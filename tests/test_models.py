@@ -15,7 +15,6 @@ from seshadri.family import load_family, scan
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.models import (
     ModelError,
-    builtin,
     builtin_suite,
     f1_anticanonical,
     load_model,
@@ -35,24 +34,11 @@ def test_roundtrip_byte_identical():
     check_roundtrip(builtin_suite())
 
 
-def test_builtin_dispatch():
-    assert builtin("projective_plane", e=2).rr.d == 4
-    assert builtin("quadric", a=2, b=2).rr.d == 8
-    assert builtin("f1_anticanonical").name == "f1_anticanonical"
-
-
-def test_builtin_unknown_name():
-    with pytest.raises(ModelError, match="unknown"):
-        builtin("k3_quartic")
-
-
 def test_builtin_invalid_params():
-    with pytest.raises(ModelError):
-        builtin("projective_plane", e=0)
-    with pytest.raises(ModelError):
-        builtin("quadric", a=0, b=1)
-    with pytest.raises(ModelError):
-        builtin("projective_plane", foo=1)
+    with pytest.raises(ModelError, match="polarization degree must be positive, got 0"):
+        projective_plane(0)
+    with pytest.raises(ModelError, match=r"polarization bidegree must be positive, got \(0, 1\)"):
+        quadric(0, 1)
 
 
 def test_quadric_degree_by_pairing():

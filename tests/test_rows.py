@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from seshadri import lattice
 from seshadri.engine import CurveCandidate, epsilon_via_nef
-from seshadri.lattice import CurveGeneratorSet, LatticeError, extend_blowup, pair
+from seshadri.lattice import (
+    CurveGeneratorSet,
+    IntersectionLattice,
+    LatticeError,
+    extend_blowup,
+    pair,
+)
 from seshadri.models import (
     ModelError,
     builtin_suite,
@@ -147,6 +153,32 @@ def test_index_coordinates_are_kept_as_ints():
     assert gens.rows == ((1, 0, -1),) and {type(x) for x in gens.rows[0]} == {int}
     cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0])
     assert cand.coords == (1, 0) and {type(x) for x in cand.coords} == {int}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(f1_anticanonical(), polarization=None),
+         "coordinates must be a sequence of integers, got None"),
+        (lambda: dataclasses.replace(f1_anticanonical(), polarization=3),
+         "coordinates must be a sequence of integers, got 3"),
+        (lambda: pair(f1_anticanonical().lattice, None, (1, 0)),
+         "coordinates must be a sequence of integers, got None"),
+        (lambda: CurveCandidate("c", 1, 1, 5),
+         "coordinates must be a sequence of integers, got 5"),
+        # the one-pass test of a generator set reads each row's type
+        # before it iterates the rows
+        (lambda: CurveGeneratorSet(labels=("a",), rows=(None,)),
+         "coordinates must be a sequence of integers, got None"),
+        (lambda: IntersectionLattice(1, (None,), ("H",)),
+         "gram entries must be a sequence of integers, got None"),
+    ],
+    ids=["polarization_none", "polarization_int", "pair", "candidate", "generator",
+         "gram_row"],
+)
+def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
+    with pytest.raises(LatticeError, match=_exact(message)):
+        build()
 
 
 def _with_row(model, label, index, row):
