@@ -13,15 +13,16 @@ dimension count's integer quadratic with math.isqrt, at O(1) cost and
 with no search cap.  The candidate ratios t/m <= alpha with m <= t <= B
 are the inverses of the Farey fractions of order B in [1/alpha, 1], so
 a Farey next-term walk lists them in ascending order at one integer step
-per ratio.
+per ratio, and a Moebius sum of floor sums counts them without listing
+any, in O(B^(2/3)).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import starmap
-from typing import Iterator, List, Sequence, Tuple
+from itertools import accumulate, starmap
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .values import Rational, RationalLike, as_int, as_rational
 
@@ -188,19 +189,25 @@ def _farey(B: int, a: int, b: int, c: int, d: int) -> Iterator[Tuple[int, int]]:
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def candidate_walk(
-    B: int, alpha: RationalLike, require_m_le_t: bool = True
-) -> Iterator[Tuple[int, int]]:
-    """The pairs behind candidate_ratios: reduced (t, m) with t, m <= B
-    and t/m <= alpha in ascending order of t/m, restricted to m <= t
-    when require_m_le_t.  Distinct pairs are distinct ratios."""
+def _walk_range(B: int, alpha: RationalLike) -> Tuple[int, int, int]:
+    """B and the reduced numerator and denominator of alpha, checked
+    positive."""
     B = as_int(B, "B", BoundError)
     if B < 1:
         raise BoundError(f"B must be positive, got {B}")
     alpha = as_rational(alpha, "alpha", BoundError)
     if alpha <= 0:
         raise BoundError(f"alpha must be positive, got {alpha}")
-    p, q = alpha.numerator, alpha.denominator
+    return B, alpha.numerator, alpha.denominator
+
+
+def candidate_walk(
+    B: int, alpha: RationalLike, require_m_le_t: bool = True
+) -> Iterator[Tuple[int, int]]:
+    """The pairs behind candidate_ratios: reduced (t, m) with t, m <= B
+    and t/m <= alpha in ascending order of t/m, restricted to m <= t
+    when require_m_le_t.  Distinct pairs are distinct ratios."""
+    B, p, q = _walk_range(B, alpha)
     if not require_m_le_t:
         # t/m < 1: the Farey sequence F_B itself, upward from 1/B
         for t, m in _farey(B, 0, 1, 1, B):
@@ -230,6 +237,150 @@ def candidate_ratios(
     independently; that exploratory mode is not a certified superset.
     """
     return list(starmap(Fraction, candidate_walk(B, alpha, require_m_le_t)))
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum of (a*i + b) // m over 0 <= i < n, for n, a, b >= 0 and m >= 1,
+    in O(log m) integer steps: the integer parts of a/m and b/m sum in
+    closed form, and the rest is the count of lattice points under a
+    line, which swaps the roles of a and m as Euclid's algorithm does
+    (Graham, Knuth and Patashnik, Concrete Mathematics, sec. 3.5)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
+
+
+def _mertens(limit: int) -> Callable[[int], int]:
+    """M(x) = sum of the Moebius function mu(k) over 1 <= k <= x, for the
+    x = limit // j: sieved up to L, about limit^(2/3), and above L by
+    M(x) = 1 - sum over 2 <= k <= x of M(x // k), grouped over equal
+    x // k and memoised.  Time and memory are O(limit^(2/3))."""
+    L = 1 << (2 * limit.bit_length() // 3)
+    mu = [1] * (L + 1)
+    mu[0] = 0
+    prime = bytearray([1]) * (L + 1)
+    for p in range(2, L + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, L + 1, p)))
+            mu[p::p] = [-x for x in mu[p::p]]
+            mu[p * p :: p * p] = [0] * len(range(p * p, L + 1, p * p))
+    small = list(accumulate(mu))
+    memo = {}
+
+    def mertens(x: int) -> int:
+        if x <= L:
+            return small[x]
+        if x not in memo:
+            total, k = 1, 2
+            while k <= x:
+                last = x // (x // k)
+                total -= (last - k + 1) * mertens(x // k)
+                k = last + 1
+            memo[x] = total
+        return memo[x]
+
+    return mertens
+
+
+def candidate_count(B: int, alpha: RationalLike) -> int:
+    """len(candidate_ratios(B, alpha)), without listing the ratios.
+
+    With alpha = p/q >= 1, the pairs (t, m) with m <= t <= n and
+    t/m <= alpha, reduced or not, number G(n) = sum over t <= n of
+    t - ceil(t*q/p) + 1, one floor sum; a pair of gcd k is k times a
+    reduced one with t <= n // k.  So the reduced pairs number
+    sum over k of mu(k) * G(B // k), summed over runs of k with equal
+    B // k through Mertens values: O(B^(1/2)) floor sums and
+    O(B^(2/3)) for the Mertens values.  Below 1 there is no ratio."""
+    B, p, q = _walk_range(B, alpha)
+    if p < q:
+        return 0
+    mertens = _mertens(B)
+    total, k = 0, 1
+    while k <= B:
+        n = B // k
+        last = B // n
+        pairs = n * (n + 1) // 2 + n - floor_sum(n, p, q, q + p - 1)
+        total += (mertens(last) - mertens(k - 1)) * pairs
+        k = last + 1
+    return total
+
+
+# a ratio t/m as its reduced integer pair (t, m), m >= 1
+Pair = Tuple[int, int]
+
+
+class CandidateSuperset(_Record):
+    """The candidate ratios of very-ampleness multiplier v at threshold
+    alpha, never listed: the reduced t/(m*v) for the pairs (t, m) of
+    candidate_walk(B, v*alpha), the ratios of the v-th power of the
+    polarization under its degree bound B.
+
+    `in` tests a reduced pair (a, b) in O(1): v*a/b reduces to (t, m) by
+    g = gcd(v, b), and it is a walk pair iff 1 <= m <= t <= B and
+    a/b <= alpha.  `len` is candidate_count(B, v*alpha).  Iterating
+    runs the walk in ascending order, divided by v."""
+
+    __slots__ = ("very_ample_multiplier", "B", "alpha")
+
+    def __init__(self, very_ample_multiplier: int, B: int, alpha: Rational):
+        _set_field(self, "very_ample_multiplier", very_ample_multiplier)
+        _set_field(self, "B", B)
+        _set_field(self, "alpha", alpha)
+
+    def __contains__(self, pair: Pair) -> bool:
+        a, b = pair
+        if b < 1 or math.gcd(a, b) != 1:
+            return False
+        v = self.very_ample_multiplier
+        g = math.gcd(v, b)
+        t, m = v // g * a, b // g
+        return 1 <= m <= t <= self.B and a * self.alpha.denominator <= self.alpha.numerator * b
+
+    def __len__(self) -> int:
+        return candidate_count(self.B, self.very_ample_multiplier * self.alpha)
+
+    def __iter__(self) -> Iterator[Pair]:
+        v = self.very_ample_multiplier
+        pairs = candidate_walk(self.B, v * self.alpha)
+        if v == 1:
+            return pairs
+        # t/(m*v) with gcd(t, m) = 1 reduces by g = gcd(t, v) alone
+        return ((t // g, m * (v // g)) for t, m in pairs for g in (math.gcd(t, v),))
+
+
+class SupersetUnion(_Record):
+    """The union of candidate supersets of distinct multipliers, never
+    listed: a pair is in it iff one of them holds it.  `len` is exact:
+    the one set's count, or with several, the first set's count plus the
+    pairs of each later set that no earlier set holds, which walks every
+    set after the first."""
+
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: Sequence[CandidateSuperset]):
+        _set_field(self, "sets", tuple(sets))
+
+    def __contains__(self, pair: Pair) -> bool:
+        return any(pair in s for s in self.sets)
+
+    def __len__(self) -> int:
+        first, *rest = self.sets
+        return len(first) + sum(
+            1
+            for i, s in enumerate(rest, 1)
+            for pair in s
+            if not any(pair in earlier for earlier in self.sets[:i])
+        )
 
 
 def mediant_bounds(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .bounds import RRData, candidate_walk, l_poly, mediant_bounds, minimal_M
+from .bounds import RRData, candidate_count, candidate_walk, l_poly, mediant_bounds, minimal_M
 from .engine import (
     Certification,
     EngineError,
@@ -119,7 +119,7 @@ def check_candidate_membership(models: Models) -> str:
         for alpha in ALPHA_GRID:
             if alpha * alpha >= model.rr.d:
                 continue
-            superset = set(member_candidate_superset(model, alpha))
+            superset = member_candidate_superset(model, alpha)
             bound = SeshadriValue.exact(alpha)
             for label, res in model.stratum_table.items():
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:
@@ -187,11 +187,14 @@ def check_candidates_brute_force(rng: random.Random) -> str:
         alpha = Fraction(rng.randint(1, 60), rng.randint(1, 12))
         for certified in (True, False):
             walked = list(candidate_walk(B, alpha, require_m_le_t=certified))
-            if walked != brute_force_pairs(B, alpha, certified):
+            brute = brute_force_pairs(B, alpha, certified)
+            if walked != brute:
                 raise AssertionError(
                     f"candidate enumeration differs at B={B}, alpha={alpha}, "
                     f"certified={certified}"
                 )
+            if certified and candidate_count(B, alpha) != len(brute):
+                raise AssertionError(f"candidate count differs at B={B}, alpha={alpha}")
     return (
         "candidate enumeration matches double-loop brute force on 25 random cases, "
         "certified and permissive"

@@ -181,7 +181,11 @@ def _scan_lines(report, alpha) -> list:
         f"observed values <= {format_rational(alpha)}: "
         + (", ".join(format_rational(q) for q in report.sigma_cap) or "(none)")
         + f"  [{len(report.sigma_cap)} values]",
-        "candidate superset: " + ", ".join(format_pairs(report.candidate_superset)),
+        "candidate superset: "
+        + "; ".join(
+            f"{len(s)} ratios at v={s.very_ample_multiplier}, B={s.B}"
+            for s in report.candidate_superset.sets
+        ),
         "semicontinuity: " + _verdict_summary(report.semicontinuity_verdicts),
         "jump members: " + (", ".join(report.jump_members) or "(none)"),
     ]
@@ -202,7 +206,7 @@ def cmd_scan(args) -> int:
     report = scan(family, alpha)
     if args.csv:
         _emit(report.to_csv(), args.csv)
-    # each format serializes the superset, so only the requested one is built
+    # each format counts the superset, so only the requested one is built
     _emit_report(args.format, args.output, report.to_document, lambda: _scan_lines(report, alpha))
     degraded = bool(report.uncertified) or not all(
         v.passed for v in report.semicontinuity_verdicts

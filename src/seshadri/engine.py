@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
 from .lattice import integers
-from .values import Rational, SeshadriValue, as_int, as_rational, require_label
+from .values import Rational, SeshadriValue, as_int, as_rational, as_tuple, require_label
 
 
 class EngineError(ValueError):
@@ -86,10 +86,11 @@ class PointStratum:
 
     def __post_init__(self):
         require_label(self.label, "a point stratum", EngineError)
-        object.__setattr__(self, "specializes_from", tuple(self.specializes_from))
+        specializes_from = as_tuple(self.specializes_from, "specializes_from", EngineError)
+        object.__setattr__(self, "specializes_from", specializes_from)
         for general in self.specializes_from:
             require_label(general, f"stratum {self.label!r}", EngineError, "specializes_from entry")
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+        object.__setattr__(self, "candidates", as_tuple(self.candidates, "candidates", EngineError))
         closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
         object.__setattr__(self, "closure_dim", closure_dim)
         if closure_dim < 0:

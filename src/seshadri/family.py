@@ -1,6 +1,11 @@
 """Finite-family scans: the observed value set up to a threshold, its
-containment in the enumerated candidate superset, semicontinuity across
-declared specializations, and attainment of the family supremum.
+containment in the candidate superset, semicontinuity across declared
+specializations, and attainment of the family supremum.
+
+The candidate superset is finite but can be huge (B^2 ratios for a
+degree bound B), so it is held implicitly, by its multiplier, degree
+bound and threshold: membership is an O(1) integer test, its size is a
+closed-form count, and it is listed only when a caller iterates it.
 
 The base of the family is a finite list of members with a declared
 specialization partial order; all order-theoretic statements (values do
@@ -12,25 +17,17 @@ from __future__ import annotations
 
 import csv
 import graphlib
-import heapq
 import io
-import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .bounds import DegreeBound, RRData, candidate_walk, minimal_M
+from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minimal_M
 from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
 from .models import SurfaceModel, load_model_file, model_from_document
 from .structure import LABEL, StructureError, array, integer, of_type, record
-from .values import Rational, SeshadriValue, format_pairs, format_rational
-
-# a ratio t/m as its reduced integer pair (t, m), m >= 1
-Pair = Tuple[int, int]
-
+from .values import Rational, SeshadriValue, format_rational
 
 class FamilyError(ValueError):
     pass
@@ -135,7 +132,7 @@ class FamilyScanReport:
     # (member, stratum, result, the member's degree bound at alpha)
     epsilon_table: Tuple[Tuple[str, str, SeshadriResult, DegreeBound], ...]
     sigma_cap: Tuple[Rational, ...]
-    candidate_superset: Tuple[Pair, ...]
+    candidate_superset: SupersetUnion
     semicontinuity_verdicts: Tuple[Verdict, ...]
     jump_members: Tuple[str, ...]
     uncertified: Tuple[Tuple[str, str], ...]
@@ -155,7 +152,10 @@ class FamilyScanReport:
             ],
             "sigma_cap": [format_rational(q) for q in self.sigma_cap],
             "sigma_cap_size": len(self.sigma_cap),
-            "candidate_superset": format_pairs(self.candidate_superset),
+            "candidate_supersets": [
+                {"very_ample_multiplier": s.very_ample_multiplier, "B": s.B, "size": len(s)}
+                for s in self.candidate_superset.sets
+            ],
             "semicontinuity_verdicts": [v.to_document() for v in self.semicontinuity_verdicts],
             "jump_members": list(self.jump_members),
             "uncertified": [{"member": m, "stratum": s} for m, s in self.uncertified],
@@ -178,14 +178,13 @@ class FamilyScanReport:
         return out.getvalue()
 
 
-def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> List[Pair]:
-    """Candidate ratios for one member at threshold alpha, as reduced
-    (t, m) pairs in ascending order of t/m.
+def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> CandidateSuperset:
+    """Candidate ratios for one member at threshold alpha, as a
+    CandidateSuperset of reduced (t, m) pairs, none of them listed.
 
     The degree bound argument requires a very ample polarization; when
-    the model declares multiplier v, the enumeration runs for the v-th
-    power (degree v^2*d, threshold v*alpha) and the ratios divide back by
-    v.  With v = 1 the Farey walk's list is the result as it is.
+    the model declares multiplier v, the bound is that of the v-th power
+    (degree v^2*d, threshold v*alpha) and the ratios divide back by v.
     """
     v = model.very_ample_multiplier
     rr = model.rr
@@ -195,12 +194,7 @@ def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> List[Pair
         c_prime=rr.c_prime,
         vanishing_multiplier=rr.vanishing_multiplier,
     )
-    bound = minimal_M(scaled, v * alpha)
-    pairs = list(candidate_walk(bound.B, v * alpha))
-    if v == 1:
-        return pairs
-    # t/(m*v) with gcd(t, m) = 1 reduces by g = gcd(t, v) alone
-    return [(t // g, m * (v // g)) for t, m in pairs for g in (math.gcd(t, v),)]
+    return CandidateSuperset(v, minimal_M(scaled, v * alpha).B, alpha)
 
 
 def semicontinuity_check(family: Family) -> List[Verdict]:
@@ -227,19 +221,6 @@ def semicontinuity_check(family: Family) -> List[Verdict]:
     return verdicts
 
 
-def _ratio(tm: Pair) -> Fraction:
-    return Fraction(*tm)
-
-
-def _merge_ascending(lists: Sequence[List[Pair]]) -> List[Pair]:
-    """The ascending union of ascending lists of reduced pairs; reduced
-    pairs are canonical, so equal ratios are equal pairs and groupby drops
-    the repeats.  One list is returned as it is."""
-    if len(lists) == 1:
-        return lists[0]
-    return [tm for tm, _ in itertools.groupby(heapq.merge(*lists, key=_ratio))]
-
-
 def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     """Full family report at threshold alpha < sqrt(d): per-member
     per-stratum values, the finite observed value set up to alpha with
@@ -249,9 +230,11 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
 
     Each member's strata are evaluated once, into the model's
     stratum_table that every part of the report reads.  The candidate
-    superset is enumerated once per distinct (very-ampleness multiplier,
-    RR data) and listed once, as the sorted union of those lists; an
-    observed value is contained iff its reduced pair is listed.
+    superset is bounded once per distinct (very-ampleness multiplier,
+    RR data); the walks of one multiplier at one alpha nest by B, so one
+    CandidateSuperset per multiplier, of the largest B, covers them.  An
+    observed value is contained iff one of those sets holds its reduced
+    pair, an O(1) test each: nothing is listed.
     """
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
@@ -262,7 +245,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     rows: List[Tuple[str, str, SeshadriResult, DegreeBound]] = []
     uncertified: List[Tuple[str, str]] = []
     sigma_cap_set = set()
-    supersets = {}
+    supersets = {}  # (multiplier, RR data) -> CandidateSuperset
     alpha_value = SeshadriValue.exact(alpha)
     members = sorted(family.members, key=lambda lm: lm[0])
 
@@ -280,14 +263,15 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
             else:
                 uncertified.append((label, stratum_label))
 
-    # each list is ascending without repeats (the Farey walk's order,
-    # divided by the member's multiplier), so one merge that drops
-    # repeats is their sorted union
-    superset = tuple(_merge_ascending(list(supersets.values())))
+    # ascending in (v, B): per v the last set, of the largest B, stays
+    largest = {
+        s.very_ample_multiplier: s
+        for s in sorted(supersets.values(), key=lambda s: (s.very_ample_multiplier, s.B))
+    }
+    superset = SupersetUnion(tuple(largest.values()))
 
     sigma_cap = sorted(sigma_cap_set)
-    listed = set(superset)
-    missing = [q for q in sigma_cap if (q.numerator, q.denominator) not in listed]
+    missing = [q for q in sigma_cap if (q.numerator, q.denominator) not in superset]
     if missing:
         raise FamilyError(
             "observed values escape the candidate superset: "

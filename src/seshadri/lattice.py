@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .values import as_int, require_label
+from .values import as_int, as_tuple, require_label
 
 
 class LatticeError(ValueError):
@@ -52,9 +52,12 @@ class IntersectionLattice:
         object.__setattr__(self, "rank", as_int(self.rank, "rank", LatticeError))
         if self.rank < 1:
             raise LatticeError(f"rank must be positive, got {self.rank}")
-        gram = tuple(integers(row, "gram entries") for row in self.gram)
+        gram = tuple(
+            integers(row, "gram entries") for row in as_tuple(self.gram, "gram", LatticeError)
+        )
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        basis_labels = as_tuple(self.basis_labels, "basis_labels", LatticeError)
+        object.__setattr__(self, "basis_labels", basis_labels)
         for label in self.basis_labels:
             require_label(label, "a lattice", LatticeError, "basis label")
         if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
@@ -104,7 +107,8 @@ class CurveGeneratorSet:
     rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        labels, rows = tuple(self.labels), tuple(self.rows)
+        labels = as_tuple(self.labels, "generator labels", LatticeError)
+        rows = as_tuple(self.rows, "generator rows", LatticeError)
         if len(labels) != len(rows):
             raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
         # one pass over all rows with builtins; the row-by-row walk runs

@@ -20,6 +20,7 @@ from __future__ import annotations
 import graphlib
 import json
 import operator
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +46,7 @@ from .values import (
     RATIONAL_SYNTAX,
     Rational,
     as_int,
+    as_tuple,
     format_rational,
     parse_rational,
     require_label,
@@ -124,8 +126,15 @@ class SurfaceModel:
     blowup_gens: Mapping[str, CurveGeneratorSet]
 
     def __post_init__(self):
+        for field, kind in (("lattice", IntersectionLattice), ("rr", RRData)):
+            if not isinstance(getattr(self, field), kind):
+                raise ModelError(
+                    f"{field} must be an {kind.__name__}, got {getattr(self, field)!r}"
+                )
+        if not isinstance(self.blowup_gens, abc.Mapping):
+            raise ModelError(f"blowup_gens must be a mapping, got {self.blowup_gens!r}")
         object.__setattr__(self, "polarization", integers(self.polarization, "coordinates"))
-        object.__setattr__(self, "strata", tuple(self.strata))
+        object.__setattr__(self, "strata", as_tuple(self.strata, "strata", ModelError))
         # read-only, so that no generator set gets past the checks below
         object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
         vam = as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)

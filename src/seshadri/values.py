@@ -35,6 +35,14 @@ def as_int(value, what: str, error: type) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def as_tuple(value, what: str, error: type) -> tuple:
+    """`value` as a tuple; a value that is not iterable, such as None,
+    raises `error` naming `what`."""
+    if not hasattr(type(value), "__iter__"):
+        raise error(f"{what} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def as_rational(value, what: str, error: type) -> Rational:
     """`value` as an exact rational: a Fraction as it is and an int via
     operator.index, so that a float raises `error` naming `what` and

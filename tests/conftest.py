@@ -1,8 +1,40 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from seshadri.bounds import candidate_walk
 from seshadri.models import model_from_document, projective_plane
+
+
+@pytest.fixture(scope="session")
+def check_superset():
+    """A check of a candidate superset against `reference`, the ratios it
+    must hold as ascending Fractions, and `bounds`, the (multiplier v,
+    degree bound B, alpha) of each of its walks.  len counts the
+    reference, each of its ratios is in the superset, and one that can
+    be iterated lists them in order as reduced pairs.  Just outside each
+    walk lie the least ratio above alpha among the t/(m*v) with
+    m <= t <= B, and (B + 1)/(B*v), whose numerator passes B: each of
+    these is in the superset exactly when the reference holds it.  The
+    check returns those ratios."""
+
+    def check(superset, reference, bounds):
+        pairs = [(q.numerator, q.denominator) for q in reference]
+        if hasattr(superset, "__iter__"):
+            assert list(superset) == pairs
+        assert len(superset) == len(pairs)
+        assert all(pair in superset for pair in pairs)
+        outside = []
+        for v, B, alpha in bounds:
+            above = (Fraction(t, m) for t, m in candidate_walk(B, B) if Fraction(t, m) > v * alpha)
+            outside += [q / v for q in itertools.islice(above, 1)] + [Fraction(B + 1, B * v)]
+        held = set(reference)
+        for q in outside:
+            assert ((q.numerator, q.denominator) in superset) == (q in held), q
+        return outside
+
+    return check
 
 
 @pytest.fixture

@@ -166,7 +166,7 @@ def test_criterion_6_semicontinuity(violating_model):
     )
 
 
-def test_criterion_7_supremum_attainment():
+def test_criterion_7_supremum_attainment(check_superset):
     family = Family(members=(("t0", f1_anticanonical()), ("t1", quadric(2, 2))), degree=8)
     report = scan(family, Fraction(5, 2))
     assert report.sigma_family == SeshadriValue.exact(2)
@@ -174,10 +174,14 @@ def test_criterion_7_supremum_attainment():
     attained = epsilon(family.member(member), family.member(member).stratum(stratum))
     assert attained.value == report.sigma_family
     assert report.sigma_cap == (Fraction(1), Fraction(2))
-    # the superset is a tuple of reduced (t, m) pairs
-    assert {(q.numerator, q.denominator) for q in report.sigma_cap} <= set(
-        report.candidate_superset
-    )
+    # the superset holds the ratios t/m <= 5/2 with 1 <= m <= t <= B = 16
+    # as reduced (t, m) pairs, and no other
+    assert [(s.very_ample_multiplier, s.B) for s in report.candidate_superset.sets] == [(1, 16)]
+    ratios = {Fraction(t, m) for t in range(1, 17) for m in range(1, t + 1)}
+    reference = sorted(q for q in ratios if q <= Fraction(5, 2))
+    outside = check_superset(report.candidate_superset, reference, [(1, 16, Fraction(5, 2))])
+    assert outside == [Fraction(13, 5), Fraction(17, 16)]
+    assert all((q.numerator, q.denominator) in report.candidate_superset for q in report.sigma_cap)
     _report(
         "criterion 7 (supremum attainment)",
         f"sigma=2 attained at {member}/{stratum}; observed set {{1, 2}} inside the "

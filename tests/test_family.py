@@ -4,12 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri import bounds, engine
 from seshadri import family as family_module
 from seshadri import models as models_module
+from seshadri.bounds import CandidateSuperset
 from seshadri.family import (
     Family,
     FamilyError,
@@ -40,9 +41,7 @@ def test_scan_d8_frozen_values():
     assert report.sigma_family == SeshadriValue.exact(2)
     assert report.sigma_attained_at in {("t0", "generic"), ("t1", "generic")}
     assert report.sigma_cap == (Fraction(1), Fraction(2))
-    assert {(q.numerator, q.denominator) for q in report.sigma_cap} <= set(
-        report.candidate_superset
-    )
+    assert all((q.numerator, q.denominator) in report.candidate_superset for q in report.sigma_cap)
     assert report.uncertified == ()
 
 
@@ -112,35 +111,45 @@ def test_scan_computes_each_degree_bound_once_per_model(blown_up_plane, monkeypa
     assert calls == [Fraction(3)] * 3
 
 
-def _counting_merges(monkeypatch):
-    """Record the number of lists that each `_merge_ascending` call gets."""
-    merges = []
-    merge = family_module._merge_ascending
-    monkeypatch.setattr(
-        family_module, "_merge_ascending", lambda lists: merges.append(len(lists)) or merge(lists)
+def _walk_reference(model, alpha):
+    """(v, B, ratios) of a model's candidate superset at alpha, from the
+    Farey walk for the v-th power of its polarization: the ratios
+    t/(m*v) of its pairs, ascending."""
+    v, rr = model.very_ample_multiplier, model.rr
+    scaled = bounds.RRData(
+        d=v * v * rr.d, c=v * rr.c, c_prime=rr.c_prime,
+        vanishing_multiplier=rr.vanishing_multiplier,
     )
-    return merges
+    B = bounds.minimal_M(scaled, v * alpha).B
+    return v, B, [Fraction(t, m * v) for t, m in bounds.candidate_walk(B, v * alpha)]
 
 
 @pytest.mark.parametrize("multiplier", [1, 2])
-def test_scan_superset_is_sorted_union(multiplier, monkeypatch):
+def test_scan_superset_is_sorted_union(multiplier, check_superset):
     # with multiplier 2 member b's superset differs from a's
     doc = json.loads(projective_plane(3).to_json())
     doc["very_ample_multiplier"] = multiplier
     members = (("a", projective_plane(3)), ("b", load_model(json.dumps(doc))))
     alpha = Fraction(5, 2)
-    lists = [member_candidate_superset(model, alpha) for _, model in members]
-    assert (lists[0] != lists[1]) == (multiplier != 1)
-    merges = _counting_merges(monkeypatch)
+    references = [_walk_reference(model, alpha) for _, model in members]
+    assert (references[0] != references[1]) == (multiplier != 1)
     report = scan(Family(members=members, degree=9), alpha)
-    # one merge whatever the multiplier, of one list per distinct key
-    assert merges == [1 if multiplier == 1 else 2]
-    # reduced pairs: equal ratios are equal pairs, ordered by their ratio
-    by_ratio = lambda tm: Fraction(*tm)  # noqa: E731
-    assert report.candidate_superset == tuple(sorted(set(lists[0]) | set(lists[1]), key=by_ratio))
+    # one set per distinct multiplier, ascending in v, each the walk in order
+    union = report.candidate_superset
+    assert [(s.very_ample_multiplier, s.B) for s in union.sets] == sorted(
+        {(v, B) for v, B, _ in references}
+    )
+    for s in union.sets:
+        v, B, ratios = next(r for r in references if r[0] == s.very_ample_multiplier)
+        check_superset(s, ratios, [(v, B, alpha)])
+    # reduced pairs: equal ratios are equal pairs, so the union is the set of ratios
+    union_ratios = sorted(set(references[0][2]) | set(references[1][2]))
+    assert len(union_ratios) < len(references[0][2]) + len(references[1][2])
+    outside = check_superset(union, union_ratios, [(v, B, alpha) for v, B, _ in references])
+    assert len(outside) == 4
 
 
-def test_scan_superset_merges_keys_of_multiplier_one(monkeypatch):
+def test_scan_superset_merges_keys_of_multiplier_one(check_superset):
     # two RR data with multiplier 1: B = 18 and B = 36 at alpha 5/2.  The
     # walks at one alpha nest by B, so the union is the larger walk
     doc = json.loads(projective_plane(3).to_json())
@@ -148,10 +157,11 @@ def test_scan_superset_merges_keys_of_multiplier_one(monkeypatch):
     members = (("a", projective_plane(3)), ("b", load_model(json.dumps(doc))))
     alpha = Fraction(5, 2)
     assert [model.degree_bound(alpha).B for _, model in members] == [18, 36]
-    merges = _counting_merges(monkeypatch)
     report = scan(Family(members=members, degree=9), alpha)
-    assert merges == [2]
-    assert report.candidate_superset == tuple(bounds.candidate_walk(36, alpha))
+    assert report.candidate_superset.sets == (CandidateSuperset(1, 36, alpha),)
+    walk = [Fraction(t, m) for t, m in bounds.candidate_walk(36, alpha)]
+    check_superset(report.candidate_superset.sets[0], walk, [(1, 36, alpha)])
+    check_superset(report.candidate_superset, walk, [(1, 18, alpha), (1, 36, alpha)])
     assert len(report.candidate_superset) == 238
 
 
@@ -245,13 +255,42 @@ def test_csv_columns():
     assert "t0,on_E,1,exact_certified,E" in lines
 
 
-def test_candidate_superset_respects_multiplier():
+def test_candidate_superset_respects_multiplier(check_superset):
     model = projective_plane(2)
     alpha = Fraction(3, 2)
-    pairs = member_candidate_superset(model, alpha)
-    # built-ins declare multiplier 1: the walk's list, with nothing to divide
-    assert pairs == list(bounds.candidate_walk(model.degree_bound(alpha).B, alpha))
-    assert all(Fraction(t, m) <= alpha for t, m in pairs)
+    superset = member_candidate_superset(model, alpha)
+    # built-ins declare multiplier 1: the walk's pairs, with nothing to divide
+    B = model.degree_bound(alpha).B
+    assert superset == CandidateSuperset(1, B, alpha)
+    walk = [Fraction(t, m) for t, m in bounds.candidate_walk(B, alpha)]
+    check_superset(superset, walk, [(1, B, alpha)])
+    assert all(q <= alpha for q in walk)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.sampled_from([1, 2, 3]),
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 4)),
+    st.lists(st.tuples(st.integers(-1, 305), st.integers(-1, 915)), max_size=40),
+)
+@example(B=40, v=1, alpha=Fraction(3, 4), probes=[(1, 1), (3, 4)])
+@example(B=300, v=3, alpha=Fraction(4), probes=[(301, 900), (4, 1), (5, 1)])
+def test_candidate_superset_counts_and_tests_the_walk(B, v, alpha, probes):
+    # len is the walk's length without walking, and `in` holds exactly
+    # for the walk's pairs divided by v, reduced; a pair that is not
+    # reduced, or has b < 1, is not one of them
+    superset = CandidateSuperset(v, B, alpha)
+    walk = list(bounds.candidate_walk(B, v * alpha))
+    assert len(superset) == len(walk)
+    listed = [(q.numerator, q.denominator) for q in (Fraction(t, m * v) for t, m in walk)]
+    assert list(superset) == listed
+    held = set(listed)
+    assert all(pair in superset for pair in listed)
+    near = listed[:3] + listed[-3:] + [(B + 1, B * v), (B + 1, 1)]
+    probes = probes + [(a + da, b + db) for a, b in near for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    for pair in probes:
+        assert (pair in superset) == (pair in held), pair
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,27 +310,30 @@ def _ratios(pairs):
     st.sampled_from([1, 2, 3]),
     st.builds(Fraction, st.integers(1, 7), st.integers(1, 4)).filter(lambda a: a < 2),
 )
-def test_superset_pairs_match_fraction_reference(v, w, alpha):
+def test_superset_pairs_match_fraction_reference(check_superset, v, w, alpha):
     # each member's pairs are the reduced ratios t/(m*u) of the walk for
     # the u-th power of its polarization, ascending; two multipliers make
-    # two keys, merged
+    # two sets, whose union the report holds
     models = (_plane2_with_multiplier(v), _plane2_with_multiplier(w))
-    expected = set()
+    expected, walks = set(), []
     for model in models:
         u, rr = model.very_ample_multiplier, model.rr
         scaled = bounds.RRData(
             d=u * u * rr.d, c=u * rr.c, c_prime=rr.c_prime,
             vanishing_multiplier=rr.vanishing_multiplier,
         )
-        walk = bounds.candidate_walk(bounds.minimal_M(scaled, u * alpha).B, u * alpha)
+        B = bounds.minimal_M(scaled, u * alpha).B
+        walk = bounds.candidate_walk(B, u * alpha)
         reference = {Fraction(t, m) / u for t, m in walk}
         pairs = member_candidate_superset(model, alpha)
         assert _ratios(pairs) == sorted(reference)
         assert all(math.gcd(t, m) == 1 for t, m in pairs)
+        check_superset(pairs, sorted(reference), [(u, B, alpha)])
         expected |= reference
+        walks.append((u, B, alpha))
     report = scan(Family(members=(("a", models[0]), ("b", models[1])), degree=4), alpha)
-    assert _ratios(report.candidate_superset) == sorted(expected)
-    assert all(math.gcd(t, m) == 1 for t, m in report.candidate_superset)
+    assert len(report.candidate_superset.sets) == len({v, w})
+    check_superset(report.candidate_superset, sorted(expected), walks)
 
 
 def _plane2_with_low_curve(v):
@@ -308,18 +350,38 @@ def _plane2_with_low_curve(v):
 
 
 @pytest.mark.parametrize("v", [1, 2], ids=["escapes", "multiplier_covers"])
-def test_observed_value_outside_the_superset_is_an_error(v):
+def test_observed_value_outside_the_superset_is_an_error(v, check_superset):
     # with v = 1 the superset holds ratios t/m with m <= t only, so 1/2
     # escapes it; with v = 2 the raw pair (1, 1) divides to (1, 2)
-    family = Family(members=(("t", _plane2_with_low_curve(v)),), degree=4)
+    model = _plane2_with_low_curve(v)
+    family = Family(members=(("t", model),), degree=4)
+    alpha = Fraction(1)
+    _, B, reference = _walk_reference(model, alpha)
+    superset = member_candidate_superset(model, alpha)
+    check_superset(superset, reference, [(v, B, alpha)])
+    assert ((1, 2) in superset) == (v == 2)
     if v == 1:
         escape = "^observed values escape the candidate superset: 1/2$"
         with pytest.raises(FamilyError, match=escape):
-            scan(family, Fraction(1))
+            scan(family, alpha)
     else:
-        report = scan(family, Fraction(1))
+        report = scan(family, alpha)
         assert report.sigma_cap == (Fraction(1, 2),)
-        assert report.candidate_superset[0] == (1, 2)
+        assert next(iter(report.candidate_superset.sets[0])) == (1, 2)
+        check_superset(report.candidate_superset, reference, [(v, B, alpha)])
+
+
+def test_scan_near_sqrt_d_counts_the_superset_without_listing_it():
+    # f1 at 707/250 has B = 2000 and 786,396 candidate ratios, and near
+    # sqrt(8) B = 8,000,000: each report states the count, never the list
+    family = Family(members=(("t", f1_anticanonical()),), degree=8)
+    report = scan(family, Fraction(707, 250))
+    assert len(report.candidate_superset) == 786_396
+    assert len(json.dumps(report.to_document())) < 10_000
+    report = scan(family, Fraction(2828427, 1000000))
+    (entry,) = report.to_document()["candidate_supersets"]
+    assert (entry["very_ample_multiplier"], entry["B"]) == (1, 8_000_000)
+    assert entry["size"] > 786_396
 
 
 def test_load_family_inline_and_file(tmp_path):

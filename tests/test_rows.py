@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri import lattice
-from seshadri.engine import CurveCandidate, epsilon_via_nef
+from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon_via_nef
 from seshadri.lattice import (
     CurveGeneratorSet,
     IntersectionLattice,
@@ -178,6 +178,40 @@ def test_index_coordinates_are_kept_as_ints():
 )
 def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
     with pytest.raises(LatticeError, match=_exact(message)):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: IntersectionLattice(1, None, ("H",)), LatticeError,
+         "gram must be a sequence, got None"),
+        (lambda: IntersectionLattice(1, ((1,),), None), LatticeError,
+         "basis_labels must be a sequence, got None"),
+        (lambda: CurveGeneratorSet(labels=None, rows=((1,),)), LatticeError,
+         "generator labels must be a sequence, got None"),
+        (lambda: CurveGeneratorSet(labels=("a",), rows=None), LatticeError,
+         "generator rows must be a sequence, got None"),
+        (lambda: PointStratum("p", 0, (), None), EngineError,
+         "candidates must be a sequence, got None"),
+        (lambda: PointStratum("p", 0, None), EngineError,
+         "specializes_from must be a sequence, got None"),
+        (lambda: dataclasses.replace(f1_anticanonical(), strata=None), ModelError,
+         "strata must be a sequence, got None"),
+        (lambda: dataclasses.replace(f1_anticanonical(), blowup_gens=None), ModelError,
+         "blowup_gens must be a mapping, got None"),
+        (lambda: dataclasses.replace(f1_anticanonical(), rr=None), ModelError,
+         "rr must be an RRData, got None"),
+        (lambda: dataclasses.replace(f1_anticanonical(), lattice=None), ModelError,
+         "lattice must be an IntersectionLattice, got None"),
+    ],
+    ids=["gram", "basis_labels", "generator_labels", "generator_rows", "candidates",
+         "specializes_from", "strata", "blowup_gens", "rr", "lattice"],
+)
+def test_a_container_field_of_the_wrong_kind_raises_its_layers_error(build, error, message):
+    # built in Python, past the document's shape check, a field that
+    # holds rows, labels or records raises its layer's error naming it
+    with pytest.raises(error, match=_exact(message)):
         build()
 
 
