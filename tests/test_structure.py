@@ -275,8 +275,8 @@ _REPLACEMENTS = {
 
 
 @st.composite
-def _mutated(draw):
-    shape, valid = draw(st.sampled_from(VALID_DOCUMENTS))
+def _mutated(draw, documents=VALID_DOCUMENTS):
+    shape, valid = draw(st.sampled_from(documents))
     doc = json.loads(json.dumps(valid))
     path = draw(st.sampled_from(list(_positions(doc))))
     kind = draw(st.sampled_from(sorted(_REPLACEMENTS) + ["drop", "extra_key"]))
@@ -331,6 +331,56 @@ def test_column_check_agrees_with_the_walk(mutated):
         with pytest.raises(StructureError) as info:
             shape(doc)
         assert str(info.value) == error
+
+
+def _inline_family_doc():
+    # every member inline, so that a mutated family fails on its own
+    # fault and never on a missing model file
+    doc = family_doc()
+    doc["members"][0]["model"] = json.loads(f1_anticanonical().to_json())
+    return doc
+
+
+# (loader, valid document) pairs for the robustness property
+LOADED_DOCUMENTS = [(load_model, json.loads(m.to_json())) for m in builtin_suite()] + [
+    (load_model, _with_nulls()),
+    (load_family, _inline_family_doc()),
+    (load_family, {k: v for k, v in _inline_family_doc().items() if k != "member_specialization"}),
+]
+
+
+def _family_document(family, like):
+    """The family as a document, with a `member_specialization` key when
+    `like` has one."""
+    doc = {
+        "degree": family.degree,
+        "members": [
+            {"param_label": label, "model": model.to_document()} for label, model in family.members
+        ],
+    }
+    if "member_specialization" in like:
+        doc["member_specialization"] = [list(pair) for pair in family.member_specialization]
+    return doc
+
+
+@given(_mutated(LOADED_DOCUMENTS))
+@settings(max_examples=600)
+def test_a_mutated_document_is_rejected_or_loads_unchanged(mutated):
+    # one-point mutations of valid documents: each is an input error of
+    # the loader's own type, never a TypeError, KeyError or
+    # AttributeError, or it loads into an object whose document is the
+    # mutated one byte for byte, so that nothing was coerced (JSON text
+    # tells 1 from 1.0 and from true, where == does not)
+    load, doc = mutated
+    try:
+        loaded = load(json.dumps(doc))
+    except (ModelError, FamilyError):
+        return
+    if load is load_model:
+        document = loaded.to_document()
+    else:
+        document = _family_document(loaded, doc)
+    assert json.dumps(document) == json.dumps(doc)
 
 
 def test_integral_float_is_an_input_error_not_a_crash(tmp_path, capsys):
