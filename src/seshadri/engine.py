@@ -57,10 +57,8 @@ class CurveCandidate:
         if self.coords is not None:
             object.__setattr__(self, "coords", integers(self.coords, "coordinates"))
         require_label(self.label, "a curve candidate", EngineError)
-        # a loaded candidate's t and m are exact ints already: skip the conversion
-        if type(self.degree_t) is not int or type(self.mult_m) is not int:
-            for name in ("degree_t", "mult_m"):
-                object.__setattr__(self, name, as_int(getattr(self, name), name, EngineError))
+        as_int(self.degree_t, "degree_t", EngineError)
+        as_int(self.mult_m, "mult_m", EngineError)
         if self.degree_t < 1 or self.mult_m < 1:
             raise EngineError(
                 f"candidate {self.label!r} needs positive degree and multiplicity, "
@@ -92,7 +90,6 @@ class PointStratum:
             require_label(general, f"stratum {self.label!r}", EngineError, "specializes_from entry")
         object.__setattr__(self, "candidates", as_tuple(self.candidates, "candidates", EngineError))
         closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
-        object.__setattr__(self, "closure_dim", closure_dim)
         if closure_dim < 0:
             raise EngineError(f"closure_dim must be nonnegative, got {closure_dim}")
         if closure_dim > 2:

@@ -25,9 +25,16 @@ from typing import List, Optional, Tuple
 
 from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minimal_M
 from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
-from .models import SurfaceModel, load_model_file, model_from_document
-from .structure import LABEL, StructureError, array, integer, of_type, record
-from .values import Rational, SeshadriValue, format_rational
+from .models import (
+    SurfaceModel,
+    document_array,
+    document_object,
+    load_model_file,
+    model_from_document,
+    unexpected,
+)
+from .values import Rational, SeshadriValue, as_int, as_tuple, format_rational, require_label
+
 
 class FamilyError(ValueError):
     pass
@@ -40,21 +47,43 @@ class Family:
     member_specialization: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(
-            self, "member_specialization", tuple(tuple(p) for p in self.member_specialization)
+        degree = as_int(self.degree, "degree", FamilyError)
+        if degree < 1:
+            raise FamilyError(f"degree must be positive, got {degree}")
+        members = tuple(
+            as_tuple(member, "a family member", FamilyError)
+            for member in as_tuple(self.members, "members", FamilyError)
         )
-        if not self.members:
+        object.__setattr__(self, "members", members)
+        specialization = tuple(
+            as_tuple(pair, "a member specialization", FamilyError)
+            for pair in as_tuple(self.member_specialization, "member_specialization", FamilyError)
+        )
+        object.__setattr__(self, "member_specialization", specialization)
+        if not members:
             raise FamilyError("a family needs at least one member")
-        labels = [label for label, _ in self.members]
+        for member in members:
+            if len(member) != 2 or not isinstance(member[1], SurfaceModel):
+                kinds = ", ".join(type(item).__name__ for item in member)
+                raise FamilyError(f"a family member is a (label, SurfaceModel) pair, got ({kinds})")
+        labels = [label for label, _ in members]
+        for label in labels:
+            require_label(label, "a family member", FamilyError)
         if len(set(labels)) != len(labels):
             raise FamilyError("member labels are not distinct")
-        for label, model in self.members:
-            if model.rr.d != self.degree:
+        for label, model in members:
+            if model.rr.d != degree:
                 raise FamilyError(
                     f"member {label!r} has degree {model.rr.d}, family degree is "
-                    f"{self.degree}; the degree is constant across a family"
+                    f"{degree}; the degree is constant across a family"
                 )
+        for pair in specialization:
+            if len(pair) != 2:
+                raise FamilyError(
+                    f"a member specialization is a (general, special) pair, got {list(pair)!r}"
+                )
+            for label in pair:
+                require_label(label, "a member specialization", FamilyError, "entry")
         known = set(labels)
         sorter = graphlib.TopologicalSorter()
         for general, special in self.member_specialization:
@@ -312,43 +341,30 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     )
 
 
-
-FAMILY_SHAPE = record(
-    {
-        "degree": integer(minimum=1),
-        "members": array(
-            record(
-                {
-                    "param_label": LABEL,
-                    "model": of_type((dict, str), "a model object or a file path"),
-                }
-            ),
-            min_items=1,
-        ),
-    },
-    optional={"member_specialization": array(array(LABEL, min_items=2, max_items=2))},
-)
+_FAMILY_KEYS = dict.fromkeys(("degree", "members"))
+_MEMBER_KEYS = dict.fromkeys(("param_label", "model"))
 
 
 def load_family(text: str, base_dir: Optional[str] = None) -> Family:
     """Parse a family document; member models are inline objects or paths
-    to model files (resolved relative to base_dir).  An error in a member
-    model names the member's label, and an inline member's schema
-    violation gives its path in the family document."""
+    to model files (resolved relative to base_dir).  As for a model, the
+    loader checks keys and container kinds and `Family` checks the rest.
+    An error in a member model names the member's label, and an inline
+    member's schema violation gives its path in the family document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyError(f"invalid JSON: {exc}") from exc
-    try:
-        FAMILY_SHAPE(doc)
-    except StructureError as exc:
-        raise FamilyError(f"schema violation: {exc}") from exc
-
+    document_object(doc, _FAMILY_KEYS, FamilyError, "$", optional=("member_specialization",))
     members = []
-    for i, md in enumerate(doc["members"]):
+    for i, md in enumerate(document_array(doc["members"], FamilyError, "$.members")):
+        document_object(md, _MEMBER_KEYS, FamilyError, "$.members", i)
         label, spec = md["param_label"], md["model"]
+        if type(spec) not in (dict, str):
+            want = "a model object or a file path"
+            raise unexpected(FamilyError, f"$.members[{i}].model", want, spec)
         try:
-            if isinstance(spec, str):
+            if type(spec) is str:
                 path = spec if base_dir is None else os.path.join(base_dir, spec)
                 model = load_model_file(path)
             else:
@@ -356,10 +372,8 @@ def load_family(text: str, base_dir: Optional[str] = None) -> Family:
         except (ValueError, OSError) as exc:
             raise FamilyError(f"member {label!r}: {exc}") from exc
         members.append((label, model))
-    return Family(
-        members=tuple(members),
-        degree=doc["degree"],
-        member_specialization=tuple(
-            (g, s) for g, s in doc.get("member_specialization", [])
-        ),
-    )
+    where = "$.member_specialization"
+    pairs = document_array(doc.get("member_specialization", []), FamilyError, where)
+    for i, pair in enumerate(pairs):
+        document_array(pair, FamilyError, where, i)
+    return Family(members=members, degree=doc["degree"], member_specialization=pairs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .values import as_int, as_tuple, require_label
+from .values import as_int, as_tuple, require_label, shown
 
 
 class LatticeError(ValueError):
@@ -28,18 +28,16 @@ class LatticeError(ValueError):
 
 
 def integers(values: Sequence, what: str) -> Tuple[int, ...]:
-    """The values as a tuple of ints, via operator.index, so that a float
-    or a fraction is an error and never silently truncated, and a row
-    that is not a sequence is an error too."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        if not hasattr(type(values), "__iter__"):
-            raise LatticeError(f"{what} must be a sequence of integers, got {values!r}") from None
-        for v in values:
-            if not hasattr(type(v), "__index__"):
-                raise LatticeError(f"{what} must be integers, got {v!r}") from None
-        raise
+    """The values as a tuple, each of them exactly an int: a bool, an int
+    subclass, a float or a fraction is an error, never converted or
+    truncated, and so is a row that is not a sequence."""
+    if not hasattr(type(values), "__iter__"):
+        raise LatticeError(f"{what} must be a sequence of integers, got {values!r}")
+    row = tuple(values)
+    if not set(map(type, row)) <= {int}:
+        bad = next(v for v in row if type(v) is not int)
+        raise LatticeError(f"{what} must be integers, got {shown(bad)}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ class IntersectionLattice:
     basis_labels: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rank", as_int(self.rank, "rank", LatticeError))
+        as_int(self.rank, "rank", LatticeError)
         if self.rank < 1:
             raise LatticeError(f"rank must be positive, got {self.rank}")
         gram = tuple(
@@ -121,6 +119,8 @@ class CurveGeneratorSet:
             and set(map(type, chain.from_iterable(rows))) <= {int}
             and all(map(any, rows))
         ):
+            # keep the checked tuples: a row that is a one-shot iterator
+            # is read once
             rows = tuple(integers(row, "coordinates") for row in rows)
             for label, row in zip(labels, rows):
                 require_label(label, "a curve generator", LatticeError)

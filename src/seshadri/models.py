@@ -20,6 +20,7 @@ from __future__ import annotations
 import graphlib
 import json
 import operator
+import re
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,17 +32,6 @@ from . import SCHEMA_VERSION
 from .bounds import DegreeBound, RRData, minimal_M
 from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
 from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
-from .structure import (
-    LABEL,
-    StructureError,
-    array,
-    const,
-    integer,
-    mapping,
-    nullable,
-    record,
-    string,
-)
 from .values import (
     RATIONAL_SYNTAX,
     Rational,
@@ -54,55 +44,6 @@ from .values import (
 
 # fixed label of the exceptional class on the one-point blow-up lattice
 EXCEPTIONAL_LABEL = "Ex"
-
-_INTEGERS = array(integer())
-
-MODEL_SHAPE = record(
-    {
-        "schema_version": const(SCHEMA_VERSION),
-        "name": LABEL,
-        "rank": integer(minimum=1),
-        "gram": array(_INTEGERS),
-        "basis_labels": array(LABEL),
-        "polarization": _INTEGERS,
-        "rr": record(
-            {
-                "d": integer(minimum=1),
-                "c": integer(),
-                "c_prime": integer(),
-                "vanishing_multiplier": integer(minimum=1),
-            }
-        ),
-        "very_ample_multiplier": integer(minimum=1),
-        "strata": array(
-            record(
-                {
-                    "label": LABEL,
-                    "closure_dim": integer(minimum=0, maximum=2),
-                    "specializes_from": array(LABEL),
-                    "oracle_complete_below": nullable(
-                        string(
-                            pattern=RATIONAL_SYNTAX,
-                            want='a rational string such as "3/2" or null',
-                        )
-                    ),
-                    "candidates": array(
-                        record(
-                            {
-                                "label": LABEL,
-                                "class": nullable(_INTEGERS),
-                                "t": integer(minimum=1),
-                                "m": integer(minimum=1),
-                            }
-                        )
-                    ),
-                }
-            ),
-            min_items=1,
-        ),
-        "blowup_gens": mapping(array(record({"label": LABEL, "class": _INTEGERS}))),
-    }
-)
 
 
 class ModelError(ValueError):
@@ -137,8 +78,7 @@ class SurfaceModel:
         object.__setattr__(self, "strata", as_tuple(self.strata, "strata", ModelError))
         # read-only, so that no generator set gets past the checks below
         object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
-        vam = as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
-        object.__setattr__(self, "very_ample_multiplier", vam)
+        as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
         object.__setattr__(self, "_generator_tables", _validate_model(self))
 
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
@@ -377,70 +317,178 @@ def _generator_table(
 # JSON loading
 
 
+_MODEL_KEYS = dict.fromkeys(
+    (
+        "schema_version", "name", "rank", "gram", "basis_labels", "polarization", "rr",
+        "very_ample_multiplier", "strata", "blowup_gens",
+    )
+)
+_RR_KEYS = dict.fromkeys(("d", "c", "c_prime", "vanishing_multiplier"))
+_STRATUM_KEYS = dict.fromkeys(
+    ("label", "closure_dim", "specializes_from", "oracle_complete_below", "candidates")
+)
+_CANDIDATE_KEYS = dict.fromkeys(("label", "class", "t", "m"))
+_GENERATOR_KEYS = dict.fromkeys(("label", "class"))
+_RATIONAL = re.compile(RATIONAL_SYNTAX).fullmatch
+
+
+def _describe(value) -> str:
+    """A JSON value as a message shows it: a scalar as JSON text, cut at 40
+    characters, a container or another type by its kind."""
+    kind = type(value)
+    if kind not in (str, int, float, bool, type(None)):
+        return {dict: "an object", list: "an array"}.get(kind, f"a value of type {kind.__name__}")
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def violation(error: type, where: str, what) -> ValueError:
+    """`error` for a document whose part at JSON path `where` is wrong:
+    `what` is the reason, or the error a constructor raised on the part."""
+    return error(f"schema violation: {where}: {what}")
+
+
+def unexpected(error: type, where: str, want: str, value) -> ValueError:
+    """`error` for a value at JSON path `where` that is not `want`."""
+    return violation(error, where, f"expected {want}, got {_describe(value)}")
+
+
+def _at(where: str, index) -> str:
+    return where if index is None else f"{where}[{index}]"
+
+
+def document_object(value, keys: dict, error: type, where: str, index=None, optional=()) -> dict:
+    """`value`, checked to be a JSON object with every key of `keys`, any
+    key of `optional` and no other key.  A missing key is reported
+    first, then an unknown key in document order.  `value` is at JSON
+    path `where`, or at item `index` of the array there: the path is
+    written only for an error."""
+    if type(value) is not dict:
+        raise unexpected(error, _at(where, index), "an object", value)
+    if value.keys() != keys.keys():
+        for key in keys:
+            if key not in value:
+                raise violation(error, _at(where, index), f"missing required key {key!r}")
+        for key in value:
+            if key not in keys and key not in optional:
+                raise violation(error, _at(where, index), f"unknown key {key!r}")
+    return value
+
+
+def document_array(value, error: type, where: str, index=None) -> list:
+    """`value`, checked to be a JSON array, at a path as for
+    `document_object`."""
+    if type(value) is not list:
+        raise unexpected(error, _at(where, index), "an array", value)
+    return value
+
+
+def _step(key) -> str:
+    """The JSON path step to the value of `key` in an object."""
+    return "." + key if type(key) is str and key.isidentifier() else "[" + _describe(key) + "]"
+
+
 def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
-    """Check and build a model document; `root` is the document's JSON
-    path in schema violation messages, for a model inside a family."""
+    """Build a model from its parsed document, checking it once.  The
+    loader checks what no constructor sees: each object's keys, the kind
+    of each container, `schema_version` and the syntax of a rational
+    string.  Every other value goes to the constructors as it is, and an
+    error a constructor raises on a part of the document (the lattice
+    at `root`, `rr`, a stratum, a candidate, a generator set) is a
+    schema violation at that part's JSON path; the model's own checks
+    keep their text.  `root` is the document's path, for a model inside
+    a family."""
+    document_object(doc, _MODEL_KEYS, ModelError, root)
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise unexpected(ModelError, root + ".schema_version", str(SCHEMA_VERSION), version)
+    where = root + ".gram"
+    gram = document_array(doc["gram"], ModelError, where)
+    for i, row in enumerate(gram):
+        document_array(row, ModelError, where, i)
+    basis_labels = document_array(doc["basis_labels"], ModelError, root + ".basis_labels")
     try:
-        MODEL_SHAPE(doc)
-    except StructureError as exc:
-        raise ModelError(f"schema violation: {exc.located(root)}") from exc
+        lattice = IntersectionLattice(doc["rank"], gram, basis_labels)
+    except ValueError as exc:
+        raise violation(ModelError, root, exc) from exc
+    where = root + ".rr"
+    rr_doc = document_object(doc["rr"], _RR_KEYS, ModelError, where)
     try:
-        return _build_from_document(doc)
+        rr = RRData(**rr_doc)
+    except ValueError as exc:
+        raise violation(ModelError, where, exc) from exc
+    where = root + ".strata"
+    strata = tuple(
+        _stratum(sd, where, i)
+        for i, sd in enumerate(document_array(doc["strata"], ModelError, where))
+    )
+    where = root + ".blowup_gens"
+    gens_doc = doc["blowup_gens"]
+    if type(gens_doc) is not dict:
+        raise unexpected(ModelError, where, "an object", gens_doc)
+    blowup_gens = {label: _generators(gd, where + _step(label)) for label, gd in gens_doc.items()}
+    polarization = document_array(doc["polarization"], ModelError, root + ".polarization")
+    try:
+        return SurfaceModel(
+            name=doc["name"],
+            lattice=lattice,
+            polarization=polarization,
+            rr=rr,
+            very_ample_multiplier=doc["very_ample_multiplier"],
+            strata=strata,
+            blowup_gens=blowup_gens,
+        )
     except ModelError:
         raise
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
 
 
-def _build_from_document(doc: dict) -> SurfaceModel:
-    lat = IntersectionLattice(
-        rank=doc["rank"],
-        gram=tuple(tuple(row) for row in doc["gram"]),
-        basis_labels=tuple(doc["basis_labels"]),
-    )
-    rr = RRData(
-        d=doc["rr"]["d"],
-        c=doc["rr"]["c"],
-        c_prime=doc["rr"]["c_prime"],
-        vanishing_multiplier=doc["rr"]["vanishing_multiplier"],
-    )
-    strata = []
-    for sd in doc["strata"]:
-        candidates = tuple(
-            CurveCandidate(
-                label=cd["label"],
-                degree_t=cd["t"],
-                mult_m=cd["m"],
-                coords=cd["class"],
-            )
-            for cd in sd["candidates"]
+def _stratum(sd, strata: str, i: int) -> PointStratum:
+    """Build item i of the array at JSON path `strata`."""
+    document_object(sd, _STRATUM_KEYS, ModelError, strata, i)
+    where = f"{strata}[{i}]"
+    listed = where + ".candidates"
+    candidates = []
+    for j, cd in enumerate(document_array(sd["candidates"], ModelError, listed)):
+        document_object(cd, _CANDIDATE_KEYS, ModelError, listed, j)
+        row = cd["class"]
+        if row is not None and type(row) is not list:
+            raise unexpected(ModelError, f"{listed}[{j}].class", "an array", row)
+        try:
+            candidates.append(CurveCandidate(cd["label"], cd["t"], cd["m"], row))
+        except ValueError as exc:
+            raise violation(ModelError, f"{listed}[{j}]", exc) from exc
+    ocb = sd["oracle_complete_below"]
+    if ocb is not None and (type(ocb) is not str or _RATIONAL(ocb) is None):
+        want = 'a rational string such as "3/2" or null'
+        raise unexpected(ModelError, where + ".oracle_complete_below", want, ocb)
+    general = document_array(sd["specializes_from"], ModelError, where + ".specializes_from")
+    try:
+        return PointStratum(
+            label=sd["label"],
+            closure_dim=sd["closure_dim"],
+            specializes_from=general,
+            candidates=tuple(candidates),
+            oracle_complete_below=None if ocb is None else parse_rational(ocb),
         )
-        ocb = sd["oracle_complete_below"]
-        strata.append(
-            PointStratum(
-                label=sd["label"],
-                closure_dim=sd["closure_dim"],
-                specializes_from=tuple(sd["specializes_from"]),
-                candidates=candidates,
-                oracle_complete_below=None if ocb is None else parse_rational(ocb),
-            )
-        )
-    blowup_gens = {
-        label: CurveGeneratorSet(
-            labels=[gd["label"] for gd in gen_list],
-            rows=[gd["class"] for gd in gen_list],
-        )
-        for label, gen_list in doc["blowup_gens"].items()
-    }
-    return SurfaceModel(
-        name=doc["name"],
-        lattice=lat,
-        polarization=doc["polarization"],
-        rr=rr,
-        very_ample_multiplier=doc["very_ample_multiplier"],
-        strata=tuple(strata),
-        blowup_gens=blowup_gens,
-    )
+    except ValueError as exc:
+        raise violation(ModelError, where, exc) from exc
+
+
+def _generators(gen_list, where: str) -> CurveGeneratorSet:
+    labels, rows = [], []
+    for k, gd in enumerate(document_array(gen_list, ModelError, where)):
+        document_object(gd, _GENERATOR_KEYS, ModelError, where, k)
+        row = gd["class"]
+        if type(row) is not list:
+            raise unexpected(ModelError, f"{where}[{k}].class", "an array", row)
+        labels.append(gd["label"])
+        rows.append(row)
+    try:
+        return CurveGeneratorSet(labels=labels, rows=rows)
+    except ValueError as exc:
+        raise violation(ModelError, where, exc) from exc
 
 
 def load_model(text: str) -> SurfaceModel:

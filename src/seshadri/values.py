@@ -9,7 +9,6 @@ point on any decision path.  Floats appear only in clearly labeled
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
@@ -27,12 +26,21 @@ RATIONAL_SYNTAX = r"-?[0-9]+(/[0-9]+)?"
 
 
 def as_int(value, what: str, error: type) -> int:
-    """`value` as an int via operator.index, so that a float or a fraction
-    raises `error` naming `what` and is never silently truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    """`value` itself if it is exactly an int, as the document format
+    requires of every integer: a bool, an int subclass, a float or a
+    fraction raises `error` naming `what`, and nothing is converted."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {shown(value)}")
+    return value
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, naming the type of a subclass of
+    int or str, whose repr would hide it."""
+    kind = type(value)
+    if kind not in (int, str, bool) and isinstance(value, (int, str)):
+        return f"{value!r} of type {kind.__name__}"
+    return repr(value)
 
 
 def as_tuple(value, what: str, error: type) -> tuple:
@@ -44,15 +52,14 @@ def as_tuple(value, what: str, error: type) -> tuple:
 
 
 def as_rational(value, what: str, error: type) -> Rational:
-    """`value` as an exact rational: a Fraction as it is and an int via
-    operator.index, so that a float raises `error` naming `what` and
-    never enters a verdict."""
+    """`value` as an exact rational: a Fraction as it is and an exact int
+    as a Fraction, so that a float or a bool raises `error` naming `what`
+    and never enters a verdict."""
     if isinstance(value, Fraction):
         return value
-    try:
-        return Fraction(operator.index(value))
-    except TypeError:
-        raise error(f"{what} must be an int or a Fraction, got {value!r}") from None
+    if type(value) is int:
+        return Fraction(value)
+    raise error(f"{what} must be an int or a Fraction, got {shown(value)}")
 
 
 def require_label(value, owner: str, error: type, field: str = "label") -> None:
@@ -60,7 +67,7 @@ def require_label(value, owner: str, error: type, field: str = "label") -> None:
     non-empty str: exactly a str, as the document format requires of
     every label and name."""
     if type(value) is not str:
-        raise error(f"{field} of {owner} must be a string, got {value!r}")
+        raise error(f"{field} of {owner} must be a string, got {shown(value)}")
     if not value:
         raise error(f"{owner} needs a non-empty {field}")
 

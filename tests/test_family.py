@@ -187,6 +187,62 @@ def test_cyclic_member_specialization_rejected():
         )
 
 
+def test_family_degree_is_an_exact_positive_int():
+    # 8.0 was accepted, and the scan report printed "degree": 8.0
+    f1 = f1_anticanonical()
+    with pytest.raises(FamilyError, match=r"^degree must be an integer, got 8\.0$"):
+        Family(members=(("a", f1),), degree=8.0)
+    with pytest.raises(FamilyError, match="^degree must be an integer, got True$"):
+        Family(members=(("a", projective_plane(1)),), degree=True)
+    with pytest.raises(FamilyError, match="^degree must be positive, got 0$"):
+        Family(members=(("a", f1),), degree=0)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [(5, "label of a family member must be a string, got 5"),
+     ("", "a family member needs a non-empty label")],
+    ids=["int", "empty"],
+)
+def test_member_label_is_a_non_empty_string(label, message):
+    # a label 5 reached the CSV, and "" was accepted too
+    with pytest.raises(FamilyError, match=f"^{message}$"):
+        Family(members=((label, f1_anticanonical()),), degree=8)
+
+
+@pytest.mark.parametrize("pair", [("a", "b", "a"), ("a",)], ids=["three", "one"])
+def test_member_specialization_pair_has_two_labels(pair):
+    # a bare "too many values to unpack" (or "not enough") before
+    members = (("a", projective_plane(1)), ("b", projective_plane(1)))
+    with pytest.raises(FamilyError, match=r"^a member specialization is a \(general, special\) pair"):
+        Family(members=members, degree=1, member_specialization=(pair,))
+    with pytest.raises(FamilyError, match="^entry of a member specialization must be a string"):
+        Family(members=members, degree=1, member_specialization=(("a", 2),))
+
+
+@pytest.mark.parametrize(
+    "member, kinds",
+    [(("a",), "str"), (("a", None), "str, NoneType"),
+     (("a", f1_anticanonical(), 1), "str, SurfaceModel, int"), ("ab", "str, str")],
+    ids=["one", "no_model", "three", "string"],
+)
+def test_member_is_a_label_and_a_model(member, kinds):
+    # a bare ValueError (unpacking) or AttributeError (.rr) before
+    message = rf"^a family member is a \(label, SurfaceModel\) pair, got \({kinds}\)$"
+    with pytest.raises(FamilyError, match=message):
+        Family(members=(member,), degree=8)
+
+
+def test_family_containers_of_the_wrong_kind_raise_a_family_error():
+    # a bare TypeError before
+    with pytest.raises(FamilyError, match="^members must be a sequence, got None$"):
+        Family(members=None, degree=8)
+    with pytest.raises(FamilyError, match="^a family member must be a sequence, got 5$"):
+        Family(members=(5,), degree=8)
+    with pytest.raises(FamilyError, match="^member_specialization must be a sequence, got None$"):
+        Family(members=(("a", f1_anticanonical()),), degree=8, member_specialization=None)
+
+
 def test_alpha_must_be_below_sqrt_d():
     with pytest.raises(FamilyError, match="alpha"):
         scan(d8_family(), Fraction(3))
@@ -421,8 +477,8 @@ def test_load_family_inline_schema_error_names_member_path():
     with pytest.raises(FamilyError) as info:
         load_family(json.dumps(doc))
     assert str(info.value) == (
-        "member 't1': schema violation: $.members[1].model.strata[0].candidates[0].t: "
-        "expected an integer >= 1, got 0"
+        "member 't1': schema violation: $.members[1].model.strata[0].candidates[0]: "
+        "candidate 'ruling_f1' needs positive degree and multiplicity, got (0, 1)"
     )
     assert isinstance(info.value.__cause__, ModelError)
 

@@ -274,9 +274,7 @@ def test_empty_basis_label_rejected_at_load():
     doc["basis_labels"][0] = ""
     with pytest.raises(ModelError) as info:
         load_model(json.dumps(doc))
-    assert str(info.value) == (
-        'schema violation: $.basis_labels[0]: expected a non-empty string, got ""'
-    )
+    assert str(info.value) == "schema violation: $: a lattice needs a non-empty basis label"
 
 
 def _generic():
@@ -318,12 +316,34 @@ def test_constructors_reject_what_the_document_format_rejects(build, error, mess
     assert str(info.value) == message
 
 
-def test_constructors_take_integer_likes_as_ints():
-    stratum = dataclasses.replace(_generic(), closure_dim=True, oracle_complete_below=2)
-    assert type(stratum.closure_dim) is int and stratum.closure_dim == 1
-    assert RRData(d=True, c=0, c_prime=1).d.__class__ is int
-    model = dataclasses.replace(f1_anticanonical(), very_ample_multiplier=True)
-    assert type(model.very_ample_multiplier) is int
+class _Count(int):
+    pass
+
+
+def test_constructors_reject_bools_and_int_subclasses():
+    # an integer is exactly an int in Python as in a document: a bool or
+    # an int subclass is rejected, never converted
+    cases = [
+        (lambda: dataclasses.replace(_generic(), closure_dim=True), EngineError,
+         "closure_dim must be an integer, got True"),
+        (lambda: dataclasses.replace(_generic(), oracle_complete_below=True), EngineError,
+         "completeness threshold must be an int or a Fraction, got True"),
+        (lambda: RRData(d=True, c=0, c_prime=1), BoundError, "d must be an integer, got True"),
+        (lambda: dataclasses.replace(f1_anticanonical(), very_ample_multiplier=True), ModelError,
+         "very_ample_multiplier must be an integer, got True"),
+        (lambda: CurveCandidate(label="x", degree_t=2, mult_m=True), EngineError,
+         "mult_m must be an integer, got True"),
+        (lambda: IntersectionLattice(rank=_Count(1), gram=((1,),), basis_labels=("H",)),
+         LatticeError, "rank must be an integer, got 1 of type _Count"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+    # an exact int is kept as it is, and a loaded model round-trips
+    stratum = dataclasses.replace(_generic(), closure_dim=1, oracle_complete_below=2)
+    assert stratum.closure_dim == 1 and stratum.oracle_complete_below == Fraction(2)
+    model = dataclasses.replace(f1_anticanonical(), very_ample_multiplier=2)
     assert load_model(model.to_json()).to_json() == model.to_json()
 
 

@@ -136,7 +136,7 @@ def test_a_valid_generator_set_takes_one_pass(monkeypatch):
         # the short row of H - E, which would read as (2, 1)
         ([1, -1],
          "blow-up generator 'bad' of stratum 'generic': coordinate length 2 differs from rank 3"),
-        ([0, 0, 0], "generator 'bad' is the zero class"),
+        ([0, 0, 0], "schema violation: $.blowup_gens.generic: generator 'bad' is the zero class"),
     ],
     ids=["length", "short", "zero"],
 )
@@ -147,12 +147,22 @@ def test_bad_generator_rows_raise_the_class_messages_at_load(row, message):
         load_model(json.dumps(doc))
 
 
+def test_a_row_may_be_any_iterable_of_ints():
+    # the one-pass test rejects a row that is neither a tuple nor a list,
+    # and the walk that follows must not consume a one-shot iterator
+    gens = CurveGeneratorSet(labels=("a", "b"), rows=[iter([0, 0, 1]), range(0, 2)])
+    assert gens.rows == ((0, 0, 1), (0, 1))
+
+
 def test_index_coordinates_are_kept_as_ints():
-    # like pair, a row takes anything with __index__ and keeps ints
-    gens = CurveGeneratorSet(labels=("b",), rows=[[True, False, -1]])
-    assert gens.rows == ((1, 0, -1),) and {type(x) for x in gens.rows[0]} == {int}
-    cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0])
-    assert cand.coords == (1, 0) and {type(x) for x in cand.coords} == {int}
+    # like pair, a row keeps exact ints only: a bool is rejected, never
+    # read as 0 or 1
+    with pytest.raises(LatticeError, match=_exact("coordinates must be integers, got True")):
+        CurveGeneratorSet(labels=("b",), rows=[[True, False, -1]])
+    with pytest.raises(LatticeError, match=_exact("coordinates must be integers, got True")):
+        CurveCandidate(label="c", degree_t=1, mult_m=1, coords=[True, 0])
+    with pytest.raises(LatticeError, match=_exact("coordinates must be integers, got False")):
+        pair(f1_anticanonical().lattice, (3, -1), (False, 1))
 
 
 @pytest.mark.parametrize(
@@ -209,7 +219,7 @@ def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
          "specializes_from", "strata", "blowup_gens", "rr", "lattice"],
 )
 def test_a_container_field_of_the_wrong_kind_raises_its_layers_error(build, error, message):
-    # built in Python, past the document's shape check, a field that
+    # built in Python, past the loader's container checks, a field that
     # holds rows, labels or records raises its layer's error naming it
     with pytest.raises(error, match=_exact(message)):
         build()
