@@ -360,6 +360,26 @@ def _document(load, loaded, like) -> str:
     return json.dumps(loaded.to_document() if load is load_model else _family_document(loaded, like))
 
 
+def _keys_reversed(value):
+    """The document with the keys of every object in reverse order."""
+    if isinstance(value, dict):
+        return {key: _keys_reversed(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [_keys_reversed(item) for item in value]
+    return value
+
+
+def test_column_accepts_every_valid_document():
+    # every valid document loads, whatever the order of its keys, into
+    # the object that the document in its own order loads into; the keys
+    # of blowup_gens keep their input order, so the texts are compared
+    # with sorted keys
+    for load, doc in VALID_DOCUMENTS:
+        expected = json.loads(_document(load, load(json.dumps(doc)), doc))
+        loaded = json.loads(_document(load, load(json.dumps(_keys_reversed(doc))), doc))
+        assert json.dumps(loaded, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 def test_walk_finds_no_fault_in_a_valid_value():
     # the loader walks each valid document once and builds it unchanged
     for load, doc in VALID_DOCUMENTS:
