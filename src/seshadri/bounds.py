@@ -352,8 +352,6 @@ class CandidateSuperset(_Record):
     def __iter__(self) -> Iterator[Pair]:
         v = self.very_ample_multiplier
         pairs = candidate_walk(self.B, v * self.alpha)
-        if v == 1:
-            return pairs
         # t/(m*v) with gcd(t, m) = 1 reduces by g = gcd(t, v) alone
         return ((t // g, m * (v // g)) for t, m in pairs for g in (math.gcd(t, v),))
 

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .bounds import RRData, candidate_count, candidate_walk, l_poly, mediant_bounds, minimal_M
 from .engine import (
@@ -136,14 +136,11 @@ def check_candidate_membership(models: Models) -> str:
     return f"{n} certified values found in their candidate supersets"
 
 
-def linear_minimal_M(rr: RRData, a: Fraction, max_steps: Optional[int] = None) -> Optional[int]:
+def linear_minimal_M(rr: RRData, a: Fraction) -> int:
     """M by its definition: the least admissible multiplier n (a multiple
-    of a's denominator) with l(n) > 0, walked one at a time; None if that
-    takes more than max_steps steps."""
+    of a's denominator) with l(n) > 0, walked one at a time."""
     q = n = a.denominator
     while l_poly(rr, a, n) <= 0:
-        if max_steps is not None and n >= max_steps * q:
-            return None
         n += q
     return n
 
@@ -165,19 +162,13 @@ def brute_force_pairs(B: int, alpha: Fraction, certified: bool = True) -> List[T
 
 
 def check_minimal_M_closed_form(rng: random.Random) -> str:
-    cases = 0
-    while cases < 25:
+    for _ in range(25):
         d = rng.randint(2, 200)
         rr = RRData(d, rng.randint(-20, 20), rng.randint(-3, 5))
         den = rng.randint(1, 12)
         a = Fraction(rng.randint(1, math.isqrt(d * den * den - 1)), den)
-        # draws that need more than 100 steps are skipped to keep the check cheap
-        n = linear_minimal_M(rr, a, max_steps=100)
-        if n is None:
-            continue
-        if minimal_M(rr, a).M != n:
+        if minimal_M(rr, a).M != linear_minimal_M(rr, a):
             raise AssertionError(f"closed-form minimal_M differs at {rr}, a={a}")
-        cases += 1
     return "closed-form minimal_M matches the linear l_poly scan on 25 random cases"
 
 

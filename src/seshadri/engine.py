@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
@@ -88,7 +87,11 @@ class PointStratum:
         object.__setattr__(self, "specializes_from", specializes_from)
         for general in self.specializes_from:
             require_label(general, f"stratum {self.label!r}", EngineError, "specializes_from entry")
-        object.__setattr__(self, "candidates", as_tuple(self.candidates, "candidates", EngineError))
+        candidates = as_tuple(self.candidates, "candidates", EngineError)
+        for c in candidates:
+            if not isinstance(c, CurveCandidate):
+                raise EngineError(f"an item of candidates must be a CurveCandidate, got {c!r}")
+        object.__setattr__(self, "candidates", candidates)
         closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
         if closure_dim < 0:
             raise EngineError(f"closure_dim must be nonnegative, got {closure_dim}")
@@ -97,6 +100,8 @@ class PointStratum:
         ocb = self.oracle_complete_below
         if ocb is not None:
             ocb = as_rational(ocb, "completeness threshold", EngineError)
+            if ocb <= 0:
+                raise EngineError(f"completeness threshold must be positive, got {ocb}")
             object.__setattr__(self, "oracle_complete_below", ocb)
 
 
@@ -107,8 +112,7 @@ class SeshadriResult:
     `lo` is None when nothing is known above 0; `hi` never exceeds
     sqrt(d).  `ceiling_only` records that `hi` rests on the sqrt(d)
     ceiling alone, because the table lists no curve.  The certification
-    label, the reported value and certified_above derive from these; the
-    first two are computed once per result."""
+    label, the reported value and certified_above derive from these."""
 
     hi: SeshadriValue
     lo: Optional[SeshadriValue] = None
@@ -117,7 +121,7 @@ class SeshadriResult:
     warning: Optional[str] = None
     attained_at: Optional[str] = None
 
-    @cached_property
+    @property
     def certification(self) -> Certification:
         """Exact iff the interval is a point; a lower bound only when
         just the ceiling of an empty table bounds it above."""
@@ -129,7 +133,7 @@ class SeshadriResult:
             return Certification.LOWER_BOUND_ONLY
         return Certification.UPPER_BOUND_ONLY
 
-    @cached_property
+    @property
     def value(self) -> SeshadriValue:
         if self.certification is Certification.LOWER_BOUND_ONLY:
             return self.lo

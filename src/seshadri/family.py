@@ -255,7 +255,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     per-stratum values, the finite observed value set up to alpha with
     its candidate-superset containment, semicontinuity verdicts, the
     attained supremum, and members whose global value jumps below the
-    generic one.
+    largest global value of a general member.
 
     Each member's strata are evaluated once, into the model's
     stratum_table that every part of the report reads.  The candidate
@@ -307,22 +307,16 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
             + ", ".join(format_rational(q) for q in missing)
         )
 
-    sigma_family: Optional[SeshadriValue] = None
-    attained = ("", "")
-    for label, model in members:
-        sig = sigma_local(model)
-        if sigma_family is None or sig.value > sigma_family:
-            sigma_family = sig.value
-            attained = (label, sig.attained_at)
-    assert sigma_family is not None
+    # max keeps the first of equals, in label order
+    top_label, top = max(
+        ((label, sigma_local(model)) for label, model in members), key=lambda ls: ls[1].value
+    )
 
+    # a general member is never the special side of a pair; an acyclic
+    # order on a finite, non-empty set always has one
     global_values = {label: global_epsilon(model).value for label, model in family.members}
     specials = {special for _, special in family.member_specialization}
-    generals = [label for label, _ in family.members if label not in specials]
-    reference = None
-    for label in generals or list(global_values):
-        if reference is None or global_values[label] > reference:
-            reference = global_values[label]
+    reference = max(value for label, value in global_values.items() if label not in specials)
     jump_members = tuple(
         label for label, _ in members if global_values[label] < reference
     )
@@ -330,8 +324,8 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     return FamilyScanReport(
         alpha=alpha,
         degree=d,
-        sigma_family=sigma_family,
-        sigma_attained_at=attained,
+        sigma_family=top.value,
+        sigma_attained_at=(top_label, top.attained_at),
         epsilon_table=tuple(rows),
         sigma_cap=tuple(sigma_cap),
         candidate_superset=superset,

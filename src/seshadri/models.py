@@ -75,9 +75,18 @@ class SurfaceModel:
         if not isinstance(self.blowup_gens, abc.Mapping):
             raise ModelError(f"blowup_gens must be a mapping, got {self.blowup_gens!r}")
         object.__setattr__(self, "polarization", integers(self.polarization, "coordinates"))
-        object.__setattr__(self, "strata", as_tuple(self.strata, "strata", ModelError))
+        strata = as_tuple(self.strata, "strata", ModelError)
+        for s in strata:
+            if not isinstance(s, PointStratum):
+                raise ModelError(f"an item of strata must be a PointStratum, got {s!r}")
+        object.__setattr__(self, "strata", strata)
         # read-only, so that no generator set gets past the checks below
         object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
+        for label, gens in self.blowup_gens.items():
+            if not isinstance(gens, CurveGeneratorSet):
+                raise ModelError(
+                    f"blowup_gens[{label!r}] must be a CurveGeneratorSet, got {gens!r}"
+                )
         as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
         object.__setattr__(self, "_generator_tables", _validate_model(self))
 
@@ -108,10 +117,8 @@ class SurfaceModel:
 
     @property
     def generic_stratum(self) -> PointStratum:
-        for s in self.strata:
-            if s.closure_dim == 2:
-                return s
-        raise ModelError(f"model {self.name!r} has no dense stratum")
+        # construction leaves exactly one dense stratum
+        return next(s for s in self.strata if s.closure_dim == 2)
 
     def stratum(self, label: str) -> PointStratum:
         for s in self.strata:
@@ -230,8 +237,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
     ocb = s.oracle_complete_below
     if ocb is not None:
         p, q = ocb.numerator, ocb.denominator
-        if p <= 0:
-            raise ModelError(f"stratum {s.label!r}: completeness threshold must be positive")
+        # the stratum checked that ocb > 0; the cap needs the model's d
         if p * p < model.rr.d * q * q:
             # keep certification honest: the table may not contain entries
             # of ratio <= ocb beyond the degree bound implied by ocb; the

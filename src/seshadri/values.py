@@ -44,9 +44,10 @@ def shown(value) -> str:
 
 
 def as_tuple(value, what: str, error: type) -> tuple:
-    """`value` as a tuple; a value that is not iterable, such as None,
-    raises `error` naming `what`."""
-    if not hasattr(type(value), "__iter__"):
+    """`value` as a tuple; a value that is not iterable, such as None, or
+    a str, whose items would read as one-character labels, raises `error`
+    naming `what`."""
+    if isinstance(value, str) or not hasattr(type(value), "__iter__"):
         raise error(f"{what} must be a sequence, got {value!r}")
     return tuple(value)
 
@@ -137,12 +138,6 @@ class SeshadriValue:
         if self._q is None:
             raise ValueError(f"{self} is irrational")
         return self._q
-
-    @property
-    def sqrt_of(self) -> int:
-        if self._d is None:
-            raise ValueError(f"{self} is not a square root")
-        return self._d
 
     def _cmp(self, other: "SeshadriValue") -> int:
         d, e = self._d, other._d

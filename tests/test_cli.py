@@ -5,7 +5,7 @@ import pytest
 
 from seshadri import checks, cli, engine, family
 from seshadri.cli import main
-from seshadri.models import f1_anticanonical, quadric
+from seshadri.models import f1_anticanonical, projective_plane, quadric
 
 
 @pytest.fixture
@@ -34,6 +34,15 @@ def test_bound_text(capsys):
     assert main(["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2"]) == 0
     out = capsys.readouterr().out
     assert "M = 4" in out and "B = 16" in out and "multiplicity target = 7" in out
+
+
+def test_bound_text_names_the_vanishing_multiplier(capsys):
+    argv = ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2"]
+    assert main([*argv, "--vanishing-multiplier", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "bound applies to the polarization raised to the power 2"
+    assert main(argv) == 0
+    assert "power" not in capsys.readouterr().out
 
 
 def test_bound_json(capsys):
@@ -71,6 +80,34 @@ def test_epsilon_global(capsys, f1_path):
     assert main(["epsilon", f1_path, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == "1" and doc["attained_at"] == "on_E"
+
+
+def test_epsilon_reports_a_certified_lower_bound(capsys, tmp_path):
+    # f1's generic table complete below 3/2 only: 2 >= value >= 3/2
+    doc = json.loads(f1_anticanonical().to_json())
+    doc["strata"][0]["oracle_complete_below"] = "3/2"
+    path = tmp_path / "f1_lower.json"
+    path.write_text(json.dumps(doc))
+    assert main(["epsilon", str(path), "--stratum", "generic", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["certified_above"]) == ("2", "3/2")
+    assert doc["certification"] == "upper_bound_only"
+
+
+def test_epsilon_warns_on_an_empty_table(capsys, tmp_path):
+    doc = json.loads(projective_plane(1).to_json())
+    doc["strata"][0]["candidates"] = []
+    doc["strata"][0]["oracle_complete_below"] = None
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    warning = (
+        "stratum 'generic': empty candidate table with no completeness assertion; "
+        "only the sqrt(d) ceiling is known"
+    )
+    assert main(["epsilon", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["warning"] == warning
+    assert main(["epsilon", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"warning: {warning}"
 
 
 def test_epsilon_unknown_stratum(capsys, f1_path):

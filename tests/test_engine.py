@@ -268,7 +268,7 @@ def test_sqrt_cap_certified_by_complete_oracle():
     )
     res = epsilon_via_curves(model, model.stratum("generic"))
     assert not res.value.is_exact
-    assert res.value.sqrt_of == 5
+    assert res.value == SeshadriValue.sqrt(5)
     assert res.certification is Certification.EXACT_CERTIFIED
 
 

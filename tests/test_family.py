@@ -220,16 +220,20 @@ def test_member_specialization_pair_has_two_labels(pair):
         Family(members=members, degree=1, member_specialization=(("a", 2),))
 
 
+_PAIR = r"is a \(label, SurfaceModel\) pair, got "
+
+
 @pytest.mark.parametrize(
-    "member, kinds",
-    [(("a",), "str"), (("a", None), "str, NoneType"),
-     (("a", f1_anticanonical(), 1), "str, SurfaceModel, int"), ("ab", "str, str")],
+    "member, message",
+    [(("a",), _PAIR + r"\(str\)"), (("a", None), _PAIR + r"\(str, NoneType\)"),
+     (("a", f1_anticanonical(), 1), _PAIR + r"\(str, SurfaceModel, int\)"),
+     ("ab", "must be a sequence, got 'ab'")],
     ids=["one", "no_model", "three", "string"],
 )
-def test_member_is_a_label_and_a_model(member, kinds):
-    # a bare ValueError (unpacking) or AttributeError (.rr) before
-    message = rf"^a family member is a \(label, SurfaceModel\) pair, got \({kinds}\)$"
-    with pytest.raises(FamilyError, match=message):
+def test_member_is_a_label_and_a_model(member, message):
+    # a bare ValueError (unpacking) or AttributeError (.rr) before; a str
+    # member was read as the pair of its characters
+    with pytest.raises(FamilyError, match=f"^a family member {message}$"):
         Family(members=(member,), degree=8)
 
 
@@ -241,6 +245,9 @@ def test_family_containers_of_the_wrong_kind_raise_a_family_error():
         Family(members=(5,), degree=8)
     with pytest.raises(FamilyError, match="^member_specialization must be a sequence, got None$"):
         Family(members=(("a", f1_anticanonical()),), degree=8, member_specialization=None)
+    # a str was read as the pair of its characters
+    with pytest.raises(FamilyError, match="^a member specialization must be a sequence, got 'ab'$"):
+        Family(members=(("a", f1_anticanonical()),), degree=8, member_specialization=("ab",))
 
 
 def test_alpha_must_be_below_sqrt_d():

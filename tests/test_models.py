@@ -301,12 +301,14 @@ def _generic():
          "very_ample_multiplier must be an integer, got 1.0"),
         (lambda: dataclasses.replace(_generic(), oracle_complete_below=1.5), EngineError,
          "completeness threshold must be an int or a Fraction, got 1.5"),
+        (lambda: dataclasses.replace(_generic(), oracle_complete_below=Fraction(-1)),
+         EngineError, "completeness threshold must be positive, got -1"),
         (lambda: IntersectionLattice(rank=2.0, gram=((1, 0), (0, -1)), basis_labels=("H", "E")),
          LatticeError, "rank must be an integer, got 2.0"),
     ],
     ids=["closure_dim_high", "closure_dim_low", "closure_dim_float", "candidate_float",
          "candidate_fraction", "rr_float", "vanishing_float", "very_ample_float",
-         "threshold_float", "rank_float"],
+         "threshold_float", "threshold_negative", "rank_float"],
 )
 def test_constructors_reject_what_the_document_format_rejects(build, error, message):
     # a float is never truncated into an integer field, and no value the

@@ -27,6 +27,7 @@ from seshadri.models import (
     f1_anticanonical,
     load_model,
     model_from_document,
+    projective_plane,
 )
 
 # a generator C - m*Ex of a blown-up plane as (coordinates of C, m): the H
@@ -214,9 +215,23 @@ def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
          "rr must be an RRData, got None"),
         (lambda: dataclasses.replace(f1_anticanonical(), lattice=None), ModelError,
          "lattice must be an IntersectionLattice, got None"),
+        # a str was read as its one-character labels: "HE" built ('H', 'E')
+        (lambda: IntersectionLattice(2, ((1, 0), (0, -1)), "HE"), LatticeError,
+         "basis_labels must be a sequence, got 'HE'"),
+        (lambda: PointStratum("p", 0, specializes_from="generic"), EngineError,
+         "specializes_from must be a sequence, got 'generic'"),
+        # an item of the wrong kind raised a bare AttributeError
+        (lambda: PointStratum("generic", 2, candidates=((1, 1),)), EngineError,
+         "an item of candidates must be a CurveCandidate, got (1, 1)"),
+        (lambda: dataclasses.replace(projective_plane(1), strata=(("generic", 2),)), ModelError,
+         "an item of strata must be a PointStratum, got ('generic', 2)"),
+        (lambda: dataclasses.replace(
+            projective_plane(1), blowup_gens={"generic": ((0, 1), (1, -1))}), ModelError,
+         "blowup_gens['generic'] must be a CurveGeneratorSet, got ((0, 1), (1, -1))"),
     ],
     ids=["gram", "basis_labels", "generator_labels", "generator_rows", "candidates",
-         "specializes_from", "strata", "blowup_gens", "rr", "lattice"],
+         "specializes_from", "strata", "blowup_gens", "rr", "lattice", "basis_labels_str",
+         "specializes_from_str", "candidate_item", "stratum_item", "generator_set_item"],
 )
 def test_a_container_field_of_the_wrong_kind_raises_its_layers_error(build, error, message):
     # built in Python, past the loader's container checks, a field that

@@ -92,6 +92,7 @@ MODEL_CASES = [
      "very_ample_multiplier must be a positive integer"),
     ("strata_empty", put("strata", []),
      "exactly one dense (closure_dim = 2) stratum required, got none"),
+    ("strata_duplicate", put("strata", 1, "label", "generic"), "stratum labels are not distinct"),
     ("stratum_not_object", put("strata", 1, "on_E"),
      SV + '$.strata[1]: expected an object, got "on_E"'),
     ("stratum_missing", drop("strata", 1, "candidates"),
@@ -116,6 +117,10 @@ MODEL_CASES = [
     ("ocb_newline", put("strata", 0, "oracle_complete_below", "2\n"),
      SV + '$.strata[0].oracle_complete_below: expected a rational string such as "3/2" or '
      'null, got "2\\n"'),
+    ("ocb_zero", put("strata", 1, "oracle_complete_below", "0"),
+     SV + "$.strata[1]: completeness threshold must be positive, got 0"),
+    ("ocb_negative", put("strata", 1, "oracle_complete_below", "-1"),
+     SV + "$.strata[1]: completeness threshold must be positive, got -1"),
     ("candidate_missing", drop("strata", 0, "candidates", 1, "class"),
      SV + "$.strata[0].candidates[1]: missing required key 'class'"),
     ("candidate_unknown", put("strata", 0, "candidates", 0, "mult", 1),
@@ -311,6 +316,8 @@ FAMILY_CASES = [
      "entry of a member specialization must be a string, got 1"),
     ("empty_pair_entry", put("member_specialization", 0, 0, ""),
      "a member specialization needs a non-empty entry"),
+    ("pair_unknown_member", put("member_specialization", 0, 1, "ghost"),
+     "specialization ('t0', 'ghost') references unknown members"),
 ]
 
 
@@ -321,6 +328,12 @@ def test_malformed_family_rejected_with_path(mutate, message):
     with pytest.raises(FamilyError) as info:
         load_family(json.dumps(mutate(family_doc())))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("load, error", [(load_model, ModelError), (load_family, FamilyError)])
+def test_invalid_json_rejected(load, error):
+    with pytest.raises(error, match="^invalid JSON: "):
+        load("{")
 
 
 def _with_nulls():
