@@ -16,7 +16,6 @@ exactly on that finite structure.
 from __future__ import annotations
 
 import csv
-import graphlib
 import io
 import json
 import os
@@ -27,6 +26,7 @@ from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minim
 from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
 from .models import (
     SurfaceModel,
+    check_specialization_order,
     document_array,
     document_object,
     load_model_file,
@@ -42,6 +42,10 @@ class FamilyError(ValueError):
 
 @dataclass(frozen=True)
 class Family:
+    """Members of one degree, as (label, model) pairs, with the declared
+    (general, special) pairs of labels.  The members' order is checked by
+    `check_specialization_order`, as a model's strata's is."""
+
     members: Tuple[Tuple[str, SurfaceModel], ...]
     degree: int
     member_specialization: Tuple[Tuple[str, str], ...] = ()
@@ -66,12 +70,8 @@ class Family:
             if len(member) != 2 or not isinstance(member[1], SurfaceModel):
                 kinds = ", ".join(type(item).__name__ for item in member)
                 raise FamilyError(f"a family member is a (label, SurfaceModel) pair, got ({kinds})")
-        labels = [label for label, _ in members]
-        for label in labels:
-            require_label(label, "a family member", FamilyError)
-        if len(set(labels)) != len(labels):
-            raise FamilyError("member labels are not distinct")
         for label, model in members:
+            require_label(label, "a family member", FamilyError)
             if model.rr.d != degree:
                 raise FamilyError(
                     f"member {label!r} has degree {model.rr.d}, family degree is "
@@ -84,18 +84,9 @@ class Family:
                 )
             for label in pair:
                 require_label(label, "a member specialization", FamilyError, "entry")
-        known = set(labels)
-        sorter = graphlib.TopologicalSorter()
-        for general, special in self.member_specialization:
-            if general not in known or special not in known:
-                raise FamilyError(
-                    f"specialization ({general!r}, {special!r}) references unknown members"
-                )
-            sorter.add(special, general)
-        try:
-            sorter.prepare()
-        except graphlib.CycleError as exc:
-            raise FamilyError(f"cyclic member specialization: {exc.args[1]}") from exc
+        check_specialization_order(
+            [label for label, _ in members], specialization, FamilyError, "member", "members"
+        )
 
     def member(self, label: str) -> SurfaceModel:
         for l, m in self.members:
@@ -347,7 +338,7 @@ def load_family(text: str, base_dir: Optional[str] = None) -> Family:
     member's schema violation gives its path in the family document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise FamilyError(f"invalid JSON: {exc}") from exc
     document_object(doc, _FAMILY_KEYS, FamilyError, "$", optional=("member_specialization",))
     members = []

@@ -38,7 +38,6 @@ from .values import (
     as_int,
     as_tuple,
     format_rational,
-    parse_rational,
     require_label,
 )
 
@@ -180,7 +179,9 @@ class SurfaceModel:
 
 def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...]]:
     """Raise on the first violated invariant; return each blow-up
-    generator set's table, keyed by stratum label."""
+    generator set's table, keyed by stratum label.  The strata's order
+    is checked by `check_specialization_order`, as a family's members'
+    is."""
     require_label(model.name, "a model", ModelError, "name")
     lat, L = model.lattice, model.polarization
     d = pair(lat, L, L)
@@ -189,8 +190,6 @@ def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...
             f"degree mismatch: polarization self-intersection is {d} "
             f"but rr.d is {model.rr.d}"
         )
-    # pair checked L's row; the candidate and generator checks read its covector
-    object.__setattr__(model, "_covector", lat.covector(L))
     if model.very_ample_multiplier < 1:
         raise ModelError("very_ample_multiplier must be a positive integer")
     if EXCEPTIONAL_LABEL in lat.basis_labels:
@@ -199,40 +198,47 @@ def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...
         )
 
     labels = [s.label for s in model.strata]
-    if len(set(labels)) != len(labels):
-        raise ModelError("stratum labels are not distinct")
+    pairs = [(general, s.label) for s in model.strata for general in s.specializes_from]
+    check_specialization_order(labels, pairs, ModelError, "stratum", "strata")
     dense = [s.label for s in model.strata if s.closure_dim == 2]
     if len(dense) != 1:
         raise ModelError(
             f"exactly one dense (closure_dim = 2) stratum required, got {dense or 'none'}"
         )
 
-    # specialization relation must reference known strata and be acyclic
-    known = set(labels)
-    for s in model.strata:
-        for general in s.specializes_from:
-            if general not in known:
-                raise ModelError(
-                    f"stratum {s.label!r} specializes from unknown stratum {general!r}"
-                )
-    try:
-        graphlib.TopologicalSorter({s.label: s.specializes_from for s in model.strata}).prepare()
-    except graphlib.CycleError as exc:
-        raise ModelError(f"cyclic specialization relation: {exc.args[1]}") from exc
-
+    # pair checked L's row; the candidate and generator checks read its covector
+    polarization = lat.covector(L)
     tables = {}
     for s in model.strata:
-        _validate_stratum(model, s)
+        _validate_stratum(model, s, polarization)
         gens = model.blowup_gens.get(s.label)
         if gens is not None:
-            tables[s.label] = _generator_table(model, s.label, gens)
+            tables[s.label] = _generator_table(model, s.label, gens, polarization)
     for label in model.blowup_gens:
-        if label not in known:
+        if label not in labels:
             raise ModelError(f"blow-up generators given for unknown stratum {label!r}")
     return tables
 
 
-def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
+def check_specialization_order(labels: list, pairs: list, error: type, noun: str, nouns: str):
+    """Raise `error` unless `labels`, the strata of a model or the
+    members of a family, are distinct and the (general, special) `pairs`
+    name known labels and form no cycle.  `noun` and `nouns` name one
+    label and several in the message."""
+    graph = {label: [] for label in labels}  # each label's general labels, in order
+    if len(graph) != len(labels):
+        raise error(f"{noun} labels are not distinct")
+    for general, special in pairs:
+        if general not in graph or special not in graph:
+            raise error(f"specialization ({general!r}, {special!r}) references unknown {nouns}")
+        graph[special].append(general)
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        raise error(f"cyclic specialization relation: {exc.args[1]}") from exc
+
+
+def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple) -> None:
     cap = None
     ocb = s.oracle_complete_below
     if ocb is not None:
@@ -243,7 +249,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum) -> None:
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
             cap = model.degree_bound(ocb).B
-    rank, polarization = model.lattice.rank, model._covector
+    rank = model.lattice.rank
     for c in s.candidates:
         if c.coords is not None:
             # before the pairing: map stops at the shorter sequence, so a
@@ -275,12 +281,12 @@ def _length_error(what: str, label: str, stratum: str, row: tuple, rank: int) ->
 
 
 def _generator_table(
-    model: SurfaceModel, label: str, gens: CurveGeneratorSet
+    model: SurfaceModel, label: str, gens: CurveGeneratorSet, polarization: tuple
 ) -> Tuple[Tuple[int, int], ...]:
     """Check one stratum's blow-up generator set and return its table of
-    (pi^*L.C, Ex.C) per generator C.  Every row's length is checked first
-    against the rank n + 1 of the layout of `extend_blowup`: pushforward
-    first, then the Ex coordinate.  Then pi^*L.C = L.pi_*C (the
+    (pi^*L.C, Ex.C) per generator C, given L's covector `polarization`.
+    Every row's length is checked first against the rank n + 1 of the
+    layout of `extend_blowup`: pushforward first, then the Ex coordinate.  Then pi^*L.C = L.pi_*C (the
     projection formula) is the dot product of L's covector with the row's
     first n entries, and Ex.C is minus the row's last entry."""
     # before the pairing, which would read a short row's last entry as Ex
@@ -289,7 +295,6 @@ def _generator_table(
         gl, row = next((gl, row) for gl, row in zip(gens.labels, gens.rows) if len(row) != rank)
         raise _length_error("blow-up generator", gl, label, row, rank)
     # map stops at the shorter covector, so the Ex coordinate is left out
-    polarization = model._covector
     table = tuple((sum(map(operator.mul, polarization, row)), -row[-1]) for row in gens.rows)
     # both checks below pass every generator with pi^*L.C > 0, so they
     # visit only the others
@@ -389,6 +394,17 @@ def document_array(value, error: type, where: str, index=None) -> list:
     return value
 
 
+def _part(where: str, index, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, which builds the part of a model document
+    at JSON path `where`, or at item `index` of the array there: a
+    ValueError it raises is a schema violation at that path, written only
+    for the error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise violation(ModelError, _at(where, index), exc) from exc
+
+
 def _step(key) -> str:
     """The JSON path step to the value of `key` in an object."""
     return "." + key if type(key) is str and key.isidentifier() else "[" + _describe(key) + "]"
@@ -413,16 +429,9 @@ def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
     for i, row in enumerate(gram):
         document_array(row, ModelError, where, i)
     basis_labels = document_array(doc["basis_labels"], ModelError, root + ".basis_labels")
-    try:
-        lattice = IntersectionLattice(doc["rank"], gram, basis_labels)
-    except ValueError as exc:
-        raise violation(ModelError, root, exc) from exc
+    lattice = _part(root, None, IntersectionLattice, doc["rank"], gram, basis_labels)
     where = root + ".rr"
-    rr_doc = document_object(doc["rr"], _RR_KEYS, ModelError, where)
-    try:
-        rr = RRData(**rr_doc)
-    except ValueError as exc:
-        raise violation(ModelError, where, exc) from exc
+    rr = _part(where, None, RRData, **document_object(doc["rr"], _RR_KEYS, ModelError, where))
     where = root + ".strata"
     strata = tuple(
         _stratum(sd, where, i)
@@ -461,25 +470,20 @@ def _stratum(sd, strata: str, i: int) -> PointStratum:
         row = cd["class"]
         if row is not None and type(row) is not list:
             raise unexpected(ModelError, f"{listed}[{j}].class", "an array", row)
-        try:
-            candidates.append(CurveCandidate(cd["label"], cd["t"], cd["m"], row))
-        except ValueError as exc:
-            raise violation(ModelError, f"{listed}[{j}]", exc) from exc
+        candidates.append(_part(listed, j, CurveCandidate, cd["label"], cd["t"], cd["m"], row))
     ocb = sd["oracle_complete_below"]
     if ocb is not None and (type(ocb) is not str or _RATIONAL(ocb) is None):
         want = 'a rational string such as "3/2" or null'
         raise unexpected(ModelError, where + ".oracle_complete_below", want, ocb)
     general = document_array(sd["specializes_from"], ModelError, where + ".specializes_from")
-    try:
-        return PointStratum(
-            label=sd["label"],
-            closure_dim=sd["closure_dim"],
-            specializes_from=general,
-            candidates=tuple(candidates),
-            oracle_complete_below=None if ocb is None else parse_rational(ocb),
-        )
-    except ValueError as exc:
-        raise violation(ModelError, where, exc) from exc
+    # inside _part: a numerator past the digit limit is a schema violation too
+    return _part(where, None, lambda: PointStratum(
+        label=sd["label"],
+        closure_dim=sd["closure_dim"],
+        specializes_from=general,
+        candidates=tuple(candidates),
+        oracle_complete_below=None if ocb is None else Fraction(ocb),
+    ))
 
 
 def _generators(gen_list, where: str) -> CurveGeneratorSet:
@@ -491,10 +495,7 @@ def _generators(gen_list, where: str) -> CurveGeneratorSet:
             raise unexpected(ModelError, f"{where}[{k}].class", "an array", row)
         labels.append(gd["label"])
         rows.append(row)
-    try:
-        return CurveGeneratorSet(labels=labels, rows=rows)
-    except ValueError as exc:
-        raise violation(ModelError, where, exc) from exc
+    return _part(where, None, CurveGeneratorSet, labels=labels, rows=rows)
 
 
 def load_model(text: str) -> SurfaceModel:
@@ -502,7 +503,7 @@ def load_model(text: str) -> SurfaceModel:
     invariant is a load-time error naming what failed."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ModelError(f"invalid JSON: {exc}") from exc
     return model_from_document(doc)
 

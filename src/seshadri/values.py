@@ -21,8 +21,13 @@ Rational = Fraction
 RationalLike = Union[Rational, int]
 
 # the one syntax of a rational string, in documents and on the command
-# line alike, matched in full: ASCII digits, no sign but a leading minus
-RATIONAL_SYNTAX = r"-?[0-9]+(/[0-9]+)?"
+# line alike, matched in full: ASCII digits, no sign but a leading minus,
+# and a denominator that is not zero
+RATIONAL_SYNTAX = r"-?[0-9]+(/0*[1-9][0-9]*)?"
+
+# decimal notation, such as 1.5, .5 or 1e3, for text outside RATIONAL_SYNTAX:
+# what it matches without a point or an exponent is an integer, inside it
+_DECIMAL_SYNTAX = r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?"
 
 
 def as_int(value, what: str, error: type) -> int:
@@ -76,16 +81,13 @@ def require_label(value, owner: str, error: type, field: str = "label") -> None:
 def parse_rational(text: str) -> Rational:
     """Parse "p/q" or "p", in `RATIONAL_SYNTAX` after stripping outer
     whitespace, into an exact rational.  Decimal notation is rejected on
-    purpose: no silent rounding at the boundary."""
+    purpose, with its own message: no silent rounding at the boundary."""
     text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise ValueError(f"decimal notation not accepted, use p/q: {text!r}")
     if re.fullmatch(RATIONAL_SYNTAX, text) is None:
+        if re.fullmatch(_DECIMAL_SYNTAX, text) is not None:
+            raise ValueError(f"decimal notation not accepted, use p/q: {text!r}")
         raise ValueError(f"malformed rational {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+    return Fraction(text)
 
 
 def format_rational(q: RationalLike) -> str:

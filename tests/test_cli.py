@@ -64,6 +64,16 @@ def test_candidates_text(capsys):
     assert capsys.readouterr().out.strip() == "1, 3/2"
 
 
+@pytest.mark.parametrize(
+    "B, alpha, message",
+    [("0", "1", "B must be positive, got 0"), ("3", "0", "alpha must be positive, got 0")],
+    ids=["B", "alpha"],
+)
+def test_candidates_rejects_a_nonpositive_argument(capsys, B, alpha, message):
+    assert main(["candidates", "--B", B, "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_candidates_permissive_labeled(capsys):
     assert main(["candidates", "--B", "3", "--alpha", "3", "--permissive"]) == 0
     assert "not a certified superset" in capsys.readouterr().out

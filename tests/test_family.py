@@ -463,6 +463,12 @@ def test_load_family_inline_and_file(tmp_path):
     assert family.member_specialization == (("t1", "t0"),)
 
 
+def test_member_rejects_an_unknown_label():
+    family = Family(members=(("t", f1_anticanonical()),), degree=8)
+    with pytest.raises(FamilyError, match="^no member 'ghost'$"):
+        family.member("ghost")
+
+
 def test_load_family_schema_violation():
     with pytest.raises(FamilyError, match="schema"):
         load_family(json.dumps({"degree": 8}))

@@ -51,6 +51,9 @@ def drop(*steps):
     return mutate
 
 
+_F1_GENERIC_GENS = f1_anticanonical().to_document()["blowup_gens"]["generic"]
+
+
 def rename_gens(old, new):
     def mutate(doc):
         doc["blowup_gens"][new] = doc["blowup_gens"].pop(old)
@@ -117,6 +120,9 @@ MODEL_CASES = [
     ("ocb_newline", put("strata", 0, "oracle_complete_below", "2\n"),
      SV + '$.strata[0].oracle_complete_below: expected a rational string such as "3/2" or '
      'null, got "2\\n"'),
+    ("ocb_zero_denominator", put("strata", 0, "oracle_complete_below", "1/0"),
+     SV + '$.strata[0].oracle_complete_below: expected a rational string such as "3/2" or '
+     'null, got "1/0"'),
     ("ocb_zero", put("strata", 1, "oracle_complete_below", "0"),
      SV + "$.strata[1]: completeness threshold must be positive, got 0"),
     ("ocb_negative", put("strata", 1, "oracle_complete_below", "-1"),
@@ -146,6 +152,8 @@ MODEL_CASES = [
      SV + "$.blowup_gens.generic: a curve generator needs a non-empty label"),
     ("gen_class", put("blowup_gens", "generic", 0, "class", 2, False),
      SV + "$.blowup_gens.generic: coordinates must be integers, got False"),
+    ("gens_unknown_stratum", put("blowup_gens", "ghost", _F1_GENERIC_GENS),
+     "blow-up generators given for unknown stratum 'ghost'"),
     ("gen_key_quoted", rename_gens("on_E", "on E"),
      SV + "$.blowup_gens[\"on E\"]: coordinates must be integers, got '1'"),
 ]
@@ -334,6 +342,82 @@ def test_malformed_family_rejected_with_path(mutate, message):
 def test_invalid_json_rejected(load, error):
     with pytest.raises(error, match="^invalid JSON: "):
         load("{")
+
+
+# 0 where the interpreter converts integers of any length
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not _DIGIT_LIMIT, reason="this interpreter has no integer digit limit"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("load, error", [(load_model, ModelError), (load_family, FamilyError)])
+def test_integer_past_the_digit_limit_is_invalid_json(load, error):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    with pytest.raises(error, match="^invalid JSON: "):
+        load('{"degree": ' + "1" * (_DIGIT_LIMIT + 1) + "}")
+
+
+@needs_digit_limit
+def test_threshold_past_the_digit_limit_is_a_schema_violation():
+    # the string matches the rational syntax; its conversion runs where a
+    # constructor's error becomes a schema violation at the stratum's path
+    doc = json.loads(f1_anticanonical().to_json())
+    doc["strata"][0]["oracle_complete_below"] = "1" * max(5000, _DIGIT_LIMIT + 1)
+    with pytest.raises(ModelError, match=r"^schema violation: \$\.strata\[0\]: "):
+        load_model(json.dumps(doc))
+
+
+def _model_order(doc, label, pairs):
+    """Relabel stratum 1 and declare `pairs` (general, special) as the
+    strata's order."""
+    doc["strata"][1]["label"] = label
+    for stratum in doc["strata"]:
+        stratum["specializes_from"] = [g for g, s in pairs if s == stratum["label"]]
+
+
+def _family_order(doc, label, pairs):
+    """Relabel member 1 and declare `pairs` as the members' order."""
+    doc["members"][1]["param_label"] = label
+    doc["member_specialization"] = [list(pair) for pair in pairs]
+
+
+# (loader, document, error, noun, nouns, order, labels of items 0 and 1):
+# the two specialization orders, of a model's strata and a family's members
+ORDERS = [
+    (load_model, lambda: json.loads(f1_anticanonical().to_json()), ModelError,
+     "stratum", "strata", _model_order, ("generic", "on_E")),
+    (load_family, family_doc, FamilyError, "member", "members", _family_order, ("t0", "t1")),
+]
+
+# (id, label of item 1, pairs, message) on the symbolic labels a and b of
+# items 0 and 1: one message per fault, with the nouns left to fill in
+ORDER_FAULTS = [
+    ("duplicate", "a", [], "{noun} labels are not distinct"),
+    ("unknown", "b", [("ghost", "b")], "specialization ('ghost', {b!r}) references unknown {nouns}"),
+    ("two_cycle", "b", [("a", "b"), ("b", "a")],
+     "cyclic specialization relation: [{a!r}, {b!r}, {a!r}]"),
+    ("self_loop", "b", [("b", "b")], "cyclic specialization relation: [{b!r}, {b!r}]"),
+]
+
+
+@pytest.mark.parametrize(
+    "label, pairs, message", [case[1:] for case in ORDER_FAULTS],
+    ids=[case[0] for case in ORDER_FAULTS],
+)
+@pytest.mark.parametrize("load, document, error, noun, nouns, order, labels", ORDERS,
+                         ids=["model", "family"])
+def test_both_orders_give_one_message_per_fault(
+    load, document, error, noun, nouns, order, labels, label, pairs, message
+):
+    a, b = labels
+    name = {"a": a, "b": b}.get
+    doc = document()
+    order(doc, name(label), [(name(g, g), name(s, s)) for g, s in pairs])
+    with pytest.raises(error) as info:
+        load(json.dumps(doc))
+    assert str(info.value) == message.format(noun=noun, nouns=nouns, a=a, b=b)
 
 
 def _with_nulls():

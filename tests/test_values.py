@@ -17,7 +17,13 @@ from seshadri.bounds import (
     minimal_M,
     multiplicity_target,
 )
-from seshadri.engine import CurveCandidate, PointStratum, low_epsilon_strata, sublevel_set
+from seshadri.engine import (
+    CurveCandidate,
+    EngineError,
+    PointStratum,
+    low_epsilon_strata,
+    sublevel_set,
+)
 from seshadri.family import load_family, scan
 from seshadri.models import f1_anticanonical
 from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
@@ -108,6 +114,43 @@ def test_parse_rational():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError, match="^(decimal notation not accepted|malformed rational)"):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1.5", "decimal"), (".5", "decimal"), ("1.", "decimal"), ("1e3", "decimal"),
+     ("2E3", "decimal"), ("three", "malformed"), ("e", "malformed"), ("free", "malformed"),
+     ("1/0", "malformed"), ("1/00", "malformed")],
+)
+def test_parse_rational_calls_only_decimal_notation_decimal(text, message):
+    # digits with a point or an exponent are decimal notation; any other
+    # text outside the syntax, such as a word with an "e", is malformed
+    expected = {
+        "decimal": f"decimal notation not accepted, use p/q: {text!r}",
+        "malformed": f"malformed rational {text!r}",
+    }[message]
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        parse_rational(text)
+
+
+def test_parse_rational_reads_a_denominator_with_leading_zeros():
+    assert parse_rational("3/02") == Fraction(3, 2)
+
+
+def test_sqrt_branch_has_no_rational():
+    with pytest.raises(ValueError, match=r"^SeshadriValue\(sqrt\(2\)\) is irrational$"):
+        SeshadriValue.sqrt(2).rational
+
+
+def test_l_poly_needs_a_positive_n():
+    with pytest.raises(BoundError, match="^n must be positive, got 0$"):
+        l_poly(RRData(8, 8, 1), 1, 0)
+
+
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1, 2)], ids=["zero", "negative"])
+def test_low_epsilon_strata_needs_a_positive_delta(delta):
+    with pytest.raises(EngineError, match=f"^delta must be positive, got {delta}$"):
+        low_epsilon_strata(f1_anticanonical(), delta)
 
 
 def test_format_rational():
