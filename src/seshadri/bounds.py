@@ -327,8 +327,9 @@ class CandidateSuperset(_Record):
 
     `in` tests a reduced pair (a, b) in O(1): v*a/b reduces to (t, m) by
     g = gcd(v, b), and it is a walk pair iff 1 <= m <= t <= B and
-    a/b <= alpha.  `len` is candidate_count(B, v*alpha).  Iterating
-    runs the walk in ascending order, divided by v."""
+    a/b <= alpha.  `size` is candidate_count(B, v*alpha); `len` is the
+    same up to sys.maxsize, past which it raises.  Iterating runs the
+    walk in ascending order, divided by v."""
 
     __slots__ = ("very_ample_multiplier", "B", "alpha")
 
@@ -348,6 +349,8 @@ class CandidateSuperset(_Record):
 
     def __len__(self) -> int:
         return candidate_count(self.B, self.very_ample_multiplier * self.alpha)
+
+    size = property(__len__)
 
     def __iter__(self) -> Iterator[Pair]:
         v = self.very_ample_multiplier

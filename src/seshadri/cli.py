@@ -18,16 +18,14 @@ from typing import Callable, List, Optional
 from . import SCHEMA_VERSION, __version__
 from .values import format_pairs, format_rational, parse_rational
 
-
-def _report_header() -> dict:
-    return {"tool_version": __version__, "schema_version": SCHEMA_VERSION}
+_REPORT_HEADER = {"tool_version": __version__, "schema_version": SCHEMA_VERSION}
 
 
 def _emit(text: str, output: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     import tempfile
 
@@ -36,8 +34,6 @@ def _emit(text: str, output: Optional[str]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
         os.replace(tmp, output)
     except BaseException:
         if os.path.exists(tmp):
@@ -53,7 +49,7 @@ def _emit_report(
 ) -> None:
     """Emit the report in `fmt`, building only that format."""
     if fmt == "json":
-        _emit(json.dumps({**_report_header(), **document()}, indent=2), output)
+        _emit(json.dumps({**_REPORT_HEADER, **document()}, indent=2), output)
     else:
         _emit("\n".join(text_lines()), output)
 
@@ -183,7 +179,7 @@ def _scan_lines(report, alpha) -> list:
         + f"  [{len(report.sigma_cap)} values]",
         "candidate superset: "
         + "; ".join(
-            f"{len(s)} ratios at v={s.very_ample_multiplier}, B={s.B}"
+            f"{s.size} ratios at v={s.very_ample_multiplier}, B={s.B}"
             for s in report.candidate_superset.sets
         ),
         "semicontinuity: " + _verdict_summary(report.semicontinuity_verdicts),
@@ -217,13 +213,11 @@ def cmd_scan(args) -> int:
 
 
 def cmd_check(args) -> int:
-    import dataclasses
-
     from .checks import run_all_checks
 
     results = run_all_checks()
     passed = all(r.passed for r in results)
-    doc = {"checks": [dataclasses.asdict(r) for r in results], "all_passed": passed}
+    doc = {"checks": [vars(r) for r in results], "all_passed": passed}
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     return 0 if passed else 1

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -31,6 +30,7 @@ from .models import (
     document_object,
     load_model_file,
     model_from_document,
+    parse_document,
     unexpected,
 )
 from .values import Rational, SeshadriValue, as_int, as_tuple, format_rational, require_label
@@ -173,7 +173,7 @@ class FamilyScanReport:
             "sigma_cap": [format_rational(q) for q in self.sigma_cap],
             "sigma_cap_size": len(self.sigma_cap),
             "candidate_supersets": [
-                {"very_ample_multiplier": s.very_ample_multiplier, "B": s.B, "size": len(s)}
+                {"very_ample_multiplier": s.very_ample_multiplier, "B": s.B, "size": s.size}
                 for s in self.candidate_superset.sets
             ],
             "semicontinuity_verdicts": [v.to_document() for v in self.semicontinuity_verdicts],
@@ -336,10 +336,7 @@ def load_family(text: str, base_dir: Optional[str] = None) -> Family:
     loader checks keys and container kinds and `Family` checks the rest.
     An error in a member model names the member's label, and an inline
     member's schema violation gives its path in the family document."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise FamilyError(f"invalid JSON: {exc}") from exc
+    doc = parse_document(text, FamilyError)
     document_object(doc, _FAMILY_KEYS, FamilyError, "$", optional=("member_specialization",))
     members = []
     for i, md in enumerate(document_array(doc["members"], FamilyError, "$.members")):

@@ -30,10 +30,8 @@ class LatticeError(ValueError):
 def integers(values: Sequence, what: str) -> Tuple[int, ...]:
     """The values as a tuple, each of them exactly an int: a bool, an int
     subclass, a float or a fraction is an error, never converted or
-    truncated, and so is a row that is not a sequence."""
-    if not hasattr(type(values), "__iter__"):
-        raise LatticeError(f"{what} must be a sequence of integers, got {values!r}")
-    row = tuple(values)
+    truncated, and so is a row that `as_tuple` refuses."""
+    row = as_tuple(values, what, LatticeError)
     if not set(map(type, row)) <= {int}:
         bad = next(v for v in row if type(v) is not int)
         raise LatticeError(f"{what} must be integers, got {shown(bad)}")

@@ -386,11 +386,20 @@ def document_object(value, keys: dict, error: type, where: str, index=None, opti
     return value
 
 
-def document_array(value, error: type, where: str, index=None) -> list:
+def parse_document(text: str, error: type):
+    """The JSON value of `text`; text that is not JSON, or past the digit
+    or the recursion limit, raises `error`: `invalid JSON: ...`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+
+
+def document_array(value, error: type, where: str, index=None, key: str = "") -> list:
     """`value`, checked to be a JSON array, at a path as for
-    `document_object`."""
+    `document_object`, or at its step `key`, such as ".class"."""
     if type(value) is not list:
-        raise unexpected(error, _at(where, index), "an array", value)
+        raise unexpected(error, _at(where, index) + key, "an array", value)
     return value
 
 
@@ -468,8 +477,8 @@ def _stratum(sd, strata: str, i: int) -> PointStratum:
     for j, cd in enumerate(document_array(sd["candidates"], ModelError, listed)):
         document_object(cd, _CANDIDATE_KEYS, ModelError, listed, j)
         row = cd["class"]
-        if row is not None and type(row) is not list:
-            raise unexpected(ModelError, f"{listed}[{j}].class", "an array", row)
+        if row is not None:
+            document_array(row, ModelError, listed, j, ".class")
         candidates.append(_part(listed, j, CurveCandidate, cd["label"], cd["t"], cd["m"], row))
     ocb = sd["oracle_complete_below"]
     if ocb is not None and (type(ocb) is not str or _RATIONAL(ocb) is None):
@@ -490,22 +499,15 @@ def _generators(gen_list, where: str) -> CurveGeneratorSet:
     labels, rows = [], []
     for k, gd in enumerate(document_array(gen_list, ModelError, where)):
         document_object(gd, _GENERATOR_KEYS, ModelError, where, k)
-        row = gd["class"]
-        if type(row) is not list:
-            raise unexpected(ModelError, f"{where}[{k}].class", "an array", row)
         labels.append(gd["label"])
-        rows.append(row)
+        rows.append(document_array(gd["class"], ModelError, where, k, ".class"))
     return _part(where, None, CurveGeneratorSet, labels=labels, rows=rows)
 
 
 def load_model(text: str) -> SurfaceModel:
     """Parse and fully validate a model document; every violated
     invariant is a load-time error naming what failed."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ModelError(f"invalid JSON: {exc}") from exc
-    return model_from_document(doc)
+    return model_from_document(parse_document(text, ModelError))
 
 
 def load_model_file(path) -> SurfaceModel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import abc
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
@@ -49,10 +50,14 @@ def shown(value) -> str:
 
 
 def as_tuple(value, what: str, error: type) -> tuple:
-    """`value` as a tuple; a value that is not iterable, such as None, or
-    a str, whose items would read as one-character labels, raises `error`
-    naming `what`."""
-    if isinstance(value, str) or not hasattr(type(value), "__iter__"):
+    """`value` as a tuple: a tuple, a list, a range or an iterator, read
+    once in order.  A value that is not iterable, such as None, a str or
+    bytes (characters), a mapping (keys) or a set (no order) raises
+    `error` naming `what`.  A tuple or a list skips the slower ABC tests."""
+    if type(value) not in (tuple, list) and (
+        isinstance(value, (str, bytes, bytearray, abc.Mapping, abc.Set))
+        or not isinstance(value, abc.Iterable)
+    ):
         raise error(f"{what} must be a sequence, got {value!r}")
     return tuple(value)
 

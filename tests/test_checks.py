@@ -5,6 +5,7 @@ in test_engine.py."""
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +51,21 @@ def test_invariant_rejects_a_model_built_to_break_it(violating_model, check, mod
         check([model(violating_model)])
 
 
+def test_low_epsilon_counts_a_zero_dimensional_stratum_of_low_value():
+    # the built-ins have no value below 1, so their report reads (0 found)
+    doc = projective_plane(2).to_document()
+    doc["strata"].append({
+        "label": "special",
+        "closure_dim": 0,
+        "specializes_from": ["generic"],
+        "oracle_complete_below": "1",
+        "candidates": [{"label": "low", "class": None, "t": 1, "m": 2}],
+    })
+    model = models.model_from_document(doc)
+    assert model.stratum_table["special"].value == engine.SeshadriValue.exact(Fraction(1, 2))
+    assert checks.check_low_epsilon([model]).endswith("(1 found)")
+
+
 def test_candidate_membership_rejects_an_empty_sample():
     with pytest.raises(AssertionError, match="no certified value"):
         checks.check_candidate_membership([])
@@ -71,6 +87,11 @@ def _mediant_max_minus_one(parts):
     return lo, mid, hi - 1
 
 
+def _sublevel_set_shrinking_at_2(model, a):
+    labels = engine.sublevel_set(model, a)
+    return labels[1:] if a >= 2 else labels
+
+
 @pytest.mark.parametrize(
     "run, name, stand_in, match",
     [
@@ -89,11 +110,18 @@ def _mediant_max_minus_one(parts):
          "checks.candidate_walk",
          lambda B, alpha, **kw: bounds.candidate_walk(B + 1, alpha, **kw),
          "candidate enumeration differs"),
+        (lambda: checks.check_candidates_brute_force(random.Random(20240817)),
+         "checks.candidate_count",
+         lambda B, alpha: bounds.candidate_count(B, alpha) + 1, "candidate count differs"),
         (lambda: checks.check_mediant(random.Random(991), max_parts=8), "checks.mediant_bounds",
          _mediant_max_minus_one, "mediant inequality fails"),
+        (lambda: checks.check_sublevel(builtin_suite()), "checks.sublevel_set",
+         _sublevel_set_shrinking_at_2,
+         r"projective_plane\(1\): sublevel set shrank between thresholds at 2"),
     ],
     ids=["roundtrip", "steffens_rationality_witness", "steffens_rationality_ceiling",
-         "minimal_M_closed_form", "candidate_brute_force", "mediant_inequality"],
+         "minimal_M_closed_form", "candidate_brute_force", "candidate_count",
+         "mediant_inequality", "sublevel_monotonicity"],
 )
 def test_invariant_rejects_a_faulty_function(monkeypatch, run, name, stand_in, match):
     monkeypatch.setattr(f"seshadri.{name}", stand_in)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from seshadri import checks, cli, engine, family
+from seshadri import bounds, checks, cli, engine, family
 from seshadri.cli import main
 from seshadri.models import f1_anticanonical, projective_plane, quadric
 
@@ -187,6 +187,25 @@ def test_scan_json_report(capsys, family_path):
     doc = json.loads(capsys.readouterr().out)
     assert doc["sigma_cap"] == ["1", "2"]
     assert doc["sigma_family"] == "2"
+
+
+# past sys.maxsize, which len() cannot return: each report raised
+# OverflowError after counting the superset
+_HUGE = 2**64
+
+
+def test_scan_json_states_a_superset_size_past_sys_maxsize(capsys, monkeypatch, family_path):
+    monkeypatch.setattr(bounds, "candidate_count", lambda B, alpha: _HUGE)
+    assert main(["scan", family_path, "--alpha", "5/2", "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["candidate_supersets"]
+    assert entry["size"] == _HUGE
+
+
+def test_scan_text_states_a_superset_size_past_sys_maxsize(capsys, monkeypatch, family_path):
+    monkeypatch.setattr(bounds, "candidate_count", lambda B, alpha: _HUGE)
+    assert main(["scan", family_path, "--alpha", "5/2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith(f"candidate superset: {_HUGE} ratios at v=1, B=")
 
 
 def test_scan_serializes_only_the_requested_format(capsys, monkeypatch, family_path):

@@ -170,19 +170,19 @@ def test_index_coordinates_are_kept_as_ints():
     "build, message",
     [
         (lambda: dataclasses.replace(f1_anticanonical(), polarization=None),
-         "coordinates must be a sequence of integers, got None"),
+         "coordinates must be a sequence, got None"),
         (lambda: dataclasses.replace(f1_anticanonical(), polarization=3),
-         "coordinates must be a sequence of integers, got 3"),
+         "coordinates must be a sequence, got 3"),
         (lambda: pair(f1_anticanonical().lattice, None, (1, 0)),
-         "coordinates must be a sequence of integers, got None"),
+         "coordinates must be a sequence, got None"),
         (lambda: CurveCandidate("c", 1, 1, 5),
-         "coordinates must be a sequence of integers, got 5"),
+         "coordinates must be a sequence, got 5"),
         # the one-pass test of a generator set reads each row's type
         # before it iterates the rows
         (lambda: CurveGeneratorSet(labels=("a",), rows=(None,)),
-         "coordinates must be a sequence of integers, got None"),
+         "coordinates must be a sequence, got None"),
         (lambda: IntersectionLattice(1, (None,), ("H",)),
-         "gram entries must be a sequence of integers, got None"),
+         "gram entries must be a sequence, got None"),
     ],
     ids=["polarization_none", "polarization_int", "pair", "candidate", "generator",
          "gram_row"],
@@ -228,16 +228,34 @@ def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
         (lambda: dataclasses.replace(
             projective_plane(1), blowup_gens={"generic": ((0, 1), (1, -1))}), ModelError,
          "blowup_gens['generic'] must be a CurveGeneratorSet, got ((0, 1), (1, -1))"),
+        # a set was read in arbitrary order, bytes as their byte values and
+        # a mapping as its keys
+        (lambda: CurveCandidate("E", 1, 1, {-1, 0}), LatticeError,
+         f"coordinates must be a sequence, got {({-1, 0})!r}"),
+        (lambda: CurveCandidate("E", 1, 1, b"\x00\x01"), LatticeError,
+         "coordinates must be a sequence, got b'\\x00\\x01'"),
+        (lambda: PointStratum("s", 0, specializes_from={"generic": 0}), EngineError,
+         "specializes_from must be a sequence, got {'generic': 0}"),
+        (lambda: dataclasses.replace(f1_anticanonical(), polarization={3: None, -1: None}),
+         LatticeError, "coordinates must be a sequence, got {3: None, -1: None}"),
     ],
     ids=["gram", "basis_labels", "generator_labels", "generator_rows", "candidates",
          "specializes_from", "strata", "blowup_gens", "rr", "lattice", "basis_labels_str",
-         "specializes_from_str", "candidate_item", "stratum_item", "generator_set_item"],
+         "specializes_from_str", "candidate_item", "stratum_item", "generator_set_item",
+         "set_row", "bytes_row", "mapping_labels", "mapping_row"],
 )
 def test_a_container_field_of_the_wrong_kind_raises_its_layers_error(build, error, message):
     # built in Python, past the loader's container checks, a field that
     # holds rows, labels or records raises its layer's error naming it
     with pytest.raises(error, match=_exact(message)):
         build()
+
+
+def test_a_sequence_field_takes_tuples_lists_ranges_and_iterators():
+    for row in ((0, 1), [0, 1], range(2), iter([0, 1]), (k for k in (0, 1))):
+        assert CurveCandidate("E", 1, 1, row).coords == (0, 1)
+    for labels in (("generic",), ["generic"], iter(["generic"])):
+        assert PointStratum("s", 0, specializes_from=labels).specializes_from == ("generic",)
 
 
 def _with_row(model, label, index, row):

@@ -76,6 +76,8 @@ MODEL_CASES = [
     ("rank_minimum", put("rank", 0), SV + "$: rank must be positive, got 0"),
     ("rank_float", put("rank", 2.0), SV + "$: rank must be an integer, got 2.0"),
     ("rank_bool", put("rank", True), SV + "$: rank must be an integer, got True"),
+    ("basis_labels_length", put("basis_labels", ["H"]),
+     SV + "$: basis_labels length differs from rank"),
     ("gram_not_array", put("gram", {}), SV + "$.gram: expected an array, got an object"),
     ("gram_row", put("gram", 0, 7), SV + "$.gram[0]: expected an array, got 7"),
     ("gram_entry", put("gram", 1, 0, "0"), SV + "$: gram entries must be integers, got '0'"),
@@ -342,6 +344,22 @@ def test_malformed_family_rejected_with_path(mutate, message):
 def test_invalid_json_rejected(load, error):
     with pytest.raises(error, match="^invalid JSON: "):
         load("{")
+
+
+def test_nesting_past_the_recursion_limit_is_invalid_json(tmp_path, capsys):
+    # json.loads raises RecursionError here, which escaped each loader
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ModelError, match="^invalid JSON: "):
+        load_model(deep)
+    with pytest.raises(FamilyError, match="^invalid JSON: "):
+        load_family('{"degree": 8, "members": ' + deep + "}")
+    (tmp_path / "deep.json").write_text(deep)
+    doc = {"degree": 8, "members": [{"param_label": "t", "model": "deep.json"}]}
+    with pytest.raises(FamilyError, match="^member 't': invalid JSON: "):
+        load_family(json.dumps(doc), base_dir=str(tmp_path))
+    assert main(["epsilon", str(tmp_path / "deep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 # 0 where the interpreter converts integers of any length
