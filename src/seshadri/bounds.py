@@ -24,51 +24,14 @@ from fractions import Fraction
 from itertools import accumulate, starmap
 from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .values import Rational, RationalLike, as_int, as_rational
+from .values import Rational, RationalLike, Record, as_int, as_rational, set_field
 
 
 class BoundError(ValueError):
     pass
 
 
-# sets a record's field past its __setattr__, which refuses assignment
-_set_field = object.__setattr__
-
-
-class _Record:
-    """An immutable record of the fields named in `__slots__`, compared,
-    hashed and shown by value like a frozen dataclass, without importing
-    dataclasses (and with it inspect) into every command that bounds
-    degrees.  A subclass's __init__ sets every field with _set_field."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class RRData(_Record):
+class RRData(Record):
     """Degree and Euler-characteristic data of a polarized surface:
     chi(L^n) = n^2*d/2 + n*c/2 + c'.
 
@@ -77,18 +40,18 @@ class RRData(_Record):
     apply to L^l and are reported with l attached.
     """
 
-    __slots__ = ("d", "c", "c_prime", "vanishing_multiplier")
+    __slots__ = _fields = ("d", "c", "c_prime", "vanishing_multiplier")
 
     def __init__(self, d: int, c: int, c_prime: int, vanishing_multiplier: int = 1):
-        for name, value in zip(self.__slots__, (d, c, c_prime, vanishing_multiplier)):
-            _set_field(self, name, as_int(value, name, BoundError))
+        for name, value in zip(self._fields, (d, c, c_prime, vanishing_multiplier)):
+            set_field(self, name, as_int(value, name, BoundError))
         if self.d < 1:
             raise BoundError(f"degree must be positive, got {self.d}")
         if self.vanishing_multiplier < 1:
             raise BoundError("vanishing_multiplier must be a positive integer")
 
 
-class DegreeBound(_Record):
+class DegreeBound(Record):
     """Certified degree bound B = M*d for curves of ratio <= a.
 
     M is the least admissible multiplier (n with n*a integral) whose
@@ -96,13 +59,13 @@ class DegreeBound(_Record):
     l(n) <= 0 by construction.
     """
 
-    __slots__ = ("a", "M", "B", "vanishing_multiplier")
+    __slots__ = _fields = ("a", "M", "B", "vanishing_multiplier")
 
     def __init__(self, a: Rational, M: int, B: int, vanishing_multiplier: int = 1):
-        _set_field(self, "a", a)
-        _set_field(self, "M", M)
-        _set_field(self, "B", B)
-        _set_field(self, "vanishing_multiplier", vanishing_multiplier)
+        set_field(self, "a", a)
+        set_field(self, "M", M)
+        set_field(self, "B", B)
+        set_field(self, "vanishing_multiplier", vanishing_multiplier)
 
 
 def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:
@@ -319,7 +282,7 @@ def candidate_count(B: int, alpha: RationalLike) -> int:
 Pair = Tuple[int, int]
 
 
-class CandidateSuperset(_Record):
+class CandidateSuperset(Record):
     """The candidate ratios of very-ampleness multiplier v at threshold
     alpha, never listed: the reduced t/(m*v) for the pairs (t, m) of
     candidate_walk(B, v*alpha), the ratios of the v-th power of the
@@ -331,12 +294,12 @@ class CandidateSuperset(_Record):
     same up to sys.maxsize, past which it raises.  Iterating runs the
     walk in ascending order, divided by v."""
 
-    __slots__ = ("very_ample_multiplier", "B", "alpha")
+    __slots__ = _fields = ("very_ample_multiplier", "B", "alpha")
 
     def __init__(self, very_ample_multiplier: int, B: int, alpha: Rational):
-        _set_field(self, "very_ample_multiplier", very_ample_multiplier)
-        _set_field(self, "B", B)
-        _set_field(self, "alpha", alpha)
+        set_field(self, "very_ample_multiplier", very_ample_multiplier)
+        set_field(self, "B", B)
+        set_field(self, "alpha", alpha)
 
     def __contains__(self, pair: Pair) -> bool:
         a, b = pair
@@ -359,17 +322,17 @@ class CandidateSuperset(_Record):
         return ((t // g, m * (v // g)) for t, m in pairs for g in (math.gcd(t, v),))
 
 
-class SupersetUnion(_Record):
+class SupersetUnion(Record):
     """The union of candidate supersets of distinct multipliers, never
     listed: a pair is in it iff one of them holds it.  `len` is exact:
     the one set's count, or with several, the first set's count plus the
     pairs of each later set that no earlier set holds, which walks every
     set after the first."""
 
-    __slots__ = ("sets",)
+    __slots__ = _fields = ("sets",)
 
     def __init__(self, sets: Sequence[CandidateSuperset]):
-        _set_field(self, "sets", tuple(sets))
+        set_field(self, "sets", tuple(sets))
 
     def __contains__(self, pair: Pair) -> bool:
         return any(pair in s for s in self.sets)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
@@ -28,17 +27,20 @@ from .engine import (
 )
 from .family import member_candidate_superset
 from .models import SurfaceModel, builtin_suite, load_model
+from .values import Record, set_field
 
 ALPHA_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
 
 Models = Sequence[SurfaceModel]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 def check_roundtrip(models: Models) -> str:

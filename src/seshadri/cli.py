@@ -217,7 +217,8 @@ def cmd_check(args) -> int:
 
     results = run_all_checks()
     passed = all(r.passed for r in results)
-    doc = {"checks": [vars(r) for r in results], "all_passed": passed}
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    doc = {"checks": checks, "all_passed": passed}
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     _emit_report(args.format, args.output, lambda: doc, lambda: lines)
     return 0 if passed else 1

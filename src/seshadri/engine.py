@@ -19,13 +19,23 @@ belongs to the report: `SeshadriResult.to_document` is given it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .bounds import DegreeBound
 from .lattice import integers
-from .values import Rational, SeshadriValue, as_int, as_rational, as_tuple, require_label
+from .values import (
+    Rational,
+    Record,
+    SeshadriValue,
+    as_int,
+    as_rational,
+    as_tuple,
+    replace,
+    require_label,
+    set_field,
+    shown,
+)
 
 
 class EngineError(ValueError):
@@ -38,8 +48,7 @@ class Certification(enum.Enum):
     UPPER_BOUND_ONLY = "upper_bound_only"
 
 
-@dataclass(frozen=True)
-class CurveCandidate:
+class CurveCandidate(Record):
     """A curve through a stratum's point: its polarization degree t and
     its multiplicity m at the point.  The ratio t/m is an upper bound for
     the local Seshadri constant there.  Its class, if known, is a row of
@@ -47,66 +56,76 @@ class CurveCandidate:
     where the model checks its length and its degree, and on the blow-up
     lattice for the nef path's witness."""
 
-    label: str
-    degree_t: int
-    mult_m: int
-    coords: Optional[Tuple[int, ...]] = None
+    __slots__ = _fields = ("label", "degree_t", "mult_m", "coords")
 
-    def __post_init__(self):
-        if self.coords is not None:
-            object.__setattr__(self, "coords", integers(self.coords, "coordinates"))
-        require_label(self.label, "a curve candidate", EngineError)
-        as_int(self.degree_t, "degree_t", EngineError)
-        as_int(self.mult_m, "mult_m", EngineError)
-        if self.degree_t < 1 or self.mult_m < 1:
+    def __init__(
+        self, label: str, degree_t: int, mult_m: int, coords: Optional[Tuple[int, ...]] = None
+    ):
+        if coords is not None:
+            coords = integers(coords, "coordinates")
+        require_label(label, "a curve candidate", EngineError)
+        as_int(degree_t, "degree_t", EngineError)
+        as_int(mult_m, "mult_m", EngineError)
+        if degree_t < 1 or mult_m < 1:
             raise EngineError(
-                f"candidate {self.label!r} needs positive degree and multiplicity, "
-                f"got ({self.degree_t}, {self.mult_m})"
+                f"candidate {label!r} needs positive degree and multiplicity, "
+                f"got ({degree_t}, {mult_m})"
             )
+        set_field(self, "label", label)
+        set_field(self, "degree_t", degree_t)
+        set_field(self, "mult_m", mult_m)
+        set_field(self, "coords", coords)
 
     @property
     def ratio(self) -> Rational:
         return Fraction(self.degree_t, self.mult_m)
 
 
-@dataclass(frozen=True)
-class PointStratum:
+class PointStratum(Record):
     """A finite stand-in for a locally closed set of points sharing the
     same curve table.  specializes_from lists the strata whose closure
     contains this one."""
 
-    label: str
-    closure_dim: int
-    specializes_from: Tuple[str, ...] = ()
-    candidates: Tuple[CurveCandidate, ...] = ()
-    oracle_complete_below: Optional[Rational] = None
+    __slots__ = _fields = (
+        "label", "closure_dim", "specializes_from", "candidates", "oracle_complete_below"
+    )
 
-    def __post_init__(self):
-        require_label(self.label, "a point stratum", EngineError)
-        specializes_from = as_tuple(self.specializes_from, "specializes_from", EngineError)
-        object.__setattr__(self, "specializes_from", specializes_from)
-        for general in self.specializes_from:
-            require_label(general, f"stratum {self.label!r}", EngineError, "specializes_from entry")
-        candidates = as_tuple(self.candidates, "candidates", EngineError)
+    def __init__(
+        self,
+        label: str,
+        closure_dim: int,
+        specializes_from: Tuple[str, ...] = (),
+        candidates: Tuple[CurveCandidate, ...] = (),
+        oracle_complete_below: Optional[Rational] = None,
+    ):
+        require_label(label, "a point stratum", EngineError)
+        specializes_from = as_tuple(specializes_from, "specializes_from", EngineError)
+        for general in specializes_from:
+            require_label(general, f"stratum {label!r}", EngineError, "specializes_from entry")
+        candidates = as_tuple(candidates, "candidates", EngineError)
         for c in candidates:
             if not isinstance(c, CurveCandidate):
-                raise EngineError(f"an item of candidates must be a CurveCandidate, got {c!r}")
-        object.__setattr__(self, "candidates", candidates)
-        closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
+                raise EngineError(
+                    f"an item of candidates must be a CurveCandidate, got {shown(c)}"
+                )
+        as_int(closure_dim, "closure_dim", EngineError)
         if closure_dim < 0:
             raise EngineError(f"closure_dim must be nonnegative, got {closure_dim}")
         if closure_dim > 2:
             raise EngineError(f"closure_dim must be at most 2, got {closure_dim}")
-        ocb = self.oracle_complete_below
+        ocb = oracle_complete_below
         if ocb is not None:
             ocb = as_rational(ocb, "completeness threshold", EngineError)
             if ocb <= 0:
                 raise EngineError(f"completeness threshold must be positive, got {ocb}")
-            object.__setattr__(self, "oracle_complete_below", ocb)
+        set_field(self, "label", label)
+        set_field(self, "closure_dim", closure_dim)
+        set_field(self, "specializes_from", specializes_from)
+        set_field(self, "candidates", candidates)
+        set_field(self, "oracle_complete_below", ocb)
 
 
-@dataclass(frozen=True)
-class SeshadriResult:
+class SeshadriResult(Record):
     """The evidence on one value as an exact interval: lo <= value <= hi.
 
     `lo` is None when nothing is known above 0; `hi` never exceeds
@@ -114,12 +133,23 @@ class SeshadriResult:
     ceiling alone, because the table lists no curve.  The certification
     label, the reported value and certified_above derive from these."""
 
-    hi: SeshadriValue
-    lo: Optional[SeshadriValue] = None
-    ceiling_only: bool = False
-    witness: Optional[CurveCandidate] = None
-    warning: Optional[str] = None
-    attained_at: Optional[str] = None
+    __slots__ = _fields = ("hi", "lo", "ceiling_only", "witness", "warning", "attained_at")
+
+    def __init__(
+        self,
+        hi: SeshadriValue,
+        lo: Optional[SeshadriValue] = None,
+        ceiling_only: bool = False,
+        witness: Optional[CurveCandidate] = None,
+        warning: Optional[str] = None,
+        attained_at: Optional[str] = None,
+    ):
+        set_field(self, "hi", hi)
+        set_field(self, "lo", lo)
+        set_field(self, "ceiling_only", ceiling_only)
+        set_field(self, "witness", witness)
+        set_field(self, "warning", warning)
+        set_field(self, "attained_at", attained_at)
 
     @property
     def certification(self) -> Certification:

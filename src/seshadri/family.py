@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minimal_M
@@ -33,37 +32,47 @@ from .models import (
     parse_document,
     unexpected,
 )
-from .values import Rational, SeshadriValue, as_int, as_tuple, format_rational, require_label
+from .values import (
+    Rational,
+    Record,
+    SeshadriValue,
+    as_int,
+    as_tuple,
+    format_rational,
+    require_label,
+    set_field,
+    shown,
+)
 
 
 class FamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Members of one degree, as (label, model) pairs, with the declared
     (general, special) pairs of labels.  The members' order is checked by
     `check_specialization_order`, as a model's strata's is."""
 
-    members: Tuple[Tuple[str, SurfaceModel], ...]
-    degree: int
-    member_specialization: Tuple[Tuple[str, str], ...] = ()
+    __slots__ = _fields = ("members", "degree", "member_specialization")
 
-    def __post_init__(self):
-        degree = as_int(self.degree, "degree", FamilyError)
+    def __init__(
+        self,
+        members: Tuple[Tuple[str, SurfaceModel], ...],
+        degree: int,
+        member_specialization: Tuple[Tuple[str, str], ...] = (),
+    ):
+        as_int(degree, "degree", FamilyError)
         if degree < 1:
             raise FamilyError(f"degree must be positive, got {degree}")
         members = tuple(
             as_tuple(member, "a family member", FamilyError)
-            for member in as_tuple(self.members, "members", FamilyError)
+            for member in as_tuple(members, "members", FamilyError)
         )
-        object.__setattr__(self, "members", members)
         specialization = tuple(
             as_tuple(pair, "a member specialization", FamilyError)
-            for pair in as_tuple(self.member_specialization, "member_specialization", FamilyError)
+            for pair in as_tuple(member_specialization, "member_specialization", FamilyError)
         )
-        object.__setattr__(self, "member_specialization", specialization)
         if not members:
             raise FamilyError("a family needs at least one member")
         for member in members:
@@ -80,13 +89,17 @@ class Family:
         for pair in specialization:
             if len(pair) != 2:
                 raise FamilyError(
-                    f"a member specialization is a (general, special) pair, got {list(pair)!r}"
+                    "a member specialization is a (general, special) pair, "
+                    f"got {shown(list(pair))}"
                 )
             for label in pair:
                 require_label(label, "a member specialization", FamilyError, "entry")
         check_specialization_order(
             [label for label, _ in members], specialization, FamilyError, "member", "members"
         )
+        set_field(self, "members", members)
+        set_field(self, "degree", degree)
+        set_field(self, "member_specialization", specialization)
 
     def member(self, label: str) -> SurfaceModel:
         for l, m in self.members:
@@ -95,15 +108,28 @@ class Family:
         raise FamilyError(f"no member {label!r}")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "member" or "stratum"
-    context: str  # family or member label
-    general: str
-    special: str
-    general_value: SeshadriValue
-    special_value: SeshadriValue
-    status: str  # "pass", "fail" or "undetermined"
+class Verdict(Record):
+    __slots__ = _fields = (
+        "kind", "context", "general", "special", "general_value", "special_value", "status"
+    )
+
+    def __init__(
+        self,
+        kind: str,  # "member" or "stratum"
+        context: str,  # family or member label
+        general: str,
+        special: str,
+        general_value: SeshadriValue,
+        special_value: SeshadriValue,
+        status: str,  # "pass", "fail" or "undetermined"
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "context", context)
+        set_field(self, "general", general)
+        set_field(self, "special", special)
+        set_field(self, "general_value", general_value)
+        set_field(self, "special_value", special_value)
+        set_field(self, "status", status)
 
     @property
     def passed(self) -> bool:
@@ -143,19 +169,36 @@ def _verdict(
     )
 
 
-@dataclass(frozen=True)
-class FamilyScanReport:
-    alpha: Rational
-    degree: int
-    sigma_family: SeshadriValue
-    sigma_attained_at: Tuple[str, str]
-    # (member, stratum, result, the member's degree bound at alpha)
-    epsilon_table: Tuple[Tuple[str, str, SeshadriResult, DegreeBound], ...]
-    sigma_cap: Tuple[Rational, ...]
-    candidate_superset: SupersetUnion
-    semicontinuity_verdicts: Tuple[Verdict, ...]
-    jump_members: Tuple[str, ...]
-    uncertified: Tuple[Tuple[str, str], ...]
+class FamilyScanReport(Record):
+    __slots__ = _fields = (
+        "alpha", "degree", "sigma_family", "sigma_attained_at", "epsilon_table", "sigma_cap",
+        "candidate_superset", "semicontinuity_verdicts", "jump_members", "uncertified",
+    )
+
+    def __init__(
+        self,
+        alpha: Rational,
+        degree: int,
+        sigma_family: SeshadriValue,
+        sigma_attained_at: Tuple[str, str],
+        # (member, stratum, result, the member's degree bound at alpha)
+        epsilon_table: Tuple[Tuple[str, str, SeshadriResult, DegreeBound], ...],
+        sigma_cap: Tuple[Rational, ...],
+        candidate_superset: SupersetUnion,
+        semicontinuity_verdicts: Tuple[Verdict, ...],
+        jump_members: Tuple[str, ...],
+        uncertified: Tuple[Tuple[str, str], ...],
+    ):
+        set_field(self, "alpha", alpha)
+        set_field(self, "degree", degree)
+        set_field(self, "sigma_family", sigma_family)
+        set_field(self, "sigma_attained_at", sigma_attained_at)
+        set_field(self, "epsilon_table", epsilon_table)
+        set_field(self, "sigma_cap", sigma_cap)
+        set_field(self, "candidate_superset", candidate_superset)
+        set_field(self, "semicontinuity_verdicts", semicontinuity_verdicts)
+        set_field(self, "jump_members", jump_members)
+        set_field(self, "uncertified", uncertified)
 
     def to_document(self) -> dict:
         return {

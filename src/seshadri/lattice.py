@@ -16,11 +16,10 @@ it checks each row's length against its own rank before pairing it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .values import as_int, as_tuple, require_label, shown
+from .values import Record, as_int, as_tuple, require_label, set_field, shown
 
 
 class LatticeError(ValueError):
@@ -38,37 +37,35 @@ def integers(values: Sequence, what: str) -> Tuple[int, ...]:
     return row
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
-    rank: int
-    gram: Tuple[Tuple[int, ...], ...]
-    basis_labels: Tuple[str, ...]
+class IntersectionLattice(Record):
+    __slots__ = _fields = ("rank", "gram", "basis_labels")
 
-    def __post_init__(self):
-        as_int(self.rank, "rank", LatticeError)
-        if self.rank < 1:
-            raise LatticeError(f"rank must be positive, got {self.rank}")
-        gram = tuple(
-            integers(row, "gram entries") for row in as_tuple(self.gram, "gram", LatticeError)
-        )
-        object.__setattr__(self, "gram", gram)
-        basis_labels = as_tuple(self.basis_labels, "basis_labels", LatticeError)
-        object.__setattr__(self, "basis_labels", basis_labels)
-        for label in self.basis_labels:
+    def __init__(
+        self, rank: int, gram: Tuple[Tuple[int, ...], ...], basis_labels: Tuple[str, ...]
+    ):
+        as_int(rank, "rank", LatticeError)
+        if rank < 1:
+            raise LatticeError(f"rank must be positive, got {rank}")
+        gram = tuple(integers(row, "gram entries") for row in as_tuple(gram, "gram", LatticeError))
+        basis_labels = as_tuple(basis_labels, "basis_labels", LatticeError)
+        for label in basis_labels:
             require_label(label, "a lattice", LatticeError, "basis label")
-        if len(gram) != self.rank or any(len(row) != self.rank for row in gram):
-            raise LatticeError(f"gram matrix is not {self.rank}x{self.rank}")
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
+        if len(gram) != rank or any(len(row) != rank for row in gram):
+            raise LatticeError(f"gram matrix is not {rank}x{rank}")
+        for i in range(rank):
+            for j in range(i + 1, rank):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError(
                         f"gram matrix not symmetric at ({i},{j}): "
                         f"{gram[i][j]} != {gram[j][i]}"
                     )
-        if len(self.basis_labels) != self.rank:
+        if len(basis_labels) != rank:
             raise LatticeError("basis_labels length differs from rank")
-        if len(set(self.basis_labels)) != self.rank:
+        if len(set(basis_labels)) != rank:
             raise LatticeError("basis_labels are not distinct")
+        set_field(self, "rank", rank)
+        set_field(self, "gram", gram)
+        set_field(self, "basis_labels", basis_labels)
 
     def covector(self, row: Sequence[int]) -> Tuple[int, ...]:
         """row^T * gram, the linear form v -> row.v: row j of the
@@ -88,8 +85,7 @@ def pair(lattice: IntersectionLattice, u: Sequence[int], v: Sequence[int]) -> in
     return sum(map(operator.mul, lattice.covector(u), v))
 
 
-@dataclass(frozen=True)
-class CurveGeneratorSet:
+class CurveGeneratorSet(Record):
     """Finite list of curve classes asserted to generate the effective
     curve cone, so that a nef verdict against them is a certificate.
 
@@ -99,12 +95,11 @@ class CurveGeneratorSet:
     and not zero; it knows no rank, so the model checks each row's
     length before it pairs the row."""
 
-    labels: Tuple[str, ...]
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("labels", "rows")
 
-    def __post_init__(self):
-        labels = as_tuple(self.labels, "generator labels", LatticeError)
-        rows = as_tuple(self.rows, "generator rows", LatticeError)
+    def __init__(self, labels: Tuple[str, ...], rows: Tuple[Tuple[int, ...], ...]):
+        labels = as_tuple(labels, "generator labels", LatticeError)
+        rows = as_tuple(rows, "generator rows", LatticeError)
         if len(labels) != len(rows):
             raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
         # one pass over all rows with builtins; the row-by-row walk runs
@@ -124,8 +119,8 @@ class CurveGeneratorSet:
                 require_label(label, "a curve generator", LatticeError)
                 if not any(row):
                     raise LatticeError(f"generator {label!r} is the zero class")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        set_field(self, "labels", labels)
+        set_field(self, "rows", tuple(map(tuple, rows)))
 
 
 def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:

@@ -22,9 +22,7 @@ import json
 import operator
 import re
 from collections import abc
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
@@ -35,10 +33,14 @@ from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
 from .values import (
     RATIONAL_SYNTAX,
     Rational,
+    Record,
     as_int,
     as_tuple,
+    cut,
     format_rational,
     require_label,
+    set_field,
+    shown,
 )
 
 # fixed label of the exceptional class on the one-point blow-up lattice
@@ -49,54 +51,68 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """A polarized surface presented by lattice data.  A model is
     immutable: its fields are frozen and its blow-up generator sets are
     read-only, so what it computes from them (the generator tables, the
     degree bounds and the stratum table) is computed once and never goes
-    stale; `dataclasses.replace` gives a new model with fresh ones."""
+    stale; `values.replace` gives a new model with fresh ones."""
 
-    name: str
-    lattice: IntersectionLattice
-    polarization: Tuple[int, ...]
-    rr: RRData
-    very_ample_multiplier: int
-    strata: Tuple[PointStratum, ...]
-    blowup_gens: Mapping[str, CurveGeneratorSet]
+    _fields = (
+        "name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"
+    )
+    # the data computed from the fields, which no comparison reads
+    __slots__ = _fields + ("_generator_tables", "_degree_bounds", "_stratum_table")
 
-    def __post_init__(self):
-        for field, kind in (("lattice", IntersectionLattice), ("rr", RRData)):
-            if not isinstance(getattr(self, field), kind):
-                raise ModelError(
-                    f"{field} must be an {kind.__name__}, got {getattr(self, field)!r}"
-                )
-        if not isinstance(self.blowup_gens, abc.Mapping):
-            raise ModelError(f"blowup_gens must be a mapping, got {self.blowup_gens!r}")
-        object.__setattr__(self, "polarization", integers(self.polarization, "coordinates"))
-        strata = as_tuple(self.strata, "strata", ModelError)
+    def __init__(
+        self,
+        name: str,
+        lattice: IntersectionLattice,
+        polarization: Tuple[int, ...],
+        rr: RRData,
+        very_ample_multiplier: int,
+        strata: Tuple[PointStratum, ...],
+        blowup_gens: Mapping[str, CurveGeneratorSet],
+    ):
+        for field, value, kind in (("lattice", lattice, IntersectionLattice), ("rr", rr, RRData)):
+            if not isinstance(value, kind):
+                raise ModelError(f"{field} must be an {kind.__name__}, got {shown(value)}")
+        if not isinstance(blowup_gens, abc.Mapping):
+            raise ModelError(f"blowup_gens must be a mapping, got {shown(blowup_gens)}")
+        polarization = integers(polarization, "coordinates")
+        strata = as_tuple(strata, "strata", ModelError)
         for s in strata:
             if not isinstance(s, PointStratum):
-                raise ModelError(f"an item of strata must be a PointStratum, got {s!r}")
-        object.__setattr__(self, "strata", strata)
+                raise ModelError(f"an item of strata must be a PointStratum, got {shown(s)}")
         # read-only, so that no generator set gets past the checks below
-        object.__setattr__(self, "blowup_gens", MappingProxyType(dict(self.blowup_gens)))
-        for label, gens in self.blowup_gens.items():
+        blowup_gens = MappingProxyType(dict(blowup_gens))
+        for label, gens in blowup_gens.items():
             if not isinstance(gens, CurveGeneratorSet):
                 raise ModelError(
-                    f"blowup_gens[{label!r}] must be a CurveGeneratorSet, got {gens!r}"
+                    f"blowup_gens[{label!r}] must be a CurveGeneratorSet, got {shown(gens)}"
                 )
-        as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
-        object.__setattr__(self, "_generator_tables", _validate_model(self))
+        as_int(very_ample_multiplier, "very_ample_multiplier", ModelError)
+        set_field(self, "name", name)
+        set_field(self, "lattice", lattice)
+        set_field(self, "polarization", polarization)
+        set_field(self, "rr", rr)
+        set_field(self, "very_ample_multiplier", very_ample_multiplier)
+        set_field(self, "strata", strata)
+        set_field(self, "blowup_gens", blowup_gens)
+        set_field(self, "_degree_bounds", {})  # (numerator, denominator) of a -> minimal_M(rr, a)
+        set_field(self, "_stratum_table", None)  # built on first read
+        # the checks of the whole model read its fields and degree bounds
+        set_field(self, "_generator_tables", _validate_model(self))
+
+    def __reduce__(self):
+        # the generator sets as a plain dict: a mappingproxy does not pickle
+        *fields, blowup_gens = self._values()
+        return type(self), (*fields, dict(blowup_gens))
 
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
         the order of its set, as checked and computed at construction."""
         return self._generator_tables[label]
-
-    @cached_property
-    def _degree_bounds(self) -> Dict[Tuple[int, int], DegreeBound]:
-        return {}  # (numerator, denominator) of a -> minimal_M(rr, a)
 
     def degree_bound(self, a: Rational) -> DegreeBound:
         """minimal_M(rr, a), computed once per threshold a: every stratum
@@ -107,12 +123,17 @@ class SurfaceModel:
             bound = self._degree_bounds[key] = minimal_M(self.rr, a)
         return bound
 
-    @cached_property
+    @property
     def stratum_table(self) -> Mapping[str, SeshadriResult]:
         """`epsilon` of every stratum, keyed by label in model order and
         read-only: one curve-path call and at most one nef-path call per
-        stratum, and the first contradiction met is raised."""
-        return MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
+        stratum, on the first read, and the first contradiction met is
+        raised."""
+        table = self._stratum_table
+        if table is None:
+            table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
+            set_field(self, "_stratum_table", table)
+        return table
 
     @property
     def generic_stratum(self) -> PointStratum:
@@ -349,8 +370,7 @@ def _describe(value) -> str:
     kind = type(value)
     if kind not in (str, int, float, bool, type(None)):
         return {dict: "an object", list: "an array"}.get(kind, f"a value of type {kind.__name__}")
-    text = json.dumps(value)
-    return text if len(text) <= 40 else text[:37] + "..."
+    return cut(json.dumps(value))
 
 
 def violation(error: type, where: str, what) -> ValueError:

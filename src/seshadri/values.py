@@ -4,6 +4,9 @@ rational-or-square-root type used for Seshadri constants.
 All comparisons are exact; square roots are never evaluated in floating
 point on any decision path.  Floats appear only in clearly labeled
 "approx" report columns.
+
+The module also holds what every layer's constructors share: the checks
+of a single value, and `Record`, the immutable base of every record.
 """
 
 from __future__ import annotations
@@ -40,13 +43,20 @@ def as_int(value, what: str, error: type) -> int:
     return value
 
 
+def cut(text: str) -> str:
+    """`text` as an error message shows a value: whole up to 40
+    characters, or its first 37 and "..."."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def shown(value) -> str:
-    """repr(value) for an error message, naming the type of a subclass of
-    int or str, whose repr would hide it."""
+    """repr(value) for an error message, `cut`, naming the type of a
+    subclass of int or str, whose repr would hide it."""
+    text = cut(repr(value))
     kind = type(value)
     if kind not in (int, str, bool) and isinstance(value, (int, str)):
-        return f"{value!r} of type {kind.__name__}"
-    return repr(value)
+        return f"{text} of type {kind.__name__}"
+    return text
 
 
 def as_tuple(value, what: str, error: type) -> tuple:
@@ -58,7 +68,7 @@ def as_tuple(value, what: str, error: type) -> tuple:
         isinstance(value, (str, bytes, bytearray, abc.Mapping, abc.Set))
         or not isinstance(value, abc.Iterable)
     ):
-        raise error(f"{what} must be a sequence, got {value!r}")
+        raise error(f"{what} must be a sequence, got {shown(value)}")
     return tuple(value)
 
 
@@ -81,6 +91,53 @@ def require_label(value, owner: str, error: type, field: str = "label") -> None:
         raise error(f"{field} of {owner} must be a string, got {shown(value)}")
     if not value:
         raise error(f"{owner} needs a non-empty {field}")
+
+
+# sets a record's field past its __setattr__, which refuses assignment
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable record of the fields named in `_fields`, compared,
+    hashed and shown by value like a frozen dataclass, without importing
+    dataclasses (and with it inspect) into every command.  A subclass
+    lists its fields in order in `_fields` and in `__slots__`, with any
+    slot for data it derives and does not compare; its __init__ checks
+    its arguments, then sets each field once with set_field."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with the fields named in `changes` replaced,
+    built through its class's __init__, so that every check runs again."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 
 def parse_rational(text: str) -> Rational:

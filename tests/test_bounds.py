@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from seshadri.bounds import (
     BoundError,
+    CandidateSuperset,
     DegreeBound,
     RRData,
+    SupersetUnion,
     candidate_ratios,
     candidate_walk,
     l_poly,
@@ -18,7 +20,12 @@ from seshadri.bounds import (
     minimal_M,
     multiplicity_target,
 )
-from seshadri.checks import brute_force_pairs, linear_minimal_M
+from seshadri.checks import CheckResult, brute_force_pairs, linear_minimal_M
+from seshadri.engine import EngineError, global_epsilon
+from seshadri.family import Family, FamilyError, scan
+from seshadri.lattice import LatticeError
+from seshadri.models import ModelError, SurfaceModel, f1_anticanonical, quadric
+from seshadri.values import replace
 
 
 def dimension_count_oracle(d, c, c_prime, a, n):
@@ -50,6 +57,75 @@ def test_records_behave_as_frozen_value_objects():
         RRData(d=0, c=1, c_prime=1)
     with pytest.raises(BoundError, match="^vanishing_multiplier must be a positive integer$"):
         RRData(d=1, c=1, c_prime=1, vanishing_multiplier=0)
+    for make, fields, invalid in RECORDS:
+        record, twin = make(), make()
+        assert record is not twin and record == twin and not record != twin
+        shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+        assert repr(record) == f"{type(record).__name__}({shown})"
+        if isinstance(record, (SurfaceModel, Family)):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(record)
+        else:
+            assert hash(record) == hash(twin)
+        for name in fields:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
+        assert replace(record) == record and replace(record) is not record
+        if invalid is not None:
+            name, value, error = invalid
+            with pytest.raises(error):
+                replace(record, **{name: value})
+        with pytest.raises(TypeError):
+            replace(record, no_such_field=1)
+    # a model's generator tables, degree bounds and stratum table are
+    # not compared or shown
+    model, twin = f1_anticanonical(), f1_anticanonical()
+    model.stratum_table, model.degree_bound(Fraction(3, 2))
+    assert model == twin and repr(model) == repr(twin)
+
+
+def _family() -> Family:
+    members = (("t0", f1_anticanonical()), ("t1", quadric(2, 2)))
+    return Family(members, 8, member_specialization=(("t1", "t0"),))
+
+
+# every record class: a factory, the field names in order, and one
+# field's value that the constructor rejects with its layer's error, or
+# None for a record that checks nothing.  A record that holds a model is
+# not hashable: its generator sets are a read-only mapping.
+RECORDS = [
+    (lambda: RRData(8, 8, 1), ["d", "c", "c_prime", "vanishing_multiplier"], ("d", 0, BoundError)),
+    (lambda: DegreeBound(Fraction(5, 2), 2, 16), ["a", "M", "B", "vanishing_multiplier"], None),
+    (lambda: CandidateSuperset(1, 16, Fraction(5, 2)), ["very_ample_multiplier", "B", "alpha"],
+     None),
+    (lambda: SupersetUnion([CandidateSuperset(1, 16, Fraction(5, 2))]), ["sets"], None),
+    (lambda: f1_anticanonical().lattice, ["rank", "gram", "basis_labels"],
+     ("rank", 0, LatticeError)),
+    (lambda: f1_anticanonical().blowup_gens["on_E"], ["labels", "rows"],
+     ("rows", None, LatticeError)),
+    (lambda: f1_anticanonical().strata[1].candidates[0], ["label", "degree_t", "mult_m", "coords"],
+     ("degree_t", 0, EngineError)),
+    (lambda: f1_anticanonical().strata[1],
+     ["label", "closure_dim", "specializes_from", "candidates", "oracle_complete_below"],
+     ("closure_dim", 3, EngineError)),
+    (lambda: global_epsilon(f1_anticanonical()),
+     ["hi", "lo", "ceiling_only", "witness", "warning", "attained_at"], None),
+    (f1_anticanonical,
+     ["name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"],
+     ("name", "", ModelError)),
+    (_family, ["members", "degree", "member_specialization"], ("degree", 0, FamilyError)),
+    (lambda: scan(_family(), Fraction(5, 2)).semicontinuity_verdicts[0],
+     ["kind", "context", "general", "special", "general_value", "special_value", "status"], None),
+    (lambda: scan(_family(), Fraction(5, 2)),
+     ["alpha", "degree", "sigma_family", "sigma_attained_at", "epsilon_table", "sigma_cap",
+      "candidate_superset", "semicontinuity_verdicts", "jump_members", "uncertified"], None),
+    (lambda: CheckResult("roundtrip", True, "5 models round-trip"), ["name", "passed", "detail"],
+     None),
+]
 
 
 def test_l_poly_frozen_values():

@@ -3,7 +3,6 @@ built to break it or, where no model can, a faulty stand-in for the
 function it checks.  The cross-check's control is the omitted-curve test
 in test_engine.py."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from seshadri import bounds, checks, engine, models
 from seshadri.bounds import RRData
 from seshadri.lattice import IntersectionLattice
 from seshadri.models import builtin_suite, projective_plane
+from seshadri.values import replace
 
 
 def _low_generic(build):
@@ -22,7 +22,7 @@ def _low_generic(build):
 def _unknown_surface(build):
     # degree 4 on a lattice that no built-in presents
     lat = IntersectionLattice(rank=1, gram=((4,),), basis_labels=("H",))
-    return dataclasses.replace(build(), lattice=lat, polarization=(1,))
+    return replace(build(), lattice=lat, polarization=(1,))
 
 
 @pytest.mark.parametrize(
@@ -39,7 +39,7 @@ def _unknown_surface(build):
          "negative_control: stratum 'special' has a value of at least 2"),
         # chi(L) = 1/2 + 2 + 1, but the plane has 3 independent lines
         (checks.check_rr_sanity,
-         lambda _: dataclasses.replace(projective_plane(1), rr=RRData(1, 4, 1)),
+         lambda _: replace(projective_plane(1), rr=RRData(1, 4, 1)),
          r"projective_plane\(1\): chi\(1L\) = 7/2 but h\^0 = 3"),
         (checks.check_rr_sanity, _unknown_surface, "negative_control: no known section count"),
     ],
@@ -99,7 +99,7 @@ def _sublevel_set_shrinking_at_2(model, a):
          lambda text: models.load_model(text.replace('"line"', '"Line"')),
          r"projective_plane\(1\): serialization does not round-trip"),
         (lambda: checks.check_steffens_and_rationality(builtin_suite()), "models.epsilon",
-         lambda m, s: dataclasses.replace(engine.epsilon(m, s), witness=None),
+         lambda m, s: replace(engine.epsilon(m, s), witness=None),
          r"quadric\(1,1\)/generic: certified value lacks a reproducing witness"),
         (lambda: checks.check_steffens_and_rationality(builtin_suite()), "models.epsilon",
          _above_sqrt_d,

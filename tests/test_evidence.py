@@ -2,7 +2,6 @@
 sound aggregates over strata and members, three-valued semicontinuity
 verdicts, and properties on mutated built-in curve tables."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from seshadri.models import (
     projective_plane,
     quadric,
 )
-from seshadri.values import SeshadriValue
+from seshadri.values import SeshadriValue, replace
 
 
 def _plane_with_point_stratum():
@@ -170,7 +169,7 @@ def _mutated_stratum(draw, model, stratum):
         CurveCandidate(label=f"x{i}", degree_t=math.ceil(true * m) + k, mult_m=m)
         for i, (m, k) in enumerate(extra)
     ]
-    return dataclasses.replace(
+    return replace(
         stratum, candidates=tuple(kept + added), oracle_complete_below=ocb
     )
 
@@ -179,7 +178,7 @@ def _mutated_stratum(draw, model, stratum):
 def _mutated_model(draw, model):
     strata = tuple(draw(_mutated_stratum(model, s)) for s in model.strata)
     try:
-        return dataclasses.replace(model, strata=strata)
+        return replace(model, strata=strata)
     except ModelError:
         # an added curve at the threshold with a degree beyond its bound
         assume(False)
@@ -241,13 +240,13 @@ def _injected(draw):
     m = draw(st.integers(1, 6))
     assume(true * m > 1)
     t = draw(st.integers(1, math.ceil(true * m) - 1))
-    bad = dataclasses.replace(
+    bad = replace(
         stratum,
         candidates=stratum.candidates + (CurveCandidate(label="bad", degree_t=t, mult_m=m),),
         oracle_complete_below=Fraction(t, m) + draw(st.integers(0, 4)),
     )
     try:
-        model = dataclasses.replace(
+        model = replace(
             model, strata=tuple(bad if s is stratum else s for s in model.strata)
         )
     except ModelError:

@@ -93,10 +93,23 @@ def test_degree_bound_commands_load_only_bounds(argv):
     assert cli_modules(*argv) == {"seshadri", "seshadri.cli", "seshadri.values", "seshadri.bounds"}
 
 
-@DEGREE_BOUND_COMMANDS
-def test_degree_bound_commands_skip_dataclasses(argv):
-    # a frozen dataclass imports dataclasses and, through it, inspect:
-    # most of what importing the bounds layer would cost
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2", "--format", "json"],
+        ["candidates", "--B", "12", "--alpha", "5/2"],
+        ["epsilon", "{model}", "--format", "json"],
+        ["sublevel", "{model}", "--a", "1"],
+        ["scan", "{family}", "--alpha", "5/2"],
+        ["check"],
+    ],
+    ids=["bound", "candidates", "epsilon", "sublevel", "scan", "check"],
+)
+def test_degree_bound_commands_skip_dataclasses(files, argv):
+    # a frozen dataclass imports dataclasses and, through it, inspect,
+    # about 10 ms of every call: each command's records are plain slots
+    # classes instead
+    argv = [arg.format(model=files[0], family=files[1]) for arg in argv]
     assert cli_modules(*argv, roots=("dataclasses", "inspect")) == set()
 
 

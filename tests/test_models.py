@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import sys
@@ -23,7 +22,7 @@ from seshadri.models import (
     quadric,
 )
 from seshadri.lattice import pair
-from seshadri.values import SeshadriValue
+from seshadri.values import SeshadriValue, replace
 
 
 def f1_doc():
@@ -181,7 +180,7 @@ def test_oracle_thresholds_are_rationals():
 def test_generator_rows_name_no_blowup_lattice(monkeypatch):
     # a row is on the blow-up layout of the model that lists its set, so
     # neither the built-ins nor a load nor a scan builds that lattice
-    assert [f.name for f in dataclasses.fields(CurveGeneratorSet)] == ["labels", "rows"]
+    assert list(CurveGeneratorSet._fields) == ["labels", "rows"]
     calls = []
 
     def counted(*args):
@@ -205,7 +204,7 @@ def test_empty_labels_rejected_at_construction():
     on_E = f1_anticanonical().stratum("on_E")
     for candidate in on_E.candidates:
         with pytest.raises(EngineError, match="non-empty label"):
-            dataclasses.replace(candidate, label="")
+            replace(candidate, label="")
     gens = f1_anticanonical().blowup_gens["on_E"]
     with pytest.raises(LatticeError, match="non-empty label"):
         CurveGeneratorSet(labels=("", *gens.labels[1:]), rows=gens.rows)
@@ -215,13 +214,13 @@ def test_empty_stratum_label_rejected_at_construction():
     # load_model rejects `"label": ""`, so the constructor does too
     on_E = f1_anticanonical().stratum("on_E")
     with pytest.raises(EngineError, match="^a point stratum needs a non-empty label$"):
-        dataclasses.replace(on_E, label="")
+        replace(on_E, label="")
 
 
 def test_empty_model_name_rejected_at_construction():
     # load_model rejects `"name": ""`, so the constructor does too
     with pytest.raises(ModelError, match="^a model needs a non-empty name$"):
-        dataclasses.replace(f1_anticanonical(), name="")
+        replace(f1_anticanonical(), name="")
 
 
 def _with_generic_candidate(label):
@@ -229,14 +228,14 @@ def _with_generic_candidate(label):
     model = f1_anticanonical()
     generic = model.stratum("generic")
     extra = CurveCandidate(label=label, degree_t=2, mult_m=1)
-    stratum = dataclasses.replace(generic, candidates=generic.candidates + (extra,))
-    return dataclasses.replace(model, strata=(stratum,) + model.strata[1:])
+    stratum = replace(generic, candidates=generic.candidates + (extra,))
+    return replace(model, strata=(stratum,) + model.strata[1:])
 
 
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: dataclasses.replace(f1_anticanonical(), name=5), ModelError,
+        (lambda: replace(f1_anticanonical(), name=5), ModelError,
          "name of a model must be a string, got 5"),
         (lambda: PointStratum(label=7, closure_dim=2), EngineError,
          "label of a point stratum must be a string, got 7"),
@@ -284,11 +283,11 @@ def _generic():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: dataclasses.replace(_generic(), closure_dim=3), EngineError,
+        (lambda: replace(_generic(), closure_dim=3), EngineError,
          "closure_dim must be at most 2, got 3"),
-        (lambda: dataclasses.replace(_generic(), closure_dim=-1), EngineError,
+        (lambda: replace(_generic(), closure_dim=-1), EngineError,
          "closure_dim must be nonnegative, got -1"),
-        (lambda: dataclasses.replace(_generic(), closure_dim=2.0), EngineError,
+        (lambda: replace(_generic(), closure_dim=2.0), EngineError,
          "closure_dim must be an integer, got 2.0"),
         (lambda: CurveCandidate(label="x", degree_t=2.5, mult_m=1.25), EngineError,
          "degree_t must be an integer, got 2.5"),
@@ -297,11 +296,11 @@ def _generic():
         (lambda: RRData(d=8.0, c=8, c_prime=1), BoundError, "d must be an integer, got 8.0"),
         (lambda: RRData(d=8, c=8, c_prime=1, vanishing_multiplier=1.0), BoundError,
          "vanishing_multiplier must be an integer, got 1.0"),
-        (lambda: dataclasses.replace(f1_anticanonical(), very_ample_multiplier=1.0), ModelError,
+        (lambda: replace(f1_anticanonical(), very_ample_multiplier=1.0), ModelError,
          "very_ample_multiplier must be an integer, got 1.0"),
-        (lambda: dataclasses.replace(_generic(), oracle_complete_below=1.5), EngineError,
+        (lambda: replace(_generic(), oracle_complete_below=1.5), EngineError,
          "completeness threshold must be an int or a Fraction, got 1.5"),
-        (lambda: dataclasses.replace(_generic(), oracle_complete_below=Fraction(-1)),
+        (lambda: replace(_generic(), oracle_complete_below=Fraction(-1)),
          EngineError, "completeness threshold must be positive, got -1"),
         (lambda: IntersectionLattice(rank=2.0, gram=((1, 0), (0, -1)), basis_labels=("H", "E")),
          LatticeError, "rank must be an integer, got 2.0"),
@@ -326,12 +325,12 @@ def test_constructors_reject_bools_and_int_subclasses():
     # an integer is exactly an int in Python as in a document: a bool or
     # an int subclass is rejected, never converted
     cases = [
-        (lambda: dataclasses.replace(_generic(), closure_dim=True), EngineError,
+        (lambda: replace(_generic(), closure_dim=True), EngineError,
          "closure_dim must be an integer, got True"),
-        (lambda: dataclasses.replace(_generic(), oracle_complete_below=True), EngineError,
+        (lambda: replace(_generic(), oracle_complete_below=True), EngineError,
          "completeness threshold must be an int or a Fraction, got True"),
         (lambda: RRData(d=True, c=0, c_prime=1), BoundError, "d must be an integer, got True"),
-        (lambda: dataclasses.replace(f1_anticanonical(), very_ample_multiplier=True), ModelError,
+        (lambda: replace(f1_anticanonical(), very_ample_multiplier=True), ModelError,
          "very_ample_multiplier must be an integer, got True"),
         (lambda: CurveCandidate(label="x", degree_t=2, mult_m=True), EngineError,
          "mult_m must be an integer, got True"),
@@ -343,9 +342,9 @@ def test_constructors_reject_bools_and_int_subclasses():
             build()
         assert str(info.value) == message
     # an exact int is kept as it is, and a loaded model round-trips
-    stratum = dataclasses.replace(_generic(), closure_dim=1, oracle_complete_below=2)
+    stratum = replace(_generic(), closure_dim=1, oracle_complete_below=2)
     assert stratum.closure_dim == 1 and stratum.oracle_complete_below == Fraction(2)
-    model = dataclasses.replace(f1_anticanonical(), very_ample_multiplier=2)
+    model = replace(f1_anticanonical(), very_ample_multiplier=2)
     assert load_model(model.to_json()).to_json() == model.to_json()
 
 
@@ -377,7 +376,7 @@ def test_loaded_coordinates_keep_the_length_check():
 )
 def test_polarization_row_is_checked_at_construction(row, message):
     with pytest.raises(LatticeError) as info:
-        dataclasses.replace(f1_anticanonical(), polarization=row)
+        replace(f1_anticanonical(), polarization=row)
     assert str(info.value) == message
 
 
@@ -429,7 +428,7 @@ def test_replaced_model_gets_a_fresh_table():
         cd["class"] = None
     model = load_model(json.dumps(doc))
     before = model.generator_table("generic")
-    swapped = dataclasses.replace(model, polarization=(2, 1))
+    swapped = replace(model, polarization=(2, 1))
     assert swapped.generator_table("generic") == _pairings(swapped, "generic") != before
     assert model.generator_table("generic") == before
     # a set can only be replaced through the constructor, which checks it
@@ -437,7 +436,7 @@ def test_replaced_model_gets_a_fresh_table():
     fewer = CurveGeneratorSet(labels=gens.labels[:2], rows=gens.rows[:2])
     with pytest.raises(TypeError):
         model.blowup_gens["generic"] = fewer
-    replaced = dataclasses.replace(model, blowup_gens={"generic": fewer})
+    replaced = replace(model, blowup_gens={"generic": fewer})
     assert replaced.generator_table("generic") == _pairings(replaced, "generic") == before[:2]
     assert model.generator_table("generic") == before
 
@@ -445,7 +444,7 @@ def test_replaced_model_gets_a_fresh_table():
 def test_model_keeps_its_own_copy_of_the_generator_sets():
     model = f1_anticanonical()
     sets = dict(model.blowup_gens)
-    copy = dataclasses.replace(model, blowup_gens=sets)
+    copy = replace(model, blowup_gens=sets)
     sets["other"] = sets.pop("generic")
     assert list(copy.blowup_gens) == ["generic", "on_E"]
     with pytest.raises(TypeError):
@@ -488,7 +487,7 @@ def test_generator_on_wrong_lattice_raises_before_pairing(wrong):
         f"{len(wrong)} differs from rank 3$"
     )
     with pytest.raises(ModelError, match=message):
-        dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
+        replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
     # and there is no way past the constructor
     with pytest.raises(TypeError):
         model.blowup_gens["generic"] = gens

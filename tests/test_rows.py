@@ -4,7 +4,6 @@ are checked with the messages that `pair(lattice, u, v)` raises for its
 own rows, and the model's reads of them agree with `pair` on the full
 Gram matrix."""
 
-import dataclasses
 import json
 import re
 
@@ -29,6 +28,7 @@ from seshadri.models import (
     model_from_document,
     projective_plane,
 )
+from seshadri.values import replace
 
 # a generator C - m*Ex of a blown-up plane as (coordinates of C, m): the H
 # coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
@@ -78,7 +78,7 @@ def _with_generic_generator(label, row):
     model = f1_anticanonical()
     gens = model.blowup_gens["generic"]
     gens = CurveGeneratorSet(labels=gens.labels + (label,), rows=gens.rows + (row,))
-    return dataclasses.replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
+    return replace(model, blowup_gens={**model.blowup_gens, "generic": gens})
 
 
 @pytest.mark.parametrize(
@@ -169,9 +169,9 @@ def test_index_coordinates_are_kept_as_ints():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: dataclasses.replace(f1_anticanonical(), polarization=None),
+        (lambda: replace(f1_anticanonical(), polarization=None),
          "coordinates must be a sequence, got None"),
-        (lambda: dataclasses.replace(f1_anticanonical(), polarization=3),
+        (lambda: replace(f1_anticanonical(), polarization=3),
          "coordinates must be a sequence, got 3"),
         (lambda: pair(f1_anticanonical().lattice, None, (1, 0)),
          "coordinates must be a sequence, got None"),
@@ -207,13 +207,16 @@ def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
          "candidates must be a sequence, got None"),
         (lambda: PointStratum("p", 0, None), EngineError,
          "specializes_from must be a sequence, got None"),
-        (lambda: dataclasses.replace(f1_anticanonical(), strata=None), ModelError,
+        (lambda: replace(f1_anticanonical(), strata=None), ModelError,
          "strata must be a sequence, got None"),
-        (lambda: dataclasses.replace(f1_anticanonical(), blowup_gens=None), ModelError,
+        # a long value is shown as the first 37 characters of its repr
+        (lambda: replace(f1_anticanonical(), strata="x" * 100_000), ModelError,
+         "strata must be a sequence, got '" + "x" * 36 + "..."),
+        (lambda: replace(f1_anticanonical(), blowup_gens=None), ModelError,
          "blowup_gens must be a mapping, got None"),
-        (lambda: dataclasses.replace(f1_anticanonical(), rr=None), ModelError,
+        (lambda: replace(f1_anticanonical(), rr=None), ModelError,
          "rr must be an RRData, got None"),
-        (lambda: dataclasses.replace(f1_anticanonical(), lattice=None), ModelError,
+        (lambda: replace(f1_anticanonical(), lattice=None), ModelError,
          "lattice must be an IntersectionLattice, got None"),
         # a str was read as its one-character labels: "HE" built ('H', 'E')
         (lambda: IntersectionLattice(2, ((1, 0), (0, -1)), "HE"), LatticeError,
@@ -223,9 +226,9 @@ def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
         # an item of the wrong kind raised a bare AttributeError
         (lambda: PointStratum("generic", 2, candidates=((1, 1),)), EngineError,
          "an item of candidates must be a CurveCandidate, got (1, 1)"),
-        (lambda: dataclasses.replace(projective_plane(1), strata=(("generic", 2),)), ModelError,
+        (lambda: replace(projective_plane(1), strata=(("generic", 2),)), ModelError,
          "an item of strata must be a PointStratum, got ('generic', 2)"),
-        (lambda: dataclasses.replace(
+        (lambda: replace(
             projective_plane(1), blowup_gens={"generic": ((0, 1), (1, -1))}), ModelError,
          "blowup_gens['generic'] must be a CurveGeneratorSet, got ((0, 1), (1, -1))"),
         # a set was read in arbitrary order, bytes as their byte values and
@@ -236,13 +239,13 @@ def test_a_row_that_is_not_a_sequence_raises_a_lattice_error(build, message):
          "coordinates must be a sequence, got b'\\x00\\x01'"),
         (lambda: PointStratum("s", 0, specializes_from={"generic": 0}), EngineError,
          "specializes_from must be a sequence, got {'generic': 0}"),
-        (lambda: dataclasses.replace(f1_anticanonical(), polarization={3: None, -1: None}),
+        (lambda: replace(f1_anticanonical(), polarization={3: None, -1: None}),
          LatticeError, "coordinates must be a sequence, got {3: None, -1: None}"),
     ],
     ids=["gram", "basis_labels", "generator_labels", "generator_rows", "candidates",
-         "specializes_from", "strata", "blowup_gens", "rr", "lattice", "basis_labels_str",
-         "specializes_from_str", "candidate_item", "stratum_item", "generator_set_item",
-         "set_row", "bytes_row", "mapping_labels", "mapping_row"],
+         "specializes_from", "strata", "strata_long", "blowup_gens", "rr", "lattice",
+         "basis_labels_str", "specializes_from_str", "candidate_item", "stratum_item",
+         "generator_set_item", "set_row", "bytes_row", "mapping_labels", "mapping_row"],
 )
 def test_a_container_field_of_the_wrong_kind_raises_its_layers_error(build, error, message):
     # built in Python, past the loader's container checks, a field that
@@ -262,16 +265,16 @@ def _with_row(model, label, index, row):
     """The model with the class of candidate `index` of stratum `label`
     replaced by `row`, built in Python."""
     strata = tuple(
-        s if s.label != label else dataclasses.replace(
+        s if s.label != label else replace(
             s,
             candidates=tuple(
-                dataclasses.replace(c, coords=row) if i == index else c
+                replace(c, coords=row) if i == index else c
                 for i, c in enumerate(s.candidates)
             ),
         )
         for s in model.strata
     )
-    return dataclasses.replace(model, strata=strata)
+    return replace(model, strata=strata)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +298,7 @@ def test_candidate_coordinates_need_no_lattice():
     # on the blow-up lattice for a nef witness; the candidate names none
     cand = CurveCandidate(label="c", degree_t=1, mult_m=1, coords=(1, 0))
     assert cand.coords == (1, 0)
-    assert [f.name for f in dataclasses.fields(cand)] == ["label", "degree_t", "mult_m", "coords"]
+    assert list(cand._fields) == ["label", "degree_t", "mult_m", "coords"]
     witness = epsilon_via_nef(f1_anticanonical(), f1_anticanonical().stratum("on_E")).witness
     assert len(witness.coords) == f1_anticanonical().lattice.rank + 1
 

@@ -81,6 +81,9 @@ MODEL_CASES = [
     ("gram_not_array", put("gram", {}), SV + "$.gram: expected an array, got an object"),
     ("gram_row", put("gram", 0, 7), SV + "$.gram[0]: expected an array, got 7"),
     ("gram_entry", put("gram", 1, 0, "0"), SV + "$: gram entries must be integers, got '0'"),
+    # a long value is shown as the first 37 characters of its repr
+    ("gram_entry_long", put("gram", 0, 0, "x" * 100_000),
+     SV + "$: gram entries must be integers, got '" + "x" * 36 + "..."),
     ("basis_label", put("basis_labels", 1, 3),
      SV + "$: basis label of a lattice must be a string, got 3"),
     ("empty_basis_label", put("basis_labels", 1, ""),
@@ -135,6 +138,9 @@ MODEL_CASES = [
      SV + "$.strata[0].candidates[0]: unknown key 'mult'"),
     ("candidate_label", put("strata", 1, "candidates", 0, "label", ""),
      SV + "$.strata[1].candidates[0]: a curve candidate needs a non-empty label"),
+    ("candidate_label_long", put("strata", 0, "candidates", 0, "label", ["y" * 100_000]),
+     SV + "$.strata[0].candidates[0]: label of a curve candidate must be a string, got ['"
+     + "y" * 35 + "..."),
     ("candidate_class", put("strata", 0, "candidates", 0, "class", 0, "1"),
      SV + "$.strata[0].candidates[0]: coordinates must be integers, got '1'"),
     ("candidate_t", put("strata", 1, "candidates", 2, "t", 0),
