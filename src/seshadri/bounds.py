@@ -185,9 +185,7 @@ def candidate_walk(
         yield t, m
 
 
-def candidate_ratios(
-    B: int, alpha: RationalLike, require_m_le_t: bool = True
-) -> List[Rational]:
+def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
     """All ratios t/m <= alpha with 1 <= m <= t <= B, deduplicated and
     ascending.  This is a finite superset of every attainable local
     Seshadri value <= alpha for families whose curves obey the degree
@@ -195,11 +193,8 @@ def candidate_ratios(
 
     The ratios come straight out of a Farey walk in ascending order, one
     integer step per ratio; the walk needs no gcd, set or sort.
-
-    With require_m_le_t=False the multiplicity ranges over 1..B
-    independently; that exploratory mode is not a certified superset.
     """
-    return list(starmap(Fraction, candidate_walk(B, alpha, require_m_le_t)))
+    return list(starmap(Fraction, candidate_walk(B, alpha)))
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -295,11 +290,6 @@ class CandidateSuperset(Record):
     walk in ascending order, divided by v."""
 
     __slots__ = _fields = ("very_ample_multiplier", "B", "alpha")
-
-    def __init__(self, very_ample_multiplier: int, B: int, alpha: Rational):
-        set_field(self, "very_ample_multiplier", very_ample_multiplier)
-        set_field(self, "B", B)
-        set_field(self, "alpha", alpha)
 
     def __contains__(self, pair: Pair) -> bool:
         a, b = pair

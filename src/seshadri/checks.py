@@ -27,7 +27,7 @@ from .engine import (
 )
 from .family import member_candidate_superset
 from .models import SurfaceModel, builtin_suite, load_model
-from .values import Record, set_field
+from .values import Record
 
 ALPHA_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
 
@@ -36,11 +36,6 @@ Models = Sequence[SurfaceModel]
 
 class CheckResult(Record):
     __slots__ = _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str):
-        set_field(self, "name", name)
-        set_field(self, "passed", passed)
-        set_field(self, "detail", detail)
 
 
 def check_roundtrip(models: Models) -> str:

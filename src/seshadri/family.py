@@ -113,24 +113,6 @@ class Verdict(Record):
         "kind", "context", "general", "special", "general_value", "special_value", "status"
     )
 
-    def __init__(
-        self,
-        kind: str,  # "member" or "stratum"
-        context: str,  # family or member label
-        general: str,
-        special: str,
-        general_value: SeshadriValue,
-        special_value: SeshadriValue,
-        status: str,  # "pass", "fail" or "undetermined"
-    ):
-        set_field(self, "kind", kind)
-        set_field(self, "context", context)
-        set_field(self, "general", general)
-        set_field(self, "special", special)
-        set_field(self, "general_value", general_value)
-        set_field(self, "special_value", special_value)
-        set_field(self, "status", status)
-
     @property
     def passed(self) -> bool:
         """The special value is proven not to exceed the general one."""
@@ -170,35 +152,11 @@ def _verdict(
 
 
 class FamilyScanReport(Record):
+    # a row of epsilon_table: (member, stratum, result, degree bound at alpha)
     __slots__ = _fields = (
         "alpha", "degree", "sigma_family", "sigma_attained_at", "epsilon_table", "sigma_cap",
         "candidate_superset", "semicontinuity_verdicts", "jump_members", "uncertified",
     )
-
-    def __init__(
-        self,
-        alpha: Rational,
-        degree: int,
-        sigma_family: SeshadriValue,
-        sigma_attained_at: Tuple[str, str],
-        # (member, stratum, result, the member's degree bound at alpha)
-        epsilon_table: Tuple[Tuple[str, str, SeshadriResult, DegreeBound], ...],
-        sigma_cap: Tuple[Rational, ...],
-        candidate_superset: SupersetUnion,
-        semicontinuity_verdicts: Tuple[Verdict, ...],
-        jump_members: Tuple[str, ...],
-        uncertified: Tuple[Tuple[str, str], ...],
-    ):
-        set_field(self, "alpha", alpha)
-        set_field(self, "degree", degree)
-        set_field(self, "sigma_family", sigma_family)
-        set_field(self, "sigma_attained_at", sigma_attained_at)
-        set_field(self, "epsilon_table", epsilon_table)
-        set_field(self, "sigma_cap", sigma_cap)
-        set_field(self, "candidate_superset", candidate_superset)
-        set_field(self, "semicontinuity_verdicts", semicontinuity_verdicts)
-        set_field(self, "jump_members", jump_members)
-        set_field(self, "uncertified", uncertified)
 
     def to_document(self) -> dict:
         return {

@@ -81,6 +81,20 @@ def test_records_behave_as_frozen_value_objects():
                 replace(record, **{name: value})
         with pytest.raises(TypeError):
             replace(record, no_such_field=1)
+        # construction binds the fields as a call does, by position or keyword
+        kind, values = type(record), record._values()
+        keywords = dict(zip(fields, values))
+        assert kind(*values) == kind(**keywords) == record
+        first = fields[0]
+        bad_calls = [
+            lambda: kind(*values, None),  # one argument too many
+            lambda: kind(*values, no_such_field=1),
+            lambda: kind(*values, **{first: values[0]}),  # a field given twice
+            lambda: kind(**{k: v for k, v in keywords.items() if k != first}),  # one missing
+        ]
+        for call in bad_calls:
+            with pytest.raises(TypeError, match=rf"\b{kind.__name__}\b"):
+                call()
     # a model's generator tables, degree bounds and stratum table are
     # not compared or shown
     model, twin = f1_anticanonical(), f1_anticanonical()
@@ -280,7 +294,8 @@ def test_brute_force_pairs_match_a_fraction_double_loop(B, alpha, certified):
 
 
 def test_candidate_ratios_permissive_mode():
-    got = candidate_ratios(3, Fraction(5), require_m_le_t=False)
+    # the permissive listing is the walk's, with m up to B
+    got = [Fraction(t, m) for t, m in candidate_walk(3, Fraction(5), require_m_le_t=False)]
     assert got == [Fraction(t, m) for t, m in brute_force_pairs(3, Fraction(5), certified=False)]
     assert Fraction(1, 3) in got  # below 1 only reachable without m <= t
 
@@ -298,7 +313,10 @@ def test_candidate_ratios_permissive_mode():
 @example(9, Fraction(40, 3), False)
 @settings(max_examples=150)
 def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
-    ratios = candidate_ratios(B, alpha, require_m_le_t=certified)
+    if certified:
+        ratios = candidate_ratios(B, alpha)
+    else:
+        ratios = [Fraction(t, m) for t, m in candidate_walk(B, alpha, require_m_le_t=False)]
     assert ratios == [Fraction(t, m) for t, m in brute_force_pairs(B, alpha, certified)]
     assert all(type(r) is Fraction for r in ratios)  # Fractions are reduced
     assert all(x < y for x, y in zip(ratios, ratios[1:]))

@@ -34,7 +34,7 @@ from seshadri.models import (
 from seshadri.bounds import RRData
 from seshadri.checks import check_cross, check_low_epsilon, check_steffens_and_rationality
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
-from seshadri.values import SeshadriValue
+from seshadri.values import SeshadriValue, replace
 
 
 def test_plane_epsilon_is_one():
@@ -340,6 +340,25 @@ def test_sigma_quadric22_ruling_witness():
 
 def test_low_epsilon_strata_empty_on_builtins():
     assert check_low_epsilon(builtin_suite()).endswith("(0 found)")
+
+
+def test_low_epsilon_strata_lists_a_value_of_exactly_one_minus_delta():
+    cand = CurveCandidate(label="half", degree_t=1, mult_m=2)
+    model = _bare_model(d=4, c=6, candidates=(cand,), ocb=Fraction(1, 2), rank1_degree=2)
+    half = SeshadriValue.exact(Fraction(1, 2))
+    assert low_epsilon_strata(model, Fraction(1, 2)) == [("generic", half)]
+    assert low_epsilon_strata(model, Fraction(2, 3)) == []
+
+
+def test_curve_at_the_ceiling_is_no_witness_without_completeness():
+    # the line's ratio 2 equals sqrt(4): it bounds the value above no
+    # lower than the ceiling does, and nothing bounds the value below
+    model = projective_plane(2)
+    stratum = replace(model.stratum("generic"), oracle_complete_below=None)
+    assert SeshadriValue.exact(_best_candidate(stratum.candidates).ratio) == SeshadriValue.sqrt(4)
+    res = epsilon_via_curves(model, stratum)
+    assert res.hi == SeshadriValue.sqrt(4) and res.lo is None
+    assert res.witness is None
 
 
 def test_steffens_bound_everywhere():

@@ -255,6 +255,24 @@ def test_alpha_must_be_below_sqrt_d():
         scan(d8_family(), Fraction(3))
 
 
+@pytest.mark.parametrize(
+    "family, alpha",
+    [
+        (d8_family, Fraction(0)),
+        (lambda: Family(members=(("t", projective_plane(2)),), degree=4), Fraction(2)),
+    ],
+    ids=["alpha_zero", "alpha_squared_is_d"],
+)
+def test_alpha_at_either_end_is_rejected(family, alpha):
+    with pytest.raises(FamilyError, match=r"^alpha must satisfy 0 < alpha\^2 < d"):
+        scan(family(), alpha)
+
+
+def test_certified_value_equal_to_alpha_is_in_sigma_cap():
+    report = scan(Family(members=(("t", f1_anticanonical()),), degree=8), Fraction(2))
+    assert report.sigma_cap == (Fraction(1), Fraction(2))
+
+
 def test_semicontinuity_f1_internal():
     verdicts = semicontinuity_check(Family(members=(("t", f1_anticanonical()),), degree=8))
     assert len(verdicts) == 1
@@ -297,6 +315,19 @@ def test_member_specialization_verdicts():
     assert verdicts[0].passed  # 1 <= 2
     report = scan(family, Fraction(5, 2))
     assert report.jump_members == ("special",)
+
+
+def test_member_verdict_passes_when_special_hi_equals_general_lo():
+    # two identical exact members: special's hi is general's lo, which
+    # proves special <= general with no room to spare
+    family = Family(
+        members=(("general", quadric(2, 2)), ("special", quadric(2, 2))),
+        degree=8,
+        member_specialization=(("general", "special"),),
+    )
+    (verdict,) = [v for v in semicontinuity_check(family) if v.kind == "member"]
+    assert verdict.general_value == verdict.special_value == SeshadriValue.exact(2)
+    assert verdict.status == "pass" and verdict.passed
 
 
 def test_empty_specialization_list_gives_no_member_verdicts():
