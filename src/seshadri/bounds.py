@@ -10,18 +10,21 @@ explicitly enumerable set.
 
 Both steps are exact and in closed form.  The least M solves the
 dimension count's integer quadratic with math.isqrt, at O(1) cost and
-with no search cap.  The candidate ratios t/m <= alpha with m <= t <= B
-are the inverses of the Farey fractions of order B in [1/alpha, 1], so
-a Farey next-term walk lists them in ascending order at one integer step
-per ratio, and a Moebius sum of floor sums counts them without listing
-any, in O(B^(2/3)).
+with no search cap, in integers only: a = p/q enters through p and q,
+and the one Fraction is the reported a.  The candidate ratios t/m <=
+alpha with m <= t <= B are the inverses of the Farey fractions of order
+B in [1/alpha, 1], so a Farey next-term walk lists them in ascending
+order at one integer step per ratio, and a Moebius sum of floor sums
+counts them without listing any, in O(B^(2/3)).  The count's Mertens
+table is L + 1 bytes of mu plus 8(L + 1) bytes of prefix sums, with L
+about B^(2/3).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, starmap
+from itertools import accumulate, compress, starmap
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .values import Rational, RationalLike, Record, as_int, as_rational, set_field
@@ -98,33 +101,30 @@ def minimal_M(rr: RRData, a: RationalLike) -> DegreeBound:
     left of the smaller root.  Otherwise 1 lies between the roots of the
     convex parabola f, and the answer is the least integer above the
     larger root, whose floor math.isqrt of the discriminant gives
-    exactly.  Every step
-    is exact integer arithmetic and no input meets a search cap.
+    exactly.  The range checks a > 0 and a^2 < d are the integer tests
+    p > 0 and A > 0, so no Fraction is compared or multiplied; every step
+    is exact integer arithmetic, and no input meets a search cap.
     """
     a = as_rational(a, "threshold", BoundError)
-    if a <= 0:
-        raise BoundError(f"threshold must be positive, got {a}")
-    if a * a >= rr.d:
-        raise BoundError(
-            f"threshold^2 must be strictly below the degree: {a}^2 >= {rr.d}"
-        )
     p, q = a.numerator, a.denominator
-    A = rr.d * q * q - p * p
+    if p <= 0:
+        raise BoundError(f"threshold must be positive, got {a}")
+    d = rr.d
+    A = d * q * q - p * p  # a^2 < d iff A > 0
+    if A <= 0:
+        raise BoundError(f"threshold^2 must be strictly below the degree: {a}^2 >= {d}")
     b = rr.c * q - 3 * p
     C = 2 * (rr.c_prime - 1)
-
-    def f(j: int) -> int:
-        return (A * j + b) * j + C
-
     j = 1
-    if f(1) <= 0:
-        # f has a real root, so D = b^2 - 4AC >= 0, and the answer is
-        # floor(r) + 1 for the larger root r = (-b + sqrt(D)) / (2A).
+    if A + b + C <= 0:
+        # f(1) = A + b + C <= 0: f has a real root, so D = b^2 - 4AC >= 0,
+        # and the answer is floor(r) + 1 for the larger root
+        # r = (-b + sqrt(D)) / (2A).
         # For an integer k, 2Ak + b <= sqrt(D) iff 2Ak + b <= isqrt(D),
         # so the floor taken with isqrt is exact and needs no fix-up.
         j = (-b + math.isqrt(b * b - 4 * A * C)) // (2 * A) + 1
     M = q * j
-    return DegreeBound(a=a, M=M, B=M * rr.d, vanishing_multiplier=rr.vanishing_multiplier)
+    return DegreeBound(a, M, M * d, rr.vanishing_multiplier)
 
 
 def multiplicity_target(M: int, a: RationalLike) -> int:
@@ -221,17 +221,23 @@ def _mertens(limit: int) -> Callable[[int], int]:
     """M(x) = sum of the Moebius function mu(k) over 1 <= k <= x, for the
     x = limit // j: sieved up to L, about limit^(2/3), and above L by
     M(x) = 1 - sum over 2 <= k <= x of M(x // k), grouped over equal
-    x // k and memoised.  Time and memory are O(limit^(2/3))."""
+    x // k and memoised.  Time and memory are O(limit^(2/3)): mu is a
+    signed byte per k, negated along each prime's multiples by
+    bytes.translate, and the sums M(k) for k <= L are an array('q'), not
+    lists of pointers to int objects."""
+    from array import array  # only counting needs it, not every import
+
     L = 1 << (2 * limit.bit_length() // 3)
-    mu = [1] * (L + 1)
+    mu = bytearray([1]) * (L + 1)
     mu[0] = 0
-    prime = bytearray([1]) * (L + 1)
-    for p in range(2, L + 1):
-        if prime[p]:
-            prime[p * p :: p] = bytes(len(range(p * p, L + 1, p)))
-            mu[p::p] = [-x for x in mu[p::p]]
-            mu[p * p :: p * p] = [0] * len(range(p * p, L + 1, p * p))
-    small = list(accumulate(mu))
+    negate = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # 1 <-> -1 as signed bytes
+    prime = bytearray([0, 0]) + bytearray([1]) * (L - 1)
+    # compress reads prime as the sieve clears it, so it yields primes only
+    for p in compress(range(L + 1), prime):
+        prime[p * p :: p] = bytes(len(range(p * p, L + 1, p)))
+        mu[p::p] = mu[p::p].translate(negate)
+        mu[p * p :: p * p] = bytes(len(range(p * p, L + 1, p * p)))
+    small = array("q", accumulate(memoryview(mu).cast("b")))
     memo = {}
 
     def mertens(x: int) -> int:
@@ -240,8 +246,9 @@ def _mertens(limit: int) -> Callable[[int], int]:
         if x not in memo:
             total, k = 1, 2
             while k <= x:
-                last = x // (x // k)
-                total -= (last - k + 1) * mertens(x // k)
+                v = x // k
+                last = x // v
+                total -= (last - k + 1) * (small[v] if v <= L else mertens(v))
                 k = last + 1
             memo[x] = total
         return memo[x]

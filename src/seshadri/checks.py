@@ -159,14 +159,29 @@ def brute_force_pairs(B: int, alpha: Fraction, certified: bool = True) -> List[T
 
 
 def check_minimal_M_closed_form(rng: random.Random) -> str:
+    cases = []
     for _ in range(25):
         d = rng.randint(2, 200)
         rr = RRData(d, rng.randint(-20, 20), rng.randint(-3, 5))
         den = rng.randint(1, 12)
-        a = Fraction(rng.randint(1, math.isqrt(d * den * den - 1)), den)
-        if minimal_M(rr, a).M != linear_minimal_M(rr, a):
+        cases.append((rr, Fraction(rng.randint(1, math.isqrt(d * den * den - 1)), den)))
+    # a random threshold rarely needs more than 2 steps of the walk; the
+    # largest p/q below sqrt(d) with c' <= 1 walks far longer
+    for _ in range(10):
+        d = rng.randint(2, 1000)
+        rr = RRData(d, rng.randint(-20, 20), rng.randint(-3, 1))
+        den = rng.randint(1, 12)
+        cases.append((rr, Fraction(math.isqrt(d * den * den - 1), den)))
+    longest = 0
+    for rr, a in cases:
+        M = linear_minimal_M(rr, a)
+        if minimal_M(rr, a).M != M:
             raise AssertionError(f"closed-form minimal_M differs at {rr}, a={a}")
-    return "closed-form minimal_M matches the linear l_poly scan on 25 random cases"
+        longest = max(longest, M // a.denominator)
+    return (
+        "closed-form minimal_M matches the linear l_poly scan on 25 random cases "
+        f"and 10 thresholds just below sqrt(d), in walks of up to {longest} steps"
+    )
 
 
 def check_candidates_brute_force(rng: random.Random) -> str:

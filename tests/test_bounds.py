@@ -1,7 +1,9 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,8 @@ from seshadri.bounds import (
     DegreeBound,
     RRData,
     SupersetUnion,
+    _mertens,
+    candidate_count,
     candidate_ratios,
     candidate_walk,
     l_poly,
@@ -190,12 +194,23 @@ def test_minimal_M_is_minimal_and_positive():
 
 
 def test_minimal_M_rejects_bad_thresholds():
-    with pytest.raises(BoundError):
-        minimal_M(RRData(4, 0, 2), Fraction(2))  # a^2 = d
-    with pytest.raises(BoundError):
-        minimal_M(RRData(4, 0, 2), Fraction(-1, 2))
-    with pytest.raises(BoundError):
-        minimal_M(RRData(4, 0, 2), Fraction(5, 2))  # a^2 > d
+    rr = RRData(4, 0, 2)
+    for a, message in [
+        (Fraction(0), "threshold must be positive, got 0"),
+        (Fraction(-1, 2), "threshold must be positive, got -1/2"),
+        (Fraction(2), "threshold^2 must be strictly below the degree: 2^2 >= 4"),  # a^2 = d
+        (Fraction(5, 2), "threshold^2 must be strictly below the degree: 5/2^2 >= 4"),
+        (True, "threshold must be an int or a Fraction, got True"),
+        (0.5, "threshold must be an int or a Fraction, got 0.5"),
+        ("1/2", "threshold must be an int or a Fraction, got '1/2'"),
+    ]:
+        with pytest.raises(BoundError, match=f"^{re.escape(message)}$"):
+            minimal_M(rr, a)
+    # an int threshold is its Fraction: the same bound, with a a Fraction
+    rr = RRData(10, 0, 0)
+    bound = minimal_M(rr, 3)
+    assert bound == minimal_M(rr, Fraction(3)) == DegreeBound(Fraction(3), 10, 100)
+    assert type(bound.a) is Fraction
 
 
 def assert_least_admissible(rr, a, M):
@@ -323,6 +338,32 @@ def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
     assert set(candidate_walk(B, alpha, certified)) == {
         (r.numerator, r.denominator) for r in ratios
     }
+
+
+def test_candidate_count_and_mertens_table_past_small_sieves():
+    # the Hypothesis count oracles draw B <= 300, so the sieve of mu there
+    # holds at most 64 entries; here it steps from 256 to 512 entries at
+    # B = 2^13 and from 512 to 1024 at B = 2^14
+    for B in (8191, 8192, 16383, 16384):
+        for alpha in (Fraction(1001, 1000), Fraction(4097, 4096)):
+            assert candidate_count(B, alpha) == len(list(candidate_walk(B, alpha)))
+
+    def mobius(k):
+        sign, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if k > 1 else sign
+
+    brute = list(accumulate(map(mobius, range(1, 5001)), initial=0))
+    # from the table alone (L = 8192), and above L = 256 by the recursion
+    for limit in (2**19, 2**12):
+        mertens = _mertens(limit)
+        assert [mertens(x) for x in range(5001)] == brute
 
 
 def test_mediant_examples():

@@ -129,6 +129,23 @@ def test_invariant_rejects_a_faulty_function(monkeypatch, run, name, stand_in, m
         run()
 
 
+def test_minimal_M_closed_form_draws_walk_far(monkeypatch):
+    # the closed form is tested on long walks too, not only on the one or
+    # two steps a random threshold needs, at a bounded cost in l_poly steps
+    steps, linear = [], checks.linear_minimal_M
+
+    def walk(rr, a):
+        M = linear(rr, a)
+        steps.append(M // a.denominator)
+        return M
+
+    monkeypatch.setattr(checks, "linear_minimal_M", walk)
+    detail = checks.check_minimal_M_closed_form(random.Random(20251018))
+    assert sum(n > 2 for n in steps) >= 5 and max(steps) > 50
+    assert sum(steps[25:]) <= 300
+    assert detail.endswith(f" up to {max(steps)} steps")
+
+
 def test_run_all_checks_evaluates_each_stratum_twice_per_path(monkeypatch):
     # each of the 6 built-in strata once for the models' stratum tables,
     # and once more by the cross-check, which compares the paths directly
