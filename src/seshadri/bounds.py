@@ -15,16 +15,18 @@ and the one Fraction is the reported a.  The candidate ratios t/m <=
 alpha with m <= t <= B are the inverses of the Farey fractions of order
 B in [1/alpha, 1], so a Farey next-term walk lists them in ascending
 order at one integer step per ratio, and a Moebius sum of floor sums
-counts them without listing any, in O(B^(2/3)).  The count's Mertens
-table is L + 1 bytes of mu plus 8(L + 1) bytes of prefix sums, with L
-about B^(2/3).
+counts them without listing any, in O(B^(2/3)).  A listed ratio's
+Fraction is built from its walk pair as it is, without Fraction's gcd,
+since each pair is reduced with a positive denominator.  The count's
+Mertens table is L + 1 bytes of mu plus 8(L + 1) bytes of prefix sums,
+with L about B^(2/3).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, compress, starmap
+from itertools import accumulate, compress
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .values import Rational, RationalLike, Record, as_int, as_rational, set_field
@@ -192,9 +194,19 @@ def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
     bound B (under the very-ampleness normalization m <= t).
 
     The ratios come straight out of a Farey walk in ascending order, one
-    integer step per ratio; the walk needs no gcd, set or sort.
+    integer step per ratio; the walk needs no gcd, set or sort.  Each
+    Fraction is built from its walk pair (t, m) as it is, without
+    Fraction's own gcd and argument dispatch, which is exact because the
+    walk yields gcd(t, m) = 1, m >= 1 and exact ints.
     """
-    return list(starmap(Fraction, candidate_walk(B, alpha)))
+    ratios = []
+    for t, m in candidate_walk(B, alpha):
+        # Fraction's two slots, set as Fraction(t, m) would set them: the
+        # pair is already in lowest terms with a positive denominator
+        r = object.__new__(Fraction)
+        r._numerator, r._denominator = t, m
+        ratios.append(r)
+    return ratios
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -14,7 +14,15 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .bounds import RRData, candidate_count, candidate_walk, l_poly, mediant_bounds, minimal_M
+from .bounds import (
+    RRData,
+    candidate_count,
+    candidate_ratios,
+    candidate_walk,
+    l_poly,
+    mediant_bounds,
+    minimal_M,
+)
 from .engine import (
     Certification,
     EngineError,
@@ -196,8 +204,16 @@ def check_candidates_brute_force(rng: random.Random) -> str:
                     f"candidate enumeration differs at B={B}, alpha={alpha}, "
                     f"certified={certified}"
                 )
-            if certified and candidate_count(B, alpha) != len(brute):
+            if not certified:
+                continue
+            if candidate_count(B, alpha) != len(brute):
                 raise AssertionError(f"candidate count differs at B={B}, alpha={alpha}")
+            # candidate_ratios sets Fraction's slots itself, so a Python that
+            # lays Fraction out otherwise fails here, by value, hash or error
+            ratios = candidate_ratios(B, alpha)
+            want = [Fraction(t, m) for t, m in brute]
+            if ratios != want or list(map(hash, ratios)) != list(map(hash, want)):
+                raise AssertionError(f"candidate ratios differ at B={B}, alpha={alpha}")
     return (
         "candidate enumeration matches double-loop brute force on 25 random cases, "
         "certified and permissive"

@@ -328,16 +328,31 @@ def test_candidate_ratios_permissive_mode():
 @example(9, Fraction(40, 3), False)
 @settings(max_examples=150)
 def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
+    pairs = list(candidate_walk(B, alpha, require_m_le_t=certified))
     if certified:
         ratios = candidate_ratios(B, alpha)
     else:
-        ratios = [Fraction(t, m) for t, m in candidate_walk(B, alpha, require_m_le_t=False)]
+        ratios = [Fraction(t, m) for t, m in pairs]
     assert ratios == [Fraction(t, m) for t, m in brute_force_pairs(B, alpha, certified)]
-    assert all(type(r) is Fraction for r in ratios)  # Fractions are reduced
     assert all(x < y for x, y in zip(ratios, ratios[1:]))
-    assert set(candidate_walk(B, alpha, certified)) == {
-        (r.numerator, r.denominator) for r in ratios
-    }
+    # candidate_ratios builds each Fraction from its walk pair without
+    # Fraction's constructor; each must be the Fraction(t, m) of its pair
+    assert len(ratios) == len(pairs)
+    for r, (t, m) in zip(ratios, pairs):
+        want = Fraction(t, m)
+        assert type(r) is Fraction
+        assert (type(r.numerator), type(r.denominator)) == (int, int)
+        assert (r.numerator, r.denominator) == (t, m)
+        assert (hash(r), str(r)) == (hash(want), str(want))
+        assert pickle.loads(pickle.dumps(r)) == pickle.loads(pickle.dumps(want))
+        assert r - want == 0
+
+
+def test_fraction_slots_are_the_two_candidate_ratios_sets():
+    # candidate_ratios sets these two slots itself instead of calling
+    # Fraction(t, m); this guards that direct constructor on each Python
+    # the CI matrix runs
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 def test_candidate_count_and_mertens_table_past_small_sieves():
