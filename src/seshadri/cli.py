@@ -30,15 +30,18 @@ def _emit(text: str, output: Optional[str]) -> None:
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seshadri-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seshadri-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # the error names the given path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, output) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit_report(
@@ -106,19 +109,22 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
+    from .bounds import minimal_M
     from .engine import Certification, epsilon, global_epsilon
     from .models import load_model_file
 
     model = load_model_file(args.model)
     # an invalid threshold fails here, before any stratum is evaluated
-    bound = model.degree_bound(parse_rational(args.alpha)) if args.alpha else None
+    bound = minimal_M(model.rr, parse_rational(args.alpha)) if args.alpha else None
     if args.stratum:
         result = epsilon(model, model.stratum(args.stratum))
     else:
         result = global_epsilon(model)
     doc = {"model": model.name, "stratum": args.stratum or None, **result.to_document(bound)}
+    approx = result.value.approx()
     lines = [
-        f"epsilon = {result.value.serialize()}  (approx {result.value.approx():.6g})",
+        f"epsilon = {result.value.serialize()}"
+        + ("" if approx is None else f"  (approx {approx:.6g})"),
         f"certification = {result.certification.value}",
     ]
     if result.witness:

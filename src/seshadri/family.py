@@ -250,12 +250,12 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     largest global value of a general member.
 
     Each member's strata are evaluated once, into the model's
-    stratum_table that every part of the report reads.  The candidate
-    superset is bounded once per distinct (very-ampleness multiplier,
-    RR data); the walks of one multiplier at one alpha nest by B, so one
-    CandidateSuperset per multiplier, of the largest B, covers them.  An
-    observed value is contained iff one of those sets holds its reduced
-    pair, an O(1) test each: nothing is listed.
+    stratum_table that every part of the report reads.  Each member
+    bounds its own candidate superset; the walks of one multiplier at
+    one alpha nest by B, so one CandidateSuperset per multiplier, of the
+    largest B, covers them.  An observed value is contained iff one of
+    those sets holds its reduced pair, an O(1) test each: nothing is
+    listed.
     """
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
@@ -266,15 +266,16 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     rows: List[Tuple[str, str, SeshadriResult, DegreeBound]] = []
     uncertified: List[Tuple[str, str]] = []
     sigma_cap_set = set()
-    supersets = {}  # (multiplier, RR data) -> CandidateSuperset
+    largest = {}  # multiplier -> its CandidateSuperset of the largest B
     alpha_value = SeshadriValue.exact(alpha)
     members = sorted(family.members, key=lambda lm: lm[0])
 
     for label, model in members:
-        key = (model.very_ample_multiplier, model.rr)
-        if key not in supersets:
-            supersets[key] = member_candidate_superset(model, alpha)
-        bound = model.degree_bound(alpha)
+        candidates = member_candidate_superset(model, alpha)
+        v = candidates.very_ample_multiplier
+        if v not in largest or candidates.B > largest[v].B:
+            largest[v] = candidates
+        bound = minimal_M(model.rr, alpha)
         for stratum_label, res in sorted(model.stratum_table.items()):
             rows.append((label, stratum_label, res, bound))
             if res.certification is Certification.EXACT_CERTIFIED:
@@ -284,12 +285,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
             else:
                 uncertified.append((label, stratum_label))
 
-    # ascending in (v, B): per v the last set, of the largest B, stays
-    largest = {
-        s.very_ample_multiplier: s
-        for s in sorted(supersets.values(), key=lambda s: (s.very_ample_multiplier, s.B))
-    }
-    superset = SupersetUnion(tuple(largest.values()))
+    superset = SupersetUnion([largest[v] for v in sorted(largest)])
 
     sigma_cap = sorted(sigma_cap_set)
     missing = [q for q in sigma_cap if (q.numerator, q.denominator) not in superset]

@@ -27,12 +27,11 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
 from . import SCHEMA_VERSION
-from .bounds import DegreeBound, RRData, minimal_M
+from .bounds import RRData, minimal_M
 from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
 from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
 from .values import (
     RATIONAL_SYNTAX,
-    Rational,
     Record,
     as_int,
     as_tuple,
@@ -54,15 +53,15 @@ class ModelError(ValueError):
 class SurfaceModel(Record):
     """A polarized surface presented by lattice data.  A model is
     immutable: its fields are frozen and its blow-up generator sets are
-    read-only, so what it computes from them (the generator tables, the
-    degree bounds and the stratum table) is computed once and never goes
-    stale; `values.replace` gives a new model with fresh ones."""
+    read-only, so what it computes from them (the generator tables and
+    the stratum table) is computed once and never goes stale;
+    `values.replace` gives a new model with fresh ones."""
 
     _fields = (
         "name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"
     )
     # the data computed from the fields, which no comparison reads
-    __slots__ = _fields + ("_generator_tables", "_degree_bounds", "_stratum_table")
+    __slots__ = _fields + ("_generator_tables", "_stratum_table")
 
     def __init__(
         self,
@@ -99,9 +98,8 @@ class SurfaceModel(Record):
         set_field(self, "very_ample_multiplier", very_ample_multiplier)
         set_field(self, "strata", strata)
         set_field(self, "blowup_gens", blowup_gens)
-        set_field(self, "_degree_bounds", {})  # (numerator, denominator) of a -> minimal_M(rr, a)
         set_field(self, "_stratum_table", None)  # built on first read
-        # the checks of the whole model read its fields and degree bounds
+        # the checks of the whole model read its fields
         set_field(self, "_generator_tables", _validate_model(self))
 
     def __reduce__(self):
@@ -113,15 +111,6 @@ class SurfaceModel(Record):
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
         the order of its set, as checked and computed at construction."""
         return self._generator_tables[label]
-
-    def degree_bound(self, a: Rational) -> DegreeBound:
-        """minimal_M(rr, a), computed once per threshold a: every stratum
-        of the model shares its degree bound."""
-        key = (a.numerator, a.denominator)  # hashes faster than a Fraction
-        bound = self._degree_bounds.get(key)
-        if bound is None:
-            bound = self._degree_bounds[key] = minimal_M(self.rr, a)
-        return bound
 
     @property
     def stratum_table(self) -> Mapping[str, SeshadriResult]:
@@ -269,7 +258,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
             # keep certification honest: the table may not contain entries
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
-            cap = model.degree_bound(ocb).B
+            cap = minimal_M(model.rr, ocb).B
     rank = model.lattice.rank
     for c in s.candidates:
         if c.coords is not None:
@@ -307,9 +296,10 @@ def _generator_table(
     """Check one stratum's blow-up generator set and return its table of
     (pi^*L.C, Ex.C) per generator C, given L's covector `polarization`.
     Every row's length is checked first against the rank n + 1 of the
-    layout of `extend_blowup`: pushforward first, then the Ex coordinate.  Then pi^*L.C = L.pi_*C (the
-    projection formula) is the dot product of L's covector with the row's
-    first n entries, and Ex.C is minus the row's last entry."""
+    layout of `extend_blowup`: pushforward first, then the Ex
+    coordinate.  Then pi^*L.C = L.pi_*C (the projection formula) is the
+    dot product of L's covector with the row's first n entries, and Ex.C
+    is minus the row's last entry."""
     # before the pairing, which would read a short row's last entry as Ex
     rank = model.lattice.rank + 1
     if not set(map(len, gens.rows)) <= {rank}:

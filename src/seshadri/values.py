@@ -3,7 +3,7 @@ rational-or-square-root type used for Seshadri constants.
 
 All comparisons are exact; square roots are never evaluated in floating
 point on any decision path.  Floats appear only in clearly labeled
-"approx" report columns.
+"approx" report columns, which are empty for a value beyond float range.
 
 The module also holds what every layer's constructors share: the checks
 of a single value, and `Record`, the immutable base of every record.
@@ -15,7 +15,7 @@ import math
 import re
 from collections import abc
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 # The exact rational substrate.  fractions.Fraction already guarantees
 # reduced form with positive denominator, which is exactly the invariant
@@ -269,12 +269,18 @@ class SeshadriValue:
             return format_rational(self._q)
         return f"sqrt({self._d})"
 
-    def approx(self) -> float:
+    def approx(self) -> Optional[float]:
         """Floating-point approximation, for human-readable report columns
-        only; never used in comparisons."""
-        if self._q is not None:
-            return float(self._q)
-        return math.sqrt(self._d)
+        only; never used in comparisons.  None past float range."""
+        try:
+            if self._q is not None:
+                return float(self._q)
+            try:
+                return math.sqrt(self._d)
+            except OverflowError:  # d is past float range, its root need not be
+                return float(math.isqrt(self._d))
+        except OverflowError:
+            return None
 
     def __repr__(self) -> str:
         return f"SeshadriValue({self.serialize()})"

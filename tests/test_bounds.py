@@ -99,10 +99,10 @@ def test_records_behave_as_frozen_value_objects():
         for call in bad_calls:
             with pytest.raises(TypeError, match=rf"\b{kind.__name__}\b"):
                 call()
-    # a model's generator tables, degree bounds and stratum table are
-    # not compared or shown
+    # a model's generator tables and stratum table are not compared or
+    # shown
     model, twin = f1_anticanonical(), f1_anticanonical()
-    model.stratum_table, model.degree_bound(Fraction(3, 2))
+    model.stratum_table
     assert model == twin and repr(model) == repr(twin)
 
 

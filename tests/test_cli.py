@@ -6,6 +6,7 @@ import pytest
 from seshadri import bounds, checks, cli, engine, family
 from seshadri.cli import main
 from seshadri.models import f1_anticanonical, projective_plane, quadric
+from seshadri.values import parse_rational
 
 
 @pytest.fixture
@@ -120,6 +121,38 @@ def test_epsilon_warns_on_an_empty_table(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == f"warning: {warning}"
 
 
+def _sqrt_ceiling_model(e):
+    """The line model with gram (2) and polarization e, so d = 2e^2, and
+    an empty table: its value is the sqrt(d) ceiling."""
+    doc = json.loads(projective_plane(1).to_json())
+    doc.update(gram=[[2]], polarization=[e], blowup_gens={})
+    doc["rr"]["d"] = 2 * e * e
+    doc["strata"][0].update(candidates=[], oracle_complete_below=None)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, value, approx",
+    [
+        # sqrt(2 * 10^400): d is past float range, its root is not
+        (_sqrt_ceiling_model(10**200), f"sqrt({2 * 10**400})", 1.4142135623730951e200),
+        # 10^400 is past float range itself
+        (projective_plane(10**400).to_json(), str(10**400), None),
+    ],
+    ids=["sqrt", "exact"],
+)
+def test_epsilon_approximates_only_what_fits_a_float(capsys, tmp_path, text, value, approx):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["epsilon", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["value"], doc["value_approx"]) == (value, approx)
+    assert main(["epsilon", str(path)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    shown = "" if approx is None else f"  (approx {approx:.6g})"
+    assert first == f"epsilon = {value}{shown}"
+
+
 def test_epsilon_unknown_stratum(capsys, f1_path):
     assert main(["epsilon", f1_path, "--stratum", "nope"]) == 1
 
@@ -208,6 +241,32 @@ def test_scan_text_states_a_superset_size_past_sys_maxsize(capsys, monkeypatch, 
     assert lines[2].startswith(f"candidate superset: {_HUGE} ratios at v=1, B=")
 
 
+def test_scan_near_sqrt_d_lists_no_candidate(capsys, monkeypatch, tmp_path):
+    # f1 at 2828427/1000000, just below sqrt(8): B = 8,000,000 and about
+    # 1.3e13 candidate ratios, which every report counts and none lists
+    def refuse(*_):
+        raise AssertionError("the candidate walk was run")
+
+    monkeypatch.setattr(bounds, "_farey", refuse)
+    alpha = "2828427/1000000"
+    size = bounds.candidate_count(8_000_000, parse_rational(alpha))
+    path = tmp_path / "f1_family.json"
+    members = [{"param_label": "t", "model": f1_anticanonical().to_document()}]
+    path.write_text(json.dumps({"degree": 8, "members": members}))
+    report = family.scan(family.load_family(path.read_text()), parse_rational(alpha))
+    entry = {"very_ample_multiplier": 1, "B": 8_000_000, "size": size}
+    assert report.to_document()["candidate_supersets"] == [entry]
+    assert report.to_csv().startswith("param_label,stratum,epsilon,certification,witness")
+    csv_path = tmp_path / "f1.csv"
+    argv = ["scan", str(path), "--alpha", alpha, "--csv", str(csv_path)]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["candidate_supersets"] == [entry]
+    assert csv_path.read_text() == report.to_csv()
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"candidate superset: {size} ratios at v=1, B=8000000"
+
+
 def test_scan_serializes_only_the_requested_format(capsys, monkeypatch, family_path):
     # each format lists the whole candidate superset, so the other is not built
     def refuse(*_):
@@ -230,6 +289,13 @@ def test_output_written_atomically(tmp_path, f1_path):
     assert leftovers == []
 
 
+def _assert_path_error(capsys, path):
+    # one error line that names the given path, not the temporary file
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f": {str(path)!r}\n")
+    assert err.count("\n") == 1 and ".seshadri-" not in err
+
+
 def test_output_to_a_directory_is_an_input_error(capsys, tmp_path):
     # the report cannot replace a directory: the call fails with an error
     # and removes its temporary file
@@ -237,9 +303,17 @@ def test_output_to_a_directory_is_an_input_error(capsys, tmp_path):
     out.mkdir()
     argv = ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2"]
     assert main([*argv, "--output", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    _assert_path_error(capsys, out)
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_output_to_a_missing_directory_names_the_path(capsys, tmp_path, family_path, flag):
+    out = tmp_path / "missing" / "report"
+    assert main(["scan", family_path, "--alpha", "5/2", flag, str(out)]) == 1
+    _assert_path_error(capsys, out)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_scan_strict_exits_2_on_an_uncertified_stratum(tmp_path, family_path):

@@ -78,7 +78,7 @@ def test_scan_evaluates_each_stratum_once(monkeypatch):
     assert calls == {"curves": 3, "nef": 3}
 
 
-def test_scan_computes_each_degree_bound_once_per_model(blown_up_plane, monkeypatch):
+def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
     # d = 98; the dense stratum sits at sqrt(d), and the other four are
     # complete below 5, 11/3, 1 and 1, three distinct thresholds under sqrt(d)
     doc = blown_up_plane(
@@ -102,13 +102,14 @@ def test_scan_computes_each_degree_bound_once_per_model(blown_up_plane, monkeypa
         if getattr(module, "minimal_M", None) is bounds.minimal_M:
             monkeypatch.setattr(module, "minimal_M", counted)
     members = tuple((label, models_module.model_from_document(doc)) for label in ("a", "b"))
-    # validation: one bound per member and distinct threshold
-    assert sorted(calls) == sorted([Fraction(5), Fraction(11, 3), Fraction(1)] * 2)
+    # validation: one bound per stratum complete below a threshold under
+    # sqrt(d), in stratum order, for each model
+    assert calls == [Fraction(5), Fraction(11, 3), Fraction(1), Fraction(1)] * 2
     calls.clear()
     report = scan(Family(members=members, degree=98), Fraction(3))
     assert len(report.epsilon_table) == 10
-    # the scan: one superset enumeration, and one bound per member at alpha
-    assert calls == [Fraction(3)] * 3
+    # the scan: per member, the bound of its superset and its rows' bound
+    assert calls == [Fraction(3)] * 4
 
 
 def _walk_reference(model, alpha):
@@ -156,7 +157,7 @@ def test_scan_superset_merges_keys_of_multiplier_one(check_superset):
     doc["rr"]["c"] = 0
     members = (("a", projective_plane(3)), ("b", load_model(json.dumps(doc))))
     alpha = Fraction(5, 2)
-    assert [model.degree_bound(alpha).B for _, model in members] == [18, 36]
+    assert [bounds.minimal_M(model.rr, alpha).B for _, model in members] == [18, 36]
     report = scan(Family(members=members, degree=9), alpha)
     assert report.candidate_superset.sets == (CandidateSuperset(1, 36, alpha),)
     walk = [Fraction(t, m) for t, m in bounds.candidate_walk(36, alpha)]
@@ -354,7 +355,7 @@ def test_candidate_superset_respects_multiplier(check_superset):
     alpha = Fraction(3, 2)
     superset = member_candidate_superset(model, alpha)
     # built-ins declare multiplier 1: the walk's pairs, with nothing to divide
-    B = model.degree_bound(alpha).B
+    B = bounds.minimal_M(model.rr, alpha).B
     assert superset == CandidateSuperset(1, B, alpha)
     walk = [Fraction(t, m) for t, m in bounds.candidate_walk(B, alpha)]
     check_superset(superset, walk, [(1, B, alpha)])

@@ -102,6 +102,15 @@ def test_approx_labels_only():
     assert SeshadriValue.exact(Fraction(1, 2)).approx() == 0.5
 
 
+def test_approx_beyond_float_range():
+    # a root that fits a float is given though d does not; a value that
+    # does not fit gives none
+    assert SeshadriValue.sqrt(2 * 10**400).approx() == pytest.approx(math.sqrt(2) * 1e200)
+    assert SeshadriValue.sqrt(2 * 10**700).approx() is None
+    assert SeshadriValue.exact(Fraction(10**400, 3)).approx() is None
+    assert SeshadriValue.exact(Fraction(1, 10**400)).approx() == 0.0
+
+
 def test_parse_rational():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == Fraction(-7)
