@@ -65,12 +65,7 @@ class DegreeBound(Record):
     """
 
     __slots__ = _fields = ("a", "M", "B", "vanishing_multiplier")
-
-    def __init__(self, a: Rational, M: int, B: int, vanishing_multiplier: int = 1):
-        set_field(self, "a", a)
-        set_field(self, "M", M)
-        set_field(self, "B", B)
-        set_field(self, "vanishing_multiplier", vanishing_multiplier)
+    _defaults = {"vanishing_multiplier": 1}
 
 
 def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:

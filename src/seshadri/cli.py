@@ -35,6 +35,12 @@ def _emit(text: str, output: Optional[str]) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seshadri-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp's 0600 becomes the replaced report's mode, or a new
+        # file's 0666 less the umask, as a shell redirection would give
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = os.stat(output).st_mode & 0o7777 if os.path.exists(output) else 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, output)
     except OSError as exc:
         # the error names the given path, not the temporary file

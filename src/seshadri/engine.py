@@ -134,22 +134,9 @@ class SeshadriResult(Record):
     label, the reported value and certified_above derive from these."""
 
     __slots__ = _fields = ("hi", "lo", "ceiling_only", "witness", "warning", "attained_at")
-
-    def __init__(
-        self,
-        hi: SeshadriValue,
-        lo: Optional[SeshadriValue] = None,
-        ceiling_only: bool = False,
-        witness: Optional[CurveCandidate] = None,
-        warning: Optional[str] = None,
-        attained_at: Optional[str] = None,
-    ):
-        set_field(self, "hi", hi)
-        set_field(self, "lo", lo)
-        set_field(self, "ceiling_only", ceiling_only)
-        set_field(self, "witness", witness)
-        set_field(self, "warning", warning)
-        set_field(self, "attained_at", attained_at)
+    _defaults = {
+        "lo": None, "ceiling_only": False, "witness": None, "warning": None, "attained_at": None
+    }
 
     @property
     def certification(self) -> Certification:

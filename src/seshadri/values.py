@@ -15,7 +15,7 @@ import math
 import re
 from collections import abc
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 # The exact rational substrate.  fractions.Fraction already guarantees
 # reduced form with positive denominator, which is exactly the invariant
@@ -102,32 +102,27 @@ class Record:
     hashed and shown by value like a frozen dataclass, without importing
     dataclasses (and with it inspect) into every command.  A subclass
     lists its fields in order in `_fields` and in `__slots__`, with any
-    slot for data it derives and does not compare.  A record that checks
-    nothing (`CandidateSuperset`, `Verdict`, `FamilyScanReport`,
-    `CheckResult`) binds its fields, all required, as a call would.  The
-    others check, convert or default their arguments, or are built in hot
-    loops (a keyword `DegreeBound` takes about 0.9 us by its own __init__
-    and 3 us by this one); their __init__ sets each field once with set_field."""
+    slot for data it derives and does not compare.  A subclass that
+    writes no __init__ gets the one it would write by hand: a parameter
+    per field, trailing defaults from `_defaults`, one set_field per
+    field, and Python's own TypeError naming `Class.__init__()` for a bad
+    call.  Only the records that check or convert their arguments write
+    their own."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            call, rest = f"{type(self).__name__}()", fields[len(args):]
-            if len(args) > len(fields):
-                raise TypeError(f"{call} takes {len(fields)} arguments but {len(args)} were given")
-            for name in kwargs:
-                if name not in rest:
-                    fault = "multiple values for" if name in fields else "an unexpected keyword"
-                    raise TypeError(f"{call} got {fault} argument {name!r}")
-            if len(kwargs) < len(rest):
-                missing = ", ".join(name for name in rest if name not in kwargs)
-                raise TypeError(f"{call} missing required arguments: {missing}")
-            args += tuple(kwargs[name] for name in rest)
-        for name, value in zip(fields, args):
-            set_field(self, name, value)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" not in cls.__dict__:
+            fields, defaults = cls._fields, cls._defaults
+            params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+            body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in fields)
+            namespace = {"set_field": set_field, "_defaults": defaults, "__name__": cls.__module__}
+            exec(f"def __init__(self, {params}):{body}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

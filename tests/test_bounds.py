@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -25,11 +26,11 @@ from seshadri.bounds import (
     multiplicity_target,
 )
 from seshadri.checks import CheckResult, brute_force_pairs, linear_minimal_M
-from seshadri.engine import EngineError, global_epsilon
+from seshadri.engine import EngineError, SeshadriResult, global_epsilon
 from seshadri.family import Family, FamilyError, scan
 from seshadri.lattice import LatticeError
 from seshadri.models import ModelError, SurfaceModel, f1_anticanonical, quadric
-from seshadri.values import replace
+from seshadri.values import Record, replace
 
 
 def dimension_count_oracle(d, c, c_prime, a, n):
@@ -97,13 +98,47 @@ def test_records_behave_as_frozen_value_objects():
             lambda: kind(**{k: v for k, v in keywords.items() if k != first}),  # one missing
         ]
         for call in bad_calls:
-            with pytest.raises(TypeError, match=rf"\b{kind.__name__}\b"):
+            with pytest.raises(TypeError, match=rf"^{kind.__name__}\.__init__\(\) "):
                 call()
     # a model's generator tables and stratum table are not compared or
     # shown
     model, twin = f1_anticanonical(), f1_anticanonical()
     model.stratum_table
     assert model == twin and repr(model) == repr(twin)
+
+
+# the records that check or convert their arguments, and so write their
+# own __init__; every other record's is generated from its fields
+CHECKING_RECORDS = {
+    "RRData", "IntersectionLattice", "CurveGeneratorSet", "CurveCandidate", "PointStratum",
+    "SurfaceModel", "Family", "SupersetUnion",
+}
+
+
+def test_generated_constructors_take_exactly_the_fields():
+    assert "__init__" not in Record.__dict__
+    generated = set()
+    for make, fields, _ in RECORDS:
+        kind = type(make())
+        if kind.__name__ in CHECKING_RECORDS:
+            assert kind.__init__.__code__.co_filename != "<string>"
+            continue
+        generated.add(kind.__name__)
+        assert kind.__init__.__qualname__ == f"{kind.__name__}.__init__"
+        assert kind.__init__.__module__ == kind.__module__
+        parameters = list(inspect.signature(kind).parameters.values())
+        assert [p.name for p in parameters] == fields
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters)
+        defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+        assert defaults == kind._defaults
+    assert generated == {
+        "DegreeBound", "SeshadriResult", "CandidateSuperset", "Verdict", "FamilyScanReport",
+        "CheckResult",
+    }
+    assert DegreeBound._defaults == {"vanishing_multiplier": 1}
+    assert SeshadriResult._defaults == {
+        "lo": None, "ceiling_only": False, "witness": None, "warning": None, "attained_at": None
+    }
 
 
 def _family() -> Family:

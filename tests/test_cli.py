@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 
 import pytest
 
@@ -287,6 +289,29 @@ def test_output_written_atomically(tmp_path, f1_path):
     assert doc["value"] == "1"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".seshadri-")]
     assert leftovers == []
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_output_files_get_the_mode_a_redirection_would(tmp_path, family_path, umask_022):
+    # a new report is 0666 less the umask, not mkstemp's 0600
+    (tmp_path / "out").mkdir()
+    out, csv_path = tmp_path / "out" / "report.json", tmp_path / "out" / "report.csv"
+    argv = ["scan", family_path, "--alpha", "5/2", "--format", "json"]
+    assert main([*argv, "--output", str(out), "--csv", str(csv_path)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(csv_path.stat().st_mode) == 0o644
+    # a replaced report keeps its own bits
+    out.chmod(0o640)
+    csv_path.chmod(0o640)
+    assert main([*argv, "--output", str(out), "--csv", str(csv_path)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(csv_path.stat().st_mode) == 0o640
+    assert json.loads(out.read_text())["alpha"] == "5/2"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["report.csv", "report.json"]
 
 
 def _assert_path_error(capsys, path):
