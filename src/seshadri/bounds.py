@@ -16,10 +16,12 @@ alpha with m <= t <= B are the inverses of the Farey fractions of order
 B in [1/alpha, 1], so a Farey next-term walk lists them in ascending
 order at one integer step per ratio, and a Moebius sum of floor sums
 counts them without listing any, in O(B^(2/3)).  A listed ratio's
-Fraction is built from its walk pair as it is, without Fraction's gcd,
-since each pair is reduced with a positive denominator.  The count's
-Mertens table is L + 1 bytes of mu plus 8(L + 1) bytes of prefix sums,
-with L about B^(2/3).
+Fraction is built from its walk pair without Fraction's gcd, since each
+pair is reduced with a positive denominator.  When the list is long
+enough to pay for it, one table of the ints 0..B supplies every
+numerator and denominator, so the Fraction is the one new object per
+ratio.  The count's Mertens table is L + 1 bytes of mu plus 8(L + 1)
+bytes of prefix sums, with L about B^(2/3).
 """
 
 from __future__ import annotations
@@ -188,19 +190,36 @@ def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
     Seshadri value <= alpha for families whose curves obey the degree
     bound B (under the very-ampleness normalization m <= t).
 
-    The ratios come straight out of a Farey walk in ascending order, one
-    integer step per ratio; the walk needs no gcd, set or sort.  Each
-    Fraction is built from its walk pair (t, m) as it is, without
-    Fraction's own gcd and argument dispatch, which is exact because the
-    walk yields gcd(t, m) = 1, m >= 1 and exact ints.
+    The ratios come straight out of candidate_walk's Farey walk in
+    ascending order, one integer step per ratio, with no gcd, set or
+    sort; its stop test runs here, so one generator frame resumes per
+    ratio.  Each Fraction is built without Fraction's own gcd and
+    argument dispatch: the walk yields gcd(t, m) = 1 and m >= 1, so
+    setting the two slots is exact.
+
+    The slots hold ints from one table of 0..B, shared by all ratios,
+    in place of the walk's fresh ints, so the Fraction is the one new
+    object per ratio, when alpha >= B/(B - 3), that is (p - q)*B >= 3p
+    for alpha = p/q.  Then t/(t - 1) <= alpha for t >= B/3 and
+    t/(t - 2) <= alpha for t >= 2B/3, so the list holds about 5B/6
+    Fractions at 56 bytes each with its pointer, more than the table's
+    at most 40 bytes per int.  Below that, range(B + 1) stands in: it
+    allocates nothing and indexes to the same values.
     """
-    ratios = []
-    for t, m in candidate_walk(B, alpha):
+    B, p, q = _walk_range(B, alpha)
+    ints = list(range(B + 1)) if (p - q) * B >= 3 * p else range(B + 1)
+    ratios: List[Rational] = []
+    append, new = ratios.append, object.__new__
+    # the inverses m/t of F_B on [1/alpha, 1], downward from 1/1, as in
+    # candidate_walk
+    for m, t in _farey(B, B + 1, B, 1, 1):
+        if m * p < t * q:
+            break
         # Fraction's two slots, set as Fraction(t, m) would set them: the
         # pair is already in lowest terms with a positive denominator
-        r = object.__new__(Fraction)
-        r._numerator, r._denominator = t, m
-        ratios.append(r)
+        r = new(Fraction)
+        r._numerator, r._denominator = ints[t], ints[m]
+        append(r)
     return ratios
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minimal_M
 from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
@@ -225,6 +225,13 @@ def semicontinuity_check(family: Family) -> List[Verdict]:
     specializes from.  Each verdict compares the two intervals, so it
     passes only where the evidence proves the order."""
     globals_by_member = {label: global_epsilon(model) for label, model in family.members}
+    return _semicontinuity_verdicts(family, globals_by_member)
+
+
+def _semicontinuity_verdicts(
+    family: Family, globals_by_member: Dict[str, SeshadriResult]
+) -> List[Verdict]:
+    """semicontinuity_check's verdicts, from each member's global result."""
     verdicts = [
         _verdict(
             "member", "family", general, special,
@@ -300,13 +307,16 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         ((label, sigma_local(model)) for label, model in members), key=lambda ls: ls[1].value
     )
 
-    # a general member is never the special side of a pair; an acyclic
-    # order on a finite, non-empty set always has one
-    global_values = {label: global_epsilon(model).value for label, model in family.members}
+    # each member's global result, once, for the jumps and the member
+    # verdicts; a general member is never the special side of a pair, and
+    # an acyclic order on a finite, non-empty set always has one
+    globals_by_member = {label: global_epsilon(model) for label, model in family.members}
     specials = {special for _, special in family.member_specialization}
-    reference = max(value for label, value in global_values.items() if label not in specials)
+    reference = max(
+        res.value for label, res in globals_by_member.items() if label not in specials
+    )
     jump_members = tuple(
-        label for label, _ in members if global_values[label] < reference
+        label for label, _ in members if globals_by_member[label].value < reference
     )
 
     return FamilyScanReport(
@@ -317,7 +327,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
         epsilon_table=tuple(rows),
         sigma_cap=tuple(sigma_cap),
         candidate_superset=superset,
-        semicontinuity_verdicts=tuple(semicontinuity_check(family)),
+        semicontinuity_verdicts=tuple(_semicontinuity_verdicts(family, globals_by_member)),
         jump_members=jump_members,
         uncertified=tuple(uncertified),
     )

@@ -3,6 +3,8 @@ import inspect
 import math
 import pickle
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -388,6 +390,62 @@ def test_fraction_slots_are_the_two_candidate_ratios_sets():
     # Fraction(t, m); this guards that direct constructor on each Python
     # the CI matrix runs
     assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def _assert_brute_force_ratios(B, alpha):
+    ratios = candidate_ratios(B, alpha)
+    want = [Fraction(t, m) for t, m in brute_force_pairs(B, alpha)]
+    assert ratios == want
+    for r, w in zip(ratios, want):
+        assert type(r) is Fraction
+        assert (type(r.numerator), type(r.denominator)) == (int, int)
+        assert hash(r) == hash(w)
+
+
+def test_candidate_ratios_on_both_sides_of_the_shared_int_table():
+    # the ints come from one shared table from alpha = B/(B - 3) up and
+    # from range(B + 1) below it; both give the brute force's ratios
+    for B in range(4, 41):
+        for alpha in (
+            Fraction(B, B - 3),
+            Fraction(B, B - 3) - Fraction(1, 10**6),
+            Fraction(B, B - 2),
+            Fraction(B, B - 2) - Fraction(1, 10**6),
+            Fraction(B + 1, B),
+        ):
+            _assert_brute_force_ratios(B, alpha)
+
+
+def test_candidate_ratios_share_one_int_per_value():
+    B = 600
+    ratios = candidate_ratios(B, Fraction(707, 250))
+    assert len(ratios) == candidate_count(B, Fraction(707, 250))
+    numerators = {id(r.numerator) for r in ratios}
+    denominators = {id(r.denominator) for r in ratios}
+    assert len(numerators | denominators) <= B + 1
+
+
+def _traced(function, *args):
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_candidate_ratios_memory_is_bounded_by_the_list():
+    # below the table's threshold nothing is allocated up front, even at
+    # B = 10^8, where the list is [1]
+    for alpha in (Fraction(1), Fraction(10**8 + 1, 10**8)):
+        ratios, peak = _traced(candidate_ratios, 10**8, alpha)
+        assert ratios == [Fraction(1)]
+        assert peak < 1_000_000
+    # at the threshold the table costs less than the list it serves
+    for B in (300, 1000, 3000):
+        ratios, peak = _traced(candidate_ratios, B, Fraction(B, B - 3))
+        listed = sys.getsizeof(ratios) + sum(map(sys.getsizeof, ratios))
+        assert peak < 2 * listed
 
 
 def test_candidate_count_and_mertens_table_past_small_sieves():

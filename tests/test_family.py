@@ -78,6 +78,26 @@ def test_scan_evaluates_each_stratum_once(monkeypatch):
     assert calls == {"curves": 3, "nef": 3}
 
 
+def test_scan_computes_each_member_global_result_once(monkeypatch):
+    calls = []
+    original = family_module.global_epsilon
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(family_module, "global_epsilon", counted)
+    family = Family(
+        members=(("general", quadric(2, 2)), ("special", f1_anticanonical())),
+        degree=8,
+        member_specialization=(("general", "special"),),
+    )
+    report = scan(family, Fraction(5, 2))
+    # one call per member, for the jumps and the member verdicts alike
+    assert sorted(map(id, calls)) == sorted(id(model) for _, model in family.members)
+    assert list(report.semicontinuity_verdicts) == semicontinuity_check(family)
+
+
 def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
     # d = 98; the dense stratum sits at sqrt(d), and the other four are
     # complete below 5, 11/3, 1 and 1, three distinct thresholds under sqrt(d)
