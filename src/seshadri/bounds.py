@@ -14,14 +14,15 @@ with no search cap, in integers only: a = p/q enters through p and q,
 and the one Fraction is the reported a.  The candidate ratios t/m <=
 alpha with m <= t <= B are the inverses of the Farey fractions of order
 B in [1/alpha, 1], so a Farey next-term walk lists them in ascending
-order at one integer step per ratio, and a Moebius sum of floor sums
-counts them without listing any, in O(B^(2/3)).  A listed ratio's
-Fraction is built from its walk pair without Fraction's gcd, since each
-pair is reduced with a positive denominator.  When the list is long
-enough to pay for it, one table of the ints 0..B supplies every
-numerator and denominator, so the Fraction is the one new object per
-ratio.  The count's Mertens table is L + 1 bytes of mu plus 8(L + 1)
-bytes of prefix sums, with L about B^(2/3).
+order at one integer step per ratio, down to a last term that a
+Stern-Brocot descent finds beforehand in O(log B) steps, and a Moebius
+sum of floor sums counts them without listing any, in O(B^(2/3)).  A
+listed ratio's Fraction is built from its walk pair without Fraction's
+gcd, since each pair is reduced with a positive denominator.  When the
+list is long enough to pay for it, one table of the ints 0..B supplies
+every numerator and denominator, so the Fraction is the one new object
+per ratio.  The count's Mertens table is L + 1 bytes of mu plus
+8(L + 1) bytes of prefix sums, with L about B^(2/3).
 """
 
 from __future__ import annotations
@@ -136,19 +137,32 @@ def multiplicity_target(M: int, a: RationalLike) -> int:
     return int(Ma) + 1
 
 
-def _farey(B: int, a: int, b: int, c: int, d: int) -> Iterator[Tuple[int, int]]:
-    """Terms c/d, then onward, of the fractions with denominator <= B in
-    order, walking from the neighbour a/b through c/d (either direction).
+def _farey_ceil(B: int, u: int, v: int) -> Tuple[int, int]:
+    """The least term >= u/v of the fractions in [0, 1] with denominator
+    <= B, as a reduced pair, for reduced u/v in [0, 1]: u/v itself when
+    v <= B.
 
-    Three consecutive terms x < y < z satisfy x + z = k*y termwise, with
-    k = (B + den(x)) // den(y) = (B + den(z)) // den(y); see Hardy and
-    Wright, An Introduction to the Theory of Numbers, ch. III.  The walk
-    never ends; the caller stops it.
+    Otherwise u/v lies strictly between two neighbours a/b < c/d of the
+    Stern-Brocot tree, starting from 0/1 and 1/1, and each turn moves
+    one of them as far toward u/v as it goes in one batch: a/b to
+    (a + k*c)/(b + k*d) with the largest k that keeps it below u/v and
+    its denominator <= B, then c/d likewise from above.  Each turn takes
+    a partial quotient of u/v's continued fraction, so there are
+    O(log B) of them.  Once b + d > B no fraction of denominator <= B
+    lies strictly between the neighbours, so c/d is the answer (Graham,
+    Knuth and Patashnik, Concrete Mathematics, sec. 4.5).
     """
-    while True:
-        yield c, d
-        k = (B + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
+    if v <= B:
+        return u, v
+    a, b, c, d = 0, 1, 1, 1
+    while b + d <= B:
+        # the step that would reach u/v itself exceeds the denominator
+        # cap, since u/v has denominator v > B, so neither end meets it
+        k = min((u * b - a * v) // (c * v - u * d), (B - b) // d)
+        a, b = a + k * c, b + k * d
+        k = min((c * v - u * d) // (u * b - a * v), (B - d) // b)
+        c, d = c + k * a, d + k * b
+    return c, d
 
 
 def _walk_range(B: int, alpha: RationalLike) -> Tuple[int, int, int]:
@@ -163,25 +177,51 @@ def _walk_range(B: int, alpha: RationalLike) -> Tuple[int, int, int]:
     return B, alpha.numerator, alpha.denominator
 
 
+def _check_after_end(B: int, a: int, b: int, c: int, d: int, u: int, v: int) -> None:
+    """Raise unless the term after the end term c/d, downward from the
+    neighbour a/b, lies below u/v, so that no term >= u/v was left out."""
+    k = (B + b) // d
+    if (k * c - a) * v >= (k * d - b) * u:
+        raise BoundError(f"the Farey walk ended at {c}/{d}, above its last term >= {u}/{v}")
+
+
 def candidate_walk(
     B: int, alpha: RationalLike, require_m_le_t: bool = True
 ) -> Iterator[Tuple[int, int]]:
     """The pairs behind candidate_ratios: reduced (t, m) with t, m <= B
     and t/m <= alpha in ascending order of t/m, restricted to m <= t
-    when require_m_le_t.  Distinct pairs are distinct ratios."""
+    when require_m_le_t.  Distinct pairs are distinct ratios.
+
+    Both branches run candidate_ratios' loop, a walk of the Farey
+    sequence F_B downward to its least term >= u/v, found beforehand by
+    _farey_ceil.  The pairs t/m >= 1 are the inverses m/t of F_B on
+    [1/alpha, 1], from 1/1.  The pairs t/m < 1, listed first when m <= t
+    is not required, are F_B itself upward from 1/B, walked as their
+    mirror images 1 - t/m downward from (B - 1)/B: F_B is symmetric
+    about 1/2, and the next-term recurrence is linear, so it maps the one
+    walk onto the other.
+    """
     B, p, q = _walk_range(B, alpha)
-    if not require_m_le_t:
-        # t/m < 1: the Farey sequence F_B itself, upward from 1/B
-        for t, m in _farey(B, 0, 1, 1, B):
-            if t >= m or t * q > p * m:
-                break
-            yield t, m
-    # t/m >= 1: the inverses m/t of F_B on [1/alpha, 1], downward from
-    # 1/1, whose neighbour above is (B+1)/B
-    for m, t in _farey(B, B + 1, B, 1, 1):
-        if m * p < t * q:
-            break
-        yield t, m
+    walks = []
+    if not require_m_le_t and B > 1 and p * B >= q:
+        # 1 - t/m >= max(1 - alpha, 1/B): t/m <= alpha and t/m < 1
+        walks.append((True, (1, 1, B - 1, B), (q - p, q) if p < q else (1, B)))
+    if p >= q:
+        # 1/1's neighbour above is (B+1)/B
+        walks.append((False, (B + 1, B, 1, 1), (q, p)))
+    for mirrored, (a, b, c, d), (u, v) in walks:
+        end_c, end_d = _farey_ceil(B, u, v)
+        while True:
+            yield (d - c, d) if mirrored else (d, c)
+            if d == end_d:
+                if c * v < d * u:
+                    raise BoundError(f"the Farey walk passed {u}/{v} before its end term")
+                if c == end_c:
+                    break
+            k = (B + b) // d
+            a, c = c, k * c - a
+            b, d = d, k * d - b
+        _check_after_end(B, a, b, c, d, u, v)
 
 
 def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
@@ -190,11 +230,19 @@ def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
     Seshadri value <= alpha for families whose curves obey the degree
     bound B (under the very-ampleness normalization m <= t).
 
-    The ratios come straight out of candidate_walk's Farey walk in
-    ascending order, one integer step per ratio, with no gcd, set or
-    sort; its stop test runs here, so one generator frame resumes per
-    ratio.  Each Fraction is built without Fraction's own gcd and
-    argument dispatch: the walk yields gcd(t, m) = 1 and m >= 1, so
+    The ratios are the inverses m/t of the Farey sequence F_B on
+    [1/alpha, 1], walked downward from 1/1 by the next-term recurrence:
+    three consecutive terms x > y > z satisfy x + z = k*y termwise, with
+    k = (B + den(x)) // den(y) (Hardy and Wright, An Introduction to the
+    Theory of Numbers, ch. III).  The walk's last term, the least term
+    >= 1/alpha, comes from _farey_ceil in O(log B) steps before it
+    starts, so the loop runs inline, with no generator, and compares
+    only a denominator per step; it stops right after that term.  A
+    walk that passes below 1/alpha at the end term's denominator, or
+    whose next term would still be >= 1/alpha, raises BoundError, so a
+    wrong end term can neither hang nor shorten the list.  There is no
+    gcd, set or sort.  Each Fraction is built without Fraction's own gcd
+    and argument dispatch: each walk pair is reduced with m >= 1, so
     setting the two slots is exact.
 
     The slots hold ints from one table of 0..B, shared by all ratios,
@@ -207,19 +255,30 @@ def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
     allocates nothing and indexes to the same values.
     """
     B, p, q = _walk_range(B, alpha)
+    if p < q:
+        return []
     ints = list(range(B + 1)) if (p - q) * B >= 3 * p else range(B + 1)
+    end_m, end_t = _farey_ceil(B, q, p)
     ratios: List[Rational] = []
     append, new = ratios.append, object.__new__
-    # the inverses m/t of F_B on [1/alpha, 1], downward from 1/1, as in
-    # candidate_walk
-    for m, t in _farey(B, B + 1, B, 1, 1):
-        if m * p < t * q:
-            break
-        # Fraction's two slots, set as Fraction(t, m) would set them: the
+    # candidate_walk's loop for t/m >= 1: the terms m/t = c/d of F_B
+    # downward from 1/1, whose neighbour above is (B+1)/B
+    a, b, c, d = B + 1, B, 1, 1
+    while True:
+        # Fraction's two slots, set as Fraction(d, c) would set them: the
         # pair is already in lowest terms with a positive denominator
         r = new(Fraction)
-        r._numerator, r._denominator = ints[t], ints[m]
+        r._numerator, r._denominator = ints[d], ints[c]
         append(r)
+        if d == end_t:
+            if c * p < d * q:
+                raise BoundError(f"the Farey walk passed {q}/{p} before its end term")
+            if c == end_m:
+                break
+        k = (B + b) // d
+        a, c = c, k * c - a
+        b, d = d, k * d - b
+    _check_after_end(B, a, b, c, d, q, p)
     return ratios
 
 

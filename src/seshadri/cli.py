@@ -107,7 +107,7 @@ def cmd_candidates(args) -> int:
         "certified": not args.permissive,
         "ratios": formatted,
     }
-    lines = [", ".join(formatted)]
+    lines = [", ".join(formatted) or "(none)"]
     if args.permissive:
         lines.append("(permissive mode: not a certified superset)")
     _emit_report(args.format, args.output, lambda: doc, lambda: lines)

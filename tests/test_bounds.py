@@ -9,15 +9,17 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from seshadri import bounds
 from seshadri.bounds import (
     BoundError,
     CandidateSuperset,
     DegreeBound,
     RRData,
     SupersetUnion,
+    _farey_ceil,
     _mertens,
     candidate_count,
     candidate_ratios,
@@ -358,10 +360,19 @@ def test_candidate_ratios_permissive_mode():
     st.booleans(),
 )
 @example(12, Fraction(7, 9), True)  # alpha < 1: the certified list is empty
-@example(12, Fraction(7, 9), False)
+@example(12, Fraction(7, 9), False)  # and 1 - alpha has denominator <= B
+@example(12, Fraction(5, 13), False)  # 1 - alpha has denominator > B
 @example(15, Fraction(4), True)  # integer alpha
 @example(15, Fraction(4), False)
+@example(12, Fraction(11, 4), True)  # 1/alpha in F_B: the end term itself
+@example(12, Fraction(11, 4), False)
+@example(12, Fraction(29, 11), True)  # numerator > B: the end term by descent
+@example(12, Fraction(29, 11), False)
+@example(12, Fraction(1), True)  # alpha = 1: the walk ends where it starts
+@example(12, Fraction(1), False)
 @example(9, Fraction(9), True)  # alpha >= B: every ratio of order B
+@example(9, Fraction(9), False)
+@example(9, Fraction(40, 3), True)
 @example(9, Fraction(40, 3), False)
 @settings(max_examples=150)
 def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
@@ -383,6 +394,93 @@ def test_candidate_ratios_farey_walk_matches_brute_force(B, alpha, certified):
         assert (hash(r), str(r)) == (hash(want), str(want))
         assert pickle.loads(pickle.dumps(r)) == pickle.loads(pickle.dumps(want))
         assert r - want == 0
+
+
+@given(st.integers(1, 10**12), st.integers(-40, 3))
+@example(10**12, 0)  # alpha = (B+1)/B: [1]; below 1, alpha = 1/B: [1/B]
+@example(10**12, -1)  # alpha = B/(B-1): [1, B/(B-1)]; 1/(B-1): [1/B, 1/(B-1)]
+@example(10**12, 1)  # below 1, alpha = 1/(B+1) < 1/B: []
+@example(1, 0)  # F_1 is 0/1, 1/1
+@settings(max_examples=100)
+def test_candidate_walk_ends_near_one_at_any_B(B, j):
+    # for B/2 < n = B + j, the ratios t/m <= (n+1)/n are 1 and the
+    # (m+1)/m with n <= m < B, and the fractions of order B at most 1/n
+    # are the 1/m with n <= m <= B; the walks to those end terms take a
+    # handful of steps even at B = 10^12
+    n = B + j
+    assume(2 * n > B)
+    alpha = Fraction(n + 1, n)
+    want = [Fraction(1)] + [Fraction(m + 1, m) for m in range(B - 1, n - 1, -1)]
+    assert candidate_ratios(B, alpha) == want
+    assert [Fraction(t, m) for t, m in candidate_walk(B, alpha)] == want
+    below = candidate_walk(B, Fraction(1, n), require_m_le_t=False)
+    assert [Fraction(t, m) for t, m in below] == [Fraction(1, m) for m in range(B, n - 1, -1)]
+
+
+def _farey_terms(B):
+    return sorted({Fraction(a, b) for b in range(1, B + 1) for a in range(b + 1)})
+
+
+@given(st.integers(1, 60), st.fractions(min_value=0, max_value=1, max_denominator=500))
+@example(1, Fraction(0))
+@example(1, Fraction(1, 2))
+@example(60, Fraction(1, 61))
+@example(60, Fraction(60, 61))
+@settings(max_examples=200)
+def test_farey_ceil_is_the_least_term_above(B, x):
+    want = min(y for y in _farey_terms(B) if y >= x)
+    assert _farey_ceil(B, x.numerator, x.denominator) == (want.numerator, want.denominator)
+
+
+@given(
+    st.integers(10**6, 10**12),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**15),
+)
+@example(10**12, Fraction(10**12 - 1, 10**12 + 1))
+@example(10**12, Fraction(1, 10**12 + 1))
+@example(10**6, Fraction(0))
+@example(10**6, Fraction(1))
+@settings(max_examples=200)
+def test_farey_ceil_at_large_B_has_its_predecessor_below(B, x):
+    # a/b is a term of order B at or above x, and its predecessor a'/b'
+    # of order B, the one with a*b' - a'*b = 1 and the largest b' <= B,
+    # lies below x
+    u, v = x.numerator, x.denominator
+    a, b = _farey_ceil(B, u, v)
+    assert 1 <= b <= B and math.gcd(a, b) == 1 and 0 <= a <= b
+    assert a * v >= b * u
+    if a == 0:
+        assert u == 0
+        return
+    b0 = pow(a, -1, b) if b > 1 else 0
+    b_prev = b0 + (B - b0) // b * b
+    a_prev = (a * b_prev - 1) // b
+    assert a * b_prev - a_prev * b == 1 and b_prev <= B < b + b_prev
+    assert a_prev * v < b_prev * u
+
+
+@pytest.mark.parametrize(
+    "alpha, certified", [(Fraction(7, 3), True), (Fraction(3, 7), False)], ids=["above", "below"]
+)
+def test_a_wrong_end_term_raises(monkeypatch, alpha, certified):
+    # in place of the true end, the terms of order B just below and just
+    # above it and an unreduced copy of it: a walk that passes its end
+    # raises at the end's denominator, one that stops short of it raises
+    # at the next term
+    B = 20
+    x = 1 / alpha if certified else 1 - alpha
+    terms = _farey_terms(B)
+    i = terms.index(x)
+    ends = [(y.numerator, y.denominator) for y in (terms[i - 1], terms[i + 1])]
+    ends.append((2 * x.numerator, 2 * x.denominator))
+    calls = [lambda: list(candidate_walk(B, alpha, require_m_le_t=certified))]
+    if certified:
+        calls.append(lambda: candidate_ratios(B, alpha))
+    for end in ends:
+        monkeypatch.setattr(bounds, "_farey_ceil", lambda B, u, v: end)
+        for call in calls:
+            with pytest.raises(BoundError, match="Farey walk"):
+                call()
 
 
 def test_fraction_slots_are_the_two_candidate_ratios_sets():

@@ -82,6 +82,17 @@ def test_candidates_permissive_labeled(capsys):
     assert "not a certified superset" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("permissive", [[], ["--permissive"]], ids=["certified", "permissive"])
+def test_candidates_text_names_an_empty_list(capsys, permissive):
+    # like the sublevel and scan reports, an empty list reads "(none)",
+    # not a blank line; the JSON report keeps its empty list
+    argv = ["candidates", "--B", "5", "--alpha", "1/9", *permissive]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "(none)"
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ratios"] == []
+
+
 def test_epsilon_stratum(capsys, f1_path):
     assert main(["epsilon", f1_path, "--stratum", "on_E", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -245,11 +256,12 @@ def test_scan_text_states_a_superset_size_past_sys_maxsize(capsys, monkeypatch, 
 
 def test_scan_near_sqrt_d_lists_no_candidate(capsys, monkeypatch, tmp_path):
     # f1 at 2828427/1000000, just below sqrt(8): B = 8,000,000 and about
-    # 1.3e13 candidate ratios, which every report counts and none lists
+    # 1.3e13 candidate ratios, which every report counts and none lists;
+    # every walk first finds its end term
     def refuse(*_):
         raise AssertionError("the candidate walk was run")
 
-    monkeypatch.setattr(bounds, "_farey", refuse)
+    monkeypatch.setattr(bounds, "_farey_ceil", refuse)
     alpha = "2828427/1000000"
     size = bounds.candidate_count(8_000_000, parse_rational(alpha))
     path = tmp_path / "f1_family.json"
