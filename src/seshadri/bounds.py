@@ -49,10 +49,11 @@ class RRData(Record):
     """
 
     __slots__ = _fields = ("d", "c", "c_prime", "vanishing_multiplier")
+    _defaults = {"vanishing_multiplier": 1}
 
-    def __init__(self, d: int, c: int, c_prime: int, vanishing_multiplier: int = 1):
-        for name, value in zip(self._fields, (d, c, c_prime, vanishing_multiplier)):
-            set_field(self, name, as_int(value, name, BoundError))
+    def __post_init__(self):
+        for name in self._fields:
+            as_int(getattr(self, name), name, BoundError)
         if self.d < 1:
             raise BoundError(f"degree must be positive, got {self.d}")
         if self.vanishing_multiplier < 1:
@@ -413,8 +414,8 @@ class SupersetUnion(Record):
 
     __slots__ = _fields = ("sets",)
 
-    def __init__(self, sets: Sequence[CandidateSuperset]):
-        set_field(self, "sets", tuple(sets))
+    def __post_init__(self):
+        set_field(self, "sets", tuple(self.sets))
 
     def __contains__(self, pair: Pair) -> bool:
         return any(pair in s for s in self.sets)

@@ -57,24 +57,20 @@ class CurveCandidate(Record):
     lattice for the nef path's witness."""
 
     __slots__ = _fields = ("label", "degree_t", "mult_m", "coords")
+    _defaults = {"coords": None}
 
-    def __init__(
-        self, label: str, degree_t: int, mult_m: int, coords: Optional[Tuple[int, ...]] = None
-    ):
-        if coords is not None:
-            coords = integers(coords, "coordinates")
+    def __post_init__(self):
+        if self.coords is not None:
+            set_field(self, "coords", integers(self.coords, "coordinates"))
+        label = self.label
         require_label(label, "a curve candidate", EngineError)
-        as_int(degree_t, "degree_t", EngineError)
-        as_int(mult_m, "mult_m", EngineError)
+        degree_t = as_int(self.degree_t, "degree_t", EngineError)
+        mult_m = as_int(self.mult_m, "mult_m", EngineError)
         if degree_t < 1 or mult_m < 1:
             raise EngineError(
                 f"candidate {label!r} needs positive degree and multiplicity, "
                 f"got ({degree_t}, {mult_m})"
             )
-        set_field(self, "label", label)
-        set_field(self, "degree_t", degree_t)
-        set_field(self, "mult_m", mult_m)
-        set_field(self, "coords", coords)
 
     @property
     def ratio(self) -> Rational:
@@ -89,37 +85,30 @@ class PointStratum(Record):
     __slots__ = _fields = (
         "label", "closure_dim", "specializes_from", "candidates", "oracle_complete_below"
     )
+    _defaults = {"specializes_from": (), "candidates": (), "oracle_complete_below": None}
 
-    def __init__(
-        self,
-        label: str,
-        closure_dim: int,
-        specializes_from: Tuple[str, ...] = (),
-        candidates: Tuple[CurveCandidate, ...] = (),
-        oracle_complete_below: Optional[Rational] = None,
-    ):
+    def __post_init__(self):
+        label = self.label
         require_label(label, "a point stratum", EngineError)
-        specializes_from = as_tuple(specializes_from, "specializes_from", EngineError)
+        specializes_from = as_tuple(self.specializes_from, "specializes_from", EngineError)
         for general in specializes_from:
             require_label(general, f"stratum {label!r}", EngineError, "specializes_from entry")
-        candidates = as_tuple(candidates, "candidates", EngineError)
+        candidates = as_tuple(self.candidates, "candidates", EngineError)
         for c in candidates:
             if not isinstance(c, CurveCandidate):
                 raise EngineError(
                     f"an item of candidates must be a CurveCandidate, got {shown(c)}"
                 )
-        as_int(closure_dim, "closure_dim", EngineError)
+        closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
         if closure_dim < 0:
             raise EngineError(f"closure_dim must be nonnegative, got {closure_dim}")
         if closure_dim > 2:
             raise EngineError(f"closure_dim must be at most 2, got {closure_dim}")
-        ocb = oracle_complete_below
+        ocb = self.oracle_complete_below
         if ocb is not None:
             ocb = as_rational(ocb, "completeness threshold", EngineError)
             if ocb <= 0:
                 raise EngineError(f"completeness threshold must be positive, got {ocb}")
-        set_field(self, "label", label)
-        set_field(self, "closure_dim", closure_dim)
         set_field(self, "specializes_from", specializes_from)
         set_field(self, "candidates", candidates)
         set_field(self, "oracle_complete_below", ocb)
@@ -325,6 +314,7 @@ def sublevel_set(model, a: Rational) -> List[str]:
     the returned set must be closed under specialization (the discrete
     shadow of Zariski closedness); a violation is a hard error naming the
     offending pair."""
+    a = as_rational(a, "a", EngineError)
     threshold = SeshadriValue.exact(a)
     selected = []
     for label, res in model.stratum_table.items():

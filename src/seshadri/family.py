@@ -37,6 +37,7 @@ from .values import (
     Record,
     SeshadriValue,
     as_int,
+    as_rational,
     as_tuple,
     format_rational,
     require_label,
@@ -55,23 +56,19 @@ class Family(Record):
     `check_specialization_order`, as a model's strata's is."""
 
     __slots__ = _fields = ("members", "degree", "member_specialization")
+    _defaults = {"member_specialization": ()}
 
-    def __init__(
-        self,
-        members: Tuple[Tuple[str, SurfaceModel], ...],
-        degree: int,
-        member_specialization: Tuple[Tuple[str, str], ...] = (),
-    ):
-        as_int(degree, "degree", FamilyError)
+    def __post_init__(self):
+        degree = as_int(self.degree, "degree", FamilyError)
         if degree < 1:
             raise FamilyError(f"degree must be positive, got {degree}")
         members = tuple(
             as_tuple(member, "a family member", FamilyError)
-            for member in as_tuple(members, "members", FamilyError)
+            for member in as_tuple(self.members, "members", FamilyError)
         )
         specialization = tuple(
             as_tuple(pair, "a member specialization", FamilyError)
-            for pair in as_tuple(member_specialization, "member_specialization", FamilyError)
+            for pair in as_tuple(self.member_specialization, "member_specialization", FamilyError)
         )
         if not members:
             raise FamilyError("a family needs at least one member")
@@ -98,7 +95,6 @@ class Family(Record):
             [label for label, _ in members], specialization, FamilyError, "member", "members"
         )
         set_field(self, "members", members)
-        set_field(self, "degree", degree)
         set_field(self, "member_specialization", specialization)
 
     def member(self, label: str) -> SurfaceModel:
@@ -264,6 +260,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     those sets holds its reduced pair, an O(1) test each: nothing is
     listed.
     """
+    alpha = as_rational(alpha, "alpha", FamilyError)
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
         raise FamilyError(

@@ -40,14 +40,14 @@ def integers(values: Sequence, what: str) -> Tuple[int, ...]:
 class IntersectionLattice(Record):
     __slots__ = _fields = ("rank", "gram", "basis_labels")
 
-    def __init__(
-        self, rank: int, gram: Tuple[Tuple[int, ...], ...], basis_labels: Tuple[str, ...]
-    ):
-        as_int(rank, "rank", LatticeError)
+    def __post_init__(self):
+        rank = as_int(self.rank, "rank", LatticeError)
         if rank < 1:
             raise LatticeError(f"rank must be positive, got {rank}")
-        gram = tuple(integers(row, "gram entries") for row in as_tuple(gram, "gram", LatticeError))
-        basis_labels = as_tuple(basis_labels, "basis_labels", LatticeError)
+        gram = tuple(
+            integers(row, "gram entries") for row in as_tuple(self.gram, "gram", LatticeError)
+        )
+        basis_labels = as_tuple(self.basis_labels, "basis_labels", LatticeError)
         for label in basis_labels:
             require_label(label, "a lattice", LatticeError, "basis label")
         if len(gram) != rank or any(len(row) != rank for row in gram):
@@ -63,7 +63,6 @@ class IntersectionLattice(Record):
             raise LatticeError("basis_labels length differs from rank")
         if len(set(basis_labels)) != rank:
             raise LatticeError("basis_labels are not distinct")
-        set_field(self, "rank", rank)
         set_field(self, "gram", gram)
         set_field(self, "basis_labels", basis_labels)
 
@@ -97,9 +96,9 @@ class CurveGeneratorSet(Record):
 
     __slots__ = _fields = ("labels", "rows")
 
-    def __init__(self, labels: Tuple[str, ...], rows: Tuple[Tuple[int, ...], ...]):
-        labels = as_tuple(labels, "generator labels", LatticeError)
-        rows = as_tuple(rows, "generator rows", LatticeError)
+    def __post_init__(self):
+        labels = as_tuple(self.labels, "generator labels", LatticeError)
+        rows = as_tuple(self.rows, "generator rows", LatticeError)
         if len(labels) != len(rows):
             raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
         # one pass over all rows with builtins; the row-by-row walk runs

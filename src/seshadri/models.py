@@ -24,7 +24,7 @@ import re
 from collections import abc
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from . import SCHEMA_VERSION
 from .bounds import RRData, minimal_M
@@ -63,23 +63,15 @@ class SurfaceModel(Record):
     # the data computed from the fields, which no comparison reads
     __slots__ = _fields + ("_generator_tables", "_stratum_table")
 
-    def __init__(
-        self,
-        name: str,
-        lattice: IntersectionLattice,
-        polarization: Tuple[int, ...],
-        rr: RRData,
-        very_ample_multiplier: int,
-        strata: Tuple[PointStratum, ...],
-        blowup_gens: Mapping[str, CurveGeneratorSet],
-    ):
-        for field, value, kind in (("lattice", lattice, IntersectionLattice), ("rr", rr, RRData)):
+    def __post_init__(self):
+        lat, rr, blowup_gens = self.lattice, self.rr, self.blowup_gens
+        for field, value, kind in (("lattice", lat, IntersectionLattice), ("rr", rr, RRData)):
             if not isinstance(value, kind):
                 raise ModelError(f"{field} must be an {kind.__name__}, got {shown(value)}")
         if not isinstance(blowup_gens, abc.Mapping):
             raise ModelError(f"blowup_gens must be a mapping, got {shown(blowup_gens)}")
-        polarization = integers(polarization, "coordinates")
-        strata = as_tuple(strata, "strata", ModelError)
+        L = integers(self.polarization, "coordinates")
+        strata = as_tuple(self.strata, "strata", ModelError)
         for s in strata:
             if not isinstance(s, PointStratum):
                 raise ModelError(f"an item of strata must be a PointStratum, got {shown(s)}")
@@ -90,17 +82,51 @@ class SurfaceModel(Record):
                 raise ModelError(
                     f"blowup_gens[{label!r}] must be a CurveGeneratorSet, got {shown(gens)}"
                 )
-        as_int(very_ample_multiplier, "very_ample_multiplier", ModelError)
-        set_field(self, "name", name)
-        set_field(self, "lattice", lattice)
-        set_field(self, "polarization", polarization)
-        set_field(self, "rr", rr)
-        set_field(self, "very_ample_multiplier", very_ample_multiplier)
+        as_int(self.very_ample_multiplier, "very_ample_multiplier", ModelError)
+        set_field(self, "polarization", L)
         set_field(self, "strata", strata)
         set_field(self, "blowup_gens", blowup_gens)
         set_field(self, "_stratum_table", None)  # built on first read
-        # the checks of the whole model read its fields
-        set_field(self, "_generator_tables", _validate_model(self))
+
+        # the checks of the whole model, which read its checked fields,
+        # raise on the first violated invariant.  The strata's order is
+        # checked by `check_specialization_order`, as a family's members'
+        # is.
+        require_label(self.name, "a model", ModelError, "name")
+        d = pair(lat, L, L)
+        if d != rr.d:
+            raise ModelError(
+                f"degree mismatch: polarization self-intersection is {d} "
+                f"but rr.d is {rr.d}"
+            )
+        if self.very_ample_multiplier < 1:
+            raise ModelError("very_ample_multiplier must be a positive integer")
+        if EXCEPTIONAL_LABEL in lat.basis_labels:
+            raise ModelError(
+                f"basis label {EXCEPTIONAL_LABEL!r} is reserved for the blow-up class"
+            )
+
+        labels = [s.label for s in strata]
+        pairs = [(general, s.label) for s in strata for general in s.specializes_from]
+        check_specialization_order(labels, pairs, ModelError, "stratum", "strata")
+        dense = [s.label for s in strata if s.closure_dim == 2]
+        if len(dense) != 1:
+            raise ModelError(
+                f"exactly one dense (closure_dim = 2) stratum required, got {dense or 'none'}"
+            )
+
+        # pair checked L's row; the candidate and generator checks read its covector
+        polarization = lat.covector(L)
+        tables = {}  # each blow-up generator set's table, keyed by stratum label
+        for s in strata:
+            _validate_stratum(self, s, polarization)
+            gens = blowup_gens.get(s.label)
+            if gens is not None:
+                tables[s.label] = _generator_table(self, s.label, gens, polarization)
+        for label in blowup_gens:
+            if label not in labels:
+                raise ModelError(f"blow-up generators given for unknown stratum {label!r}")
+        set_field(self, "_generator_tables", tables)
 
     def __reduce__(self):
         # the generator sets as a plain dict: a mappingproxy does not pickle
@@ -185,49 +211,6 @@ class SurfaceModel(Record):
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), indent=2) + "\n"
-
-
-def _validate_model(model: SurfaceModel) -> Dict[str, Tuple[Tuple[int, int], ...]]:
-    """Raise on the first violated invariant; return each blow-up
-    generator set's table, keyed by stratum label.  The strata's order
-    is checked by `check_specialization_order`, as a family's members'
-    is."""
-    require_label(model.name, "a model", ModelError, "name")
-    lat, L = model.lattice, model.polarization
-    d = pair(lat, L, L)
-    if d != model.rr.d:
-        raise ModelError(
-            f"degree mismatch: polarization self-intersection is {d} "
-            f"but rr.d is {model.rr.d}"
-        )
-    if model.very_ample_multiplier < 1:
-        raise ModelError("very_ample_multiplier must be a positive integer")
-    if EXCEPTIONAL_LABEL in lat.basis_labels:
-        raise ModelError(
-            f"basis label {EXCEPTIONAL_LABEL!r} is reserved for the blow-up class"
-        )
-
-    labels = [s.label for s in model.strata]
-    pairs = [(general, s.label) for s in model.strata for general in s.specializes_from]
-    check_specialization_order(labels, pairs, ModelError, "stratum", "strata")
-    dense = [s.label for s in model.strata if s.closure_dim == 2]
-    if len(dense) != 1:
-        raise ModelError(
-            f"exactly one dense (closure_dim = 2) stratum required, got {dense or 'none'}"
-        )
-
-    # pair checked L's row; the candidate and generator checks read its covector
-    polarization = lat.covector(L)
-    tables = {}
-    for s in model.strata:
-        _validate_stratum(model, s, polarization)
-        gens = model.blowup_gens.get(s.label)
-        if gens is not None:
-            tables[s.label] = _generator_table(model, s.label, gens, polarization)
-    for label in model.blowup_gens:
-        if label not in labels:
-            raise ModelError(f"blow-up generators given for unknown stratum {label!r}")
-    return tables
 
 
 def check_specialization_order(labels: list, pairs: list, error: type, noun: str, nouns: str):

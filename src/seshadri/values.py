@@ -106,8 +106,10 @@ class Record:
     writes no __init__ gets the one it would write by hand: a parameter
     per field, trailing defaults from `_defaults`, one set_field per
     field, and Python's own TypeError naming `Class.__init__()` for a bad
-    call.  Only the records that check or convert their arguments write
-    their own."""
+    call.  A record that checks or converts its arguments does so in
+    `__post_init__`, which that constructor calls last, as a frozen
+    dataclass does: it reads the fields already set, and re-sets a
+    converted one with set_field."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -119,6 +121,8 @@ class Record:
             fields, defaults = cls._fields, cls._defaults
             params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
             body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in fields)
+            if hasattr(cls, "__post_init__"):
+                body += "\n    self.__post_init__()"
             namespace = {"set_field": set_field, "_defaults": defaults, "__name__": cls.__module__}
             exec(f"def __init__(self, {params}):{body}", namespace)
             cls.__init__ = namespace["__init__"]

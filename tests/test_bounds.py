@@ -85,9 +85,29 @@ def test_records_behave_as_frozen_value_objects():
         assert pickle.loads(pickle.dumps(record)) == copy.deepcopy(record) == record
         assert replace(record) == record and replace(record) is not record
         if invalid is not None:
+            # every way to build a record runs its checks: a call by
+            # position or keyword, replace, and the reduce tuple that
+            # deepcopy and pickle rebuild it from
             name, value, error = invalid
-            with pytest.raises(error):
-                replace(record, **{name: value})
+            kind, values = record.__reduce__()
+            bad = tuple(value if f == name else v for f, v in zip(fields, values))
+            paths = [
+                lambda: kind(*bad),
+                lambda: kind(**dict(zip(fields, bad))),
+                lambda: replace(record, **{name: value}),
+                lambda: copy.deepcopy(_Reduced((kind, bad))),
+            ] + [
+                lambda protocol=protocol: pickle.loads(
+                    pickle.dumps(_Reduced((kind, bad)), protocol)
+                )
+                for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            messages = set()
+            for path in paths:
+                with pytest.raises(error) as raised:
+                    path()
+                messages.add(str(raised.value))
+            assert len(messages) == 1
         with pytest.raises(TypeError):
             replace(record, no_such_field=1)
         # construction binds the fields as a call does, by position or keyword
@@ -111,23 +131,27 @@ def test_records_behave_as_frozen_value_objects():
     assert model == twin and repr(model) == repr(twin)
 
 
-# the records that check or convert their arguments, and so write their
-# own __init__; every other record's is generated from its fields
-CHECKING_RECORDS = {
-    "RRData", "IntersectionLattice", "CurveGeneratorSet", "CurveCandidate", "PointStratum",
-    "SurfaceModel", "Family", "SupersetUnion",
-}
+class _Reduced:
+    """Deep-copies and pickles as the reduce tuple it holds."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
 
 
 def test_generated_constructors_take_exactly_the_fields():
+    # every record's constructor is generated from its fields; the
+    # records that check or convert their arguments do so in __post_init__
     assert "__init__" not in Record.__dict__
-    generated = set()
+    generated, checking = set(), set()
     for make, fields, _ in RECORDS:
         kind = type(make())
-        if kind.__name__ in CHECKING_RECORDS:
-            assert kind.__init__.__code__.co_filename != "<string>"
-            continue
         generated.add(kind.__name__)
+        if "__post_init__" in kind.__dict__:
+            checking.add(kind.__name__)
+        assert kind.__init__.__code__.co_filename == "<string>"
         assert kind.__init__.__qualname__ == f"{kind.__name__}.__init__"
         assert kind.__init__.__module__ == kind.__module__
         parameters = list(inspect.signature(kind).parameters.values())
@@ -137,7 +161,12 @@ def test_generated_constructors_take_exactly_the_fields():
         assert defaults == kind._defaults
     assert generated == {
         "DegreeBound", "SeshadriResult", "CandidateSuperset", "Verdict", "FamilyScanReport",
-        "CheckResult",
+        "CheckResult", "RRData", "IntersectionLattice", "CurveGeneratorSet", "CurveCandidate",
+        "PointStratum", "SurfaceModel", "Family", "SupersetUnion",
+    }
+    assert checking == {
+        "RRData", "IntersectionLattice", "CurveGeneratorSet", "CurveCandidate", "PointStratum",
+        "SurfaceModel", "Family", "SupersetUnion",
     }
     assert DegreeBound._defaults == {"vanishing_multiplier": 1}
     assert SeshadriResult._defaults == {

@@ -24,7 +24,7 @@ from seshadri.engine import (
     low_epsilon_strata,
     sublevel_set,
 )
-from seshadri.family import load_family, scan
+from seshadri.family import FamilyError, load_family, scan
 from seshadri.models import f1_anticanonical
 from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
 
@@ -240,9 +240,9 @@ def _f1_family():
         (lambda: SeshadriValue.exact(0.1), "exact value"),
         (lambda: PointStratum(label="s", closure_dim=2, oracle_complete_below=0.1),
          "completeness threshold"),
-        (lambda: sublevel_set(f1_anticanonical(), 0.1), "exact value"),
+        (lambda: sublevel_set(f1_anticanonical(), 0.1), "a"),
         (lambda: low_epsilon_strata(f1_anticanonical(), 0.1), "delta"),
-        (lambda: scan(_f1_family(), 0.1), "exact value"),
+        (lambda: scan(_f1_family(), 0.1), "alpha"),
         (lambda: mediant_bounds([(1, 2), (0.1, 1)]), "entry"),
         (lambda: mediant_bounds([(1, 0.1)]), "entry"),
     ],
@@ -256,6 +256,23 @@ def test_exact_entry_points_reject_a_float(call, what):
     message = f"{what} must be an int or a Fraction, got 0.1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("value", [2.5, True, "5/2", None], ids=["float", "bool", "str", "None"])
+@pytest.mark.parametrize(
+    "call, what, error",
+    [
+        (lambda a: sublevel_set(f1_anticanonical(), a), "a", EngineError),
+        (lambda alpha: scan(_f1_family(), alpha), "alpha", FamilyError),
+    ],
+    ids=["sublevel_set", "scan"],
+)
+def test_thresholds_that_are_not_exact_rationals_are_named(call, what, error, value):
+    # a str or None is no bare TypeError from a comparison, and a float or
+    # a bool names the argument, not the value type it failed to become
+    message = f"{what} must be an int or a Fraction, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 @pytest.mark.parametrize(
