@@ -120,30 +120,31 @@ class SeshadriResult(Record):
     `lo` is None when nothing is known above 0; `hi` never exceeds
     sqrt(d).  `ceiling_only` records that `hi` rests on the sqrt(d)
     ceiling alone, because the table lists no curve.  The certification
-    label, the reported value and certified_above derive from these."""
+    label and the reported value derive from these once, when the result
+    is built, into `certification` and `value`, which no comparison, hash,
+    repr or pickle reads: exact iff the interval is a point, a lower bound
+    only (valued lo) when just the ceiling of an empty table bounds it
+    above, and an upper bound (valued hi) otherwise; certified_above
+    derives on each read."""
 
-    __slots__ = _fields = ("hi", "lo", "ceiling_only", "witness", "warning", "attained_at")
+    _fields = ("hi", "lo", "ceiling_only", "witness", "warning", "attained_at")
+    __slots__ = _fields + ("certification", "value")
     _defaults = {
         "lo": None, "ceiling_only": False, "witness": None, "warning": None, "attained_at": None
     }
 
-    @property
-    def certification(self) -> Certification:
-        """Exact iff the interval is a point; a lower bound only when
-        just the ceiling of an empty table bounds it above."""
-        if self.lo is None:
-            return Certification.UPPER_BOUND_ONLY
-        if self.lo == self.hi:
-            return Certification.EXACT_CERTIFIED
-        if self.ceiling_only:
-            return Certification.LOWER_BOUND_ONLY
-        return Certification.UPPER_BOUND_ONLY
-
-    @property
-    def value(self) -> SeshadriValue:
-        if self.certification is Certification.LOWER_BOUND_ONLY:
-            return self.lo
-        return self.hi
+    def __post_init__(self):
+        lo, hi = self.lo, self.hi
+        if lo is None:
+            certification = Certification.UPPER_BOUND_ONLY
+        elif lo == hi:
+            certification = Certification.EXACT_CERTIFIED
+        elif self.ceiling_only:
+            certification = Certification.LOWER_BOUND_ONLY
+        else:
+            certification = Certification.UPPER_BOUND_ONLY
+        set_field(self, "certification", certification)
+        set_field(self, "value", lo if certification is Certification.LOWER_BOUND_ONLY else hi)
 
     @property
     def certified_above(self) -> Optional[Rational]:

@@ -203,6 +203,7 @@ def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> Candidate
     the model declares multiplier v, the bound is that of the v-th power
     (degree v^2*d, threshold v*alpha) and the ratios divide back by v.
     """
+    alpha = as_rational(alpha, "alpha", FamilyError)
     v = model.very_ample_multiplier
     rr = model.rr
     scaled = RRData(

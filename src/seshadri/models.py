@@ -37,6 +37,7 @@ from .values import (
     as_tuple,
     cut,
     format_rational,
+    rational_of,
     require_label,
     set_field,
     shown,
@@ -217,13 +218,18 @@ def check_specialization_order(labels: list, pairs: list, error: type, noun: str
     """Raise `error` unless `labels`, the strata of a model or the
     members of a family, are distinct and the (general, special) `pairs`
     name known labels and form no cycle.  `noun` and `nouns` name one
-    label and several in the message."""
-    graph = {label: [] for label in labels}  # each label's general labels, in order
-    if len(graph) != len(labels):
+    label and several in the message.  Pairs that all run forward in the
+    listed order need no graph: that order is then a topological one."""
+    position = {label: i for i, label in enumerate(labels)}
+    if len(position) != len(labels):
         raise error(f"{noun} labels are not distinct")
     for general, special in pairs:
-        if general not in graph or special not in graph:
+        if general not in position or special not in position:
             raise error(f"specialization ({general!r}, {special!r}) references unknown {nouns}")
+    if all(position[general] < position[special] for general, special in pairs):
+        return
+    graph = {label: [] for label in labels}  # each label's general labels, in order
+    for general, special in pairs:
         graph[special].append(general)
     try:
         graphlib.TopologicalSorter(graph).prepare()
@@ -484,7 +490,7 @@ def _stratum(sd, strata: str, i: int) -> PointStratum:
         closure_dim=sd["closure_dim"],
         specializes_from=general,
         candidates=tuple(candidates),
-        oracle_complete_below=None if ocb is None else Fraction(ocb),
+        oracle_complete_below=None if ocb is None else rational_of(ocb),
     ))
 
 

@@ -169,7 +169,14 @@ def parse_rational(text: str) -> Rational:
         if re.fullmatch(_DECIMAL_SYNTAX, text) is not None:
             raise ValueError(f"decimal notation not accepted, use p/q: {text!r}")
         raise ValueError(f"malformed rational {text!r}")
-    return Fraction(text)
+    return rational_of(text)
+
+
+def rational_of(text: str) -> Rational:
+    """The rational of `text`, which matches `RATIONAL_SYNTAX` in full, from
+    its integer parts: int's ValueError past the digit limit, as Fraction's."""
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q or 1))
 
 
 def format_rational(q: RationalLike) -> str:

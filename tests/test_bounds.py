@@ -143,7 +143,8 @@ class _Reduced:
 
 def test_generated_constructors_take_exactly_the_fields():
     # every record's constructor is generated from its fields; the
-    # records that check or convert their arguments do so in __post_init__
+    # records that check or convert their arguments, or derive data from
+    # them (SeshadriResult), do so in __post_init__
     assert "__init__" not in Record.__dict__
     generated, checking = set(), set()
     for make, fields, _ in RECORDS:
@@ -166,7 +167,7 @@ def test_generated_constructors_take_exactly_the_fields():
     }
     assert checking == {
         "RRData", "IntersectionLattice", "CurveGeneratorSet", "CurveCandidate", "PointStratum",
-        "SurfaceModel", "Family", "SupersetUnion",
+        "SurfaceModel", "Family", "SupersetUnion", "SeshadriResult",
     }
     assert DegreeBound._defaults == {"vanishing_multiplier": 1}
     assert SeshadriResult._defaults == {

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from seshadri.engine import (
     CurveCandidate,
     EngineError,
     PointStratum,
+    SeshadriResult,
     epsilon,
     epsilon_via_curves,
     epsilon_via_nef,
@@ -34,7 +37,7 @@ from seshadri.models import (
 from seshadri.bounds import RRData
 from seshadri.checks import check_cross, check_low_epsilon, check_steffens_and_rationality
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
-from seshadri.values import SeshadriValue, replace
+from seshadri.values import SeshadriValue, replace, set_field
 
 
 def test_plane_epsilon_is_one():
@@ -281,6 +284,86 @@ def test_witness_tie_break_is_deterministic():
     model = _bare_model(d=9, c=9, candidates=cands, ocb=Fraction(2), rank1_degree=3)
     res = epsilon_via_curves(model, model.stratum("generic"))
     assert res.witness.label == "a"
+
+
+_CEILING = SeshadriValue.sqrt(8)
+_TWO = SeshadriValue.exact(2)
+_UPPER = Certification.UPPER_BOUND_ONLY
+
+# (lo, ceiling_only, certification, value) of a result with hi = sqrt(8):
+# exact iff the interval is a point, a lower bound only when an open
+# interval rests on the ceiling of an empty table, and an upper bound
+# otherwise; the value is lo for a lower bound only, and hi otherwise
+DERIVED = [
+    (None, False, _UPPER, _CEILING),
+    (None, True, _UPPER, _CEILING),
+    (_CEILING, False, Certification.EXACT_CERTIFIED, _CEILING),
+    (_CEILING, True, Certification.EXACT_CERTIFIED, _CEILING),
+    (_TWO, False, _UPPER, _CEILING),
+    (_TWO, True, Certification.LOWER_BOUND_ONLY, _TWO),
+]
+
+
+class _Reduced:
+    """Deep-copies and pickles as the reduce tuple it holds."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+@pytest.mark.parametrize(
+    "lo, ceiling_only, certification, value", DERIVED,
+    ids=["unknown", "unknown_ceiling", "point", "point_ceiling", "open", "open_ceiling"],
+)
+def test_certification_and_value_are_derived_on_every_construction_path(
+    lo, ceiling_only, certification, value
+):
+    fields = (_CEILING, lo, ceiling_only, None, None, None)
+    # other evidence, whose derived fields differ from the case's in one
+    # at least: a path that kept them, and did not derive its own, fails
+    other = SeshadriResult(hi=_TWO, lo=_TWO)
+    assert (other.certification, other.value) != (certification, value)
+    built = SeshadriResult(*fields)
+    assert built.__reduce__() == (SeshadriResult, fields)
+    paths = [
+        lambda: built,
+        lambda: SeshadriResult(**dict(zip(SeshadriResult._fields, fields))),
+        lambda: replace(other, hi=_CEILING, lo=lo, ceiling_only=ceiling_only),
+        lambda: copy.deepcopy(built),
+        lambda: copy.deepcopy(_Reduced((SeshadriResult, fields))),
+    ] + [
+        lambda protocol=protocol: pickle.loads(
+            pickle.dumps(_Reduced((SeshadriResult, fields)), protocol)
+        )
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for path in paths:
+        result = path()
+        assert result.certification is certification
+        assert result.value == value
+    for name in ("certification", "value"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(built, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(built, name)
+
+
+def test_derived_fields_are_not_compared_hashed_or_shown():
+    result = global_epsilon(f1_anticanonical())
+    twin = replace(result)
+    set_field(twin, "certification", Certification.LOWER_BOUND_ONLY)
+    set_field(twin, "value", _CEILING)
+    assert twin == result and hash(twin) == hash(result)
+    assert repr(twin) == repr(result) == (
+        "SeshadriResult(hi=SeshadriValue(1), lo=SeshadriValue(1), ceiling_only=False, "
+        "witness=CurveCandidate(label='E', degree_t=1, mult_m=1, coords=(0, 1)), "
+        "warning=None, attained_at='on_E')"
+    )
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(twin, protocol) == pickle.dumps(result, protocol)
 
 
 def test_global_epsilon_f1():

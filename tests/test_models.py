@@ -1,3 +1,4 @@
+import graphlib
 import json
 import re
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from seshadri.bounds import BoundError, RRData
 from seshadri.checks import check_roundtrip, check_rr_sanity
 from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon, epsilon_via_nef
-from seshadri.family import load_family, scan
+from seshadri.family import Family, load_family, scan
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.models import (
     ModelError,
@@ -82,6 +83,45 @@ def test_strata_may_precede_the_strata_they_specialize_from():
     doc = f1_doc()
     doc["strata"].reverse()
     assert [s.label for s in load_model(json.dumps(doc)).strata] == ["on_E", "generic"]
+
+
+@pytest.fixture
+def sorted_graphs(monkeypatch):
+    """The graphs that graphlib is given to sort, in order."""
+    graphs = []
+
+    class Sorter(graphlib.TopologicalSorter):
+        def __init__(self, graph):
+            graphs.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(graphlib, "TopologicalSorter", Sorter)
+    return graphs
+
+
+def test_a_forward_order_needs_no_graph(sorted_graphs):
+    model = load_model(f1_anticanonical().to_json())
+    Family([("t0", model), ("t1", quadric(2, 2))], 8, [("t0", "t1")])
+    assert sorted_graphs == []
+
+
+def test_strata_listed_special_first_are_sorted_by_graphlib(sorted_graphs):
+    doc = f1_doc()
+    doc["strata"].reverse()
+    model = load_model(json.dumps(doc))
+    assert sorted_graphs == [{"on_E": ["generic"], "generic": []}]
+    assert [s.label for s in model.strata] == ["on_E", "generic"]
+    assert model.stratum_table == f1_anticanonical().stratum_table
+
+
+def test_members_listed_special_first_are_sorted_by_graphlib(sorted_graphs):
+    members = [("t1", quadric(2, 2)), ("t0", f1_anticanonical())]
+    special_first = Family(members, 8, [("t0", "t1")])
+    assert sorted_graphs == [{"t1": ["t0"], "t0": []}]
+    forward = Family(members[::-1], 8, [("t0", "t1")])
+    assert len(sorted_graphs) == 1
+    alpha = Fraction(5, 2)
+    assert scan(special_first, alpha).to_document() == scan(forward, alpha).to_document()
 
 
 def test_unknown_specialization_rejected():

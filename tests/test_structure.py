@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from seshadri.models import (
     model_from_document,
     quadric,
 )
+from seshadri.values import parse_rational
 
 
 def put(*steps_and_value):
@@ -391,6 +393,45 @@ def test_threshold_past_the_digit_limit_is_a_schema_violation():
     doc["strata"][0]["oracle_complete_below"] = "1" * max(5000, _DIGIT_LIMIT + 1)
     with pytest.raises(ModelError, match=r"^schema violation: \$\.strata\[0\]: "):
         load_model(json.dumps(doc))
+
+
+# rational strings of the document and command-line syntax: leading
+# zeros, zero, a sign, and a numerator or a denominator past the digit limit
+_LONG = "1" * max(5000, _DIGIT_LIMIT + 1)
+RATIONAL_TEXTS = ["4/02", "007", "0/5", "-3/2", _LONG, "1/" + _LONG]
+
+
+def _fraction_or_error(text):
+    """Fraction(text), or the text of the ValueError it raises."""
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS,
+                         ids=["zero_padded_denominator", "zero_padded", "zero", "negative",
+                              "long_numerator", "long_denominator"])
+def test_a_rational_string_reads_as_fraction_reads_it(text):
+    # each string is parsed once, from its integer parts, to the value or
+    # the error that Fraction's own parse of the same string gives
+    expected = _fraction_or_error(text)
+    try:
+        parsed = parse_rational(text)
+    except ValueError as exc:
+        parsed = str(exc)
+    assert parsed == expected and type(parsed) is type(expected)
+    doc = json.loads(f1_anticanonical().to_json())
+    doc["strata"][0]["oracle_complete_below"] = text
+    if isinstance(expected, Fraction) and expected > 0:
+        ocb = load_model(json.dumps(doc)).strata[0].oracle_complete_below
+        assert ocb == expected and type(ocb) is Fraction
+    else:
+        if isinstance(expected, Fraction):
+            expected = f"completeness threshold must be positive, got {expected}"
+        with pytest.raises(ModelError) as raised:
+            load_model(json.dumps(doc))
+        assert str(raised.value) == "schema violation: $.strata[0]: " + expected
 
 
 def _model_order(doc, label, pairs):

@@ -24,7 +24,7 @@ from seshadri.engine import (
     low_epsilon_strata,
     sublevel_set,
 )
-from seshadri.family import FamilyError, load_family, scan
+from seshadri.family import FamilyError, load_family, member_candidate_superset, scan
 from seshadri.models import f1_anticanonical
 from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
 
@@ -264,12 +264,15 @@ def test_exact_entry_points_reject_a_float(call, what):
     [
         (lambda a: sublevel_set(f1_anticanonical(), a), "a", EngineError),
         (lambda alpha: scan(_f1_family(), alpha), "alpha", FamilyError),
+        (lambda alpha: member_candidate_superset(f1_anticanonical(), alpha), "alpha",
+         FamilyError),
     ],
-    ids=["sublevel_set", "scan"],
+    ids=["sublevel_set", "scan", "member_candidate_superset"],
 )
 def test_thresholds_that_are_not_exact_rationals_are_named(call, what, error, value):
-    # a str or None is no bare TypeError from a comparison, and a float or
-    # a bool names the argument, not the value type it failed to become
+    # a str or None is no bare TypeError from a comparison or a product,
+    # a bool is not stored as the threshold 1, and a float or a bool names
+    # the argument, not the value type it failed to become
     message = f"{what} must be an int or a Fraction, got {value!r}"
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
