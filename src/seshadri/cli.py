@@ -116,17 +116,17 @@ def cmd_candidates(args) -> int:
 
 def cmd_epsilon(args) -> int:
     from .bounds import minimal_M
-    from .engine import Certification, epsilon, global_epsilon
+    from .engine import Certification, global_epsilon
     from .models import load_model_file
 
     model = load_model_file(args.model)
     # an invalid threshold fails here, before any stratum is evaluated
     bound = minimal_M(model.rr, parse_rational(args.alpha)) if args.alpha else None
-    if args.stratum:
-        result = epsilon(model, model.stratum(args.stratum))
+    if args.stratum is not None:
+        result = model.stratum_table[model.stratum(args.stratum).label]
     else:
         result = global_epsilon(model)
-    doc = {"model": model.name, "stratum": args.stratum or None, **result.to_document(bound)}
+    doc = {"model": model.name, "stratum": args.stratum, **result.to_document(bound)}
     approx = result.value.approx()
     lines = [
         f"epsilon = {result.value.serialize()}"

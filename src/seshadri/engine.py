@@ -276,8 +276,8 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
 
 def epsilon(model, stratum: PointStratum) -> SeshadriResult:
     """Per-stratum value: the curve-path interval, checked against the nef
-    path whenever blow-up data is available.  A nef value outside the
-    interval is an error."""
+    path wherever blow-up data exists (a nef value outside it is an error):
+    one entry of the checked `SurfaceModel.stratum_table`, which commands read."""
     result = epsilon_via_curves(model, stratum)
     if stratum.label in model.blowup_gens:
         nef = epsilon_via_nef(model, stratum).value

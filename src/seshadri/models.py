@@ -248,7 +248,7 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
             cap = minimal_M(model.rr, ocb).B
-    rank = model.lattice.rank
+    rank, v = model.lattice.rank, model.very_ample_multiplier
     for c in s.candidates:
         if c.coords is not None:
             # before the pairing: map stops at the shorter sequence, so a
@@ -261,6 +261,8 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
                     f"candidate {c.label!r}: declared degree {c.degree_t} differs "
                     f"from pairing {deg}"
                 )
+        if c.mult_m > v * c.degree_t:
+            raise _multiplier_error("candidate", c.label, s.label, c.mult_m, v, c.degree_t)
         if (
             cap is not None
             and c.degree_t > cap
@@ -276,6 +278,16 @@ def _length_error(what: str, label: str, stratum: str, row: tuple, rank: int) ->
     return ModelError(
         f"{what} {label!r} of stratum {stratum!r}: coordinate length {len(row)} "
         f"differs from rank {rank}"
+    )
+
+
+def _multiplier_error(what: str, label: str, stratum: str, m: int, v: int, t: int) -> ModelError:
+    # with vL very ample, a section of vL through the point that contains
+    # no component of a curve meets it there in at least its multiplicity
+    # m, so m <= v*t for every curve; the candidate superset rests on it
+    return ModelError(
+        f"{what} {label!r} of stratum {stratum!r}: multiplicity {m} exceeds "
+        f"very_ample_multiplier {v} times degree {t}"
     )
 
 
@@ -321,6 +333,10 @@ def _generator_table(
                 f"blow-up generator {gl!r} of stratum {label!r} is a negative "
                 f"multiple of the exceptional class {EXCEPTIONAL_LABEL!r}"
             )
+    v = model.very_ample_multiplier
+    for gl, (deg, e_mult) in zip(gens.labels, table):
+        if e_mult > v * deg:
+            raise _multiplier_error("blow-up generator", gl, label, e_mult, v, deg)
     return table
 
 

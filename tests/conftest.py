@@ -42,11 +42,14 @@ def violating_model():
     """A factory of degree-4 plane models whose special point lies above
     the dense stratum, against geometry: generic lists one curve of ratio
     t/m (default 1), special one of ratio 2, each value exact when its
-    completeness threshold reaches that ratio, and no blow-up data."""
+    completeness threshold reaches that ratio, and no blow-up data.  A
+    generic curve of multiplicity m above its degree t needs a
+    `very_ample_multiplier` of at least m/t."""
 
-    def build(generic_ocb=None, special_ocb=None, generic_curve=(2, 2)):
+    def build(generic_ocb=None, special_ocb=None, generic_curve=(2, 2), very_ample_multiplier=1):
         doc = projective_plane(2).to_document()
         doc["name"], doc["blowup_gens"] = "negative_control", {}
+        doc["very_ample_multiplier"] = very_ample_multiplier
         t, m = generic_curve
         doc["strata"][0].update(
             oracle_complete_below=generic_ocb,

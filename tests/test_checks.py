@@ -16,7 +16,14 @@ from seshadri.values import replace
 
 
 def _low_generic(build):
-    return build("1/2", "2", generic_curve=(1, 2))
+    # a curve of ratio 1/2 has m = 2t, so it needs v = 2
+    return build("1/2", "2", generic_curve=(1, 2), very_ample_multiplier=2)
+
+
+def _high_degree_generic(build):
+    # exact 11/8, a ratio m <= t allows at v = 1; its bound at alpha = 3/2
+    # is B = 8 < 11, so the superset there lacks it
+    return build("11/8", generic_curve=(11, 8))
 
 
 def _unknown_surface(build):
@@ -32,9 +39,10 @@ def _unknown_surface(build):
          "negative_control: .* not closed under specialization"),
         (checks.check_low_epsilon, _low_generic,
          "negative_control: positive-dimensional stratum 'generic' has value 1/2"),
-        # the superset holds ratios t/m with m <= t only
-        (checks.check_candidate_membership, _low_generic,
-         "negative_control/generic: certified value 1/2 missing"),
+        # the superset holds ratios t/m with t <= B only
+        (checks.check_candidate_membership, _high_degree_generic,
+         "negative_control/generic: certified value 11/8 missing from candidate set "
+         "at alpha=3/2"),
         (checks.check_sigma_attainment, lambda build: build("1", "2"),
          "negative_control: stratum 'special' has a value of at least 2"),
         # chi(L) = 1/2 + 2 + 1, but the plane has 3 independent lines
@@ -52,8 +60,10 @@ def test_invariant_rejects_a_model_built_to_break_it(violating_model, check, mod
 
 
 def test_low_epsilon_counts_a_zero_dimensional_stratum_of_low_value():
-    # the built-ins have no value below 1, so their report reads (0 found)
+    # the built-ins have no value below 1, so their report reads (0 found);
+    # a curve of ratio 1/2 needs very_ample_multiplier 2
     doc = projective_plane(2).to_document()
+    doc["very_ample_multiplier"] = 2
     doc["strata"].append({
         "label": "special",
         "closure_dim": 0,

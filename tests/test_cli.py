@@ -170,6 +170,91 @@ def test_epsilon_unknown_stratum(capsys, f1_path):
     assert main(["epsilon", f1_path, "--stratum", "nope"]) == 1
 
 
+def test_epsilon_names_an_empty_stratum_label(capsys, f1_path):
+    # an empty label is a label like any other, not the global value
+    assert main(["epsilon", f1_path, "--stratum", "", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: model 'f1_anticanonical' has no stratum ''\n"
+
+
+def _f1_variant(tmp_path, name, edit):
+    """f1 with `edit` applied to its document, written to name.json."""
+    doc = f1_anticanonical().to_document()
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _without_E(doc):
+    # on_E's table loses its curve E: the curve path gives 2, the nef path 1
+    on_E = doc["strata"][1]
+    on_E["candidates"] = [c for c in on_E["candidates"] if c["label"] != "E"]
+
+
+def _E_of_multiplicity_2(doc):
+    # E has t = 1 < m = 2 at very_ample_multiplier 1; with on_E's blow-up
+    # set gone, no nef path refutes the value 1/2 it would give
+    doc["strata"][1]["candidates"][0]["m"] = 2
+    del doc["blowup_gens"]["on_E"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--stratum", "generic"], ["--stratum", "on_E"], ["sublevel", "--a", "3"]],
+    ids=["global", "generic", "on_E", "sublevel"],
+)
+def test_every_command_rejects_a_model_whose_paths_clash(capsys, tmp_path, argv):
+    # --stratum reads the model's checked table, so a clash in any stratum
+    # fails the call, as it fails the global value and the sublevel set
+    path = _f1_variant(tmp_path, "pathclash", _without_E)
+    command, flags = (argv[0], argv[1:]) if argv[:1] == ["sublevel"] else ("epsilon", argv)
+    assert main([command, path, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: stratum 'on_E': curve path gives 2 (exact_certified) but nef path gives 1\n"
+    )
+
+
+def test_epsilon_stratum_evaluates_each_stratum_once(capsys, monkeypatch, f1_path):
+    labels = []
+    curves = engine.epsilon_via_curves
+
+    def counted(model, stratum):
+        labels.append(stratum.label)
+        return curves(model, stratum)
+
+    monkeypatch.setattr(engine, "epsilon_via_curves", counted)
+    assert main(["epsilon", f1_path, "--stratum", "on_E"]) == 0
+    assert labels == ["generic", "on_E"]
+    assert capsys.readouterr().out.startswith("epsilon = 1  (approx 1)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["epsilon", "--strict"], ["sublevel", "--a", "1"], ["scan", "--alpha", "5/2"]],
+    ids=["epsilon", "sublevel", "scan"],
+)
+def test_a_row_above_the_multiplier_fails_every_command(capsys, tmp_path, argv):
+    path = _f1_variant(tmp_path, "mvt", _E_of_multiplicity_2)
+    message = (
+        "candidate 'E' of stratum 'on_E': multiplicity 2 exceeds very_ample_multiplier 1 "
+        "times degree 1"
+    )
+    command, *flags = argv
+    if command == "scan":
+        member = {"param_label": "t", "model": "mvt.json"}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"degree": 8, "members": [member]}))
+        message = f"member 't': {message}"
+    assert main([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_epsilon_strict_on_uncertified(capsys, tmp_path, f1_path):
     doc = json.loads(f1_anticanonical().to_json())
     for sd in doc["strata"]:

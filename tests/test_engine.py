@@ -118,9 +118,10 @@ def test_epsilon_raises_on_path_disagreement():
 
 
 def _plane_with_uncertified_cheat():
-    # the table claims a curve of ratio 1/2 and asserts no completeness;
-    # the nef path on the blow-up certifies exactly 1
+    # the table claims a curve of ratio 1/2 (so v = 2) and asserts no
+    # completeness; the nef path on the blow-up certifies exactly 1
     doc = projective_plane(1).to_document()
+    doc["very_ample_multiplier"] = 2
     stratum = doc["strata"][0]
     stratum["oracle_complete_below"] = None
     stratum["candidates"].append({"label": "cheat", "class": None, "t": 1, "m": 2})
@@ -204,7 +205,7 @@ def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
     assert calls == {"curves": 2, "nef": 2}
 
 
-def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None):
+def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None, very_ample_multiplier=1):
     e = rank1_degree if rank1_degree is not None else 1
     lat = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
     return SurfaceModel(
@@ -212,7 +213,7 @@ def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None):
         lattice=lat,
         polarization=(e,),
         rr=RRData(d=d, c=c, c_prime=1),
-        very_ample_multiplier=1,
+        very_ample_multiplier=very_ample_multiplier,
         strata=(
             PointStratum(
                 label="generic",
@@ -389,8 +390,10 @@ def test_sublevel_f1():
 
 def test_sublevel_closure_violation_is_error():
     # doctor the table so the dense stratum dips below its specialization;
-    # without its blow-up generators the nef path does not refute it first
+    # without its blow-up generators the nef path does not refute it first;
+    # the cheat's ratio 1/2 needs very_ample_multiplier 2
     doc = json.loads(f1_anticanonical().to_json())
+    doc["very_ample_multiplier"] = 2
     del doc["blowup_gens"]["generic"]
     for sd in doc["strata"]:
         if sd["label"] == "generic":
@@ -427,7 +430,9 @@ def test_low_epsilon_strata_empty_on_builtins():
 
 def test_low_epsilon_strata_lists_a_value_of_exactly_one_minus_delta():
     cand = CurveCandidate(label="half", degree_t=1, mult_m=2)
-    model = _bare_model(d=4, c=6, candidates=(cand,), ocb=Fraction(1, 2), rank1_degree=2)
+    model = _bare_model(
+        d=4, c=6, candidates=(cand,), ocb=Fraction(1, 2), rank1_degree=2, very_ample_multiplier=2
+    )
     half = SeshadriValue.exact(Fraction(1, 2))
     assert low_epsilon_strata(model, Fraction(1, 2)) == [("generic", half)]
     assert low_epsilon_strata(model, Fraction(2, 3)) == []
@@ -474,18 +479,27 @@ def test_best_candidate_matches_fraction_key(candidates):
     assert _best_candidate(candidates) is expected
 
 
-def _nef_model(d, gens):
+def _least_multiplier(gens):
+    """The least very_ample_multiplier v with e <= v*deg for every
+    generator of positive degree: the ceiling of its largest e/deg."""
+    return max([1] + [-(-e // deg) for _, deg, e in gens if deg > 0])
+
+
+def _nef_model(d, gens, very_ample_multiplier=None):
     """A model of degree d whose stratum 'generic' has blow-up generators
     of the given (label, degree, multiplicity at the point).  The basis
     H, F has H^2 = d, H.F = 1, F^2 = 0 and L = H, so the class
-    deg*F - e*Ex has pi^*L-degree deg and meets Ex in e."""
+    deg*F - e*Ex has pi^*L-degree deg and meets Ex in e.  The
+    multiplier defaults to the least one the generators allow."""
     lat = IntersectionLattice(rank=2, gram=((d, 1), (1, 0)), basis_labels=("H", "F"))
+    if very_ample_multiplier is None:
+        very_ample_multiplier = _least_multiplier(gens)
     return SurfaceModel(
         name="nef_probe",
         lattice=lat,
         polarization=(1, 0),  # H
         rr=RRData(d=d, c=0, c_prime=1),
-        very_ample_multiplier=1,
+        very_ample_multiplier=very_ample_multiplier,
         strata=(PointStratum(label="generic", closure_dim=2),),
         blowup_gens={
             "generic": CurveGeneratorSet(
@@ -527,6 +541,7 @@ _generators = st.lists(
 @example(8, [("ok", 2, 1), ("bad", -1, 1)])  # negative degree
 @example(8, [("ok", 2, 1), ("bad", -1, -1)])  # negative degree, Ex.C < 0
 @example(8, [("ok", 2, 1), ("minusEx", 0, 1)])  # a negative multiple of Ex
+@example(8, [("steep", 1, 3), ("ok", 2, 1)])  # e > deg: loads at v = 3 only
 @settings(max_examples=300)
 def test_nef_path_matches_fraction_reference(d, gens):
     if any(deg < 0 or (deg == 0 and e > 0) for _, deg, e in gens):
@@ -534,6 +549,10 @@ def test_nef_path_matches_fraction_reference(d, gens):
         with pytest.raises(ModelError):
             _nef_model(d, gens)
         return
+    if _least_multiplier(gens) > 1:
+        # with vL very ample no curve has e > v*deg
+        with pytest.raises(ModelError, match="exceeds very_ample_multiplier 1 times degree"):
+            _nef_model(d, gens, very_ample_multiplier=1)
     model = _nef_model(d, gens)
     value, label, t, m = _nef_reference(d, gens)
     res = epsilon_via_nef(model, model.stratum("generic"))

@@ -451,32 +451,37 @@ def test_superset_pairs_match_fraction_reference(check_superset, v, w, alpha):
     check_superset(report.candidate_superset, sorted(expected), walks)
 
 
-def _plane2_with_low_curve(v):
-    """projective_plane(2) whose dense stratum's table, complete below
-    1/2, lists one curve of ratio 1/2; no blow-up data, so that the
-    curve table alone decides the value."""
+def _plane2_with_curve(v, t, m):
+    """projective_plane(2) at multiplier v whose dense stratum's table,
+    complete below t/m, lists one curve of ratio t/m; no blow-up data,
+    so that the curve table alone decides the value."""
     doc = projective_plane(2).to_document()
     doc["very_ample_multiplier"] = v
     doc["blowup_gens"] = {}
     (stratum,) = doc["strata"]
-    stratum["candidates"] = [{"label": "low", "class": None, "t": 1, "m": 2}]
-    stratum["oracle_complete_below"] = "1/2"
+    stratum["candidates"] = [{"label": "low", "class": None, "t": t, "m": m}]
+    stratum["oracle_complete_below"] = f"{t}/{m}"
     return models_module.model_from_document(doc)
 
 
-@pytest.mark.parametrize("v", [1, 2], ids=["escapes", "multiplier_covers"])
-def test_observed_value_outside_the_superset_is_an_error(v, check_superset):
-    # with v = 1 the superset holds ratios t/m with m <= t only, so 1/2
-    # escapes it; with v = 2 the raw pair (1, 1) divides to (1, 2)
-    model = _plane2_with_low_curve(v)
+@pytest.mark.parametrize(
+    "v, t, m, alpha",
+    [(1, 11, 8, Fraction(3, 2)), (2, 1, 2, Fraction(1))],
+    ids=["escapes", "multiplier_covers"],
+)
+def test_observed_value_outside_the_superset_is_an_error(v, t, m, alpha, check_superset):
+    # with v = 1 the superset at alpha = 3/2 holds ratios t/m with
+    # t <= B = 8 only, so 11/8 escapes it by its degree; with v = 2 the raw
+    # pair (1, 1) divides to (1, 2)
+    model = _plane2_with_curve(v, t, m)
     family = Family(members=(("t", model),), degree=4)
-    alpha = Fraction(1)
     _, B, reference = _walk_reference(model, alpha)
     superset = member_candidate_superset(model, alpha)
     check_superset(superset, reference, [(v, B, alpha)])
-    assert ((1, 2) in superset) == (v == 2)
+    assert ((t, m) in superset) == (v == 2)
     if v == 1:
-        escape = "^observed values escape the candidate superset: 1/2$"
+        assert B < t
+        escape = f"^observed values escape the candidate superset: {t}/{m}$"
         with pytest.raises(FamilyError, match=escape):
             scan(family, alpha)
     else:

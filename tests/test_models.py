@@ -510,6 +510,48 @@ def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
 
 
 @pytest.mark.parametrize(
+    "kind, row",
+    [
+        ("candidate", "candidate 'fiber' of stratum 'on_E'"),
+        ("generator", "blow-up generator 'steep' of stratum 'generic'"),
+    ],
+    ids=["candidate", "generator"],
+)
+def test_a_row_of_multiplicity_above_v_times_degree_is_rejected(kind, row):
+    # with vL very ample no curve through a point has m > v*t; each row has
+    # (t, m) = (2, 5), so the model needs v >= 3, through the loader and
+    # through the constructor alike
+    doc = f1_doc()
+    if kind == "candidate":
+        doc["strata"][1]["candidates"][1]["m"] = 5
+    else:
+        doc["blowup_gens"]["generic"].append({"label": "steep", "class": [1, -1, -5]})
+    doc["very_ample_multiplier"] = 3
+    model = load_model(json.dumps(doc))
+    assert replace(model, very_ample_multiplier=3) == model
+    for v in (1, 2):
+        message = f"^{row}: multiplicity 5 exceeds very_ample_multiplier {v} times degree 2$"
+        doc["very_ample_multiplier"] = v
+        with pytest.raises(ModelError, match=message):
+            load_model(json.dumps(doc))
+        with pytest.raises(ModelError, match=message):
+            replace(model, very_ample_multiplier=v)
+
+
+def test_multiplier_rule_follows_the_class_checks_and_precedes_the_cap():
+    doc = f1_doc()
+    on_E = doc["strata"][1]["candidates"]
+    # degree 9 is beyond the bound B = 8 of the threshold 2, and m = 10 > 9
+    on_E.append({"label": "steep", "class": None, "t": 9, "m": 10})
+    with pytest.raises(ModelError, match="^candidate 'steep' of stratum 'on_E': multiplicity 10"):
+        load_model(json.dumps(doc))
+    # a class whose pairing differs from t is named first
+    on_E[-1]["class"] = [0, 1]
+    with pytest.raises(ModelError, match="declared degree 9 differs from pairing 1"):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
     "wrong",
     [
         (1, -1, 0, -1),  # a row of a rank-4 layout, with a second E
