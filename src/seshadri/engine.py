@@ -253,8 +253,8 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     # the least ratio deg/e_mult over the model's generator table of
     # (degree, multiplicity at the point), among those that meet the
     # point and do not exceed sqrt(d), compared by squaring; only the
-    # winner becomes a Fraction.  The model's construction checks give
-    # deg > 0 wherever e_mult > 0
+    # winner becomes a Fraction.  The model's very-ampleness rule
+    # e_mult <= v*deg gives deg > 0 wherever e_mult > 0
     best = _least_ratio(
         (deg, e_mult, label, row)
         for label, row, (deg, e_mult) in zip(

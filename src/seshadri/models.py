@@ -296,48 +296,33 @@ def _generator_table(
 ) -> Tuple[Tuple[int, int], ...]:
     """Check one stratum's blow-up generator set and return its table of
     (pi^*L.C, Ex.C) per generator C, given L's covector `polarization`.
-    Every row's length is checked first against the rank n + 1 of the
-    layout of `extend_blowup`: pushforward first, then the Ex
-    coordinate.  Then pi^*L.C = L.pi_*C (the projection formula) is the
-    dot product of L's covector with the row's first n entries, and Ex.C
-    is minus the row's last entry."""
-    # before the pairing, which would read a short row's last entry as Ex
+    Each row, in order, is checked against the rank n + 1 of the layout
+    of `extend_blowup`: pushforward first, then the Ex coordinate.  Then
+    pi^*L.C = L.pi_*C (the projection formula) is the dot product of L's
+    covector with the row's first n entries, and Ex.C is minus the row's
+    last entry."""
     rank = model.lattice.rank + 1
-    if not set(map(len, gens.rows)) <= {rank}:
-        gl, row = next((gl, row) for gl, row in zip(gens.labels, gens.rows) if len(row) != rank)
-        raise _length_error("blow-up generator", gl, label, row, rank)
-    # map stops at the shorter covector, so the Ex coordinate is left out
-    table = tuple((sum(map(operator.mul, polarization, row)), -row[-1]) for row in gens.rows)
-    # both checks below pass every generator with pi^*L.C > 0, so they
-    # visit only the others
-    low = [
-        (gl, row, e_mult)
-        for gl, row, (deg, e_mult) in zip(gens.labels, gens.rows, table)
-        if deg <= 0
-    ]
-    # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
-    # pushforward (the row without its exceptional coordinate) is nonzero.
-    # L^2 = rr.d >= 1 is checked above, and L.pi_*C is the table's first
-    # entry, so no pushforward class is built
-    if any(any(row[:-1]) for _, row, _ in low):
-        raise ModelError(
-            f"polarization fails the plausible-ampleness gate against the "
-            f"blow-up generators of stratum {label!r}"
-        )
-    # so the generators left in `low` are multiples k*Ex, which meet Ex
-    # in -k; a negative multiple is not effective.  So every generator
-    # with Ex.C > 0 has pi^*L.C > 0, which the nef path relies on
-    for gl, _, e_mult in low:
-        if e_mult > 0:
-            raise ModelError(
-                f"blow-up generator {gl!r} of stratum {label!r} is a negative "
-                f"multiple of the exceptional class {EXCEPTIONAL_LABEL!r}"
-            )
     v = model.very_ample_multiplier
-    for gl, (deg, e_mult) in zip(gens.labels, table):
+    table = []
+    for gl, row in zip(gens.labels, gens.rows):
+        # before the pairing, which would read a short row's last entry as Ex
+        if len(row) != rank:
+            raise _length_error("blow-up generator", gl, label, row, rank)
+        # map stops at the shorter covector, so the Ex coordinate is left out
+        deg, e_mult = sum(map(operator.mul, polarization, row)), -row[-1]
+        # the gate is L^2 > 0 and L.pi_*C > 0 for every generator C whose
+        # pushforward (the row without its exceptional coordinate) is
+        # nonzero; L^2 = rr.d >= 1 is checked above
+        if deg <= 0 and any(row[:-1]):
+            raise ModelError(
+                f"polarization fails the plausible-ampleness gate against the "
+                f"blow-up generators of stratum {label!r}"
+            )
+        # this also rejects -k*Ex, which meets Ex in k > v*0
         if e_mult > v * deg:
             raise _multiplier_error("blow-up generator", gl, label, e_mult, v, deg)
-    return table
+        table.append((deg, e_mult))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

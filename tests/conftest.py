@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from seshadri.bounds import candidate_walk
 from seshadri.models import model_from_document, projective_plane
@@ -69,6 +70,14 @@ def violating_model():
     return build
 
 
+# a generator C - m*Ex of a blown-up plane as (H coordinate of C, its
+# other coordinates, m), for `blown_up_plane` with n <= 4 points: the H
+# coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
+generator = st.tuples(
+    st.integers(1, 3), st.lists(st.integers(-1, 1), min_size=4, max_size=4), st.integers(0, 3)
+)
+
+
 @pytest.fixture(scope="session")
 def blown_up_plane():
     """A factory of model documents shaped like the benchmark's: the plane
@@ -77,13 +86,15 @@ def blown_up_plane():
     (coordinates of C, m).  The first stratum is dense and every other one
     specializes from it.  Each generator with m >= 1 is also a curve
     candidate (L.C, m), and each stratum is complete below its least
-    ratio, so that the curve path and the nef path agree."""
+    ratio, so that the curve path and the nef path agree.  The document
+    declares the least very_ample_multiplier its rows allow, the ceiling
+    of the largest m/(L.C)."""
 
     def build(k, n, strata, name="blown_up_plane"):
         rank = n + 1
         polarization = [k] + [-1] * n
         gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
-        strata_docs, blowup_gens = [], {}
+        strata_docs, blowup_gens, multiplier = [], {}, 1
         for s, gens in enumerate(strata):
             label = "generic" if s == 0 else f"s{s}"
             candidates = []
@@ -94,6 +105,7 @@ def blown_up_plane():
                     t = k * base[0] + sum(base[1:])
                     candidates.append({"label": f"g{g}", "class": list(base), "t": t, "m": m})
             least = min((Fraction(c["t"], c["m"]) for c in candidates), default=None)
+            multiplier = max([multiplier] + [-(-c["m"] // c["t"]) for c in candidates])
             strata_docs.append(
                 {
                     "label": label,
@@ -112,7 +124,7 @@ def blown_up_plane():
             "basis_labels": ["H"] + [f"E{i}" for i in range(1, n + 1)],
             "polarization": polarization,
             "rr": {"d": k * k - n, "c": 3 * k - n, "c_prime": 1, "vanishing_multiplier": 1},
-            "very_ample_multiplier": 1,
+            "very_ample_multiplier": multiplier,
             "strata": strata_docs,
             "blowup_gens": blowup_gens,
         }

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri.bounds import BoundError, RRData
@@ -24,6 +24,8 @@ from seshadri.models import (
 )
 from seshadri.lattice import pair
 from seshadri.values import SeshadriValue, replace
+
+from conftest import generator
 
 
 def f1_doc():
@@ -438,18 +440,13 @@ def test_generator_table_matches_pairing_on_builtins():
             assert model.generator_table(label) == _pairings(model, label)
 
 
-# a generator C - m*Ex of a blown-up plane as (coordinates of C, m): the H
-# coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
-_generator = st.tuples(
-    st.integers(1, 3), st.lists(st.integers(-1, 1), min_size=4, max_size=4), st.integers(0, 3)
-)
-
-
 @given(
     st.integers(5, 10),
     st.integers(1, 4),
-    st.lists(st.lists(_generator, min_size=1, max_size=5), min_size=1, max_size=4),
+    st.lists(st.lists(generator, min_size=1, max_size=5), min_size=1, max_size=4),
 )
+# m = 3 > L.C = 2, so the document declares very_ample_multiplier 2
+@example(5, 4, [[(1, [0, -1, -1, -1], 3)]])
 @settings(max_examples=60)
 def test_generator_table_matches_pairing_on_loaded_documents(blown_up_plane, k, n, strata):
     doc = blown_up_plane(
@@ -494,12 +491,13 @@ def test_model_keeps_its_own_copy_of_the_generator_sets():
 @pytest.mark.parametrize("k", [1, 2])
 def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
     # -k*Ex is not effective, and the nef path relies on every generator
-    # with Ex.C > 0 having positive degree
+    # with Ex.C > 0 having positive degree: the very-ampleness rule
+    # rejects it, since it meets Ex in k > v*0
     doc = f1_doc()
     doc["blowup_gens"]["generic"].append({"label": "minusEx", "class": [0, 0, -k]})
     message = (
-        "^blow-up generator 'minusEx' of stratum 'generic' is a negative multiple "
-        "of the exceptional class 'Ex'$"
+        f"^blow-up generator 'minusEx' of stratum 'generic': multiplicity {k} "
+        f"exceeds very_ample_multiplier 1 times degree 0$"
     )
     with pytest.raises(ModelError, match=message):
         load_model(json.dumps(doc))
@@ -507,6 +505,22 @@ def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
     doc["blowup_gens"]["generic"][-1]["class"] = [0, 0, k]
     model = load_model(json.dumps(doc))
     assert epsilon_via_nef(model, model.stratum("generic")).value == SeshadriValue.exact(2)
+
+
+def test_a_generator_set_reports_its_first_faulty_row():
+    # each row is checked in set order, so -Ex fails before the short row
+    doc = f1_doc()
+    doc["blowup_gens"]["generic"] = [
+        {"label": "Ex", "class": [0, 0, 1]},
+        {"label": "minusEx", "class": [0, 0, -1]},
+        {"label": "short", "class": [1, -1]},
+    ]
+    message = (
+        "^blow-up generator 'minusEx' of stratum 'generic': multiplicity 1 "
+        "exceeds very_ample_multiplier 1 times degree 0$"
+    )
+    with pytest.raises(ModelError, match=message):
+        load_model(json.dumps(doc))
 
 
 @pytest.mark.parametrize(

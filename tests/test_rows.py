@@ -8,7 +8,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seshadri import lattice
@@ -30,18 +30,15 @@ from seshadri.models import (
 )
 from seshadri.values import replace
 
-# a generator C - m*Ex of a blown-up plane as (coordinates of C, m): the H
-# coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
-_generator = st.tuples(
-    st.integers(1, 3), st.lists(st.integers(-1, 1), min_size=4, max_size=4), st.integers(0, 3)
-)
-
+from conftest import generator
 
 @given(
     st.integers(5, 10),
     st.integers(1, 4),
-    st.lists(st.lists(_generator, min_size=1, max_size=5), min_size=1, max_size=4),
+    st.lists(st.lists(generator, min_size=1, max_size=5), min_size=1, max_size=4),
 )
+# m = 3 > L.C = 2, so the document declares very_ample_multiplier 2
+@example(5, 4, [[(1, [0, -1, -1, -1], 3)]])
 @settings(max_examples=60)
 def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
     doc = blown_up_plane(k, n, [[([a] + e[:n], m) for a, e, m in gens] for gens in strata])
