@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epsilon", help="local or global Seshadri constant of a model")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--stratum", help="stratum label (default: global value)")
-    p.add_argument("--alpha", help="certification threshold p/q")
+    p.add_argument("--alpha", help="report the degree bound at p/q as bound_used")
     common(p)
     strict(p)
     p.set_defaults(fn=cmd_epsilon)

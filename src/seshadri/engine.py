@@ -341,20 +341,10 @@ def sublevel_set(model, a: Rational) -> List[str]:
 def sigma_local(model) -> SeshadriResult:
     """Supremum of the local constants over the model's points: the dense
     stratum's evidence, since every point specializes from a general
-    one.  That is checked, not assumed: a stratum known to lie above
-    everything the dense stratum allows is an error."""
-    table = model.stratum_table
+    one.  That is checked, not assumed: the stratum table that every
+    reader reads rejects a stratum proven above the dense one."""
     generic_label = model.generic_stratum.label
-    generic = table[generic_label]
-    for label, res in table.items():
-        if res.lo is not None and res.lo > generic.hi:
-            raise EngineError(
-                f"stratum {label!r} has a value of at least {res.lo.serialize()}, "
-                f"above the dense stratum {generic_label!r} at most "
-                f"{generic.hi.serialize()}; the model's tables are geometrically "
-                "inconsistent"
-            )
-    return replace(generic, attained_at=generic_label)
+    return replace(model.stratum_table[generic_label], attained_at=generic_label)
 
 
 def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]]:

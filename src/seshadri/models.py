@@ -28,7 +28,7 @@ from typing import Mapping, Tuple
 
 from . import SCHEMA_VERSION
 from .bounds import RRData, minimal_M
-from .engine import CurveCandidate, PointStratum, SeshadriResult, epsilon
+from .engine import CurveCandidate, EngineError, PointStratum, SeshadriResult, epsilon
 from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
 from .values import (
     RATIONAL_SYNTAX,
@@ -143,11 +143,21 @@ class SurfaceModel(Record):
     def stratum_table(self) -> Mapping[str, SeshadriResult]:
         """`epsilon` of every stratum, keyed by label in model order and
         read-only: one curve-path call and at most one nef-path call per
-        stratum, on the first read, and the first contradiction met is
-        raised."""
+        stratum on the first read.  The first contradiction met is raised,
+        then the first stratum proven above the dense stratum's interval."""
         table = self._stratum_table
         if table is None:
             table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
+            generic_label = self.generic_stratum.label
+            generic = table[generic_label]
+            for label, res in table.items():
+                if res.lo is not None and res.lo > generic.hi:
+                    raise EngineError(
+                        f"stratum {label!r} has a value of at least {res.lo.serialize()}, "
+                        f"above the dense stratum {generic_label!r} at most "
+                        f"{generic.hi.serialize()}; the model's tables are geometrically "
+                        "inconsistent"
+                    )
             set_field(self, "_stratum_table", table)
         return table
 
@@ -505,8 +515,8 @@ def _generators(gen_list, where: str) -> CurveGeneratorSet:
 
 
 def load_model(text: str) -> SurfaceModel:
-    """Parse and fully validate a model document; every violated
-    invariant is a load-time error naming what failed."""
+    """Parse and validate a model document, naming what failed; a value
+    contradiction is raised when the stratum table is first read."""
     return model_from_document(parse_document(text, ModelError))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from seshadri.bounds import candidate_walk
-from seshadri.models import model_from_document, projective_plane
+from seshadri.models import f1_anticanonical, model_from_document, projective_plane
 
 
 @pytest.fixture(scope="session")
@@ -40,11 +40,13 @@ def check_superset():
 
 @pytest.fixture
 def violating_model():
-    """A factory of degree-4 plane models whose special point lies above
-    the dense stratum, against geometry: generic lists one curve of ratio
-    t/m (default 1), special one of ratio 2, each value exact when its
-    completeness threshold reaches that ratio, and no blow-up data.  A
-    generic curve of multiplicity m above its degree t needs a
+    """A factory of degree-4 plane models whose special point may lie
+    above the dense stratum, against geometry: generic lists one curve of
+    ratio t/m (default 1), special one of ratio 2, each value exact when
+    its completeness threshold reaches that ratio, and no blow-up data.
+    Where both values are exact and special's is the larger, reading the
+    model's stratum table raises the dense-stratum error.  A generic
+    curve of multiplicity m above its degree t needs a
     `very_ample_multiplier` of at least m/t."""
 
     def build(generic_ocb=None, special_ocb=None, generic_curve=(2, 2), very_ample_multiplier=1):
@@ -68,6 +70,48 @@ def violating_model():
         return model_from_document(doc)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def chain_model():
+    """A degree-4 plane model whose value drops and then rises along a
+    chain of specializations, each value exact: generic 2, mid 1 (from
+    generic) and special 3/2 (from mid).  No stratum lies above the dense
+    one, so the stratum table is consistent, but the pair (mid, special)
+    breaks semicontinuity, and the sublevel set at 1 is not closed."""
+    doc = projective_plane(2).to_document()
+    doc["name"] = "negative_control"
+    doc["strata"] += [
+        {
+            "label": "mid",
+            "closure_dim": 1,
+            "specializes_from": ["generic"],
+            "oracle_complete_below": "1",
+            "candidates": [{"label": "conic", "class": None, "t": 2, "m": 2}],
+        },
+        {
+            "label": "special",
+            "closure_dim": 0,
+            "specializes_from": ["mid"],
+            "oracle_complete_below": "3/2",
+            "candidates": [{"label": "cubic", "class": None, "t": 3, "m": 2}],
+        },
+    ]
+    return model_from_document(doc)
+
+
+@pytest.fixture
+def f1_above_dense():
+    """The document of f1 with on_E's table cut to its line (t=3, m=1),
+    complete below 3, and on_E's blow-up set removed: on_E is exactly
+    sqrt(8), above the dense stratum's 2.  The model loads, and reading
+    its stratum table raises."""
+    doc = f1_anticanonical().to_document()
+    on_E = doc["strata"][1]
+    on_E["candidates"] = [c for c in on_E["candidates"] if c["label"] == "line"]
+    on_E["oracle_complete_below"] = "3"
+    del doc["blowup_gens"]["on_E"]
+    return doc
 
 
 # a generator C - m*Ex of a blown-up plane as (H coordinate of C, its

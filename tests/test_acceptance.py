@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from seshadri.bounds import (
     RRData,
     candidate_ratios,
@@ -27,7 +29,7 @@ from seshadri.checks import (
     check_steffens_and_rationality,
     check_sublevel,
 )
-from seshadri.engine import epsilon, sublevel_set
+from seshadri.engine import EngineError, epsilon, sublevel_set
 from seshadri.family import Family, scan, semicontinuity_check
 from seshadri.models import builtin_suite, f1_anticanonical, quadric
 from seshadri.values import SeshadriValue
@@ -141,7 +143,7 @@ def test_criterion_5_sublevel_closedness():
     _report("criterion 5 (sublevel closedness)", check_sublevel(builtin_suite()))
 
 
-def test_criterion_6_semicontinuity(violating_model):
+def test_criterion_6_semicontinuity(violating_model, chain_model):
     family = Family(members=(("t", f1_anticanonical()),), degree=8)
     verdicts = semicontinuity_check(family)
     assert len(verdicts) == 1 and verdicts[0].passed
@@ -154,11 +156,18 @@ def test_criterion_6_semicontinuity(violating_model):
     assert len(failures) == 1
     assert (failures[0].general, failures[0].special) == ("generic", "special")
     assert failures[0].status == "undetermined"
-    # two exact values, special 2 above generic 1: a proven failure
+    # two exact values, special 3/2 above mid 1: a proven failure
+    family = Family(members=(("t", chain_model),), degree=4)
+    (certified,) = [v for v in semicontinuity_check(family) if not v.passed]
+    assert certified.status == "fail"
+    assert (certified.general, certified.special) == ("mid", "special")
+    # special 2 above the dense stratum's exact 1 fails the model itself
     family = Family(members=(("t", violating_model("1", "2")),), degree=4)
-    (certified,) = semicontinuity_check(family)
-    assert not certified.passed and certified.status == "fail"
-    assert (certified.general, certified.special) == ("generic", "special")
+    with pytest.raises(
+        EngineError,
+        match="stratum 'special' has a value of at least 2, above the dense stratum 'generic' at most 1",
+    ):
+        semicontinuity_check(family)
     _report(
         "criterion 6 (semicontinuity)",
         "1 <= 2 across the f1 strata; negative controls name their pair, "

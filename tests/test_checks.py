@@ -4,6 +4,7 @@ function it checks.  The cross-check's control is the omitted-curve test
 in test_engine.py."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,9 @@ from seshadri.values import replace
 
 
 def _low_generic(build):
-    # a curve of ratio 1/2 has m = 2t, so it needs v = 2
-    return build("1/2", "2", generic_curve=(1, 2), very_ample_multiplier=2)
+    # a curve of ratio 1/2 has m = 2t, so it needs v = 2; special's value
+    # is left unbounded below, so that it is not proven above generic's
+    return build("1/2", None, generic_curve=(1, 2), very_ample_multiplier=2)
 
 
 def _high_degree_generic(build):
@@ -35,7 +37,7 @@ def _unknown_surface(build):
 @pytest.mark.parametrize(
     "check, model, match",
     [
-        (checks.check_sublevel, lambda build: build("1", "2"),
+        (checks.check_sublevel, "chain_model",
          "negative_control: .* not closed under specialization"),
         (checks.check_low_epsilon, _low_generic,
          "negative_control: positive-dimensional stratum 'generic' has value 1/2"),
@@ -54,8 +56,30 @@ def _unknown_surface(build):
     ids=["sublevel_closedness", "low_epsilon_finiteness", "candidate_membership",
          "sigma_attainment", "rr_sanity", "rr_sanity_unknown_model"],
 )
-def test_invariant_rejects_a_model_built_to_break_it(violating_model, check, model, match):
+def test_invariant_rejects_a_model_built_to_break_it(request, violating_model, check, model, match):
+    # a model is built from violating_model, or named by its fixture
+    model = request.getfixturevalue(model) if isinstance(model, str) else model(violating_model)
     with pytest.raises(AssertionError, match=match):
+        check([model])
+
+
+@pytest.mark.parametrize(
+    "check, model, generic",
+    [
+        (checks.check_sublevel, lambda build: build("1", "2"), "1"),
+        (checks.check_low_epsilon,
+         lambda build: build("1/2", "2", generic_curve=(1, 2), very_ample_multiplier=2), "1/2"),
+    ],
+    ids=["sublevel_closedness", "low_epsilon_finiteness"],
+)
+def test_a_stratum_above_the_dense_one_fails_the_check(violating_model, check, model, generic):
+    # the two controls' former models: special is proven at least 2, above
+    # the dense stratum, which every reader of the stratum table rejects
+    message = (
+        f"stratum 'special' has a value of at least 2, above the dense stratum 'generic' "
+        f"at most {generic}; the model's tables are geometrically inconsistent"
+    )
+    with pytest.raises((AssertionError, engine.EngineError), match=re.escape(message)):
         check([model(violating_model)])
 
 

@@ -218,6 +218,37 @@ def test_every_command_rejects_a_model_whose_paths_clash(capsys, tmp_path, argv)
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epsilon"],
+        ["epsilon", "--stratum", "generic"],
+        ["epsilon", "--stratum", "on_E", "--strict"],
+        ["sublevel", "--a", "3"],
+        ["sublevel", "--a", "2"],
+        ["scan", "--alpha", "5/2"],
+    ],
+    ids=["global", "generic", "on_E", "sublevel_both", "sublevel_generic", "scan"],
+)
+def test_every_command_rejects_a_stratum_above_the_dense_one(capsys, tmp_path, f1_above_dense, argv):
+    # the rule is checked where the stratum table is built, so every
+    # command meets it, whichever stratum or cut it asks for
+    path = tmp_path / "above.json"
+    path.write_text(json.dumps(f1_above_dense))
+    command, *flags = argv
+    if command == "scan":
+        path = tmp_path / "family.json"
+        member = {"param_label": "t", "model": "above.json"}
+        path.write_text(json.dumps({"degree": 8, "members": [member]}))
+    assert main([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: stratum 'on_E' has a value of at least sqrt(8), above the dense stratum "
+        "'generic' at most 2; the model's tables are geometrically inconsistent\n"
+    )
+
+
 def test_epsilon_stratum_evaluates_each_stratum_once(capsys, monkeypatch, f1_path):
     labels = []
     curves = engine.epsilon_via_curves

@@ -388,10 +388,18 @@ def test_sublevel_f1():
     assert sublevel_set(model, Fraction(3)) == ["generic", "on_E"]
 
 
-def test_sublevel_closure_violation_is_error():
-    # doctor the table so the dense stratum dips below its specialization;
+def test_sublevel_closure_violation_is_error(chain_model):
+    # mid (exact 1) dips below its specialization special (exact 3/2)
+    with pytest.raises(
+        EngineError,
+        match="sublevel set at 1 is not closed under specialization: "
+        "'mid' is in the set but its specialization 'special' is not",
+    ):
+        sublevel_set(chain_model, Fraction(1))
+    # doctor f1's table so the dense stratum dips below its specialization;
     # without its blow-up generators the nef path does not refute it first;
-    # the cheat's ratio 1/2 needs very_ample_multiplier 2
+    # the cheat's ratio 1/2 needs very_ample_multiplier 2.  on_E is then
+    # proven above the dense stratum, which fails the model itself
     doc = json.loads(f1_anticanonical().to_json())
     doc["very_ample_multiplier"] = 2
     del doc["blowup_gens"]["generic"]
@@ -400,7 +408,10 @@ def test_sublevel_closure_violation_is_error():
             sd["candidates"].append({"label": "cheat", "class": None, "t": 1, "m": 2})
             sd["oracle_complete_below"] = "1/2"
     model = load_model(json.dumps(doc))
-    with pytest.raises(EngineError, match="closed under specialization"):
+    with pytest.raises(
+        EngineError,
+        match="stratum 'on_E' has a value of at least 1, above the dense stratum 'generic' at most 1/2",
+    ):
         sublevel_set(model, Fraction(1, 2))
 
 

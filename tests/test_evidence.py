@@ -3,6 +3,7 @@ sound aggregates over strata and members, three-valued semicontinuity
 verdicts, and properties on mutated built-in curve tables."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from seshadri.engine import (
     epsilon_via_curves,
     epsilon_via_nef,
     global_epsilon,
+    low_epsilon_strata,
     sigma_local,
+    sublevel_set,
 )
 from seshadri.family import Family, scan, semicontinuity_check
 from seshadri.models import (
@@ -98,6 +101,25 @@ def test_sigma_local_rejects_a_stratum_above_the_dense_one():
     doc["blowup_gens"] = {}
     with pytest.raises(EngineError, match="geometrically inconsistent"):
         sigma_local(model_from_document(doc))
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        global_epsilon,
+        lambda model: sublevel_set(model, Fraction(3)),
+        lambda model: low_epsilon_strata(model, Fraction(1, 100)),
+        lambda model: semicontinuity_check(Family(members=(("t", model),), degree=8)),
+    ],
+    ids=["global_epsilon", "sublevel_set", "low_epsilon_strata", "semicontinuity_check"],
+)
+def test_every_reader_rejects_a_stratum_above_the_dense_one(f1_above_dense, reader):
+    message = (
+        "stratum 'on_E' has a value of at least sqrt(8), above the dense stratum "
+        "'generic' at most 2; the model's tables are geometrically inconsistent"
+    )
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        reader(model_from_document(f1_above_dense))
 
 
 def test_ceiling_provenance_decides_the_label():

@@ -315,14 +315,22 @@ def test_semicontinuity_negative_control(violating_model):
     assert failing[0].to_document()["undetermined"] is True
 
 
-def test_semicontinuity_certified_negative_control(violating_model):
-    family = Family(members=(("t", violating_model("1", "2")),), degree=4)
-    (verdict,) = semicontinuity_check(family)
-    assert (verdict.general, verdict.special) == ("generic", "special")
+def test_semicontinuity_certified_negative_control(violating_model, chain_model):
+    family = Family(members=(("t", chain_model),), degree=4)
+    dense, verdict = semicontinuity_check(family)
+    assert (dense.general, dense.special, dense.status) == ("generic", "mid", "pass")
+    assert (verdict.general, verdict.special) == ("mid", "special")
     assert verdict.status == "fail" and not verdict.passed
     doc = verdict.to_document()
-    assert (doc["general_value"], doc["special_value"], doc["passed"]) == ("1", "2", False)
+    assert (doc["general_value"], doc["special_value"], doc["passed"]) == ("1", "3/2", False)
     assert "undetermined" not in doc
+    # a special stratum proven above the dense one fails the model itself
+    family = Family(members=(("t", violating_model("1", "2")),), degree=4)
+    with pytest.raises(
+        engine.EngineError,
+        match="stratum 'special' has a value of at least 2, above the dense stratum 'generic' at most 1",
+    ):
+        semicontinuity_check(family)
 
 
 def test_member_specialization_verdicts():
