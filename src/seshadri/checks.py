@@ -46,6 +46,15 @@ class CheckResult(Record):
     __slots__ = _fields = ("name", "passed", "detail")
 
 
+def _named(model: SurfaceModel, read: Callable):
+    """`read()`, whose EngineError, such as a contradiction in the model's
+    stratum table, fails the check as an AssertionError naming the model."""
+    try:
+        return read()
+    except EngineError as exc:
+        raise AssertionError(f"{model.name}: {exc}") from exc
+
+
 def check_roundtrip(models: Models) -> str:
     for model in models:
         text = model.to_json()
@@ -70,7 +79,7 @@ def check_cross(models: Models) -> str:
 def check_steffens_and_rationality(models: Models) -> str:
     for model in models:
         ceiling = SeshadriValue.sqrt(model.rr.d)
-        for label, res in model.stratum_table.items():
+        for label, res in _named(model, lambda: model.stratum_table).items():
             if res.value > ceiling:
                 raise AssertionError(f"{model.name}/{label}: value exceeds sqrt(d)")
             if res.certification is Certification.EXACT_CERTIFIED and res.value < ceiling:
@@ -91,10 +100,7 @@ def check_sublevel(models: Models) -> str:
     for model in models:
         previous: set = set()
         for a in grid:
-            try:
-                current = set(sublevel_set(model, a))  # raises if not closed
-            except EngineError as exc:
-                raise AssertionError(f"{model.name}: {exc}") from exc
+            current = set(_named(model, lambda: sublevel_set(model, a)))
             if not previous <= current:
                 raise AssertionError(
                     f"{model.name}: sublevel set shrank between thresholds at {a}"
@@ -108,7 +114,7 @@ def check_low_epsilon(models: Models) -> str:
     delta = Fraction(1, 100)
     found = 0
     for model in models:
-        for label, value in low_epsilon_strata(model, delta):
+        for label, value in _named(model, lambda: low_epsilon_strata(model, delta)):
             if model.stratum(label).closure_dim != 0:
                 raise AssertionError(
                     f"{model.name}: positive-dimensional stratum {label!r} has "
@@ -126,7 +132,7 @@ def check_candidate_membership(models: Models) -> str:
                 continue
             superset = member_candidate_superset(model, alpha)
             bound = SeshadriValue.exact(alpha)
-            for label, res in model.stratum_table.items():
+            for label, res in _named(model, lambda: model.stratum_table).items():
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:
                     q = res.value.rational
                     if (q.numerator, q.denominator) not in superset:
@@ -236,10 +242,7 @@ def check_mediant(rng: random.Random, max_parts: int) -> str:
 def check_sigma_attainment(models: Models) -> str:
     out = []
     for model in models:
-        try:
-            sig = sigma_local(model)  # raises if the dense stratum does not attain
-        except EngineError as exc:
-            raise AssertionError(f"{model.name}: {exc}") from exc
+        sig = _named(model, lambda: sigma_local(model))
         out.append(f"{model.name}={sig.value.serialize()}")
     return "supremum attained on the dense stratum: " + ", ".join(out)
 

@@ -217,10 +217,10 @@ def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> Candidate
 
 def semicontinuity_check(family: Family) -> List[Verdict]:
     """Exact order checks on declared specializations: the global value
-    of a special member never exceeds the general member's, and within
-    each member a special stratum never exceeds the strata it
-    specializes from.  Each verdict compares the two intervals, so it
-    passes only where the evidence proves the order."""
+    of a special member never exceeds the general member's, nor a special
+    stratum's the strata it specializes from.  Each verdict compares two
+    intervals: it passes only where the evidence proves the order, and
+    only a member pair can fail, as a model's table rejects its own."""
     globals_by_member = {label: global_epsilon(model) for label, model in family.members}
     return _semicontinuity_verdicts(family, globals_by_member)
 

@@ -144,20 +144,24 @@ class SurfaceModel(Record):
         """`epsilon` of every stratum, keyed by label in model order and
         read-only: one curve-path call and at most one nef-path call per
         stratum on the first read.  The first contradiction met is raised,
-        then the first stratum proven above the dense stratum's interval."""
+        then the first stratum proven above the dense stratum or above one
+        it specializes from, in listed order: no value rises as its point
+        specializes."""
         table = self._stratum_table
         if table is None:
             table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
-            generic_label = self.generic_stratum.label
-            generic = table[generic_label]
-            for label, res in table.items():
-                if res.lo is not None and res.lo > generic.hi:
-                    raise EngineError(
-                        f"stratum {label!r} has a value of at least {res.lo.serialize()}, "
-                        f"above the dense stratum {generic_label!r} at most "
-                        f"{generic.hi.serialize()}; the model's tables are geometrically "
-                        "inconsistent"
-                    )
+            dense = self.generic_stratum.label
+            for s in self.strata:
+                lo = table[s.label].lo
+                for general in (dense, *s.specializes_from):
+                    hi = table[general].hi
+                    if lo is not None and lo > hi:
+                        raise EngineError(
+                            f"stratum {s.label!r} has a value of at least {lo.serialize()}, "
+                            f"above the {'dense ' if general == dense else ''}stratum "
+                            f"{general!r} at most {hi.serialize()}; the model's tables are "
+                            "geometrically inconsistent"
+                        )
             set_field(self, "_stratum_table", table)
         return table
 

@@ -77,8 +77,9 @@ def chain_model():
     """A degree-4 plane model whose value drops and then rises along a
     chain of specializations, each value exact: generic 2, mid 1 (from
     generic) and special 3/2 (from mid).  No stratum lies above the dense
-    one, so the stratum table is consistent, but the pair (mid, special)
-    breaks semicontinuity, and the sublevel set at 1 is not closed."""
+    one, but special lies above mid, which it specializes from, so the
+    model loads and reading its stratum table raises: `stratum 'special'
+    has a value of at least 3/2, above the stratum 'mid' at most 1`."""
     doc = projective_plane(2).to_document()
     doc["name"] = "negative_control"
     doc["strata"] += [
@@ -111,6 +112,25 @@ def f1_above_dense():
     on_E["candidates"] = [c for c in on_E["candidates"] if c["label"] == "line"]
     on_E["oracle_complete_below"] = "3"
     del doc["blowup_gens"]["on_E"]
+    return doc
+
+
+@pytest.fixture
+def f1_above_on_E():
+    """The document of f1 with a third stratum `pt` that specializes from
+    on_E, its table one curve t=3, m=2 complete below 3/2 and no blow-up
+    set: pt is exactly 3/2, below the dense stratum's 2 but above on_E's
+    exact 1.  The model loads, and reading its stratum table raises."""
+    doc = f1_anticanonical().to_document()
+    doc["strata"].append(
+        {
+            "label": "pt",
+            "closure_dim": 0,
+            "specializes_from": ["on_E"],
+            "oracle_complete_below": "3/2",
+            "candidates": [{"label": "cubic", "class": None, "t": 3, "m": 2}],
+        }
+    )
     return doc
 
 

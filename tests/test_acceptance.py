@@ -156,22 +156,36 @@ def test_criterion_6_semicontinuity(violating_model, chain_model):
     assert len(failures) == 1
     assert (failures[0].general, failures[0].special) == ("generic", "special")
     assert failures[0].status == "undetermined"
-    # two exact values, special 3/2 above mid 1: a proven failure
-    family = Family(members=(("t", chain_model),), degree=4)
+    # two exact global values, the special member's 2 above the general
+    # member's 1: a proven failure
+    family = Family(
+        members=(("general", f1_anticanonical()), ("special", quadric(2, 2))),
+        degree=8,
+        member_specialization=(("general", "special"),),
+    )
     (certified,) = [v for v in semicontinuity_check(family) if not v.passed]
-    assert certified.status == "fail"
-    assert (certified.general, certified.special) == ("mid", "special")
-    # special 2 above the dense stratum's exact 1 fails the model itself
-    family = Family(members=(("t", violating_model("1", "2")),), degree=4)
-    with pytest.raises(
-        EngineError,
-        match="stratum 'special' has a value of at least 2, above the dense stratum 'generic' at most 1",
+    assert (certified.kind, certified.status) == ("member", "fail")
+    assert (certified.general, certified.special) == ("general", "special")
+    assert (certified.general_value, certified.special_value) == (
+        SeshadriValue.exact(1), SeshadriValue.exact(2)
+    )
+    # within one model, an exact special stratum above the exact dense one,
+    # or above any it specializes from, fails the model itself
+    for model, message in (
+        (violating_model("1", "2"),
+         "stratum 'special' has a value of at least 2, above the dense stratum 'generic' "
+         "at most 1"),
+        (chain_model,
+         "stratum 'special' has a value of at least 3/2, above the stratum 'mid' at most 1"),
     ):
-        semicontinuity_check(family)
+        family = Family(members=(("t", model),), degree=4)
+        with pytest.raises(EngineError, match=message):
+            semicontinuity_check(family)
     _report(
         "criterion 6 (semicontinuity)",
         "1 <= 2 across the f1 strata; negative controls name their pair, "
-        "undetermined on upper bounds and failed on exact values",
+        "undetermined on upper bounds and failed on exact member values; "
+        "a stratum above one it specializes from fails its model",
     )
 
 

@@ -37,8 +37,11 @@ def _unknown_surface(build):
 @pytest.mark.parametrize(
     "check, model, match",
     [
+        # the sublevel set at 1 would hold mid but not special; the
+        # stratum table rejects special above mid before any cut is read
         (checks.check_sublevel, "chain_model",
-         "negative_control: .* not closed under specialization"),
+         "negative_control: stratum 'special' has a value of at least 3/2, above the stratum "
+         "'mid' at most 1; the model's tables are geometrically inconsistent"),
         (checks.check_low_epsilon, _low_generic,
          "negative_control: positive-dimensional stratum 'generic' has value 1/2"),
         # the superset holds ratios t/m with t <= B only
@@ -63,23 +66,30 @@ def test_invariant_rejects_a_model_built_to_break_it(request, violating_model, c
         check([model])
 
 
+def _above_generic(build):
+    return build("1", "2")
+
+
 @pytest.mark.parametrize(
     "check, model, generic",
     [
-        (checks.check_sublevel, lambda build: build("1", "2"), "1"),
+        (checks.check_steffens_and_rationality, _above_generic, "1"),
+        (checks.check_sublevel, _above_generic, "1"),
         (checks.check_low_epsilon,
          lambda build: build("1/2", "2", generic_curve=(1, 2), very_ample_multiplier=2), "1/2"),
+        (checks.check_candidate_membership, _above_generic, "1"),
     ],
-    ids=["sublevel_closedness", "low_epsilon_finiteness"],
+    ids=["steffens_rationality", "sublevel_closedness", "low_epsilon_finiteness",
+         "candidate_membership"],
 )
 def test_a_stratum_above_the_dense_one_fails_the_check(violating_model, check, model, generic):
-    # the two controls' former models: special is proven at least 2, above
-    # the dense stratum, which every reader of the stratum table rejects
+    # special is proven at least 2, above the dense stratum, which every
+    # reader of the stratum table rejects; each check names the model
     message = (
-        f"stratum 'special' has a value of at least 2, above the dense stratum 'generic' "
-        f"at most {generic}; the model's tables are geometrically inconsistent"
+        f"negative_control: stratum 'special' has a value of at least 2, above the dense "
+        f"stratum 'generic' at most {generic}; the model's tables are geometrically inconsistent"
     )
-    with pytest.raises((AssertionError, engine.EngineError), match=re.escape(message)):
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         check([model(violating_model)])
 
 

@@ -249,6 +249,40 @@ def test_every_command_rejects_a_stratum_above_the_dense_one(capsys, tmp_path, f
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epsilon"],
+        ["epsilon", "--stratum", "pt", "--strict"],
+        ["sublevel", "--a", "2"],
+        ["sublevel", "--a", "1"],
+        ["scan", "--alpha", "5/2"],
+    ],
+    ids=["global", "pt", "sublevel_all", "sublevel_on_E", "scan"],
+)
+def test_every_command_rejects_a_stratum_above_one_it_specializes_from(
+    capsys, tmp_path, f1_above_on_E, argv
+):
+    # pt (exact 3/2) lies below the dense stratum but above on_E (exact
+    # 1), which it specializes from: the table rejects the pair, so no
+    # command reports a value, a sublevel set or a verdict
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps(f1_above_on_E))
+    command, *flags = argv
+    if command == "scan":
+        path = tmp_path / "family.json"
+        member = {"param_label": "t", "model": "pt.json"}
+        path.write_text(json.dumps({"degree": 8, "members": [member]}))
+    assert main([command, str(path), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: stratum 'pt' has a value of at least 3/2, above the stratum 'on_E' at most 1; "
+        "the model's tables are geometrically inconsistent\n"
+    )
+    assert len(captured.err.encode()) < 300
+
+
 def test_epsilon_stratum_evaluates_each_stratum_once(capsys, monkeypatch, f1_path):
     labels = []
     curves = engine.epsilon_via_curves

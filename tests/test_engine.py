@@ -388,14 +388,30 @@ def test_sublevel_f1():
     assert sublevel_set(model, Fraction(3)) == ["generic", "on_E"]
 
 
+@pytest.mark.parametrize("model", builtin_suite(), ids=lambda model: model.name)
+def test_sublevel_sets_of_the_builtins_are_closed_under_their_pairs(model):
+    # read from the stratum table, not from sublevel_set, at each cut of
+    # check_sublevel's grid: a general stratum in the set brings in every
+    # stratum that specializes from it
+    table = model.stratum_table
+    for a in (Fraction(k, 4) for k in range(1, 17)):
+        chosen = {label for label, res in table.items() if res.value <= SeshadriValue.exact(a)}
+        for s in model.strata:
+            for general in s.specializes_from:
+                assert general not in chosen or s.label in chosen, (a, general, s.label)
+
+
 def test_sublevel_closure_violation_is_error(chain_model):
-    # mid (exact 1) dips below its specialization special (exact 3/2)
-    with pytest.raises(
-        EngineError,
-        match="sublevel set at 1 is not closed under specialization: "
-        "'mid' is in the set but its specialization 'special' is not",
-    ):
-        sublevel_set(chain_model, Fraction(1))
+    # mid (exact 1) dips below its specialization special (exact 3/2), so
+    # the set at 1 would hold mid but not special: the stratum table
+    # rejects the pair, at every cut, the cuts that hold both included
+    for a in (Fraction(1), Fraction(3, 2), Fraction(2)):
+        with pytest.raises(
+            EngineError,
+            match="^stratum 'special' has a value of at least 3/2, above the stratum 'mid' "
+            "at most 1; the model's tables are geometrically inconsistent$",
+        ):
+            sublevel_set(chain_model, a)
     # doctor f1's table so the dense stratum dips below its specialization;
     # without its blow-up generators the nef path does not refute it first;
     # the cheat's ratio 1/2 needs very_ample_multiplier 2.  on_E is then

@@ -316,21 +316,31 @@ def test_semicontinuity_negative_control(violating_model):
 
 
 def test_semicontinuity_certified_negative_control(violating_model, chain_model):
-    family = Family(members=(("t", chain_model),), degree=4)
-    dense, verdict = semicontinuity_check(family)
-    assert (dense.general, dense.special, dense.status) == ("generic", "mid", "pass")
-    assert (verdict.general, verdict.special) == ("mid", "special")
+    # f1's global value 1 specializes to quadric(2,2)'s 2: only a member
+    # pair can fail, since a model's own pairs are checked by its table
+    family = Family(
+        members=(("general", f1_anticanonical()), ("special", quadric(2, 2))),
+        degree=8,
+        member_specialization=(("general", "special"),),
+    )
+    verdict, *strata = semicontinuity_check(family)
+    assert [(v.kind, v.status) for v in strata] == [("stratum", "pass")]
+    assert (verdict.kind, verdict.general, verdict.special) == ("member", "general", "special")
     assert verdict.status == "fail" and not verdict.passed
     doc = verdict.to_document()
-    assert (doc["general_value"], doc["special_value"], doc["passed"]) == ("1", "3/2", False)
+    assert (doc["general_value"], doc["special_value"], doc["passed"]) == ("1", "2", False)
     assert "undetermined" not in doc
-    # a special stratum proven above the dense one fails the model itself
-    family = Family(members=(("t", violating_model("1", "2")),), degree=4)
-    with pytest.raises(
-        engine.EngineError,
-        match="stratum 'special' has a value of at least 2, above the dense stratum 'generic' at most 1",
+    # a special stratum proven above the dense one, or above one it
+    # specializes from, fails the model itself
+    for model, message in (
+        (violating_model("1", "2"),
+         "stratum 'special' has a value of at least 2, above the dense stratum 'generic' "
+         "at most 1"),
+        (chain_model,
+         "stratum 'special' has a value of at least 3/2, above the stratum 'mid' at most 1"),
     ):
-        semicontinuity_check(family)
+        with pytest.raises(engine.EngineError, match=message):
+            semicontinuity_check(Family(members=(("t", model),), degree=4))
 
 
 def test_member_specialization_verdicts():
