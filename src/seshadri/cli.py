@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-All numeric flags are exact-rational strings ("p/q" or "p"); decimal
-input is rejected before any computation runs.  Reports embed the tool
-and schema versions, and output files are written atomically.  Each
-subcommand imports the layer it runs when it runs, so one call loads
-only that layer.
+All numeric flags are exact-rational strings ("p/q" or "p"), integral for
+an integer flag; decimal input is rejected before any computation runs.
+Reports embed the tool and schema versions, and output files are written
+atomically.  Each subcommand imports the layer it runs when it runs, so
+one call loads only that layer.
 """
 
 from __future__ import annotations
@@ -63,11 +63,20 @@ def _emit_report(
         _emit("\n".join(text_lines()), output)
 
 
+def _integer(args, dest: str) -> int:
+    """The value of integer flag `dest`: a rational string of integer value."""
+    q = parse_rational(getattr(args, dest))
+    if q.denominator != 1:
+        raise ValueError(f"--{dest.replace('_', '-')} must be an integer, got {format_rational(q)}")
+    return q.numerator
+
+
 def cmd_bound(args) -> int:
     from .bounds import RRData, minimal_M, multiplicity_target
 
     rr = RRData(
-        d=args.d, c=args.c, c_prime=args.c_prime, vanishing_multiplier=args.vanishing_multiplier
+        d=_integer(args, "d"), c=_integer(args, "c"), c_prime=_integer(args, "c_prime"),
+        vanishing_multiplier=_integer(args, "vanishing_multiplier"),
     )
     a = parse_rational(args.a)
     bound = minimal_M(rr, a)
@@ -99,10 +108,11 @@ def cmd_bound(args) -> int:
 def cmd_candidates(args) -> int:
     from .bounds import candidate_walk
 
+    B = _integer(args, "B")
     alpha = parse_rational(args.alpha)
-    formatted = format_pairs(candidate_walk(args.B, alpha, require_m_le_t=not args.permissive))
+    formatted = format_pairs(candidate_walk(B, alpha, require_m_le_t=not args.permissive))
     doc = {
-        "B": args.B,
+        "B": B,
         "alpha": format_rational(alpha),
         "certified": not args.permissive,
         "ratios": formatted,
@@ -121,7 +131,7 @@ def cmd_epsilon(args) -> int:
 
     model = load_model_file(args.model)
     # an invalid threshold fails here, before any stratum is evaluated
-    bound = minimal_M(model.rr, parse_rational(args.alpha)) if args.alpha else None
+    bound = minimal_M(model.rr, parse_rational(args.alpha)) if args.alpha is not None else None
     if args.stratum is not None:
         result = model.stratum_table[model.stratum(args.stratum).label]
     else:
@@ -212,7 +222,7 @@ def cmd_scan(args) -> int:
         family = load_family(fh.read(), base_dir=os.path.dirname(os.path.abspath(args.family)))
     alpha = parse_rational(args.alpha)
     report = scan(family, alpha)
-    if args.csv:
+    if args.csv is not None:
         _emit(report.to_csv(), args.csv)
     # each format counts the superset, so only the requested one is built
     _emit_report(args.format, args.output, report.to_document, lambda: _scan_lines(report, alpha))
@@ -257,16 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bound", help="degree bound M, B = M*d for a ratio threshold")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--c-prime", type=int, required=True, dest="c_prime")
+    p.add_argument("--d", required=True)
+    p.add_argument("--c", required=True)
+    p.add_argument("--c-prime", required=True, dest="c_prime")
     p.add_argument("--a", required=True, help="threshold as p/q with a^2 < d")
-    p.add_argument("--vanishing-multiplier", type=int, default=1, dest="vanishing_multiplier")
+    p.add_argument("--vanishing-multiplier", default="1", dest="vanishing_multiplier")
     common(p)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("candidates", help="all ratios t/m <= alpha with m <= t <= B")
-    p.add_argument("--B", type=int, required=True)
+    p.add_argument("--B", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument(
         "--permissive",

@@ -186,6 +186,17 @@ class SeshadriResult(Record):
         return doc
 
 
+def compare(special: SeshadriResult, general: SeshadriResult) -> str:
+    """Whether the evidence proves special <= general, as a `Verdict`'s
+    status: "pass" if special's hi is at most general's lo, "fail" if
+    special's lo is above general's hi, and "undetermined" otherwise."""
+    if general.lo is not None and special.hi <= general.lo:
+        return "pass"
+    if special.lo is not None and special.lo > general.hi:
+        return "fail"
+    return "undetermined"
+
+
 def _least_ratio(entries: Iterable[tuple]) -> Optional[tuple]:
     """The deterministic witness order of both paths: of the entries
     (t, m, label, item), the one of least t/m, then least t, then least
@@ -275,16 +286,16 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
 
 
 def epsilon(model, stratum: PointStratum) -> SeshadriResult:
-    """Per-stratum value: the curve-path interval, checked against the nef
-    path wherever blow-up data exists (a nef value outside it is an error):
-    one entry of the checked `SurfaceModel.stratum_table`, which commands read."""
+    """Per-stratum value: the curve-path interval, one entry of the checked
+    `SurfaceModel.stratum_table` that commands read.  Where blow-up data
+    exists, `compare` proving it or the nef result above the other is an error."""
     result = epsilon_via_curves(model, stratum)
     if stratum.label in model.blowup_gens:
-        nef = epsilon_via_nef(model, stratum).value
-        if (result.lo is not None and nef < result.lo) or nef > result.hi:
+        nef = epsilon_via_nef(model, stratum)
+        if "fail" in (compare(nef, result), compare(result, nef)):
             raise EngineError(
                 f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
-                f"({result.certification.value}) but nef path gives {nef.serialize()}"
+                f"({result.certification.value}) but nef path gives {nef.value.serialize()}"
             )
     return result
 
@@ -331,22 +342,22 @@ def sublevel_set(model, a: Rational) -> List[str]:
 
 def sigma_local(model) -> SeshadriResult:
     """Supremum of the local constants over the model's points: the dense
-    stratum's evidence, since every point specializes from a general one.
-    That is checked, not assumed: the table every reader reads rejects a
-    stratum proven above the dense one or any it specializes from."""
+    stratum's evidence, since every point specializes from a general one
+    and the checked table holds no stratum that `compare` proves above it."""
     generic_label = model.generic_stratum.label
     return replace(model.stratum_table[generic_label], attained_at=generic_label)
 
 
 def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]]:
-    """Strata whose value is at most 1 - delta, with their values.  For a
-    geometrically honest model these must all be zero-dimensional."""
+    """Strata that `compare` proves at most 1 - delta, with their values.
+    For a geometrically honest model these must all be zero-dimensional."""
     delta = as_rational(delta, "delta", EngineError)
     if delta <= 0:
         raise EngineError(f"delta must be positive, got {delta}")
-    threshold = SeshadriValue.exact(Fraction(1) - delta)
+    point = SeshadriValue.exact(Fraction(1) - delta)
+    cut = SeshadriResult(hi=point, lo=point)
     return [
         (label, res.value)
         for label, res in model.stratum_table.items()
-        if res.value <= threshold
+        if compare(res, cut) == "pass"
     ]

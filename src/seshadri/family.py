@@ -21,7 +21,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minimal_M
-from .engine import Certification, SeshadriResult, global_epsilon, sigma_local
+from .engine import Certification, SeshadriResult, compare, global_epsilon, sigma_local
 from .models import (
     SurfaceModel,
     check_specialization_order,
@@ -129,24 +129,6 @@ class Verdict(Record):
         return doc
 
 
-def _verdict(
-    kind: str, context: str, general: str, special: str,
-    general_res: SeshadriResult, special_res: SeshadriResult,
-) -> Verdict:
-    """special <= general on the two intervals: pass if special's hi is at
-    most general's lo, fail if special's lo exceeds general's hi, and
-    undetermined otherwise."""
-    if general_res.lo is not None and special_res.hi <= general_res.lo:
-        status = "pass"
-    elif special_res.lo is not None and special_res.lo > general_res.hi:
-        status = "fail"
-    else:
-        status = "undetermined"
-    return Verdict(
-        kind, context, general, special, general_res.value, special_res.value, status
-    )
-
-
 class FamilyScanReport(Record):
     # a row of epsilon_table: (member, stratum, result, degree bound at alpha)
     __slots__ = _fields = (
@@ -216,11 +198,10 @@ def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> Candidate
 
 
 def semicontinuity_check(family: Family) -> List[Verdict]:
-    """Exact order checks on declared specializations: the global value
-    of a special member never exceeds the general member's, nor a special
-    stratum's the strata it specializes from.  Each verdict compares two
-    intervals: it passes only where the evidence proves the order, and
-    only a member pair can fail, as a model's table rejects its own."""
+    """Exact order checks on declared specializations: no special member's
+    global value, nor special stratum's value, exceeds a general one's.
+    Each verdict is `compare` of the two results; only a member pair can
+    fail, as a model's table rejects its own."""
     globals_by_member = {label: global_epsilon(model) for label, model in family.members}
     return _semicontinuity_verdicts(family, globals_by_member)
 
@@ -228,22 +209,21 @@ def semicontinuity_check(family: Family) -> List[Verdict]:
 def _semicontinuity_verdicts(
     family: Family, globals_by_member: Dict[str, SeshadriResult]
 ) -> List[Verdict]:
-    """semicontinuity_check's verdicts, from each member's global result."""
-    verdicts = [
-        _verdict(
-            "member", "family", general, special,
-            globals_by_member[general], globals_by_member[special],
-        )
-        for general, special in family.member_specialization
+    """semicontinuity_check's verdicts by `compare`, from each member's global result."""
+    pairs = [("member", "family", *p, globals_by_member) for p in family.member_specialization]
+    pairs += [
+        ("stratum", label, general, s.label, model.stratum_table)
+        for label, model in family.members
+        for s in model.strata
+        for general in s.specializes_from
     ]
-    for label, model in family.members:
-        table = model.stratum_table
-        for s in model.strata:
-            for general in s.specializes_from:
-                verdicts.append(
-                    _verdict("stratum", label, general, s.label, table[general], table[s.label])
-                )
-    return verdicts
+    return [
+        Verdict(
+            kind, context, general, special, results[general].value, results[special].value,
+            compare(results[special], results[general]),
+        )
+        for kind, context, general, special, results in pairs
+    ]
 
 
 def scan(family: Family, alpha: Rational) -> FamilyScanReport:

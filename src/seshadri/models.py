@@ -28,7 +28,7 @@ from typing import Mapping, Tuple
 
 from . import SCHEMA_VERSION
 from .bounds import RRData, minimal_M
-from .engine import CurveCandidate, EngineError, PointStratum, SeshadriResult, epsilon
+from .engine import CurveCandidate, EngineError, PointStratum, SeshadriResult, compare, epsilon
 from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
 from .values import (
     RATIONAL_SYNTAX,
@@ -144,22 +144,20 @@ class SurfaceModel(Record):
         """`epsilon` of every stratum, keyed by label in model order and
         read-only: one curve-path call and at most one nef-path call per
         stratum on the first read.  The first contradiction met is raised,
-        then the first stratum proven above the dense stratum or above one
-        it specializes from, in listed order: no value rises as its point
-        specializes."""
+        then the first stratum `compare` fails against the dense one or one
+        it specializes from, in listed order: no value rises on specializing."""
         table = self._stratum_table
         if table is None:
             table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
             dense = self.generic_stratum.label
             for s in self.strata:
-                lo = table[s.label].lo
                 for general in (dense, *s.specializes_from):
-                    hi = table[general].hi
-                    if lo is not None and lo > hi:
+                    if compare(table[s.label], table[general]) == "fail":
                         raise EngineError(
-                            f"stratum {s.label!r} has a value of at least {lo.serialize()}, "
-                            f"above the {'dense ' if general == dense else ''}stratum "
-                            f"{general!r} at most {hi.serialize()}; the model's tables are "
+                            f"stratum {s.label!r} has a value of at least "
+                            f"{table[s.label].lo.serialize()}, above the "
+                            f"{'dense ' if general == dense else ''}stratum {general!r} at "
+                            f"most {table[general].hi.serialize()}; the model's tables are "
                             "geometrically inconsistent"
                         )
             set_field(self, "_stratum_table", table)

@@ -77,6 +77,39 @@ def test_candidates_rejects_a_nonpositive_argument(capsys, B, alpha, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "B, message",
+    [
+        ("1_0", "malformed rational '1_0'"),
+        ("+1", "malformed rational '+1'"),
+        ("\u0668", "malformed rational '\u0668'"),
+        ("1.5", "decimal notation not accepted, use p/q: '1.5'"),
+        ("3/2", "--B must be an integer, got 3/2"),
+        ("", "malformed rational ''"),
+    ],
+    ids=["underscore", "plus", "arabic-indic", "decimal", "fraction", "empty"],
+)
+def test_candidates_reads_B_as_every_numeric_flag_is_read(capsys, B, message):
+    # an integer flag is a rational string whose value is an integer: a
+    # malformed one fails with one error line and exit 1, as --alpha does
+    assert main(["candidates", "--B", B, "--alpha", "2"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--d", "--c", "--c-prime", "--vanishing-multiplier"])
+def test_bound_rejects_a_fraction_for_an_integer_flag(capsys, flag):
+    args = {"--d": "4", "--c": "0", "--c-prime": "2", "--a": "3/2", flag: "3/2"}
+    assert main(["bound", *(item for pair in args.items() for item in pair)]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be an integer, got 3/2\n")
+
+
+def test_an_integer_flag_takes_an_integral_rational(capsys):
+    assert main(["candidates", "--B", "6/2", "--alpha", "3/2"]) == 0
+    assert main(["candidates", "--B", "3", "--alpha", "3/2"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second == "1, 3/2"
+
+
 def test_candidates_permissive_labeled(capsys):
     assert main(["candidates", "--B", "3", "--alpha", "3", "--permissive"]) == 0
     assert "not a certified superset" in capsys.readouterr().out
@@ -333,7 +366,8 @@ def test_epsilon_strict_on_uncertified(capsys, tmp_path, f1_path):
 @pytest.mark.parametrize(
     "alpha, message",
     [("0", "threshold must be positive, got 0"),
-     ("3", r"threshold\^2 must be strictly below the degree: 3\^2 >= 8")],
+     ("3", r"threshold\^2 must be strictly below the degree: 3\^2 >= 8"),
+     ("", "malformed rational ''")],
 )
 @pytest.mark.parametrize("stratum", [[], ["--stratum", "on_E"]], ids=["global", "stratum"])
 def test_epsilon_rejects_an_invalid_alpha(capsys, monkeypatch, f1_path, alpha, message, stratum):
@@ -501,6 +535,17 @@ def test_output_to_a_missing_directory_names_the_path(capsys, tmp_path, family_p
     assert main(["scan", family_path, "--alpha", "5/2", flag, str(out)]) == 1
     _assert_path_error(capsys, out)
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_an_empty_output_path_is_an_input_error(capsys, monkeypatch, tmp_path, family_path, flag):
+    # an empty path names no file: the call fails, writes no report and
+    # leaves no temporary file behind
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["scan", family_path, "--alpha", "5/2", flag, ""]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_scan_strict_exits_2_on_an_uncertified_stratum(tmp_path, family_path):

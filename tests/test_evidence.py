@@ -10,10 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from seshadri.checks import check_low_epsilon
 from seshadri.engine import (
     Certification,
     CurveCandidate,
     EngineError,
+    SeshadriResult,
+    compare,
     epsilon,
     epsilon_via_curves,
     epsilon_via_nef,
@@ -69,6 +72,66 @@ def test_semicontinuity_without_evidence_is_undetermined():
     assert not v.passed
     assert v.to_document()["passed"] is False
     assert v.to_document()["undetermined"] is True
+
+
+# endpoints of both kinds, in increasing order; two results share an
+# endpoint wherever they pick the same one
+_ENDPOINTS = [
+    SeshadriValue.exact(Fraction(1, 2)),
+    SeshadriValue.exact(1),
+    SeshadriValue.sqrt(2),
+    SeshadriValue.exact(Fraction(3, 2)),
+    SeshadriValue.exact(2),
+    SeshadriValue.sqrt(8),
+    SeshadriValue.exact(3),
+]
+# every interval on them: lo unknown (None) or at most hi
+_INTERVALS = [
+    SeshadriResult(hi=hi, lo=lo)
+    for i, hi in enumerate(_ENDPOINTS)
+    for lo in [None, *_ENDPOINTS[: i + 1]]
+]
+
+
+def test_compare_follows_its_definition_on_every_endpoint_order():
+    # lo unknown means nothing is known above 0: every value is positive
+    zero = SeshadriValue.exact(0)
+    floor = lambda res: zero if res.lo is None else res.lo  # noqa: E731
+    for special in _INTERVALS:
+        for general in _INTERVALS:
+            if special.hi <= floor(general):
+                want = "pass"
+            elif floor(special) > general.hi:
+                want = "fail"
+            else:
+                want = "undetermined"
+            assert compare(special, general) == want, (special, general)
+
+
+def test_compare_proves_both_orders_only_of_one_exact_point():
+    both = [
+        (x, y)
+        for x in _INTERVALS
+        for y in _INTERVALS
+        if compare(x, y) == compare(y, x) == "pass"
+    ]
+    assert both and all(x.lo == x.hi == y.lo == y.hi for x, y in both)
+
+
+def test_low_epsilon_strata_lists_only_a_stratum_proven_low():
+    # on_E: an empty table complete below 1/2, with no blow-up set, so
+    # only 1/2 <= value <= sqrt(8) is known; its reported value is the
+    # lower bound 1/2, yet it is not proven at most 1 - 1/100
+    doc = f1_anticanonical().to_document()
+    doc["strata"][1]["candidates"] = []
+    doc["strata"][1]["oracle_complete_below"] = "1/2"
+    del doc["blowup_gens"]["on_E"]
+    model = model_from_document(doc)
+    on_E = model.stratum_table["on_E"]
+    assert on_E.certification is Certification.LOWER_BOUND_ONLY
+    assert on_E.value == SeshadriValue.exact(Fraction(1, 2))
+    assert low_epsilon_strata(model, Fraction(1, 100)) == []
+    assert check_low_epsilon([model]).endswith("(0 found)")
 
 
 def _f1_with_unbounded_on_E():
