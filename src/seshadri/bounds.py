@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .values import Rational, RationalLike, Record, as_int, as_rational, set_field
+from .values import Rational, RationalLike, Record, as_int, as_rational, cut, set_field
 
 
 class BoundError(ValueError):
@@ -55,7 +55,7 @@ class RRData(Record):
         for name in self._fields:
             as_int(getattr(self, name), name, BoundError)
         if self.d < 1:
-            raise BoundError(f"degree must be positive, got {self.d}")
+            raise BoundError(f"degree must be positive, got {cut(self.d)}")
         if self.vanishing_multiplier < 1:
             raise BoundError("vanishing_multiplier must be a positive integer")
 
@@ -109,11 +109,11 @@ def minimal_M(rr: RRData, a: RationalLike) -> DegreeBound:
     a = as_rational(a, "threshold", BoundError)
     p, q = a.numerator, a.denominator
     if p <= 0:
-        raise BoundError(f"threshold must be positive, got {a}")
+        raise BoundError(f"threshold must be positive, got {cut(a)}")
     d = rr.d
     A = d * q * q - p * p  # a^2 < d iff A > 0
     if A <= 0:
-        raise BoundError(f"threshold^2 must be strictly below the degree: {a}^2 >= {d}")
+        raise BoundError(f"threshold^2 must be strictly below the degree: {cut(a)}^2 >= {cut(d)}")
     b = rr.c * q - 3 * p
     C = 2 * (rr.c_prime - 1)
     j = 1
@@ -171,10 +171,10 @@ def _walk_range(B: int, alpha: RationalLike) -> Tuple[int, int, int]:
     positive."""
     B = as_int(B, "B", BoundError)
     if B < 1:
-        raise BoundError(f"B must be positive, got {B}")
+        raise BoundError(f"B must be positive, got {cut(B)}")
     alpha = as_rational(alpha, "alpha", BoundError)
     if alpha <= 0:
-        raise BoundError(f"alpha must be positive, got {alpha}")
+        raise BoundError(f"alpha must be positive, got {cut(alpha)}")
     return B, alpha.numerator, alpha.denominator
 
 

@@ -16,7 +16,7 @@ import sys
 from typing import Callable, List, Optional
 
 from . import SCHEMA_VERSION, __version__
-from .values import format_pairs, format_rational, parse_rational
+from .values import cut, format_pairs, format_rational, parse_rational
 
 _REPORT_HEADER = {"tool_version": __version__, "schema_version": SCHEMA_VERSION}
 
@@ -67,7 +67,7 @@ def _integer(args, dest: str) -> int:
     """The value of integer flag `dest`: a rational string of integer value."""
     q = parse_rational(getattr(args, dest))
     if q.denominator != 1:
-        raise ValueError(f"--{dest.replace('_', '-')} must be an integer, got {format_rational(q)}")
+        raise ValueError(f"--{dest.replace('_', '-')} must be an integer, got {cut(q)}")
     return q.numerator
 
 

@@ -31,6 +31,7 @@ from .values import (
     as_int,
     as_rational,
     as_tuple,
+    cut,
     replace,
     require_label,
     set_field,
@@ -68,8 +69,8 @@ class CurveCandidate(Record):
         mult_m = as_int(self.mult_m, "mult_m", EngineError)
         if degree_t < 1 or mult_m < 1:
             raise EngineError(
-                f"candidate {label!r} needs positive degree and multiplicity, "
-                f"got ({degree_t}, {mult_m})"
+                f"candidate {shown(label)} needs positive degree and multiplicity, "
+                f"got ({cut(degree_t)}, {cut(mult_m)})"
             )
 
     @property
@@ -92,7 +93,7 @@ class PointStratum(Record):
         require_label(label, "a point stratum", EngineError)
         specializes_from = as_tuple(self.specializes_from, "specializes_from", EngineError)
         for general in specializes_from:
-            require_label(general, f"stratum {label!r}", EngineError, "specializes_from entry")
+            require_label(general, f"stratum {shown(label)}", EngineError, "specializes_from entry")
         candidates = as_tuple(self.candidates, "candidates", EngineError)
         for c in candidates:
             if not isinstance(c, CurveCandidate):
@@ -101,45 +102,41 @@ class PointStratum(Record):
                 )
         closure_dim = as_int(self.closure_dim, "closure_dim", EngineError)
         if closure_dim < 0:
-            raise EngineError(f"closure_dim must be nonnegative, got {closure_dim}")
+            raise EngineError(f"closure_dim must be nonnegative, got {cut(closure_dim)}")
         if closure_dim > 2:
-            raise EngineError(f"closure_dim must be at most 2, got {closure_dim}")
+            raise EngineError(f"closure_dim must be at most 2, got {cut(closure_dim)}")
         ocb = self.oracle_complete_below
         if ocb is not None:
             ocb = as_rational(ocb, "completeness threshold", EngineError)
             if ocb <= 0:
-                raise EngineError(f"completeness threshold must be positive, got {ocb}")
+                raise EngineError(f"completeness threshold must be positive, got {cut(ocb)}")
         set_field(self, "specializes_from", specializes_from)
         set_field(self, "candidates", candidates)
         set_field(self, "oracle_complete_below", ocb)
 
 
 class SeshadriResult(Record):
-    """The evidence on one value as an exact interval: lo <= value <= hi.
+    """The evidence on one value as an exact interval: lo <= value <= hi,
+    with the curve that witnesses hi, if one does.
 
     `lo` is None when nothing is known above 0; `hi` never exceeds
-    sqrt(d).  `ceiling_only` records that `hi` rests on the sqrt(d)
-    ceiling alone, because the table lists no curve.  The certification
-    label and the reported value derive from these once, when the result
-    is built, into `certification` and `value`, which no comparison, hash,
-    repr or pickle reads: exact iff the interval is a point, a lower bound
-    only (valued lo) when just the ceiling of an empty table bounds it
-    above, and an upper bound (valued hi) otherwise; certified_above
-    derives on each read."""
+    sqrt(d), and no curve witnesses the sqrt(d) ceiling of an open
+    interval.  The certification label and the reported value derive
+    from (lo, hi, witness) once, when the result is built, into
+    `certification` and `value`, which no comparison, hash, repr or
+    pickle reads: exact iff the interval is a point, a lower bound only
+    (valued lo) when lo is known and no curve witnesses hi, and an upper
+    bound (valued hi) otherwise; certified_above derives on each read."""
 
-    _fields = ("hi", "lo", "ceiling_only", "witness", "warning", "attained_at")
+    _fields = ("hi", "lo", "witness", "warning", "attained_at")
     __slots__ = _fields + ("certification", "value")
-    _defaults = {
-        "lo": None, "ceiling_only": False, "witness": None, "warning": None, "attained_at": None
-    }
+    _defaults = {"lo": None, "witness": None, "warning": None, "attained_at": None}
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
-        if lo is None:
-            certification = Certification.UPPER_BOUND_ONLY
-        elif lo == hi:
+        if lo == hi:
             certification = Certification.EXACT_CERTIFIED
-        elif self.ceiling_only:
+        elif lo is not None and self.witness is None:
             certification = Certification.LOWER_BOUND_ONLY
         else:
             certification = Certification.UPPER_BOUND_ONLY
@@ -223,10 +220,11 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     """Local Seshadri constant at the stratum's point from its curve
     table, as an interval.
 
-    The least listed ratio, capped by sqrt(d), bounds the value above.
-    A table complete below its threshold `ocb` lists every curve of
-    ratio < ocb, so the value is at least min(ocb, that upper bound);
-    the interval is a point exactly when the threshold reaches it.
+    The least listed ratio, capped by sqrt(d), bounds the value above,
+    and its curve witnesses hi unless hi is the sqrt(d) ceiling of an
+    open interval, whatever the table lists.  A table complete below its
+    threshold `ocb` lists every curve of ratio < ocb, so the value is at
+    least min(ocb, hi); the interval is a point exactly when ocb reaches hi.
     """
     d = model.rr.d
     sqrt_d = SeshadriValue.sqrt(d)
@@ -244,9 +242,6 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     return SeshadriResult(
         hi=hi,
         lo=lo,
-        ceiling_only=best is None,
-        # the least curve witnesses hi, except where sqrt(d) bounds an
-        # open interval whatever the table lists
         witness=best if least == hi and (hi < sqrt_d or lo == hi) else None,
         warning=warning,
     )
@@ -259,7 +254,7 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     (pullback of L - s*E)^2 >= 0, i.e. s <= sqrt(d)."""
     gens = model.blowup_gens.get(stratum.label)
     if gens is None:
-        raise EngineError(f"no blow-up generator set for stratum {stratum.label!r}")
+        raise EngineError(f"no blow-up generator set for stratum {shown(stratum.label)}")
     d = model.rr.d
     # the least ratio deg/e_mult over the model's generator table of
     # (degree, multiplicity at the point), among those that meet the
@@ -294,30 +289,30 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
         nef = epsilon_via_nef(model, stratum)
         if "fail" in (compare(nef, result), compare(result, nef)):
             raise EngineError(
-                f"stratum {stratum.label!r}: curve path gives {result.value.serialize()} "
-                f"({result.certification.value}) but nef path gives {nef.value.serialize()}"
+                f"stratum {shown(stratum.label)}: curve path gives {cut(result.value.serialize())} "
+                f"({result.certification.value}) but nef path gives {cut(nef.value.serialize())}"
             )
     return result
 
 
 def global_epsilon(model) -> SeshadriResult:
-    """The least local value over the strata, as the interval [min lo,
-    min hi]; lo is unknown if any stratum's is, and hi rests on the
-    ceiling alone only if every table is empty.  The first stratum that
-    attains the reported value is recorded with its witness."""
+    """The least local value over the strata: the interval [min lo, min
+    hi], lo unknown if any stratum's is, with the witness of the first
+    stratum of hi = min hi, unless that is the sqrt(d) ceiling of an open
+    interval.  The first stratum attaining the reported value is named."""
     results = model.stratum_table.items()
     los = [res.lo for _, res in results]
+    lo, hi = None if None in los else min(los), min(res.hi for _, res in results)
+    label, best = next((label, res) for label, res in results if res.hi == hi)
     result = SeshadriResult(
-        hi=min(res.hi for _, res in results),
-        lo=None if None in los else min(los),
-        ceiling_only=all(res.ceiling_only for _, res in results),
+        hi=hi,
+        lo=lo,
+        witness=best.witness if lo == hi or hi < SeshadriValue.sqrt(model.rr.d) else None,
         warning="; ".join(res.warning for _, res in results if res.warning) or None,
     )
-    lower = result.certification is Certification.LOWER_BOUND_ONLY
-    label, best = next(
-        (label, res) for label, res in results if (res.lo if lower else res.hi) == result.value
-    )
-    return replace(result, witness=best.witness, attained_at=label)
+    if result.certification is Certification.LOWER_BOUND_ONLY:
+        label = next(label for label, res in results if res.lo == lo)
+    return replace(result, attained_at=label)
 
 
 def sublevel_set(model, a: Rational) -> List[str]:
@@ -332,7 +327,7 @@ def sublevel_set(model, a: Rational) -> List[str]:
     for label, res in model.stratum_table.items():
         if res.certification is not Certification.EXACT_CERTIFIED:
             raise EngineError(
-                f"stratum {label!r} is not exactly certified; "
+                f"stratum {shown(label)} is not exactly certified; "
                 "sublevel sets require certified values"
             )
         if res.value <= threshold:

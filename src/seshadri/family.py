@@ -39,6 +39,7 @@ from .values import (
     as_int,
     as_rational,
     as_tuple,
+    cut,
     format_rational,
     require_label,
     set_field,
@@ -61,7 +62,7 @@ class Family(Record):
     def __post_init__(self):
         degree = as_int(self.degree, "degree", FamilyError)
         if degree < 1:
-            raise FamilyError(f"degree must be positive, got {degree}")
+            raise FamilyError(f"degree must be positive, got {cut(degree)}")
         members = tuple(
             as_tuple(member, "a family member", FamilyError)
             for member in as_tuple(self.members, "members", FamilyError)
@@ -80,8 +81,8 @@ class Family(Record):
             require_label(label, "a family member", FamilyError)
             if model.rr.d != degree:
                 raise FamilyError(
-                    f"member {label!r} has degree {model.rr.d}, family degree is "
-                    f"{degree}; the degree is constant across a family"
+                    f"member {shown(label)} has degree {cut(model.rr.d)}, family degree is "
+                    f"{cut(degree)}; the degree is constant across a family"
                 )
         for pair in specialization:
             if len(pair) != 2:
@@ -101,7 +102,7 @@ class Family(Record):
         for l, m in self.members:
             if l == label:
                 return m
-        raise FamilyError(f"no member {label!r}")
+        raise FamilyError(f"no member {shown(label)}")
 
 
 class Verdict(Record):
@@ -245,7 +246,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     d = family.degree
     if alpha <= 0 or alpha * alpha >= d:
         raise FamilyError(
-            f"alpha must satisfy 0 < alpha^2 < d for a certified scan, got {alpha}"
+            f"alpha must satisfy 0 < alpha^2 < d for a certified scan, got {cut(alpha)}"
         )
 
     rows: List[Tuple[str, str, SeshadriResult, DegreeBound]] = []
@@ -337,7 +338,7 @@ def load_family(text: str, base_dir: Optional[str] = None) -> Family:
             else:
                 model = model_from_document(spec, root=f"$.members[{i}].model")
         except (ValueError, OSError) as exc:
-            raise FamilyError(f"member {label!r}: {exc}") from exc
+            raise FamilyError(f"member {shown(label)}: {exc}") from exc
         members.append((label, model))
     where = "$.member_specialization"
     pairs = document_array(doc.get("member_specialization", []), FamilyError, where)

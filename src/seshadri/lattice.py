@@ -19,7 +19,7 @@ import operator
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .values import Record, as_int, as_tuple, require_label, set_field, shown
+from .values import Record, as_int, as_tuple, cut, require_label, set_field, shown
 
 
 class LatticeError(ValueError):
@@ -43,7 +43,7 @@ class IntersectionLattice(Record):
     def __post_init__(self):
         rank = as_int(self.rank, "rank", LatticeError)
         if rank < 1:
-            raise LatticeError(f"rank must be positive, got {rank}")
+            raise LatticeError(f"rank must be positive, got {cut(rank)}")
         gram = tuple(
             integers(row, "gram entries") for row in as_tuple(self.gram, "gram", LatticeError)
         )
@@ -51,13 +51,13 @@ class IntersectionLattice(Record):
         for label in basis_labels:
             require_label(label, "a lattice", LatticeError, "basis label")
         if len(gram) != rank or any(len(row) != rank for row in gram):
-            raise LatticeError(f"gram matrix is not {rank}x{rank}")
+            raise LatticeError(f"gram matrix is not {cut(rank)}x{cut(rank)}")
         for i in range(rank):
             for j in range(i + 1, rank):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError(
                         f"gram matrix not symmetric at ({i},{j}): "
-                        f"{gram[i][j]} != {gram[j][i]}"
+                        f"{cut(gram[i][j])} != {cut(gram[j][i])}"
                     )
         if len(basis_labels) != rank:
             raise LatticeError("basis_labels length differs from rank")
@@ -117,7 +117,7 @@ class CurveGeneratorSet(Record):
             for label, row in zip(labels, rows):
                 require_label(label, "a curve generator", LatticeError)
                 if not any(row):
-                    raise LatticeError(f"generator {label!r} is the zero class")
+                    raise LatticeError(f"generator {shown(label)} is the zero class")
         set_field(self, "labels", labels)
         set_field(self, "rows", tuple(map(tuple, rows)))
 
@@ -129,7 +129,7 @@ def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:
     row's first n entries are its pushforward and minus its last entry is
     its pairing with the exceptional class."""
     if label in lat.basis_labels:
-        raise LatticeError(f"duplicate basis label {label!r}")
+        raise LatticeError(f"duplicate basis label {shown(label)}")
     n = lat.rank
     gram = [list(row) + [0] for row in lat.gram]
     gram.append([0] * n + [-1])

@@ -97,8 +97,8 @@ class SurfaceModel(Record):
         d = pair(lat, L, L)
         if d != rr.d:
             raise ModelError(
-                f"degree mismatch: polarization self-intersection is {d} "
-                f"but rr.d is {rr.d}"
+                f"degree mismatch: polarization self-intersection is {cut(d)} "
+                f"but rr.d is {cut(rr.d)}"
             )
         if self.very_ample_multiplier < 1:
             raise ModelError("very_ample_multiplier must be a positive integer")
@@ -113,7 +113,7 @@ class SurfaceModel(Record):
         dense = [s.label for s in strata if s.closure_dim == 2]
         if len(dense) != 1:
             raise ModelError(
-                f"exactly one dense (closure_dim = 2) stratum required, got {dense or 'none'}"
+                f"exactly one dense (closure_dim = 2) stratum required, got {cut(dense or 'none')}"
             )
 
         # pair checked L's row; the candidate and generator checks read its covector
@@ -126,7 +126,7 @@ class SurfaceModel(Record):
                 tables[s.label] = _generator_table(self, s.label, gens, polarization)
         for label in blowup_gens:
             if label not in labels:
-                raise ModelError(f"blow-up generators given for unknown stratum {label!r}")
+                raise ModelError(f"blow-up generators given for unknown stratum {shown(label)}")
         set_field(self, "_generator_tables", tables)
 
     def __reduce__(self):
@@ -154,11 +154,11 @@ class SurfaceModel(Record):
                 for general in (dense, *s.specializes_from):
                     if compare(table[s.label], table[general]) == "fail":
                         raise EngineError(
-                            f"stratum {s.label!r} has a value of at least "
-                            f"{table[s.label].lo.serialize()}, above the "
-                            f"{'dense ' if general == dense else ''}stratum {general!r} at "
-                            f"most {table[general].hi.serialize()}; the model's tables are "
-                            "geometrically inconsistent"
+                            f"stratum {shown(s.label)} has a value of at least "
+                            f"{cut(table[s.label].lo.serialize())}, above the "
+                            f"{'dense ' if general == dense else ''}stratum {shown(general)} "
+                            f"at most {cut(table[general].hi.serialize())}; the model's "
+                            "tables are geometrically inconsistent"
                         )
             set_field(self, "_stratum_table", table)
         return table
@@ -172,7 +172,7 @@ class SurfaceModel(Record):
         for s in self.strata:
             if s.label == label:
                 return s
-        raise ModelError(f"model {self.name!r} has no stratum {label!r}")
+        raise ModelError(f"model {shown(self.name)} has no stratum {shown(label)}")
 
     def to_document(self) -> dict:
         """The model as a document, in canonical field order; it
@@ -237,7 +237,7 @@ def check_specialization_order(labels: list, pairs: list, error: type, noun: str
         raise error(f"{noun} labels are not distinct")
     for general, special in pairs:
         if general not in position or special not in position:
-            raise error(f"specialization ({general!r}, {special!r}) references unknown {nouns}")
+            raise error(f"specialization {shown((general, special))} references unknown {nouns}")
     if all(position[general] < position[special] for general, special in pairs):
         return
     graph = {label: [] for label in labels}  # each label's general labels, in order
@@ -246,7 +246,7 @@ def check_specialization_order(labels: list, pairs: list, error: type, noun: str
     try:
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
-        raise error(f"cyclic specialization relation: {exc.args[1]}") from exc
+        raise error(f"cyclic specialization relation: {shown(exc.args[1])}") from exc
 
 
 def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple) -> None:
@@ -270,8 +270,8 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
             deg = sum(map(operator.mul, polarization, c.coords))
             if deg != c.degree_t:
                 raise ModelError(
-                    f"candidate {c.label!r}: declared degree {c.degree_t} differs "
-                    f"from pairing {deg}"
+                    f"candidate {shown(c.label)}: declared degree {cut(c.degree_t)} differs "
+                    f"from pairing {cut(deg)}"
                 )
         if c.mult_m > v * c.degree_t:
             raise _multiplier_error("candidate", c.label, s.label, c.mult_m, v, c.degree_t)
@@ -281,14 +281,14 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
             and c.degree_t * q <= p * c.mult_m
         ):
             raise ModelError(
-                f"candidate {c.label!r} has degree {c.degree_t} beyond the bound "
-                f"{cap} implied by the completeness threshold {ocb}"
+                f"candidate {shown(c.label)} has degree {cut(c.degree_t)} beyond the bound "
+                f"{cut(cap)} implied by the completeness threshold {cut(ocb)}"
             )
 
 
 def _length_error(what: str, label: str, stratum: str, row: tuple, rank: int) -> ModelError:
     return ModelError(
-        f"{what} {label!r} of stratum {stratum!r}: coordinate length {len(row)} "
+        f"{what} {shown(label)} of stratum {shown(stratum)}: coordinate length {len(row)} "
         f"differs from rank {rank}"
     )
 
@@ -298,8 +298,8 @@ def _multiplier_error(what: str, label: str, stratum: str, m: int, v: int, t: in
     # no component of a curve meets it there in at least its multiplicity
     # m, so m <= v*t for every curve; the candidate superset rests on it
     return ModelError(
-        f"{what} {label!r} of stratum {stratum!r}: multiplicity {m} exceeds "
-        f"very_ample_multiplier {v} times degree {t}"
+        f"{what} {shown(label)} of stratum {shown(stratum)}: multiplicity {cut(m)} exceeds "
+        f"very_ample_multiplier {cut(v)} times degree {cut(t)}"
     )
 
 
@@ -328,7 +328,7 @@ def _generator_table(
         if deg <= 0 and any(row[:-1]):
             raise ModelError(
                 f"polarization fails the plausible-ampleness gate against the "
-                f"blow-up generators of stratum {label!r}"
+                f"blow-up generators of stratum {shown(label)}"
             )
         # this also rejects -k*Ex, which meets Ex in k > v*0
         if e_mult > v * deg:
@@ -394,7 +394,7 @@ def document_object(value, keys: dict, error: type, where: str, index=None, opti
                 raise violation(error, _at(where, index), f"missing required key {key!r}")
         for key in value:
             if key not in keys and key not in optional:
-                raise violation(error, _at(where, index), f"unknown key {key!r}")
+                raise violation(error, _at(where, index), f"unknown key {shown(key)}")
     return value
 
 
@@ -428,7 +428,8 @@ def _part(where: str, index, make, *args, **kwargs):
 
 def _step(key) -> str:
     """The JSON path step to the value of `key` in an object."""
-    return "." + key if type(key) is str and key.isidentifier() else "[" + _describe(key) + "]"
+    plain = type(key) is str and key.isidentifier() and cut(key) == key
+    return "." + key if plain else "[" + _describe(key) + "]"
 
 
 def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:

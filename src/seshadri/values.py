@@ -43,9 +43,10 @@ def as_int(value, what: str, error: type) -> int:
     return value
 
 
-def cut(text: str) -> str:
-    """`text` as an error message shows a value: whole up to 40
-    characters, or its first 37 and "..."."""
+def cut(value) -> str:
+    """str(value) as an error message shows a value taken from a flag or
+    a document: whole up to 40 characters, or its first 37 and "..."."""
+    text = str(value)
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -167,8 +168,8 @@ def parse_rational(text: str) -> Rational:
     text = text.strip()
     if re.fullmatch(RATIONAL_SYNTAX, text) is None:
         if re.fullmatch(_DECIMAL_SYNTAX, text) is not None:
-            raise ValueError(f"decimal notation not accepted, use p/q: {text!r}")
-        raise ValueError(f"malformed rational {text!r}")
+            raise ValueError(f"decimal notation not accepted, use p/q: {shown(text)}")
+        raise ValueError(f"malformed rational {shown(text)}")
     return rational_of(text)
 
 

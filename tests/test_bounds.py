@@ -171,7 +171,7 @@ def test_generated_constructors_take_exactly_the_fields():
     }
     assert DegreeBound._defaults == {"vanishing_multiplier": 1}
     assert SeshadriResult._defaults == {
-        "lo": None, "ceiling_only": False, "witness": None, "warning": None, "attained_at": None
+        "lo": None, "witness": None, "warning": None, "attained_at": None
     }
 
 
@@ -200,7 +200,7 @@ RECORDS = [
      ["label", "closure_dim", "specializes_from", "candidates", "oracle_complete_below"],
      ("closure_dim", 3, EngineError)),
     (lambda: global_epsilon(f1_anticanonical()),
-     ["hi", "lo", "ceiling_only", "witness", "warning", "attained_at"], None),
+     ["hi", "lo", "witness", "warning", "attained_at"], None),
     (f1_anticanonical,
      ["name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"],
      ("name", "", ModelError)),

@@ -110,6 +110,61 @@ def test_an_integer_flag_takes_an_integral_rational(capsys):
     assert first == second == "1, 3/2"
 
 
+_SEVENS = "7" * 4000
+
+
+def _put(*path, value):
+    """A change to f1's document that puts `value` at `path`."""
+    def change(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+def _long_label(doc):
+    candidate = doc["strata"][1]["candidates"][0]
+    candidate["label"], candidate["t"] = "x" * 100_000, 0
+
+
+# (change to f1's document or None, argv with "{model}" for the changed
+# document's path): each error line echoes a value far past 40 characters
+ECHO_PROBES = {
+    "alpha_long": (None, ["candidates", "--B", "3", "--alpha", "x" * 100_000]),
+    "B_fraction": (None, ["candidates", "--B", _SEVENS + "/3", "--alpha", "2"]),
+    "a_long": (None, ["bound", "--d", "8", "--c", "8", "--c-prime", "1", "--a", _SEVENS]),
+    "candidate_label": (_long_label, ["epsilon", "{model}"]),
+    "closure_dim": (_put("strata", 1, "closure_dim", value=int(_SEVENS)), ["epsilon", "{model}"]),
+    "rr_d": (_put("rr", "d", value=-int(_SEVENS)), ["epsilon", "{model}"]),
+    "threshold": (_put("strata", 1, "oracle_complete_below", value="-" + _SEVENS),
+                  ["epsilon", "{model}"]),
+    "candidate_t": (_put("strata", 1, "candidates", 0, "t", value=-int(_SEVENS)),
+                    ["epsilon", "{model}"]),
+    "rank": (_put("rank", value=-int(_SEVENS)), ["epsilon", "{model}"]),
+    "blowup_key": (_put("blowup_gens", "g" * 100_000, value=[]), ["epsilon", "{model}"]),
+    "blowup_key_path": (_put("blowup_gens", "g" * 100_000, value=[{"label": "Z", "class": [0]}]),
+                        ["epsilon", "{model}"]),
+    "stratum_flag": (_put("name", value="f1"),
+                     ["epsilon", "{model}", "--stratum", "s" * 100_000]),
+}
+
+
+@pytest.mark.parametrize("change, argv", ECHO_PROBES.values(), ids=ECHO_PROBES.keys())
+def test_an_error_line_cuts_the_value_it_echoes(capsys, tmp_path, change, argv):
+    model = tmp_path / "model.json"
+    if change is not None:
+        doc = f1_anticanonical().to_document()
+        change(doc)
+        model.write_text(json.dumps(doc))
+    assert main([arg.replace("{model}", str(model)) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one line, which shows the value cut, not left out
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert "..." in err and len(err.encode()) < 300
+
+
 def test_candidates_permissive_labeled(capsys):
     assert main(["candidates", "--B", "3", "--alpha", "3", "--permissive"]) == 0
     assert "not a certified superset" in capsys.readouterr().out

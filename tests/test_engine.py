@@ -291,17 +291,20 @@ _CEILING = SeshadriValue.sqrt(8)
 _TWO = SeshadriValue.exact(2)
 _UPPER = Certification.UPPER_BOUND_ONLY
 
-# (lo, ceiling_only, certification, value) of a result with hi = sqrt(8):
-# exact iff the interval is a point, a lower bound only when an open
-# interval rests on the ceiling of an empty table, and an upper bound
-# otherwise; the value is lo for a lower bound only, and hi otherwise
+_CURVE = CurveCandidate(label="c", degree_t=3, mult_m=1)
+
+# (lo, witness, certification, value) of a result with hi = sqrt(8),
+# derived from the fields alone: exact iff the interval is a point, a
+# lower bound only when lo is known and no curve witnesses hi (the
+# "_ceiling" cases), and an upper bound otherwise; the value is lo for a
+# lower bound only, and hi otherwise
 DERIVED = [
-    (None, False, _UPPER, _CEILING),
-    (None, True, _UPPER, _CEILING),
-    (_CEILING, False, Certification.EXACT_CERTIFIED, _CEILING),
-    (_CEILING, True, Certification.EXACT_CERTIFIED, _CEILING),
-    (_TWO, False, _UPPER, _CEILING),
-    (_TWO, True, Certification.LOWER_BOUND_ONLY, _TWO),
+    (None, _CURVE, _UPPER, _CEILING),
+    (None, None, _UPPER, _CEILING),
+    (_CEILING, _CURVE, Certification.EXACT_CERTIFIED, _CEILING),
+    (_CEILING, None, Certification.EXACT_CERTIFIED, _CEILING),
+    (_TWO, _CURVE, _UPPER, _CEILING),
+    (_TWO, None, Certification.LOWER_BOUND_ONLY, _TWO),
 ]
 
 
@@ -316,13 +319,13 @@ class _Reduced:
 
 
 @pytest.mark.parametrize(
-    "lo, ceiling_only, certification, value", DERIVED,
+    "lo, witness, certification, value", DERIVED,
     ids=["unknown", "unknown_ceiling", "point", "point_ceiling", "open", "open_ceiling"],
 )
 def test_certification_and_value_are_derived_on_every_construction_path(
-    lo, ceiling_only, certification, value
+    lo, witness, certification, value
 ):
-    fields = (_CEILING, lo, ceiling_only, None, None, None)
+    fields = (_CEILING, lo, witness, None, None)
     # other evidence, whose derived fields differ from the case's in one
     # at least: a path that kept them, and did not derive its own, fails
     other = SeshadriResult(hi=_TWO, lo=_TWO)
@@ -332,7 +335,7 @@ def test_certification_and_value_are_derived_on_every_construction_path(
     paths = [
         lambda: built,
         lambda: SeshadriResult(**dict(zip(SeshadriResult._fields, fields))),
-        lambda: replace(other, hi=_CEILING, lo=lo, ceiling_only=ceiling_only),
+        lambda: replace(other, hi=_CEILING, lo=lo, witness=witness),
         lambda: copy.deepcopy(built),
         lambda: copy.deepcopy(_Reduced((SeshadriResult, fields))),
     ] + [
@@ -359,7 +362,7 @@ def test_derived_fields_are_not_compared_hashed_or_shown():
     set_field(twin, "value", _CEILING)
     assert twin == result and hash(twin) == hash(result)
     assert repr(twin) == repr(result) == (
-        "SeshadriResult(hi=SeshadriValue(1), lo=SeshadriValue(1), ceiling_only=False, "
+        "SeshadriResult(hi=SeshadriValue(1), lo=SeshadriValue(1), "
         "witness=CurveCandidate(label='E', degree_t=1, mult_m=1, coords=(0, 1)), "
         "warning=None, attained_at='on_E')"
     )

@@ -2,6 +2,7 @@
 sound aggregates over strata and members, three-valued semicontinuity
 verdicts, and properties on mutated built-in curve tables."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seshadri.checks import check_low_epsilon
+from seshadri.cli import main
 from seshadri.engine import (
     Certification,
     CurveCandidate,
@@ -186,8 +188,9 @@ def test_every_reader_rejects_a_stratum_above_the_dense_one(f1_above_dense, read
 
 
 def test_ceiling_provenance_decides_the_label():
-    # [3/2, sqrt(8)] is a lower bound for an empty table, an upper bound
-    # for a table whose only curve lies above sqrt(8)
+    # identical evidence, one tag: [3/2, sqrt(8)] rests on the sqrt(d)
+    # ceiling alone, whether the table is empty or its only curve lies
+    # above sqrt(8), so no curve witnesses hi and the value is 3/2 at least
     doc = f1_anticanonical().to_document()
     doc["blowup_gens"] = {}
     on_E = doc["strata"][1]
@@ -201,10 +204,31 @@ def test_ceiling_provenance_decides_the_label():
     for res in (empty, above):
         assert (res.lo, res.hi) == (SeshadriValue.exact(Fraction(3, 2)), SeshadriValue.sqrt(8))
         assert res.certified_above == Fraction(3, 2)
-    assert empty.certification is Certification.LOWER_BOUND_ONLY
-    assert empty.value == SeshadriValue.exact(Fraction(3, 2))
-    assert above.certification is Certification.UPPER_BOUND_ONLY
-    assert above.value == SeshadriValue.sqrt(8) and above.witness is None
+        assert res.certification is Certification.LOWER_BOUND_ONLY
+        assert res.value == SeshadriValue.exact(Fraction(3, 2)) and res.witness is None
+
+
+def test_global_epsilon_at_an_open_ceiling_does_not_depend_on_the_strata_order(tmp_path, capsys):
+    # pt = [1, 2] rests on the ceiling sqrt(4) = 2 that its conic only
+    # meets; generic is exactly 2, witnessed by a line.  The global
+    # [1, 2] is the ceiling of an open interval, so no curve witnesses it
+    doc = projective_plane(2).to_document()
+    doc["strata"].append({
+        "label": "pt", "closure_dim": 0, "specializes_from": ["generic"],
+        "oracle_complete_below": "1",
+        "candidates": [{"label": "conic", "class": [2], "t": 4, "m": 2}],
+    })
+    outputs = []
+    for order in ("listed", "reversed"):
+        path = tmp_path / f"{order}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["epsilon", str(path), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+        doc["strata"].reverse()
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert report["certification"] == "lower_bound_only"
+    assert (report["value"], report["witness"], report["attained_at"]) == ("1", None, "pt")
 
 
 def test_nef_path_is_a_point():
