@@ -21,19 +21,17 @@ _EXPORTS = {
         "CurveGeneratorSet", "IntersectionLattice", "LatticeError",
         "extend_blowup", "pair",
     ),
-    "bounds": (
-        "BoundError", "DegreeBound", "RRData", "candidate_ratios", "l_poly",
-        "mediant_bounds", "minimal_M", "multiplicity_target",
+    "degree": (
+        "BoundError", "DegreeBound", "RRData", "l_poly", "minimal_M", "multiplicity_target",
     ),
+    "bounds": ("candidate_ratios", "mediant_bounds"),
     "engine": (
         "Certification", "CurveCandidate", "EngineError", "PointStratum", "SeshadriResult",
         "epsilon", "epsilon_via_curves", "epsilon_via_nef", "global_epsilon",
         "low_epsilon_strata", "sigma_local", "sublevel_set",
     ),
-    "models": (
-        "ModelError", "SurfaceModel", "builtin_suite", "f1_anticanonical",
-        "load_model", "load_model_file", "projective_plane", "quadric",
-    ),
+    "models": ("ModelError", "SurfaceModel", "load_model", "load_model_file"),
+    "examples": ("builtin_suite", "f1_anticanonical", "projective_plane", "quadric"),
     "family": (
         "Family", "FamilyError", "FamilyScanReport", "load_family", "scan",
         "semicontinuity_check",

@@ -14,15 +14,8 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .bounds import (
-    RRData,
-    candidate_count,
-    candidate_ratios,
-    candidate_walk,
-    l_poly,
-    mediant_bounds,
-    minimal_M,
-)
+from .bounds import candidate_count, candidate_ratios, candidate_walk, mediant_bounds
+from .degree import RRData, l_poly, minimal_M
 from .engine import (
     Certification,
     EngineError,
@@ -33,8 +26,9 @@ from .engine import (
     sigma_local,
     sublevel_set,
 )
+from .examples import builtin_suite
 from .family import member_candidate_superset
-from .models import SurfaceModel, builtin_suite, load_model
+from .models import SurfaceModel, load_model
 from .values import Record
 
 ALPHA_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2)]

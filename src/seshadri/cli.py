@@ -3,8 +3,13 @@
 All numeric flags are exact-rational strings ("p/q" or "p"), integral for
 an integer flag; decimal input is rejected before any computation runs.
 Reports embed the tool and schema versions, and output files are written
-atomically.  Each subcommand imports the layer it runs when it runs, so
-one call loads only that layer.
+atomically.  This module holds the parser, the commands and the report
+writer; each subcommand imports the layer it runs when it runs: `bound`
+the degree bound (`degree`), `candidates` the walk (`bounds`), `epsilon`
+and `sublevel` the models (`models`, `engine`), `scan` the family layer,
+and `check` the invariant suite with the built-in models.  Without
+bytecode each imported line is compiled on every call, so one call
+compiles only that layer.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ def _integer(args, dest: str) -> int:
 
 
 def cmd_bound(args) -> int:
-    from .bounds import RRData, minimal_M, multiplicity_target
+    from .degree import RRData, minimal_M, multiplicity_target
 
     rr = RRData(
         d=_integer(args, "d"), c=_integer(args, "c"), c_prime=_integer(args, "c_prime"),
@@ -125,7 +130,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
-    from .bounds import minimal_M
+    from .degree import minimal_M
     from .engine import Certification, global_epsilon
     from .models import load_model_file
 
@@ -179,42 +184,6 @@ def cmd_sublevel(args) -> int:
     return 0
 
 
-def _verdict_summary(verdicts) -> str:
-    groups = []
-    for status, heading in (("fail", "FAILURES"), ("undetermined", "UNDETERMINED")):
-        pairs = [
-            f"{v.kind} {v.general}->{v.special} in {v.context}"
-            for v in verdicts
-            if v.status == status
-        ]
-        if pairs:
-            groups.append(f"{heading}: " + "; ".join(pairs))
-    return " | ".join(groups) or "all pass"
-
-
-def _scan_lines(report, alpha) -> list:
-    lines = [
-        f"sigma(family) = {report.sigma_family.serialize()} attained at "
-        f"{report.sigma_attained_at[0]}/{report.sigma_attained_at[1]}",
-        f"observed values <= {format_rational(alpha)}: "
-        + (", ".join(format_rational(q) for q in report.sigma_cap) or "(none)")
-        + f"  [{len(report.sigma_cap)} values]",
-        "candidate superset: "
-        + "; ".join(
-            f"{s.size} ratios at v={s.very_ample_multiplier}, B={s.B}"
-            for s in report.candidate_superset.sets
-        ),
-        "semicontinuity: " + _verdict_summary(report.semicontinuity_verdicts),
-        "jump members: " + (", ".join(report.jump_members) or "(none)"),
-    ]
-    if report.uncertified:
-        lines.append(
-            "uncertified strata: "
-            + ", ".join(f"{m}/{s}" for m, s in report.uncertified)
-        )
-    return lines
-
-
 def cmd_scan(args) -> int:
     from .family import load_family, scan
 
@@ -225,7 +194,7 @@ def cmd_scan(args) -> int:
     if args.csv is not None:
         _emit(report.to_csv(), args.csv)
     # each format counts the superset, so only the requested one is built
-    _emit_report(args.format, args.output, report.to_document, lambda: _scan_lines(report, alpha))
+    _emit_report(args.format, args.output, report.to_document, report.text_lines)
     degraded = bool(report.uncertified) or not all(
         v.passed for v in report.semicontinuity_verdicts
     )

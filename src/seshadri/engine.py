@@ -22,7 +22,7 @@ import enum
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .bounds import DegreeBound
+from .degree import DegreeBound
 from .lattice import integers
 from .values import (
     Rational,
@@ -297,13 +297,24 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
 
 def global_epsilon(model) -> SeshadriResult:
     """The least local value over the strata: the interval [min lo, min
-    hi], lo unknown if any stratum's is, with the witness of the first
-    stratum of hi = min hi, unless that is the sqrt(d) ceiling of an open
-    interval.  The first stratum attaining the reported value is named."""
+    hi], lo unknown if any stratum's is, with a witness of hi = min hi,
+    unless that is the sqrt(d) ceiling of an open interval.  Of the
+    strata that tie, the witness is the least in `_least_ratio`'s order
+    (least t, then label) and then of least stratum label, which also
+    names the stratum attaining an upper or exact value; a lower bound
+    is attained at the least label of lo = min lo.  So no part of the
+    result depends on the order the strata are listed in."""
     results = model.stratum_table.items()
     los = [res.lo for _, res in results]
     lo, hi = None if None in los else min(los), min(res.hi for _, res in results)
-    label, best = next((label, res) for label, res in results if res.hi == hi)
+    # labels are distinct, so the sort never compares two results
+    tied = sorted((label, res) for label, res in results if res.hi == hi)
+    witnessed = _least_ratio(
+        (res.witness.degree_t, res.witness.mult_m, res.witness.label, (label, res))
+        for label, res in tied
+        if res.witness is not None
+    )
+    label, best = tied[0] if witnessed is None else witnessed[3]
     result = SeshadriResult(
         hi=hi,
         lo=lo,
@@ -311,7 +322,7 @@ def global_epsilon(model) -> SeshadriResult:
         warning="; ".join(res.warning for _, res in results if res.warning) or None,
     )
     if result.certification is Certification.LOWER_BOUND_ONLY:
-        label = next(label for label, res in results if res.lo == lo)
+        label = min(label for label, res in results if res.lo == lo)
     return replace(result, attained_at=label)
 
 

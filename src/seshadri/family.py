@@ -20,7 +20,8 @@ import io
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .bounds import CandidateSuperset, DegreeBound, RRData, SupersetUnion, minimal_M
+from .bounds import CandidateSuperset, SupersetUnion
+from .degree import DegreeBound, minimal_M
 from .engine import Certification, SeshadriResult, compare, global_epsilon, sigma_local
 from .models import (
     SurfaceModel,
@@ -177,25 +178,50 @@ class FamilyScanReport(Record):
             )
         return out.getvalue()
 
+    def text_lines(self) -> List[str]:
+        """The report as the lines of its text format."""
+        lines = [
+            f"sigma(family) = {self.sigma_family.serialize()} attained at "
+            f"{self.sigma_attained_at[0]}/{self.sigma_attained_at[1]}",
+            f"observed values <= {format_rational(self.alpha)}: "
+            + (", ".join(format_rational(q) for q in self.sigma_cap) or "(none)")
+            + f"  [{len(self.sigma_cap)} values]",
+            "candidate superset: "
+            + "; ".join(
+                f"{s.size} ratios at v={s.very_ample_multiplier}, B={s.B}"
+                for s in self.candidate_superset.sets
+            ),
+            "semicontinuity: " + _verdict_summary(self.semicontinuity_verdicts),
+            "jump members: " + (", ".join(self.jump_members) or "(none)"),
+        ]
+        if self.uncertified:
+            lines.append(
+                "uncertified strata: " + ", ".join(f"{m}/{s}" for m, s in self.uncertified)
+            )
+        return lines
+
+
+def _verdict_summary(verdicts) -> str:
+    """The failed and the undetermined verdicts on one line, or "all pass"."""
+    groups = []
+    for status, heading in (("fail", "FAILURES"), ("undetermined", "UNDETERMINED")):
+        pairs = [
+            f"{v.kind} {v.general}->{v.special} in {v.context}"
+            for v in verdicts
+            if v.status == status
+        ]
+        if pairs:
+            groups.append(f"{heading}: " + "; ".join(pairs))
+    return " | ".join(groups) or "all pass"
+
 
 def member_candidate_superset(model: SurfaceModel, alpha: Rational) -> CandidateSuperset:
     """Candidate ratios for one member at threshold alpha, as a
-    CandidateSuperset of reduced (t, m) pairs, none of them listed.
-
-    The degree bound argument requires a very ample polarization; when
-    the model declares multiplier v, the bound is that of the v-th power
-    (degree v^2*d, threshold v*alpha) and the ratios divide back by v.
-    """
+    CandidateSuperset of reduced (t, m) pairs, none of them listed: the
+    set of its Riemann-Roch data and very-ampleness multiplier v, whose
+    ratios are those of the v-th power divided back by v."""
     alpha = as_rational(alpha, "alpha", FamilyError)
-    v = model.very_ample_multiplier
-    rr = model.rr
-    scaled = RRData(
-        d=v * v * rr.d,
-        c=v * rr.c,
-        c_prime=rr.c_prime,
-        vanishing_multiplier=rr.vanishing_multiplier,
-    )
-    return CandidateSuperset(v, minimal_M(scaled, v * alpha).B, alpha)
+    return CandidateSuperset.of(model.rr, model.very_ample_multiplier, alpha)
 
 
 def semicontinuity_check(family: Family) -> List[Verdict]:

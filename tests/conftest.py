@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from seshadri.bounds import candidate_walk
-from seshadri.models import f1_anticanonical, model_from_document, projective_plane
+from seshadri.examples import f1_anticanonical, projective_plane
+from seshadri.models import model_from_document
 
 
 @pytest.fixture(scope="session")

@@ -13,14 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from seshadri.bounds import (
-    RRData,
-    candidate_ratios,
-    candidate_walk,
-    l_poly,
-    minimal_M,
-    multiplicity_target,
-)
+from seshadri.bounds import candidate_ratios, candidate_walk
 from seshadri.checks import (
     check_candidate_membership,
     check_cross,
@@ -29,9 +22,10 @@ from seshadri.checks import (
     check_steffens_and_rationality,
     check_sublevel,
 )
+from seshadri.degree import RRData, l_poly, minimal_M, multiplicity_target
 from seshadri.engine import EngineError, epsilon, sublevel_set
+from seshadri.examples import builtin_suite, f1_anticanonical, quadric
 from seshadri.family import Family, scan, semicontinuity_check
-from seshadri.models import builtin_suite, f1_anticanonical, quadric
 from seshadri.values import SeshadriValue
 
 

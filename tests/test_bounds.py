@@ -14,26 +14,22 @@ from hypothesis import strategies as st
 
 from seshadri import bounds
 from seshadri.bounds import (
-    BoundError,
     CandidateSuperset,
-    DegreeBound,
-    RRData,
     SupersetUnion,
     _farey_ceil,
     _mertens,
     candidate_count,
     candidate_ratios,
     candidate_walk,
-    l_poly,
     mediant_bounds,
-    minimal_M,
-    multiplicity_target,
 )
 from seshadri.checks import CheckResult, brute_force_pairs, linear_minimal_M
+from seshadri.degree import BoundError, DegreeBound, RRData, l_poly, minimal_M, multiplicity_target
 from seshadri.engine import EngineError, SeshadriResult, global_epsilon
+from seshadri.examples import f1_anticanonical, quadric
 from seshadri.family import Family, FamilyError, scan
 from seshadri.lattice import LatticeError
-from seshadri.models import ModelError, SurfaceModel, f1_anticanonical, quadric
+from seshadri.models import ModelError, SurfaceModel
 from seshadri.values import Record, replace
 
 

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from seshadri import bounds, checks, engine, models
-from seshadri.bounds import RRData
+from seshadri import bounds, checks, degree, engine, models
+from seshadri.degree import RRData
+from seshadri.examples import builtin_suite, projective_plane
 from seshadri.lattice import IntersectionLattice
-from seshadri.models import builtin_suite, projective_plane
 from seshadri.values import replace
 
 
@@ -120,8 +120,8 @@ def _above_sqrt_d(model, stratum):
 
 
 def _minimal_M_plus_one(rr, a):
-    bound = bounds.minimal_M(rr, a)
-    return bounds.DegreeBound(
+    bound = degree.minimal_M(rr, a)
+    return degree.DegreeBound(
         a=bound.a, M=bound.M + 1, B=bound.B, vanishing_multiplier=bound.vanishing_multiplier
     )
 

@@ -5,9 +5,9 @@ import stat
 
 import pytest
 
-from seshadri import bounds, checks, cli, engine, family
+from seshadri import bounds, checks, engine, family
 from seshadri.cli import main
-from seshadri.models import f1_anticanonical, projective_plane, quadric
+from seshadri.examples import f1_anticanonical, projective_plane, quadric
 from seshadri.values import parse_rational
 
 
@@ -525,7 +525,7 @@ def test_scan_serializes_only_the_requested_format(capsys, monkeypatch, family_p
     def refuse(*_):
         raise AssertionError("the other format was built")
 
-    monkeypatch.setattr(cli, "_scan_lines", refuse)
+    monkeypatch.setattr(family.FamilyScanReport, "text_lines", refuse)
     assert main(["scan", family_path, "--alpha", "5/2", "--format", "json"]) == 0
     monkeypatch.undo()
     monkeypatch.setattr(family.FamilyScanReport, "to_document", refuse)

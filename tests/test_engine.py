@@ -24,17 +24,9 @@ from seshadri.engine import (
 )
 from seshadri import engine
 from seshadri.family import Family, semicontinuity_check
-from seshadri.models import (
-    ModelError,
-    SurfaceModel,
-    builtin_suite,
-    f1_anticanonical,
-    load_model,
-    model_from_document,
-    projective_plane,
-    quadric,
-)
-from seshadri.bounds import RRData
+from seshadri.examples import builtin_suite, f1_anticanonical, projective_plane, quadric
+from seshadri.models import ModelError, SurfaceModel, load_model, model_from_document
+from seshadri.degree import RRData
 from seshadri.checks import check_cross, check_low_epsilon, check_steffens_and_rationality
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
 from seshadri.values import SeshadriValue, replace, set_field

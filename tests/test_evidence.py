@@ -2,6 +2,7 @@
 sound aggregates over strata and members, three-valued semicontinuity
 verdicts, and properties on mutated built-in curve tables."""
 
+import itertools
 import json
 import math
 import re
@@ -27,14 +28,9 @@ from seshadri.engine import (
     sigma_local,
     sublevel_set,
 )
+from seshadri.examples import f1_anticanonical, projective_plane, quadric
 from seshadri.family import Family, scan, semicontinuity_check
-from seshadri.models import (
-    ModelError,
-    f1_anticanonical,
-    model_from_document,
-    projective_plane,
-    quadric,
-)
+from seshadri.models import ModelError, model_from_document
 from seshadri.values import SeshadriValue, replace
 
 
@@ -229,6 +225,39 @@ def test_global_epsilon_at_an_open_ceiling_does_not_depend_on_the_strata_order(t
     report = json.loads(outputs[0])
     assert report["certification"] == "lower_bound_only"
     assert (report["value"], report["witness"], report["attained_at"]) == ("1", None, "pt")
+
+
+@pytest.mark.parametrize(
+    "points, attained_at",
+    [([("pt", "conic", 4, 2)], "generic"),
+     ([("pt", "conic", 4, 2), ("apex", "line", 2, 1)], "apex")],
+    ids=["conic_and_line", "two_lines"],
+)
+def test_global_epsilon_on_a_tie_does_not_depend_on_the_strata_order(
+    tmp_path, capsys, points, attained_at
+):
+    # each point stratum is exactly 2, cut out by its one curve and
+    # complete below 3, as generic is by a line.  Of the tied witnesses
+    # the one of least degree, then label, is reported, and of strata
+    # with equal witnesses the one of least label
+    doc = projective_plane(2).to_document()
+    for label, curve, t, m in points:
+        doc["strata"].append({
+            "label": label, "closure_dim": 0, "specializes_from": ["generic"],
+            "oracle_complete_below": "3",
+            "candidates": [{"label": curve, "class": [t // 2], "t": t, "m": m}],
+        })
+    outputs = set()
+    for i, strata in enumerate(itertools.permutations(doc["strata"])):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({**doc, "strata": list(strata)}))
+        assert main(["epsilon", str(path), "--format", "json"]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    report = json.loads(outputs.pop())
+    assert (report["value"], report["certification"]) == ("2", "exact_certified")
+    assert report["witness"] == {"label": "line", "t": 2, "m": 1}
+    assert report["attained_at"] == attained_at
 
 
 def test_nef_path_is_a_point():

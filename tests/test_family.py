@@ -11,6 +11,7 @@ from seshadri import bounds, engine
 from seshadri import family as family_module
 from seshadri import models as models_module
 from seshadri.bounds import CandidateSuperset
+from seshadri.examples import f1_anticanonical, projective_plane, quadric
 from seshadri.family import (
     Family,
     FamilyError,
@@ -19,13 +20,7 @@ from seshadri.family import (
     scan,
     semicontinuity_check,
 )
-from seshadri.models import (
-    ModelError,
-    f1_anticanonical,
-    load_model,
-    projective_plane,
-    quadric,
-)
+from seshadri.models import ModelError, load_model
 from seshadri.values import SeshadriValue
 
 
@@ -112,14 +107,14 @@ def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
             [((1, 0, 0), 2), ((0, 0, 1), 1)],
         ],
     )
-    calls = []
+    calls, minimal_M = [], bounds.minimal_M
 
     def counted(rr, a):
         calls.append(a)
-        return bounds.minimal_M(rr, a)
+        return minimal_M(rr, a)
 
-    for module in (engine, models_module, family_module):
-        if getattr(module, "minimal_M", None) is bounds.minimal_M:
+    for module in (engine, models_module, family_module, bounds):
+        if getattr(module, "minimal_M", None) is minimal_M:
             monkeypatch.setattr(module, "minimal_M", counted)
     members = tuple((label, models_module.model_from_document(doc)) for label in ("a", "b"))
     # validation: one bound per stratum complete below a threshold under

@@ -21,7 +21,7 @@ import re
 import pytest
 
 from seshadri.cli import main
-from seshadri.models import builtin_suite, quadric
+from seshadri.examples import builtin_suite, quadric
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

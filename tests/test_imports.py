@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import seshadri
-from seshadri.models import f1_anticanonical, quadric
+from seshadri.examples import f1_anticanonical, quadric
 
 SRC = os.path.dirname(os.path.dirname(seshadri.__file__))
 
@@ -20,13 +20,14 @@ EXPORTS = {
     "values": ["Rational", "SeshadriValue", "format_rational", "parse_rational"],
     "lattice": ["CurveGeneratorSet", "IntersectionLattice", "LatticeError",
                 "extend_blowup", "pair"],
-    "bounds": ["BoundError", "DegreeBound", "RRData", "candidate_ratios", "l_poly",
-               "mediant_bounds", "minimal_M", "multiplicity_target"],
+    "degree": ["BoundError", "DegreeBound", "RRData", "l_poly", "minimal_M",
+               "multiplicity_target"],
+    "bounds": ["candidate_ratios", "mediant_bounds"],
     "engine": ["Certification", "CurveCandidate", "EngineError", "PointStratum",
                "SeshadriResult", "epsilon", "epsilon_via_curves", "epsilon_via_nef",
                "global_epsilon", "low_epsilon_strata", "sigma_local", "sublevel_set"],
-    "models": ["ModelError", "SurfaceModel", "builtin_suite", "f1_anticanonical",
-               "load_model", "load_model_file", "projective_plane", "quadric"],
+    "models": ["ModelError", "SurfaceModel", "load_model", "load_model_file"],
+    "examples": ["builtin_suite", "f1_anticanonical", "projective_plane", "quadric"],
     "family": ["Family", "FamilyError", "FamilyScanReport", "load_family", "scan",
                "semicontinuity_check"],
 }
@@ -78,19 +79,21 @@ def test_import_seshadri_loads_no_submodule():
     }
 
 
-DEGREE_BOUND_COMMANDS = pytest.mark.parametrize(
-    "argv",
+DEGREE_BOUND = {"seshadri", "seshadri.cli", "seshadri.values", "seshadri.degree"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
     [
-        ["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2", "--format", "json"],
-        ["candidates", "--B", "12", "--alpha", "5/2"],
+        (["bound", "--d", "4", "--c", "0", "--c-prime", "2", "--a", "3/2", "--format", "json"],
+         DEGREE_BOUND),
+        (["candidates", "--B", "12", "--alpha", "5/2"], DEGREE_BOUND | {"seshadri.bounds"}),
     ],
     ids=["bound", "candidates"],
 )
-
-
-@DEGREE_BOUND_COMMANDS
-def test_degree_bound_commands_load_only_bounds(argv):
-    assert cli_modules(*argv) == {"seshadri", "seshadri.cli", "seshadri.values", "seshadri.bounds"}
+def test_degree_bound_commands_load_only_bounds(argv, expected):
+    # `bound` compiles the degree bound alone, not the Farey walk and the count
+    assert cli_modules(*argv) == expected
 
 
 @pytest.mark.parametrize(
@@ -115,13 +118,20 @@ def test_degree_bound_commands_skip_dataclasses(files, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["epsilon", "{model}", "--format", "json"], ["sublevel", "{model}", "--a", "1"]],
-    ids=["epsilon", "sublevel"],
+    [["epsilon", "{model}", "--format", "json"], ["epsilon", "{model}", "--stratum", "on_E"],
+     ["sublevel", "{model}", "--a", "1"]],
+    ids=["epsilon", "epsilon_stratum", "sublevel"],
 )
 def test_model_commands_skip_family_and_checks(files, argv):
-    loaded = cli_modules(*(arg.format(model=files[0]) for arg in argv))
-    assert {"seshadri.engine", "seshadri.models"} <= loaded
-    assert not loaded & {"seshadri.family", "seshadri.checks"}
+    # without bytecode every imported line is compiled on every call: a
+    # model whose strata run forward needs no family layer, invariant
+    # suite, candidate walk, built-in model or cycle check
+    argv = [arg.format(model=files[0]) for arg in argv]
+    loaded = cli_modules(*argv, roots=("seshadri", "graphlib"))
+    assert {"seshadri.degree", "seshadri.engine", "seshadri.models"} <= loaded
+    assert not loaded & {
+        "seshadri.family", "seshadri.checks", "seshadri.bounds", "seshadri.examples", "graphlib"
+    }
 
 
 def test_scan_skips_checks(files):
@@ -137,7 +147,18 @@ def test_check_loads_checks():
 def test_exports_are_the_submodule_objects(module):
     source = importlib.import_module(f"seshadri.{module}")
     for name in EXPORTS[module]:
+        assert seshadri._SOURCE[name] == module
         assert getattr(seshadri, name) is getattr(source, name)
+
+
+def test_bounds_holds_the_degree_bound_names_it_builds_with():
+    # the benchmark reaches RRData and minimal_M through seshadri.bounds
+    import seshadri.bounds
+    import seshadri.degree
+
+    assert seshadri.bounds.RRData is seshadri.degree.RRData is seshadri.RRData
+    assert seshadri.bounds.minimal_M is seshadri.degree.minimal_M is seshadri.minimal_M
+    assert seshadri.bounds.candidate_ratios is seshadri.candidate_ratios
 
 
 def test_star_import_binds_every_export():

@@ -8,21 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seshadri.bounds import BoundError, RRData
 from seshadri.checks import check_roundtrip, check_rr_sanity
+from seshadri.degree import BoundError, RRData
 from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon, epsilon_via_nef
+from seshadri.examples import builtin_suite, f1_anticanonical, projective_plane, quadric
 from seshadri.family import Family, load_family, scan
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
-from seshadri.models import (
-    ModelError,
-    builtin_suite,
-    f1_anticanonical,
-    load_model,
-    model_from_document,
-    projective_plane,
-    quadric,
-)
 from seshadri.lattice import pair
+from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import SeshadriValue, replace
 
 from conftest import generator

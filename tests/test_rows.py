@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from seshadri import lattice
 from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon_via_nef
+from seshadri.examples import builtin_suite, f1_anticanonical, projective_plane
 from seshadri.lattice import (
     CurveGeneratorSet,
     IntersectionLattice,
@@ -20,14 +21,7 @@ from seshadri.lattice import (
     extend_blowup,
     pair,
 )
-from seshadri.models import (
-    ModelError,
-    builtin_suite,
-    f1_anticanonical,
-    load_model,
-    model_from_document,
-    projective_plane,
-)
+from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import replace
 
 from conftest import generator

@@ -17,15 +17,9 @@ from hypothesis import strategies as st
 
 import seshadri
 from seshadri.cli import main
+from seshadri.examples import builtin_suite, f1_anticanonical, quadric
 from seshadri.family import FamilyError, load_family
-from seshadri.models import (
-    ModelError,
-    builtin_suite,
-    f1_anticanonical,
-    load_model,
-    model_from_document,
-    quadric,
-)
+from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import parse_rational
 
 

@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seshadri.bounds import (
-    BoundError,
-    RRData,
-    candidate_ratios,
-    candidate_walk,
-    l_poly,
-    mediant_bounds,
-    minimal_M,
-    multiplicity_target,
-)
+from seshadri.bounds import candidate_ratios, candidate_walk, mediant_bounds
+from seshadri.degree import BoundError, RRData, l_poly, minimal_M, multiplicity_target
 from seshadri.engine import (
     CurveCandidate,
     EngineError,
@@ -24,8 +16,8 @@ from seshadri.engine import (
     low_epsilon_strata,
     sublevel_set,
 )
+from seshadri.examples import f1_anticanonical
 from seshadri.family import FamilyError, load_family, member_candidate_superset, scan
-from seshadri.models import f1_anticanonical
 from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
 
 
