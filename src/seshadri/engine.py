@@ -247,29 +247,35 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     )
 
 
-def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
-    """Local Seshadri constant as the nef threshold on the one-point
-    blow-up: the largest s with (pullback of L) - s*E nonnegative against
-    the declared curve generators, capped by the square constraint
-    (pullback of L - s*E)^2 >= 0, i.e. s <= sqrt(d)."""
+def _nef_generator(model, stratum: PointStratum) -> Optional[tuple]:
+    """The nef point of a stratum with a blow-up generator set: of the
+    model's generator table of (degree, multiplicity at the point), the
+    generator (deg, e_mult, label, row) of least ratio among those that
+    meet the point and do not exceed sqrt(d), compared by squaring, or
+    None for the sqrt(d) ceiling.  The model's very-ampleness rule
+    e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
     gens = model.blowup_gens.get(stratum.label)
     if gens is None:
         raise EngineError(f"no blow-up generator set for stratum {shown(stratum.label)}")
     d = model.rr.d
-    # the least ratio deg/e_mult over the model's generator table of
-    # (degree, multiplicity at the point), among those that meet the
-    # point and do not exceed sqrt(d), compared by squaring; only the
-    # winner becomes a Fraction.  The model's very-ampleness rule
-    # e_mult <= v*deg gives deg > 0 wherever e_mult > 0
-    best = _least_ratio(
+    return _least_ratio(
         (deg, e_mult, label, row)
         for label, row, (deg, e_mult) in zip(
             gens.labels, gens.rows, model.generator_table(stratum.label)
         )
         if e_mult > 0 and deg * deg <= d * e_mult * e_mult
     )
+
+
+def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
+    """Local Seshadri constant as the nef threshold on the one-point
+    blow-up: the largest s with (pullback of L) - s*E nonnegative against
+    the declared curve generators, capped by the square constraint
+    (pullback of L - s*E)^2 >= 0, i.e. s <= sqrt(d).  Only the winning
+    generator becomes a Fraction."""
+    best = _nef_generator(model, stratum)
     if best is None:
-        ceiling = SeshadriValue.sqrt(d)
+        ceiling = SeshadriValue.sqrt(model.rr.d)
         return SeshadriResult(hi=ceiling, lo=ceiling)
     deg, e_mult, label, row = best
     value = SeshadriValue.exact(Fraction(deg, e_mult))
@@ -283,11 +289,23 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
 def epsilon(model, stratum: PointStratum) -> SeshadriResult:
     """Per-stratum value: the curve-path interval, one entry of the checked
     `SurfaceModel.stratum_table` that commands read.  Where blow-up data
-    exists, `compare` proving it or the nef result above the other is an error."""
+    exists, the nef point above hi, or lo above it, is the error that
+    `compare` finds against the nef result.  The point is checked in
+    integers, and only a clash builds the nef result, to word the error."""
     result = epsilon_via_curves(model, stratum)
     if stratum.label in model.blowup_gens:
-        nef = epsilon_via_nef(model, stratum)
-        if "fail" in (compare(nef, result), compare(result, nef)):
+        best = _nef_generator(model, stratum)
+        lo, hi = result.lo, result.hi
+        if best is None:
+            # the sqrt(d) ceiling, at least hi and so at least lo
+            clash = hi != SeshadriValue.sqrt(model.rr.d)
+        else:
+            deg, e_mult, _, _ = best
+            clash = hi.cmp_ratio(deg, e_mult) < 0 or (
+                lo is not None and lo.cmp_ratio(deg, e_mult) > 0
+            )
+        if clash:
+            nef = epsilon_via_nef(model, stratum)
             raise EngineError(
                 f"stratum {shown(stratum.label)}: curve path gives {cut(result.value.serialize())} "
                 f"({result.certification.value}) but nef path gives {cut(nef.value.serialize())}"

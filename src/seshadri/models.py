@@ -141,10 +141,11 @@ class SurfaceModel(Record):
     @property
     def stratum_table(self) -> Mapping[str, SeshadriResult]:
         """`epsilon` of every stratum, keyed by label in model order and
-        read-only: one curve-path call and at most one nef-path call per
-        stratum on the first read.  The first contradiction met is raised,
-        then the first stratum `compare` fails against the dense one or one
-        it specializes from, in listed order: no value rises on specializing."""
+        read-only: one curve-path call per stratum on the first read, and
+        a nef-path call only to word a clash.  The first contradiction met
+        is raised, then the first stratum `compare` fails against the dense
+        one or one it specializes from, in listed order: no value rises on
+        specializing."""
         table = self._stratum_table
         if table is None:
             table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
@@ -254,9 +255,11 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
     cap = None
     ocb = s.oracle_complete_below
     if ocb is not None:
-        p, q = ocb.numerator, ocb.denominator
-        # the stratum checked that ocb > 0; the cap needs the model's d
-        if p * p < model.rr.d * q * q:
+        p, q, d = ocb.numerator, ocb.denominator, model.rr.d
+        # the stratum checked that ocb > 0; the cap needs the model's d.
+        # It is B = M*d with M a positive multiple of q, so no listed
+        # degree up to q*d can pass it, and then it is not computed
+        if p * p < d * q * q and any(c.degree_t > q * d for c in s.candidates):
             # keep certification honest: the table may not contain entries
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold
@@ -488,12 +491,19 @@ def _stratum(sd, strata: str, i: int) -> PointStratum:
     where = f"{strata}[{i}]"
     listed = where + ".candidates"
     candidates = []
-    for j, cd in enumerate(document_array(sd["candidates"], ModelError, listed)):
-        document_object(cd, _CANDIDATE_KEYS, ModelError, listed, j)
-        row = cd["class"]
-        if row is not None:
-            document_array(row, ModelError, listed, j, ".class")
-        candidates.append(_part(listed, j, CurveCandidate, cd["label"], cd["t"], cd["m"], row))
+    # one try for the whole list: an error a candidate raises is a schema
+    # violation at its index j, and the shape checks' errors pass as they are
+    try:
+        for j, cd in enumerate(document_array(sd["candidates"], ModelError, listed)):
+            document_object(cd, _CANDIDATE_KEYS, ModelError, listed, j)
+            row = cd["class"]
+            if row is not None:
+                document_array(row, ModelError, listed, j, ".class")
+            candidates.append(CurveCandidate(cd["label"], cd["t"], cd["m"], row))
+    except ModelError:
+        raise
+    except ValueError as exc:
+        raise violation(ModelError, _at(listed, j), exc) from exc
     ocb = sd["oracle_complete_below"]
     if ocb is not None and (type(ocb) is not str or _RATIONAL(ocb) is None):
         want = 'a rational string such as "3/2" or null'

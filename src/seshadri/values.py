@@ -105,12 +105,13 @@ class Record:
     lists its fields in order in `_fields` and in `__slots__`, with any
     slot for data it derives and does not compare.  A subclass that
     writes no __init__ gets the one it would write by hand: a parameter
-    per field, trailing defaults from `_defaults`, one set_field per
-    field, and Python's own TypeError naming `Class.__init__()` for a bad
-    call.  A record that checks or converts its arguments does so in
-    `__post_init__`, which that constructor calls last, as a frozen
-    dataclass does: it reads the fields already set, and re-sets a
-    converted one with set_field."""
+    per field, trailing defaults from `_defaults`, each field stored
+    through its slot's own setter, bound once per class, and Python's
+    own TypeError naming `Class.__init__()` for a bad call.  A record
+    that checks or converts its arguments does so in `__post_init__`,
+    which that constructor calls last, as a frozen dataclass does: it
+    reads the fields already set, and re-sets a converted one with
+    set_field."""
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
@@ -121,10 +122,12 @@ class Record:
         if "__init__" not in cls.__dict__:
             fields, defaults = cls._fields, cls._defaults
             params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
-            body = "".join(f"\n    set_field(self, {f!r}, {f})" for f in fields)
+            body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
             if hasattr(cls, "__post_init__"):
                 body += "\n    self.__post_init__()"
-            namespace = {"set_field": set_field, "_defaults": defaults, "__name__": cls.__module__}
+            namespace = {"_defaults": defaults, "__name__": cls.__module__}
+            # a slot's __set__ skips the attribute lookup of set_field
+            namespace.update((f"_set_{f}", getattr(cls, f).__set__) for f in fields)
             exec(f"def __init__(self, {params}):{body}", namespace)
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -247,6 +250,13 @@ class SeshadriValue:
             return -other._cmp(self)
         return (d > e) - (d < e)
 
+    def cmp_ratio(self, n: int, m: int) -> int:
+        """The sign of self - n/m, for ints n > 0 and m > 0, in integers:
+        cross-multiplied, or against sqrt(d) squared.  No Fraction is built."""
+        d = self._d
+        lhs, rhs = (self._n * m, n * self._m) if d is None else (d * m * m, n * n)
+        return (lhs > rhs) - (lhs < rhs)
+
     def __eq__(self, other: object) -> bool:
         # representations are canonical: equal values have equal fields
         return (
@@ -272,16 +282,18 @@ class SeshadriValue:
         return hash((self._q, self._d))
 
     def serialize(self) -> str:
-        if self._q is not None:
-            return format_rational(self._q)
+        """The value as format_rational writes a rational, from its ints,
+        or as "sqrt(d)"."""
+        if self._d is None:
+            return str(self._n) if self._m == 1 else f"{self._n}/{self._m}"
         return f"sqrt({self._d})"
 
     def approx(self) -> Optional[float]:
         """Floating-point approximation, for human-readable report columns
         only; never used in comparisons.  None past float range."""
         try:
-            if self._q is not None:
-                return float(self._q)
+            if self._d is None:
+                return self._n / self._m  # correctly rounded, as float(Fraction)
             try:
                 return math.sqrt(self._d)
             except OverflowError:  # d is past float range, its root need not be

@@ -192,7 +192,9 @@ def test_minimal_M_closed_form_draws_walk_far(monkeypatch):
 
 def test_run_all_checks_evaluates_each_stratum_twice_per_path(monkeypatch):
     # each of the 6 built-in strata once for the models' stratum tables,
-    # and once more by the cross-check, which compares the paths directly
+    # and once more by the cross-check, which compares the paths directly;
+    # the tables check the nef point alone, so only the cross-check
+    # builds the nef result
     calls = {"epsilon_via_curves": 0, "epsilon_via_nef": 0}
     for name in calls:
         original = getattr(engine, name)
@@ -204,4 +206,4 @@ def test_run_all_checks_evaluates_each_stratum_twice_per_path(monkeypatch):
         for module in (engine, checks):
             monkeypatch.setattr(module, name, counted)
     assert all(result.passed for result in checks.run_all_checks())
-    assert calls == {"epsilon_via_curves": 12, "epsilon_via_nef": 12}
+    assert calls == {"epsilon_via_curves": 12, "epsilon_via_nef": 6}

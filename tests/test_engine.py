@@ -194,7 +194,8 @@ def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
     sigma_local(model)
     low_epsilon_strata(model, Fraction(1, 100))
     semicontinuity_check(Family(members=(("t", model),), degree=8))
-    assert calls == {"curves": 2, "nef": 2}
+    # the table checks each nef point in integers, with no nef result
+    assert calls == {"curves": 2, "nef": 0}
 
 
 def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None, very_ample_multiplier=1):

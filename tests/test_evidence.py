@@ -18,6 +18,7 @@ from seshadri.engine import (
     Certification,
     CurveCandidate,
     EngineError,
+    PointStratum,
     SeshadriResult,
     compare,
     epsilon,
@@ -28,9 +29,11 @@ from seshadri.engine import (
     sigma_local,
     sublevel_set,
 )
+from seshadri.degree import RRData
 from seshadri.examples import f1_anticanonical, projective_plane, quadric
 from seshadri.family import Family, scan, semicontinuity_check
-from seshadri.models import ModelError, model_from_document
+from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
+from seshadri.models import ModelError, SurfaceModel, model_from_document
 from seshadri.values import SeshadriValue, replace
 
 
@@ -392,6 +395,70 @@ def _injected(draw):
     except ModelError:
         assume(False)  # a degree beyond the threshold's bound never loads
     return model, stratum.label
+
+
+@st.composite
+def _nef_and_curves(draw):
+    """A one-stratum model of the plane blown up at a point, L = kH - jE
+    with d = k^2 - j^2 (a square when j = 0), with random blow-up
+    generators aH + bE - e*Ex, a random curve table and a random
+    threshold, so that the nef point falls anywhere around the curve
+    interval, the sqrt(d) ceiling included.  Every degree is at most d."""
+    k = draw(st.integers(2, 4))
+    j = draw(st.integers(0, k - 1))
+    d, v = k * k - j * j, 3
+    rows = []
+    for a, b, e in draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(-1, 6)), max_size=5
+        )
+    ):
+        deg = k * a + j * b  # L.(aH + bE), with E.E = -1
+        if (deg >= 1 and e <= v * deg) or (a == b == 0 and e == -1):
+            rows.append((a, b, -e))
+    pairs = draw(st.lists(st.tuples(st.integers(1, d), st.integers(1, 6)), max_size=4))
+    ocb = draw(st.one_of(st.none(), st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))))
+    stratum = PointStratum(
+        label="generic",
+        closure_dim=2,
+        candidates=tuple(
+            CurveCandidate(label=f"c{i}", degree_t=t, mult_m=m)
+            for i, (t, m) in enumerate(pairs)
+            if m <= v * t
+        ),
+        oracle_complete_below=ocb,
+    )
+    return SurfaceModel(
+        name="blown_up",
+        lattice=IntersectionLattice(rank=2, gram=((1, 0), (0, -1)), basis_labels=("H", "E")),
+        polarization=(k, -j),
+        rr=RRData(d=d, c=3 * k - j, c_prime=1),
+        very_ample_multiplier=v,
+        strata=(stratum,),
+        blowup_gens={
+            "generic": CurveGeneratorSet(
+                labels=tuple(f"g{i}" for i in range(len(rows))), rows=tuple(rows)
+            )
+        },
+    )
+
+
+@given(_nef_and_curves())
+@settings(max_examples=300, deadline=None)
+def test_epsilon_raises_exactly_when_compare_fails_on_the_nef_result(model):
+    # epsilon checks the nef point in integers; the rule it keeps is
+    # compare's, on the full nef result, and so is its error line
+    stratum = model.strata[0]
+    curves, nef = epsilon_via_curves(model, stratum), epsilon_via_nef(model, stratum)
+    if "fail" in (compare(nef, curves), compare(curves, nef)):
+        message = (
+            f"stratum 'generic': curve path gives {curves.value.serialize()} "
+            f"({curves.certification.value}) but nef path gives {nef.value.serialize()}"
+        )
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            epsilon(model, stratum)
+    else:
+        assert epsilon(model, stratum) == curves
 
 
 @given(_injected())

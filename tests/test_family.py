@@ -68,9 +68,10 @@ def test_scan_evaluates_each_stratum_once(monkeypatch):
     )
     report = scan(family, Fraction(5, 2))
     # every built-in stratum has blow-up generators, so each row costs
-    # exactly one call of each path
+    # exactly one curve-path call, and its nef point is checked with no
+    # nef result
     assert len(report.epsilon_table) == 3
-    assert calls == {"curves": 3, "nef": 3}
+    assert calls == {"curves": 3, "nef": 0}
 
 
 def test_scan_computes_each_member_global_result_once(monkeypatch):
@@ -95,7 +96,9 @@ def test_scan_computes_each_member_global_result_once(monkeypatch):
 
 def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
     # d = 98; the dense stratum sits at sqrt(d), and the other four are
-    # complete below 5, 11/3, 1 and 1, three distinct thresholds under sqrt(d)
+    # complete below 5, 11/3, 1 and 1, three distinct thresholds p/q under
+    # sqrt(d).  Only s3 lists a degree above q*d, the least its bound can
+    # be: a curve of degree 100 and ratio 100, which the bound allows
     doc = blown_up_plane(
         10,
         2,
@@ -103,7 +106,7 @@ def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
             [((1, 0, 0), 1)],
             [((1, 0, 0), 2)],
             [((1, 1, 0), 3)],
-            [((0, 1, 0), 1)],
+            [((0, 1, 0), 1), ((10, 0, 0), 1)],
             [((1, 0, 0), 2), ((0, 0, 1), 1)],
         ],
     )
@@ -118,8 +121,8 @@ def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
             monkeypatch.setattr(module, "minimal_M", counted)
     members = tuple((label, models_module.model_from_document(doc)) for label in ("a", "b"))
     # validation: one bound per stratum complete below a threshold under
-    # sqrt(d), in stratum order, for each model
-    assert calls == [Fraction(5), Fraction(11, 3), Fraction(1), Fraction(1)] * 2
+    # sqrt(d) that lists a degree its bound could stop, for each model
+    assert calls == [Fraction(1)] * 2
     calls.clear()
     report = scan(Family(members=members, degree=98), Fraction(3))
     assert len(report.epsilon_table) == 10

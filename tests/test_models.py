@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seshadri import models as models_module
 from seshadri.checks import check_roundtrip, check_rr_sanity
 from seshadri.degree import BoundError, RRData
 from seshadri.engine import CurveCandidate, EngineError, PointStratum, epsilon, epsilon_via_nef
@@ -156,6 +157,36 @@ def test_candidate_beyond_cap_rejected():
     )
     with pytest.raises(ModelError, match="bound"):
         load_model(json.dumps(doc))
+
+
+def test_the_cap_is_computed_only_for_a_degree_that_can_pass_it(monkeypatch):
+    # projective_plane(2) has d = 4 and c = 6.  At the threshold 1 = p/q
+    # its bound is B = M*d = 4, and no bound of a threshold p/q is below
+    # q*d, since M is a positive multiple of q.  So a table whose degrees
+    # are all at most q*d = 4, here the line and one more curve, needs no
+    # bound
+    calls, minimal_M = [], models_module.minimal_M
+
+    def counted(rr, a):
+        calls.append(a)
+        return minimal_M(rr, a)
+
+    monkeypatch.setattr(models_module, "minimal_M", counted)
+    doc = json.loads(projective_plane(2).to_json())
+    generic = doc["strata"][0]
+    generic["oracle_complete_below"] = "1"
+    generic["candidates"][1:] = [{"label": "at", "class": None, "t": 4, "m": 4}]
+    load_model(json.dumps(doc))
+    assert calls == []
+    # degree 5 > q*d at the ratio 1: the bound is computed once, and stops it
+    generic["candidates"][-1].update(t=5, m=5)
+    message = (
+        "^candidate 'at' has degree 5 beyond the bound 4 implied by the "
+        "completeness threshold 1$"
+    )
+    with pytest.raises(ModelError, match=message):
+        load_model(json.dumps(doc))
+    assert calls == [Fraction(1)]
 
 
 def test_degree_cap_ignores_candidates_above_threshold():

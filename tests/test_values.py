@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seshadri.bounds import candidate_ratios, candidate_walk, mediant_bounds
@@ -205,6 +205,38 @@ def test_order_and_hash_agree_with_fraction_reference(x, y):
     )
     if u == w:
         assert hash(u) == hash(w)
+
+
+@given(_VALUES, st.integers(1, 60), st.integers(1, 60))
+def test_cmp_ratio_agrees_with_the_order(x, n, m):
+    # the integer comparison with n/m that epsilon's nef-point check uses
+    u, ref = x
+    assert u.cmp_ratio(n, m) == _reference_cmp(ref, ("q", Fraction(n, m)))
+
+
+def _float_or_none(q):
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
+@given(
+    st.one_of(
+        st.fractions(),
+        st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)),
+    )
+)
+@example(Fraction(10**400, 3))
+@example(Fraction(-(10**400)))
+def test_rational_value_formats_from_its_ints_as_fraction_does(q):
+    # serialize() and approx() read the value's own ints; they agree with
+    # format_rational and float(Fraction), and give None past float range
+    value = SeshadriValue.exact(q)
+    assert value.serialize() == format_rational(q)
+    assert value.approx() == _float_or_none(q)
+    if abs(q) >= 2**1024:
+        assert value.approx() is None
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
