@@ -301,8 +301,8 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
             clash = hi != SeshadriValue.sqrt(model.rr.d)
         else:
             deg, e_mult, _, _ = best
-            clash = hi.cmp_ratio(deg, e_mult) < 0 or (
-                lo is not None and lo.cmp_ratio(deg, e_mult) > 0
+            clash = hi._cmp_ratio(deg, e_mult) < 0 or (
+                lo is not None and lo._cmp_ratio(deg, e_mult) > 0
             )
         if clash:
             nef = epsilon_via_nef(model, stratum)

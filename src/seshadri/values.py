@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from collections import abc
+from itertools import starmap
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -188,10 +189,15 @@ def format_rational(q: RationalLike) -> str:
     return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
-def format_pairs(pairs: Iterable[Tuple[int, int]]) -> List[str]:
-    """Reduced pairs (t, m), m >= 1, as format_rational writes t/m:
+def _format_pair(t: int, m: int) -> str:
+    """A reduced pair (t, m), m >= 1, as format_rational writes t/m:
     "t/m", or "t" when m is 1.  No Fraction is built."""
-    return [str(t) if m == 1 else f"{t}/{m}" for t, m in pairs]
+    return str(t) if m == 1 else f"{t}/{m}"
+
+
+def format_pairs(pairs: Iterable[Tuple[int, int]]) -> List[str]:
+    """Reduced pairs (t, m), m >= 1, each as format_rational writes t/m."""
+    return list(starmap(_format_pair, pairs))
 
 
 class SeshadriValue:
@@ -250,9 +256,10 @@ class SeshadriValue:
             return -other._cmp(self)
         return (d > e) - (d < e)
 
-    def cmp_ratio(self, n: int, m: int) -> int:
+    def _cmp_ratio(self, n: int, m: int) -> int:
         """The sign of self - n/m, for ints n > 0 and m > 0, in integers:
-        cross-multiplied, or against sqrt(d) squared.  No Fraction is built."""
+        cross-multiplied, or against sqrt(d) squared, as _cmp orders a
+        value built from n/m.  No Fraction is built."""
         d = self._d
         lhs, rhs = (self._n * m, n * self._m) if d is None else (d * m * m, n * n)
         return (lhs > rhs) - (lhs < rhs)
@@ -285,7 +292,7 @@ class SeshadriValue:
         """The value as format_rational writes a rational, from its ints,
         or as "sqrt(d)"."""
         if self._d is None:
-            return str(self._n) if self._m == 1 else f"{self._n}/{self._m}"
+            return _format_pair(self._n, self._m)
         return f"sqrt({self._d})"
 
     def approx(self) -> Optional[float]:

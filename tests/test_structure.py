@@ -144,9 +144,6 @@ MODEL_CASES = [
      "multiplicity, got (0, 1)"),
     ("candidate_m_float", put("strata", 0, "candidates", 2, "m", 2.0),
      SV + "$.strata[0].candidates[2]: mult_m must be an integer, got 2.0"),
-    ("candidate_m_mid", put("strata", 1, "candidates", 1, "m", 0),
-     SV + "$.strata[1].candidates[1]: candidate 'fiber' needs positive degree and "
-     "multiplicity, got (2, 0)"),
     ("gens_not_object", put("blowup_gens", []),
      SV + "$.blowup_gens: expected an object, got an array"),
     ("gens_not_array", put("blowup_gens", "generic", {}),

@@ -211,7 +211,7 @@ def test_order_and_hash_agree_with_fraction_reference(x, y):
 def test_cmp_ratio_agrees_with_the_order(x, n, m):
     # the integer comparison with n/m that epsilon's nef-point check uses
     u, ref = x
-    assert u.cmp_ratio(n, m) == _reference_cmp(ref, ("q", Fraction(n, m)))
+    assert u._cmp_ratio(n, m) == _reference_cmp(ref, ("q", Fraction(n, m)))
 
 
 def _float_or_none(q):

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Count the bytecode instructions that one family-scan round executes.
 
-    python3 tools/opcount.py [--seed N] [--round R]
+    python3 tools/opcount.py
 
 The round is the benchmark's: the families of `bench/inputs.py`'s
-`family_round(N, R)`, each loaded from its JSON text, its members'
+`family_round(SEED, ROUND)`, seed 1 and round 0, each loaded from its JSON text, its members'
 stratum tables read, scanned at the benchmark's alpha and serialized.
 The count comes from `sys.settrace` with `f_trace_opcodes`, one per
 executed instruction, by phase:
@@ -26,7 +26,6 @@ The last and only stdout line is one JSON object.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -41,6 +40,7 @@ import seshadri.family  # noqa: E402
 
 PACKAGE = os.path.dirname(seshadri.family.__file__) + os.sep
 PHASES = ("load", "stratum_table", "scan", "serialize")
+SEED, ROUND = 1, 0
 
 
 def counted(counts: dict, fn, *args):
@@ -78,11 +78,7 @@ def serialize(report) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--round", type=int, default=0)
-    args = parser.parse_args()
-    texts = [json.dumps(fam) for _, fam in inputs.family_round(args.seed, args.round)]
+    texts = [json.dumps(fam) for _, fam in inputs.family_round(SEED, ROUND)]
     alpha = Fraction(*inputs.SCAN_ALPHA)
     counts = {phase: {"package": 0, "other": 0} for phase in PHASES}
     for text in texts:
@@ -94,8 +90,8 @@ def main() -> int:
         phase["total"] = phase["package"] + phase["other"]
     result = {
         "workload": "family-scan",
-        "seed": args.seed,
-        "round": args.round,
+        "seed": SEED,
+        "round": ROUND,
         "families": len(texts),
         "alpha": str(alpha),
         "python": platform.python_version(),
