@@ -49,6 +49,10 @@ class Certification(enum.Enum):
     UPPER_BOUND_ONLY = "upper_bound_only"
 
 
+# the types of a valid class row, of its entries and of a label
+_ROWS, _INT, _STR = frozenset({tuple, list}), frozenset({int}), frozenset({str})
+
+
 class CurveCandidate(Record):
     """A curve through a stratum's point: its polarization degree t and
     its multiplicity m at the point.  The ratio t/m is an upper bound for
@@ -61,12 +65,22 @@ class CurveCandidate(Record):
     _defaults = {"coords": None}
 
     def __post_init__(self):
-        if self.coords is not None:
-            set_field(self, "coords", integers(self.coords, "coordinates"))
-        label = self.label
+        label, degree_t, mult_m, coords = self.label, self.degree_t, self.mult_m, self.coords
+        # one condition for a valid candidate; the ordered checks below
+        # run only on a failing one, to raise its first error
+        if (
+            type(label) is str and label
+            and type(degree_t) is int and type(mult_m) is int and degree_t >= 1 and mult_m >= 1
+            and (coords is None or type(coords) in _ROWS and _INT.issuperset(map(type, coords)))
+        ):
+            if coords is not None:
+                set_field(self, "coords", tuple(coords))
+            return
+        if coords is not None:
+            set_field(self, "coords", integers(coords, "coordinates"))
         require_label(label, "a curve candidate", EngineError)
-        degree_t = as_int(self.degree_t, "degree_t", EngineError)
-        mult_m = as_int(self.mult_m, "mult_m", EngineError)
+        as_int(degree_t, "degree_t", EngineError)
+        as_int(mult_m, "mult_m", EngineError)
         if degree_t < 1 or mult_m < 1:
             raise EngineError(
                 f"candidate {shown(label)} needs positive degree and multiplicity, "
@@ -92,8 +106,11 @@ class PointStratum(Record):
         label = self.label
         require_label(label, "a point stratum", EngineError)
         specializes_from = as_tuple(self.specializes_from, "specializes_from", EngineError)
-        for general in specializes_from:
-            require_label(general, f"stratum {shown(label)}", EngineError, "specializes_from entry")
+        if not (_STR.issuperset(map(type, specializes_from)) and all(specializes_from)):
+            for general in specializes_from:
+                require_label(
+                    general, f"stratum {shown(label)}", EngineError, "specializes_from entry"
+                )
         candidates = as_tuple(self.candidates, "candidates", EngineError)
         for c in candidates:
             if not isinstance(c, CurveCandidate):
@@ -108,7 +125,7 @@ class PointStratum(Record):
         ocb = self.oracle_complete_below
         if ocb is not None:
             ocb = as_rational(ocb, "completeness threshold", EngineError)
-            if ocb <= 0:
+            if ocb.numerator <= 0:
                 raise EngineError(f"completeness threshold must be positive, got {cut(ocb)}")
         set_field(self, "specializes_from", specializes_from)
         set_field(self, "candidates", candidates)
@@ -198,7 +215,8 @@ def _least_ratio(entries: Iterable[tuple]) -> Optional[tuple]:
     """The deterministic witness order of both paths: of the entries
     (t, m, label, item), the one of least t/m, then least t, then least
     label, the first listed on a full tie; None if there is none.  Ratios
-    compare by cross-multiplying, with no Fraction built."""
+    compare by cross-multiplying, with no Fraction built.  Per stratum,
+    `_best_candidate` and `_nef_generator` follow it with no entry built."""
     best = None
     for entry in entries:
         if best is not None:
@@ -212,8 +230,16 @@ def _least_ratio(entries: Iterable[tuple]) -> Optional[tuple]:
 
 
 def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandidate]:
-    best = _least_ratio((c.degree_t, c.mult_m, c.label, c) for c in candidates)
-    return None if best is None else best[3]
+    """The candidate first in `_least_ratio`'s order, or None."""
+    best = None
+    for c in candidates:
+        t, m = c.degree_t, c.mult_m
+        if best is not None:
+            lhs, rhs = t * best_m, best_t * m
+            if lhs > rhs or lhs == rhs and (t > best_t or t == best_t and c.label >= best.label):
+                continue
+        best, best_t, best_m = c, t, m
+    return best
 
 
 def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
@@ -225,14 +251,20 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     open interval, whatever the table lists.  A table complete below its
     threshold `ocb` lists every curve of ratio < ocb, so the value is at
     least min(ocb, hi); the interval is a point exactly when ocb reaches hi.
+    Each comparison is made in integers: t/m against sqrt(d) as t^2
+    against d*m^2, and ocb against hi by `_cmp_ratio`.
     """
     d = model.rr.d
-    sqrt_d = SeshadriValue.sqrt(d)
     ocb = stratum.oracle_complete_below
     best = _best_candidate(stratum.candidates)
-    least = None if best is None else SeshadriValue.exact(best.ratio)
-    hi = least if least is not None and least <= sqrt_d else sqrt_d
-    lo = None if ocb is None else min(SeshadriValue.exact(ocb), hi)
+    above = None  # the sign of t/m - sqrt(d), or None with no candidate
+    if best is not None:
+        lhs, rhs = best.degree_t ** 2, d * best.mult_m ** 2
+        above = (lhs > rhs) - (lhs < rhs)
+    hi = SeshadriValue.sqrt(d) if above is None or above > 0 else SeshadriValue.exact(best.ratio)
+    lo = None
+    if ocb is not None:
+        lo = hi if hi._cmp_ratio(ocb.numerator, ocb.denominator) <= 0 else SeshadriValue.exact(ocb)
     warning = None
     if best is None and ocb is None:
         warning = (
@@ -242,7 +274,7 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     return SeshadriResult(
         hi=hi,
         lo=lo,
-        witness=best if least == hi and (hi < sqrt_d or lo == hi) else None,
+        witness=best if above is not None and (above < 0 or above == 0 and lo == hi) else None,
         warning=warning,
     )
 
@@ -250,21 +282,26 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
 def _nef_generator(model, stratum: PointStratum) -> Optional[tuple]:
     """The nef point of a stratum with a blow-up generator set: of the
     model's generator table of (degree, multiplicity at the point), the
-    generator (deg, e_mult, label, row) of least ratio among those that
-    meet the point and do not exceed sqrt(d), compared by squaring, or
-    None for the sqrt(d) ceiling.  The model's very-ampleness rule
-    e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
+    generator (deg, e_mult, label, row) first in `_least_ratio`'s order
+    among those that meet the point and do not exceed sqrt(d), compared
+    by squaring, or None for the sqrt(d) ceiling.  The model's
+    very-ampleness rule e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
     gens = model.blowup_gens.get(stratum.label)
     if gens is None:
         raise EngineError(f"no blow-up generator set for stratum {shown(stratum.label)}")
-    d = model.rr.d
-    return _least_ratio(
-        (deg, e_mult, label, row)
-        for label, row, (deg, e_mult) in zip(
-            gens.labels, gens.rows, model.generator_table(stratum.label)
-        )
-        if e_mult > 0 and deg * deg <= d * e_mult * e_mult
-    )
+    d, labels = model.rr.d, gens.labels
+    best = None
+    for k, (deg, e_mult) in enumerate(model.generator_table(stratum.label)):
+        if e_mult > 0 and deg * deg <= d * e_mult * e_mult:
+            if best is not None:
+                lhs, rhs = deg * best_e, best_deg * e_mult
+                # an equal ratio and degree is an equal pair: the label decides
+                if lhs > rhs or lhs == rhs and (
+                    deg > best_deg or deg == best_deg and labels[k] >= labels[best]
+                ):
+                    continue
+            best, best_deg, best_e = k, deg, e_mult
+    return None if best is None else (best_deg, best_e, labels[best], gens.rows[best])
 
 
 def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:

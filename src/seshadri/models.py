@@ -467,7 +467,7 @@ def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
     gens_doc = doc["blowup_gens"]
     if type(gens_doc) is not dict:
         raise unexpected(ModelError, where, "an object", gens_doc)
-    blowup_gens = {label: _generators(gd, where + _step(label)) for label, gd in gens_doc.items()}
+    blowup_gens = {label: _generators(gd, where, label) for label, gd in gens_doc.items()}
     polarization = document_array(doc["polarization"], ModelError, root + ".polarization")
     try:
         return SurfaceModel(
@@ -486,46 +486,67 @@ def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
 
 
 def _stratum(sd, strata: str, i: int) -> PointStratum:
-    """Build item i of the array at JSON path `strata`."""
-    document_object(sd, _STRATUM_KEYS, ModelError, strata, i)
-    where = f"{strata}[{i}]"
-    listed = where + ".candidates"
+    """Build item i of the array at JSON path `strata`.  A shape check
+    that passes is one condition: `document_object` and `document_array`
+    run, and a JSON path is written, only to raise."""
+    if type(sd) is not dict or sd.keys() != _STRATUM_KEYS.keys():
+        document_object(sd, _STRATUM_KEYS, ModelError, strata, i)
+    listed = sd["candidates"]
+    if type(listed) is not list:
+        document_array(listed, ModelError, f"{strata}[{i}].candidates")
     candidates = []
     # one try for the whole list: an error a candidate raises is a schema
     # violation at its index j, and the shape checks' errors pass as they are
     try:
-        for j, cd in enumerate(document_array(sd["candidates"], ModelError, listed)):
-            document_object(cd, _CANDIDATE_KEYS, ModelError, listed, j)
+        for j, cd in enumerate(listed):
+            if type(cd) is not dict or cd.keys() != _CANDIDATE_KEYS.keys():
+                document_object(cd, _CANDIDATE_KEYS, ModelError, f"{strata}[{i}].candidates", j)
             row = cd["class"]
-            if row is not None:
-                document_array(row, ModelError, listed, j, ".class")
+            if row is not None and type(row) is not list:
+                document_array(row, ModelError, f"{strata}[{i}].candidates", j, ".class")
             candidates.append(CurveCandidate(cd["label"], cd["t"], cd["m"], row))
     except ModelError:
         raise
     except ValueError as exc:
-        raise violation(ModelError, _at(listed, j), exc) from exc
+        raise violation(ModelError, f"{strata}[{i}].candidates[{j}]", exc) from exc
     ocb = sd["oracle_complete_below"]
     if ocb is not None and (type(ocb) is not str or _RATIONAL(ocb) is None):
         want = 'a rational string such as "3/2" or null'
-        raise unexpected(ModelError, where + ".oracle_complete_below", want, ocb)
-    general = document_array(sd["specializes_from"], ModelError, where + ".specializes_from")
-    # inside _part: a numerator past the digit limit is a schema violation too
-    return _part(where, None, lambda: PointStratum(
-        label=sd["label"],
-        closure_dim=sd["closure_dim"],
-        specializes_from=general,
-        candidates=tuple(candidates),
-        oracle_complete_below=None if ocb is None else rational_of(ocb),
-    ))
+        raise unexpected(ModelError, f"{strata}[{i}].oracle_complete_below", want, ocb)
+    general = sd["specializes_from"]
+    if type(general) is not list:
+        document_array(general, ModelError, f"{strata}[{i}].specializes_from")
+    # a numerator past the digit limit is a schema violation too
+    try:
+        return PointStratum(
+            label=sd["label"],
+            closure_dim=sd["closure_dim"],
+            specializes_from=general,
+            candidates=tuple(candidates),
+            oracle_complete_below=None if ocb is None else rational_of(ocb),
+        )
+    except ValueError as exc:
+        raise violation(ModelError, f"{strata}[{i}]", exc) from exc
 
 
-def _generators(gen_list, where: str) -> CurveGeneratorSet:
+def _generators(gen_list, gens: str, label) -> CurveGeneratorSet:
+    """Build the generator set of stratum `label` in the object at JSON
+    path `gens`, with shape checks as `_stratum`'s."""
+    if type(gen_list) is not list:
+        document_array(gen_list, ModelError, gens + _step(label))
     labels, rows = [], []
-    for k, gd in enumerate(document_array(gen_list, ModelError, where)):
-        document_object(gd, _GENERATOR_KEYS, ModelError, where, k)
+    for k, gd in enumerate(gen_list):
+        if type(gd) is not dict or gd.keys() != _GENERATOR_KEYS.keys():
+            document_object(gd, _GENERATOR_KEYS, ModelError, gens + _step(label), k)
+        row = gd["class"]
+        if type(row) is not list:
+            document_array(row, ModelError, gens + _step(label), k, ".class")
         labels.append(gd["label"])
-        rows.append(document_array(gd["class"], ModelError, where, k, ".class"))
-    return _part(where, None, CurveGeneratorSet, labels=labels, rows=rows)
+        rows.append(row)
+    try:
+        return CurveGeneratorSet(labels, rows)
+    except ValueError as exc:
+        raise violation(ModelError, gens + _step(label), exc) from exc
 
 
 def load_model(text: str) -> SurfaceModel:

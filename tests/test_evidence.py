@@ -20,6 +20,9 @@ from seshadri.engine import (
     EngineError,
     PointStratum,
     SeshadriResult,
+    _best_candidate,
+    _least_ratio,
+    _nef_generator,
     compare,
     epsilon,
     epsilon_via_curves,
@@ -398,12 +401,14 @@ def _injected(draw):
 
 
 @st.composite
-def _nef_and_curves(draw):
+def _nef_and_curves(draw, labels=None):
     """A one-stratum model of the plane blown up at a point, L = kH - jE
     with d = k^2 - j^2 (a square when j = 0), with random blow-up
     generators aH + bE - e*Ex, a random curve table and a random
     threshold, so that the nef point falls anywhere around the curve
-    interval, the sqrt(d) ceiling included.  Every degree is at most d."""
+    interval, the sqrt(d) ceiling included.  Every degree is at most d.
+    Labels are distinct, or drawn from `labels`, which can repeat them."""
+    label = (lambda prefix, i: f"{prefix}{i}") if labels is None else (lambda *_: draw(labels))
     k = draw(st.integers(2, 4))
     j = draw(st.integers(0, k - 1))
     d, v = k * k - j * j, 3
@@ -422,7 +427,7 @@ def _nef_and_curves(draw):
         label="generic",
         closure_dim=2,
         candidates=tuple(
-            CurveCandidate(label=f"c{i}", degree_t=t, mult_m=m)
+            CurveCandidate(label=label("c", i), degree_t=t, mult_m=m)
             for i, (t, m) in enumerate(pairs)
             if m <= v * t
         ),
@@ -437,7 +442,7 @@ def _nef_and_curves(draw):
         strata=(stratum,),
         blowup_gens={
             "generic": CurveGeneratorSet(
-                labels=tuple(f"g{i}" for i in range(len(rows))), rows=tuple(rows)
+                labels=tuple(label("g", i) for i in range(len(rows))), rows=tuple(rows)
             )
         },
     )
@@ -459,6 +464,69 @@ def test_epsilon_raises_exactly_when_compare_fails_on_the_nef_result(model):
             epsilon(model, stratum)
     else:
         assert epsilon(model, stratum) == curves
+
+
+@given(_nef_and_curves(labels=st.sampled_from("ab")))
+@settings(max_examples=300, deadline=None)
+def test_direct_loops_pick_what_least_ratio_picks(model):
+    # small degrees and a two-letter alphabet tie ratios, degrees and
+    # labels; on a full tie the first listed is picked, so the candidate
+    # is compared by identity
+    stratum, d = model.strata[0], model.rr.d
+    best = _least_ratio((c.degree_t, c.mult_m, c.label, c) for c in stratum.candidates)
+    assert _best_candidate(stratum.candidates) is (None if best is None else best[3])
+    gens, table = model.blowup_gens["generic"], model.generator_table("generic")
+    expected = _least_ratio(
+        (deg, e_mult, label, row)
+        for label, row, (deg, e_mult) in zip(gens.labels, gens.rows, table)
+        if e_mult > 0 and deg * deg <= d * e_mult * e_mult
+    )
+    assert _nef_generator(model, stratum) == expected
+
+
+def _curves_reference(model, stratum):
+    """(hi, lo, witness, warning) of epsilon_via_curves, decided by
+    SeshadriValue comparisons: the least ratio capped by sqrt(d), and the
+    threshold's min with it."""
+    sqrt_d = SeshadriValue.sqrt(model.rr.d)
+    ocb = stratum.oracle_complete_below
+    best = _least_ratio((c.degree_t, c.mult_m, c.label, c) for c in stratum.candidates)
+    best = None if best is None else best[3]
+    least = None if best is None else SeshadriValue.exact(best.ratio)
+    hi = least if least is not None and least <= sqrt_d else sqrt_d
+    lo = None if ocb is None else min(SeshadriValue.exact(ocb), hi)
+    warning = None
+    if best is None and ocb is None:
+        warning = (
+            f"stratum {stratum.label!r}: empty candidate table with no "
+            "completeness assertion; only the sqrt(d) ceiling is known"
+        )
+    return hi, lo, best if least == hi and (hi < sqrt_d or lo == hi) else None, warning
+
+
+@st.composite
+def _threshold_near_the_least_ratio(draw):
+    """A model of `_nef_and_curves` whose threshold is none, or below, at
+    or above its least listed ratio, or at sqrt(d) when d is a square."""
+    model = draw(_nef_and_curves(labels=st.sampled_from("ab")))
+    stratum = model.strata[0]
+    best = _best_candidate(stratum.candidates)
+    least = Fraction(model.rr.d) if best is None else best.ratio
+    root = math.isqrt(model.rr.d)
+    step = Fraction(1, draw(st.integers(1, 8)))
+    ocb = draw(st.sampled_from([None, least - step, least, least + step, Fraction(root)]))
+    assume(ocb is None or ocb > 0)
+    return replace(model, strata=(replace(stratum, oracle_complete_below=ocb),))
+
+
+@given(_threshold_near_the_least_ratio())
+@settings(max_examples=300, deadline=None)
+def test_curve_path_in_integers_matches_the_value_comparisons(model):
+    stratum = model.strata[0]
+    res = epsilon_via_curves(model, stratum)
+    hi, lo, witness, warning = _curves_reference(model, stratum)
+    assert (res.hi, res.lo, res.warning) == (hi, lo, warning)
+    assert res.witness is witness
 
 
 @given(_injected())

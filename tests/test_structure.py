@@ -102,6 +102,8 @@ MODEL_CASES = [
     ("stratum_missing", drop("strata", 1, "candidates"),
      SV + "$.strata[1]: missing required key 'candidates'"),
     ("stratum_unknown", put("strata", 0, "dim", 2), SV + "$.strata[0]: unknown key 'dim'"),
+    ("candidates_not_array", put("strata", 1, "candidates", {}),
+     SV + "$.strata[1].candidates: expected an array, got an object"),
     ("stratum_label", put("strata", 0, "label", ""),
      SV + "$.strata[0]: a point stratum needs a non-empty label"),
     ("closure_dim_high", put("strata", 1, "closure_dim", 3),
@@ -112,6 +114,8 @@ MODEL_CASES = [
      SV + "$.strata[1]: specializes_from entry of stratum 'on_E' must be a string, got 0"),
     ("empty_specializes_from", put("strata", 1, "specializes_from", 0, ""),
      SV + "$.strata[1]: stratum 'on_E' needs a non-empty specializes_from entry"),
+    ("specializes_from_not_array", put("strata", 1, "specializes_from", "generic"),
+     SV + '$.strata[1].specializes_from: expected an array, got "generic"'),
     ("ocb_decimal", put("strata", 0, "oracle_complete_below", "1.5"),
      SV + '$.strata[0].oracle_complete_below: expected a rational string such as "3/2" or '
      'null, got "1.5"'),
@@ -139,6 +143,8 @@ MODEL_CASES = [
      + "y" * 35 + "..."),
     ("candidate_class", put("strata", 0, "candidates", 0, "class", 0, "1"),
      SV + "$.strata[0].candidates[0]: coordinates must be integers, got '1'"),
+    ("candidate_class_not_array", put("strata", 0, "candidates", 2, "class", 7),
+     SV + "$.strata[0].candidates[2].class: expected an array, got 7"),
     ("candidate_t", put("strata", 1, "candidates", 2, "t", 0),
      SV + "$.strata[1].candidates[2]: candidate 'line' needs positive degree and "
      "multiplicity, got (0, 1)"),
@@ -152,6 +158,10 @@ MODEL_CASES = [
      SV + "$.blowup_gens.on_E[1]: missing required key 'class'"),
     ("gen_unknown", put("blowup_gens", "on_E", 0, "kind", "x"),
      SV + "$.blowup_gens.on_E[0]: unknown key 'kind'"),
+    ("gen_not_object", put("blowup_gens", "on_E", 1, "E-Ex"),
+     SV + '$.blowup_gens.on_E[1]: expected an object, got "E-Ex"'),
+    ("gen_class_not_array", put("blowup_gens", "on_E", 2, "class", {}),
+     SV + "$.blowup_gens.on_E[2].class: expected an array, got an object"),
     ("gen_label", put("blowup_gens", "generic", 2, "label", ""),
      SV + "$.blowup_gens.generic: a curve generator needs a non-empty label"),
     ("gen_class", put("blowup_gens", "generic", 0, "class", 2, False),
@@ -160,6 +170,11 @@ MODEL_CASES = [
      "blow-up generators given for unknown stratum 'ghost'"),
     ("gen_key_quoted", rename_gens("on_E", "on E"),
      SV + "$.blowup_gens[\"on E\"]: coordinates must be integers, got '1'"),
+    # an item's shape is checked before the set's classes: item 1's
+    # missing key is named, not item 0's bad coordinate
+    ("gen_key_quoted_item",
+     lambda d: drop("blowup_gens", "on E", 1, "class")(rename_gens("on_E", "on E")(d)),
+     SV + "$.blowup_gens[\"on E\"][1]: missing required key 'class'"),
 ]
 
 
