@@ -349,7 +349,7 @@ def mediant_bounds(
         a, b = as_rational(a, "entry", BoundError), as_rational(b, "entry", BoundError)
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         if an <= 0 or bn <= 0:
-            raise BoundError(f"all entries must be positive, got ({a}, {b})")
+            raise BoundError(f"all entries must be positive, got ({cut(a)}, {cut(b)})")
         ratio = (an * bd, ad * bn)
         if lo is None:
             lo = hi = ratio

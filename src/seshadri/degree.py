@@ -64,9 +64,9 @@ def l_poly(rr: RRData, a: RationalLike, n: int) -> Rational:
     """
     a, n = as_rational(a, "a", BoundError), as_int(n, "n", BoundError)
     if n < 1:
-        raise BoundError(f"n must be positive, got {n}")
+        raise BoundError(f"n must be positive, got {cut(n)}")
     if (n * a).denominator != 1:
-        raise BoundError(f"n*a must be integral, got {n}*{a}")
+        raise BoundError(f"n*a must be integral, got {cut(n)}*{cut(a)}")
     return (
         Fraction(rr.d - a * a) * n * n / 2
         + Fraction(rr.c - 3 * a) * n / 2
@@ -117,5 +117,5 @@ def multiplicity_target(M: int, a: RationalLike) -> int:
     M, a = as_int(M, "M", BoundError), as_rational(a, "a", BoundError)
     Ma = M * a
     if Ma.denominator != 1:
-        raise BoundError(f"M*a must be integral, got {M}*{a}")
+        raise BoundError(f"M*a must be integral, got {cut(M)}*{cut(a)}")
     return int(Ma) + 1

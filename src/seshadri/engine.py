@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .degree import DegreeBound
 from .lattice import integers
@@ -66,21 +66,20 @@ class CurveCandidate(Record):
 
     def __post_init__(self):
         label, degree_t, mult_m, coords = self.label, self.degree_t, self.mult_m, self.coords
-        # one condition for a valid candidate; the ordered checks below
-        # run only on a failing one, to raise its first error
-        if (
-            type(label) is str and label
-            and type(degree_t) is int and type(mult_m) is int and degree_t >= 1 and mult_m >= 1
-            and (coords is None or type(coords) in _ROWS and _INT.issuperset(map(type, coords)))
-        ):
-            if coords is not None:
-                set_field(self, "coords", tuple(coords))
-            return
+        # one condition per rule, in error order: each helper runs only
+        # where its condition fails, to raise or to read a row that is
+        # neither a list nor a tuple
         if coords is not None:
-            set_field(self, "coords", integers(coords, "coordinates"))
-        require_label(label, "a curve candidate", EngineError)
-        as_int(degree_t, "degree_t", EngineError)
-        as_int(mult_m, "mult_m", EngineError)
+            if type(coords) in _ROWS and _INT.issuperset(map(type, coords)):
+                set_field(self, "coords", tuple(coords))
+            else:
+                set_field(self, "coords", integers(coords, "coordinates"))
+        if type(label) is not str or not label:
+            require_label(label, "a curve candidate", EngineError)
+        if type(degree_t) is not int:
+            as_int(degree_t, "degree_t", EngineError)
+        if type(mult_m) is not int:
+            as_int(mult_m, "mult_m", EngineError)
         if degree_t < 1 or mult_m < 1:
             raise EngineError(
                 f"candidate {shown(label)} needs positive degree and multiplicity, "
@@ -211,26 +210,12 @@ def compare(special: SeshadriResult, general: SeshadriResult) -> str:
     return "undetermined"
 
 
-def _least_ratio(entries: Iterable[tuple]) -> Optional[tuple]:
-    """The deterministic witness order of both paths: of the entries
-    (t, m, label, item), the one of least t/m, then least t, then least
-    label, the first listed on a full tie; None if there is none.  Ratios
-    compare by cross-multiplying, with no Fraction built.  Per stratum,
-    `_best_candidate` and `_nef_generator` follow it with no entry built."""
-    best = None
-    for entry in entries:
-        if best is not None:
-            t, m, label, _ = entry
-            best_t, best_m, best_label, _ = best
-            lhs, rhs = t * best_m, best_t * m
-            if lhs > rhs or (lhs == rhs and (t, label) >= (best_t, best_label)):
-                continue
-        best = entry
-    return best
-
-
 def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandidate]:
-    """The candidate first in `_least_ratio`'s order, or None."""
+    """The candidate first in the witness order, or None.  This is the
+    one statement of that order, which picks every reported witness:
+    least t/m, then least t, then least label, the first listed on a
+    full tie.  Ratios compare by cross-multiplying, with no Fraction
+    built."""
     best = None
     for c in candidates:
         t, m = c.degree_t, c.mult_m
@@ -282,9 +267,9 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
 def _nef_generator(model, stratum: PointStratum) -> Optional[tuple]:
     """The nef point of a stratum with a blow-up generator set: of the
     model's generator table of (degree, multiplicity at the point), the
-    generator (deg, e_mult, label, row) first in `_least_ratio`'s order
-    among those that meet the point and do not exceed sqrt(d), compared
-    by squaring, or None for the sqrt(d) ceiling.  The model's
+    generator (deg, e_mult, label, row) first in `_best_candidate`'s
+    witness order among those that meet the point and do not exceed
+    sqrt(d), compared by squaring, or None for the sqrt(d) ceiling.  The model's
     very-ampleness rule e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
     gens = model.blowup_gens.get(stratum.label)
     if gens is None:
@@ -353,27 +338,25 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
 def global_epsilon(model) -> SeshadriResult:
     """The least local value over the strata: the interval [min lo, min
     hi], lo unknown if any stratum's is, with a witness of hi = min hi,
-    unless that is the sqrt(d) ceiling of an open interval.  Of the
-    strata that tie, the witness is the least in `_least_ratio`'s order
-    (least t, then label) and then of least stratum label, which also
-    names the stratum attaining an upper or exact value; a lower bound
-    is attained at the least label of lo = min lo.  So no part of the
-    result depends on the order the strata are listed in."""
+    unless that is the sqrt(d) ceiling of an open interval.  The witness
+    is the first in `_best_candidate`'s order of the tied strata's
+    witnesses, taken by stratum label, and the least stratum label that
+    holds it names the stratum attaining an upper or exact value; a
+    lower bound is attained at the least label of lo = min lo.  So no
+    part of the result depends on the order the strata are listed in."""
     results = model.stratum_table.items()
     los = [res.lo for _, res in results]
     lo, hi = None if None in los else min(los), min(res.hi for _, res in results)
     # labels are distinct, so the sort never compares two results
     tied = sorted((label, res) for label, res in results if res.hi == hi)
-    witnessed = _least_ratio(
-        (res.witness.degree_t, res.witness.mult_m, res.witness.label, (label, res))
-        for label, res in tied
-        if res.witness is not None
+    witness = _best_candidate([res.witness for _, res in tied if res.witness is not None])
+    label = tied[0][0] if witness is None else next(
+        label for label, res in tied if res.witness is witness
     )
-    label, best = tied[0] if witnessed is None else witnessed[3]
     result = SeshadriResult(
         hi=hi,
         lo=lo,
-        witness=best.witness if lo == hi or hi < SeshadriValue.sqrt(model.rr.d) else None,
+        witness=witness if lo == hi or hi < SeshadriValue.sqrt(model.rr.d) else None,
         warning="; ".join(res.warning for _, res in results if res.warning) or None,
     )
     if result.certification is Certification.LOWER_BOUND_ONLY:
@@ -414,11 +397,11 @@ def low_epsilon_strata(model, delta: Rational) -> List[Tuple[str, SeshadriValue]
     For a geometrically honest model these must all be zero-dimensional."""
     delta = as_rational(delta, "delta", EngineError)
     if delta <= 0:
-        raise EngineError(f"delta must be positive, got {delta}")
+        raise EngineError(f"delta must be positive, got {cut(delta)}")
     point = SeshadriValue.exact(Fraction(1) - delta)
-    cut = SeshadriResult(hi=point, lo=point)
+    ceiling = SeshadriResult(hi=point, lo=point)
     return [
         (label, res.value)
         for label, res in model.stratum_table.items()
-        if compare(res, cut) == "pass"
+        if compare(res, ceiling) == "pass"
     ]

@@ -14,6 +14,7 @@ from .degree import RRData
 from .engine import CurveCandidate, PointStratum
 from .lattice import CurveGeneratorSet, IntersectionLattice
 from .models import EXCEPTIONAL_LABEL, ModelError, SurfaceModel
+from .values import cut
 
 
 _PLANE_CURVE_CAP = 3
@@ -29,7 +30,7 @@ def projective_plane(e: int = 1) -> SurfaceModel:
     basis of the table: no irreducible curve beats the line's ratio e.
     """
     if e < 1:
-        raise ModelError(f"polarization degree must be positive, got {e}")
+        raise ModelError(f"polarization degree must be positive, got {cut(e)}")
     lat = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
     candidates = [CurveCandidate("line", e, 1, (1,))]
     for k in range(2, _PLANE_CURVE_CAP + 1):
@@ -62,7 +63,7 @@ def quadric(a: int = 1, b: int = 1) -> SurfaceModel:
     polarization: hyperbolic rank-2 lattice, d = 2ab.  The local constant
     is min(a, b), cut out by the ruling of the larger degree."""
     if a < 1 or b < 1:
-        raise ModelError(f"polarization bidegree must be positive, got ({a}, {b})")
+        raise ModelError(f"polarization bidegree must be positive, got ({cut(a)}, {cut(b)})")
     lat = IntersectionLattice(rank=2, gram=((0, 1), (1, 0)), basis_labels=("f1", "f2"))
     candidates = (
         # the f1 ruling meets L = a*f1 + b*f2 in b, the f2 ruling in a

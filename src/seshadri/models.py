@@ -419,15 +419,14 @@ def document_array(value, error: type, where: str, index=None, key: str = "") ->
     return value
 
 
-def _part(where: str, index, make, *args, **kwargs):
+def _part(where: str, make, *args, **kwargs):
     """`make(*args, **kwargs)`, which builds the part of a model document
-    at JSON path `where`, or at item `index` of the array there: a
-    ValueError it raises is a schema violation at that path, written only
-    for the error."""
+    at JSON path `where`: a ValueError it raises is a schema violation at
+    that path, written only for the error."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise violation(ModelError, _at(where, index), exc) from exc
+        raise violation(ModelError, where, exc) from exc
 
 
 def _step(key) -> str:
@@ -455,9 +454,9 @@ def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
     for i, row in enumerate(gram):
         document_array(row, ModelError, where, i)
     basis_labels = document_array(doc["basis_labels"], ModelError, root + ".basis_labels")
-    lattice = _part(root, None, IntersectionLattice, doc["rank"], gram, basis_labels)
+    lattice = _part(root, IntersectionLattice, doc["rank"], gram, basis_labels)
     where = root + ".rr"
-    rr = _part(where, None, RRData, **document_object(doc["rr"], _RR_KEYS, ModelError, where))
+    rr = _part(where, RRData, **document_object(doc["rr"], _RR_KEYS, ModelError, where))
     where = root + ".strata"
     strata = tuple(
         _stratum(sd, where, i)

@@ -224,7 +224,7 @@ class SeshadriValue:
     @classmethod
     def sqrt(cls, d: int) -> "SeshadriValue":
         if d < 1:
-            raise ValueError(f"sqrt branch requires a positive integer, got {d}")
+            raise ValueError(f"sqrt branch requires a positive integer, got {cut(d)}")
         r = math.isqrt(d)
         if r * r == d:
             return cls(Fraction(r), None)
@@ -237,7 +237,7 @@ class SeshadriValue:
     @property
     def rational(self) -> Rational:
         if self._q is None:
-            raise ValueError(f"{self} is irrational")
+            raise ValueError(f"{cut(self)} is irrational")
         return self._q
 
     def _cmp(self, other: "SeshadriValue") -> int:

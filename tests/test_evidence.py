@@ -21,7 +21,6 @@ from seshadri.engine import (
     PointStratum,
     SeshadriResult,
     _best_candidate,
-    _least_ratio,
     _nef_generator,
     compare,
     epsilon,
@@ -266,6 +265,28 @@ def test_global_epsilon_on_a_tie_does_not_depend_on_the_strata_order(
     assert report["attained_at"] == attained_at
 
 
+def test_global_epsilon_of_tied_strata_sharing_one_candidate_is_at_the_least_label():
+    # two tied strata, listed against label order, hold the very same
+    # CurveCandidate object, which only a model built in Python can do:
+    # the witness is that object, attained at the least stratum label
+    model = projective_plane(2)
+    generic = model.stratum("generic")
+    line = _best_candidate(generic.candidates)
+    apex = PointStratum(
+        label="apex",
+        closure_dim=0,
+        specializes_from=("generic",),
+        candidates=(line,),
+        oracle_complete_below=Fraction(3),
+    )
+    model = replace(model, strata=(replace(generic, candidates=(line,)), apex))
+    assert model.stratum_table["generic"].witness is model.stratum_table["apex"].witness
+    res = global_epsilon(model)
+    assert (res.value, res.certification) == (SeshadriValue.exact(2), Certification.EXACT_CERTIFIED)
+    assert res.witness is line
+    assert res.attained_at == "apex"
+
+
 def test_nef_path_is_a_point():
     model = f1_anticanonical()
     res = epsilon_via_nef(model, model.stratum("on_E"))
@@ -466,6 +487,23 @@ def test_epsilon_raises_exactly_when_compare_fails_on_the_nef_result(model):
         assert epsilon(model, stratum) == curves
 
 
+def _first_in_witness_order(items, key):
+    """The reference witness order, as test_engine.py's
+    `test_best_candidate_matches_fraction_key` states it: the item whose
+    key(item) = (t, m, label) gives the least (Fraction(t, m), t, label),
+    the first listed on a full tie; None if there is none."""
+
+    def order(item):
+        t, m, label = key(item)
+        return Fraction(t, m), t, label
+
+    return min(items, key=order, default=None)
+
+
+def _candidate_key(c):
+    return c.degree_t, c.mult_m, c.label
+
+
 @given(_nef_and_curves(labels=st.sampled_from("ab")))
 @settings(max_examples=300, deadline=None)
 def test_direct_loops_pick_what_least_ratio_picks(model):
@@ -473,13 +511,16 @@ def test_direct_loops_pick_what_least_ratio_picks(model):
     # labels; on a full tie the first listed is picked, so the candidate
     # is compared by identity
     stratum, d = model.strata[0], model.rr.d
-    best = _least_ratio((c.degree_t, c.mult_m, c.label, c) for c in stratum.candidates)
-    assert _best_candidate(stratum.candidates) is (None if best is None else best[3])
+    best = _first_in_witness_order(stratum.candidates, _candidate_key)
+    assert _best_candidate(stratum.candidates) is best
     gens, table = model.blowup_gens["generic"], model.generator_table("generic")
-    expected = _least_ratio(
-        (deg, e_mult, label, row)
-        for label, row, (deg, e_mult) in zip(gens.labels, gens.rows, table)
-        if e_mult > 0 and deg * deg <= d * e_mult * e_mult
+    expected = _first_in_witness_order(
+        [
+            (deg, e_mult, label, row)
+            for label, row, (deg, e_mult) in zip(gens.labels, gens.rows, table)
+            if e_mult > 0 and deg * deg <= d * e_mult * e_mult
+        ],
+        key=lambda gen: gen[:3],
     )
     assert _nef_generator(model, stratum) == expected
 
@@ -490,8 +531,7 @@ def _curves_reference(model, stratum):
     threshold's min with it."""
     sqrt_d = SeshadriValue.sqrt(model.rr.d)
     ocb = stratum.oracle_complete_below
-    best = _least_ratio((c.degree_t, c.mult_m, c.label, c) for c in stratum.candidates)
-    best = None if best is None else best[3]
+    best = _first_in_witness_order(stratum.candidates, _candidate_key)
     least = None if best is None else SeshadriValue.exact(best.ratio)
     hi = least if least is not None and least <= sqrt_d else sqrt_d
     lo = None if ocb is None else min(SeshadriValue.exact(ocb), hi)

@@ -17,6 +17,8 @@ import io
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +103,17 @@ def test_builtin_model_matches_golden_file(name):
 
 def test_golden_files_are_all_cases():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *MODELS])
+
+
+def test_report_digest_of_the_bench_families_is_pinned():
+    # tools/reportdigest.py hashes every scan report (JSON, CSV, text) and
+    # each member's global value on the family-scan families: a change to
+    # any of those bytes fails here, as a golden file's would, and one made
+    # on purpose updates this pin
+    tool = pathlib.Path(__file__).parent.parent / "tools" / "reportdigest.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, check=True)
+    digest = json.loads(proc.stdout.splitlines()[-1])
+    assert digest["total"] == "7ac114f6434770a3ccbeba4c19dcc6f2aa9da28ccc28466737b8411faf91c182"
 
 
 if __name__ == "__main__":

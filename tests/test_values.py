@@ -16,7 +16,7 @@ from seshadri.engine import (
     low_epsilon_strata,
     sublevel_set,
 )
-from seshadri.examples import f1_anticanonical
+from seshadri.examples import f1_anticanonical, projective_plane, quadric
 from seshadri.family import FamilyError, load_family, member_candidate_superset, scan
 from seshadri.values import SeshadriValue, format_pairs, format_rational, parse_rational
 
@@ -280,6 +280,34 @@ def test_exact_entry_points_reject_a_float(call, what):
     message = f"{what} must be an int or a Fraction, got 0.1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_HUGE = 10**3999  # 4,000 digits
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: l_poly(RRData(8, 8, 1), 1, -_HUGE),
+        lambda: l_poly(RRData(8, 8, 1), Fraction(1, 3 * _HUGE), _HUGE),
+        lambda: multiplicity_target(_HUGE, Fraction(1, 3)),
+        lambda: low_epsilon_strata(f1_anticanonical(), -_HUGE),
+        lambda: mediant_bounds([(-_HUGE, 1)]),
+        lambda: SeshadriValue.sqrt(-_HUGE),
+        lambda: SeshadriValue.sqrt(_HUGE).rational,
+        lambda: projective_plane(-_HUGE),
+        lambda: quadric(1, -_HUGE),
+    ],
+    ids=["l_poly_n", "l_poly_na", "multiplicity_target", "low_epsilon_strata",
+         "mediant_bounds", "sqrt", "rational", "projective_plane", "quadric"],
+)
+def test_api_errors_cut_a_huge_value(call):
+    # a value echoed in an error message is cut, as a command-line error
+    # echoes it, so a 4,000-digit argument gives a short message
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert "..." in message and len(message.encode()) < 300
 
 
 @pytest.mark.parametrize("value", [2.5, True, "5/2", None], ids=["float", "bool", "str", "None"])
