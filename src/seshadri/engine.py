@@ -49,10 +49,6 @@ class Certification(enum.Enum):
     UPPER_BOUND_ONLY = "upper_bound_only"
 
 
-# the types of a valid class row, of its entries and of a label
-_ROWS, _INT, _STR = frozenset({tuple, list}), frozenset({int}), frozenset({str})
-
-
 class CurveCandidate(Record):
     """A curve through a stratum's point: its polarization degree t and
     its multiplicity m at the point.  The ratio t/m is an upper bound for
@@ -66,14 +62,10 @@ class CurveCandidate(Record):
 
     def __post_init__(self):
         label, degree_t, mult_m, coords = self.label, self.degree_t, self.mult_m, self.coords
-        # one condition per rule, in error order: each helper runs only
-        # where its condition fails, to raise or to read a row that is
-        # neither a list nor a tuple
+        # in error order: the row goes to `integers`, then one condition per
+        # rule, whose helper runs only where the condition fails, to raise
         if coords is not None:
-            if type(coords) in _ROWS and _INT.issuperset(map(type, coords)):
-                set_field(self, "coords", tuple(coords))
-            else:
-                set_field(self, "coords", integers(coords, "coordinates"))
+            set_field(self, "coords", integers(coords, "coordinates"))
         if type(label) is not str or not label:
             require_label(label, "a curve candidate", EngineError)
         if type(degree_t) is not int:
@@ -105,8 +97,8 @@ class PointStratum(Record):
         label = self.label
         require_label(label, "a point stratum", EngineError)
         specializes_from = as_tuple(self.specializes_from, "specializes_from", EngineError)
-        if not (_STR.issuperset(map(type, specializes_from)) and all(specializes_from)):
-            for general in specializes_from:
+        for general in specializes_from:
+            if type(general) is not str or not general:
                 require_label(
                     general, f"stratum {shown(label)}", EngineError, "specializes_from entry"
                 )

@@ -16,7 +16,6 @@ it checks each row's length against its own rank before pairing it.
 from __future__ import annotations
 
 import operator
-from itertools import chain
 from typing import Sequence, Tuple
 
 from .values import Record, as_int, as_tuple, cut, require_label, set_field, shown
@@ -26,15 +25,20 @@ class LatticeError(ValueError):
     pass
 
 
+_INT = frozenset({int})  # the type of every entry of a row
+
+
 def integers(values: Sequence, what: str) -> Tuple[int, ...]:
     """The values as a tuple, each of them exactly an int: a bool, an int
     subclass, a float or a fraction is an error, never converted or
-    truncated, and so is a row that `as_tuple` refuses."""
-    row = as_tuple(values, what, LatticeError)
-    if not set(map(type, row)) <= {int}:
+    truncated, and so is a row that `as_tuple` refuses.  The one rule of a
+    row: a tuple or a list is read as it is, and its first bad entry is
+    looked for only to word the error."""
+    row = values if type(values) in (tuple, list) else as_tuple(values, what, LatticeError)
+    if not _INT.issuperset(map(type, row)):
         bad = next(v for v in row if type(v) is not int)
         raise LatticeError(f"{what} must be integers, got {shown(bad)}")
-    return row
+    return tuple(row)
 
 
 class IntersectionLattice(Record):
@@ -52,13 +56,14 @@ class IntersectionLattice(Record):
             require_label(label, "a lattice", LatticeError, "basis label")
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise LatticeError(f"gram matrix is not {cut(rank)}x{cut(rank)}")
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError(
-                        f"gram matrix not symmetric at ({i},{j}): "
-                        f"{cut(gram[i][j])} != {cut(gram[j][i])}"
-                    )
+        if gram != tuple(zip(*gram)):
+            # the first asymmetric pair in row-major order, for the message
+            i, j = next(
+                (i, j) for i in range(rank) for j in range(i + 1, rank) if gram[i][j] != gram[j][i]
+            )
+            raise LatticeError(
+                f"gram matrix not symmetric at ({i},{j}): {cut(gram[i][j])} != {cut(gram[j][i])}"
+            )
         if len(basis_labels) != rank:
             raise LatticeError("basis_labels length differs from rank")
         if len(set(basis_labels)) != rank:
@@ -101,25 +106,16 @@ class CurveGeneratorSet(Record):
         rows = as_tuple(self.rows, "generator rows", LatticeError)
         if len(labels) != len(rows):
             raise LatticeError(f"{len(labels)} generator labels for {len(rows)} classes")
-        # one pass over all rows with builtins; the row-by-row walk runs
-        # only on a failing set, to raise the first error in order: each
-        # row's coordinates, then each generator's label and class
-        if not (
-            all(labels)
-            and set(map(type, labels)) <= {str}
-            and set(map(type, rows)) <= {tuple, list}
-            and set(map(type, chain.from_iterable(rows))) <= {int}
-            and all(map(any, rows))
-        ):
-            # keep the checked tuples: a row that is a one-shot iterator
-            # is read once
-            rows = tuple(integers(row, "coordinates") for row in rows)
-            for label, row in zip(labels, rows):
+        # one walk in error order: every row, read once, as each class is
+        # built before its set; then each generator's label and class
+        rows = tuple(integers(row, "coordinates") for row in rows)
+        for label, row in zip(labels, rows):
+            if type(label) is not str or not label:
                 require_label(label, "a curve generator", LatticeError)
-                if not any(row):
-                    raise LatticeError(f"generator {shown(label)} is the zero class")
+            if not any(row):
+                raise LatticeError(f"generator {shown(label)} is the zero class")
         set_field(self, "labels", labels)
-        set_field(self, "rows", tuple(map(tuple, rows)))
+        set_field(self, "rows", rows)
 
 
 def extend_blowup(lat: IntersectionLattice, label: str) -> IntersectionLattice:

@@ -55,6 +55,23 @@ def test_gram_must_be_symmetric():
         IntersectionLattice(rank=2, gram=((0, 1), (2, 0)), basis_labels=("a", "b"))
 
 
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+))
+def test_an_asymmetric_gram_names_its_first_pair_in_row_major_order(matrix):
+    n, entries = matrix
+    gram = [entries[i * n:(i + 1) * n] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if gram[i][j] != gram[j][i]]
+    labels = tuple(f"e{i}" for i in range(n))
+    if not pairs:
+        assert IntersectionLattice(n, gram, labels).gram == tuple(map(tuple, gram))
+        return
+    i, j = pairs[0]
+    message = f"gram matrix not symmetric at ({i},{j}): {gram[i][j]} != {gram[j][i]}"
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        IntersectionLattice(n, gram, labels)
+
+
 def test_gram_rejects_non_integers():
     # a float entry was truncated to -1 before
     with pytest.raises(LatticeError, match="-1.7"):

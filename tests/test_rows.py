@@ -105,19 +105,109 @@ def test_bad_generator_rows_raise_the_class_messages(build, error, message):
         build()
 
 
-def test_a_valid_generator_set_takes_one_pass(monkeypatch):
-    # the row-by-row walk, which checks each row and each label on its
-    # own, runs only on a set that fails the one-pass test
+# a row as (kind, entries), built afresh for each reader: entries that
+# are not exact ints, zero rows, ranges, iterators and non-sequences
+_entry = st.one_of(st.integers(-3, 3), st.sampled_from((1.0, -1.0, True, False, "1")))
+_row_spec = st.one_of(
+    st.tuples(st.sampled_from(("tuple", "list", "iterator")), st.lists(_entry, max_size=4)),
+    st.tuples(st.sampled_from(("tuple", "list", "iterator")), st.lists(st.just(0), max_size=3)),
+    st.tuples(st.just("range"), st.tuples(st.integers(-2, 2), st.integers(-2, 3))),
+    st.tuples(st.sampled_from(("str", "none", "int")), st.just(())),
+)
+_label = st.one_of(st.sampled_from(("a", "b", "Ex", "")), st.none(), st.just(7), st.just(b"x"))
 
-    def walk(*args):
-        raise AssertionError("the walk ran on a valid set")
 
-    monkeypatch.setattr(lattice, "integers", walk)
-    monkeypatch.setattr(lattice, "require_label", walk)
-    gens = CurveGeneratorSet(labels=["Ex", "E"], rows=[[0, 0, 1], [0, 1, 0]])
-    assert gens.labels == ("Ex", "E") and gens.rows == ((0, 0, 1), (0, 1, 0))
-    with pytest.raises(AssertionError, match="the walk ran"):
-        CurveGeneratorSet(labels=(1,), rows=((0, 0, 1),))
+def _built(spec):
+    kind, entries = spec
+    return {
+        "tuple": lambda: tuple(entries),
+        "list": lambda: list(entries),
+        "iterator": lambda: iter(list(entries)),
+        "range": lambda: range(*entries),
+        "str": lambda: "012",
+        "none": lambda: None,
+        "int": lambda: 5,
+    }[kind]()
+
+
+def _reference_generator_walk(labels, rows):
+    """The rule of a generator set, written out as one ordered walk: every
+    row must be a sequence of exact ints, read once; then each
+    generator's label must be a non-empty str and its class not zero.
+    Returns the checked (labels, rows), or raises the first error."""
+    checked = []
+    for row in rows:
+        if row is None or isinstance(row, (int, str)):
+            raise LatticeError(f"coordinates must be a sequence, got {row!r}")
+        row = tuple(row)
+        for v in row:
+            if type(v) is not int:
+                raise LatticeError(f"coordinates must be integers, got {v!r}")
+        checked.append(row)
+    for label, row in zip(labels, checked):
+        if type(label) is not str:
+            raise LatticeError(f"label of a curve generator must be a string, got {label!r}")
+        if not label:
+            raise LatticeError("a curve generator needs a non-empty label")
+        if not any(row):
+            raise LatticeError(f"generator {label!r} is the zero class")
+    return tuple(labels), tuple(checked)
+
+
+@given(st.lists(st.tuples(_label, _row_spec), max_size=5))
+# a bad label before a bad row: the row's error comes first
+@example([("", ("list", [0, 0, 1])), ("b", ("list", [1, 0, -1.0]))])
+@example([("a", ("range", (0, 2))), ("b", ("iterator", [0, 0, 1]))])
+@settings(max_examples=300)
+def test_a_generator_set_raises_the_first_error_of_the_ordered_walk(generators):
+    # bad rows and bad labels in random positions: the set raises the
+    # error, type and text, of a walk that checks every row first and then
+    # each label and class in order, and keeps what that walk returns
+    labels = [label for label, _ in generators]
+    rows = [_built(spec) for _, spec in generators]
+    try:
+        expected = _reference_generator_walk(labels, [_built(spec) for _, spec in generators])
+    except LatticeError as error:
+        with pytest.raises(LatticeError, match=_exact(str(error))) as raised:
+            CurveGeneratorSet(labels=labels, rows=rows)
+        assert type(raised.value) is LatticeError
+    else:
+        gens = CurveGeneratorSet(labels=labels, rows=rows)
+        assert (gens.labels, gens.rows) == expected
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), max_size=6),
+    st.integers(-5, 5),
+    st.integers(-5, 9),
+    st.sampled_from((1, 2, -1)),
+)
+def test_integers_returns_the_tuple_of_its_values(values, start, stop, step):
+    # a tuple, a list, a range or an iterator of exact ints comes back as
+    # the tuple of its values, read once
+    for row in (tuple(values), list(values), iter(values)):
+        got = lattice.integers(row, "coordinates")
+        assert type(got) is tuple and got == tuple(values)
+    assert lattice.integers(range(start, stop, step), "coordinates") == tuple(
+        range(start, stop, step)
+    )
+
+
+@given(st.lists(st.one_of(st.sampled_from(("generic", "on_E", "")), st.none(), st.just(3)),
+                max_size=5))
+@example(["generic", ""])
+def test_specializes_from_reports_its_first_bad_entry(entries):
+    bad = next((e for e in entries if type(e) is not str or not e), "ok")
+    if bad == "ok":
+        stratum = PointStratum("s", 0, specializes_from=iter(entries))
+        assert stratum.specializes_from == tuple(entries)
+        return
+    if type(bad) is str:
+        message = "stratum 's' needs a non-empty specializes_from entry"
+    else:
+        message = f"specializes_from entry of stratum 's' must be a string, got {bad!r}"
+    with pytest.raises(EngineError, match=_exact(message)):
+        PointStratum("s", 0, specializes_from=entries)
 
 
 @pytest.mark.parametrize(
@@ -140,8 +230,8 @@ def test_bad_generator_rows_raise_the_class_messages_at_load(row, message):
 
 
 def test_a_row_may_be_any_iterable_of_ints():
-    # the one-pass test rejects a row that is neither a tuple nor a list,
-    # and the walk that follows must not consume a one-shot iterator
+    # a row that is neither a tuple nor a list goes through as_tuple, and
+    # the walk must not read a one-shot iterator twice
     gens = CurveGeneratorSet(labels=("a", "b"), rows=[iter([0, 0, 1]), range(0, 2)])
     assert gens.rows == ((0, 0, 1), (0, 1))
 
@@ -168,8 +258,8 @@ def test_index_coordinates_are_kept_as_ints():
          "coordinates must be a sequence, got None"),
         (lambda: CurveCandidate("c", 1, 1, 5),
          "coordinates must be a sequence, got 5"),
-        # the one-pass test of a generator set reads each row's type
-        # before it iterates the rows
+        # a generator set's walk checks that each row is a sequence before
+        # it reads the row's entries
         (lambda: CurveGeneratorSet(labels=("a",), rows=(None,)),
          "coordinates must be a sequence, got None"),
         (lambda: IntersectionLattice(1, (None,), ("H",)),

@@ -22,8 +22,13 @@ a count complements the wall clock and never replaces it.  A lower
 count can be slower: per-element work in C (a `type()` call, a
 method-wrapper call) costs no instruction, and a `map`/`compress`
 rewrite of `models._generator_table` cut 12% of the load phase's
-instructions yet took 11.2 against 7.9 µs per generator set, so pair a
-count with a timed check.  The count is
+instructions yet took 11.2 against 7.9 µs per generator set.  And a
+higher count can be just as fast: sending every row through
+`lattice.integers`, in place of set passes in C, raised the load phase
+from 673,658 to 787,187 instructions on Python 3.11.7, while
+family-scan's `wall_s` median over 12 alternated pairs moved from 0.459
+to 0.468 s, inside the 0.026 s between the parent's quartiles.  So pair
+a count with a timed check.  The count is
 a function of the input and of the interpreter version, so two runs on
 one interpreter print the same line.  The tool only reads `bench/`.
 The last and only stdout line is one JSON object.
