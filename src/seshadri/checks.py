@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .bounds import candidate_count, candidate_ratios, candidate_walk, mediant_bounds
+from .bounds import CandidateSuperset, candidate_count, candidate_ratios, candidate_walk
+from .bounds import mediant_bounds
 from .degree import RRData, l_poly, minimal_M
 from .engine import (
     Certification,
@@ -27,7 +28,6 @@ from .engine import (
     sublevel_set,
 )
 from .examples import builtin_suite
-from .family import member_candidate_superset
 from .models import SurfaceModel, load_model
 from .values import Record
 
@@ -124,7 +124,7 @@ def check_candidate_membership(models: Models) -> str:
         for alpha in ALPHA_GRID:
             if alpha * alpha >= model.rr.d:
                 continue
-            superset = member_candidate_superset(model, alpha)
+            superset = CandidateSuperset.of(model.rr, model.very_ample_multiplier, alpha)
             bound = SeshadriValue.exact(alpha)
             for label, res in _named(model, lambda: model.stratum_table).items():
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:

@@ -122,10 +122,10 @@ def cmd_candidates(args) -> int:
         "certified": not args.permissive,
         "ratios": formatted,
     }
-    lines = [", ".join(formatted) or "(none)"]
-    if args.permissive:
-        lines.append("(permissive mode: not a certified superset)")
-    _emit_report(args.format, args.output, lambda: doc, lambda: lines)
+    note = ["(permissive mode: not a certified superset)"] if args.permissive else []
+    _emit_report(
+        args.format, args.output, lambda: doc, lambda: [", ".join(formatted) or "(none)", *note]
+    )
     return 0
 
 

@@ -219,57 +219,54 @@ def _best_candidate(candidates: Sequence[CurveCandidate]) -> Optional[CurveCandi
     return best
 
 
+def _witnessed(curve, lo, hi, ceiling) -> Optional[CurveCandidate]:
+    """The witness rule: a curve at hi witnesses it unless hi is the ceiling of an open interval."""
+    return curve if hi != ceiling or lo == hi else None
+
+
 def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     """Local Seshadri constant at the stratum's point from its curve
     table, as an interval.
 
-    The least listed ratio, capped by sqrt(d), bounds the value above,
-    and its curve witnesses hi unless hi is the sqrt(d) ceiling of an
-    open interval, whatever the table lists.  A table complete below its
+    The least listed ratio, capped by the model's sqrt(d) `ceiling`,
+    bounds the value above, and its curve, if at hi, witnesses hi by
+    `_witnessed`, whatever the table lists.  A table complete below its
     threshold `ocb` lists every curve of ratio < ocb, so the value is at
     least min(ocb, hi); the interval is a point exactly when ocb reaches hi.
-    Each comparison is made in integers: t/m against sqrt(d) as t^2
-    against d*m^2, and ocb against hi by `_cmp_ratio`.
+    Each comparison is made in integers, by `_cmp_ratio`: t/m against
+    the ceiling, and ocb against hi.
     """
-    d = model.rr.d
-    ocb = stratum.oracle_complete_below
+    ceiling, ocb = model.ceiling, stratum.oracle_complete_below
     best = _best_candidate(stratum.candidates)
-    above = None  # the sign of t/m - sqrt(d), or None with no candidate
-    if best is not None:
-        lhs, rhs = best.degree_t ** 2, d * best.mult_m ** 2
-        above = (lhs > rhs) - (lhs < rhs)
-    hi = SeshadriValue.sqrt(d) if above is None or above > 0 else SeshadriValue.exact(best.ratio)
+    if best is not None and ceiling._cmp_ratio(best.degree_t, best.mult_m) < 0:
+        best = None  # above sqrt(d): no curve is at hi
+    hi = ceiling if best is None else SeshadriValue.exact(best.ratio)
     lo = None
     if ocb is not None:
         lo = hi if hi._cmp_ratio(ocb.numerator, ocb.denominator) <= 0 else SeshadriValue.exact(ocb)
     warning = None
-    if best is None and ocb is None:
+    if not stratum.candidates and ocb is None:
         warning = (
             f"stratum {stratum.label!r}: empty candidate table with no "
             "completeness assertion; only the sqrt(d) ceiling is known"
         )
-    return SeshadriResult(
-        hi=hi,
-        lo=lo,
-        witness=best if above is not None and (above < 0 or above == 0 and lo == hi) else None,
-        warning=warning,
-    )
+    return SeshadriResult(hi=hi, lo=lo, witness=_witnessed(best, lo, hi, ceiling), warning=warning)
 
 
 def _nef_generator(model, stratum: PointStratum) -> Optional[tuple]:
     """The nef point of a stratum with a blow-up generator set: of the
     model's generator table of (degree, multiplicity at the point), the
     generator (deg, e_mult, label, row) first in `_best_candidate`'s
-    witness order among those that meet the point and do not exceed
-    sqrt(d), compared by squaring, or None for the sqrt(d) ceiling.  The model's
-    very-ampleness rule e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
+    witness order among those that meet the point, or None for the
+    sqrt(d) ceiling if its ratio is above it.  The model's very-ampleness
+    rule e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
     gens = model.blowup_gens.get(stratum.label)
     if gens is None:
         raise EngineError(f"no blow-up generator set for stratum {shown(stratum.label)}")
-    d, labels = model.rr.d, gens.labels
+    labels = gens.labels
     best = None
     for k, (deg, e_mult) in enumerate(model.generator_table(stratum.label)):
-        if e_mult > 0 and deg * deg <= d * e_mult * e_mult:
+        if e_mult > 0:
             if best is not None:
                 lhs, rhs = deg * best_e, best_deg * e_mult
                 # an equal ratio and degree is an equal pair: the label decides
@@ -278,7 +275,9 @@ def _nef_generator(model, stratum: PointStratum) -> Optional[tuple]:
                 ):
                     continue
             best, best_deg, best_e = k, deg, e_mult
-    return None if best is None else (best_deg, best_e, labels[best], gens.rows[best])
+    if best is None or model.ceiling._cmp_ratio(best_deg, best_e) < 0:
+        return None
+    return best_deg, best_e, labels[best], gens.rows[best]
 
 
 def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
@@ -289,8 +288,7 @@ def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     generator becomes a Fraction."""
     best = _nef_generator(model, stratum)
     if best is None:
-        ceiling = SeshadriValue.sqrt(model.rr.d)
-        return SeshadriResult(hi=ceiling, lo=ceiling)
+        return SeshadriResult(hi=model.ceiling, lo=model.ceiling)
     deg, e_mult, label, row = best
     value = SeshadriValue.exact(Fraction(deg, e_mult))
     return SeshadriResult(
@@ -312,7 +310,7 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
         lo, hi = result.lo, result.hi
         if best is None:
             # the sqrt(d) ceiling, at least hi and so at least lo
-            clash = hi != SeshadriValue.sqrt(model.rr.d)
+            clash = hi != model.ceiling
         else:
             deg, e_mult, _, _ = best
             clash = hi._cmp_ratio(deg, e_mult) < 0 or (
@@ -329,13 +327,13 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
 
 def global_epsilon(model) -> SeshadriResult:
     """The least local value over the strata: the interval [min lo, min
-    hi], lo unknown if any stratum's is, with a witness of hi = min hi,
-    unless that is the sqrt(d) ceiling of an open interval.  The witness
-    is the first in `_best_candidate`'s order of the tied strata's
-    witnesses, taken by stratum label, and the least stratum label that
-    holds it names the stratum attaining an upper or exact value; a
-    lower bound is attained at the least label of lo = min lo.  So no
-    part of the result depends on the order the strata are listed in."""
+    hi], lo unknown if any stratum's is, with a witness of hi = min hi
+    by `_witnessed`, as a stratum's.  The witness is the first in
+    `_best_candidate`'s order of the tied strata's witnesses, taken by
+    stratum label, and the least stratum label that holds it names the
+    stratum attaining an upper or exact value; a lower bound is attained
+    at the least label of lo = min lo.  So no part of the result depends
+    on the order the strata are listed in."""
     results = model.stratum_table.items()
     los = [res.lo for _, res in results]
     lo, hi = None if None in los else min(los), min(res.hi for _, res in results)
@@ -348,7 +346,7 @@ def global_epsilon(model) -> SeshadriResult:
     result = SeshadriResult(
         hi=hi,
         lo=lo,
-        witness=witness if lo == hi or hi < SeshadriValue.sqrt(model.rr.d) else None,
+        witness=_witnessed(witness, lo, hi, model.ceiling),
         warning="; ".join(res.warning for _, res in results if res.warning) or None,
     )
     if result.certification is Certification.LOWER_BOUND_ONLY:

@@ -269,8 +269,8 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     listed.
     """
     alpha = as_rational(alpha, "alpha", FamilyError)
-    d = family.degree
-    if alpha <= 0 or alpha * alpha >= d:
+    ceiling = family.members[0][1].ceiling  # every member has the family's degree
+    if alpha <= 0 or ceiling._cmp_ratio(alpha.numerator, alpha.denominator) <= 0:
         raise FamilyError(
             f"alpha must satisfy 0 < alpha^2 < d for a certified scan, got {cut(alpha)}"
         )
@@ -326,7 +326,7 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
 
     return FamilyScanReport(
         alpha=alpha,
-        degree=d,
+        degree=family.degree,
         sigma_family=top.value,
         sigma_attained_at=(top_label, top.attained_at),
         epsilon_table=tuple(rows),

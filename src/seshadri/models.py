@@ -32,6 +32,7 @@ from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
 from .values import (
     RATIONAL_SYNTAX,
     Record,
+    SeshadriValue,
     as_int,
     as_tuple,
     cut,
@@ -61,7 +62,7 @@ class SurfaceModel(Record):
         "name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"
     )
     # the data computed from the fields, which no comparison reads
-    __slots__ = _fields + ("_generator_tables", "_stratum_table")
+    __slots__ = _fields + ("ceiling", "_generator_tables", "_stratum_table")
 
     def __post_init__(self):
         lat, rr, blowup_gens = self.lattice, self.rr, self.blowup_gens
@@ -87,6 +88,8 @@ class SurfaceModel(Record):
         set_field(self, "strata", strata)
         set_field(self, "blowup_gens", blowup_gens)
         set_field(self, "_stratum_table", None)  # built on first read
+        # every local value is at most sqrt(d): each test against it reads this
+        set_field(self, "ceiling", SeshadriValue.sqrt(rr.d))
 
         # the checks of the whole model, which read its checked fields,
         # raise on the first violated invariant.  The strata's order is
@@ -256,10 +259,10 @@ def _validate_stratum(model: SurfaceModel, s: PointStratum, polarization: tuple)
     ocb = s.oracle_complete_below
     if ocb is not None:
         p, q, d = ocb.numerator, ocb.denominator, model.rr.d
-        # the stratum checked that ocb > 0; the cap needs the model's d.
+        # the stratum checked that ocb > 0; a cap needs ocb < sqrt(d).
         # It is B = M*d with M a positive multiple of q, so no listed
         # degree up to q*d can pass it, and then it is not computed
-        if p * p < d * q * q and any(c.degree_t > q * d for c in s.candidates):
+        if model.ceiling._cmp_ratio(p, q) > 0 and any(c.degree_t > q * d for c in s.candidates):
             # keep certification honest: the table may not contain entries
             # of ratio <= ocb beyond the degree bound implied by ocb; the
             # bound says nothing about curves above the threshold

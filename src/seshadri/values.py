@@ -245,21 +245,18 @@ class SeshadriValue:
         if d is None and e is None:
             lhs, rhs = self._n * other._m, other._n * self._m
             return (lhs > rhs) - (lhs < rhs)
+        if e is None:  # a root against a rational: by sign, then by _cmp_ratio
+            return 1 if other._n <= 0 else self._cmp_ratio(other._n, other._m)
         if d is None:
-            # n/m vs sqrt(e): by sign, then n^2 against e*m^2
-            n, m = self._n, self._m
-            if n <= 0:
-                return -1
-            lhs, rhs = n * n, e * m * m
-            return (lhs > rhs) - (lhs < rhs)
-        if e is None:
-            return -other._cmp(self)
+            return -1 if self._n <= 0 else -other._cmp_ratio(self._n, self._m)
         return (d > e) - (d < e)
 
     def _cmp_ratio(self, n: int, m: int) -> int:
         """The sign of self - n/m, for ints n > 0 and m > 0, in integers:
         cross-multiplied, or against sqrt(d) squared, as _cmp orders a
-        value built from n/m.  No Fraction is built."""
+        value built from n/m.  No Fraction is built.  Outside the
+        quadratic of `degree.minimal_M`, this is the one place a ratio
+        is squared against d."""
         d = self._d
         lhs, rhs = (self._n * m, n * self._m) if d is None else (d * m * m, n * n)
         return (lhs > rhs) - (lhs < rhs)

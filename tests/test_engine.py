@@ -565,6 +565,8 @@ _generators = st.lists(
 @example(8, [("ok", 2, 1), ("bad", -1, -1)])  # negative degree, Ex.C < 0
 @example(8, [("ok", 2, 1), ("minusEx", 0, 1)])  # a negative multiple of Ex
 @example(8, [("steep", 1, 3), ("ok", 2, 1)])  # e > deg: loads at v = 3 only
+@example(8, [("a", 3, 1), ("b", 6, 2)])  # the least ratio, a tie, lies above sqrt(d)
+@example(9, [("b", 3, 1), ("a", 3, 1)])  # a tie exactly at sqrt(d): the label decides
 @settings(max_examples=300)
 def test_nef_path_matches_fraction_reference(d, gens):
     if any(deg < 0 or (deg == 0 and e > 0) for _, deg, e in gens):

@@ -140,7 +140,8 @@ def test_scan_skips_checks(files):
 
 
 def test_check_loads_checks():
-    assert "seshadri.checks" in cli_modules("check")
+    loaded = cli_modules("check")
+    assert "seshadri.checks" in loaded and "seshadri.family" not in loaded
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

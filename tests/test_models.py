@@ -1,5 +1,6 @@
 import graphlib
 import json
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -510,6 +511,16 @@ def test_model_keeps_its_own_copy_of_the_generator_sets():
     assert list(copy.blowup_gens) == ["generic", "on_E"]
     with pytest.raises(TypeError):
         del copy.blowup_gens["on_E"]
+
+
+@pytest.mark.parametrize("build", [lambda: projective_plane(3), f1_anticanonical], ids=["d=9", "d=8"])
+def test_the_ceiling_is_sqrt_d_and_no_field(build):
+    model = build()
+    assert model.ceiling == SeshadriValue.sqrt(model.rr.d)
+    assert model.ceiling.is_exact is (model.rr.d == 9)
+    assert "ceiling" not in model._fields and "ceiling" not in repr(model)
+    for copy in (replace(model), pickle.loads(pickle.dumps(model))):
+        assert copy == model and copy.ceiling == model.ceiling
 
 
 @pytest.mark.parametrize("k", [1, 2])

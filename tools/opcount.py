@@ -6,6 +6,11 @@
 The round is the benchmark's: the families of `bench/inputs.py`'s
 `family_round(SEED, ROUND)`, seed 1 and round 0, each loaded from its JSON text, its members'
 stratum tables read, scanned at the benchmark's alpha and serialized.
+The round runs once uncounted, then once counted, so that no phase
+counts work done on a first call only, such as a lazy import's walk of
+`sys.path`: on Python 3.11.7, 480 instructions per entry for
+`bounds._mertens`'s `from array import array`, which the serialize
+phase reaches.
 The count comes from `sys.settrace` with `f_trace_opcodes`, one per
 executed instruction, by phase:
 
@@ -28,9 +33,10 @@ higher count can be just as fast: sending every row through
 from 673,658 to 787,187 instructions on Python 3.11.7, while
 family-scan's `wall_s` median over 12 alternated pairs moved from 0.459
 to 0.468 s, inside the 0.026 s between the parent's quartiles.  So pair
-a count with a timed check.  The count is
-a function of the input and of the interpreter version, so two runs on
-one interpreter print the same line.  The tool only reads `bench/`.
+a count with a timed check.  After the warm-up round the count is a
+function of the input and of the interpreter version: two runs on one
+interpreter print the same line, whatever `sys.path` holds or which
+modules were imported before.  The tool only reads `bench/`.
 The last and only stdout line is one JSON object.
 """
 
@@ -87,15 +93,21 @@ def serialize(report) -> str:
     return json.dumps(report.to_document())
 
 
+def run_round(texts, alpha, count) -> None:
+    """One round, each phase run through `count(phase, fn, *args)`."""
+    for text in texts:
+        family = count("load", seshadri.family.load_family, text)
+        count("stratum_table", read_tables, family)
+        report = count("scan", seshadri.family.scan, family, alpha)
+        count("serialize", serialize, report)
+
+
 def main() -> int:
     texts = [json.dumps(fam) for _, fam in inputs.family_round(SEED, ROUND)]
     alpha = Fraction(*inputs.SCAN_ALPHA)
     counts = {phase: {"package": 0, "other": 0} for phase in PHASES}
-    for text in texts:
-        family = counted(counts["load"], seshadri.family.load_family, text)
-        counted(counts["stratum_table"], read_tables, family)
-        report = counted(counts["scan"], seshadri.family.scan, family, alpha)
-        counted(counts["serialize"], serialize, report)
+    run_round(texts, alpha, lambda phase, fn, *args: fn(*args))  # the warm-up
+    run_round(texts, alpha, lambda phase, fn, *args: counted(counts[phase], fn, *args))
     for phase in counts.values():
         phase["total"] = phase["package"] + phase["other"]
     result = {
