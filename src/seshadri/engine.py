@@ -32,6 +32,7 @@ from .values import (
     as_rational,
     as_tuple,
     cut,
+    format_rational,
     replace,
     require_label,
     set_field,
@@ -176,14 +177,14 @@ class SeshadriResult(Record):
             }
         if bound is not None:
             doc["bound_used"] = {
-                "a": str(bound.a),
+                "a": format_rational(bound.a),
                 "M": bound.M,
                 "B": bound.B,
                 "vanishing_multiplier": bound.vanishing_multiplier,
             }
         certified_above = self.certified_above
         if certified_above is not None:
-            doc["certified_above"] = str(certified_above)
+            doc["certified_above"] = format_rational(certified_above)
         if self.warning is not None:
             doc["warning"] = self.warning
         if self.attained_at is not None:
@@ -303,7 +304,7 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
     `SurfaceModel.stratum_table` that commands read.  Where blow-up data
     exists, the nef point above hi, or lo above it, is the error that
     `compare` finds against the nef result.  The point is checked in
-    integers, and only a clash builds the nef result, to word the error."""
+    integers, and only a clash makes it a value, to word the error."""
     result = epsilon_via_curves(model, stratum)
     if stratum.label in model.blowup_gens:
         best = _nef_generator(model, stratum)
@@ -317,10 +318,10 @@ def epsilon(model, stratum: PointStratum) -> SeshadriResult:
                 lo is not None and lo._cmp_ratio(deg, e_mult) > 0
             )
         if clash:
-            nef = epsilon_via_nef(model, stratum)
+            nef = model.ceiling if best is None else SeshadriValue.exact(Fraction(deg, e_mult))
             raise EngineError(
                 f"stratum {shown(stratum.label)}: curve path gives {cut(result.value.serialize())} "
-                f"({result.certification.value}) but nef path gives {cut(nef.value.serialize())}"
+                f"({result.certification.value}) but nef path gives {cut(nef.serialize())}"
             )
     return result
 

@@ -28,7 +28,7 @@ from typing import Mapping, Tuple
 from . import SCHEMA_VERSION
 from .degree import RRData, minimal_M
 from .engine import CurveCandidate, EngineError, PointStratum, SeshadriResult, compare, epsilon
-from .lattice import CurveGeneratorSet, IntersectionLattice, integers, pair
+from .lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, integers
 from .values import (
     RATIONAL_SYNTAX,
     Record,
@@ -96,7 +96,10 @@ class SurfaceModel(Record):
         # checked by `check_specialization_order`, as a family's members'
         # is.
         require_label(self.name, "a model", ModelError, "name")
-        d = pair(lat, L, L)
+        if len(L) != lat.rank:  # map would pair a longer row on its first entries
+            raise LatticeError(f"coordinate length {len(L)} differs from rank {lat.rank}")
+        polarization = lat.covector(L)  # the candidate and generator checks read it too
+        d = sum(map(operator.mul, polarization, L))
         if d != rr.d:
             raise ModelError(
                 f"degree mismatch: polarization self-intersection is {cut(d)} "
@@ -118,8 +121,6 @@ class SurfaceModel(Record):
                 f"exactly one dense (closure_dim = 2) stratum required, got {cut(dense or 'none')}"
             )
 
-        # pair checked L's row; the candidate and generator checks read its covector
-        polarization = lat.covector(L)
         tables = {}  # each blow-up generator set's table, keyed by stratum label
         for s in strata:
             _validate_stratum(self, s, polarization)
@@ -136,6 +137,12 @@ class SurfaceModel(Record):
         *fields, blowup_gens = self._values()
         return type(self), (*fields, dict(blowup_gens))
 
+    def __hash__(self):
+        # the generator sets by their items, in any order, as == reads them:
+        # a mappingproxy is not hashable
+        *fields, blowup_gens = self._values()
+        return hash((*fields, frozenset(blowup_gens.items())))
+
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
         the order of its set, as checked and computed at construction."""
@@ -145,10 +152,9 @@ class SurfaceModel(Record):
     def stratum_table(self) -> Mapping[str, SeshadriResult]:
         """`epsilon` of every stratum, keyed by label in model order and
         read-only: one curve-path call per stratum on the first read, and
-        a nef-path call only to word a clash.  The first contradiction met
-        is raised, then the first stratum `compare` fails against the dense
-        one or one it specializes from, in listed order: no value rises on
-        specializing."""
+        no nef-path call.  The first contradiction met is raised, then the
+        first stratum `compare` fails against the dense one or one it
+        specializes from, in listed order: no value rises on specializing."""
         table = self._stratum_table
         if table is None:
             table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
@@ -422,16 +428,6 @@ def document_array(value, error: type, where: str, index=None, key: str = "") ->
     return value
 
 
-def _part(where: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, which builds the part of a model document
-    at JSON path `where`: a ValueError it raises is a schema violation at
-    that path, written only for the error."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise violation(ModelError, where, exc) from exc
-
-
 def _step(key) -> str:
     """The JSON path step to the value of `key` in an object."""
     plain = type(key) is str and key.isidentifier() and cut(key) == key
@@ -457,9 +453,16 @@ def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
     for i, row in enumerate(gram):
         document_array(row, ModelError, where, i)
     basis_labels = document_array(doc["basis_labels"], ModelError, root + ".basis_labels")
-    lattice = _part(root, IntersectionLattice, doc["rank"], gram, basis_labels)
-    where = root + ".rr"
-    rr = _part(where, RRData, **document_object(doc["rr"], _RR_KEYS, ModelError, where))
+    # one try, as for a stratum's candidates: the key check's error passes as it is
+    where = root
+    try:
+        lattice = IntersectionLattice(doc["rank"], gram, basis_labels)
+        where = root + ".rr"
+        rr = RRData(**document_object(doc["rr"], _RR_KEYS, ModelError, where))
+    except ModelError:
+        raise
+    except ValueError as exc:
+        raise violation(ModelError, where, exc) from exc
     where = root + ".strata"
     strata = tuple(
         _stratum(sd, where, i)

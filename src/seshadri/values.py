@@ -186,7 +186,7 @@ def rational_of(text: str) -> Rational:
 
 def format_rational(q: RationalLike) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(q if isinstance(q, Fraction) else Fraction(q))
+    return _format_pair(q.numerator, q.denominator)
 
 
 def _format_pair(t: int, m: int) -> str:

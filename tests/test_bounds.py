@@ -29,7 +29,7 @@ from seshadri.engine import EngineError, SeshadriResult, global_epsilon
 from seshadri.examples import f1_anticanonical, quadric
 from seshadri.family import Family, FamilyError, scan
 from seshadri.lattice import LatticeError
-from seshadri.models import ModelError, SurfaceModel
+from seshadri.models import ModelError
 from seshadri.values import Record, replace
 
 
@@ -67,11 +67,7 @@ def test_records_behave_as_frozen_value_objects():
         assert record is not twin and record == twin and not record != twin
         shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
         assert repr(record) == f"{type(record).__name__}({shown})"
-        if isinstance(record, (SurfaceModel, Family)):
-            with pytest.raises(TypeError, match="unhashable type"):
-                hash(record)
-        else:
-            assert hash(record) == hash(twin)
+        assert hash(record) == hash(twin)
         for name in fields:
             with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(record, name, None)

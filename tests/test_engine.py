@@ -196,6 +196,12 @@ def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
     semicontinuity_check(Family(members=(("t", model),), degree=8))
     # the table checks each nef point in integers, with no nef result
     assert calls == {"curves": 2, "nef": 0}
+    # and a clash is worded from that point, with none either
+    model = load_model(json.dumps(_doc_without_candidate("E")))
+    message = "^stratum 'on_E': curve path gives 2 [(]exact_certified[)] but nef path gives 1$"
+    with pytest.raises(EngineError, match=message):
+        model.stratum_table
+    assert calls == {"curves": 4, "nef": 0}
 
 
 def _bare_model(d, c, candidates=(), ocb=None, rank1_degree=None, very_ample_multiplier=1):

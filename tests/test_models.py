@@ -523,6 +523,37 @@ def test_the_ceiling_is_sqrt_d_and_no_field(build):
         assert copy == model and copy.ceiling == model.ceiling
 
 
+def test_model_hash_agrees_with_equality_in_any_generator_set_order():
+    model = f1_anticanonical()
+    reversed_sets = dict(reversed(model.blowup_gens.items()))
+    other = replace(model, blowup_gens=reversed_sets)
+    assert list(other.blowup_gens) == ["on_E", "generic"]
+    assert other == model and hash(other) == hash(model)
+    assert {model, other} == {model} and len({model, other}) == 1
+    for m in (model, other):
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and hash(copy) == hash(m)
+        assert list(copy.blowup_gens) == list(m.blowup_gens)
+        assert copy.to_json() == m.to_json()
+
+
+def test_a_model_builds_its_polarization_covector_once(monkeypatch, blown_up_plane):
+    calls = []
+    covector = IntersectionLattice.covector
+
+    def counted(self, row):
+        calls.append(tuple(row))
+        return covector(self, row)
+
+    monkeypatch.setattr(IntersectionLattice, "covector", counted)
+    model = f1_anticanonical()
+    assert calls == [model.polarization]
+    calls.clear()
+    doc = blown_up_plane(6, 3, [[((1, 0, 0, 0), 0), ((1, -1, 0, 0), 1)], [((0, 1, 0, 0), 1)]])
+    model = model_from_document(json.loads(json.dumps(doc)))
+    assert calls == [model.polarization] == [(6, -1, -1, -1)]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_negative_multiple_of_exceptional_class_rejected_at_load(k):
     # -k*Ex is not effective, and the nef path relies on every generator

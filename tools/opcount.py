@@ -36,7 +36,15 @@ to 0.468 s, inside the 0.026 s between the parent's quartiles.  So pair
 a count with a timed check.  After the warm-up round the count is a
 function of the input and of the interpreter version: two runs on one
 interpreter print the same line, whatever `sys.path` holds or which
-modules were imported before.  The tool only reads `bench/`.
+modules were imported before.
+
+`lines_compiled` counts what a host that writes no bytecode compiles on
+each CLI call: per command, the lines (as `wc -l` counts them) of the
+`src/seshadri/*.py` modules in `sys.modules` when `seshadri.cli.main`
+returns, in a fresh isolated child interpreter.  Each command runs
+once, on its first call of cli-session's round: `bench/inputs.py`'s
+`cli_round(SEED, ROUND)`, its files written to a temporary directory.
+The tool only reads `bench/`.
 The last and only stdout line is one JSON object.
 """
 
@@ -45,7 +53,9 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -102,6 +112,56 @@ def run_round(texts, alpha, count) -> None:
         count("serialize", serialize, report)
 
 
+# run in the child: argv is [src, command, flags...]; the count goes to stderr
+CHILD = """
+import os, sys
+src = sys.argv[1]
+sys.path.insert(0, src)
+from seshadri.cli import main
+status = main(sys.argv[2:])
+package = os.path.join(src, "seshadri") + os.sep
+files = {getattr(m, "__file__", None) or "" for m in list(sys.modules.values())}
+lines = sum(open(f, "rb").read().count(b"\\n") for f in files if f.startswith(package))
+sys.stderr.write(f"{lines}\\n")
+sys.exit(status)
+"""
+
+
+def cli_argvs(work: str) -> dict:
+    """The argv of each command's first call in cli-session's round,
+    with its files written under `work`."""
+    r = inputs.cli_round(SEED, ROUND)
+    path = lambda name: os.path.join(work, name)  # noqa: E731
+    for name in ("model", "family"):
+        with open(path(f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(r[name], fh)
+    d, c, c_prime, p, q = r["bound"]
+    (B, a, b), cut = r["candidates"][0], r["sublevel_cut"]
+    alpha = "%d/%d" % inputs.CLI_ALPHA
+    return {
+        "bound": ["--d", d, "--c", c, "--c-prime", c_prime, "--a", f"{p}/{q}", "--format", "json"],
+        "candidates": ["--B", B, "--alpha", f"{a}/{b}"],
+        "epsilon": [path("model.json"), "--format", "json"],
+        "sublevel": [path("model.json"), "--a", f"{cut[1]}/{cut[2]}", "--format", "json"],
+        "scan": [path("family.json"), "--alpha", alpha, "--csv", path("scan.csv"), "--format", "json"],
+        "check": ["--format", "json"],
+    }
+
+
+def lines_compiled() -> dict:
+    """Per command, the package lines its call had imported when it returned."""
+    src = os.path.join(ROOT, "src")
+    counts = {}
+    with tempfile.TemporaryDirectory() as work:
+        for command, flags in cli_argvs(work).items():
+            argv = [sys.executable, "-I", "-B", "-c", CHILD, src, command, *map(str, flags)]
+            proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{command} exited {proc.returncode}: {proc.stderr[-500:]!r}")
+            counts[command] = int(proc.stderr)
+    return counts
+
+
 def main() -> int:
     texts = [json.dumps(fam) for _, fam in inputs.family_round(SEED, ROUND)]
     alpha = Fraction(*inputs.SCAN_ALPHA)
@@ -119,6 +179,7 @@ def main() -> int:
         "python": platform.python_version(),
         "phases": counts,
         "total": sum(phase["total"] for phase in counts.values()),
+        "lines_compiled": lines_compiled(),
         "uncounted": "work in C: json.loads, big-integer arithmetic, compilation",
     }
     print(json.dumps(result))
