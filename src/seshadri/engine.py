@@ -254,71 +254,48 @@ def epsilon_via_curves(model, stratum: PointStratum) -> SeshadriResult:
     return SeshadriResult(hi=hi, lo=lo, witness=_witnessed(best, lo, hi, ceiling), warning=warning)
 
 
-def _nef_generator(model, stratum: PointStratum) -> Optional[tuple]:
-    """The nef point of a stratum with a blow-up generator set: of the
-    model's generator table of (degree, multiplicity at the point), the
-    generator (deg, e_mult, label, row) first in `_best_candidate`'s
-    witness order among those that meet the point, or None for the
-    sqrt(d) ceiling if its ratio is above it.  The model's very-ampleness
-    rule e_mult <= v*deg gives deg > 0 wherever e_mult > 0."""
-    gens = model.blowup_gens.get(stratum.label)
-    if gens is None:
-        raise EngineError(f"no blow-up generator set for stratum {shown(stratum.label)}")
-    labels = gens.labels
-    best = None
-    for k, (deg, e_mult) in enumerate(model.generator_table(stratum.label)):
-        if e_mult > 0:
-            if best is not None:
-                lhs, rhs = deg * best_e, best_deg * e_mult
-                # an equal ratio and degree is an equal pair: the label decides
-                if lhs > rhs or lhs == rhs and (
-                    deg > best_deg or deg == best_deg and labels[k] >= labels[best]
-                ):
-                    continue
-            best, best_deg, best_e = k, deg, e_mult
-    if best is None or model.ceiling._cmp_ratio(best_deg, best_e) < 0:
-        return None
-    return best_deg, best_e, labels[best], gens.rows[best]
-
-
 def epsilon_via_nef(model, stratum: PointStratum) -> SeshadriResult:
     """Local Seshadri constant as the nef threshold on the one-point
     blow-up: the largest s with (pullback of L) - s*E nonnegative against
     the declared curve generators, capped by the square constraint
-    (pullback of L - s*E)^2 >= 0, i.e. s <= sqrt(d).  Only the winning
-    generator becomes a Fraction."""
-    best = _nef_generator(model, stratum)
-    if best is None:
+    (pullback of L - s*E)^2 >= 0, i.e. s <= sqrt(d).  The value is the
+    model's `nef_point`; its witness is the generator at that ratio first
+    in `_best_candidate`'s order, with its row as its class."""
+    label = stratum.label
+    gens = model.blowup_gens.get(label)
+    if gens is None:
+        raise EngineError(f"no blow-up generator set for stratum {shown(label)}")
+    point = model.nef_point(label)
+    if point is None:
         return SeshadriResult(hi=model.ceiling, lo=model.ceiling)
-    deg, e_mult, label, row = best
+    deg, e_mult = point
     value = SeshadriValue.exact(Fraction(deg, e_mult))
-    return SeshadriResult(
-        hi=value,
-        lo=value,
-        witness=CurveCandidate(label=label, degree_t=deg, mult_m=e_mult, coords=row),
+    # an entry at the point's ratio has t, m > 0: the load leaves t <= 0
+    # only on the multiples k*Ex, k > 0, where m = -k
+    rows = zip(gens.labels, gens.rows, model.generator_table(label))
+    witness = _best_candidate(
+        [CurveCandidate(gl, t, m, row) for gl, row, (t, m) in rows if t * e_mult == deg * m]
     )
+    return SeshadriResult(hi=value, lo=value, witness=witness)
 
 
 def epsilon(model, stratum: PointStratum) -> SeshadriResult:
     """Per-stratum value: the curve-path interval, one entry of the checked
     `SurfaceModel.stratum_table` that commands read.  Where blow-up data
-    exists, the nef point above hi, or lo above it, is the error that
-    `compare` finds against the nef result.  The point is checked in
+    exists, the model's nef point above hi, or lo above it, is the error
+    that `compare` finds against the nef result.  The point is checked in
     integers, and only a clash makes it a value, to word the error."""
     result = epsilon_via_curves(model, stratum)
     if stratum.label in model.blowup_gens:
-        best = _nef_generator(model, stratum)
+        point = model.nef_point(stratum.label)
         lo, hi = result.lo, result.hi
-        if best is None:
+        if point is None:
             # the sqrt(d) ceiling, at least hi and so at least lo
             clash = hi != model.ceiling
         else:
-            deg, e_mult, _, _ = best
-            clash = hi._cmp_ratio(deg, e_mult) < 0 or (
-                lo is not None and lo._cmp_ratio(deg, e_mult) > 0
-            )
+            clash = hi._cmp_ratio(*point) < 0 or (lo is not None and lo._cmp_ratio(*point) > 0)
         if clash:
-            nef = model.ceiling if best is None else SeshadriValue.exact(Fraction(deg, e_mult))
+            nef = model.ceiling if point is None else SeshadriValue.exact(Fraction(*point))
             raise EngineError(
                 f"stratum {shown(stratum.label)}: curve path gives {cut(result.value.serialize())} "
                 f"({result.certification.value}) but nef path gives {cut(nef.serialize())}"

@@ -14,7 +14,7 @@ from .degree import RRData
 from .engine import CurveCandidate, PointStratum
 from .lattice import CurveGeneratorSet, IntersectionLattice
 from .models import EXCEPTIONAL_LABEL, ModelError, SurfaceModel
-from .values import cut
+from .values import as_int, cut
 
 
 _PLANE_CURVE_CAP = 3
@@ -29,6 +29,7 @@ def projective_plane(e: int = 1) -> SurfaceModel:
     cone of lines, reducible for k >= 2).  That rule is the completeness
     basis of the table: no irreducible curve beats the line's ratio e.
     """
+    as_int(e, "polarization degree e", ModelError)
     if e < 1:
         raise ModelError(f"polarization degree must be positive, got {cut(e)}")
     lat = IntersectionLattice(rank=1, gram=((1,),), basis_labels=("H",))
@@ -62,6 +63,8 @@ def quadric(a: int = 1, b: int = 1) -> SurfaceModel:
     """The smooth quadric (product of two lines) with the (a, b)
     polarization: hyperbolic rank-2 lattice, d = 2ab.  The local constant
     is min(a, b), cut out by the ruling of the larger degree."""
+    as_int(a, "polarization bidegree a", ModelError)
+    as_int(b, "polarization bidegree b", ModelError)
     if a < 1 or b < 1:
         raise ModelError(f"polarization bidegree must be positive, got ({cut(a)}, {cut(b)})")
     lat = IntersectionLattice(rank=2, gram=((0, 1), (1, 0)), basis_labels=("f1", "f2"))

@@ -1,8 +1,10 @@
 """Integer intersection lattices, their pairing and curve-generator sets.
 
 A lattice is a symmetric integer Gram matrix with labeled basis vectors,
-and a divisor class on it is a bare integer row of its rank: `pair`
-checks two rows and pairs them through the Gram matrix.
+and a divisor class on it is a bare integer row of its rank.  A model
+pairs rows through one class's `covector`, built once, after it has
+checked each row's length; `pair` is the checked pairing of two rows
+for a caller that holds no covector.
 
 Nef testing is always relative to a declared finite curve-generator set:
 listing a set asserts that it generates the effective curve cone, and

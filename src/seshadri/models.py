@@ -23,7 +23,7 @@ import operator
 import re
 from collections import abc
 from types import MappingProxyType
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import SCHEMA_VERSION
 from .degree import RRData, minimal_M
@@ -54,9 +54,9 @@ class ModelError(ValueError):
 class SurfaceModel(Record):
     """A polarized surface presented by lattice data.  A model is
     immutable: its fields are frozen and its blow-up generator sets are
-    read-only, so what it computes from them (the generator tables and
-    the stratum table) is computed once and never goes stale;
-    `values.replace` gives a new model with fresh ones."""
+    read-only, so what it computes from them (the generator tables, the
+    nef points and the stratum table) is computed once and never goes
+    stale; `values.replace` gives a new model with fresh ones."""
 
     _fields = (
         "name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"
@@ -121,7 +121,7 @@ class SurfaceModel(Record):
                 f"exactly one dense (closure_dim = 2) stratum required, got {cut(dense or 'none')}"
             )
 
-        tables = {}  # each blow-up generator set's table, keyed by stratum label
+        tables = {}  # each blow-up generator set's table and nef point, keyed by stratum label
         for s in strata:
             _validate_stratum(self, s, polarization)
             gens = blowup_gens.get(s.label)
@@ -146,7 +146,14 @@ class SurfaceModel(Record):
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
         the order of its set, as checked and computed at construction."""
-        return self._generator_tables[label]
+        return self._generator_tables[label][0]
+
+    def nef_point(self, label: str) -> Optional[Tuple[int, int]]:
+        """The nef threshold of the stratum's blow-up generator set, found
+        as its table is built: the first listed entry (deg, e_mult) of
+        least ratio with e_mult > 0, or None for the sqrt(d) ceiling if
+        that ratio is above it or no generator meets the point."""
+        return self._generator_tables[label][1]
 
     @property
     def stratum_table(self) -> Mapping[str, SeshadriResult]:
@@ -318,17 +325,19 @@ def _multiplier_error(what: str, label: str, stratum: str, m: int, v: int, t: in
 
 def _generator_table(
     model: SurfaceModel, label: str, gens: CurveGeneratorSet, polarization: tuple
-) -> Tuple[Tuple[int, int], ...]:
+) -> Tuple[Tuple[Tuple[int, int], ...], Optional[Tuple[int, int]]]:
     """Check one stratum's blow-up generator set and return its table of
-    (pi^*L.C, Ex.C) per generator C, given L's covector `polarization`.
+    (pi^*L.C, Ex.C) per generator C, given L's covector `polarization`,
+    with its nef point, as `SurfaceModel.nef_point` states it.
     Each row, in order, is checked against the rank n + 1 of the layout
     of `extend_blowup`: pushforward first, then the Ex coordinate.  Then
     pi^*L.C = L.pi_*C (the projection formula) is the dot product of L's
     covector with the row's first n entries, and Ex.C is minus the row's
-    last entry."""
+    last entry.  The very-ampleness rule e_mult <= v*deg gives deg > 0
+    wherever e_mult > 0, so the nef point is a positive ratio."""
     rank = model.lattice.rank + 1
     v = model.very_ample_multiplier
-    table = []
+    table, point = [], None
     for gl, row in zip(gens.labels, gens.rows):
         # before the pairing, which would read a short row's last entry as Ex
         if len(row) != rank:
@@ -340,14 +349,18 @@ def _generator_table(
         # nonzero; L^2 = rr.d >= 1 is checked above
         if deg <= 0 and any(row[:-1]):
             raise ModelError(
-                f"polarization fails the plausible-ampleness gate against the "
-                f"blow-up generators of stratum {shown(label)}"
+                f"blow-up generator {shown(gl)} of stratum {shown(label)}: degree {cut(deg)} "
+                "fails the polarization's plausible-ampleness gate"
             )
         # this also rejects -k*Ex, which meets Ex in k > v*0
         if e_mult > v * deg:
             raise _multiplier_error("blow-up generator", gl, label, e_mult, v, deg)
         table.append((deg, e_mult))
-    return tuple(table)
+        if e_mult > 0 and (point is None or deg * point[1] < point[0] * e_mult):
+            point = deg, e_mult
+    if point is not None and model.ceiling._cmp_ratio(*point) < 0:
+        point = None  # above sqrt(d)
+    return tuple(table), point
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seshadri.checks import check_low_epsilon
@@ -21,7 +21,6 @@ from seshadri.engine import (
     PointStratum,
     SeshadriResult,
     _best_candidate,
-    _nef_generator,
     compare,
     epsilon,
     epsilon_via_curves,
@@ -516,13 +515,49 @@ def test_direct_loops_pick_what_least_ratio_picks(model):
     gens, table = model.blowup_gens["generic"], model.generator_table("generic")
     expected = _first_in_witness_order(
         [
-            (deg, e_mult, label, row)
+            CurveCandidate(label, deg, e_mult, row)
             for label, row, (deg, e_mult) in zip(gens.labels, gens.rows, table)
             if e_mult > 0 and deg * deg <= d * e_mult * e_mult
         ],
-        key=lambda gen: gen[:3],
+        _candidate_key,
     )
-    assert _nef_generator(model, stratum) == expected
+    # the nef witness is built afresh, so it is compared by value: on a
+    # full tie the rows tell the first listed generator from the others
+    assert epsilon_via_nef(model, stratum).witness == expected
+
+
+def _generic_generators(rows):
+    """f1_anticanonical (L = 3H - E, d = 8, v = 1) with `rows` as its
+    generic stratum's blow-up generators g0, g1, ..."""
+    model = f1_anticanonical()
+    labels = tuple(f"g{i}" for i in range(len(rows)))
+    gens = dict(model.blowup_gens, generic=CurveGeneratorSet(labels=labels, rows=tuple(rows)))
+    return replace(model, blowup_gens=gens)
+
+
+@given(_nef_and_curves())
+# the ratios 2/1 and 4/2 tied, in either order; no generator meeting
+# the point; and a least ratio 3 above sqrt(8)
+@example(_generic_generators([(1, 1, -2), (1, -1, -1), (0, 0, 1)]))
+@example(_generic_generators([(1, -1, -1), (1, 1, -2)]))
+@example(_generic_generators([(0, 0, 1), (1, 0, 0), (0, 1, 0)]))
+@example(_generic_generators([(1, 0, -1), (2, 0, -1)]))
+@settings(max_examples=300, deadline=None)
+def test_the_stored_nef_point_is_the_least_ratio_below_the_ceiling(model):
+    # the reference pairs each row through the Gram matrix and keys the
+    # ratios by Fraction; the stored point is a table entry at that ratio
+    gram, L = model.lattice.gram, model.polarization
+    n = len(L)
+    ratios = []
+    for row in model.blowup_gens["generic"].rows:
+        deg = sum(L[i] * gram[i][j] * row[j] for i in range(n) for j in range(n))
+        if -row[-1] > 0:
+            ratios.append(Fraction(deg, -row[-1]))
+    least = min(ratios, default=None)
+    expected = None if least is None or least * least > model.rr.d else least
+    point = model.nef_point("generic")
+    assert (None if point is None else Fraction(*point)) == expected
+    assert point is None or point in model.generator_table("generic")
 
 
 def _curves_reference(model, stratum):

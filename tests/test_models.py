@@ -17,7 +17,7 @@ from seshadri.examples import builtin_suite, f1_anticanonical, projective_plane,
 from seshadri.family import Family, load_family, scan
 from seshadri.lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, extend_blowup
 from seshadri.lattice import pair
-from seshadri.models import ModelError, load_model, model_from_document
+from seshadri.models import ModelError, SurfaceModel, load_model, model_from_document
 from seshadri.values import SeshadriValue, replace
 
 from conftest import generator
@@ -36,6 +36,19 @@ def test_builtin_invalid_params():
         projective_plane(0)
     with pytest.raises(ModelError, match=r"polarization bidegree must be positive, got \(0, 1\)"):
         quadric(0, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: projective_plane("2"), "polarization degree e must be an integer, got '2'"),
+        (lambda: projective_plane(True), "polarization degree e must be an integer, got True"),
+        (lambda: quadric(1.5, 1), "polarization bidegree a must be an integer, got 1.5"),
+    ],
+)
+def test_builtin_params_must_be_integers(build, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_quadric_degree_by_pairing():
@@ -215,6 +228,18 @@ def test_ampleness_gate():
         for cd in sd["candidates"]:
             cd["class"] = None
     with pytest.raises(ModelError, match="ampleness"):
+        load_model(json.dumps(doc))
+
+
+def test_ampleness_gate_names_its_generator():
+    # -E meets L = 3H - E in -1: the gate fails before the multiplier rule
+    doc = f1_doc()
+    doc["blowup_gens"]["generic"].append({"label": "minusE", "class": [0, -1, 0]})
+    message = (
+        "blow-up generator 'minusE' of stratum 'generic': degree -1 fails the "
+        "polarization's plausible-ampleness gate"
+    )
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         load_model(json.dumps(doc))
 
 
@@ -552,6 +577,23 @@ def test_a_model_builds_its_polarization_covector_once(monkeypatch, blown_up_pla
     doc = blown_up_plane(6, 3, [[((1, 0, 0, 0), 0), ((1, -1, 0, 0), 1)], [((0, 1, 0, 0), 1)]])
     model = model_from_document(json.loads(json.dumps(doc)))
     assert calls == [model.polarization] == [(6, -1, -1, -1)]
+
+
+def test_stratum_tables_read_no_generator_table(monkeypatch, blown_up_plane):
+    # the load walk finds each nef point, so evaluating the strata walks
+    # no generator table again
+    calls = []
+    generator_table = SurfaceModel.generator_table
+
+    def counted(self, label):
+        calls.append(label)
+        return generator_table(self, label)
+
+    monkeypatch.setattr(SurfaceModel, "generator_table", counted)
+    doc = blown_up_plane(6, 3, [[((1, 0, 0, 0), 0), ((1, -1, 0, 0), 1)], [((0, 1, 0, 0), 1)]])
+    for model in (f1_anticanonical(), model_from_document(json.loads(json.dumps(doc)))):
+        assert len(model.stratum_table) == len(model.strata) == len(model.blowup_gens)
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 2])
