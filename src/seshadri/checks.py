@@ -2,9 +2,10 @@
 
 Each invariant is one function of the models it checks (in the degree-bound
 layer, of its seeded random source) that returns a one-line detail or raises
-AssertionError naming the model and stratum that break it.  The CLI `check`
-subcommand and the acceptance tests call the same functions.  Everything is
-deterministic and exact, so two runs produce identical output.
+AssertionError naming the model and stratum that break it; a model checked
+its stratum table as it was built.  The CLI `check` subcommand and the
+acceptance tests call the same functions.  Everything is deterministic and
+exact, so two runs produce identical output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .bounds import mediant_bounds
 from .degree import RRData, l_poly, minimal_M
 from .engine import (
     Certification,
-    EngineError,
     SeshadriValue,
     epsilon_via_curves,
     epsilon_via_nef,
@@ -38,15 +38,6 @@ Models = Sequence[SurfaceModel]
 
 class CheckResult(Record):
     __slots__ = _fields = ("name", "passed", "detail")
-
-
-def _named(model: SurfaceModel, read: Callable):
-    """`read()`, whose EngineError, such as a contradiction in the model's
-    stratum table, fails the check as an AssertionError naming the model."""
-    try:
-        return read()
-    except EngineError as exc:
-        raise AssertionError(f"{model.name}: {exc}") from exc
 
 
 def check_roundtrip(models: Models) -> str:
@@ -73,7 +64,7 @@ def check_cross(models: Models) -> str:
 def check_steffens_and_rationality(models: Models) -> str:
     for model in models:
         ceiling = SeshadriValue.sqrt(model.rr.d)
-        for label, res in _named(model, lambda: model.stratum_table).items():
+        for label, res in model.stratum_table.items():
             if res.value > ceiling:
                 raise AssertionError(f"{model.name}/{label}: value exceeds sqrt(d)")
             if res.certification is Certification.EXACT_CERTIFIED and res.value < ceiling:
@@ -94,7 +85,7 @@ def check_sublevel(models: Models) -> str:
     for model in models:
         previous: set = set()
         for a in grid:
-            current = set(_named(model, lambda: sublevel_set(model, a)))
+            current = set(sublevel_set(model, a))
             if not previous <= current:
                 raise AssertionError(
                     f"{model.name}: sublevel set shrank between thresholds at {a}"
@@ -108,7 +99,7 @@ def check_low_epsilon(models: Models) -> str:
     delta = Fraction(1, 100)
     found = 0
     for model in models:
-        for label, value in _named(model, lambda: low_epsilon_strata(model, delta)):
+        for label, value in low_epsilon_strata(model, delta):
             if model.stratum(label).closure_dim != 0:
                 raise AssertionError(
                     f"{model.name}: positive-dimensional stratum {label!r} has "
@@ -126,7 +117,7 @@ def check_candidate_membership(models: Models) -> str:
                 continue
             superset = CandidateSuperset.of(model.rr, model.very_ample_multiplier, alpha)
             bound = SeshadriValue.exact(alpha)
-            for label, res in _named(model, lambda: model.stratum_table).items():
+            for label, res in model.stratum_table.items():
                 if res.certification is Certification.EXACT_CERTIFIED and res.value <= bound:
                     q = res.value.rational
                     if (q.numerator, q.denominator) not in superset:
@@ -236,7 +227,7 @@ def check_mediant(rng: random.Random, max_parts: int) -> str:
 def check_sigma_attainment(models: Models) -> str:
     out = []
     for model in models:
-        sig = _named(model, lambda: sigma_local(model))
+        sig = sigma_local(model)
         out.append(f"{model.name}={sig.value.serialize()}")
     return "supremum attained on the dense stratum: " + ", ".join(out)
 

@@ -135,7 +135,6 @@ def cmd_epsilon(args) -> int:
     from .models import load_model_file
 
     model = load_model_file(args.model)
-    # an invalid threshold fails here, before any stratum is evaluated
     bound = minimal_M(model.rr, parse_rational(args.alpha)) if args.alpha is not None else None
     if args.stratum is not None:
         result = model.stratum_table[model.stratum(args.stratum).label]

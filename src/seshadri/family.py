@@ -260,12 +260,12 @@ def scan(family: Family, alpha: Rational) -> FamilyScanReport:
     attained supremum, and members whose global value jumps below the
     largest global value of a general member.
 
-    Each member's strata are evaluated once, into the model's
-    stratum_table that every part of the report reads.  Each member
-    bounds its own candidate superset; the walks of one multiplier at
-    one alpha nest by B, so one CandidateSuperset per multiplier, of the
-    largest B, covers them.  An observed value is contained iff one of
-    those sets holds its reduced pair, an O(1) test each: nothing is
+    Each member's strata were evaluated once, as its model was built,
+    into the stratum_table that every part of the report reads.  Each
+    member bounds its own candidate superset; the walks of one multiplier
+    at one alpha nest by B, so one CandidateSuperset per multiplier, of
+    the largest B, covers them.  An observed value is contained iff one
+    of those sets holds its reduced pair, an O(1) test each: nothing is
     listed.
     """
     alpha = as_rational(alpha, "alpha", FamilyError)

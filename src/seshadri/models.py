@@ -7,7 +7,8 @@ Euler-characteristic data, the point strata with their curve tables, and
 per-stratum curve-generator sets on the one-point blow-up.  Built-ins
 ship with correct generator lists and completeness thresholds; abstract
 models carry their own responsibility for those assertions, and every
-structural invariant that can be checked at load time is.
+structural invariant that can be checked at load time is, the
+evidence of each stratum included (see `SurfaceModel.stratum_table`).
 
 A model keeps every class as an integer row: its polarization and its
 candidates' classes on its lattice, its generator sets on the blow-up
@@ -23,11 +24,11 @@ import operator
 import re
 from collections import abc
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import SCHEMA_VERSION
 from .degree import RRData, minimal_M
-from .engine import CurveCandidate, EngineError, PointStratum, SeshadriResult, compare, epsilon
+from .engine import CurveCandidate, EngineError, PointStratum, compare, epsilon
 from .lattice import CurveGeneratorSet, IntersectionLattice, LatticeError, integers
 from .values import (
     RATIONAL_SYNTAX,
@@ -56,13 +57,17 @@ class SurfaceModel(Record):
     immutable: its fields are frozen and its blow-up generator sets are
     read-only, so what it computes from them (the generator tables, the
     nef points and the stratum table) is computed once and never goes
-    stale; `values.replace` gives a new model with fresh ones."""
+    stale; `values.replace` gives a new model with fresh ones.  Its
+    `stratum_table`, built last, maps each stratum's label to its
+    `epsilon`, in model order; building it raises the first clash
+    `epsilon` meets, then the first stratum `compare` fails against the
+    dense one or one it specializes from: no value rises on specializing."""
 
     _fields = (
         "name", "lattice", "polarization", "rr", "very_ample_multiplier", "strata", "blowup_gens"
     )
     # the data computed from the fields, which no comparison reads
-    __slots__ = _fields + ("ceiling", "_generator_tables", "_stratum_table")
+    __slots__ = _fields + ("ceiling", "_generator_tables", "generic_stratum", "stratum_table")
 
     def __post_init__(self):
         lat, rr, blowup_gens = self.lattice, self.rr, self.blowup_gens
@@ -87,7 +92,6 @@ class SurfaceModel(Record):
         set_field(self, "polarization", L)
         set_field(self, "strata", strata)
         set_field(self, "blowup_gens", blowup_gens)
-        set_field(self, "_stratum_table", None)  # built on first read
         # every local value is at most sqrt(d): each test against it reads this
         set_field(self, "ceiling", SeshadriValue.sqrt(rr.d))
 
@@ -120,6 +124,7 @@ class SurfaceModel(Record):
             raise ModelError(
                 f"exactly one dense (closure_dim = 2) stratum required, got {cut(dense or 'none')}"
             )
+        set_field(self, "generic_stratum", strata[labels.index(dense[0])])
 
         tables = {}  # each blow-up generator set's table and nef point, keyed by stratum label
         for s in strata:
@@ -131,6 +136,19 @@ class SurfaceModel(Record):
             if label not in labels:
                 raise ModelError(f"blow-up generators given for unknown stratum {shown(label)}")
         set_field(self, "_generator_tables", tables)
+
+        table = {s.label: epsilon(self, s) for s in strata}
+        for s in strata:
+            for general in (dense[0], *s.specializes_from):
+                if compare(table[s.label], table[general]) == "fail":
+                    raise EngineError(
+                        f"stratum {shown(s.label)} has a value of at least "
+                        f"{cut(table[s.label].lo.serialize())}, above the "
+                        f"{'dense ' if general == dense[0] else ''}stratum {shown(general)} "
+                        f"at most {cut(table[general].hi.serialize())}; the model's "
+                        "tables are geometrically inconsistent"
+                    )
+        set_field(self, "stratum_table", MappingProxyType(table))
 
     def __reduce__(self):
         # the generator sets as a plain dict: a mappingproxy does not pickle
@@ -146,43 +164,20 @@ class SurfaceModel(Record):
     def generator_table(self, label: str) -> Tuple[Tuple[int, int], ...]:
         """(pi^*L.C, Ex.C) for each blow-up generator C of the stratum, in
         the order of its set, as checked and computed at construction."""
-        return self._generator_tables[label][0]
+        return self._generator_entry(label)[0]
 
     def nef_point(self, label: str) -> Optional[Tuple[int, int]]:
         """The nef threshold of the stratum's blow-up generator set, found
         as its table is built: the first listed entry (deg, e_mult) of
         least ratio with e_mult > 0, or None for the sqrt(d) ceiling if
         that ratio is above it or no generator meets the point."""
-        return self._generator_tables[label][1]
+        return self._generator_entry(label)[1]
 
-    @property
-    def stratum_table(self) -> Mapping[str, SeshadriResult]:
-        """`epsilon` of every stratum, keyed by label in model order and
-        read-only: one curve-path call per stratum on the first read, and
-        no nef-path call.  The first contradiction met is raised, then the
-        first stratum `compare` fails against the dense one or one it
-        specializes from, in listed order: no value rises on specializing."""
-        table = self._stratum_table
-        if table is None:
-            table = MappingProxyType({s.label: epsilon(self, s) for s in self.strata})
-            dense = self.generic_stratum.label
-            for s in self.strata:
-                for general in (dense, *s.specializes_from):
-                    if compare(table[s.label], table[general]) == "fail":
-                        raise EngineError(
-                            f"stratum {shown(s.label)} has a value of at least "
-                            f"{cut(table[s.label].lo.serialize())}, above the "
-                            f"{'dense ' if general == dense else ''}stratum {shown(general)} "
-                            f"at most {cut(table[general].hi.serialize())}; the model's "
-                            "tables are geometrically inconsistent"
-                        )
-            set_field(self, "_stratum_table", table)
-        return table
-
-    @property
-    def generic_stratum(self) -> PointStratum:
-        # construction leaves exactly one dense stratum
-        return next(s for s in self.strata if s.closure_dim == 2)
+    def _generator_entry(self, label: str) -> tuple:
+        if label in self._generator_tables:
+            return self._generator_tables[label]
+        name, stratum = shown(self.name), shown(self.stratum(label).label)  # unknown labels raise
+        raise ModelError(f"model {name} has no blow-up generator set for stratum {stratum}")
 
     def stratum(self, label: str) -> PointStratum:
         for s in self.strata:
@@ -454,9 +449,9 @@ def model_from_document(doc: dict, root: str = "$") -> SurfaceModel:
     string.  Every other value goes to the constructors as it is, and an
     error a constructor raises on a part of the document (the lattice
     at `root`, `rr`, a stratum, a candidate, a generator set) is a
-    schema violation at that part's JSON path; the model's own checks
-    keep their text.  `root` is the document's path, for a model inside
-    a family."""
+    schema violation at that part's JSON path; the model's own checks,
+    its stratum table's too, keep their text.  `root` is the document's
+    path, for a model inside a family."""
     document_object(doc, _MODEL_KEYS, ModelError, root)
     version = doc["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
@@ -569,7 +564,7 @@ def _generators(gen_list, gens: str, label) -> CurveGeneratorSet:
 
 def load_model(text: str) -> SurfaceModel:
     """Parse and validate a model document, naming what failed; a value
-    contradiction is raised when the stratum table is first read."""
+    contradiction in its stratum table is raised too, as a ModelError."""
     return model_from_document(parse_document(text, ModelError))
 
 

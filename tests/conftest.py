@@ -45,8 +45,8 @@ def violating_model():
     above the dense stratum, against geometry: generic lists one curve of
     ratio t/m (default 1), special one of ratio 2, each value exact when
     its completeness threshold reaches that ratio, and no blow-up data.
-    Where both values are exact and special's is the larger, reading the
-    model's stratum table raises the dense-stratum error.  A generic
+    Where both values are exact and special's is the larger, building the
+    model raises the dense-stratum error as a ModelError.  A generic
     curve of multiplicity m above its degree t needs a
     `very_ample_multiplier` of at least m/t."""
 
@@ -73,14 +73,14 @@ def violating_model():
     return build
 
 
-@pytest.fixture(scope="session")
-def chain_model():
-    """A degree-4 plane model whose value drops and then rises along a
-    chain of specializations, each value exact: generic 2, mid 1 (from
-    generic) and special 3/2 (from mid).  No stratum lies above the dense
-    one, but special lies above mid, which it specializes from, so the
-    model loads and reading its stratum table raises: `stratum 'special'
-    has a value of at least 3/2, above the stratum 'mid' at most 1`."""
+@pytest.fixture
+def chain_document():
+    """The document of a degree-4 plane model whose value drops and then
+    rises along a chain of specializations, each value exact: generic 2,
+    mid 1 (from generic) and special 3/2 (from mid).  No stratum lies
+    above the dense one, but special lies above mid, which it specializes
+    from, so loading it raises: `stratum 'special' has a value of at least
+    3/2, above the stratum 'mid' at most 1`."""
     doc = projective_plane(2).to_document()
     doc["name"] = "negative_control"
     doc["strata"] += [
@@ -99,15 +99,14 @@ def chain_model():
             "candidates": [{"label": "cubic", "class": None, "t": 3, "m": 2}],
         },
     ]
-    return model_from_document(doc)
+    return doc
 
 
 @pytest.fixture
 def f1_above_dense():
     """The document of f1 with on_E's table cut to its line (t=3, m=1),
     complete below 3, and on_E's blow-up set removed: on_E is exactly
-    sqrt(8), above the dense stratum's 2.  The model loads, and reading
-    its stratum table raises."""
+    sqrt(8), above the dense stratum's 2, so loading it raises."""
     doc = f1_anticanonical().to_document()
     on_E = doc["strata"][1]
     on_E["candidates"] = [c for c in on_E["candidates"] if c["label"] == "line"]
@@ -121,7 +120,7 @@ def f1_above_on_E():
     """The document of f1 with a third stratum `pt` that specializes from
     on_E, its table one curve t=3, m=2 complete below 3/2 and no blow-up
     set: pt is exactly 3/2, below the dense stratum's 2 but above on_E's
-    exact 1.  The model loads, and reading its stratum table raises."""
+    exact 1, so loading it raises."""
     doc = f1_anticanonical().to_document()
     doc["strata"].append(
         {
@@ -150,8 +149,10 @@ def blown_up_plane():
     `strata` lists, per stratum, its blow-up generators C - m*Ex as
     (coordinates of C, m).  The first stratum is dense and every other one
     specializes from it.  Each generator with m >= 1 is also a curve
-    candidate (L.C, m), and each stratum is complete below its least
-    ratio, so that the curve path and the nef path agree.  The document
+    candidate (L.C, m), so that the curve path and the nef path agree.
+    The dense stratum is complete below its least ratio, and every other
+    one below the least of its own and the dense one's, so that no value
+    is proven above the dense one and every draw builds.  The document
     declares the least very_ample_multiplier its rows allow, the ceiling
     of the largest m/(L.C)."""
 
@@ -159,7 +160,7 @@ def blown_up_plane():
         rank = n + 1
         polarization = [k] + [-1] * n
         gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
-        strata_docs, blowup_gens, multiplier = [], {}, 1
+        strata_docs, blowup_gens, multiplier, dense_least = [], {}, 1, None
         for s, gens in enumerate(strata):
             label = "generic" if s == 0 else f"s{s}"
             candidates = []
@@ -170,6 +171,10 @@ def blown_up_plane():
                     t = k * base[0] + sum(base[1:])
                     candidates.append({"label": f"g{g}", "class": list(base), "t": t, "m": m})
             least = min((Fraction(c["t"], c["m"]) for c in candidates), default=None)
+            if s == 0:
+                dense_least = least
+            elif least is not None and dense_least is not None:
+                least = min(least, dense_least)
             multiplier = max([multiplier] + [-(-c["m"] // c["t"]) for c in candidates])
             strata_docs.append(
                 {

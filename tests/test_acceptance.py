@@ -23,9 +23,10 @@ from seshadri.checks import (
     check_sublevel,
 )
 from seshadri.degree import RRData, l_poly, minimal_M, multiplicity_target
-from seshadri.engine import EngineError, epsilon, sublevel_set
+from seshadri.engine import epsilon, sublevel_set
 from seshadri.examples import builtin_suite, f1_anticanonical, quadric
 from seshadri.family import Family, scan, semicontinuity_check
+from seshadri.models import ModelError, model_from_document
 from seshadri.values import SeshadriValue
 
 
@@ -137,7 +138,7 @@ def test_criterion_5_sublevel_closedness():
     _report("criterion 5 (sublevel closedness)", check_sublevel(builtin_suite()))
 
 
-def test_criterion_6_semicontinuity(violating_model, chain_model):
+def test_criterion_6_semicontinuity(violating_model, chain_document):
     family = Family(members=(("t", f1_anticanonical()),), degree=8)
     verdicts = semicontinuity_check(family)
     assert len(verdicts) == 1 and verdicts[0].passed
@@ -164,17 +165,16 @@ def test_criterion_6_semicontinuity(violating_model, chain_model):
         SeshadriValue.exact(1), SeshadriValue.exact(2)
     )
     # within one model, an exact special stratum above the exact dense one,
-    # or above any it specializes from, fails the model itself
-    for model, message in (
-        (violating_model("1", "2"),
+    # or above any it specializes from, fails the model itself as it is built
+    for build, message in (
+        (lambda: violating_model("1", "2"),
          "stratum 'special' has a value of at least 2, above the dense stratum 'generic' "
          "at most 1"),
-        (chain_model,
+        (lambda: model_from_document(chain_document),
          "stratum 'special' has a value of at least 3/2, above the stratum 'mid' at most 1"),
     ):
-        family = Family(members=(("t", model),), degree=4)
-        with pytest.raises(EngineError, match=message):
-            semicontinuity_check(family)
+        with pytest.raises(ModelError, match=f"^{message};"):
+            semicontinuity_check(Family(members=(("t", build()),), degree=4))
     _report(
         "criterion 6 (semicontinuity)",
         "1 <= 2 across the f1 strata; negative controls name their pair, "

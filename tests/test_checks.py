@@ -1,7 +1,8 @@
 """Negative controls: every invariant of `seshadri check` rejects a model
 built to break it or, where no model can, a faulty stand-in for the
-function it checks.  The cross-check's control is the omitted-curve test
-in test_engine.py."""
+function it checks.  A model whose values break a rule of its own stratum
+table is rejected as it is built, so no check reads it.  The
+cross-check's control is the omitted-curve test in test_engine.py."""
 
 import random
 import re
@@ -35,34 +36,42 @@ def _unknown_surface(build):
 
 
 @pytest.mark.parametrize(
-    "check, model, match",
+    "check, model, error, match",
     [
-        # the sublevel set at 1 would hold mid but not special; the
-        # stratum table rejects special above mid before any cut is read
-        (checks.check_sublevel, "chain_model",
-         "negative_control: stratum 'special' has a value of at least 3/2, above the stratum "
-         "'mid' at most 1; the model's tables are geometrically inconsistent"),
-        (checks.check_low_epsilon, _low_generic,
+        # the sublevel set at 1 would hold mid but not special; the model
+        # is not built, since its stratum table rejects special above mid
+        (checks.check_sublevel, "chain_document", models.ModelError,
+         "^stratum 'special' has a value of at least 3/2, above the stratum "
+         "'mid' at most 1; the model's tables are geometrically inconsistent$"),
+        (checks.check_low_epsilon, _low_generic, AssertionError,
          "negative_control: positive-dimensional stratum 'generic' has value 1/2"),
         # the superset holds ratios t/m with t <= B only
-        (checks.check_candidate_membership, _high_degree_generic,
+        (checks.check_candidate_membership, _high_degree_generic, AssertionError,
          "negative_control/generic: certified value 11/8 missing from candidate set "
          "at alpha=3/2"),
-        (checks.check_sigma_attainment, lambda build: build("1", "2"),
-         "negative_control: stratum 'special' has a value of at least 2"),
+        (checks.check_sigma_attainment, lambda build: build("1", "2"), models.ModelError,
+         "^stratum 'special' has a value of at least 2"),
         # chi(L) = 1/2 + 2 + 1, but the plane has 3 independent lines
         (checks.check_rr_sanity,
-         lambda _: replace(projective_plane(1), rr=RRData(1, 4, 1)),
+         lambda _: replace(projective_plane(1), rr=RRData(1, 4, 1)), AssertionError,
          r"projective_plane\(1\): chi\(1L\) = 7/2 but h\^0 = 3"),
-        (checks.check_rr_sanity, _unknown_surface, "negative_control: no known section count"),
+        (checks.check_rr_sanity, _unknown_surface, AssertionError,
+         "negative_control: no known section count"),
     ],
     ids=["sublevel_closedness", "low_epsilon_finiteness", "candidate_membership",
          "sigma_attainment", "rr_sanity", "rr_sanity_unknown_model"],
 )
-def test_invariant_rejects_a_model_built_to_break_it(request, violating_model, check, model, match):
-    # a model is built from violating_model, or named by its fixture
-    model = request.getfixturevalue(model) if isinstance(model, str) else model(violating_model)
-    with pytest.raises(AssertionError, match=match):
+def test_invariant_rejects_a_model_built_to_break_it(
+    request, violating_model, check, model, error, match
+):
+    # a model is built from violating_model, or loaded from the document
+    # its fixture names; one whose values break a rule of the stratum
+    # table raises as it is built, before the check reads it
+    with pytest.raises(error, match=match):
+        if isinstance(model, str):
+            model = models.model_from_document(request.getfixturevalue(model))
+        else:
+            model = model(violating_model)
         check([model])
 
 
@@ -83,13 +92,13 @@ def _above_generic(build):
          "candidate_membership"],
 )
 def test_a_stratum_above_the_dense_one_fails_the_check(violating_model, check, model, generic):
-    # special is proven at least 2, above the dense stratum, which every
-    # reader of the stratum table rejects; each check names the model
+    # special is proven at least 2, above the dense stratum, which the
+    # model's stratum table rejects as it is built: no check reads it
     message = (
-        f"negative_control: stratum 'special' has a value of at least 2, above the dense "
+        "stratum 'special' has a value of at least 2, above the dense "
         f"stratum 'generic' at most {generic}; the model's tables are geometrically inconsistent"
     )
-    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(models.ModelError, match=f"^{re.escape(message)}$"):
         check([model(violating_model)])
 
 
@@ -191,7 +200,8 @@ def test_minimal_M_closed_form_draws_walk_far(monkeypatch):
 
 
 def test_run_all_checks_evaluates_each_stratum_twice_per_path(monkeypatch):
-    # each of the 6 built-in strata once for the models' stratum tables,
+    # each of the 6 built-in strata once for each model's stratum table,
+    # built with the model: the built-ins and the round-trip's reloads,
     # and once more by the cross-check, which compares the paths directly;
     # the tables check the nef point alone, so only the cross-check
     # builds the nef result
@@ -206,4 +216,4 @@ def test_run_all_checks_evaluates_each_stratum_twice_per_path(monkeypatch):
         for module in (engine, checks):
             monkeypatch.setattr(module, name, counted)
     assert all(result.passed for result in checks.run_all_checks())
-    assert calls == {"epsilon_via_curves": 12, "epsilon_via_nef": 6}
+    assert calls == {"epsilon_via_curves": 18, "epsilon_via_nef": 6}

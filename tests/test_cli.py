@@ -319,21 +319,22 @@ def test_every_command_rejects_a_model_whose_paths_clash(capsys, tmp_path, argv)
     ids=["global", "generic", "on_E", "sublevel_both", "sublevel_generic", "scan"],
 )
 def test_every_command_rejects_a_stratum_above_the_dense_one(capsys, tmp_path, f1_above_dense, argv):
-    # the rule is checked where the stratum table is built, so every
-    # command meets it, whichever stratum or cut it asks for
+    # the rule is checked as the model is loaded, so every command meets
+    # it, whichever stratum or cut it asks for; a family names the member
     path = tmp_path / "above.json"
     path.write_text(json.dumps(f1_above_dense))
     command, *flags = argv
+    member = ""
     if command == "scan":
-        path = tmp_path / "family.json"
-        member = {"param_label": "t", "model": "above.json"}
-        path.write_text(json.dumps({"degree": 8, "members": [member]}))
+        path, member = tmp_path / "family.json", "member 't': "
+        members = [{"param_label": "t", "model": "above.json"}]
+        path.write_text(json.dumps({"degree": 8, "members": members}))
     assert main([command, str(path), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: stratum 'on_E' has a value of at least sqrt(8), above the dense stratum "
-        "'generic' at most 2; the model's tables are geometrically inconsistent\n"
+        f"error: {member}stratum 'on_E' has a value of at least sqrt(8), above the dense "
+        "stratum 'generic' at most 2; the model's tables are geometrically inconsistent\n"
     )
 
 
@@ -352,23 +353,43 @@ def test_every_command_rejects_a_stratum_above_one_it_specializes_from(
     capsys, tmp_path, f1_above_on_E, argv
 ):
     # pt (exact 3/2) lies below the dense stratum but above on_E (exact
-    # 1), which it specializes from: the table rejects the pair, so no
-    # command reports a value, a sublevel set or a verdict
+    # 1), which it specializes from: the table rejects the pair as the
+    # model is loaded, so no command reports a value, a sublevel set or a
+    # verdict; a family names the member
     path = tmp_path / "pt.json"
     path.write_text(json.dumps(f1_above_on_E))
     command, *flags = argv
+    member = ""
     if command == "scan":
-        path = tmp_path / "family.json"
-        member = {"param_label": "t", "model": "pt.json"}
-        path.write_text(json.dumps({"degree": 8, "members": [member]}))
+        path, member = tmp_path / "family.json", "member 't': "
+        members = [{"param_label": "t", "model": "pt.json"}]
+        path.write_text(json.dumps({"degree": 8, "members": members}))
     assert main([command, str(path), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: stratum 'pt' has a value of at least 3/2, above the stratum 'on_E' at most 1; "
-        "the model's tables are geometrically inconsistent\n"
+        f"error: {member}stratum 'pt' has a value of at least 3/2, above the stratum 'on_E' "
+        "at most 1; the model's tables are geometrically inconsistent\n"
     )
     assert len(captured.err.encode()) < 300
+
+
+def test_scan_names_the_one_inconsistent_member(capsys, tmp_path):
+    # two members, only the second of which clashes: the load names it
+    _f1_variant(tmp_path, "pathclash", _without_E)
+    members = [
+        {"param_label": "good", "model": f1_anticanonical().to_document()},
+        {"param_label": "bad", "model": "pathclash.json"},
+    ]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"degree": 8, "members": members}))
+    assert main(["scan", str(path), "--alpha", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: member 'bad': stratum 'on_E': curve path gives 2 (exact_certified) "
+        "but nef path gives 1\n"
+    )
 
 
 def test_epsilon_stratum_evaluates_each_stratum_once(capsys, monkeypatch, f1_path):
@@ -425,9 +446,7 @@ def test_epsilon_strict_on_uncertified(capsys, tmp_path, f1_path):
      ("", "malformed rational ''")],
 )
 @pytest.mark.parametrize("stratum", [[], ["--stratum", "on_E"]], ids=["global", "stratum"])
-def test_epsilon_rejects_an_invalid_alpha(capsys, monkeypatch, f1_path, alpha, message, stratum):
-    # the degree bound is computed before any stratum is evaluated
-    monkeypatch.setattr(engine, "epsilon_via_curves", None)
+def test_epsilon_rejects_an_invalid_alpha(capsys, f1_path, alpha, message, stratum):
     assert main(["epsilon", f1_path, "--alpha", alpha, *stratum]) == 1
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
 

@@ -95,21 +95,36 @@ def _doc_without_candidate(drop_label):
     return doc
 
 
+# the message of f1 whose on_E table, still complete below 2, lost its curve E
+_WITHOUT_E = "^stratum 'on_E': curve path gives 2 [(]exact_certified[)] but nef path gives 1$"
+
+
 def test_cross_check_detects_omitted_curve():
-    model = load_model(json.dumps(_doc_without_candidate("E")))
-    stratum = model.stratum("on_E")
+    # with no completeness claim, on_E's table gives the upper bound 2,
+    # which the nef value 1 does not contradict: the model is built, and
+    # only the cross-check tells the two values apart
+    model, stratum = _f1_on_E(None, keep=lambda c: c["label"] != "E")
     assert epsilon_via_curves(model, stratum).value != epsilon_via_nef(model, stratum).value
     with pytest.raises(AssertionError, match="f1_anticanonical/on_E: curve path 2 != nef path 1"):
         check_cross([model])
 
 
 def test_epsilon_raises_on_path_disagreement():
-    model = load_model(json.dumps(_doc_without_candidate("E")))
-    with pytest.raises(EngineError, match="on_E"):
-        epsilon(model, model.stratum("on_E"))
+    # complete below 2, the table claims exactly 2: building the model raises
+    with pytest.raises(ModelError, match=_WITHOUT_E):
+        load_model(json.dumps(_doc_without_candidate("E")))
 
 
-def _plane_with_uncertified_cheat():
+def _without_blowup(doc, label):
+    """The model of `doc` with the blow-up set of stratum `label` removed,
+    so that its curve path is computed alone, and that stratum."""
+    doc = copy.deepcopy(doc)
+    del doc["blowup_gens"][label]
+    model = model_from_document(doc)
+    return model, model.stratum(label)
+
+
+def test_epsilon_raises_when_upper_bound_undercuts_nef():
     # the table claims a curve of ratio 1/2 (so v = 2) and asserts no
     # completeness; the nef path on the blow-up certifies exactly 1
     doc = projective_plane(1).to_document()
@@ -117,43 +132,46 @@ def _plane_with_uncertified_cheat():
     stratum = doc["strata"][0]
     stratum["oracle_complete_below"] = None
     stratum["candidates"].append({"label": "cheat", "class": None, "t": 1, "m": 2})
-    return model_from_document(doc)
-
-
-def test_epsilon_raises_when_upper_bound_undercuts_nef():
-    model = _plane_with_uncertified_cheat()
-    assert epsilon_via_curves(model, model.stratum("generic")).certification is (
-        Certification.UPPER_BOUND_ONLY
+    model, stratum = _without_blowup(doc, "generic")
+    assert epsilon_via_curves(model, stratum).certification is Certification.UPPER_BOUND_ONLY
+    message = (
+        "^stratum 'generic': curve path gives 1/2 [(]upper_bound_only[)] but nef path gives 1$"
     )
-    with pytest.raises(EngineError, match="upper_bound_only"):
-        epsilon(model, model.stratum("generic"))
-    with pytest.raises(EngineError, match="nef path"):
-        global_epsilon(model)
+    with pytest.raises(ModelError, match=message):
+        model_from_document(doc)
 
 
-def _f1_on_E(oracle_complete_below, keep=lambda c: True):
+def _f1_on_E_document(oracle_complete_below, keep):
     doc = f1_anticanonical().to_document()
     for sd in doc["strata"]:
         if sd["label"] == "on_E":
             sd["oracle_complete_below"] = oracle_complete_below
             sd["candidates"] = [c for c in sd["candidates"] if keep(c)]
-    model = model_from_document(doc)
+    return doc
+
+
+def _f1_on_E(oracle_complete_below, keep=lambda c: True):
+    model = model_from_document(_f1_on_E_document(oracle_complete_below, keep))
     return model, model.stratum("on_E")  # the nef path certifies exactly 1
 
 
 def test_epsilon_raises_when_nef_undercuts_certified_above():
     # an empty table complete below 3/2 claims epsilon >= 3/2
-    model, stratum = _f1_on_E("3/2", keep=lambda c: False)
+    doc = _f1_on_E_document("3/2", keep=lambda c: False)
+    model, stratum = _without_blowup(doc, "on_E")
     assert epsilon_via_curves(model, stratum).certification is Certification.LOWER_BOUND_ONLY
-    with pytest.raises(EngineError, match="lower_bound_only"):
-        epsilon(model, stratum)
+    message = "^stratum 'on_E': curve path gives 3/2 [(]lower_bound_only[)] but nef path gives 1$"
+    with pytest.raises(ModelError, match=message):
+        model_from_document(doc)
     # an upper bound of 2 whose table is complete below 3/2 makes the same claim
-    model, stratum = _f1_on_E("3/2", keep=lambda c: c["label"] != "E")
+    doc = _f1_on_E_document("3/2", keep=lambda c: c["label"] != "E")
+    model, stratum = _without_blowup(doc, "on_E")
     res = epsilon_via_curves(model, stratum)
     assert res.certification is Certification.UPPER_BOUND_ONLY
     assert res.certified_above == Fraction(3, 2)
-    with pytest.raises(EngineError, match="upper_bound_only"):
-        epsilon(model, stratum)
+    message = "^stratum 'on_E': curve path gives 2 [(]upper_bound_only[)] but nef path gives 1$"
+    with pytest.raises(ModelError, match=message):
+        model_from_document(doc)
 
 
 def test_epsilon_accepts_consistent_bounds():
@@ -168,11 +186,11 @@ def test_epsilon_accepts_consistent_bounds():
 
 
 def test_sublevel_set_cross_checks_nef_path():
-    # every value is exactly certified and the set at 1 is empty, hence
-    # closed; only the nef path sees that on_E should be 1, not 2
-    model = load_model(json.dumps(_doc_without_candidate("E")))
-    with pytest.raises(EngineError, match="nef path"):
-        sublevel_set(model, Fraction(1))
+    # every value is exactly certified and the set at 1 would be empty,
+    # hence closed; only the nef path sees that on_E should be 1, not 2,
+    # and the model that no sublevel set can read is not built
+    with pytest.raises(ModelError, match=_WITHOUT_E):
+        load_model(json.dumps(_doc_without_candidate("E")))
 
 
 def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
@@ -185,6 +203,7 @@ def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
 
         return wrapper
 
+    clash = json.dumps(_doc_without_candidate("E"))  # built from f1 before the count
     monkeypatch.setattr(engine, "epsilon_via_curves", counted("curves", epsilon_via_curves))
     monkeypatch.setattr(engine, "epsilon_via_nef", counted("nef", epsilon_via_nef))
     model = f1_anticanonical()
@@ -196,11 +215,10 @@ def test_each_stratum_is_evaluated_once_per_model(monkeypatch):
     semicontinuity_check(Family(members=(("t", model),), degree=8))
     # the table checks each nef point in integers, with no nef result
     assert calls == {"curves": 2, "nef": 0}
-    # and a clash is worded from that point, with none either
-    model = load_model(json.dumps(_doc_without_candidate("E")))
-    message = "^stratum 'on_E': curve path gives 2 [(]exact_certified[)] but nef path gives 1$"
-    with pytest.raises(EngineError, match=message):
-        model.stratum_table
+    # and a clash, raised as the model is built, is worded from that
+    # point, with none either
+    with pytest.raises(ModelError, match=_WITHOUT_E):
+        load_model(clash)
     assert calls == {"curves": 4, "nef": 0}
 
 
@@ -403,17 +421,16 @@ def test_sublevel_sets_of_the_builtins_are_closed_under_their_pairs(model):
                 assert general not in chosen or s.label in chosen, (a, general, s.label)
 
 
-def test_sublevel_closure_violation_is_error(chain_model):
+def test_sublevel_closure_violation_is_error(chain_document):
     # mid (exact 1) dips below its specialization special (exact 3/2), so
     # the set at 1 would hold mid but not special: the stratum table
-    # rejects the pair, at every cut, the cuts that hold both included
-    for a in (Fraction(1), Fraction(3, 2), Fraction(2)):
-        with pytest.raises(
-            EngineError,
-            match="^stratum 'special' has a value of at least 3/2, above the stratum 'mid' "
-            "at most 1; the model's tables are geometrically inconsistent$",
-        ):
-            sublevel_set(chain_model, a)
+    # rejects the pair as the model is built, so no cut is ever read
+    with pytest.raises(
+        ModelError,
+        match="^stratum 'special' has a value of at least 3/2, above the stratum 'mid' "
+        "at most 1; the model's tables are geometrically inconsistent$",
+    ):
+        model_from_document(chain_document)
     # doctor f1's table so the dense stratum dips below its specialization;
     # without its blow-up generators the nef path does not refute it first;
     # the cheat's ratio 1/2 needs very_ample_multiplier 2.  on_E is then
@@ -425,12 +442,11 @@ def test_sublevel_closure_violation_is_error(chain_model):
         if sd["label"] == "generic":
             sd["candidates"].append({"label": "cheat", "class": None, "t": 1, "m": 2})
             sd["oracle_complete_below"] = "1/2"
-    model = load_model(json.dumps(doc))
     with pytest.raises(
-        EngineError,
+        ModelError,
         match="stratum 'on_E' has a value of at least 1, above the dense stratum 'generic' at most 1/2",
     ):
-        sublevel_set(model, Fraction(1, 2))
+        load_model(json.dumps(doc))
 
 
 def test_sublevel_requires_certification():

@@ -164,7 +164,8 @@ def test_sigma_local_rejects_a_stratum_above_the_dense_one():
             sd["candidates"] = [{"label": "c", "class": None, "t": 5, "m": 2}]
             sd["oracle_complete_below"] = "3"  # on_E is exactly 5/2 > 2
     doc["blowup_gens"] = {}
-    with pytest.raises(EngineError, match="geometrically inconsistent"):
+    # the model is not built, so no supremum is read from it
+    with pytest.raises(ModelError, match="geometrically inconsistent"):
         sigma_local(model_from_document(doc))
 
 
@@ -179,11 +180,12 @@ def test_sigma_local_rejects_a_stratum_above_the_dense_one():
     ids=["global_epsilon", "sublevel_set", "low_epsilon_strata", "semicontinuity_check"],
 )
 def test_every_reader_rejects_a_stratum_above_the_dense_one(f1_above_dense, reader):
+    # the model is not built, so no reader meets its table
     message = (
         "stratum 'on_E' has a value of at least sqrt(8), above the dense stratum "
         "'generic' at most 2; the model's tables are geometrically inconsistent"
     )
-    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         reader(model_from_document(f1_above_dense))
 
 
@@ -398,8 +400,8 @@ _BUILTINS = [model for group in _BY_DEGREE for model in group]
 
 @st.composite
 def _injected(draw):
-    """A built-in stratum with one more curve, of ratio below the true
-    value, under a threshold at or above that ratio."""
+    """A built-in model and one of its strata with one more curve, of
+    ratio below the true value, under a threshold at or above that ratio."""
     model = draw(st.sampled_from(_BUILTINS))
     stratum = draw(st.sampled_from(model.strata))
     true = _true(model, stratum).rational
@@ -412,22 +414,30 @@ def _injected(draw):
         oracle_complete_below=Fraction(t, m) + draw(st.integers(0, 4)),
     )
     try:
-        model = replace(
-            model, strata=tuple(bad if s is stratum else s for s in model.strata)
-        )
+        replace(model, strata=_swapped(model, bad))
     except ModelError:
         assume(False)  # a degree beyond the threshold's bound never loads
-    return model, stratum.label
+    except EngineError:
+        pass  # the nef path refutes the table, as the test requires
+    return model, bad
+
+
+def _swapped(model, stratum):
+    """The model's strata with `stratum` in place of the one of its label."""
+    return tuple(stratum if s.label == stratum.label else s for s in model.strata)
 
 
 @st.composite
 def _nef_and_curves(draw, labels=None):
     """A one-stratum model of the plane blown up at a point, L = kH - jE
     with d = k^2 - j^2 (a square when j = 0), with random blow-up
-    generators aH + bE - e*Ex, a random curve table and a random
-    threshold, so that the nef point falls anywhere around the curve
-    interval, the sqrt(d) ceiling included.  Every degree is at most d.
-    Labels are distinct, or drawn from `labels`, which can repeat them."""
+    generators aH + bE - e*Ex, and its stratum `generic` with a random
+    curve table and a random threshold, so that the nef point falls
+    anywhere around the curve interval, the sqrt(d) ceiling included.
+    Every degree is at most d.  Labels are distinct, or drawn from
+    `labels`, which can repeat them.  The model's own stratum has no
+    table and no threshold, so that every draw builds; the drawn stratum
+    is returned beside it, as (model, stratum)."""
     label = (lambda prefix, i: f"{prefix}{i}") if labels is None else (lambda *_: draw(labels))
     k = draw(st.integers(2, 4))
     j = draw(st.integers(0, k - 1))
@@ -453,28 +463,31 @@ def _nef_and_curves(draw, labels=None):
         ),
         oracle_complete_below=ocb,
     )
-    return SurfaceModel(
+    model = SurfaceModel(
         name="blown_up",
         lattice=IntersectionLattice(rank=2, gram=((1, 0), (0, -1)), basis_labels=("H", "E")),
         polarization=(k, -j),
         rr=RRData(d=d, c=3 * k - j, c_prime=1),
         very_ample_multiplier=v,
-        strata=(stratum,),
+        strata=(replace(stratum, candidates=(), oracle_complete_below=None),),
         blowup_gens={
             "generic": CurveGeneratorSet(
                 labels=tuple(label("g", i) for i in range(len(rows))), rows=tuple(rows)
             )
         },
     )
+    return model, stratum
 
 
 @given(_nef_and_curves())
 @settings(max_examples=300, deadline=None)
-def test_epsilon_raises_exactly_when_compare_fails_on_the_nef_result(model):
+def test_epsilon_raises_exactly_when_compare_fails_on_the_nef_result(drawn):
     # epsilon checks the nef point in integers; the rule it keeps is
-    # compare's, on the full nef result, and so is its error line
-    stratum = model.strata[0]
-    curves, nef = epsilon_via_curves(model, stratum), epsilon_via_nef(model, stratum)
+    # compare's, on the full nef result, and so is its error line, which
+    # the model with the drawn stratum raises as it is built
+    model, stratum = drawn
+    curves = epsilon_via_curves(model, stratum)
+    nef = epsilon_via_nef(model, model.stratum("generic"))
     if "fail" in (compare(nef, curves), compare(curves, nef)):
         message = (
             f"stratum 'generic': curve path gives {curves.value.serialize()} "
@@ -482,8 +495,11 @@ def test_epsilon_raises_exactly_when_compare_fails_on_the_nef_result(model):
         )
         with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
             epsilon(model, stratum)
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            replace(model, strata=(stratum,))
     else:
         assert epsilon(model, stratum) == curves
+        assert replace(model, strata=(stratum,)).stratum_table["generic"] == curves
 
 
 def _first_in_witness_order(items, key):
@@ -505,11 +521,12 @@ def _candidate_key(c):
 
 @given(_nef_and_curves(labels=st.sampled_from("ab")))
 @settings(max_examples=300, deadline=None)
-def test_direct_loops_pick_what_least_ratio_picks(model):
+def test_direct_loops_pick_what_least_ratio_picks(drawn):
     # small degrees and a two-letter alphabet tie ratios, degrees and
     # labels; on a full tie the first listed is picked, so the candidate
     # is compared by identity
-    stratum, d = model.strata[0], model.rr.d
+    model, stratum = drawn
+    d = model.rr.d
     best = _first_in_witness_order(stratum.candidates, _candidate_key)
     assert _best_candidate(stratum.candidates) is best
     gens, table = model.blowup_gens["generic"], model.generator_table("generic")
@@ -523,19 +540,21 @@ def test_direct_loops_pick_what_least_ratio_picks(model):
     )
     # the nef witness is built afresh, so it is compared by value: on a
     # full tie the rows tell the first listed generator from the others
-    assert epsilon_via_nef(model, stratum).witness == expected
+    assert epsilon_via_nef(model, model.stratum("generic")).witness == expected
 
 
 def _generic_generators(rows):
     """f1_anticanonical (L = 3H - E, d = 8, v = 1) with `rows` as its
-    generic stratum's blow-up generators g0, g1, ..."""
+    generic stratum's blow-up generators g0, g1, ..., and that stratum's
+    table and threshold cleared, so that no curve contradicts them."""
     model = f1_anticanonical()
     labels = tuple(f"g{i}" for i in range(len(rows)))
     gens = dict(model.blowup_gens, generic=CurveGeneratorSet(labels=labels, rows=tuple(rows)))
-    return replace(model, blowup_gens=gens)
+    cleared = replace(model.stratum("generic"), candidates=(), oracle_complete_below=None)
+    return replace(model, strata=_swapped(model, cleared), blowup_gens=gens)
 
 
-@given(_nef_and_curves())
+@given(_nef_and_curves().map(lambda drawn: drawn[0]))
 # the ratios 2/1 and 4/2 tied, in either order; no generator meeting
 # the point; and a least ratio 3 above sqrt(8)
 @example(_generic_generators([(1, 1, -2), (1, -1, -1), (0, 0, 1)]))
@@ -581,23 +600,23 @@ def _curves_reference(model, stratum):
 
 @st.composite
 def _threshold_near_the_least_ratio(draw):
-    """A model of `_nef_and_curves` whose threshold is none, or below, at
-    or above its least listed ratio, or at sqrt(d) when d is a square."""
-    model = draw(_nef_and_curves(labels=st.sampled_from("ab")))
-    stratum = model.strata[0]
+    """A draw of `_nef_and_curves` whose stratum's threshold is none, or
+    below, at or above its least listed ratio, or at sqrt(d) when d is a
+    square."""
+    model, stratum = draw(_nef_and_curves(labels=st.sampled_from("ab")))
     best = _best_candidate(stratum.candidates)
     least = Fraction(model.rr.d) if best is None else best.ratio
     root = math.isqrt(model.rr.d)
     step = Fraction(1, draw(st.integers(1, 8)))
     ocb = draw(st.sampled_from([None, least - step, least, least + step, Fraction(root)]))
     assume(ocb is None or ocb > 0)
-    return replace(model, strata=(replace(stratum, oracle_complete_below=ocb),))
+    return model, replace(stratum, oracle_complete_below=ocb)
 
 
 @given(_threshold_near_the_least_ratio())
 @settings(max_examples=300, deadline=None)
-def test_curve_path_in_integers_matches_the_value_comparisons(model):
-    stratum = model.strata[0]
+def test_curve_path_in_integers_matches_the_value_comparisons(drawn):
+    model, stratum = drawn
     res = epsilon_via_curves(model, stratum)
     hi, lo, witness, warning = _curves_reference(model, stratum)
     assert (res.hi, res.lo, res.warning) == (hi, lo, warning)
@@ -607,7 +626,10 @@ def test_curve_path_in_integers_matches_the_value_comparisons(model):
 @given(_injected())
 @settings(max_examples=300, deadline=None)
 def test_candidate_below_the_true_value_is_an_error(injected):
-    # the table claims a value the nef path refutes
-    model, label = injected
+    # the table claims a value the nef path refutes, and the model that
+    # holds it is not built
+    model, bad = injected
     with pytest.raises(EngineError, match="nef path"):
-        epsilon(model, model.stratum(label))
+        epsilon(model, bad)
+    with pytest.raises(EngineError, match="nef path"):
+        replace(model, strata=_swapped(model, bad))

@@ -20,7 +20,7 @@ from seshadri.family import (
     scan,
     semicontinuity_check,
 )
-from seshadri.models import ModelError, load_model
+from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import SeshadriValue
 
 
@@ -313,7 +313,7 @@ def test_semicontinuity_negative_control(violating_model):
     assert failing[0].to_document()["undetermined"] is True
 
 
-def test_semicontinuity_certified_negative_control(violating_model, chain_model):
+def test_semicontinuity_certified_negative_control(violating_model, chain_document):
     # f1's global value 1 specializes to quadric(2,2)'s 2: only a member
     # pair can fail, since a model's own pairs are checked by its table
     family = Family(
@@ -329,16 +329,17 @@ def test_semicontinuity_certified_negative_control(violating_model, chain_model)
     assert (doc["general_value"], doc["special_value"], doc["passed"]) == ("1", "2", False)
     assert "undetermined" not in doc
     # a special stratum proven above the dense one, or above one it
-    # specializes from, fails the model itself
-    for model, message in (
-        (violating_model("1", "2"),
+    # specializes from, fails the model itself as it is built: no family
+    # can hold it
+    for build, message in (
+        (lambda: violating_model("1", "2"),
          "stratum 'special' has a value of at least 2, above the dense stratum 'generic' "
          "at most 1"),
-        (chain_model,
+        (lambda: model_from_document(chain_document),
          "stratum 'special' has a value of at least 3/2, above the stratum 'mid' at most 1"),
     ):
-        with pytest.raises(engine.EngineError, match=message):
-            semicontinuity_check(Family(members=(("t", model),), degree=4))
+        with pytest.raises(ModelError, match=f"^{message};"):
+            semicontinuity_check(Family(members=(("t", build()),), degree=4))
 
 
 def test_member_specialization_verdicts():

@@ -178,7 +178,7 @@ def test_the_cap_is_computed_only_for_a_degree_that_can_pass_it(monkeypatch):
     # its bound is B = M*d = 4, and no bound of a threshold p/q is below
     # q*d, since M is a positive multiple of q.  So a table whose degrees
     # are all at most q*d = 4, here the line and one more curve, needs no
-    # bound
+    # bound.  With no blow-up set, no nef point contradicts the value 1
     calls, minimal_M = [], models_module.minimal_M
 
     def counted(rr, a):
@@ -187,6 +187,7 @@ def test_the_cap_is_computed_only_for_a_degree_that_can_pass_it(monkeypatch):
 
     monkeypatch.setattr(models_module, "minimal_M", counted)
     doc = json.loads(projective_plane(2).to_json())
+    doc["blowup_gens"] = {}
     generic = doc["strata"][0]
     generic["oracle_complete_below"] = "1"
     generic["candidates"][1:] = [{"label": "at", "class": None, "t": 4, "m": 4}]
@@ -507,12 +508,31 @@ def test_generator_table_matches_pairing_on_loaded_documents(blown_up_plane, k, 
         assert model.generator_table(label) == _pairings(model, label)
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("nope", "model 'f1_anticanonical' has no stratum 'nope'"),
+        ("on_E", "model 'f1_anticanonical' has no blow-up generator set for stratum 'on_E'"),
+    ],
+    ids=["missing_label", "no_generator_set"],
+)
+def test_generator_reads_name_the_model_and_the_label(label, message):
+    # f1 with on_E's blow-up set removed: a label that names no stratum,
+    # and a stratum with no set, as `stratum` names a missing label
+    doc = f1_doc()
+    del doc["blowup_gens"]["on_E"]
+    model = load_model(json.dumps(doc))
+    for read in (model.generator_table, model.nef_point):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            read(label)
+
+
 def test_replaced_model_gets_a_fresh_table():
-    # quadric(1, 2) with bare candidates, so that L = f1 + 2 f2 can be
-    # swapped for 2 f1 + f2 of the same degree
+    # quadric(1, 2) with no curve table, so that L = f1 + 2 f2 can be
+    # swapped for 2 f1 + f2 of the same degree, and its generator set
+    # cut, with no curve to contradict the nef points that follow
     doc = json.loads(quadric(1, 2).to_json())
-    for cd in doc["strata"][0]["candidates"]:
-        cd["class"] = None
+    doc["strata"][0].update(candidates=[], oracle_complete_below=None)
     model = load_model(json.dumps(doc))
     before = model.generator_table("generic")
     swapped = replace(model, polarization=(2, 1))
@@ -643,11 +663,16 @@ def test_a_row_of_multiplicity_above_v_times_degree_is_rejected(kind, row):
     # with vL very ample no curve through a point has m > v*t; each row has
     # (t, m) = (2, 5), so the model needs v >= 3, through the loader and
     # through the constructor alike
+    # with no data for the other path to contradict the ratio 2/5: no
+    # blow-up set for the candidate's stratum, no curve table for the
+    # generator's
     doc = f1_doc()
     if kind == "candidate":
         doc["strata"][1]["candidates"][1]["m"] = 5
+        del doc["blowup_gens"]["on_E"]
     else:
         doc["blowup_gens"]["generic"].append({"label": "steep", "class": [1, -1, -5]})
+        doc["strata"][0].update(candidates=[], oracle_complete_below=None)
     doc["very_ample_multiplier"] = 3
     model = load_model(json.dumps(doc))
     assert replace(model, very_ample_multiplier=3) == model

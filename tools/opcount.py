@@ -4,8 +4,8 @@
     python3 tools/opcount.py
 
 The round is the benchmark's: the families of `bench/inputs.py`'s
-`family_round(SEED, ROUND)`, seed 1 and round 0, each loaded from its JSON text, its members'
-stratum tables read, scanned at the benchmark's alpha and serialized.
+`family_round(SEED, ROUND)`, seed 1 and round 0, each loaded from its
+JSON text, scanned at the benchmark's alpha and serialized.
 The round runs once uncounted, then once counted, so that no phase
 counts work done on a first call only, such as a lazy import's walk of
 `sys.path`: on Python 3.11.7, 480 instructions per entry for
@@ -14,8 +14,8 @@ phase reaches.
 The count comes from `sys.settrace` with `f_trace_opcodes`, one per
 executed instruction, by phase:
 
-- load: `load_family` on the text, `json.loads` included;
-- stratum_table: the first read of each member's `stratum_table`;
+- load: `load_family` on the text, `json.loads` included, with each
+  member's stratum table, which its model builds and checks;
 - scan: `scan` at alpha, which reads those tables;
 - serialize: `to_document` and `json.dumps` of the report;
 
@@ -65,7 +65,7 @@ import inputs  # noqa: E402
 import seshadri.family  # noqa: E402
 
 PACKAGE = os.path.dirname(seshadri.family.__file__) + os.sep
-PHASES = ("load", "stratum_table", "scan", "serialize")
+PHASES = ("load", "scan", "serialize")
 SEED, ROUND = 1, 0
 
 
@@ -94,11 +94,6 @@ def counted(counts: dict, fn, *args):
         sys.settrace(None)
 
 
-def read_tables(family) -> None:
-    for _, model in family.members:
-        model.stratum_table
-
-
 def serialize(report) -> str:
     return json.dumps(report.to_document())
 
@@ -107,7 +102,6 @@ def run_round(texts, alpha, count) -> None:
     """One round, each phase run through `count(phase, fn, *args)`."""
     for text in texts:
         family = count("load", seshadri.family.load_family, text)
-        count("stratum_table", read_tables, family)
         report = count("scan", seshadri.family.scan, family, alpha)
         count("serialize", serialize, report)
 
