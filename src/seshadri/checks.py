@@ -63,7 +63,7 @@ def check_cross(models: Models) -> str:
 
 def check_steffens_and_rationality(models: Models) -> str:
     for model in models:
-        ceiling = SeshadriValue.sqrt(model.rr.d)
+        ceiling = model.ceiling
         for label, res in model.stratum_table.items():
             if res.value > ceiling:
                 raise AssertionError(f"{model.name}/{label}: value exceeds sqrt(d)")

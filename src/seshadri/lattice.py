@@ -2,9 +2,9 @@
 
 A lattice is a symmetric integer Gram matrix with labeled basis vectors,
 and a divisor class on it is a bare integer row of its rank.  A model
-pairs rows through one class's `covector`, built once, after it has
-checked each row's length; `pair` is the checked pairing of two rows
-for a caller that holds no covector.
+pairs rows through one class's `covector`, built once.  No package code
+calls `pair`, the checked pairing of two rows, or `extend_blowup`: the
+tests use them as the oracles of the pairing and of the blow-up layout.
 
 Nef testing is always relative to a declared finite curve-generator set:
 listing a set asserts that it generates the effective curve cone, and

@@ -2,7 +2,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
 
 from seshadri.bounds import candidate_walk
 from seshadri.examples import f1_anticanonical, projective_plane
@@ -132,71 +131,3 @@ def f1_above_on_E():
         }
     )
     return doc
-
-
-# a generator C - m*Ex of a blown-up plane as (H coordinate of C, its
-# other coordinates, m), for `blown_up_plane` with n <= 4 points: the H
-# coordinate is at least 1 and k >= 5 >= n + 1, so L.C > 0 passes the gate
-generator = st.tuples(
-    st.integers(1, 3), st.lists(st.integers(-1, 1), min_size=4, max_size=4), st.integers(0, 3)
-)
-
-
-@pytest.fixture(scope="session")
-def blown_up_plane():
-    """A factory of model documents shaped like the benchmark's: the plane
-    blown up in n points with L = kH - (E_1 + ... + E_n), d = k^2 - n.
-    `strata` lists, per stratum, its blow-up generators C - m*Ex as
-    (coordinates of C, m).  The first stratum is dense and every other one
-    specializes from it.  Each generator with m >= 1 is also a curve
-    candidate (L.C, m), so that the curve path and the nef path agree.
-    The dense stratum is complete below its least ratio, and every other
-    one below the least of its own and the dense one's, so that no value
-    is proven above the dense one and every draw builds.  The document
-    declares the least very_ample_multiplier its rows allow, the ceiling
-    of the largest m/(L.C)."""
-
-    def build(k, n, strata, name="blown_up_plane"):
-        rank = n + 1
-        polarization = [k] + [-1] * n
-        gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
-        strata_docs, blowup_gens, multiplier, dense_least = [], {}, 1, None
-        for s, gens in enumerate(strata):
-            label = "generic" if s == 0 else f"s{s}"
-            candidates = []
-            gen_docs = [{"label": "Ex", "class": [0] * rank + [1]}]
-            for g, (base, m) in enumerate(gens):
-                gen_docs.append({"label": f"g{g}", "class": list(base) + [-m]})
-                if m >= 1:
-                    t = k * base[0] + sum(base[1:])
-                    candidates.append({"label": f"g{g}", "class": list(base), "t": t, "m": m})
-            least = min((Fraction(c["t"], c["m"]) for c in candidates), default=None)
-            if s == 0:
-                dense_least = least
-            elif least is not None and dense_least is not None:
-                least = min(least, dense_least)
-            multiplier = max([multiplier] + [-(-c["m"] // c["t"]) for c in candidates])
-            strata_docs.append(
-                {
-                    "label": label,
-                    "closure_dim": 2 if s == 0 else 0,
-                    "specializes_from": [] if s == 0 else ["generic"],
-                    "oracle_complete_below": None if least is None else str(least),
-                    "candidates": candidates,
-                }
-            )
-            blowup_gens[label] = gen_docs
-        return {
-            "schema_version": 1,
-            "name": name,
-            "rank": rank,
-            "gram": gram,
-            "basis_labels": ["H"] + [f"E{i}" for i in range(1, n + 1)],
-            "polarization": polarization,
-            "rr": {"d": k * k - n, "c": 3 * k - n, "c_prime": 1, "vanishing_multiplier": 1},
-            "very_ample_multiplier": multiplier,
-            "strata": strata_docs,
-            "blowup_gens": blowup_gens,
-        }
-
-    return build

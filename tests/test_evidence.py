@@ -30,12 +30,13 @@ from seshadri.engine import (
     sigma_local,
     sublevel_set,
 )
-from seshadri.degree import RRData
 from seshadri.examples import f1_anticanonical, projective_plane, quadric
 from seshadri.family import Family, scan, semicontinuity_check
-from seshadri.lattice import CurveGeneratorSet, IntersectionLattice
-from seshadri.models import ModelError, SurfaceModel, model_from_document
+from seshadri.lattice import CurveGeneratorSet
+from seshadri.models import ModelError, model_from_document
 from seshadri.values import SeshadriValue, replace
+
+from strategies import blown_up_plane_documents
 
 
 def _plane_with_point_stratum():
@@ -429,52 +430,31 @@ def _swapped(model, stratum):
 
 @st.composite
 def _nef_and_curves(draw, labels=None):
-    """A one-stratum model of the plane blown up at a point, L = kH - jE
-    with d = k^2 - j^2 (a square when j = 0), with random blow-up
-    generators aH + bE - e*Ex, and its stratum `generic` with a random
-    curve table and a random threshold, so that the nef point falls
-    anywhere around the curve interval, the sqrt(d) ceiling included.
-    Every degree is at most d.  Labels are distinct, or drawn from
-    `labels`, which can repeat them.  The model's own stratum has no
-    table and no threshold, so that every draw builds; the drawn stratum
-    is returned beside it, as (model, stratum)."""
-    label = (lambda prefix, i: f"{prefix}{i}") if labels is None else (lambda *_: draw(labels))
-    k = draw(st.integers(2, 4))
-    j = draw(st.integers(0, k - 1))
-    d, v = k * k - j * j, 3
-    rows = []
-    for a, b, e in draw(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(-1, 6)), max_size=5
-        )
-    ):
-        deg = k * a + j * b  # L.(aH + bE), with E.E = -1
-        if (deg >= 1 and e <= v * deg) or (a == b == 0 and e == -1):
-            rows.append((a, b, -e))
+    """A one-stratum model of the plane blown up in one or two points,
+    drawn by `blown_up_plane_documents` with a generator set on its
+    stratum `generic`, and beside it that stratum with a random curve
+    table and a random threshold, so that the curve interval falls
+    anywhere around the nef point, the sqrt(d) ceiling included.  Every
+    degree is at most d.  Labels are distinct, or drawn from `labels`,
+    which can repeat them, for the generators too.  Returned as
+    (model, stratum)."""
+    doc = draw(blown_up_plane_documents(max_points=2, max_strata=1, dense_at_ceiling=False))
+    if labels is not None:
+        for gen in doc["blowup_gens"]["generic"]:
+            gen["label"] = draw(labels)
+    model = model_from_document(doc)
+    label = (lambda i: f"c{i}") if labels is None else (lambda _: draw(labels))
+    d, v = model.rr.d, model.very_ample_multiplier
     pairs = draw(st.lists(st.tuples(st.integers(1, d), st.integers(1, 6)), max_size=4))
     ocb = draw(st.one_of(st.none(), st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))))
-    stratum = PointStratum(
-        label="generic",
-        closure_dim=2,
+    stratum = replace(
+        model.stratum("generic"),
         candidates=tuple(
-            CurveCandidate(label=label("c", i), degree_t=t, mult_m=m)
+            CurveCandidate(label=label(i), degree_t=t, mult_m=m)
             for i, (t, m) in enumerate(pairs)
             if m <= v * t
         ),
         oracle_complete_below=ocb,
-    )
-    model = SurfaceModel(
-        name="blown_up",
-        lattice=IntersectionLattice(rank=2, gram=((1, 0), (0, -1)), basis_labels=("H", "E")),
-        polarization=(k, -j),
-        rr=RRData(d=d, c=3 * k - j, c_prime=1),
-        very_ample_multiplier=v,
-        strata=(replace(stratum, candidates=(), oracle_complete_below=None),),
-        blowup_gens={
-            "generic": CurveGeneratorSet(
-                labels=tuple(label("g", i) for i in range(len(rows))), rows=tuple(rows)
-            )
-        },
     )
     return model, stratum
 
@@ -601,15 +581,16 @@ def _curves_reference(model, stratum):
 @st.composite
 def _threshold_near_the_least_ratio(draw):
     """A draw of `_nef_and_curves` whose stratum's threshold is none, or
-    below, at or above its least listed ratio, or at sqrt(d) when d is a
-    square."""
+    below, at or above its least listed ratio, or at isqrt(d), which is
+    sqrt(d) when d is a square; a threshold that is not positive is not
+    drawn."""
     model, stratum = draw(_nef_and_curves(labels=st.sampled_from("ab")))
     best = _best_candidate(stratum.candidates)
     least = Fraction(model.rr.d) if best is None else best.ratio
     root = math.isqrt(model.rr.d)
     step = Fraction(1, draw(st.integers(1, 8)))
-    ocb = draw(st.sampled_from([None, least - step, least, least + step, Fraction(root)]))
-    assume(ocb is None or ocb > 0)
+    near = [q for q in (least - step, least, least + step, Fraction(root)) if q > 0]
+    ocb = draw(st.sampled_from([None] + near))
     return model, replace(stratum, oracle_complete_below=ocb)
 
 

@@ -23,6 +23,8 @@ from seshadri.family import (
 from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import SeshadriValue
 
+from strategies import Stratum, blown_up_plane
+
 
 def d8_family():
     return Family(
@@ -94,20 +96,21 @@ def test_scan_computes_each_member_global_result_once(monkeypatch):
     assert list(report.semicontinuity_verdicts) == semicontinuity_check(family)
 
 
-def test_minimal_M_calls_per_stratum_and_member(blown_up_plane, monkeypatch):
-    # d = 98; the dense stratum sits at sqrt(d), and the other four are
-    # complete below 5, 11/3, 1 and 1, three distinct thresholds p/q under
-    # sqrt(d).  Only s3 lists a degree above q*d, the least its bound can
-    # be: a curve of degree 100 and ratio 100, which the bound allows
+def test_minimal_M_calls_per_stratum_and_member(monkeypatch):
+    # d = 98; the dense stratum sits at sqrt(d) with no generator set, and
+    # the other four are exactly 5, 11/3, 1 and 1, each complete below its
+    # value: three distinct thresholds p/q under sqrt(d).  Only s3 lists a
+    # degree above q*d, the least its bound can be: a curve of degree 100
+    # and ratio 100, which the bound allows
     doc = blown_up_plane(
         10,
-        2,
+        (1, 1),
         [
-            [((1, 0, 0), 1)],
-            [((1, 0, 0), 2)],
-            [((1, 1, 0), 3)],
-            [((0, 1, 0), 1), ((10, 0, 0), 1)],
-            [((1, 0, 0), 2), ((0, 0, 1), 1)],
+            Stratum(),
+            Stratum((((1, 0, 0), 2),), (0,), Fraction(5)),
+            Stratum((((1, 1, 0), 3),), (0,), Fraction(11, 3)),
+            Stratum((((0, 1, 0), 1), ((10, 0, 0), 1)), (0, 1), Fraction(1)),
+            Stratum((((1, 0, 0), 2), ((0, 0, 1), 1)), (0, 1), Fraction(1)),
         ],
     )
     calls, minimal_M = [], bounds.minimal_M

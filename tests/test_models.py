@@ -6,8 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from seshadri import models as models_module
 from seshadri.checks import check_roundtrip, check_rr_sanity
@@ -20,7 +19,7 @@ from seshadri.lattice import pair
 from seshadri.models import ModelError, SurfaceModel, load_model, model_from_document
 from seshadri.values import SeshadriValue, replace
 
-from conftest import generator
+from strategies import Stratum, blown_up_plane, blown_up_plane_documents
 
 
 def f1_doc():
@@ -491,18 +490,9 @@ def test_generator_table_matches_pairing_on_builtins():
             assert model.generator_table(label) == _pairings(model, label)
 
 
-@given(
-    st.integers(5, 10),
-    st.integers(1, 4),
-    st.lists(st.lists(generator, min_size=1, max_size=5), min_size=1, max_size=4),
-)
-# m = 3 > L.C = 2, so the document declares very_ample_multiplier 2
-@example(5, 4, [[(1, [0, -1, -1, -1], 3)]])
+@given(blown_up_plane_documents())
 @settings(max_examples=60)
-def test_generator_table_matches_pairing_on_loaded_documents(blown_up_plane, k, n, strata):
-    doc = blown_up_plane(
-        k, n, [[([a] + e[:n], m) for a, e, m in gens] for gens in strata]
-    )
+def test_generator_table_matches_pairing_on_loaded_documents(doc):
     model = model_from_document(json.loads(json.dumps(doc)))
     for label in model.blowup_gens:
         assert model.generator_table(label) == _pairings(model, label)
@@ -582,7 +572,20 @@ def test_model_hash_agrees_with_equality_in_any_generator_set_order():
         assert copy.to_json() == m.to_json()
 
 
-def test_a_model_builds_its_polarization_covector_once(monkeypatch, blown_up_plane):
+def _two_strata_document():
+    """L = 6H - E1 - E2 - E3, d = 33: generic exactly 5 by the line
+    H - E1 through the point, and s1 exactly 1 by E1 through it."""
+    return blown_up_plane(
+        6,
+        (1, 1, 1),
+        [
+            Stratum((((1, 0, 0, 0), 0), ((1, -1, 0, 0), 1)), (1,), Fraction(5)),
+            Stratum((((0, 1, 0, 0), 1),), (0,), Fraction(1)),
+        ],
+    )
+
+
+def test_a_model_builds_its_polarization_covector_once(monkeypatch):
     calls = []
     covector = IntersectionLattice.covector
 
@@ -594,12 +597,11 @@ def test_a_model_builds_its_polarization_covector_once(monkeypatch, blown_up_pla
     model = f1_anticanonical()
     assert calls == [model.polarization]
     calls.clear()
-    doc = blown_up_plane(6, 3, [[((1, 0, 0, 0), 0), ((1, -1, 0, 0), 1)], [((0, 1, 0, 0), 1)]])
-    model = model_from_document(json.loads(json.dumps(doc)))
+    model = model_from_document(_two_strata_document())
     assert calls == [model.polarization] == [(6, -1, -1, -1)]
 
 
-def test_stratum_tables_read_no_generator_table(monkeypatch, blown_up_plane):
+def test_stratum_tables_read_no_generator_table(monkeypatch):
     # the load walk finds each nef point, so evaluating the strata walks
     # no generator table again
     calls = []
@@ -610,8 +612,7 @@ def test_stratum_tables_read_no_generator_table(monkeypatch, blown_up_plane):
         return generator_table(self, label)
 
     monkeypatch.setattr(SurfaceModel, "generator_table", counted)
-    doc = blown_up_plane(6, 3, [[((1, 0, 0, 0), 0), ((1, -1, 0, 0), 1)], [((0, 1, 0, 0), 1)]])
-    for model in (f1_anticanonical(), model_from_document(json.loads(json.dumps(doc)))):
+    for model in (f1_anticanonical(), model_from_document(_two_strata_document())):
         assert len(model.stratum_table) == len(model.strata) == len(model.blowup_gens)
     assert calls == []
 

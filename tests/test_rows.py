@@ -24,18 +24,12 @@ from seshadri.lattice import (
 from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import replace
 
-from conftest import generator
+from strategies import blown_up_plane_documents
 
-@given(
-    st.integers(5, 10),
-    st.integers(1, 4),
-    st.lists(st.lists(generator, min_size=1, max_size=5), min_size=1, max_size=4),
-)
-# m = 3 > L.C = 2, so the document declares very_ample_multiplier 2
-@example(5, 4, [[(1, [0, -1, -1, -1], 3)]])
+
+@given(blown_up_plane_documents())
 @settings(max_examples=60)
-def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
-    doc = blown_up_plane(k, n, [[([a] + e[:n], m) for a, e, m in gens] for gens in strata])
+def test_rows_match_the_classes_built_from_them(doc):
     model = model_from_document(json.loads(json.dumps(doc)))
     text = model.to_json()
     assert text == json.dumps(doc, indent=2) + "\n" == load_model(text).to_json()
@@ -45,7 +39,9 @@ def test_rows_match_the_classes_built_from_them(blown_up_plane, k, n, strata):
     for stratum in model.strata:
         for c in stratum.candidates:
             assert pair(model.lattice, model.polarization, c.coords) == c.degree_t
-        gens = model.blowup_gens[stratum.label]
+        gens = model.blowup_gens.get(stratum.label)
+        if gens is None:
+            continue  # a dense stratum at sqrt(d) lists no set
         assert model.generator_table(stratum.label) == tuple(
             (pair(ext, pullback, row), pair(ext, exceptional, row)) for row in gens.rows
         )
