@@ -104,6 +104,14 @@ def blown_up_plane(k, j, strata):
     }
 
 
+# the plane blown up in one point, L = 2H - E1, d = 3: generic at sqrt(3)
+# with no set, and s1 at 1/2 by E1 - 2Ex, m = 2 > L.E1 = 1, listed as a
+# candidate too, so the document declares very_ample_multiplier 2
+MULTIPLIER_TWO = blown_up_plane(
+    2, (1,), [Stratum(), Stratum(gens=(((0, 1), 2),), candidates=(0,), threshold=Fraction(1, 2))]
+)
+
+
 @st.composite
 def blown_up_plane_documents(draw, max_points=4, max_strata=4, dense_at_ceiling=True):
     """A `blown_up_plane` document drawn top down, which builds.
@@ -116,7 +124,9 @@ def blown_up_plane_documents(draw, max_points=4, max_strata=4, dense_at_ceiling=
 
     The dense stratum comes first: at sqrt(d) with no set (when
     `dense_at_ceiling`), or at the ratio of a binding class of ratio at
-    least 1.  Each of the other strata, up to `max_strata` in all,
+    least 1, since epsilon(L; x) >= 1 at a very general point x of a
+    surface (Ein and Lazarsfeld, Seshadri constants on smooth surfaces,
+    1993).  Each of the other strata, up to `max_strata` in all,
     specializes from some of the strata before it, and its value is the
     ratio of a binding class at most each of their values and the dense
     one's.  A binding class C - m*Ex has m in 1..2, t = L.C with
@@ -125,16 +135,15 @@ def blown_up_plane_documents(draw, max_points=4, max_strata=4, dense_at_ceiling=
     with one or two binding classes at the stratum's value among them.
     The candidates are a subset of the set's rows with m >= 1, and the
     threshold is i/4 of the value (of isqrt(d) at the ceiling), i in
-    1..4, or None."""
+    1..4, or None.  Every value is then at least 1/2, since t >= 1 and
+    m <= 2, so the document declares very_ample_multiplier 1 or 2;
+    `MULTIPLIER_TWO` is a fixed document that declares 2."""
     j = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=max_points)))
     squares = sum(x * x for x in j)
     least_k = math.isqrt(squares + max(1, max(j) ** 2) - 1) + 1
     k = draw(st.integers(least_k, least_k + 5))
     d = k * k - squares
     classes, binding, ratios = _classes(k, j)
-
-    def pick(items):
-        return items[draw(st.integers(0, len(items) - 1)) if len(items) > 1 else 0]
 
     values, strata = [], []  # each stratum's value, None for sqrt(d)
     for s in range(draw(st.integers(1, max_strata))):
@@ -146,22 +155,22 @@ def blown_up_plane_documents(draw, max_points=4, max_strata=4, dense_at_ceiling=
                 threshold = Fraction(quarter * math.isqrt(d), 4) if quarter else None
                 strata.append(Stratum(threshold=threshold))
                 continue
-            value = pick(ratios[bisect.bisect_left(ratios, 1):])
+            value = draw(st.sampled_from(ratios[bisect.bisect_left(ratios, 1):]))
         else:
             earlier = ["generic"] + [f"s{i}" for i in range(1, s)]
             generals = tuple(draw(st.lists(st.sampled_from(earlier), min_size=1, unique=True)))
             caps = [values[0]] + [values[earlier.index(g)] for g in generals]
             cap = min((v for v in caps if v is not None), default=ratios[-1])
-            value = pick(ratios[: bisect.bisect_right(ratios, cap)])
+            value = draw(st.sampled_from(ratios[: bisect.bisect_right(ratios, cap)]))
         values.append(value)
         larger = []
         for _ in range(draw(st.integers(0, 3))):
-            c, t = pick(classes)
+            c, t = draw(st.sampled_from(classes))
             # a larger ratio, m*value < t: m is below t/value
             most = min(3, (t * value.denominator - 1) // value.numerator)
             larger.append((c, draw(st.integers(0, most))))
         at = draw(st.integers(0, len(larger)))
-        binds = [pick(binding[value]) for _ in range(draw(st.integers(1, 2)))]
+        binds = [draw(st.sampled_from(binding[value])) for _ in range(draw(st.integers(1, 2)))]
         gens = tuple(larger[:at] + binds + larger[at:])
         listed = [g for g, (_, m) in enumerate(gens) if m >= 1]
         subset = draw(st.integers(0, 2 ** len(listed) - 1))  # a bit per listed row

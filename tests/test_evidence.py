@@ -435,10 +435,12 @@ def _nef_and_curves(draw, labels=None):
     stratum `generic`, and beside it that stratum with a random curve
     table and a random threshold, so that the curve interval falls
     anywhere around the nef point, the sqrt(d) ceiling included.  Every
-    degree is at most d.  Labels are distinct, or drawn from `labels`,
-    which can repeat them, for the generators too.  Returned as
-    (model, stratum)."""
+    degree is at most d, and the model declares very_ample_multiplier 3,
+    so the table keeps any multiplicity up to three times its degree.
+    Labels are distinct, or drawn from `labels`, which can repeat them,
+    for the generators too.  Returned as (model, stratum)."""
     doc = draw(blown_up_plane_documents(max_points=2, max_strata=1, dense_at_ceiling=False))
+    doc["very_ample_multiplier"] = 3
     if labels is not None:
         for gen in doc["blowup_gens"]["generic"]:
             gen["label"] = draw(labels)

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from seshadri import models as models_module
 from seshadri.checks import check_roundtrip, check_rr_sanity
@@ -19,7 +19,7 @@ from seshadri.lattice import pair
 from seshadri.models import ModelError, SurfaceModel, load_model, model_from_document
 from seshadri.values import SeshadriValue, replace
 
-from strategies import Stratum, blown_up_plane, blown_up_plane_documents
+from strategies import MULTIPLIER_TWO, Stratum, blown_up_plane, blown_up_plane_documents
 
 
 def f1_doc():
@@ -491,6 +491,7 @@ def test_generator_table_matches_pairing_on_builtins():
 
 
 @given(blown_up_plane_documents())
+@example(MULTIPLIER_TWO)
 @settings(max_examples=60)
 def test_generator_table_matches_pairing_on_loaded_documents(doc):
     model = model_from_document(json.loads(json.dumps(doc)))

@@ -24,10 +24,11 @@ from seshadri.lattice import (
 from seshadri.models import ModelError, load_model, model_from_document
 from seshadri.values import replace
 
-from strategies import blown_up_plane_documents
+from strategies import MULTIPLIER_TWO, blown_up_plane_documents
 
 
 @given(blown_up_plane_documents())
+@example(MULTIPLIER_TWO)
 @settings(max_examples=60)
 def test_rows_match_the_classes_built_from_them(doc):
     model = model_from_document(json.loads(json.dumps(doc)))
