@@ -23,6 +23,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .degree import BoundError, RRData, minimal_M
 from .values import Rational, RationalLike, Record, as_int, as_rational, cut, set_field
+from .values import without_collection
 
 
 def _farey_ceil(B: int, u: int, v: int) -> Tuple[int, int]:
@@ -112,6 +113,7 @@ def candidate_walk(
         _check_after_end(B, a, b, c, d, u, v)
 
 
+@without_collection
 def candidate_ratios(B: int, alpha: RationalLike) -> List[Rational]:
     """All ratios t/m <= alpha with 1 <= m <= t <= B, deduplicated and
     ascending.  This is a finite superset of every attainable local

@@ -45,6 +45,7 @@ from .values import (
     require_label,
     set_field,
     shown,
+    without_collection,
 )
 
 
@@ -342,6 +343,7 @@ _FAMILY_KEYS = dict.fromkeys(("degree", "members"))
 _MEMBER_KEYS = dict.fromkeys(("param_label", "model"))
 
 
+@without_collection
 def load_family(text: str, base_dir: Optional[str] = None) -> Family:
     """Parse a family document; member models are inline objects or paths
     to model files (resolved relative to base_dir).  As for a model, the

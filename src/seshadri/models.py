@@ -42,6 +42,7 @@ from .values import (
     require_label,
     set_field,
     shown,
+    without_collection,
 )
 
 # fixed label of the exceptional class on the one-point blow-up lattice
@@ -562,6 +563,7 @@ def _generators(gen_list, gens: str, label) -> CurveGeneratorSet:
         raise violation(ModelError, gens + _step(label), exc) from exc
 
 
+@without_collection
 def load_model(text: str) -> SurfaceModel:
     """Parse and validate a model document, naming what failed; a value
     contradiction in its stratum table is raised too, as a ModelError."""

@@ -11,6 +11,8 @@ of a single value, and `Record`, the immutable base of every record.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import re
 from collections import abc
@@ -156,6 +158,26 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def without_collection(build):
+    """`build` with the cyclic collector paused, for a build whose objects
+    form no cycle and outlive the call, which a collection would traverse
+    to free nothing.  The collector's prior state comes back on return and
+    on raise, so a pause a caller or an outer build made stays.  The pause
+    is process-wide: no thread's cycles are collected until it ends."""
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def replace(record: Record, **changes) -> Record:

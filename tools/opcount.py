@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Count the bytecode instructions that one family-scan round executes.
+"""Count the bytecode instructions that one family-scan round executes,
+and the cyclic garbage collections it starts.
 
     python3 tools/opcount.py
 
@@ -38,6 +39,23 @@ function of the input and of the interpreter version: two runs on one
 interpreter print the same line, whatever `sys.path` holds or which
 modules were imported before.
 
+`collections` shows the cyclic collector's work, on one more round run
+uncounted after `gc.collect()`, since a traced call's frame objects
+would enter the collector's count, and on a `ratios` phase,
+`candidate_ratios(600, Fraction(2828, 1000))`, CI's ratio list memory
+smoke.  A `gc.callbacks` hook logs each collection that starts.  Per
+phase, `started` counts them by generation, from the return of the call
+before to the return of the phase's own, so the pass that a call's
+young objects set off at the next allocation counts in the phase after
+it; and `young_left` is the most young objects (`gc.get_count()[0]`)
+one of the phase's calls left for that pass.  A build that pauses the
+collector starts none, and its `young_left` shows the pass it put off:
+on Python 3.11.7, pausing `load_family` and `candidate_ratios` took
+load from [20, 1, 0] to [0, 0, 0] and ratios from [91, 9, 0] to
+[0, 0, 0], while scan went from [0, 0, 0] to [3, 0, 0], the passes that
+three loads put off.  Two runs on one interpreter print the same counts
+too.
+
 `lines_compiled` counts what a host that writes no bytecode compiles on
 each CLI call: per command, the lines (as `wc -l` counts them) of the
 `src/seshadri/*.py` modules in `sys.modules` when `seshadri.cli.main`
@@ -50,6 +68,7 @@ The last and only stdout line is one JSON object.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -62,11 +81,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import inputs  # noqa: E402
+import seshadri.bounds  # noqa: E402
 import seshadri.family  # noqa: E402
 
 PACKAGE = os.path.dirname(seshadri.family.__file__) + os.sep
 PHASES = ("load", "scan", "serialize")
 SEED, ROUND = 1, 0
+# the ratio list of CI's memory smoke, near sqrt(8) at B = 600
+RATIOS = (600, Fraction(2828, 1000))
 
 
 def counted(counts: dict, fn, *args):
@@ -104,6 +126,39 @@ def run_round(texts, alpha, count) -> None:
         family = count("load", seshadri.family.load_family, text)
         report = count("scan", seshadri.family.scan, family, alpha)
         count("serialize", serialize, report)
+
+
+def collections(texts, alpha) -> dict:
+    """Per phase of one more round and of `candidate_ratios(*RATIOS)`,
+    run uncounted: the collections started, by generation, and the most
+    young objects one of its calls left, as the module docstring says."""
+    log, ends = [], []  # each collection's generation; (phase, len(log), young) per call
+
+    def hook(phase, info):
+        if phase == "start":
+            log.append(info["generation"])
+
+    def count(phase, fn, *args):
+        result = fn(*args)
+        # len(log) is read first: an object built after the return may start a pass
+        ends.append((phase, len(log), gc.get_count()[0]))
+        return result
+
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        run_round(texts, alpha, count)
+        count("ratios", seshadri.bounds.candidate_ratios, *RATIOS)
+    finally:
+        gc.callbacks.remove(hook)
+    per_phase = {phase: {"started": [0, 0, 0], "young_left": 0} for phase in PHASES + ("ratios",)}
+    start = 0
+    for phase, end, young in ends:
+        for generation in log[start:end]:
+            per_phase[phase]["started"][generation] += 1
+        per_phase[phase]["young_left"] = max(per_phase[phase]["young_left"], young)
+        start = end
+    return per_phase
 
 
 # run in the child: argv is [src, command, flags...]; the count goes to stderr
@@ -164,6 +219,7 @@ def main() -> int:
     run_round(texts, alpha, lambda phase, fn, *args: counted(counts[phase], fn, *args))
     for phase in counts.values():
         phase["total"] = phase["package"] + phase["other"]
+    collected = collections(texts, alpha)
     result = {
         "workload": "family-scan",
         "seed": SEED,
@@ -173,6 +229,7 @@ def main() -> int:
         "python": platform.python_version(),
         "phases": counts,
         "total": sum(phase["total"] for phase in counts.values()),
+        "collections": collected,
         "lines_compiled": lines_compiled(),
         "uncounted": "work in C: json.loads, big-integer arithmetic, compilation",
     }
